@@ -20,6 +20,7 @@ the optional Figure-5 trace, and the optional workspace ``limit``.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, StreamOrderError
@@ -34,6 +35,26 @@ from . import fused, kernels
 from .fused import LazyPairs
 from .kernels import SweepStats
 from .relation import IntervalColumns
+
+
+@contextmanager
+def cyclic_gc_paused():
+    """Hold the cyclic collector off one batch sweep.
+
+    The sweep allocates monotonically (columns, active entries, output
+    rows) and creates no reference cycles, but every allocation burst
+    makes the cyclic collector re-scan the whole live graph — on large
+    joins that costs more than the kernel itself.  Refcounting alone
+    reclaims everything.
+    """
+    pause_gc = gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if pause_gc:
+            gc.enable()
 
 
 class ColumnarProcessor(StreamProcessor):
@@ -153,19 +174,8 @@ class ColumnarProcessor(StreamProcessor):
         with tracer.span(
             f"operator:{self.operator}", backend=self.backend_name
         ) as span:
-            # The batch sweep allocates monotonically (columns, active
-            # entries, output rows) and creates no reference cycles, but
-            # every allocation burst makes the cyclic collector re-scan
-            # the whole live graph — on large joins that costs more than
-            # the kernel itself.  Refcounting alone reclaims everything.
-            pause_gc = gc.isenabled()
-            if pause_gc:
-                gc.disable()
-            try:
+            with cyclic_gc_paused():
                 out = self._materialise()
-            finally:
-                if pause_gc:
-                    gc.enable()
             self.metrics.output_count = len(out)
             self._finalise_metrics()
             if tracer.enabled:

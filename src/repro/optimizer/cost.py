@@ -131,8 +131,10 @@ class CostModel:
         expected_workspace: float,
         workers: int,
         replicated: float = 0.0,
+        backend: str = "tuple",
     ) -> float:
-        """One time-domain-partitioned pass with ``workers`` shards.
+        """One time-domain-partitioned pass with ``workers`` shards on
+        the given physical backend.
 
         Each shard sweeps ``1/workers`` of X plus its replicated share
         of Y; the expected workspace is *not* divided — the open-tuple
@@ -144,13 +146,14 @@ class CostModel:
         """
         if workers <= 1:
             return self.stream_pass_cost(
-                x_tuples, y_tuples, expected_workspace
+                x_tuples, y_tuples, expected_workspace, backend=backend
             )
         shipped_y = y_tuples + replicated
-        per_shard = (
-            self.scan_cost(math.ceil(x_tuples / workers))
-            + self.scan_cost(math.ceil(shipped_y / workers))
-            + expected_workspace * self.workspace_tuple
+        per_shard = self.stream_pass_cost(
+            math.ceil(x_tuples / workers),
+            math.ceil(shipped_y / workers),
+            expected_workspace,
+            backend=backend,
         )
         coordination = (
             workers * self.parallel_worker_startup
@@ -183,8 +186,10 @@ def choose_shard_count(
     expected_workspace: float,
     max_workers: int,
     available_cpus: Optional[int] = None,
+    backend: str = "tuple",
 ) -> int:
-    """The cheapest shard count in [1, max_workers] under the model.
+    """The cheapest shard count in [1, max_workers] under the model,
+    for a sweep on the given physical backend.
 
     Returns 1 when no parallel configuration beats the serial pass —
     the parallel-vs-serial decision the planner exposes.
@@ -202,7 +207,10 @@ def choose_shard_count(
     ceiling = max(1, min(max_workers, model.max_parallel_workers, cpus))
     per_cut = expected_replication_per_cut(x_stats, y_stats)
     best_workers, best_cost = 1, model.stream_pass_cost(
-        x_stats.cardinality, y_stats.cardinality, expected_workspace
+        x_stats.cardinality,
+        y_stats.cardinality,
+        expected_workspace,
+        backend=backend,
     )
     for workers in range(2, ceiling + 1):
         cost = model.parallel_stream_cost(
@@ -211,6 +219,7 @@ def choose_shard_count(
             expected_workspace,
             workers,
             replicated=(workers - 1) * per_cut,
+            backend=backend,
         )
         if cost < best_cost:
             best_workers, best_cost = workers, cost

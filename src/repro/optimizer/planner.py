@@ -281,6 +281,7 @@ class TemporalJoinPlanner:
                         workspace,
                         self.parallelism,
                         available_cpus=self.available_cpus,
+                        backend=backend,
                     )
                     if workers > 1:
                         per_cut = expected_replication_per_cut(
@@ -292,6 +293,7 @@ class TemporalJoinPlanner:
                             workspace,
                             workers,
                             replicated=(workers - 1) * per_cut,
+                            backend=backend,
                         )
                         out.append(
                             Alternative(

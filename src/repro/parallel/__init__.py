@@ -2,19 +2,14 @@
 
 The package splits a sorted operator input into K contiguous shards
 whose boundary-spanning tuples are replicated by per-operator necessity
-windows, then runs the unmodified tuple/columnar sweep kernels per
-shard under the resilience ladder and merges the shard outputs
-(:mod:`repro.parallel.executor`).  Two shard planners exist:
-
-* :mod:`repro.parallel.shards` — contiguous *index ranges* over the
-  operand endpoint columns, used by the zero-copy shared-memory
-  process runtime (:mod:`repro.parallel.shm`,
-  :mod:`repro.parallel.pool`, :mod:`repro.parallel.worker`): shards
-  are described by offsets into one published segment, so nothing is
-  pickled on the hot path;
-* :mod:`repro.parallel.partition` — materialised per-shard tuple
-  lists, used by the inline mode and wherever tagged tuples are
-  convenient.
+windows (:mod:`repro.parallel.shards` — contiguous *index ranges* over
+the operand endpoint columns), then runs the unmodified sweep kernels
+per shard under the resilience ladder (:mod:`repro.parallel.worker`)
+and merges the shard outputs (:mod:`repro.parallel.executor`).  Shards
+run either in-process or on the zero-copy shared-memory process
+runtime (:mod:`repro.parallel.shm`, :mod:`repro.parallel.pool`), where
+they are described by offsets into one published segment, so nothing
+is pickled on the hot path.
 
 See ``docs/PARALLEL.md`` for the partitioning rules and their
 derivation from the paper's Tables 1-3 workspace characterisations.
@@ -27,15 +22,6 @@ from .executor import (
     ShardRun,
     execute_parallel,
 )
-from .partition import (
-    OwnedAggregates,
-    PartitionPlan,
-    PartitionTag,
-    Shard,
-    necessity_window,
-    partition,
-    slice_bounds,
-)
 from .pool import (
     WorkerPool,
     WorkerPoolError,
@@ -43,24 +29,18 @@ from .pool import (
     shutdown_pool,
     warm_pool,
 )
-from .shards import RangePlan, ShardRange, plan_ranges
+from .shards import RangePlan, ShardRange, plan_ranges, slice_bounds
 
 __all__ = [
     "EXECUTION_MODES",
     "LazyResults",
-    "OwnedAggregates",
     "ParallelOutcome",
-    "PartitionPlan",
-    "PartitionTag",
     "RangePlan",
-    "Shard",
     "ShardRange",
     "ShardRun",
     "WorkerPool",
     "WorkerPoolError",
     "execute_parallel",
-    "necessity_window",
-    "partition",
     "plan_ranges",
     "pool_stats",
     "shutdown_pool",

@@ -1,26 +1,28 @@
-"""Parallel execution of partitioned stream operators.
+"""Parallel execution of range-sharded stream operators.
 
 :func:`execute_parallel` is the parallel twin of
 :func:`repro.resilience.executor.execute_entry`: same inputs, same
 recovery ladder, same accounting — but the operator runs as K
-independent shards, each swept by the unmodified tuple or columnar
-kernel.
-
-Two modes:
+independent shards.  Every run has one spine: the operands are
+columnised (:class:`~repro.columnar.relation.IntervalColumns`), shards
+are planned as contiguous index ranges (:mod:`repro.parallel.shards`),
+each shard runs the one shard body
+(:func:`repro.parallel.worker.run_shard` — the columnar or fused
+kernel directly on the endpoint columns when eligible, otherwise the
+resilience ladder over index-surrogate tuples) and returns an
+``array('q')`` index chunk, and the chunks are wrapped in
+:class:`LazyResults`, whose payload tuples materialise on the parent
+side only when touched.  The two modes differ only in transport:
 
 * ``"process"`` — the zero-copy shared-memory shard runtime.  The
-  operand endpoint columns (:class:`~repro.columnar.relation.
-  IntervalColumns`) are published once into a
-  ``multiprocessing.shared_memory`` segment; shards are planned as
-  contiguous index ranges (:mod:`repro.parallel.shards`); a persistent
-  warm spawn pool (:mod:`repro.parallel.pool`) receives only segment
-  names plus offsets and writes results back as ``array('q')`` global
-  index columns in shared result segments.  No ``TemporalTuple`` is
-  ever pickled on this path — payloads materialise lazily from the
-  index columns on the parent side.
-* ``"inline"`` — shards run sequentially in-process over the windowed
-  partitioner (:mod:`repro.parallel.partition`): deterministic, fully
-  traced, and the fallback whenever the worker pool is unavailable.
+  operand endpoint columns are published once into a
+  ``multiprocessing.shared_memory`` segment; a persistent warm spawn
+  pool (:mod:`repro.parallel.pool`) receives only segment names plus
+  offsets and writes the chunks back into shared result segments.  No
+  ``TemporalTuple`` is ever pickled on this path.
+* ``"inline"`` — shards run sequentially in-process on slices of the
+  parent's columns: deterministic, traced in place, and the fallback
+  whenever the worker pool is unavailable.
 
 Resilience composes per shard: each shard runs under the caller's
 policy and fault plan, so a faulted shard retries, quarantines, or
@@ -31,11 +33,11 @@ Pool infrastructure failures are *visible* degradations: the run falls
 back inline, bumps ``repro_parallel_pool_fallbacks_total`` with the
 exception class, and records it on the ``parallel:`` span.
 
-Merged output order is deterministic: shards concatenate in cut order,
-which for semijoins reproduces the serial X-order output exactly; join
-cells interleave pairs differently than the serial sweep but are
-multiset-identical, the same guarantee the two physical backends give
-each other.
+Merged output order is deterministic and the same in both modes:
+shards concatenate in cut order, which for semijoins reproduces the
+serial X-order output exactly; join cells interleave pairs differently
+than the serial sweep but are multiset-identical, the same guarantee
+the physical backends give each other.
 """
 
 from __future__ import annotations
@@ -58,17 +60,12 @@ from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..resilience.retry import RetryPolicy
 from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..streams.metrics import ProcessorMetrics
-from ..streams.registry import RegistryEntry, TemporalOperator, lookup
+from ..streams.registry import RegistryEntry, TemporalOperator
 from ..streams.workspace import WorkspaceReport
 from . import shm
-from .partition import (
-    SELF_OPERATORS,
-    PartitionTag,
-    Shard,
-    partition,
-)
 from .pool import get_pool
-from .shards import RangePlan, ShardRange, plan_ranges
+from .shards import SELF_OPERATORS, RangePlan, ShardRange, plan_ranges
+from .worker import run_shard
 
 #: Operators whose outputs are (x, y) pairs.
 _JOIN_OPERATORS = frozenset(
@@ -136,19 +133,19 @@ class ShardRun:
 class ParallelOutcome:
     """Merged results plus everything the shards reported.
 
-    ``results`` is list-like; process-mode runs return a
-    :class:`LazyResults` whose payload tuples materialise on first
-    element access (``len()`` is always free).
+    ``results`` is a :class:`LazyResults`: list-like, with payload
+    tuples materialising on first element access (``len()`` is always
+    free).
     """
 
-    results: Sequence
+    results: "LazyResults"
     report: ExecutionReport
     metrics: ProcessorMetrics
     policy: RecoveryPolicy
     backend: str
     mode: str
     workers: int
-    plan: object  # PartitionPlan (inline) or RangePlan (process)
+    plan: RangePlan
     shard_runs: List[ShardRun] = field(default_factory=list)
     #: Containment counters of the process-mode batch (shard_retries,
     #: worker_deaths, speculations); empty on inline runs.
@@ -168,120 +165,11 @@ def _shape_of(operator: TemporalOperator) -> str:
 
 
 # ----------------------------------------------------------------------
-# inline shard execution
+# shard tasks and the two transports' shared pieces
 # ----------------------------------------------------------------------
-def _run_shard(task: dict) -> dict:
-    """Execute one windowed shard via the resilience ladder.
-
-    Raises whatever ``execute_entry`` raises (STRICT semantics must
-    propagate the original exception types to the caller).
-    """
-    from ..resilience.executor import execute_entry
-
-    entry = lookup(task["operator"], task["x_order"], task["y_order"])
-    started = time.perf_counter()
-    outcome = execute_entry(
-        entry,
-        task["x"],
-        task["y"],
-        backend=task["backend"],
-        policy=task["policy"],
-        workspace_budget=task["workspace_budget"],
-        fault_plan=task["fault_plan"],
-        retry_policy=task["retry_policy"],
-        page_capacity=task["page_capacity"],
-        sort_memory_pages=task["sort_memory_pages"],
-    )
-    wall = time.perf_counter() - started
-    residual_filtered = 0
-    if _shape_of(task["operator"]) == "self":
-        owned_lo, owned_hi = task["owned_lo"], task["owned_hi"]
-        kept = []
-        for emitted in outcome.results:
-            tag = emitted.value
-            if not isinstance(tag, PartitionTag):
-                raise ExecutionError(
-                    "self-semijoin shard output lost its partition tag"
-                )
-            if owned_lo <= tag.index < owned_hi:
-                kept.append(task["originals"][tag.index])
-            else:
-                residual_filtered += 1
-        results = kept
-    else:
-        results = list(outcome.results)
-    return {
-        "index": task["index"],
-        "results": results,
-        "report": outcome.report,
-        "metrics": outcome.metrics.to_dict(),
-        "wall_seconds": wall,
-        "output_count": len(results),
-        "residual_filtered": residual_filtered,
-        "x_count": len(task["x"]),
-        "y_count": len(task["y"]) if task["y"] is not None else 0,
-        "owned_lo": task["owned_lo"],
-        "owned_hi": task["owned_hi"],
-    }
-
-
-def _run_shard_traced(tracer, task: dict) -> dict:
-    """Inline execution, with the shard span wrapping the real run so
-    per-shard operator/attempt spans nest underneath it."""
-    with tracer.span(
-        f"shard:{task['index']}",
-        operator=task["operator"].value,
-        backend=task["backend"],
-    ) as span:
-        run = _run_shard(task)
-        if tracer.enabled:
-            span.set(**_span_attributes(run))
-        return run
-
-
-def _inline_tasks(
-    entry: RegistryEntry,
-    shards_list: List[Shard],
-    originals: Sequence[TemporalTuple],
-    backend: str,
-    policy: RecoveryPolicy,
-    workspace_budget: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    retry_policy: Optional[RetryPolicy],
-    page_capacity: int,
-    sort_memory_pages: int,
-) -> List[dict]:
-    return [
-        {
-            "index": shard.index,
-            "operator": entry.operator,
-            "x_order": entry.x_order,
-            "y_order": entry.y_order,
-            "x": shard.x,
-            "y": shard.y,
-            "owned_lo": shard.owned_lo,
-            "owned_hi": shard.owned_hi,
-            "originals": originals,
-            "backend": backend,
-            "policy": policy,
-            "workspace_budget": workspace_budget,
-            "fault_plan": fault_plan,
-            "retry_policy": retry_policy,
-            "page_capacity": page_capacity,
-            "sort_memory_pages": sort_memory_pages,
-        }
-        for shard in shards_list
-    ]
-
-
-# ----------------------------------------------------------------------
-# shared-memory shard execution
-# ----------------------------------------------------------------------
-def _shm_tasks(
+def _shard_tasks(
     entry: RegistryEntry,
     plan: RangePlan,
-    segment: shm.ColumnSegment,
-    result_names: List[str],
     backend: str,
     policy: RecoveryPolicy,
     workspace_budget: Optional[int],
@@ -290,22 +178,17 @@ def _shm_tasks(
     page_capacity: int,
     sort_memory_pages: int,
 ) -> List[dict]:
-    """Task dicts shipping only names, offsets and small config —
-    factored out so the lifecycle chaos tests can wrap it."""
+    """One task per planned range: column ranges plus small config,
+    everything :func:`~repro.parallel.worker.run_shard` reads."""
     shape = _shape_of(entry.operator)
-    x_ts_base, x_te_base = segment.offsets[0], segment.offsets[1]
-    if shape != "self":
-        y_ts_base, y_te_base = segment.offsets[2], segment.offsets[3]
     tasks = []
-    for shard_range, result_name in zip(plan.ranges, result_names):
+    for shard_range in plan.ranges:
         task = {
             "index": shard_range.index,
             "operator": entry.operator,
             "x_order": entry.x_order,
             "y_order": entry.y_order,
             "shape": shape,
-            "segment": segment.name,
-            "result_segment": result_name,
             "owned_lo": shard_range.owned_lo,
             "owned_hi": shard_range.owned_hi,
             "backend": backend,
@@ -319,25 +202,94 @@ def _shm_tasks(
         if shape == "self":
             # Kernel input is the context hull range of the X columns.
             task.update(
-                x_ts_offset=x_ts_base + shard_range.y_lo,
-                x_te_offset=x_te_base + shard_range.y_lo,
-                x_len=shard_range.context_count,
                 x_base=shard_range.y_lo,
+                x_len=shard_range.context_count,
+                y_base=0,
                 y_len=0,
             )
         else:
             task.update(
-                x_ts_offset=x_ts_base + shard_range.owned_lo,
-                x_te_offset=x_te_base + shard_range.owned_lo,
-                x_len=shard_range.owned_count,
                 x_base=shard_range.owned_lo,
-                y_ts_offset=y_ts_base + shard_range.y_lo,
-                y_te_offset=y_te_base + shard_range.y_lo,
-                y_len=shard_range.context_count,
+                x_len=shard_range.owned_count,
                 y_base=shard_range.y_lo,
+                y_len=shard_range.context_count,
             )
         tasks.append(task)
     return tasks
+
+
+def _run_record(task: dict, summary: dict, chunk: tuple) -> dict:
+    """One finished shard as the merge loop and the span helpers read
+    it, whichever transport ran it."""
+    return dict(
+        summary,
+        index=task["index"],
+        chunk=chunk,
+        x_count=task["x_len"],
+        y_count=task["y_len"],
+        owned_lo=task["owned_lo"],
+        owned_hi=task["owned_hi"],
+    )
+
+
+def _run_inline(
+    tracer,
+    entry: RegistryEntry,
+    tasks: List[dict],
+    x_cols: IntervalColumns,
+    y_cols: Optional[IntervalColumns],
+) -> List[dict]:
+    """The in-process transport: each shard runs on slices of the
+    parent's columns, with the shard span wrapping the real run so
+    per-shard operator/attempt spans nest underneath it."""
+    runs = []
+    for task in tasks:
+        x_lo, y_lo = task["x_base"], task["y_base"]
+        x_hi, y_hi = x_lo + task["x_len"], y_lo + task["y_len"]
+        y_ts = y_te = None
+        if y_hi > y_lo:
+            y_ts, y_te = y_cols.ts[y_lo:y_hi], y_cols.te[y_lo:y_hi]
+        with tracer.span(
+            f"shard:{task['index']}",
+            operator=entry.operator.value,
+            backend=task["backend"],
+        ) as span:
+            started = time.perf_counter()
+            summary, chunk = run_shard(
+                task,
+                entry,
+                x_cols.ts[x_lo:x_hi],
+                x_cols.te[x_lo:x_hi],
+                y_ts,
+                y_te,
+            )
+            summary["wall_seconds"] = time.perf_counter() - started
+            run = _run_record(task, summary, chunk)
+            if tracer.enabled:
+                span.set(**_span_attributes(run))
+        runs.append(run)
+    return runs
+
+
+# ----------------------------------------------------------------------
+# shared-memory shard execution
+# ----------------------------------------------------------------------
+def _shm_tasks(
+    tasks: List[dict], segment: shm.ColumnSegment, result_names: List[str]
+) -> List[dict]:
+    """Copies of the shard tasks plus what the process transport
+    ships: segment names and column offsets — factored out so the
+    lifecycle chaos tests can wrap it."""
+    offsets = tuple(segment.offsets)
+    return [
+        dict(
+            task,
+            segment=segment.name,
+            offsets=offsets,
+            result_segment=result_name,
+        )
+        for task, result_name in zip(tasks, result_names)
+    ]
 
 
 class LazyResults(abc.Sequence):
@@ -474,22 +426,16 @@ def _read_result_with_retry(
 
 def _run_shm(
     entry: RegistryEntry,
-    plan: RangePlan,
+    backend: str,
+    tasks: List[dict],
     x_cols: IntervalColumns,
     y_cols: Optional[IntervalColumns],
     workers: int,
-    backend: str,
-    policy: RecoveryPolicy,
-    workspace_budget: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    retry_policy: Optional[RetryPolicy],
-    page_capacity: int,
-    sort_memory_pages: int,
-    worker_fault_plan: Optional[WorkerFaultPlan] = None,
-    straggler_after: Optional[float] = None,
+    worker_fault_plan: Optional[WorkerFaultPlan],
+    straggler_after: Optional[float],
 ) -> tuple:
-    """Run the planned ranges through the warm pool; returns
-    ``(run dicts, containment stats)``.
+    """The process transport: run the shard tasks through the warm
+    pool; returns ``(run dicts, containment stats)``.
 
     The parent owns every segment name it hands out: operands and all
     result segments — including the fresh names re-dispatches create,
@@ -497,30 +443,16 @@ def _run_shm(
     ``finally`` block, so neither a worker crash nor a STRICT re-raise
     can leak ``/dev/shm`` entries.
     """
-    if not plan.ranges:
-        return [], {}
     token = active_token()
     columns = [x_cols.ts, x_cols.te]
     if y_cols is not None:
         columns += [y_cols.ts, y_cols.te]
     segment = shm.ColumnSegment(columns)
     result_names = [
-        shm.segment_name(f"res{r.index}") for r in plan.ranges
+        shm.segment_name(f"res{task['index']}") for task in tasks
     ]
     try:
-        tasks = _shm_tasks(
-            entry,
-            plan,
-            segment,
-            result_names,
-            backend,
-            policy,
-            workspace_budget,
-            fault_plan,
-            retry_policy,
-            page_capacity,
-            sort_memory_pages,
-        )
+        tasks = _shm_tasks(tasks, segment, result_names)
         governance = _governance_payload(token)
         if governance is not None:
             for task in tasks:
@@ -562,40 +494,13 @@ def _run_shm(
                 token,
                 containment,
             )
-            kind, first, second, x_base, y_base = chunk
-            shard_range = plan.ranges[summary["index"]]
-            pid = summary.get("pid")
-            runs.append(
-                {
-                    "index": summary["index"],
-                    "chunk": (kind, first, second, x_base, y_base),
-                    "report": summary["report"],
-                    "metrics": summary["metrics"],
-                    "wall_seconds": summary["wall_seconds"],
-                    "output_count": summary["output_count"],
-                    "residual_filtered": summary["residual_filtered"],
-                    "attempt": summary.get("attempt", 0),
-                    "pid": pid,
-                    "worker_spans_created": summary.get(
-                        "worker_spans_created", 0
-                    ),
-                    "worker_trace": summary.get("worker_trace"),
-                    "worker_metrics": summary.get("worker_metrics"),
-                    "clock_offset_ns": pool.clock_offsets.get(pid),
-                    "x_count": (
-                        shard_range.context_count
-                        if _shape_of(entry.operator) == "self"
-                        else shard_range.owned_count
-                    ),
-                    "y_count": (
-                        0
-                        if _shape_of(entry.operator) == "self"
-                        else shard_range.context_count
-                    ),
-                    "owned_lo": shard_range.owned_lo,
-                    "owned_hi": shard_range.owned_hi,
-                }
+            run = _run_record(
+                tasks_by_index[summary["index"]], summary, chunk
             )
+            run["clock_offset_ns"] = pool.clock_offsets.get(
+                summary.get("pid")
+            )
+            runs.append(run)
         return runs, containment
     finally:
         segment.close()
@@ -666,8 +571,12 @@ def execute_parallel(
         )
     report = report if report is not None else ExecutionReport()
     x_list = list(x_tuples)
-    y_list = list(y_tuples) if y_tuples is not None else None
     unary = entry.operator in SELF_OPERATORS
+    if not unary and y_tuples is None:
+        raise ExecutionError(
+            f"{entry.operator.value} is binary; y_tuples is required"
+        )
+    y_list = None if unary else list(y_tuples)
 
     tracer = get_tracer()
     with tracer.span(
@@ -676,134 +585,90 @@ def execute_parallel(
         policy=policy.value,
         requested_shards=shards,
     ) as span:
+        x_cols = IntervalColumns.from_tuples(
+            x_list, order=entry.x_order, presorted=True, name="X"
+        )
+        y_cols = (
+            None
+            if unary
+            else IntervalColumns.from_tuples(
+                y_list, order=entry.y_order, presorted=True, name="Y"
+            )
+        )
+        plan = plan_ranges(
+            entry,
+            x_cols.ts,
+            x_cols.te,
+            y_cols.ts if y_cols is not None else None,
+            y_cols.te if y_cols is not None else None,
+            shards=shards,
+        )
+        tasks = _shard_tasks(
+            entry,
+            plan,
+            backend,
+            policy,
+            workspace_budget,
+            fault_plan,
+            retry_policy,
+            page_capacity,
+            sort_memory_pages,
+        )
+        effective_workers = max(
+            1,
+            min(
+                workers if workers is not None else plan.effective_shards,
+                plan.effective_shards,
+            ),
+        )
         runs: Optional[List[dict]] = None
-        plan: Optional[object] = None
         containment: dict = {}
-        effective_workers = 1
         want_process = mode == "process" or (
             mode == "auto"
             and shards > 1
             and (workers is None or workers > 1)
             and _available_cpus() > 1
         )
-        if want_process and x_list:
-            x_cols = IntervalColumns.from_tuples(
-                x_list, order=entry.x_order, presorted=True, name="X"
-            )
-            y_cols = (
-                IntervalColumns.from_tuples(
-                    y_list or [],
-                    order=entry.y_order,
-                    presorted=True,
-                    name="Y",
+        # One shard gains nothing from a process hop unless asked for.
+        if want_process and len(tasks) >= (2 if mode == "auto" else 1):
+            try:
+                runs, containment = _run_shm(
+                    entry,
+                    backend,
+                    tasks,
+                    x_cols,
+                    y_cols,
+                    effective_workers,
+                    worker_fault_plan,
+                    straggler_after,
                 )
-                if not unary
-                else None
-            )
-            if not unary and y_list is None:
-                raise ExecutionError(
-                    f"{entry.operator.value} is binary; y_tuples is "
-                    "required"
-                )
-            plan = plan_ranges(
-                entry,
-                x_cols.ts,
-                x_cols.te,
-                y_cols.ts if y_cols is not None else None,
-                y_cols.te if y_cols is not None else None,
-                shards=shards,
-            )
-            effective_workers = max(
-                1,
-                min(
-                    workers if workers is not None else plan.effective_shards,
-                    max(plan.effective_shards, 1),
-                ),
-            )
-            if mode == "auto" and plan.effective_shards <= 1:
-                # One shard gains nothing from a process hop.
-                plan = None
+            except ReproError:
+                raise
+            except Exception as exc:
+                # Pool infrastructure failed (worker death, segment
+                # limits, spawn failure): parallelism is an
+                # optimisation, correctness falls back inline — but
+                # visibly (counter + span), never silently.
+                _note_pool_fallback(span, exc)
             else:
-                try:
-                    runs, containment = _run_shm(
-                        entry,
-                        plan,
-                        x_cols,
-                        y_cols,
-                        effective_workers,
-                        backend,
-                        policy,
-                        workspace_budget,
-                        fault_plan,
-                        retry_policy,
-                        page_capacity,
-                        sort_memory_pages,
-                        worker_fault_plan,
-                        straggler_after,
-                    )
-                    effective_mode = "process"
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    # Pool infrastructure failed (worker death, segment
-                    # limits, spawn failure): parallelism is an
-                    # optimisation, correctness falls back inline — but
-                    # visibly (counter + span), never silently.
-                    _note_pool_fallback(span, exc)
-                    runs = None
+                effective_mode = "process"
+                for run in runs:
+                    _merge_worker_metrics(run)
+                    _emit_shard_span(tracer, entry, backend, run, span)
         if runs is None:
-            plan = partition(entry, x_list, y_list, shards=shards)
-            effective_workers = max(
-                1,
-                min(
-                    workers if workers is not None else plan.effective_shards,
-                    max(plan.effective_shards, 1),
-                ),
-            )
-            tasks = _inline_tasks(
-                entry,
-                plan.shards,
-                x_list,
-                backend,
-                policy,
-                workspace_budget,
-                fault_plan,
-                retry_policy,
-                page_capacity,
-                sort_memory_pages,
-            )
-            runs = [_run_shard_traced(tracer, task) for task in tasks]
+            runs = _run_inline(tracer, entry, tasks, x_cols, y_cols)
             effective_mode = "inline"
 
-        eager: list = []
-        chunks: List[tuple] = []
         shard_runs: List[ShardRun] = []
         metrics = _fresh_metrics()
         residual_total = 0
-        for run in sorted(runs, key=lambda r: r["index"]):
-            if effective_mode == "process":
-                chunks.append(run["chunk"])
-            else:
-                eager.extend(run["results"])
+        for run in runs:
             _merge_report(report, run["report"])
-            shard_run = _shard_run_of(run)
-            shard_runs.append(shard_run)
+            shard_runs.append(_shard_run_of(run))
             residual_total += run["residual_filtered"]
             _absorb_metrics(metrics, run["metrics"])
-            if effective_mode == "process":
-                _merge_worker_metrics(run)
-                _emit_shard_span(
-                    tracer,
-                    entry,
-                    backend,
-                    shard_run,
-                    run=run,
-                    parallel_span=span,
-                )
-        results: Sequence = (
-            LazyResults(x_list, y_list, chunks)
-            if effective_mode == "process"
-            else eager
+        results = LazyResults(
+            x_list, y_list, [run["chunk"] for run in runs]
         )
         metrics.output_count = len(results)
         metrics.resilience = report.as_dict()
@@ -867,14 +732,7 @@ def _span_attributes(run: dict) -> dict:
     }
 
 
-def _emit_shard_span(
-    tracer,
-    entry,
-    backend,
-    shard_run: ShardRun,
-    run: Optional[dict] = None,
-    parallel_span=None,
-):
+def _emit_shard_span(tracer, entry, backend, run: dict, parallel_span):
     """Process-mode shards ran in a worker process; give each a summary
     span in the parent trace so EXPLAIN ANALYZE sees the same shard
     breakdown either way, then graft the worker's own span tree (when
@@ -883,46 +741,29 @@ def _emit_shard_span(
     window."""
     if not tracer.enabled:
         return
+    pid = run.get("pid")
     with tracer.span(
-        f"shard:{shard_run.index}",
+        f"shard:{run['index']}",
         operator=entry.operator.value,
         backend=backend,
     ) as span:
-        span.set(
-            x_tuples=shard_run.x_count,
-            y_tuples=shard_run.y_count,
-            owned_lo=shard_run.owned_lo,
-            owned_hi=shard_run.owned_hi,
-            wall_ms=round(shard_run.wall_seconds * 1e3, 3),
-            passes_x=shard_run.passes_x,
-            passes_y=shard_run.passes_y,
-            output_count=shard_run.output_count,
-            degraded=shard_run.degraded,
-            fallbacks=shard_run.fallbacks,
-            faults=shard_run.faults,
-            quarantined=shard_run.quarantined,
-            residual_filtered=shard_run.residual_filtered,
-            attempt=shard_run.attempt,
-        )
-        if shard_run.pid is not None:
+        span.set(**_span_attributes(run))
+        if pid is not None:
             span.set(
-                pid=shard_run.pid,
-                worker_spans_created=shard_run.worker_spans_created,
+                pid=pid,
+                worker_spans_created=run.get("worker_spans_created", 0),
             )
-    payload = run.get("worker_trace") if run else None
+    payload = run.get("worker_trace")
     if payload is None:
         return
-    window_lo = (
-        parallel_span.start_ns if parallel_span is not None else span.start_ns
-    )
     graft = graft_worker_trace(
         tracer,
         span,
         payload,
         offset_ns=run.get("clock_offset_ns"),
-        window=(window_lo, span.end_ns),
-        attempt=shard_run.attempt,
-        worker=f"worker:{shard_run.pid}" if shard_run.pid else None,
+        window=(parallel_span.start_ns, span.end_ns),
+        attempt=run.get("attempt", 0),
+        worker=f"worker:{pid}" if pid else None,
     )
     if graft.dropped_spans:
         span.set(trace_dropped_spans=graft.dropped_spans)

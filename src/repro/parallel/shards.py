@@ -1,21 +1,34 @@
 """Contiguous-range shard planning over endpoint columns.
 
-The windowed partitioner (:mod:`repro.parallel.partition`) ships each
-shard an explicit *list* of the Y tuples its necessity window selects —
-an O(|X| + K * |Y|) object filter that also forces per-shard pickling in
-process mode.  This module plans the same shards as **contiguous index
-ranges** over the sorted operand columns instead, which is what the
-shared-memory runtime needs: a worker receives ``(lo, hi)`` offsets
-into a published segment and never touches a tuple object.
+The paper's Tables 1-3 characterise each (operator, sort order) cell by
+the *local workspace* a single sweep needs: the open X tuples and the
+waiting Y tuples around the sweep point.  That is exactly what a range
+partitioner needs — any contiguous slice of the sorted X input can be
+swept independently as long as the shard also sees every Y tuple its
+slice's workspace would have held:
 
-The correctness argument is the same as the windowed partitioner's,
-plus one observation: any *superset* of a shard's necessity window
-yields identical output, because the kernels evaluate the exact
-operator predicates and X ownership is positional (each owned X tuple
-lives in exactly one shard, so no pair can be produced twice).  The
-smallest contiguous range covering the window is such a superset, and
-it can be found in O(log n) per endpoint atom with binary searches over
-monotone accumulate arrays:
+* **X is sharded positionally** into K contiguous slices of the sorted
+  input (:func:`slice_bounds`).  Tuples with equal sort keys may
+  straddle a cut, but each has exactly one owner shard, so no pair is
+  ever produced twice and joins and semijoins need no dedup pass.
+* **Y is replicated by necessity window.**  The owned slice's endpoint
+  aggregates (min/max of TS and TE) bound which Y tuples can possibly
+  satisfy the operator's predicate against an owned X tuple
+  (``_RANGE_ATOMS``, non-strict supersets of the strict Section-4.2
+  predicates — the replicate-and-filter boundary rule of Piatov et
+  al.).  A shard is handed the smallest **contiguous index range**
+  covering its window: any superset of the window yields identical
+  output, because the kernels evaluate the exact predicates, and a
+  range is all a shard needs to name its input — ``(lo, hi)`` offsets
+  into the operand columns, never a tuple object.
+* **Self semijoins** take the convex hull of the window range and the
+  owned slice (the kernel input must contain every owned tuple); the
+  shard body drops outputs owned by another shard.
+* **Before-semijoin** only ever consumes ``max(Y.TS)`` (Section
+  4.2.4), so every shard gets the single ``argmax(TS, TE)`` index.
+
+The range is found in O(log n) per endpoint atom with binary searches
+over monotone accumulate arrays:
 
 * an atom on any column ``C`` of the form ``C >= A`` selects positions
   between the first and last index holding a value ``>= A``; the first
@@ -27,11 +40,6 @@ The accumulate arrays are built once per plan (O(n)); each shard then
 costs four binary searches.  This works for *any* declared sort order —
 ascending, descending, mirrored — because no monotonicity of the
 columns themselves is assumed.
-
-Self semijoins take the convex hull of the window range and the owned
-slice (the kernel input must contain every owned tuple); the
-before-semijoin collapses Y to the single ``argmax(TS, TE)``
-representative index, exactly as the windowed partitioner does.
 """
 
 from __future__ import annotations
@@ -42,13 +50,20 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..streams.registry import RegistryEntry, TemporalOperator
-from .partition import SELF_OPERATORS, slice_bounds
 
-#: Operators whose window atoms read (y_ts, y_te) against the owned
-#: slice's aggregates; mirrors ``partition._WINDOWS`` exactly.
-#: Each atom is (column, comparison, aggregate) with column in
-#: {"ts", "te"}, comparison in {">=", "<="}, aggregate in
-#: {"min_ts", "max_ts", "min_te", "max_te"}.
+#: Operators whose shard input is the relation itself (Table 3).
+SELF_OPERATORS = frozenset(
+    {
+        TemporalOperator.SELF_CONTAINED_SEMIJOIN,
+        TemporalOperator.SELF_CONTAIN_SEMIJOIN,
+    }
+)
+
+#: operator -> necessity-window atoms over the Y (or, for self
+#: operators, context) columns.  Each atom is (column, comparison,
+#: aggregate) with column in {"ts", "te"}, comparison in {">=", "<="},
+#: and aggregate in {"min_ts", "max_ts", "min_te", "max_te"} taken
+#: over the shard's owned X slice.
 _RANGE_ATOMS = {
     TemporalOperator.CONTAIN_JOIN: (
         ("ts", ">=", "min_ts"),
@@ -107,7 +122,7 @@ class ShardRange:
 
 @dataclass
 class RangePlan:
-    """Shards-as-ranges plus the same accounting PartitionPlan reports."""
+    """The shards plus the accounting EXPLAIN ANALYZE reports on."""
 
     operator: TemporalOperator
     requested_shards: int
@@ -123,11 +138,6 @@ class RangePlan:
     @property
     def effective_shards(self) -> int:
         return len(self.ranges)
-
-    @property
-    def shards(self) -> List[ShardRange]:
-        """PartitionPlan-compatible alias."""
-        return self.ranges
 
     def as_dict(self) -> dict:
         unary = self.operator in SELF_OPERATORS
@@ -252,6 +262,20 @@ def _intersect(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
+def slice_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
+    """Equi-count positional [lo, hi) slices; the last shards absorb
+    the remainder.  Empty slices (shards > total) are dropped."""
+    if shards < 1:
+        raise ExecutionError("shard count must be at least 1")
+    bounds = []
+    for i in range(shards):
+        lo = (i * total) // shards
+        hi = ((i + 1) * total) // shards
+        if hi > lo:
+            bounds.append((lo, hi))
+    return bounds
+
+
 def plan_ranges(
     entry: RegistryEntry,
     x_ts: Sequence[int],

@@ -1,27 +1,33 @@
-"""Worker-side shard execution for the shared-memory runtime.
+"""The shard body, and its worker-side shared-memory transport.
 
-A task names an operand segment plus column offsets; the worker maps
-the segment read-only and runs the shard in one of two ways:
+:func:`run_shard` is the one way a shard executes, in a pool worker or
+in the parent (``mode="inline"``).  It takes the shard's endpoint
+columns — any int64 buffers — and runs them in one of two ways:
 
-* **Kernel fast path** — columnar backend, STRICT policy, no fault
-  plan, no workspace budget, non-mirrored cell: the columnar sweep
-  kernel runs *directly on the shared-memory views* (wrapped in
+* **Kernel fast path** — columnar or fused backend, STRICT policy, no
+  fault plan, no workspace budget, non-mirrored cell: the sweep kernel
+  runs *directly on the endpoint buffers* (wrapped in
   :class:`~repro.columnar.relation.IntervalColumns` endpoint-only
   columns), so the shard costs exactly the kernel plus zero object
   traffic.
 * **Resilience ladder** — every other configuration reconstructs the
-  shard's tuples from the endpoint views (surrogate = global column
+  shard's tuples from the endpoint buffers (surrogate = global column
   index, no payloads) and runs the unchanged
   :func:`~repro.resilience.executor.execute_entry`, preserving the
   STRICT/QUARANTINE/DEGRADE ladder, fault plans, and retry semantics
   per shard.
 
-Either way the result leaves the worker as ``array('q')`` *global*
-index columns in a parent-assigned result segment; the parent
-materialises payload tuples lazily from its own relation lists.
-Surrogates of reconstructed tuples are their global indexes, which the
-mirrored processors preserve, so every backend/policy combination
-encodes without ever pickling a tuple.
+Either way the result is a ``(kind, first, second, x_base, y_base)``
+chunk of ``array('q')`` index columns; the parent materialises payload
+tuples lazily from its own relation lists.  Surrogates of reconstructed
+tuples are their global indexes, which the mirrored processors
+preserve, so every backend/policy combination encodes without ever
+pickling a tuple.
+
+:func:`run_task` is the process transport around that body: a task
+names an operand segment plus column offsets; the worker maps the
+segment read-only, runs the shard on the views, and writes the chunk
+into a parent-assigned result segment.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import time
 from array import array
 from typing import Optional
 
+from ..columnar.backend import cyclic_gc_paused
 from ..columnar.relation import IntervalColumns
 from ..governance.budget import QueryBudget, active_token, governed
 from ..model.tuples import TemporalTuple
@@ -187,23 +194,39 @@ def _attach_observability(
 def _run_shard_body(task: dict) -> dict:
     started = time.perf_counter()
     entry = lookup(task["operator"], task["x_order"], task["y_order"])
+    offsets = task["offsets"]
+    x_lo, y_lo = task["x_base"], task["y_base"]
     with shm.MappedColumns(task["segment"]) as mapped:
-        x_ts = mapped.view(task["x_ts_offset"], task["x_len"])
-        x_te = mapped.view(task["x_te_offset"], task["x_len"])
+        x_ts = mapped.view(offsets[0] + x_lo, task["x_len"])
+        x_te = mapped.view(offsets[1] + x_lo, task["x_len"])
         y_ts = y_te = None
-        if task["shape"] != "self" and task["y_len"]:
-            y_ts = mapped.view(task["y_ts_offset"], task["y_len"])
-            y_te = mapped.view(task["y_te_offset"], task["y_len"])
-        if _fast_path_eligible(task, entry):
-            summary = _run_kernel(task, entry, x_ts, x_te, y_ts, y_te)
-        else:
-            summary = _run_ladder(task, entry, x_ts, x_te, y_ts, y_te)
+        if task["y_len"]:
+            y_ts = mapped.view(offsets[2] + y_lo, task["y_len"])
+            y_te = mapped.view(offsets[3] + y_lo, task["y_len"])
+        summary, chunk = run_shard(task, entry, x_ts, x_te, y_ts, y_te)
+        shm.write_result(task["result_segment"], *chunk)
     summary["wall_seconds"] = time.perf_counter() - started
     summary["job"] = task["job"]
     summary["index"] = task["index"]
     summary["attempt"] = task.get("attempt", 0)
     summary["result_segment"] = task["result_segment"]
     return summary
+
+
+def run_shard(
+    task: dict, entry: RegistryEntry, x_ts, x_te, y_ts, y_te
+) -> tuple:
+    """Sweep one shard; returns ``(summary, chunk)``.
+
+    ``x_ts``/``x_te`` are the shard's X endpoint columns (the context
+    hull for self operators) and ``y_ts``/``y_te`` its Y range, or
+    ``None`` when that range is empty.  Raises whatever the shard
+    raises (STRICT semantics must propagate the original exception
+    types to the caller).
+    """
+    if _fast_path_eligible(task, entry):
+        return _run_kernel(task, entry, x_ts, x_te, y_ts, y_te)
+    return _run_ladder(task, entry, x_ts, x_te, y_ts, y_te)
 
 
 def _fast_path_eligible(task: dict, entry: RegistryEntry) -> bool:
@@ -228,73 +251,57 @@ def _fast_path_factory(task: dict, entry: RegistryEntry):
 # ----------------------------------------------------------------------
 # kernel fast path
 # ----------------------------------------------------------------------
-def _run_kernel(task, entry, x_ts, x_te, y_ts, y_te) -> dict:
+def _run_kernel(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
     factory = _fast_path_factory(task, entry)
     kernel = factory.kernel
     shape, x_base = task["shape"], task["x_base"]
     x_cols = IntervalColumns.from_views(
-        x_ts, x_te, entry.x_order, name="X[shm]"
+        x_ts, x_te, entry.x_order, name="X[shard]"
     )
     residual_filtered = 0
     y_read = 0
-    y_base = 0
-    if shape == "self":
-        positions, stats = kernel(x_cols.ts, x_cols.te)
-        # Owner-filter in shard-local coordinates: only positions
-        # inside the owned slice of the context window survive.
-        lo = task["owned_lo"] - x_base
-        hi = task["owned_hi"] - x_base
-        first = array("q", (rel for rel in positions if lo <= rel < hi))
-        residual_filtered = len(positions) - len(first)
-        second = None
-    else:
-        empty = array("q")
-        y_cols = IntervalColumns.from_views(
-            y_ts if y_ts is not None else empty,
-            y_te if y_te is not None else empty,
-            entry.y_order,
-            name="Y[shm]",
-        )
-        y_read = len(y_cols)
-        y_base = task["y_base"]
-        if shape == "join":
+    second = None
+    with cyclic_gc_paused():
+        if shape == "self":
+            positions, stats = kernel(x_cols.ts, x_cols.te)
+            # Owner-filter in shard-local coordinates: only positions
+            # inside the owned slice of the context window survive.
+            lo = task["owned_lo"] - x_base
+            hi = task["owned_hi"] - x_base
+            first = array(
+                "q", (rel for rel in positions if lo <= rel < hi)
+            )
+            residual_filtered = len(positions) - len(first)
+        else:
+            empty = array("q")
+            y_cols = IntervalColumns.from_views(
+                y_ts if y_ts is not None else empty,
+                y_te if y_te is not None else empty,
+                entry.y_order,
+                name="Y[shard]",
+            )
+            y_read = len(y_cols)
             result, stats = kernel(
                 x_cols.ts, x_cols.te, y_cols.ts, y_cols.te
             )
-            if hasattr(result, "index_columns"):
+            if shape != "join":
+                first = array("q", result)
+            elif hasattr(result, "index_columns"):
                 # Fused kernels emit lazy JoinRuns; the shard boundary
                 # is the consumption point, so expand here.
                 first, second = result.index_columns()
             else:
-                xi, yj = result
-                first = array("q", xi)
-                second = array("q", yj)
-        else:
-            positions, stats = kernel(
-                x_cols.ts, x_cols.te, y_cols.ts, y_cols.te
-            )
-            first = array("q", positions)
-            second = None
+                first = array("q", result[0])
+                second = array("q", result[1])
     output_count = len(first)
     token = active_token()
     if token is not None:
         # The kernel bypassed the metered insert path; report its own
         # high-water against the governance workspace cap, and take
-        # one deadline checkpoint before the result write.
+        # one deadline checkpoint before the result leaves the shard.
         token.charge_workspace(stats.high_water)
         token.check()
-    # Positions stay shard-local; the parent adds the bases during its
-    # lazy payload materialisation (one addition fewer per output on
-    # the worker's critical path).
-    shm.write_result(
-        task["result_segment"],
-        _SHAPE_KINDS[shape],
-        first,
-        second,
-        x_base=x_base,
-        y_base=y_base,
-    )
-    return {
+    summary = {
         "report": ExecutionReport(),
         "metrics": _kernel_metrics(
             len(x_cols),
@@ -308,6 +315,11 @@ def _run_kernel(task, entry, x_ts, x_te, y_ts, y_te) -> dict:
         "output_count": output_count,
         "residual_filtered": residual_filtered,
     }
+    # Positions stay shard-local; the parent adds the bases during its
+    # lazy payload materialisation (one addition fewer per output on
+    # the shard's critical path).
+    chunk = (_SHAPE_KINDS[shape], first, second, x_base, task["y_base"])
+    return summary, chunk
 
 
 def _kernel_metrics(
@@ -357,7 +369,7 @@ def _reconstruct(ts, te, base: int) -> list:
     ]
 
 
-def _run_ladder(task, entry, x_ts, x_te, y_ts, y_te) -> dict:
+def _run_ladder(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
     from ..resilience.executor import execute_entry
 
     shape = task["shape"]
@@ -399,15 +411,11 @@ def _run_ladder(task, entry, x_ts, x_te, y_ts, y_te) -> dict:
     else:
         first = array("q", (t.surrogate for t in outcome.results))
         second = None
-    output_count = len(first)
-    # Ladder surrogates are already global indexes — bases stay zero.
-    shm.write_result(
-        task["result_segment"], _SHAPE_KINDS[shape], first, second
-    )
-    metrics = outcome.metrics.to_dict() if outcome.metrics else {}
-    return {
+    summary = {
         "report": outcome.report,
-        "metrics": metrics,
-        "output_count": output_count,
+        "metrics": outcome.metrics.to_dict() if outcome.metrics else {},
+        "output_count": len(first),
         "residual_filtered": residual_filtered,
     }
+    # Ladder surrogates are already global indexes — bases stay zero.
+    return summary, (_SHAPE_KINDS[shape], first, second, 0, 0)

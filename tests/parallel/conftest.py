@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.columnar.relation import IntervalColumns
 from repro.model import sort_tuples
 from repro.model.tuples import TemporalTuple
+from repro.parallel import plan_ranges
 from repro.streams import TemporalOperator, TupleStream
 from repro.streams.registry import supported_entries
 
@@ -65,6 +67,22 @@ def sorted_inputs(entry, x, y):
     xs = sort_tuples(x, entry.x_order)
     ys = sort_tuples(y, entry.y_order) if entry.y_order is not None else None
     return xs, ys
+
+
+def plan_for(entry, xs, ys, shards):
+    """The range plan ``execute_parallel`` would build for sorted
+    inputs ``xs`` / ``ys`` (``None`` for a unary cell)."""
+    x_cols = IntervalColumns.from_tuples(
+        xs, order=entry.x_order, presorted=True
+    )
+    if ys is None:
+        return plan_ranges(entry, x_cols.ts, x_cols.te, shards=shards)
+    y_cols = IntervalColumns.from_tuples(
+        ys, order=entry.y_order, presorted=True
+    )
+    return plan_ranges(
+        entry, x_cols.ts, x_cols.te, y_cols.ts, y_cols.te, shards=shards
+    )
 
 
 def serial_run(entry, xs, ys, backend):

@@ -66,9 +66,24 @@ class TestChooseShardCount:
 
     def test_workers_1_cost_equals_serial_pass(self):
         model = CostModel()
-        assert model.parallel_stream_cost(
-            1000, 1000, 30.0, workers=1
-        ) == model.stream_pass_cost(1000, 1000, 30.0)
+        for backend in ("tuple", "columnar", "fused"):
+            assert model.parallel_stream_cost(
+                1000, 1000, 30.0, workers=1, backend=backend
+            ) == model.stream_pass_cost(
+                1000, 1000, 30.0, backend=backend
+            )
+
+    def test_parallel_cost_carries_the_backend_discount(self):
+        # Page I/O and coordination are backend-independent; per-tuple
+        # CPU is not, so the three backends must not tie.
+        model = CostModel()
+        costs = [
+            model.parallel_stream_cost(
+                4000, 4000, 30.0, workers=4, backend=backend
+            )
+            for backend in ("fused", "columnar", "tuple")
+        ]
+        assert costs == sorted(costs) and len(set(costs)) == 3
 
     def test_replication_grows_with_interval_length(self):
         short_x = collect_statistics(
@@ -101,6 +116,27 @@ class TestPlannerParallelAlternative:
         assert parallel.describe().startswith(
             f"parallel[{parallel.workers}]-stream"
         )
+
+    def test_auto_backend_parallel_alternatives_do_not_tie(self):
+        """The regression: with no backend term the tuple, columnar and
+        fused parallel alternatives of a cell cost the same, and the
+        stable sort kept tuple."""
+        planner = TemporalJoinPlanner(
+            backend="auto", parallelism=4, available_cpus=4
+        )
+        x = make_relation(3000, name="X", seed=1)
+        y = make_relation(3000, name="Y", seed=2)
+        ranked = planner.alternatives(
+            TemporalOperator.CONTAIN_JOIN, x, y
+        )
+        cheapest = {}
+        for alt in ranked:
+            if alt.kind == "parallel-stream":
+                cheapest.setdefault(alt.backend, alt.estimated_cost)
+        assert (
+            cheapest["fused"] < cheapest["columnar"] < cheapest["tuple"]
+        )
+        assert ranked[0].backend != "tuple"
 
     def test_no_parallelism_means_no_parallel_alternatives(self):
         planner = TemporalJoinPlanner()

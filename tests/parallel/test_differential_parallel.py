@@ -155,35 +155,32 @@ class TestShardIsolation:
 
 
 class TestProcessModeDifferential:
-    """The fork pool path must agree with inline for a representative
-    spread of shapes (join pairs, semijoin, self-semijoin)."""
+    """Inline and process differ only in transport: the same plan, the
+    same shard body, the same chunk order — so the same *sequence*,
+    for every cell on every backend."""
 
-    @pytest.mark.parametrize(
-        "operator",
-        [
-            TemporalOperator.CONTAIN_JOIN,
-            TemporalOperator.CONTAIN_SEMIJOIN,
-            TemporalOperator.SELF_CONTAIN_SEMIJOIN,
-        ],
-    )
-    def test_process_matches_inline(self, operator, small_inputs):
-        entry = next(iter(_entries_for(operator)))
+    @pytest.mark.parametrize("entry", CELLS, ids=cell_id)
+    @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_process_matches_inline(
+        self, entry, backend, shards, small_inputs
+    ):
         x_raw, y_raw = small_inputs
         xs, ys = sorted_inputs(entry, x_raw, y_raw)
         inline = execute_parallel(
-            entry, xs, ys, shards=WORKERS, mode="inline"
+            entry, xs, ys, shards=shards, backend=backend, mode="inline"
         )
         process = execute_parallel(
             entry,
             xs,
             ys,
-            shards=WORKERS,
+            shards=shards,
             workers=WORKERS,
+            backend=backend,
             mode="process",
         )
-        assert canon(process.results) == canon(inline.results)
-        assert process.mode in ("process", "inline")
-
-
-def _entries_for(operator):
-    return [e for e in CELLS if e.operator is operator]
+        assert process.mode == "process"
+        assert list(process.results) == list(inline.results)
+        assert canon(inline.results) == canon(
+            serial_run(entry, xs, ys, backend)
+        )

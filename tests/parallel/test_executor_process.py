@@ -116,7 +116,7 @@ class TestMergedAccounting:
         assert outcome.metrics.passes_y == 1
         # Totals do sum: every shard's reads are real work.
         assert outcome.metrics.tuples_read_x == sum(
-            len(s.x) for s in outcome.plan.shards
+            r.owned_count for r in outcome.plan.ranges
         )
 
     def test_registry_counters_bumped(self):

@@ -1,19 +1,16 @@
-"""Unit tests for the time-domain range partitioner."""
+"""Unit tests for the time-domain range partitioner
+(:mod:`repro.parallel.shards`): positional X ownership, the necessity
+window each operator's atoms select, the before-semijoin
+representative, self-semijoin context hulls and the plan accounting."""
 
 import pytest
 
-from .conftest import make_tuples, tie_heavy_tuples
+from .conftest import make_tuples, plan_for, tie_heavy_tuples
 
 from repro.errors import ExecutionError
 from repro.model import TS_ASC, TS_TE_ASC, sort_tuples
 from repro.model.tuples import TemporalTuple
-from repro.parallel import (
-    OwnedAggregates,
-    PartitionTag,
-    necessity_window,
-    partition,
-    slice_bounds,
-)
+from repro.parallel import slice_bounds
 from repro.streams import TemporalOperator, lookup
 from repro.streams.registry import supported_entries
 
@@ -47,46 +44,65 @@ class TestSliceBounds:
             slice_bounds(4, 0)
 
 
-class TestAggregates:
-    def test_of(self):
-        agg = OwnedAggregates.of([T("a", 1, 9), T("b", 4, 5), T("c", 2, 7)])
-        assert (agg.min_ts, agg.max_ts) == (1, 4)
-        assert (agg.min_te, agg.max_te) == (5, 9)
-
-
 class TestNecessityWindows:
-    AGG = OwnedAggregates(min_ts=10, max_ts=20, min_te=15, max_te=40)
+    """One shard owning X with aggregates minTS=10, maxTS=20, minTE=15,
+    maxTE=40.  Each Y below is TS-sorted with the tuples the window
+    rejects at the ends, so the planned range must name exactly the
+    tuples the window admits."""
+
+    XS = [T("x1", 10, 15), T("x2", 20, 40)]
+
+    def window(self, operator, ys):
+        entry = lookup(operator, TS_ASC, TS_ASC)
+        (shard_range,) = plan_for(entry, self.XS, ys, 1).ranges
+        return [t.surrogate for t in ys[shard_range.y_lo : shard_range.y_hi]]
 
     def test_contain_window_is_superset_of_predicate(self):
         # x contains y needs x.ts < y.ts and y.te < x.te: any y inside
         # some owned lifespan satisfies ts >= minTS and te <= maxTE.
-        window = necessity_window(TemporalOperator.CONTAIN_JOIN, self.AGG)
-        assert window(T("in", 12, 30))
-        assert window(T("edge", 10, 40))  # non-strict at the boundary
-        assert not window(T("early", 9, 30))
-        assert not window(T("late", 12, 41))
+        ys = [
+            T("early", 9, 30),
+            T("edge", 10, 40),  # non-strict at the boundary
+            T("in", 12, 30),
+            T("late", 12, 41),
+        ]
+        assert self.window(TemporalOperator.CONTAIN_JOIN, ys) == [
+            "edge",
+            "in",
+        ]
 
     def test_contained_window_mirrors(self):
-        window = necessity_window(
-            TemporalOperator.CONTAINED_SEMIJOIN, self.AGG
-        )
-        assert window(T("covers", 5, 50))
-        assert window(T("edge-start", 20, 50))  # non-strict at max_ts
-        assert window(T("edge-end", 5, 15))  # non-strict at min_te
-        assert not window(T("starts-after-owned", 21, 50))
-        assert not window(T("ends-before-owned", 5, 14))
+        ys = [
+            T("ends-before-owned", 5, 14),
+            T("edge-end", 5, 15),  # non-strict at min_te
+            T("covers", 5, 50),
+            T("edge-start", 20, 50),  # non-strict at max_ts
+            T("starts-after-owned", 21, 50),
+        ]
+        assert self.window(TemporalOperator.CONTAINED_SEMIJOIN, ys) == [
+            "edge-end",
+            "covers",
+            "edge-start",
+        ]
 
     def test_overlap_window(self):
-        window = necessity_window(TemporalOperator.OVERLAP_JOIN, self.AGG)
-        assert window(T("spans", 5, 50))
-        assert window(T("touch-left", 5, 10))   # non-strict supersets
-        assert window(T("touch-right", 40, 50))
-        assert not window(T("before", 1, 9))
-        assert not window(T("after", 41, 50))
+        ys = [
+            T("before", 1, 9),
+            T("touch-left", 5, 10),  # non-strict supersets
+            T("spans", 5, 50),
+            T("touch-right", 40, 50),
+            T("after", 41, 50),
+        ]
+        assert self.window(TemporalOperator.OVERLAP_JOIN, ys) == [
+            "touch-left",
+            "spans",
+            "touch-right",
+        ]
 
     def test_unknown_operator_rejected(self):
+        entry = lookup(TemporalOperator.BEFORE_JOIN, TS_ASC, TS_ASC)
         with pytest.raises(ExecutionError):
-            necessity_window(TemporalOperator.BEFORE_SEMIJOIN, self.AGG)
+            plan_for(entry, self.XS, [T("y", 1, 2)], 1)
 
 
 class TestWindowedPartition:
@@ -96,28 +112,30 @@ class TestWindowedPartition:
     def test_x_owned_exactly_once(self):
         xs = sort_tuples(make_tuples("x", 50, seed=1), TS_ASC)
         ys = sort_tuples(make_tuples("y", 60, seed=2), TS_ASC)
-        plan = partition(self.entry(), xs, ys, shards=4)
-        rebuilt = [t for shard in plan.shards for t in shard.x]
+        plan = plan_for(self.entry(), xs, ys, 4)
+        rebuilt = [
+            t for r in plan.ranges for t in xs[r.owned_lo : r.owned_hi]
+        ]
         assert rebuilt == xs
-        assert plan.cuts == [s.owned_lo for s in plan.shards[1:]]
+        assert plan.cuts == [r.owned_lo for r in plan.ranges[1:]]
 
     def test_shard_y_is_sorted_subsequence(self):
         xs = sort_tuples(make_tuples("x", 50, seed=1), TS_ASC)
         ys = sort_tuples(make_tuples("y", 60, seed=2), TS_ASC)
-        plan = partition(self.entry(), xs, ys, shards=3)
-        for shard in plan.shards:
-            positions = [ys.index(t) for t in shard.y]
-            assert positions == sorted(positions)
+        plan = plan_for(self.entry(), xs, ys, 3)
+        for r in plan.ranges:
+            assert 0 <= r.y_lo <= r.y_hi <= len(ys)
+            assert TS_ASC.is_sorted(ys[r.y_lo : r.y_hi])
 
     def test_replication_accounting(self):
         xs = sort_tuples(make_tuples("x", 40, seed=3), TS_ASC)
         ys = sort_tuples(make_tuples("y", 40, seed=4), TS_ASC)
-        plan = partition(self.entry(), xs, ys, shards=4)
-        shipped = sum(len(s.y) for s in plan.shards)
+        plan = plan_for(self.entry(), xs, ys, 4)
+        shipped = sum(r.context_count for r in plan.ranges)
         assert plan.shipped_total == shipped
         # shipped = distinct-needed + replicated copies
         distinct_needed = len(
-            {id(t) for s in plan.shards for t in s.y}
+            {j for r in plan.ranges for j in range(r.y_lo, r.y_hi)}
         )
         assert plan.replicated_total == shipped - distinct_needed
         assert plan.boundary_spanning <= distinct_needed
@@ -126,83 +144,73 @@ class TestWindowedPartition:
     def test_missing_y_rejected(self):
         xs = sort_tuples(make_tuples("x", 10, seed=1), TS_ASC)
         with pytest.raises(ExecutionError):
-            partition(self.entry(), xs, None, shards=2)
+            plan_for(self.entry(), xs, None, 2)
 
     def test_tie_heavy_cuts_keep_single_ownership(self):
         # Many tuples share TS exactly where positional cuts land.
         xs = sort_tuples(tie_heavy_tuples("x", 64, seed=9), TS_ASC)
         ys = sort_tuples(tie_heavy_tuples("y", 64, seed=10), TS_ASC)
-        plan = partition(self.entry(), xs, ys, shards=7)
+        plan = plan_for(self.entry(), xs, ys, 7)
+        assert plan.effective_shards == 7
         seen = []
-        for shard in plan.shards:
-            assert xs[shard.owned_lo : shard.owned_hi] == shard.x
-            seen.extend(shard.x)
+        for r in plan.ranges:
+            assert r.owned_lo == len(seen)
+            seen.extend(xs[r.owned_lo : r.owned_hi])
         assert seen == xs
 
 
 class TestBeforePartition:
-    def test_single_representative(self):
-        from repro.model import TE_ASC
-
-        entry = next(
+    def entry(self):
+        return next(
             e
             for e in supported_entries(TemporalOperator.BEFORE_SEMIJOIN)
         )
+
+    def test_single_representative(self):
+        entry = self.entry()
         xs = sort_tuples(make_tuples("x", 30, seed=1), entry.x_order)
         ys = sort_tuples(make_tuples("y", 30, seed=2), entry.y_order)
-        plan = partition(entry, xs, ys, shards=3)
-        latest = max(ys, key=lambda t: t.valid_from)
-        for shard in plan.shards:
-            assert shard.y == [latest]
-        assert plan.replicated_total == len(plan.shards) - 1
+        plan = plan_for(entry, xs, ys, 3)
+        latest = max(ys, key=lambda t: (t.valid_from, t.valid_to))
+        for r in plan.ranges:
+            assert ys[r.y_lo : r.y_hi] == [latest]
+        assert plan.replicated_total == plan.effective_shards - 1
         assert plan.boundary_spanning == 1
 
     def test_empty_y(self):
-        entry = next(
-            e
-            for e in supported_entries(TemporalOperator.BEFORE_SEMIJOIN)
-        )
+        entry = self.entry()
         xs = sort_tuples(make_tuples("x", 10, seed=1), entry.x_order)
-        plan = partition(entry, xs, [], shards=2)
-        for shard in plan.shards:
-            assert shard.y == []
+        plan = plan_for(entry, xs, [], 2)
+        for r in plan.ranges:
+            assert r.context_count == 0
         assert plan.replicated_total == 0
 
 
 class TestSelfPartition:
     def test_tags_and_owner_coverage(self):
+        """The kernel input of a self-semijoin shard is one index range
+        of the relation; it must contain every owned position (outputs
+        are owner-filtered by index, so a missing owner is a lost
+        result)."""
         entry = lookup(
             TemporalOperator.SELF_CONTAINED_SEMIJOIN, TS_TE_ASC, None
         )
         xs = sort_tuples(make_tuples("x", 40, seed=7), TS_TE_ASC)
-        plan = partition(entry, xs, shards=4)
-        for shard in plan.shards:
-            assert shard.y is None
-            owned_tags = {
-                t.value.index
-                for t in shard.x
-                if shard.owns(t.value.index)
-            }
-            # every owned position is present in the shard input
-            assert owned_tags == set(
-                range(shard.owned_lo, shard.owned_hi)
-            )
-            for t in shard.x:
-                assert isinstance(t.value, PartitionTag)
-                original = xs[t.value.index]
-                assert (t.valid_from, t.valid_to) == (
-                    original.valid_from,
-                    original.valid_to,
-                )
+        plan = plan_for(entry, xs, None, 4)
+        assert plan.y_total == 0
+        for r in plan.ranges:
+            assert 0 <= r.y_lo <= r.owned_lo
+            assert r.owned_hi <= r.y_hi <= len(xs)
 
     def test_k1_is_whole_relation(self):
         entry = lookup(
             TemporalOperator.SELF_CONTAIN_SEMIJOIN, TS_TE_ASC, None
         )
         xs = sort_tuples(make_tuples("x", 25, seed=8), TS_TE_ASC)
-        plan = partition(entry, xs, shards=1)
+        plan = plan_for(entry, xs, None, 1)
         assert plan.effective_shards == 1
-        assert len(plan.shards[0].x) == len(xs)
+        (whole,) = plan.ranges
+        assert (whole.y_lo, whole.y_hi) == (0, len(xs))
         assert plan.replicated_total == 0
 
 
@@ -211,9 +219,13 @@ class TestPlanDict:
         entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
         xs = sort_tuples(make_tuples("x", 30, seed=1), TS_ASC)
         ys = sort_tuples(make_tuples("y", 30, seed=2), TS_ASC)
-        plan = partition(entry, xs, ys, shards=3)
+        plan = plan_for(entry, xs, ys, 3)
         d = plan.as_dict()
         assert d["operator"] == "contain-join"
-        assert d["effective_shards"] == len(plan.shards)
-        assert len(d["shard_sizes"]) == len(plan.shards)
+        assert d["effective_shards"] == len(plan.ranges)
+        assert len(d["shard_sizes"]) == len(plan.ranges)
+        assert d["shard_sizes"] == [
+            {"x": r.owned_count, "y": r.context_count}
+            for r in plan.ranges
+        ]
         assert d["cuts"] == plan.cuts
