@@ -9,11 +9,11 @@ the same pre-sorted relations; outputs are cross-checked, and every
 row carries per-repeat ``timing_stats`` (all samples, best, mean,
 stdev) gathered after one untimed warm-up run per backend.
 
-For the join cells the fused backend's output is lazy
+For the join cells the batch backends' output is lazy
 (:class:`~repro.columnar.fused.LazyPairs`): the timed run covers the
-fused sweep itself, and the payload-pair expansion is measured
-separately as ``fused_expand_seconds`` — consumers that never touch
-the pairs never pay it.
+sweep itself, and the payload-pair expansion is measured separately as
+``<backend>_expand_seconds`` — consumers that never touch the pairs
+never pay it.
 
 Usage::
 
@@ -166,7 +166,7 @@ def measure_cell(figure, label, operator, x_order, y_order, x, y, repeats):
             # touch of the pairs pays this.
             expand_start = time.perf_counter()
             pairs = out._materialise()
-            row["fused_expand_seconds"] = round(
+            row[f"{backend}_expand_seconds"] = round(
                 time.perf_counter() - expand_start, 6
             )
             assert len(pairs) == len(out)

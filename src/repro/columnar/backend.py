@@ -141,10 +141,10 @@ class ColumnarProcessor(StreamProcessor):
     # ------------------------------------------------------------------
     def _kernel(
         self, x: IntervalColumns, y: Optional[IntervalColumns]
-    ) -> Tuple[list, SweepStats]:
+    ) -> Tuple[Sequence, SweepStats]:
         raise NotImplementedError
 
-    def _materialise(self) -> list:
+    def _materialise(self) -> Sequence:
         x_cols = self._drain(self.x)
         y_cols = self._drain(self.y) if self.y is not None else None
         token = active_token()
@@ -160,7 +160,7 @@ class ColumnarProcessor(StreamProcessor):
     def _execute(self) -> Iterator:
         yield from self._materialise()
 
-    def run(self) -> list:
+    def run(self) -> Sequence:
         """Batch fast path: one kernel call, no per-item generator
         frames.  Semantics match ``list(self)`` exactly (single use,
         output counting, metric finalisation)."""
@@ -198,18 +198,22 @@ class _SemijoinKernelMixin:
 
 
 class _JoinKernelMixin:
-    """Binary joins: kernel emits two parallel index columns, gathered
-    into payload pairs with one C-level ``zip``."""
+    """Binary joins, columnar and fused alike: whatever the kernel
+    emits — eager ``(xi, yj)`` index columns or fused
+    :class:`~repro.columnar.fused.JoinRuns` — is wrapped in
+    :class:`~repro.columnar.fused.LazyPairs`, so payload pairs only
+    materialise when the caller actually touches them (``len()``,
+    metrics, EXPLAIN and the hybrid executor's index-column read do
+    not)."""
 
     kernel = None
 
     def _kernel(self, x, y):
-        (xi, yj), stats = type(self).kernel(
+        out, stats = type(self).kernel(
             x.ts, x.te, y.ts, y.te,
             limit=self.meter.limit, trace=self.meter.trace,
         )
-        xp, yp = x.payload, y.payload
-        return list(zip([xp[i] for i in xi], [yp[j] for j in yj])), stats
+        return LazyPairs(out, x.payload, y.payload), stats
 
 
 class _SelfKernelMixin:
@@ -338,34 +342,17 @@ class FusedProcessor(ColumnarProcessor):
     slot_bound: str = "active-intervals"
 
 
-class _FusedJoinKernelMixin:
-    """Fused joins: the kernel emits :class:`~repro.columnar.fused.
-    JoinRuns` run descriptors; the processor wraps them in
-    :class:`~repro.columnar.fused.LazyPairs` so payload pairs only
-    materialise when the caller actually touches them (``len()``,
-    metrics, and EXPLAIN stay O(1))."""
-
-    kernel = None
-
-    def _kernel(self, x, y):
-        runs, stats = type(self).kernel(
-            x.ts, x.te, y.ts, y.te,
-            limit=self.meter.limit, trace=self.meter.trace,
-        )
-        return LazyPairs(runs, x.payload, y.payload), stats
-
-
 # ----------------------------------------------------------------------
 # Table 1 — Contain
 # ----------------------------------------------------------------------
-class FusedContainJoinTsTs(_FusedJoinKernelMixin, FusedProcessor):
+class FusedContainJoinTsTs(_JoinKernelMixin, FusedProcessor):
     operator = "fused-contain-join[TS^,TS^]"
     x_orders = (so.TS_ASC,)
     y_orders = (so.TS_ASC,)
     kernel = staticmethod(fused.contain_join_ts_ts)
 
 
-class FusedContainJoinTsTe(_FusedJoinKernelMixin, FusedProcessor):
+class FusedContainJoinTsTe(_JoinKernelMixin, FusedProcessor):
     operator = "fused-contain-join[TS^,TE^]"
     x_orders = (so.TS_ASC,)
     y_orders = (so.TE_ASC,)
@@ -405,7 +392,7 @@ class FusedContainedSemijoinTeTs(_SemijoinKernelMixin, FusedProcessor):
 # ----------------------------------------------------------------------
 # Table 2 — Overlap
 # ----------------------------------------------------------------------
-class FusedOverlapJoin(_FusedJoinKernelMixin, FusedProcessor):
+class FusedOverlapJoin(_JoinKernelMixin, FusedProcessor):
     operator = "fused-overlap-join[TS^,TS^]"
     x_orders = (so.TS_ASC,)
     y_orders = (so.TS_ASC,)

@@ -125,40 +125,65 @@ class JoinRuns:
 
 
 class LazyPairs(Sequence):
-    """A sequence of payload pairs that materialises on first touch.
+    """The join output of both batch backends: a sequence of payload
+    pairs that materialises on first touch.
 
-    ``len()`` comes from the run totals without expanding; indexing,
-    iteration, or containment triggers one expansion (runs → index
-    columns → payload gathers) whose result is cached.  EXPLAIN and
-    metrics read only ``len()``, so a run whose output is never
-    consumed pays nothing beyond the run descriptors.
+    ``source`` is what the kernel returned — a fused :class:`JoinRuns`
+    or the columnar kernels' eager ``(xi, yj)`` index columns.
+    ``len()`` is known without expanding anything; indexing, iteration,
+    or containment triggers one expansion (runs → index columns →
+    payload gathers) whose result is cached.  EXPLAIN and metrics read
+    only ``len()``, and the hybrid executor reads only
+    :meth:`index_columns`, so neither pays for payload pairs.
     """
 
-    __slots__ = ("_runs", "_x_payload", "_y_payload", "_pairs")
+    __slots__ = (
+        "_runs", "_columns", "_length", "x_payload", "y_payload", "_pairs"
+    )
 
-    def __init__(self, runs: JoinRuns, x_payload, y_payload) -> None:
-        self._runs = runs
-        self._x_payload = x_payload
-        self._y_payload = y_payload
+    def __init__(self, source, x_payload, y_payload) -> None:
+        if isinstance(source, JoinRuns):
+            self._runs: Optional[JoinRuns] = source
+            self._columns = None
+            self._length = source.total
+        else:
+            self._runs = None
+            self._columns = source
+            self._length = len(source[0])
+        #: The *sorted* operands' payload columns, which
+        #: :meth:`index_columns` positions point into.
+        self.x_payload = x_payload
+        self.y_payload = y_payload
         self._pairs: Optional[list] = None
 
     def __len__(self) -> int:
-        return self._runs.total
+        return self._length
 
     @property
     def materialized(self) -> bool:
         return self._pairs is not None
 
-    def index_columns(self) -> Tuple[array, array]:
-        return self._runs.index_columns()
+    def index_columns(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """Parallel ``(xi, yj)`` columns, one entry per output pair in
+        emission order; each is a position into the sorted operand
+        (``x_payload[xi[k]]`` pairs with ``y_payload[yj[k]]``).  Runs
+        expand once: the columns are cached and the runs released."""
+        runs = self._runs
+        if runs is not None:
+            self._columns = runs.index_columns()
+            self._runs = None
+        return self._columns
 
     def _materialise(self) -> list:
         pairs = self._pairs
         if pairs is None:
-            xi, yj = self._runs.index_columns()
-            xp = self._x_payload
-            yp = self._y_payload
-            pairs = list(zip([xp[i] for i in xi], [yp[j] for j in yj]))
+            xi, yj = self.index_columns()
+            pairs = list(
+                zip(
+                    map(self.x_payload.__getitem__, xi),
+                    map(self.y_payload.__getitem__, yj),
+                )
+            )
             self._pairs = pairs
         return pairs
 
@@ -182,7 +207,7 @@ class LazyPairs(Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "materialized" if self._pairs is not None else "lazy"
-        return f"LazyPairs(n={self._runs.total}, {state})"
+        return f"LazyPairs(n={self._length}, {state})"
 
 
 # ----------------------------------------------------------------------

@@ -17,16 +17,28 @@ padded conditions are still recognised.
 
 Row/tuple bridging: each input row becomes a
 :class:`~repro.model.tuples.TemporalTuple` whose *surrogate is the row
-index*, so the stream operators (which only inspect endpoints for the
-inequality operators) run unchanged and every output pair maps back to
-its original rows losslessly — duplicates included.
+index* and whose payload is empty, so the stream operators (which only
+inspect endpoints for the inequality operators) run unchanged.  The
+join's output comes back as an **index-pair relation**
+(see :class:`_StreamJoin`): the two sides' rows plus two parallel
+index columns, one entry per output pair in emission order.  The batch
+backends hand over their kernels' positional index columns directly
+(``index_columns()`` on the lazy join output — no payload pair is ever
+built); the tuple backend and the nested-loop and resilient fallbacks
+return pairs, whose surrogates are the indexes.  Rows are assembled
+late, by whoever consumes the join: the projection that sits directly
+above it (every Quel ``retrieve`` produces one) gathers only the
+columns it keeps, column-wise; any other parent iterates concatenated
+rows.  Either way each output pair maps back to its original rows
+losslessly — duplicates included.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from operator import add, attrgetter, itemgetter
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..governance.budget import QueryBudget
@@ -42,7 +54,7 @@ from ..errors import PlanningError
 from ..model.relation import TemporalRelation
 from ..model.tuples import TemporalSchema, TemporalTuple
 from ..relational.expressions import Compare
-from ..relational.operators import EngineStats, Operator
+from ..relational.operators import BinaryOperator, EngineStats, Operator
 from ..relational.schema import Row, RowSchema
 from ..semantic.bridge import to_symbolic
 from ..semantic.inequality_graph import ImplicationGraph
@@ -194,25 +206,132 @@ def execute_hybrid(
         report = ExecutionReport()
     execution.execution_report = report
     chooser = planner or TemporalJoinPlanner(parallelism=parallelism)
+    joins: list[_StreamJoin] = []
     operator = _build(
-        plan, catalog, stats, chooser, execution, recovery, report
+        plan, catalog, stats, chooser, joins, recovery, report
     )
     execution.rows = operator.run()
+    # Plan post-order (left subtree, right subtree, the join itself),
+    # whichever side a conventional parent happened to drain first.
+    execution.stream_joins = [join.info for join in joins]
     return execution
 
 
-class _MaterializedRows(Operator):
-    """Adapter: a precomputed row list as a physical operator."""
+class _StreamJoin(BinaryOperator):
+    """A recognised temporal join, run by the stream planner when its
+    parent consumes it.
 
-    def __init__(self, schema: RowSchema, rows: list[Row], stats) -> None:
-        super().__init__(schema, stats)
-        self._rows = rows
+    The join's output is an index-pair relation (:meth:`_index_pairs`);
+    how it becomes rows depends only on who asks.  A plain-attribute
+    projection directly above calls :meth:`narrowed` and gets just its
+    columns, gathered column-wise; any other parent iterates and gets
+    concatenated rows, in the same emission order.  Every parent drains
+    both its inputs, so :attr:`info` is set once the plan has run.
+    """
 
-    def __iter__(self):
-        return iter(self._rows)
+    def __init__(
+        self,
+        schema: RowSchema,
+        left: Operator,
+        right: Operator,
+        operator_kind: TemporalOperator,
+        swapped: bool,
+        planner: TemporalJoinPlanner,
+        recovery=None,
+        report=None,
+    ) -> None:
+        super().__init__(left, right, schema)
+        self.operator_kind = operator_kind
+        self.swapped = swapped
+        self.info: Optional[StreamJoinInfo] = None
+        self._planner = planner
+        self._recovery = recovery
+        self._report = report
+
+    def __iter__(self) -> Iterator[Row]:
+        return self._run(None)
+
+    def narrowed(self, positions: Sequence[int]) -> Iterator[Row]:
+        return self._run(positions)
+
+    def _run(self, positions: Optional[Sequence[int]]) -> Iterator[Row]:
+        left_rows = self.left.run()
+        right_rows = self.right.run()
+        tracer = get_tracer()
+        with tracer.span(
+            f"stream-join:{self.operator_kind.value}", swapped=self.swapped
+        ) as span:
+            with tracer.span(
+                "bridge:rows-to-relation",
+                rows=len(left_rows) + len(right_rows),
+            ):
+                left = _rows_to_relation(left_rows, self.left.schema)
+                right = _rows_to_relation(right_rows, self.right.schema)
+            left_side, right_side = self._index_pairs(
+                (left, left_rows), (right, right_rows)
+            )
+            span.set(output_rows=len(left_side[1]))
+            with tracer.span(
+                "bridge:assemble", late=positions is not None
+            ) as assemble:
+                if positions is None:
+                    columns_gathered = len(self.schema)
+                    assembly = _concatenated(left_side, right_side)
+                else:
+                    columns_gathered = len(set(positions))
+                    assembly = _gathered(
+                        left_side,
+                        right_side,
+                        len(self.left.schema),
+                        positions,
+                    )
+                if tracer.enabled:
+                    # A C-level iterator: run it to completion here, so
+                    # the span times the work and not its creation.
+                    rows = list(assembly)
+                    assemble.set(
+                        rows=len(rows), columns_gathered=columns_gathered
+                    )
+                    return iter(rows)
+        return assembly
+
+    def _index_pairs(self, left, right):
+        """Plan and run the join over ``(relation, rows)`` sides;
+        returns the ``(rows, index column)`` sides of its index-pair
+        relation and records the :class:`StreamJoinInfo`, whose
+        ``wall_seconds`` brackets plan + sort + sweep + index
+        extraction — no row is assembled inside it."""
+        x, y = (right, left) if self.swapped else (left, right)
+        recovery = self._recovery
+        started = time.perf_counter()
+        results, profile = self._planner.execute(
+            self.operator_kind,
+            x[0],
+            y[0],
+            recovery=recovery,
+            report=self._report,
+        )
+        x_side, y_side = _index_pair_sides(results, x[1], y[1])
+        wall_seconds = time.perf_counter() - started
+        self.info = StreamJoinInfo(
+            operator=self.operator_kind,
+            swapped=self.swapped,
+            chosen=profile.chosen.describe(),
+            workspace_high_water=(
+                profile.metrics.workspace_high_water
+                if profile.metrics
+                else 0
+            ),
+            output_rows=len(results),
+            recovery=recovery.value if recovery is not None else None,
+            metrics=profile.metrics,
+            wall_seconds=wall_seconds,
+            parallel=_parallel_details(profile.details),
+        )
+        return (y_side, x_side) if self.swapped else (x_side, y_side)
 
     def describe(self) -> str:
-        return f"Materialized({len(self._rows)} rows)"
+        return f"StreamJoin({self.operator_kind.value})"
 
 
 def _build(
@@ -220,38 +339,37 @@ def _build(
     catalog: Catalog,
     stats: EngineStats,
     planner: TemporalJoinPlanner,
-    execution: HybridExecution,
+    joins: list[_StreamJoin],
     recovery=None,
     report=None,
 ) -> Operator:
     if isinstance(plan, LJoin):
         left = _build(
-            plan.left, catalog, stats, planner, execution, recovery, report
+            plan.left, catalog, stats, planner, joins, recovery, report
         )
         right = _build(
-            plan.right, catalog, stats, planner, execution, recovery, report
+            plan.right, catalog, stats, planner, joins, recovery, report
         )
         recognised = recognize_stream_join(plan)
         if recognised is not None:
             operator_kind, swapped = recognised
-            rows = _stream_join(
+            join = _StreamJoin(
+                plan.schema(),
                 left,
                 right,
                 operator_kind,
                 swapped,
                 planner,
-                execution,
                 recovery,
                 report,
             )
-            return _MaterializedRows(plan.schema(), rows, stats)
+            joins.append(join)
+            return join
         return _conventional_join(plan, left, right)
     if not plan.children():
         return _compile(plan, catalog, stats)
     built_children = [
-        _build(
-            child, catalog, stats, planner, execution, recovery, report
-        )
+        _build(child, catalog, stats, planner, joins, recovery, report)
         for child in plan.children()
     ]
     return _rebuild_node(plan, built_children)
@@ -306,9 +424,7 @@ def _rebuild_node(plan, built_children) -> Operator:
 _BRIDGE_SCHEMA = TemporalSchema("bridge", "RowIndex", "Payload")
 
 
-def _rows_to_relation(
-    rows: list[Row], schema: RowSchema, variable: str
-) -> TemporalRelation:
+def _rows_to_relation(rows: list[Row], schema: RowSchema) -> TemporalRelation:
     """Rows -> temporal tuples with row-index surrogates.
 
     Projection pushdown may have pruned an endpoint the recognised
@@ -316,6 +432,7 @@ def _rows_to_relation(
     side); the missing one is synthesised one timepoint away so the
     tuple is well-formed, without affecting the operator's predicate.
     """
+    variable = _variable_of_schema(schema)
     from_name = f"{variable}.ValidFrom"
     to_name = f"{variable}.ValidTo"
     has_from = from_name in schema
@@ -334,77 +451,66 @@ def _rows_to_relation(
     return TemporalRelation(_BRIDGE_SCHEMA, tuples)
 
 
-def _single_variable(plan: LogicalPlan) -> str:
-    variables = plan.variables()
-    if len(variables) != 1:
-        raise PlanningError(
-            "stream join sides must each bind exactly one range variable"
-        )
-    return next(iter(variables))
+_surrogate_of = attrgetter("surrogate")
 
 
-def _stream_join(
-    left: Operator,
-    right: Operator,
-    operator_kind: TemporalOperator,
-    swapped: bool,
-    planner: TemporalJoinPlanner,
-    execution: HybridExecution,
-    recovery=None,
-    report=None,
-) -> list[Row]:
-    left_rows = left.run()
-    right_rows = right.run()
-    left_var = _variable_of_schema(left.schema)
-    right_var = _variable_of_schema(right.schema)
-    left_relation = _rows_to_relation(left_rows, left.schema, left_var)
-    right_relation = _rows_to_relation(right_rows, right.schema, right_var)
-    tracer = get_tracer()
-    started = time.perf_counter()
-    with tracer.span(
-        f"stream-join:{operator_kind.value}", swapped=swapped
-    ) as span:
-        if swapped:
-            results, profile = planner.execute(
-                operator_kind,
-                right_relation,
-                left_relation,
-                recovery=recovery,
-                report=report,
-            )
-            pairs = [(b.surrogate, a.surrogate) for a, b in results]
-        else:
-            results, profile = planner.execute(
-                operator_kind,
-                left_relation,
-                right_relation,
-                recovery=recovery,
-                report=report,
-            )
-            pairs = [(a.surrogate, b.surrogate) for a, b in results]
-        if tracer.enabled:
-            span.set(output_rows=len(pairs))
-    execution.stream_joins.append(
-        StreamJoinInfo(
-            operator=operator_kind,
-            swapped=swapped,
-            chosen=profile.chosen.describe(),
-            workspace_high_water=(
-                profile.metrics.workspace_high_water
-                if profile.metrics
-                else 0
-            ),
-            output_rows=len(pairs),
-            recovery=recovery.value if recovery is not None else None,
-            metrics=profile.metrics,
-            wall_seconds=time.perf_counter() - started,
-            parallel=_parallel_details(profile.details),
+def _index_pair_sides(results, x_rows: list[Row], y_rows: list[Row]):
+    """The X and Y side of a join result as ``(rows, index column)``
+    pairs, output pairs in emission order.
+
+    The batch backends' lazy outputs (``LazyPairs``, and ``LazyResults``
+    of a sharded plan) carry positions into the *sorted* operands, so
+    each side's rows are put in that order once (|side| work) and the
+    kernel's index columns are used as they are.  Anything else is a
+    sequence of tuple pairs whose surrogates index the rows directly.
+    """
+    if hasattr(results, "index_columns"):
+        x_index, y_index = results.index_columns()
+        return (
+            (_in_order_of(results.x_payload, x_rows), x_index),
+            (_in_order_of(results.y_payload, y_rows), y_index),
         )
+    xs, ys = zip(*results) if results else ((), ())
+    return (
+        (x_rows, list(map(_surrogate_of, xs))),
+        (y_rows, list(map(_surrogate_of, ys))),
     )
-    return [
-        left_rows[left_index] + right_rows[right_index]
-        for left_index, right_index in pairs
-    ]
+
+
+def _in_order_of(payload, rows: list[Row]) -> list[Row]:
+    """``rows`` in the order of ``payload``, the index-surrogate tuples
+    of (some of) them."""
+    return list(map(rows.__getitem__, map(_surrogate_of, payload)))
+
+
+def _concatenated(left_side, right_side) -> Iterator[Row]:
+    """Index-pair relation -> whole rows, left columns then right."""
+    (left_rows, left_index), (right_rows, right_index) = left_side, right_side
+    return map(
+        add,
+        map(left_rows.__getitem__, left_index),
+        map(right_rows.__getitem__, right_index),
+    )
+
+
+def _gathered(
+    left_side, right_side, left_width: int, positions: Sequence[int]
+) -> Iterator[Row]:
+    """Index-pair relation -> rows of just ``positions`` (of the
+    concatenated schema): each column is read off its side's rows once
+    (|side| work), then looked up per output pair and zipped."""
+    columns: dict[int, list] = {}
+    lookups = []
+    for position in positions:
+        if position < left_width:
+            (rows, index), offset = left_side, position
+        else:
+            (rows, index), offset = right_side, position - left_width
+        column = columns.get(position)
+        if column is None:
+            column = columns[position] = list(map(itemgetter(offset), rows))
+        lookups.append(map(column.__getitem__, index))
+    return zip(*lookups)
 
 
 def _parallel_details(details: dict) -> Optional[dict]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from collections import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -300,14 +301,16 @@ class LazyResults(abc.Sequence):
     (then cache) only when an element is actually touched.  ``len()``
     is free, so consumers that need counts alone — EXPLAIN ANALYZE,
     the metrics layer, cardinality checks — never pay for output
-    object construction.
+    object construction, and the hybrid executor reads
+    :meth:`index_columns` instead of the payload pairs.
     """
 
     __slots__ = (
-        "_originals_x",
-        "_originals_y",
+        "x_payload",
+        "y_payload",
         "_chunks",
         "_length",
+        "_columns",
         "_cache",
     )
 
@@ -317,30 +320,41 @@ class LazyResults(abc.Sequence):
         originals_y: Optional[Sequence[TemporalTuple]],
         chunks: Sequence[tuple],
     ):
-        self._originals_x = originals_x
-        self._originals_y = originals_y
+        #: The operands as handed to :func:`execute_parallel`, which
+        #: :meth:`index_columns` positions point into.
+        self.x_payload = originals_x
+        self.y_payload = originals_y
         self._chunks = chunks
         self._length = sum(len(chunk[1]) for chunk in chunks)
+        self._columns: Optional[tuple] = None
         self._cache: Optional[list] = None
+
+    def index_columns(self) -> tuple:
+        """Global ``(xi, yj)`` position columns — chunk base plus
+        shard-local index, chunks in cut order, so entry ``k`` is the
+        ``k``-th merged output.  ``yj`` stays empty for semijoin
+        shapes.  Computed once; the chunks are released."""
+        if self._columns is None:
+            xi, yj = array("q"), array("q")
+            for _kind, first, second, x_base, y_base in self._chunks:
+                xi.extend(map(x_base.__add__, first))
+                if second is not None:
+                    yj.extend(map(y_base.__add__, second))
+            self._columns = (xi, yj)
+            self._chunks = ()
+        return self._columns
 
     def _materialised(self) -> list:
         if self._cache is None:
-            ox, oy = self._originals_x, self._originals_y
-            out: list = []
-            for kind, first, second, x_base, y_base in self._chunks:
-                if kind == shm.RESULT_PAIRS:
-                    if oy is None:
-                        raise ExecutionError(
-                            "pair results require Y originals"
-                        )
-                    out.extend(
-                        (ox[x_base + i], oy[y_base + j])
-                        for i, j in zip(first, second)
+            xi, yj = self.index_columns()
+            out = map(self.x_payload.__getitem__, xi)
+            if yj:
+                if self.y_payload is None:
+                    raise ExecutionError(
+                        "pair results require Y originals"
                     )
-                else:
-                    out.extend(ox[x_base + i] for i in first)
-            self._cache = out
-            self._chunks = ()  # the index arrays are no longer needed
+                out = zip(out, map(self.y_payload.__getitem__, yj))
+            self._cache = list(out)
         return self._cache
 
     def __len__(self) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from ..schema import Row, RowSchema
 
@@ -47,6 +48,17 @@ class Operator(abc.ABC):
     def run(self) -> list[Row]:
         """Execute to completion."""
         return list(self)
+
+    def narrowed(self, positions: Sequence[int]) -> Iterator[Row]:
+        """The output rows cut down to ``positions`` (non-empty; may
+        reorder and repeat) — what a :class:`Project` of plain
+        attributes asks of its child.  One C-level ``itemgetter`` per
+        row here; an operator that holds its output column-wise
+        overrides this to gather only the columns asked for."""
+        if len(positions) == 1:
+            # itemgetter of one position returns the bare value.
+            return zip(map(itemgetter(positions[0]), self))
+        return map(itemgetter(*positions), self)
 
     def explain(self, indent: int = 0) -> str:
         """A one-line-per-node plan rendering (overridden by composite

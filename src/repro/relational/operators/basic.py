@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence, Union
 
-from ..expressions import Predicate
+from ..expressions import Attr, Predicate
 from ..schema import Row, RowSchema
 from .base import Operator, UnaryOperator
 
@@ -45,19 +45,34 @@ class Project(UnaryOperator):
     ) -> None:
         names: list[str] = []
         readers = []
+        positions: list[int] = []
         for item in items:
             if isinstance(item, str):
-                names.append(item)
-                readers.append(child.schema.reader(item))
+                name, expression = item, Attr(item)
             else:
                 name, expression = item
-                names.append(name)
-                readers.append(expression.compile_against(child.schema))
+            names.append(name)
+            readers.append(expression.compile_against(child.schema))
+            if isinstance(expression, Attr):
+                positions.append(child.schema.index_of(expression.name))
         super().__init__(child, RowSchema(tuple(names)))
         self.items = tuple(items)
         self._readers = readers
+        #: Child positions of the items when every one is a plain
+        #: attribute: the projection is then a column selection the
+        #: child can do itself (:meth:`Operator.narrowed`).
+        self._positions = (
+            tuple(positions)
+            if positions and len(positions) == len(readers)
+            else None
+        )
 
     def __iter__(self) -> Iterator[Row]:
+        if self._positions is not None:
+            return self.child.narrowed(self._positions)
+        return self._computed()
+
+    def _computed(self) -> Iterator[Row]:
         readers = self._readers
         for row in self.child:
             yield tuple(read(row) for read in readers)

@@ -195,6 +195,27 @@ class TestLazyPairs:
         assert lazy == eager
         assert lazy.materialized is True
 
+    def test_index_columns_expand_the_runs_once(self):
+        """``len()`` -> index columns -> a later ``list()``: the runs
+        expand on the first ask and the columns are reused after."""
+        runs, xp, yp = self._runs()
+        lazy = LazyPairs(runs, xp, yp)
+        assert len(lazy) == runs.total
+        xi, yj = lazy.index_columns()
+        assert lazy.index_columns()[0] is xi  # cached, not re-expanded
+        assert lazy.materialized is False  # columns are not pairs
+        assert (lazy.x_payload, lazy.y_payload) == (xp, yp)
+        assert list(lazy) == [(xp[i], yp[j]) for i, j in zip(xi, yj)]
+
+    def test_wraps_eager_index_columns_too(self):
+        """The columnar kernels' ``(xi, yj)`` go in as they are."""
+        _, xp, yp = self._runs()
+        columns = ([0, 0, 2], [1, 3, 3])
+        lazy = LazyPairs(columns, xp, yp)
+        assert len(lazy) == 3 and lazy.materialized is False
+        assert lazy.index_columns() is columns
+        assert lazy == [("x0", "y1"), ("x0", "y3"), ("x2", "y3")]
+
 
 class TestEndpointOnlyExecution:
     """Fused kernels run on bare endpoint columns (the shared-memory

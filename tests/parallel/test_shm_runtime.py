@@ -385,3 +385,44 @@ class TestLazyResults:
         assert len(results) == count == len(expected)
         left, right = results[0]
         assert left in xs and right in ys
+
+    @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+    def test_index_columns_are_global_positions_in_chunk_order(
+        self, backend
+    ):
+        entry = contain_entry()
+        xs, ys = inputs()
+        outcome = execute_parallel(
+            entry, xs, ys, shards=3, backend=backend, mode="inline"
+        )
+        results = outcome.results
+        xi, yj = results.index_columns()
+        assert results.index_columns() is results.index_columns()
+        assert results._cache is None  # no payload pair built yet
+        assert len(xi) == len(yj) == len(results)
+        assert results.x_payload == xs and results.y_payload == ys
+        # Entry k of the columns is the k-th merged output pair.
+        assert list(results) == [
+            (xs[i], ys[j]) for i, j in zip(xi, yj)
+        ]
+
+    def test_semijoin_index_columns_have_an_empty_y_column(self):
+        entry = lookup(
+            TemporalOperator.CONTAIN_SEMIJOIN, TS_ASC, TS_ASC
+        )
+        xs, ys = inputs()
+        results = execute_parallel(
+            entry, xs, ys, shards=2, backend="columnar", mode="inline"
+        ).results
+        xi, yj = results.index_columns()
+        assert len(yj) == 0
+        assert list(results) == [xs[i] for i in xi]
+
+    def test_a_join_that_ran_no_shard_still_has_both_columns(self):
+        _, ys = inputs()
+        results = execute_parallel(
+            contain_entry(), [], ys, shards=2, mode="inline"
+        ).results
+        xi, yj = results.index_columns()
+        assert len(xi) == len(yj) == len(results) == 0
+        assert list(results) == []

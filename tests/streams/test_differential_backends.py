@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.columnar.fused import LazyPairs
 from repro.model import TS_ASC, TemporalTuple, sort_tuples
 from repro.streams import (
     NestedLoopJoin,
@@ -237,7 +238,7 @@ def _run_on(entry, backend, xs, ys):
             make_stream(ys, entry.y_order, "Y"),
             backend=backend,
         )
-    return list(processor.run()), processor.metrics
+    return processor.run(), processor.metrics
 
 
 @pytest.mark.parametrize("entry, seed", three_way_cases())
@@ -273,8 +274,18 @@ def test_three_way_backends_byte_identical(entry, seed):
     t_out, t_m = _run_on(entry, "tuple", xs, ys)
     c_out, c_m = _run_on(entry, "columnar", xs, ys)
     f_out, f_m = _run_on(entry, "fused", xs, ys)
-    assert c_out == t_out
-    assert f_out == c_out
+    kind = BINARY_OPERATORS.get(entry.operator, (None, None))[1]
+    if kind == "join" and not entry.mirrored:
+        # Both batch backends hand back the one lazy join output (a
+        # mirrored cell re-maps every pair, so it returns a list):
+        # its length is known, and asking for it builds no pair.
+        for lazy in (c_out, f_out):
+            assert isinstance(lazy, LazyPairs)
+            assert len(lazy) == len(t_out)
+            assert lazy.materialized is False
+    assert isinstance(t_out, list)
+    assert list(c_out) == t_out  # element for element, in order
+    assert list(f_out) == t_out
     # The two batch backends account state identically: lazy disposal
     # at the same sweep positions, so the same high-water mark.
     assert f_m.workspace.high_water == c_m.workspace.high_water
