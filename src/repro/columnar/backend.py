@@ -89,7 +89,8 @@ class ColumnarProcessor(StreamProcessor):
     def _drain(self, stream: TupleStream) -> IntervalColumns:
         """One batch pass over a stream, charged to its counters exactly
         like cursor reads (cf. ``mirror_stream``: reading below the
-        single-buffer cursor, straight from the source factory).
+        single-buffer cursor, straight from the source factory).  A
+        stream born as columns hands them over as they are.
 
         Under QUARANTINE the batch shortcut would bypass the cursor's
         side-channel, so the drain goes through the cursor instead and
@@ -99,11 +100,15 @@ class ColumnarProcessor(StreamProcessor):
             return IntervalColumns.from_tuples(
                 rows, order=stream.order, name=stream.name, presorted=True
             )
-        rows = list(stream._source_factory())
-        stream.note_batch_pass(len(rows))
-        columns = IntervalColumns.from_tuples(
-            rows, order=stream.order, name=stream.name, presorted=True
-        )
+        columns = stream.columns
+        if columns is None:
+            columns = IntervalColumns.from_tuples(
+                stream._source_factory(),
+                order=stream.order,
+                name=stream.name,
+                presorted=True,
+            )
+        stream.note_batch_pass(len(columns))
         if stream.verify_order:
             try:
                 columns.verify_order()

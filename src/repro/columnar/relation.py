@@ -12,8 +12,13 @@ a handful of integer comparisons.
 
 * ``ts`` — ValidFrom endpoints (``array('q')``),
 * ``te`` — ValidTo endpoints (``array('q')``),
-* ``payload`` — the original :class:`~repro.model.tuples.TemporalTuple`
-  objects, positionally aligned with the endpoint columns,
+* ``payload`` — what each position stands for, positionally aligned
+  with the endpoint columns: the original
+  :class:`~repro.model.tuples.TemporalTuple` objects of an operand born
+  as tuples (:meth:`IntervalColumns.from_tuples`), or plain row
+  positions for one born as columns (the hybrid executor's bridge,
+  which never builds the tuples unless a tuple-at-a-time consumer asks
+  for :attr:`IntervalColumns.tuples`),
 
 sorted by a :class:`~repro.model.sortorder.SortOrder`.  Kernels in
 :mod:`repro.columnar.kernels` operate on the endpoint columns only and
@@ -23,6 +28,8 @@ return positional indexes; payloads are materialised once per output.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
+from operator import ge, le
 from typing import Iterable, Optional, Sequence
 
 from ..errors import StreamOrderError
@@ -47,13 +54,13 @@ class IntervalColumns:
     whichever side of the process boundary owns the tuple objects.
     """
 
-    __slots__ = ("ts", "te", "payload", "order", "name")
+    __slots__ = ("ts", "te", "payload", "order", "name", "_tuples")
 
     def __init__(
         self,
         ts: Sequence[int],
         te: Sequence[int],
-        payload: Optional[Sequence[TemporalTuple]],
+        payload: Optional[Sequence],
         order: Optional[SortOrder],
         name: str = "columns",
     ) -> None:
@@ -70,6 +77,7 @@ class IntervalColumns:
         self.payload = payload
         self.order = order
         self.name = name
+        self._tuples: Optional[Sequence[TemporalTuple]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -109,6 +117,74 @@ class IntervalColumns:
     def __len__(self) -> int:
         return len(self.ts)
 
+    @property
+    def tuples(self) -> Sequence[TemporalTuple]:
+        """An operand born as columns (payload = row positions) as
+        :class:`TemporalTuple` values, for consumers that are
+        tuple-at-a-time by nature (cursors, nested loops, the recovery
+        ladder): one validated tuple per position, its surrogate the
+        payload entry, no value — built on first use and kept."""
+        if self._tuples is None:
+            self._tuples = [
+                TemporalTuple(position, None, start, end)
+                for position, start, end in zip(
+                    self.payload, self.ts, self.te
+                )
+            ]
+        return self._tuples
+
+    @property
+    def tuples_built(self) -> int:
+        """How many tuples :attr:`tuples` has constructed so far."""
+        return 0 if self._tuples is None else len(self._tuples)
+
+    def _key_columns(self, order: SortOrder) -> Optional[list]:
+        """``(column, descending)`` per sort key, or ``None`` when the
+        order has a non-endpoint component (no column to read)."""
+        keys = []
+        for sort_key in order.keys:
+            if sort_key.attribute is SortAttribute.VALID_FROM:
+                column: Sequence[int] = self.ts
+            elif sort_key.attribute is SortAttribute.VALID_TO:
+                column = self.te
+            else:
+                return None
+            keys.append((column, sort_key.direction is Direction.DESC))
+        return keys
+
+    @staticmethod
+    def _in_order(keys: list) -> bool:
+        """One C-level pass: does a single key column already obey its
+        order?  Compound orders are not decided here (``False``)."""
+        if len(keys) != 1:
+            return False
+        ((column, descending),) = keys
+        in_order = ge if descending else le
+        return all(map(in_order, column, islice(column, 1, None)))
+
+    def sorted_by(self, order: SortOrder) -> "IntervalColumns":
+        """These columns in ``order`` (endpoint keys only), exactly as
+        :func:`~repro.model.sortorder.sort_tuples` would leave the
+        tuples (stable, keys applied least-significant first).  Columns
+        already in that order are shared, not copied — the payload
+        object is the same iff no argsort ran; otherwise the argsort's
+        permutation carries ``ts``, ``te`` and the payload along."""
+        keys = self._key_columns(order)
+        if self._in_order(keys):
+            return IntervalColumns(
+                self.ts, self.te, self.payload, order, self.name
+            )
+        permutation = list(range(len(self)))
+        for column, descending in reversed(keys):
+            permutation.sort(key=column.__getitem__, reverse=descending)
+        return IntervalColumns(
+            array("q", map(self.ts.__getitem__, permutation)),
+            array("q", map(self.te.__getitem__, permutation)),
+            list(map(self.payload.__getitem__, permutation)),
+            order,
+            self.name,
+        )
+
     def verify_order(self) -> None:
         """Check the endpoint columns against the declared sort order,
         columnar-ly (no per-tuple attribute extraction).
@@ -119,25 +195,22 @@ class IntervalColumns:
         """
         if self.order is None:
             return
-        keys = []
-        for sort_key in self.order.keys:
-            if sort_key.attribute is SortAttribute.VALID_FROM:
-                column: Sequence[int] = self.ts
-            elif sort_key.attribute is SortAttribute.VALID_TO:
-                column = self.te
-            else:
-                # Non-endpoint components have no column; fall back to
-                # the tuple-level check for the whole order (requires
-                # payloads — endpoint-only views have none to check).
-                if self.payload is not None and not self.order.is_sorted(
-                    list(self.payload)
-                ):
-                    raise StreamOrderError(
-                        f"columns {self.name!r} violate declared order "
-                        f"[{self.order}]"
-                    )
-                return
-            keys.append((column, sort_key.direction is Direction.DESC))
+        keys = self._key_columns(self.order)
+        if keys is None:
+            # Non-endpoint components have no column; fall back to
+            # the tuple-level check for the whole order (requires
+            # payloads — endpoint-only views have none to check).
+            if self.payload is not None and not self.order.is_sorted(
+                list(self.payload)
+            ):
+                raise StreamOrderError(
+                    f"columns {self.name!r} violate declared order "
+                    f"[{self.order}]"
+                )
+            return
+        if self._in_order(keys):
+            return
+        # Slow pass, on failure only: locate the first violation.
         for i in range(1, len(self.ts)):
             for column, descending in keys:
                 a, b = column[i - 1], column[i]

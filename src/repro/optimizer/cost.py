@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..stats.estimators import TemporalStatistics
+from ..streams.registry import TemporalOperator
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,23 @@ class CostModel:
     parallel_tuple_ship: float = 0.0002
     #: Largest shard count the cost model will consider.
     max_parallel_workers: int = 8
-    #: Per-tuple CPU discount of the columnar batch-sweep backend
-    #: relative to tuple-at-a-time (measured ~0.17x on the Fig-5
-    #: contain-join @100k; 0.25 is the conservative planning value).
-    columnar_cpu_factor: float = 0.25
-    #: Per-tuple CPU discount of the fused endpoint-event sweep backend
-    #: (measured ~0.08x on the same configuration; one merged sweep,
-    #: binary-search probes, lazy join materialisation).
+    #: Per-tuple CPU price of the columnar batch sweep relative to
+    #: tuple-at-a-time, *before* its active-list scan.  With the three
+    #: constants below, fitted to the per-layer numbers committed in
+    #: ``bench/README.md``: tuple sweep 8 us/tuple; columnar kernel 0.6
+    #: us/tuple + 0.012 us per live interval (12.4 ms at ~40 expected
+    #: live, 85.9 ms at ~1440); fused kernel 0.9-1.1 us/tuple at any
+    #: depth (bisect probes); runs -> index columns 14.6 ms for 86 220
+    #: pairs.
+    columnar_cpu_factor: float = 0.08
+    #: Per-tuple CPU price of the fused endpoint-event sweep, *before*
+    #: its run expansion.
     fused_cpu_factor: float = 0.1
+    #: Columnar's extra per tuple and per expected live interval: every
+    #: probe scans the active list linearly.
+    COLUMNAR_SCAN_FACTOR: ClassVar[float] = 0.0015
+    #: Fused's extra per expected output pair: runs -> index columns.
+    FUSED_EXPAND_FACTOR: ClassVar[float] = 0.02
 
     # ------------------------------------------------------------------
     # building blocks
@@ -98,14 +108,30 @@ class CostModel:
             + outer * inner * self.tuple_cpu
         )
 
-    def backend_cpu_factor(self, backend: str = "tuple") -> float:
-        """Relative per-tuple CPU price of one execution backend
-        (page I/O is backend-independent)."""
+    def sweep_cpu_cost(
+        self,
+        tuples: int,
+        expected_workspace: float,
+        backend: str = "tuple",
+        expected_output: float = 0.0,
+    ) -> float:
+        """CPU price of sweeping ``tuples`` input tuples on one
+        execution backend (page I/O is backend-independent).  The two
+        batch backends differ in what grows with the data: columnar
+        scans the expected workspace per tuple, fused expands its runs
+        per expected output pair."""
+        cost = float(tuples)
         if backend == "columnar":
-            return self.columnar_cpu_factor
-        if backend == "fused":
-            return self.fused_cpu_factor
-        return 1.0
+            cost *= (
+                self.columnar_cpu_factor
+                + self.COLUMNAR_SCAN_FACTOR * expected_workspace
+            )
+        elif backend == "fused":
+            cost = (
+                cost * self.fused_cpu_factor
+                + expected_output * self.FUSED_EXPAND_FACTOR
+            )
+        return cost * self.tuple_cpu
 
     def stream_pass_cost(
         self,
@@ -113,14 +139,20 @@ class CostModel:
         y_tuples: int,
         expected_workspace: float,
         backend: str = "tuple",
+        expected_output: float = 0.0,
     ) -> float:
         """One synchronized pass of both streams with the given
-        expected state size, on the given physical backend."""
-        factor = self.backend_cpu_factor(backend)
+        expected state size and join output, on the given physical
+        backend."""
         return (
             self.pages(x_tuples) * self.page_read
             + self.pages(y_tuples) * self.page_read
-            + (x_tuples + y_tuples) * self.tuple_cpu * factor
+            + self.sweep_cpu_cost(
+                x_tuples + y_tuples,
+                expected_workspace,
+                backend,
+                expected_output,
+            )
             + expected_workspace * self.workspace_tuple
         )
 
@@ -132,21 +164,27 @@ class CostModel:
         workers: int,
         replicated: float = 0.0,
         backend: str = "tuple",
+        expected_output: float = 0.0,
     ) -> float:
         """One time-domain-partitioned pass with ``workers`` shards on
         the given physical backend.
 
         Each shard sweeps ``1/workers`` of X plus its replicated share
-        of Y; the expected workspace is *not* divided — the open-tuple
-        state around any sweep point is a data property, independent of
-        where the cuts fall (the shard-local bound equals the Table-1/2
+        of Y and emits ``1/workers`` of the output; the expected
+        workspace is *not* divided — the open-tuple state around any
+        sweep point is a data property, independent of where the cuts
+        fall (the shard-local bound equals the Table-1/2
         bound).  The coordinator pays a per-worker startup price and a
         per-tuple ship/merge price, which is what makes serial win on
         small inputs.
         """
         if workers <= 1:
             return self.stream_pass_cost(
-                x_tuples, y_tuples, expected_workspace, backend=backend
+                x_tuples,
+                y_tuples,
+                expected_workspace,
+                backend=backend,
+                expected_output=expected_output,
             )
         shipped_y = y_tuples + replicated
         per_shard = self.stream_pass_cost(
@@ -154,6 +192,7 @@ class CostModel:
             math.ceil(shipped_y / workers),
             expected_workspace,
             backend=backend,
+            expected_output=expected_output / workers,
         )
         coordination = (
             workers * self.parallel_worker_startup
@@ -187,6 +226,7 @@ def choose_shard_count(
     max_workers: int,
     available_cpus: Optional[int] = None,
     backend: str = "tuple",
+    expected_output: float = 0.0,
 ) -> int:
     """The cheapest shard count in [1, max_workers] under the model,
     for a sweep on the given physical backend.
@@ -211,6 +251,7 @@ def choose_shard_count(
         y_stats.cardinality,
         expected_workspace,
         backend=backend,
+        expected_output=expected_output,
     )
     for workers in range(2, ceiling + 1):
         cost = model.parallel_stream_cost(
@@ -220,6 +261,7 @@ def choose_shard_count(
             workers,
             replicated=(workers - 1) * per_cut,
             backend=backend,
+            expected_output=expected_output,
         )
         if cost < best_cost:
             best_workers, best_cost = workers, cost
@@ -248,3 +290,22 @@ def expected_workspace_for(
         return (open_x + waiting_y) / 2.0
     # inappropriate: state degenerates to the inputs themselves
     return float(x_stats.cardinality + y_stats.cardinality)
+
+
+def expected_output_for(
+    operator: TemporalOperator,
+    x_stats: TemporalStatistics,
+    y_stats: TemporalStatistics,
+) -> float:
+    """Expected output pairs of a join, from the same stationary model
+    as the workspace: each Y tuple meets the X tuples arriving in the
+    window its predicate leaves open — ``E[d_x] - E[d_y]`` wide for
+    containment (a Y lifespan must fit inside), ``E[d_x] + E[d_y]``
+    for overlap.  Semijoins and self-joins emit no pairs."""
+    if operator is TemporalOperator.CONTAIN_JOIN:
+        window = max(0.0, x_stats.mean_duration - y_stats.mean_duration)
+    elif operator is TemporalOperator.OVERLAP_JOIN:
+        window = x_stats.mean_duration + y_stats.mean_duration
+    else:
+        return 0.0
+    return y_stats.cardinality * x_stats.arrival_rate * window

@@ -15,10 +15,18 @@ TQuel general overlap under the intra-tuple background
 (:func:`repro.semantic.recognize.recognize_allen`), so rephrased or
 padded conditions are still recognised.
 
-Row/tuple bridging: each input row becomes a
-:class:`~repro.model.tuples.TemporalTuple` whose *surrogate is the row
-index* and whose payload is empty, so the stream operators (which only
-inspect endpoints for the inequality operators) run unchanged.  The
+Row bridging is column-first: each side's two endpoint columns are read
+straight off its row list and validated in bulk (:func:`_rows_to_columns`),
+and the planner's operand *is* that
+:class:`~repro.columnar.relation.IntervalColumns`, its payload the row
+position.  Statistics, the sort (an argsort, skipped when the columns
+are already in order) and the batch backends' drain all read the
+columns, so a columnar or fused join builds no
+:class:`~repro.model.tuples.TemporalTuple` at all; a consumer that is
+tuple-at-a-time by nature (tuple backend, nested-loop winner, recovery
+ladder) makes the operand build them once — surrogate the row position,
+no value — so the stream operators (which only inspect endpoints for
+the inequality operators) run unchanged.  The
 join's output comes back as an **index-pair relation**
 (see :class:`_StreamJoin`): the two sides' rows plus two parallel
 index columns, one entry per output pair in emission order.  The batch
@@ -36,8 +44,9 @@ losslessly — duplicates included.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, lt
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -50,9 +59,10 @@ from ..algebra.logical import LJoin, LogicalPlan
 from ..algebra.physical import Catalog, _compile  # shared leaf compiler
 from ..allen.relations import AllenRelation
 from ..allen.symbolic import Comparison, Endpoint, EndpointKind
+from ..columnar.relation import IntervalColumns
 from ..errors import PlanningError
-from ..model.relation import TemporalRelation
-from ..model.tuples import TemporalSchema, TemporalTuple
+from ..model.interval import Interval
+from ..model.tuples import TemporalTuple
 from ..relational.expressions import Compare
 from ..relational.operators import BinaryOperator, EngineStats, Operator
 from ..relational.schema import Row, RowSchema
@@ -265,12 +275,11 @@ class _StreamJoin(BinaryOperator):
                 "bridge:rows-to-relation",
                 rows=len(left_rows) + len(right_rows),
             ):
-                left = _rows_to_relation(left_rows, self.left.schema)
-                right = _rows_to_relation(right_rows, self.right.schema)
+                left = _rows_to_columns(left_rows, self.left.schema)
+                right = _rows_to_columns(right_rows, self.right.schema)
             left_side, right_side = self._index_pairs(
-                (left, left_rows), (right, right_rows)
+                (left, left_rows), (right, right_rows), span
             )
-            span.set(output_rows=len(left_side[1]))
             with tracer.span(
                 "bridge:assemble", late=positions is not None
             ) as assemble:
@@ -295,8 +304,8 @@ class _StreamJoin(BinaryOperator):
                     return iter(rows)
         return assembly
 
-    def _index_pairs(self, left, right):
-        """Plan and run the join over ``(relation, rows)`` sides;
+    def _index_pairs(self, left, right, span):
+        """Plan and run the join over ``(columns, rows)`` sides;
         returns the ``(rows, index column)`` sides of its index-pair
         relation and records the :class:`StreamJoinInfo`, whose
         ``wall_seconds`` brackets plan + sort + sweep + index
@@ -327,6 +336,16 @@ class _StreamJoin(BinaryOperator):
             metrics=profile.metrics,
             wall_seconds=wall_seconds,
             parallel=_parallel_details(profile.details),
+        )
+        # The operands as given and as the winner read them (the same
+        # object where no sort was planned).
+        operands = {id(o): o for o in (x[0], y[0], *profile.operands)}
+        span.set(
+            output_rows=len(results),
+            tuples_built=sum(o.tuples_built for o in operands.values()),
+            sorted=any(
+                not isinstance(o.payload, range) for o in profile.operands
+            ),
         )
         return (y_side, x_side) if self.swapped else (x_side, y_side)
 
@@ -421,34 +440,48 @@ def _rebuild_node(plan, built_children) -> Operator:
     raise PlanningError(f"hybrid executor cannot rebuild {plan!r}")
 
 
-_BRIDGE_SCHEMA = TemporalSchema("bridge", "RowIndex", "Payload")
-
-
-def _rows_to_relation(rows: list[Row], schema: RowSchema) -> TemporalRelation:
-    """Rows -> temporal tuples with row-index surrogates.
+def _rows_to_columns(rows: list[Row], schema: RowSchema) -> IntervalColumns:
+    """Rows -> their two endpoint columns, payload the row position.
 
     Projection pushdown may have pruned an endpoint the recognised
     operator never reads (Before/After mention only one endpoint per
     side); the missing one is synthesised one timepoint away so the
-    tuple is well-formed, without affecting the operator's predicate.
+    interval is well-formed, without affecting the operator's
+    predicate.
+
+    The columns are validated in bulk, at C level.  Only when that
+    fails does a second pass visit the rows one by one, so the first
+    offending row raises exactly what building its
+    :class:`~repro.model.tuples.TemporalTuple` would have.
     """
     variable = _variable_of_schema(schema)
     from_name = f"{variable}.ValidFrom"
     to_name = f"{variable}.ValidTo"
-    has_from = from_name in schema
-    has_to = to_name in schema
+    has_from, has_to = from_name in schema, to_name in schema
     if not has_from and not has_to:
         raise PlanningError(
             f"neither endpoint of {variable!r} survives in the schema"
         )
-    read_from = schema.reader(from_name) if has_from else None
-    read_to = schema.reader(to_name) if has_to else None
-    tuples = []
-    for index, row in enumerate(rows):
-        start = read_from(row) if read_from else read_to(row) - 1
-        end = read_to(row) if read_to else read_from(row) + 1
-        tuples.append(TemporalTuple(index, None, start, end))
-    return TemporalRelation(_BRIDGE_SCHEMA, tuples)
+
+    def column(name: str) -> list:
+        return list(map(itemgetter(schema.index_of(name)), rows))
+
+    starts = column(from_name) if has_from else None
+    ends = column(to_name) if has_to else [start + 1 for start in starts]
+    if starts is None:
+        starts = [end - 1 for end in ends]
+    try:
+        ts, te = array("q", starts), array("q", ends)
+        well_formed = all(map(lt, ts, te)) and (
+            {*map(type, starts), *map(type, ends)} <= {int}
+        )
+    except (TypeError, OverflowError):
+        well_formed = False
+    if not well_formed:
+        for start, end in zip(starts, ends):
+            Interval(start, end)  # raises on the first offending row
+        ts, te = array("q", starts), array("q", ends)  # int subclasses
+    return IntervalColumns(ts, te, range(len(rows)), None)
 
 
 _surrogate_of = attrgetter("surrogate")
@@ -478,9 +511,15 @@ def _index_pair_sides(results, x_rows: list[Row], y_rows: list[Row]):
 
 
 def _in_order_of(payload, rows: list[Row]) -> list[Row]:
-    """``rows`` in the order of ``payload``, the index-surrogate tuples
-    of (some of) them."""
-    return list(map(rows.__getitem__, map(_surrogate_of, payload)))
+    """``rows`` in the order of ``payload``: the row positions of an
+    operand that stayed columns (a ``range`` when no argsort moved
+    them), or the index-surrogate tuples of one that went through the
+    recovery ladder."""
+    if isinstance(payload, range):
+        return rows
+    if payload and isinstance(payload[0], TemporalTuple):
+        payload = map(_surrogate_of, payload)
+    return list(map(rows.__getitem__, payload))
 
 
 def _concatenated(left_side, right_side) -> Iterator[Row]:

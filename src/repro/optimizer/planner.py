@@ -10,6 +10,11 @@ their (possibly absent) sort orders, the planner enumerates:
 * the nested-loop fallback, which needs no sort but re-scans the inner
   input per outer tuple.
 
+An operand is a :class:`~repro.model.relation.TemporalRelation` or an
+:class:`~repro.columnar.relation.IntervalColumns` born as columns (the
+hybrid executor's), which builds its tuples only for a tuple-at-a-time
+winner.
+
 It picks the cheapest alternative and can execute it, returning both
 the results and an execution profile (chosen entry, estimated cost,
 measured workspace/IO) — the machinery behind the paper's claim that
@@ -20,11 +25,12 @@ data instances".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..governance.budget import QueryBudget
 
+from ..columnar.relation import IntervalColumns
 from ..errors import (
     PlanStateError,
     UnsupportedBackendError,
@@ -51,7 +57,7 @@ from ..streams.registry import (
     supported_entries,
 )
 from ..streams.stream import TupleStream
-from .cost import CostModel, expected_workspace_for
+from .cost import CostModel, expected_output_for, expected_workspace_for
 
 #: Nested-loop predicate per operator (the correctness semantics).
 _PREDICATES: dict[TemporalOperator, Callable] = {
@@ -70,6 +76,36 @@ _SEMIJOINS = {
     TemporalOperator.OVERLAP_SEMIJOIN,
     TemporalOperator.BEFORE_SEMIJOIN,
 }
+
+#: What the planner plans over and runs on.
+Operand = Union[TemporalRelation, IntervalColumns]
+
+
+def _stream_over(operand: Operand, name: str) -> TupleStream:
+    if isinstance(operand, IntervalColumns):
+        return TupleStream.from_columns(operand, name)
+    return TupleStream.from_relation(operand, name=name)
+
+
+def _entry_of(alternative: "Alternative") -> RegistryEntry:
+    if alternative.entry is None:
+        raise PlanStateError(
+            f"{alternative.kind} alternative has no registry entry"
+        )
+    return alternative.entry
+
+
+def _in_entry_order(
+    alternative: "Alternative", x: Operand, y: Operand
+) -> tuple[Operand, Operand]:
+    """Both operands as the alternative's cell reads them: sorted into
+    the entry's orders where the plan charged a sort, else as given."""
+    entry = _entry_of(alternative)
+    if alternative.sort_x:
+        x = x.sorted_by(entry.x_order)
+    if alternative.sort_y and entry.y_order is not None:
+        y = y.sorted_by(entry.y_order)
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -120,6 +156,9 @@ class ExecutionProfile:
     alternatives: list[Alternative]
     metrics: Optional[ProcessorMetrics] = None
     details: dict = field(default_factory=dict)
+    #: The X and Y operands as the winner read them: in the chosen
+    #: entry's sort orders wherever the plan said "sort".
+    operands: tuple = ()
 
 
 class TemporalJoinPlanner:
@@ -187,8 +226,8 @@ class TemporalJoinPlanner:
     def alternatives(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
     ) -> list[Alternative]:
         model = self.cost_model
         x_stats = collect_statistics(x_relation)
@@ -201,9 +240,10 @@ class TemporalJoinPlanner:
             )
 
             histogram_peak = estimate_peak_workspace(
-                build_histogram(x_relation, self.histogram_buckets),
-                build_histogram(y_relation, self.histogram_buckets),
+                build_histogram(x_relation.tuples, self.histogram_buckets),
+                build_histogram(y_relation.tuples, self.histogram_buckets),
             )
+        output = expected_output_for(operator, x_stats, y_stats)
         out: list[Alternative] = []
         planner_backends = (
             BACKENDS if self.backend == "auto" else (self.backend,)
@@ -251,6 +291,7 @@ class TemporalJoinPlanner:
                     y_stats.cardinality,
                     workspace,
                     backend=backend,
+                    expected_output=output,
                 )
                 out.append(
                     Alternative(
@@ -263,6 +304,7 @@ class TemporalJoinPlanner:
                             "sort": sort_cost,
                             "pass": pass_cost,
                             "expected_workspace": workspace,
+                            "expected_output": output,
                             "backend": backend,
                         },
                         backend=backend,
@@ -282,6 +324,7 @@ class TemporalJoinPlanner:
                         self.parallelism,
                         available_cpus=self.available_cpus,
                         backend=backend,
+                        expected_output=output,
                     )
                     if workers > 1:
                         per_cut = expected_replication_per_cut(
@@ -294,6 +337,7 @@ class TemporalJoinPlanner:
                             workers,
                             replicated=(workers - 1) * per_cut,
                             backend=backend,
+                            expected_output=output,
                         )
                         out.append(
                             Alternative(
@@ -306,6 +350,7 @@ class TemporalJoinPlanner:
                                     "sort": sort_cost,
                                     "pass": parallel_pass,
                                     "expected_workspace": workspace,
+                                    "expected_output": output,
                                     "workers": workers,
                                     "expected_replication": (
                                         (workers - 1) * per_cut
@@ -335,8 +380,8 @@ class TemporalJoinPlanner:
     def choose(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
     ) -> Alternative:
         return self.alternatives(operator, x_relation, y_relation)[0]
 
@@ -346,8 +391,8 @@ class TemporalJoinPlanner:
     def execute(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
         workspace_budget: Optional[int] = None,
         recovery: Optional[RecoveryPolicy] = None,
         report: Optional[ExecutionReport] = None,
@@ -402,8 +447,8 @@ class TemporalJoinPlanner:
     def _execute_impl(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
         workspace_budget: Optional[int],
         recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
@@ -424,6 +469,14 @@ class TemporalJoinPlanner:
                     sort_x=chosen.sort_x,
                     sort_y=chosen.sort_y,
                 )
+            # The nested loop, winner or fallback, reads the operands
+            # as given; only a registry cell reads them sorted.
+            x_sorted, y_sorted = x_relation, y_relation
+            if chosen.kind != "nested-loop":
+                x_sorted, y_sorted = _in_entry_order(
+                    chosen, x_relation, y_relation
+                )
+            profile.operands = (x_sorted, y_sorted)
             if chosen.kind == "nested-loop":
                 results, metrics = self._run_nested_loop(
                     operator, x_relation, y_relation
@@ -432,8 +485,8 @@ class TemporalJoinPlanner:
                 try:
                     results, metrics = self._run_parallel(
                         chosen,
-                        x_relation,
-                        y_relation,
+                        x_sorted,
+                        y_sorted,
                         workspace_budget,
                         recovery,
                         report,
@@ -450,8 +503,8 @@ class TemporalJoinPlanner:
             elif recovery is not None:
                 results, metrics = self._run_resilient(
                     chosen,
-                    x_relation,
-                    y_relation,
+                    x_sorted,
+                    y_sorted,
                     workspace_budget,
                     recovery,
                     report,
@@ -460,7 +513,7 @@ class TemporalJoinPlanner:
             else:
                 try:
                     results, metrics = self._run_stream(
-                        chosen, x_relation, y_relation, workspace_budget
+                        chosen, x_sorted, y_sorted, workspace_budget
                     )
                 except WorkspaceOverflowError:
                     profile.details["workspace_overflow"] = True
@@ -474,8 +527,8 @@ class TemporalJoinPlanner:
     def _run_resilient(
         self,
         alternative: Alternative,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
         workspace_budget: Optional[int],
         recovery: RecoveryPolicy,
         report: Optional[ExecutionReport],
@@ -483,15 +536,7 @@ class TemporalJoinPlanner:
     ):
         from ..resilience.executor import execute_entry
 
-        entry = alternative.entry
-        if entry is None:
-            raise PlanStateError(
-                f"{alternative.kind} alternative has no registry entry"
-            )
-        if alternative.sort_x:
-            x_relation = x_relation.sorted_by(entry.x_order)
-        if alternative.sort_y and entry.y_order is not None:
-            y_relation = y_relation.sorted_by(entry.y_order)
+        entry = _entry_of(alternative)
         outcome = execute_entry(
             entry,
             x_relation.tuples,
@@ -512,8 +557,8 @@ class TemporalJoinPlanner:
     def _run_parallel(
         self,
         alternative: Alternative,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
         workspace_budget: Optional[int],
         recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
@@ -523,19 +568,11 @@ class TemporalJoinPlanner:
         executor; the recovery ladder applies per shard."""
         from ..parallel import execute_parallel
 
-        entry = alternative.entry
-        if entry is None:
-            raise PlanStateError(
-                f"{alternative.kind} alternative has no registry entry"
-            )
-        if alternative.sort_x:
-            x_relation = x_relation.sorted_by(entry.x_order)
-        if alternative.sort_y and entry.y_order is not None:
-            y_relation = y_relation.sorted_by(entry.y_order)
+        entry = _entry_of(alternative)
         outcome = execute_parallel(
             entry,
-            x_relation.tuples,
-            y_relation.tuples if entry.y_order is not None else None,
+            x_relation,
+            y_relation if entry.y_order is not None else None,
             shards=alternative.workers,
             workers=alternative.workers,
             backend=alternative.backend,
@@ -565,22 +602,14 @@ class TemporalJoinPlanner:
     def _run_stream(
         self,
         alternative: Alternative,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
         workspace_budget: Optional[int] = None,
     ):
-        entry = alternative.entry
-        if entry is None:
-            raise PlanStateError(
-                f"{alternative.kind} alternative has no registry entry"
-            )
-        if alternative.sort_x:
-            x_relation = x_relation.sorted_by(entry.x_order)
-        if alternative.sort_y and entry.y_order is not None:
-            y_relation = y_relation.sorted_by(entry.y_order)
+        entry = _entry_of(alternative)
         processor = entry.build(
-            TupleStream.from_relation(x_relation, name="X"),
-            TupleStream.from_relation(y_relation, name="Y"),
+            _stream_over(x_relation, "X"),
+            _stream_over(y_relation, "Y"),
             backend=alternative.backend,
         )
         if workspace_budget is not None and hasattr(processor, "meter"):
@@ -599,12 +628,12 @@ class TemporalJoinPlanner:
     def _run_nested_loop(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
     ):
         predicate = _PREDICATES[operator]
-        x_stream = TupleStream.from_relation(x_relation, name="X")
-        y_stream = TupleStream.from_relation(y_relation, name="Y")
+        x_stream = _stream_over(x_relation, "X")
+        y_stream = _stream_over(y_relation, "Y")
         if operator in _SEMIJOINS:
             processor = NestedLoopSemijoin(x_stream, y_stream, predicate)
         else:

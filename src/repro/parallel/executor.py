@@ -47,7 +47,7 @@ import time
 from array import array
 from collections import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 from ..columnar.relation import IntervalColumns
 from ..errors import ExecutionError, ReproError
@@ -522,6 +522,16 @@ def _run_shm(
             shm.destroy_segment(name)
 
 
+def _as_columns(operand, order, name: str) -> IntervalColumns:
+    """An operand already held as columns is sharded as it is; tuples
+    are columnised, trusted to be in ``order``."""
+    if isinstance(operand, IntervalColumns):
+        return operand
+    return IntervalColumns.from_tuples(
+        operand, order=order, presorted=True, name=name
+    )
+
+
 def _note_pool_fallback(span, exc: Exception) -> None:
     """Satellite of the silent-``except Exception`` bugfix: fallbacks
     are counted and carry the exception class into EXPLAIN ANALYZE."""
@@ -539,8 +549,8 @@ def _note_pool_fallback(span, exc: Exception) -> None:
 # ----------------------------------------------------------------------
 def execute_parallel(
     entry: RegistryEntry,
-    x_tuples: Sequence[TemporalTuple],
-    y_tuples: Optional[Sequence[TemporalTuple]] = None,
+    x_tuples: Union[Iterable[TemporalTuple], IntervalColumns],
+    y_tuples: Union[Iterable[TemporalTuple], IntervalColumns, None] = None,
     shards: int = 2,
     workers: Optional[int] = None,
     backend: str = "tuple",
@@ -558,11 +568,13 @@ def execute_parallel(
     """Run one registry cell as ``shards`` time-domain shards.
 
     Inputs must be in the entry's declared orders (same contract as
-    ``execute_entry``).  ``workers`` caps the pool size (default: one
-    worker per shard); ``mode`` picks ``"process"`` (shared-memory
-    runtime over the warm worker pool), ``"inline"`` (sequential
-    in-process), or ``"auto"`` (process when more than one worker is
-    useful *and* the host has more than one CPU).
+    ``execute_entry``); an operand may also arrive as the
+    :class:`~repro.columnar.relation.IntervalColumns` this function
+    would otherwise build from it.  ``workers`` caps the pool size
+    (default: one worker per shard); ``mode`` picks ``"process"``
+    (shared-memory runtime over the warm worker pool), ``"inline"``
+    (sequential in-process), or ``"auto"`` (process when more than one
+    worker is useful *and* the host has more than one CPU).
 
     ``worker_fault_plan`` injects a seeded worker-level fault (kill,
     stall, corrupt result) into one shard — the chaos harness's probe
@@ -584,13 +596,11 @@ def execute_parallel(
             f"{EXECUTION_MODES}"
         )
     report = report if report is not None else ExecutionReport()
-    x_list = list(x_tuples)
     unary = entry.operator in SELF_OPERATORS
     if not unary and y_tuples is None:
         raise ExecutionError(
             f"{entry.operator.value} is binary; y_tuples is required"
         )
-    y_list = None if unary else list(y_tuples)
 
     tracer = get_tracer()
     with tracer.span(
@@ -599,16 +609,8 @@ def execute_parallel(
         policy=policy.value,
         requested_shards=shards,
     ) as span:
-        x_cols = IntervalColumns.from_tuples(
-            x_list, order=entry.x_order, presorted=True, name="X"
-        )
-        y_cols = (
-            None
-            if unary
-            else IntervalColumns.from_tuples(
-                y_list, order=entry.y_order, presorted=True, name="Y"
-            )
-        )
+        x_cols = _as_columns(x_tuples, entry.x_order, "X")
+        y_cols = None if unary else _as_columns(y_tuples, entry.y_order, "Y")
         plan = plan_ranges(
             entry,
             x_cols.ts,
@@ -682,7 +684,9 @@ def execute_parallel(
             residual_total += run["residual_filtered"]
             _absorb_metrics(metrics, run["metrics"])
         results = LazyResults(
-            x_list, y_list, [run["chunk"] for run in runs]
+            x_cols.payload,
+            None if y_cols is None else y_cols.payload,
+            [run["chunk"] for run in runs],
         )
         metrics.output_count = len(results)
         metrics.resilience = report.as_dict()

@@ -41,7 +41,6 @@ from typing import Optional
 from ..columnar.backend import cyclic_gc_paused
 from ..columnar.relation import IntervalColumns
 from ..governance.budget import QueryBudget, active_token, governed
-from ..model.tuples import TemporalTuple
 from ..obs.graft import DEFAULT_MAX_TRACE_BYTES, serialize_tracer
 from ..obs.metrics import (
     MetricsRegistry,
@@ -363,10 +362,7 @@ def _reconstruct(ts, te, base: int) -> list:
     """Payload-free tuples whose surrogate is the global column index —
     the property every processor (mirrored ones included) preserves, so
     outputs encode back to global indexes without identity tricks."""
-    return [
-        TemporalTuple(base + i, None, ts[i], te[i])
-        for i in range(len(ts))
-    ]
+    return IntervalColumns(ts, te, range(base, base + len(ts)), None).tuples
 
 
 def _run_ladder(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:

@@ -10,10 +10,14 @@ name.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from ..model.relation import TemporalRelation
 from .schema import Row, RowSchema
+
+
+_FLATTENED = attrgetter("surrogate", "value", "valid_from", "valid_to")
 
 
 class Table:
@@ -24,13 +28,16 @@ class Table:
     ) -> None:
         self.name = name
         self.schema = schema
-        self.rows: list[Row] = [tuple(row) for row in rows]
-        for row in self.rows:
-            if len(row) != len(schema):
+        arity = len(schema)
+        self.rows: list[Row] = []
+        for row in rows:
+            row = tuple(row)
+            if len(row) != arity:
                 raise ValueError(
                     f"row arity {len(row)} does not match schema arity "
-                    f"{len(schema)} in table {name!r}"
+                    f"{arity} in table {name!r}"
                 )
+            self.rows.append(row)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -59,9 +66,7 @@ def table_from_temporal(
         schema = RowSchema.for_variable(variable, names)
     else:
         schema = RowSchema(tuple(names))
-    rows = [
-        (t.surrogate, t.value, t.valid_from, t.valid_to)
-        for t in relation.tuples
-    ]
-    label = variable or relation.schema.relation_name
-    return Table(label, schema, rows)
+    table = Table(variable or relation.schema.relation_name, schema)
+    # Four-attribute rows by construction: nothing to copy or check.
+    table.rows = list(map(_FLATTENED, relation.tuples))
+    return table

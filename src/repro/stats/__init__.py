@@ -11,7 +11,6 @@ from .estimators import (
     collect_statistics,
     estimate_contain_join_workspace,
     estimate_overlap_join_workspace,
-    estimate_selectivity_contain,
     mean_inter_arrival,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "estimate_overlap_join_workspace",
     "estimate_overlap_pairs",
     "estimate_peak_workspace",
-    "estimate_selectivity_contain",
     "mean_inter_arrival",
 ]

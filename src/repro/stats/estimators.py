@@ -20,9 +20,10 @@ module provides exactly those estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
-from ..model.interval import ends_after, starts_before
+from ..columnar.relation import IntervalColumns
 from ..model.relation import TemporalRelation
 from ..model.tuples import TemporalTuple
 
@@ -60,25 +61,24 @@ class TemporalStatistics:
 
 
 def collect_statistics(
-    tuples: Iterable[TemporalTuple] | TemporalRelation,
+    tuples: Iterable[TemporalTuple] | TemporalRelation | IntervalColumns,
 ) -> TemporalStatistics:
-    """Gather :class:`TemporalStatistics` in one pass over the data."""
-    starts: list[int] = []
-    durations: list[int] = []
-    span_start: int | None = None
-    span_end: int | None = None
-    for tup in tuples:
-        starts.append(tup.valid_from)
-        durations.append(tup.duration)
-        if span_start is None or starts_before(tup, span_start):
-            span_start = tup.valid_from
-        if span_end is None or ends_after(tup, span_end):
-            span_end = tup.valid_to
+    """Gather :class:`TemporalStatistics` from the two endpoint columns
+    — an :class:`~repro.columnar.relation.IntervalColumns` operand's
+    own, or one pass over the tuples to read them off."""
+    if isinstance(tuples, IntervalColumns):
+        starts: Sequence[int] = tuples.ts
+        ends: Sequence[int] = tuples.te
+    else:
+        rows = list(tuples)
+        starts = [tup.valid_from for tup in rows]
+        ends = [tup.valid_to for tup in rows]
     cardinality = len(starts)
     if cardinality == 0:
         return TemporalStatistics(0, 0.0, 0.0, 0.0, 0, 0, 0)
-    starts.sort()
-    inter = mean_inter_arrival(starts)
+    durations = list(map(sub, ends, starts))
+    sorted_starts = sorted(starts)
+    inter = mean_inter_arrival(sorted_starts)
     rate = 1.0 / inter if inter > 0 else float(cardinality)
     return TemporalStatistics(
         cardinality=cardinality,
@@ -86,8 +86,8 @@ def collect_statistics(
         arrival_rate=rate,
         mean_duration=sum(durations) / cardinality,
         max_duration=max(durations),
-        span_start=span_start if span_start is not None else 0,
-        span_end=span_end if span_end is not None else 0,
+        span_start=sorted_starts[0],
+        span_end=max(ends),
     )
 
 
@@ -118,16 +118,3 @@ def estimate_overlap_join_workspace(
     """Predicted state high-water mark of Overlap-join on TS-ascending
     streams: the open tuples of both inputs."""
     return x_stats.expected_open_tuples() + y_stats.expected_open_tuples()
-
-
-def estimate_selectivity_contain(
-    x_stats: TemporalStatistics, y_stats: TemporalStatistics
-) -> float:
-    """Crude output-cardinality fraction for Contain-join: probability
-    that a random Y lifespan falls strictly inside a random X lifespan,
-    assuming uniform starts over the shared span."""
-    span = max(x_stats.span_length, y_stats.span_length, 1)
-    if x_stats.mean_duration <= y_stats.mean_duration:
-        return 0.0
-    fit_window = (x_stats.mean_duration - y_stats.mean_duration) / span
-    return min(1.0, max(0.0, fit_window))

@@ -79,6 +79,10 @@ class TupleStream:
         self._pass_bases: list[int] = []
         #: Tuples skipped into the side-channel under QUARANTINE.
         self.quarantined = 0
+        #: The whole source as endpoint columns, when it was born that
+        #: way (:meth:`from_columns`); batch processors take these as
+        #: they are instead of columnising the tuples.
+        self.columns = None
         self._iterator: Optional[Iterator[TemporalTuple]] = None
         self._buffer: Optional[TemporalTuple] = None
         self._previous: Optional[TemporalTuple] = None
@@ -106,6 +110,19 @@ class TupleStream:
             recovery=recovery,
             report=report,
         )
+
+    @classmethod
+    def from_columns(cls, columns, name: str) -> "TupleStream":
+        """A stream over an operand born as endpoint columns (an
+        :class:`~repro.columnar.relation.IntervalColumns`), inheriting
+        its declared order.  A batch processor drains
+        :attr:`columns`; only a cursor read makes the operand build
+        its tuples."""
+        stream = cls(
+            lambda: iter(columns.tuples), order=columns.order, name=name
+        )
+        stream.columns = columns
+        return stream
 
     @classmethod
     def from_tuples(

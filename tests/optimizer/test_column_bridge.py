@@ -1,0 +1,447 @@
+"""Column-first stream-join operands: the hybrid executor turns each
+side's rows into two endpoint columns (payload = row position) and
+builds ``TemporalTuple`` s only for a tuple-at-a-time consumer.
+
+The reference throughout is the bridge this replaced, kept here as the
+loop version: one validated index-surrogate tuple per input row, the
+planner run over ``TemporalRelation`` operands, one concatenated row
+per output pair."""
+
+import random
+from collections import namedtuple
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algebra import LJoin, LProject, optimize
+from repro.columnar import IntervalColumns
+from repro.governance import QueryBudget
+from repro.model import (
+    TE_ASC,
+    TE_DESC,
+    TS_ASC,
+    TS_DESC,
+    TS_TE_ASC,
+    TS_TE_DESC,
+    TemporalRelation,
+    TemporalSchema,
+    TemporalTuple,
+    sort_tuples,
+)
+from repro.obs import Tracer, set_tracer
+from repro.obs.explain import render_span_tree
+from repro.optimizer import (
+    TemporalJoinPlanner,
+    execute_hybrid,
+    recognize_stream_join,
+)
+from repro.query import parse_query, translate
+from repro.resilience.recovery import RecoveryPolicy
+from repro.stats import collect_statistics
+from repro.streams import TemporalOperator
+from repro.workload import (
+    PoissonWorkload,
+    fixed_duration,
+    uniform_duration,
+)
+
+BACKENDS = ("tuple", "columnar", "fused", "auto")
+BATCH = ("columnar", "fused", "auto")
+RANGES = "range of a is X range of b is Y "
+DURING = RANGES + "retrieve (A = a.Seq, B = b.Seq) where a during b"
+OVERLAP = RANGES + "retrieve (A = a.Seq, B = b.Seq) where a overlap b"
+BEFORE = RANGES + "retrieve (A = a.Seq, B = b.Seq) where a before b"
+AFTER = RANGES + "retrieve (A = a.Seq, B = b.Seq) where a after b"
+
+
+def relation(name, tuples):
+    return TemporalRelation(TemporalSchema(name, "Id", "Seq"), list(tuples))
+
+
+def catalog(n=150):
+    return {
+        "X": PoissonWorkload(n, 0.4, fixed_duration(4), name="X").generate(5),
+        "Y": PoissonWorkload(n, 0.4, fixed_duration(30), name="Y").generate(
+            6
+        ),
+    }
+
+
+def shuffled(cat, seed=3):
+    out = {}
+    for name, rel in cat.items():
+        tuples = list(rel.tuples)
+        random.Random(seed).shuffle(tuples)
+        out[name] = relation(name, tuples)
+    return out
+
+
+def plan_for(text, cat):
+    return optimize(translate(parse_query(text), cat))
+
+
+# ----------------------------------------------------------------------
+# (a) structural pin: no tuple is built for a batch backend
+# ----------------------------------------------------------------------
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts every ``TemporalTuple`` constructed from here on."""
+    count = [0]
+    validate = TemporalTuple.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(TemporalTuple, "__post_init__", counting)
+    return count
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("text", (DURING, OVERLAP), ids=("during", "overlap"))
+@pytest.mark.parametrize("arrange", (dict, shuffled), ids=("sorted", "shuffled"))
+def test_tuples_built_per_query(arrange, text, backend, constructions):
+    cat = arrange(catalog())
+    plan = plan_for(text, cat)
+    constructions[0] = 0
+    executed = execute_hybrid(
+        plan, cat, planner=TemporalJoinPlanner(backend=backend)
+    )
+    assert executed.rows
+    (info,) = executed.stream_joins
+    assert info.chosen.startswith("stream")
+    expected = len(cat["X"]) + len(cat["Y"]) if backend == "tuple" else 0
+    assert constructions[0] == expected
+
+
+# ----------------------------------------------------------------------
+# (b) the bulk check raises what the per-row constructor raised
+# ----------------------------------------------------------------------
+Raw = namedtuple("Raw", "surrogate value valid_from valid_to")
+GOOD = [TemporalTuple(f"g{i}", i, i, i + 5) for i in range(40)]
+OFFENDERS = {
+    "equal": (4, 4),
+    "reversed": (9, 4),
+    "bool-from": (True, 7),
+    "bool-to": (0, True),
+    "str-to": (3, "7"),
+    "str-from": ("3", 7),
+    "float": (3.0, 7),
+    "none": (None, 7),
+}
+
+
+def constructor_error(start, end):
+    with pytest.raises(Exception) as raised:
+        TemporalTuple(0, None, start, end)
+    return raised.type
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("side", ("X", "Y"))
+@pytest.mark.parametrize("text", (DURING, OVERLAP), ids=("during", "overlap"))
+@pytest.mark.parametrize("offender", OFFENDERS)
+def test_invalid_endpoints_raise_as_the_tuple_constructor(
+    offender, text, side, backend
+):
+    start, end = OFFENDERS[offender]
+    cat = {"X": relation("X", GOOD), "Y": relation("Y", GOOD)}
+    cat[side] = relation(
+        side, GOOD[:7] + [Raw("bad", 99, start, end)] + GOOD[7:]
+    )
+    plan = plan_for(text, cat)
+    with pytest.raises(constructor_error(start, end)):
+        execute_hybrid(plan, cat, planner=TemporalJoinPlanner(backend=backend))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_first_offending_row_wins(backend):
+    """A later str endpoint makes the bulk conversion fail first; the
+    second pass still reports the earlier empty interval."""
+    rows = GOOD[:3] + [Raw("e", 1, 5, 5)] + GOOD[3:] + [Raw("s", 2, "a", 9)]
+    cat = {"X": relation("X", rows), "Y": relation("Y", GOOD)}
+    with pytest.raises(constructor_error(5, 5)):
+        execute_hybrid(
+            plan_for(DURING, cat),
+            cat,
+            planner=TemporalJoinPlanner(backend=backend),
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pruned_endpoint_with_a_bad_survivor(backend):
+    """Before reads one endpoint per side; the other is synthesised,
+    so only the surviving one can offend."""
+    rows = GOOD[:3] + [Raw("s", 2, 1, "9")]
+    cat = {"X": relation("X", rows), "Y": relation("Y", GOOD)}
+    with pytest.raises(TypeError):
+        execute_hybrid(
+            plan_for(BEFORE, cat),
+            cat,
+            planner=TemporalJoinPlanner(backend=backend),
+        )
+
+
+# ----------------------------------------------------------------------
+# (c) rows list-equal to the replaced bridge's
+# ----------------------------------------------------------------------
+def bridged(rows, schema):
+    """The replaced ``_rows_to_relation``: rows -> index-surrogate
+    tuples, a pruned endpoint synthesised one timepoint away."""
+    (variable,) = {name.partition(".")[0] for name in schema.attributes}
+    names = (f"{variable}.ValidFrom", f"{variable}.ValidTo")
+    read_from, read_to = (
+        schema.reader(name) if name in schema else None for name in names
+    )
+    tuples = []
+    for index, row in enumerate(rows):
+        start = read_from(row) if read_from else read_to(row) - 1
+        end = read_to(row) if read_to else read_from(row) + 1
+        tuples.append(TemporalTuple(index, None, start, end))
+    return TemporalRelation(
+        TemporalSchema("bridge", "RowIndex", "Payload"), tuples
+    )
+
+
+def reference_rows(plan, cat, planner, recovery=None):
+    """``plan`` (a projection over one recognised join) through the
+    tuple-born operand path, row by row."""
+    assert isinstance(plan, LProject) and isinstance(plan.child, LJoin)
+    join = plan.child
+    operator, swapped = recognize_stream_join(join)
+    left = execute_hybrid(join.left, cat)
+    right = execute_hybrid(join.right, cat)
+    sides = [(bridged(s.rows, s.schema), s.rows) for s in (left, right)]
+    (x_rel, x_rows), (y_rel, y_rows) = sides[::-1] if swapped else sides
+    results, _ = planner.execute(operator, x_rel, y_rel, recovery=recovery)
+    joined = []
+    for x, y in results:
+        x_row, y_row = x_rows[x.surrogate], y_rows[y.surrogate]
+        joined.append(y_row + x_row if swapped else x_row + y_row)
+    readers = [e.compile_against(join.schema()) for _, e in plan.items]
+    return [tuple(read(row) for read in readers) for row in joined]
+
+
+def assert_same_as_reference(text, cat, make_planner, recovery=None):
+    plan = plan_for(text, cat)
+    try:
+        expected = reference_rows(plan, cat, make_planner(), recovery)
+    except Exception as error:  # the tuple backend under a 3-tuple cap
+        with pytest.raises(type(error)):
+            execute_hybrid(
+                plan, cat, planner=make_planner(), recovery=recovery
+            )
+        return None
+    executed = execute_hybrid(
+        plan, cat, planner=make_planner(), recovery=recovery
+    )
+    assert executed.rows == expected  # order-exact
+    return executed
+
+
+def catalogs():
+    full = catalog()
+    yield "pre-sorted", full
+    yield "shuffled", shuffled(full)
+    yield "all-equal-endpoints", {
+        "X": relation("X", [TemporalTuple(f"x{i}", i, 5, 9) for i in range(20)]),
+        "Y": relation("Y", [TemporalTuple(f"y{i}", i, 5, 9) for i in range(20)]),
+    }
+    yield "tied-starts", {
+        "X": relation(
+            "X",
+            [TemporalTuple(f"x{i}", i, 5 + i % 3, 9 - i % 2) for i in range(30)],
+        ),
+        "Y": relation(
+            "Y",
+            [TemporalTuple(f"y{i}", i, 1 + i % 4, 12 + i % 3) for i in range(30)],
+        ),
+    }
+    yield "duplicate-rows", {
+        "X": relation(
+            "X", [TemporalTuple("x", 1, 5, 8)] * 3 + [TemporalTuple("x2", 2, 6, 7)]
+        ),
+        "Y": relation("Y", [TemporalTuple("y", 9, 0, 20)] * 2),
+    }
+    yield "empty-side", {"X": relation("X", []), "Y": full["Y"]}
+    yield "single-row", {
+        "X": relation("X", [TemporalTuple("x", 1, 5, 8)]),
+        "Y": relation("Y", [TemporalTuple("y", 9, 0, 20)]),
+    }
+
+
+CATALOGS = dict(catalogs())
+EXECUTIONS = {
+    "serial": ({}, None),
+    "inline-2": ({"parallelism": 2, "parallel_mode": "inline"}, None),
+    "quarantine": ({}, RecoveryPolicy.QUARANTINE),
+    # A 3-tuple workspace: the batch backends overflow into the nested
+    # loop (no recovery) or the spill (DEGRADE); tuple refuses.
+    "cap-nested-loop": ({"budget": QueryBudget(workspace_tuple_cap=3)}, None),
+    "cap-spill": (
+        {"budget": QueryBudget(workspace_tuple_cap=3)},
+        RecoveryPolicy.DEGRADE,
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize(
+    "text",
+    (DURING, OVERLAP, BEFORE, AFTER),
+    ids=("during", "overlap", "before-pruned", "after-pruned"),
+)
+@pytest.mark.parametrize("cat", CATALOGS)
+def test_rows_equal_the_tuple_bridge(cat, text, execution, backend):
+    options, recovery = EXECUTIONS[execution]
+    assert_same_as_reference(
+        text,
+        CATALOGS[cat],
+        lambda: TemporalJoinPlanner(backend=backend, **options),
+        recovery,
+    )
+
+
+@pytest.mark.parametrize("backend", BATCH)
+def test_the_cap_really_forces_the_fallbacks(backend):
+    for execution, marker in (
+        ("cap-nested-loop", None),
+        ("cap-spill", "spill"),
+    ):
+        options, recovery = EXECUTIONS[execution]
+        executed = assert_same_as_reference(
+            DURING,
+            CATALOGS["shuffled"],
+            lambda: TemporalJoinPlanner(backend=backend, **options),
+            recovery,
+        )
+        (info,) = executed.stream_joins
+        assert executed.rows and info.chosen.startswith("stream")
+        if marker is None:
+            # Only the nested loop re-reads an input per outer tuple.
+            assert max(info.metrics.passes_x, info.metrics.passes_y) > 1
+        else:
+            fallbacks = info.metrics.resilience["fallbacks"]
+            assert [f["kind"] for f in fallbacks] == [marker]
+
+
+# ----------------------------------------------------------------------
+# (d) statistics and the sort read the columns, to the same effect
+# ----------------------------------------------------------------------
+intervals = st.lists(
+    st.tuples(st.integers(-500, 500), st.integers(1, 60)), max_size=40
+)
+
+
+def as_columns(pairs):
+    tuples = [
+        TemporalTuple(i, None, start, start + length)
+        for i, (start, length) in enumerate(pairs)
+    ]
+    columns = IntervalColumns.from_tuples(tuples)
+    return tuples, IntervalColumns(
+        columns.ts, columns.te, range(len(tuples)), None
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals)
+def test_statistics_of_columns_equal_statistics_of_tuples(pairs):
+    tuples, columns = as_columns(pairs)
+    assert asdict(collect_statistics(columns)) == asdict(
+        collect_statistics(tuples)
+    )
+    assert columns.tuples_built == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intervals,
+    st.sampled_from(
+        (TS_ASC, TE_ASC, TS_DESC, TE_DESC, TS_TE_ASC, TS_TE_DESC)
+    ),
+)
+def test_argsort_is_the_stable_tuple_sort(pairs, order):
+    tuples, columns = as_columns(pairs)
+    expected = sort_tuples(tuples, order)
+    ordered = columns.sorted_by(order)
+    assert ordered.order == order
+    assert list(ordered.payload) == [t.surrogate for t in expected]
+    assert list(ordered.tuples) == expected
+    ordered.verify_order()
+    if len(order.keys) == 1:
+        # No argsort for columns already in order: the payload is
+        # shared (compound orders always argsort).
+        assert ordered.sorted_by(order).payload is ordered.payload
+        assert (ordered.payload is columns.payload) == (
+            order.is_sorted(tuples)
+        )
+
+
+# ----------------------------------------------------------------------
+# (e) auto prices what differs between the two batch backends
+# ----------------------------------------------------------------------
+def slotted(n, duration, name, seed):
+    """``bench/workloads.py``'s deep_state arrivals: one per 2-chronon
+    slot, arrival order shuffled."""
+    rng = random.Random(seed)
+    tuples = []
+    for i in range(n):
+        start = 2 * i + rng.randrange(2)
+        tuples.append(TemporalTuple(f"{name}{i}", i, start, start + duration(rng)))
+    rng.shuffle(tuples)
+    return relation(name, tuples)
+
+
+@pytest.mark.parametrize("scale", (1, 16))
+def test_auto_picks_columnar_on_an_output_heavy_shallow_join(scale):
+    n = 6000 // scale  # fig5_contain: ~14 pairs per X tuple, ~40 live
+    x = PoissonWorkload(n, 0.5, fixed_duration(40), name="X").generate(1)
+    y = PoissonWorkload(n, 0.5, fixed_duration(10), name="Y").generate(2)
+    chosen = TemporalJoinPlanner(backend="auto").choose(
+        TemporalOperator.CONTAIN_JOIN, x, y
+    )
+    assert (chosen.kind, chosen.backend) == ("stream", "columnar")
+    assert chosen.cost_breakdown["expected_output"] == pytest.approx(
+        n * 0.5 * 30, rel=0.1
+    )
+
+
+@pytest.mark.parametrize("scale", (1, 16))
+def test_auto_keeps_fused_on_a_deep_state_join(scale):
+    n = 2500 // scale  # deep_state: ~700 live, under one pair per tuple
+    x = slotted(n, uniform_duration(1280, 1600), "x", 1)
+    y = slotted(n, fixed_duration(1552), "y", 2)
+    chosen = TemporalJoinPlanner(backend="auto").choose(
+        TemporalOperator.CONTAIN_JOIN, x, y
+    )
+    assert (chosen.kind, chosen.backend) == ("stream", "fused")
+    assert chosen.cost_breakdown["expected_workspace"] > 500
+
+
+# ----------------------------------------------------------------------
+# observability: the stream-join span says what the bridge built
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("arrange", (dict, shuffled), ids=("sorted", "shuffled"))
+def test_stream_join_span_reports_tuples_built_and_sorted(arrange, backend):
+    cat = arrange(catalog())
+    plan = plan_for(DURING, cat)
+    tracer = Tracer("bridge")
+    previous = set_tracer(tracer)
+    try:
+        execute_hybrid(plan, cat, planner=TemporalJoinPlanner(backend=backend))
+    finally:
+        set_tracer(previous)
+    (join,) = [s for s in tracer.spans if s.name.startswith("stream-join:")]
+    built = 300 if backend == "tuple" else 0
+    assert join.attributes["tuples_built"] == built
+    assert join.attributes["sorted"] is (arrange is shuffled)
+    (loaded,) = tracer.find("bridge:rows-to-relation")
+    assert loaded.attributes == {"rows": 300}
+    text = render_span_tree(tracer)
+    assert f"tuples_built={built}" in text
+    assert f"sorted={arrange is shuffled}" in text
