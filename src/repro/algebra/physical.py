@@ -10,7 +10,7 @@ join method").  Stream-algorithm selection is the *optimizer's* job
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ..errors import PlanningError
 from ..model.relation import TemporalRelation
@@ -63,35 +63,35 @@ def _compile(
                 f"catalog has no relation named {plan.relation_name!r}"
             ) from None
         return temporal_scan(relation, plan.variable, stats=stats)
+    return build_node(
+        plan, [_compile(child, catalog, stats) for child in plan.children()]
+    )
+
+
+def build_node(
+    plan: LogicalPlan, built_children: Sequence[Operator]
+) -> Operator:
+    """The conventional operator for one non-leaf logical node, over
+    its already-built children — the one place relational nodes are
+    chosen; the hybrid executor builds its non-stream nodes here too."""
     if isinstance(plan, LDistinct):
-        return Distinct(_compile(plan.child, catalog, stats))
+        return Distinct(*built_children)
     if isinstance(plan, LSelect):
-        return Select(_compile(plan.child, catalog, stats), plan.predicate)
+        return Select(*built_children, plan.predicate)
     if isinstance(plan, LProject):
-        return Project(
-            _compile(plan.child, catalog, stats), list(plan.items)
-        )
+        return Project(*built_children, list(plan.items))
     if isinstance(plan, LProduct):
-        return CrossProduct(
-            _compile(plan.left, catalog, stats),
-            _compile(plan.right, catalog, stats),
-        )
+        return CrossProduct(*built_children)
     if isinstance(plan, LJoin):
-        left = _compile(plan.left, catalog, stats)
-        right = _compile(plan.right, catalog, stats)
         equality = _splittable_equality(plan)
         if equality is not None:
             left_attr, right_attr, residual = equality
             return HashEquiJoin(
-                left, right, left_attr, right_attr, residual=residual
+                *built_children, left_attr, right_attr, residual=residual
             )
-        return ThetaNestedLoopJoin(left, right, plan.predicate)
+        return ThetaNestedLoopJoin(*built_children, plan.predicate)
     if isinstance(plan, LSemijoin):
-        return RowSemijoin(
-            _compile(plan.left, catalog, stats),
-            _compile(plan.right, catalog, stats),
-            plan.predicate,
-        )
+        return RowSemijoin(*built_children, plan.predicate)
     raise PlanningError(f"cannot compile logical node {plan!r}")
 
 

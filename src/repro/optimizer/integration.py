@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 from ..obs.trace import get_tracer
 
 from ..algebra.logical import LJoin, LogicalPlan
-from ..algebra.physical import Catalog, _compile  # shared leaf compiler
+from ..algebra.physical import Catalog, build_node, compile_plan
 from ..allen.relations import AllenRelation
 from ..allen.symbolic import Comparison, Endpoint, EndpointKind
 from ..columnar.relation import IntervalColumns
@@ -362,82 +362,29 @@ def _build(
     recovery=None,
     report=None,
 ) -> Operator:
-    if isinstance(plan, LJoin):
-        left = _build(
-            plan.left, catalog, stats, planner, joins, recovery, report
-        )
-        right = _build(
-            plan.right, catalog, stats, planner, joins, recovery, report
-        )
-        recognised = recognize_stream_join(plan)
-        if recognised is not None:
-            operator_kind, swapped = recognised
-            join = _StreamJoin(
-                plan.schema(),
-                left,
-                right,
-                operator_kind,
-                swapped,
-                planner,
-                recovery,
-                report,
-            )
-            joins.append(join)
-            return join
-        return _conventional_join(plan, left, right)
     if not plan.children():
-        return _compile(plan, catalog, stats)
+        return compile_plan(plan, catalog, stats)
     built_children = [
         _build(child, catalog, stats, planner, joins, recovery, report)
         for child in plan.children()
     ]
-    return _rebuild_node(plan, built_children)
-
-
-def _conventional_join(plan: LJoin, left: Operator, right: Operator):
-    """The conventional compiler's join selection, over already-built
-    (possibly hybrid) children."""
-    from ..algebra.physical import _splittable_equality
-    from ..relational.operators import HashEquiJoin, ThetaNestedLoopJoin
-
-    equality = _splittable_equality(plan)
-    if equality is not None:
-        left_attr, right_attr, residual = equality
-        return HashEquiJoin(
-            left, right, left_attr, right_attr, residual=residual
-        )
-    return ThetaNestedLoopJoin(left, right, plan.predicate)
-
-
-def _rebuild_node(plan, built_children) -> Operator:
-    from ..algebra.logical import (
-        LDistinct,
-        LProduct,
-        LProject,
-        LSelect,
-        LSemijoin,
+    recognised = (
+        recognize_stream_join(plan) if isinstance(plan, LJoin) else None
     )
-    from ..relational.operators import (
-        CrossProduct,
-        Distinct,
-        Project,
-        RowSemijoin,
-        Select,
+    if recognised is None:
+        return build_node(plan, built_children)
+    operator_kind, swapped = recognised
+    join = _StreamJoin(
+        plan.schema(),
+        *built_children,
+        operator_kind,
+        swapped,
+        planner,
+        recovery,
+        report,
     )
-
-    if isinstance(plan, LSelect):
-        return Select(built_children[0], plan.predicate)
-    if isinstance(plan, LProject):
-        return Project(built_children[0], list(plan.items))
-    if isinstance(plan, LDistinct):
-        return Distinct(built_children[0])
-    if isinstance(plan, LProduct):
-        return CrossProduct(built_children[0], built_children[1])
-    if isinstance(plan, LSemijoin):
-        return RowSemijoin(
-            built_children[0], built_children[1], plan.predicate
-        )
-    raise PlanningError(f"hybrid executor cannot rebuild {plan!r}")
+    joins.append(join)
+    return join
 
 
 def _rows_to_columns(rows: list[Row], schema: RowSchema) -> IntervalColumns:

@@ -2,34 +2,57 @@
 
 This is the expression language of the conventional engine and of the
 logical algebra: attribute references, literals, comparisons, and
-boolean connectives.  Expressions are immutable; ``compile_against``
-resolves attribute positions once per schema so row evaluation is a
-fast closure — important because the nested-loop baselines evaluate
-predicates O(n^2) times in benchmarks.
+boolean connectives.  Expressions are immutable.  A tree compiles to
+Python source, once per schema: every node's ``source`` returns
+expression text, and the whole tree becomes one ``eval``'d lambda with
+no closure per node — important because the nested-loop baselines
+evaluate predicates O(n^2) times in benchmarks.  The paper compares
+strategies by how many evaluations they perform; this only keeps the
+cost of one evaluation small.
+
+The generated text holds tuple subscripts with integer positions, the
+six comparison tokens of ``_TOKENS``, ``and`` / ``or`` / ``not``,
+``True`` / ``False``, parentheses and the names of bound constants.  A
+literal's value is bound in the lambda's namespace, never written into
+the text, and the namespace has no builtins.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from .schema import Row, RowSchema
 
-RowPredicate = Callable[[Row], bool]
 RowReader = Callable[[Row], Any]
+PairPredicate = Callable[[Row, Row], bool]
+Locate = Callable[[str], str]
+"""Attribute name -> the source text that reads it (``row[3]``)."""
 
 
-class Expression(abc.ABC):
-    """Base class for scalar expressions."""
+class _Node(abc.ABC):
+    """What expressions and predicates share: one ``source`` per node
+    feeds every compiled form."""
 
     @abc.abstractmethod
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        """This node as Python expression text, safe as an operand of
+        ``and`` / ``or`` / ``not``.  Attributes are read through
+        ``locate``; a constant is added to ``constants`` and referred
+        to by its name there."""
+
     def compile_against(self, schema: RowSchema) -> RowReader:
-        """Resolve to a fast row-reading closure."""
+        """Resolve to one ``lambda row: ...`` over rows of ``schema``."""
+        return _generate("lambda row: {}", _row_locator(schema), self)
 
     @abc.abstractmethod
     def attributes(self) -> frozenset[str]:
-        """Attribute names the expression references."""
+        """Attribute names the node references."""
+
+
+class Expression(_Node):
+    """Base class for scalar expressions."""
 
 
 @dataclass(frozen=True)
@@ -38,8 +61,8 @@ class Attr(Expression):
 
     name: str
 
-    def compile_against(self, schema: RowSchema) -> RowReader:
-        return schema.reader(self.name)
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        return locate(self.name)
 
     def attributes(self) -> frozenset[str]:
         return frozenset({self.name})
@@ -54,9 +77,10 @@ class Literal(Expression):
 
     value: Any
 
-    def compile_against(self, schema: RowSchema) -> RowReader:
-        value = self.value
-        return lambda _row: value
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        name = f"c{len(constants)}"
+        constants[name] = self.value
+        return name
 
     def attributes(self) -> frozenset[str]:
         return frozenset()
@@ -65,30 +89,16 @@ class Literal(Expression):
         return repr(self.value)
 
 
-class Predicate(abc.ABC):
+class Predicate(_Node):
     """Base class for boolean row predicates."""
-
-    @abc.abstractmethod
-    def compile_against(self, schema: RowSchema) -> RowPredicate:
-        """Resolve to a fast boolean closure."""
-
-    @abc.abstractmethod
-    def attributes(self) -> frozenset[str]:
-        """Attribute names the predicate references."""
 
     def conjuncts(self) -> Iterator["Predicate"]:
         """Flatten nested ANDs into individual conjuncts."""
         yield self
 
 
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_TOKENS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+"""Comparison operator -> the Python token it compiles to."""
 
 
 @dataclass(frozen=True)
@@ -100,14 +110,13 @@ class Compare(Predicate):
     right: Expression
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARATORS:
+        if self.op not in _TOKENS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    def compile_against(self, schema: RowSchema) -> RowPredicate:
-        read_left = self.left.compile_against(schema)
-        read_right = self.right.compile_against(schema)
-        compare = _COMPARATORS[self.op]
-        return lambda row: compare(read_left(row), read_right(row))
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        left = self.left.source(locate, constants)
+        right = self.right.source(locate, constants)
+        return f"{left} {_TOKENS[self.op]} {right}"
 
     def attributes(self) -> frozenset[str]:
         return self.left.attributes() | self.right.attributes()
@@ -139,9 +148,9 @@ class And(Predicate):
             return flattened[0]
         return cls(tuple(flattened))
 
-    def compile_against(self, schema: RowSchema) -> RowPredicate:
-        compiled = [part.compile_against(schema) for part in self.parts]
-        return lambda row: all(check(row) for check in compiled)
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        parts = [part.source(locate, constants) for part in self.parts]
+        return f"({' and '.join(parts)})" if parts else "True"
 
     def attributes(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -169,9 +178,9 @@ class Or(Predicate):
             return parts[0]
         return cls(tuple(parts))
 
-    def compile_against(self, schema: RowSchema) -> RowPredicate:
-        compiled = [part.compile_against(schema) for part in self.parts]
-        return lambda row: any(check(row) for check in compiled)
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        parts = [part.source(locate, constants) for part in self.parts]
+        return f"({' or '.join(parts)})" if parts else "False"
 
     def attributes(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -189,9 +198,8 @@ class Not(Predicate):
 
     part: Predicate
 
-    def compile_against(self, schema: RowSchema) -> RowPredicate:
-        compiled = self.part.compile_against(schema)
-        return lambda row: not compiled(row)
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        return f"not {self.part.source(locate, constants)}"
 
     def attributes(self) -> frozenset[str]:
         return self.part.attributes()
@@ -204,8 +212,8 @@ class Not(Predicate):
 class TruePredicate(Predicate):
     """The always-true predicate (an empty WHERE clause)."""
 
-    def compile_against(self, schema: RowSchema) -> RowPredicate:
-        return lambda _row: True
+    def source(self, locate: Locate, constants: dict[str, Any]) -> str:
+        return "True"
 
     def attributes(self) -> frozenset[str]:
         return frozenset()
@@ -215,6 +223,67 @@ class TruePredicate(Predicate):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return "TRUE"
+
+
+def _generate(template: str, locate: Locate, *nodes: _Node) -> Callable:
+    """``template`` (one ``{}`` per node) around the sources of
+    ``nodes``, compiled.  The code object is named after the nodes, so
+    a ``TypeError`` raised inside a predicate names the predicate in
+    its traceback."""
+    constants: dict[str, Any] = {}
+    text = template.format(
+        *(node.source(locate, constants) for node in nodes)
+    )
+    label = ", ".join(str(node) for node in nodes)
+    code = compile(text, f"<predicate {label}>", "eval")
+    return eval(code, {"__builtins__": {}, **constants})
+
+
+def _row_locator(schema: RowSchema) -> Locate:
+    return lambda name: f"row[{schema.index_of(name)}]"
+
+
+def _pair_locator(left: RowSchema, right: RowSchema) -> Locate:
+    """Reads of a join's two rows; an attribute on both sides is the
+    concatenated schema's duplicate error."""
+    combined = left.concat(right)
+    width = len(left)
+
+    def locate(name: str) -> str:
+        index = combined.index_of(name)
+        if index < width:
+            return f"left[{index}]"
+        return f"right[{index - width}]"
+
+    return locate
+
+
+def compile_row_tuple(
+    expressions: Sequence[Expression], schema: RowSchema
+) -> Callable[[Row], Row]:
+    """One ``lambda row: (e1, e2, ...)`` — a computed projection."""
+    template = "lambda row: (" + "{}, " * len(expressions) + ")"
+    return _generate(template, _row_locator(schema), *expressions)
+
+
+def compile_pair(
+    predicate: Predicate, left: RowSchema, right: RowSchema
+) -> PairPredicate:
+    """``predicate`` over a join's two rows, ``lambda left, right:
+    ...``, so a failing pair never allocates the concatenated row."""
+    template = "lambda left, right: {}"
+    return _generate(template, _pair_locator(left, right), predicate)
+
+
+def compile_join_loop(
+    predicate: Predicate, left: RowSchema, right: RowSchema
+) -> Callable[[Row, Sequence[Row]], list[Row]]:
+    """One inner loop of a nested-loop join: ``lambda left, rights:``
+    the concatenated rows of the pairs that satisfy ``predicate``."""
+    template = (
+        "lambda left, rights: [left + right for right in rights if {}]"
+    )
+    return _generate(template, _pair_locator(left, right), predicate)
 
 
 def eq(left: str, right: Any) -> Compare:

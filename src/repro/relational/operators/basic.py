@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
-from ..expressions import Attr, Predicate
+from ..expressions import Attr, Predicate, compile_row_tuple
 from ..schema import Row, RowSchema
 from .base import Operator, UnaryOperator
 
@@ -43,39 +44,32 @@ class Project(UnaryOperator):
     def __init__(
         self, child: Operator, items: Sequence[ProjectionItem]
     ) -> None:
-        names: list[str] = []
-        readers = []
-        positions: list[int] = []
-        for item in items:
-            if isinstance(item, str):
-                name, expression = item, Attr(item)
-            else:
-                name, expression = item
-            names.append(name)
-            readers.append(expression.compile_against(child.schema))
-            if isinstance(expression, Attr):
-                positions.append(child.schema.index_of(expression.name))
-        super().__init__(child, RowSchema(tuple(names)))
+        pairs = [
+            (item, Attr(item)) if isinstance(item, str) else item
+            for item in items
+        ]
+        expressions = [expression for _name, expression in pairs]
+        if expressions and all(isinstance(e, Attr) for e in expressions):
+            positions = tuple(
+                child.schema.index_of(e.name) for e in expressions
+            )
+            computed = None
+        else:
+            positions = None
+            computed = compile_row_tuple(expressions, child.schema)
+        super().__init__(child, RowSchema(tuple(n for n, _e in pairs)))
         self.items = tuple(items)
-        self._readers = readers
         #: Child positions of the items when every one is a plain
         #: attribute: the projection is then a column selection the
         #: child can do itself (:meth:`Operator.narrowed`).
-        self._positions = (
-            tuple(positions)
-            if positions and len(positions) == len(readers)
-            else None
-        )
+        self._positions = positions
+        #: Otherwise one generated ``lambda row: (e1, e2, ...)``.
+        self._computed = computed
 
     def __iter__(self) -> Iterator[Row]:
         if self._positions is not None:
             return self.child.narrowed(self._positions)
-        return self._computed()
-
-    def _computed(self) -> Iterator[Row]:
-        readers = self._readers
-        for row in self.child:
-            yield tuple(read(row) for read in readers)
+        return map(self._computed, self.child)
 
     def describe(self) -> str:
         return f"Project({', '.join(self.schema.attributes)})"
@@ -93,15 +87,14 @@ class Sort(UnaryOperator):
         super().__init__(child, child.schema)
         self.attributes = tuple(attributes)
         self.descending = descending
-        self._readers = [child.schema.reader(a) for a in self.attributes]
+        self._key = itemgetter(
+            *(child.schema.index_of(a) for a in self.attributes)
+        )
 
     def __iter__(self) -> Iterator[Row]:
         rows = list(self.child)
         self.stats.rows_materialized += len(rows)
-        rows.sort(
-            key=lambda row: tuple(read(row) for read in self._readers),
-            reverse=self.descending,
-        )
+        rows.sort(key=self._key, reverse=self.descending)
         return iter(rows)
 
     def describe(self) -> str:

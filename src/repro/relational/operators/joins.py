@@ -5,14 +5,16 @@ equi-join using a conventional approach such as nested-loop join, merge
 join or hash join.  The second join operation, a so-called less-than
 join, is a Cartesian product followed by a selection" — all four shapes
 are here, instrumented so plans can be compared by comparisons and
-materialised rows.
+materialised rows.  Predicates run in their two-row compiled form
+(:func:`~repro.relational.expressions.compile_pair`), so only a pair
+that passes is concatenated; every count is still one per pair.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..expressions import Predicate
+from ..expressions import Predicate, compile_join_loop, compile_pair
 from ..schema import Row
 from .base import BinaryOperator, Operator
 
@@ -43,17 +45,19 @@ class ThetaNestedLoopJoin(BinaryOperator):
     ) -> None:
         super().__init__(left, right, left.schema.concat(right.schema))
         self.predicate = predicate
-        self._compiled = predicate.compile_against(self.schema)
+        self._matches = compile_join_loop(
+            predicate, left.schema, right.schema
+        )
 
     def __iter__(self) -> Iterator[Row]:
         right_rows = list(self.right)
         self.stats.rows_materialized += len(right_rows)
         for left_row in self.left:
-            for right_row in right_rows:
-                combined = left_row + right_row
-                self.stats.comparisons += 1
-                if self._compiled(combined):
-                    yield combined
+            matches = self._matches(left_row, right_rows)
+            # One evaluation per right row, counted once the inner
+            # loop has completed.
+            self.stats.comparisons += len(right_rows)
+            yield from matches
 
     def describe(self) -> str:
         return f"NestedLoopJoin({self.predicate})"
@@ -64,7 +68,7 @@ class RowSemijoin(BinaryOperator):
 
     The conventional-engine form of the temporal semijoins; the output
     schema is the left schema.  The predicate is evaluated against the
-    concatenated row, and the right scan stops at the first match.
+    pair of rows, and the right scan stops at the first match.
     """
 
     def __init__(
@@ -72,9 +76,7 @@ class RowSemijoin(BinaryOperator):
     ) -> None:
         super().__init__(left, right, left.schema)
         self.predicate = predicate
-        self._compiled = predicate.compile_against(
-            left.schema.concat(right.schema)
-        )
+        self._compiled = compile_pair(predicate, left.schema, right.schema)
 
     def __iter__(self) -> Iterator[Row]:
         right_rows = list(self.right)
@@ -82,7 +84,7 @@ class RowSemijoin(BinaryOperator):
         for left_row in self.left:
             for right_row in right_rows:
                 self.stats.comparisons += 1
-                if self._compiled(left_row + right_row):
+                if self._compiled(left_row, right_row):
                     yield left_row
                     break
 
@@ -109,7 +111,9 @@ class HashEquiJoin(BinaryOperator):
         self._left_key = left.schema.reader(left_attribute)
         self._right_key = right.schema.reader(right_attribute)
         self._residual = (
-            residual.compile_against(self.schema) if residual else None
+            compile_pair(residual, left.schema, right.schema)
+            if residual
+            else None
         )
 
     def __iter__(self) -> Iterator[Row]:
@@ -121,10 +125,11 @@ class HashEquiJoin(BinaryOperator):
             self.stats.rows_materialized += 1
         for left_row in self.left:
             for right_row in buckets.get(self._left_key(left_row), ()):
-                combined = left_row + right_row
                 self.stats.comparisons += 1
-                if self._residual is None or self._residual(combined):
-                    yield combined
+                if self._residual is None or self._residual(
+                    left_row, right_row
+                ):
+                    yield left_row + right_row
 
     def describe(self) -> str:
         return (
@@ -157,7 +162,9 @@ class MergeEquiJoin(BinaryOperator):
         self._left_key = left.schema.reader(left_attribute)
         self._right_key = right.schema.reader(right_attribute)
         self._residual = (
-            residual.compile_against(self.schema) if residual else None
+            compile_pair(residual, left.schema, right.schema)
+            if residual
+            else None
         )
 
     def __iter__(self) -> Iterator[Row]:
@@ -189,10 +196,11 @@ class MergeEquiJoin(BinaryOperator):
                 )
                 for l_row in left_group:
                     for r_row in right_group:
-                        combined = l_row + r_row
                         self.stats.comparisons += 1
-                        if self._residual is None or self._residual(combined):
-                            yield combined
+                        if self._residual is None or self._residual(
+                            l_row, r_row
+                        ):
+                            yield l_row + r_row
 
     def describe(self) -> str:
         return f"MergeJoin({self.left_attribute} = {self.right_attribute})"

@@ -10,6 +10,7 @@ addressable, exactly like the parse trees of Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Tuple
 
 from ..errors import SchemaError
@@ -81,5 +82,4 @@ class RowSchema:
 
     def reader(self, attribute: str):
         """A fast positional accessor, resolved once."""
-        index = self.index_of(attribute)
-        return lambda row: row[index]
+        return itemgetter(self.index_of(attribute))

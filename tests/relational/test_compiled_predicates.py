@@ -1,0 +1,351 @@
+"""The source-emitting predicate compiler: one ``source()`` per node,
+three compiled forms (row, pair, join loop), the paper's counts
+untouched."""
+
+import operator
+import sys
+import traceback
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SchemaError
+from repro.relational import (
+    And,
+    Attr,
+    Compare,
+    EngineStats,
+    HashEquiJoin,
+    Literal,
+    MergeEquiJoin,
+    Not,
+    Or,
+    Project,
+    RowSchema,
+    RowSemijoin,
+    Select,
+    Table,
+    TableScan,
+    ThetaNestedLoopJoin,
+    TruePredicate,
+)
+from repro.relational.expressions import compile_join_loop, compile_pair
+from repro.superstar import conventional_superstar
+from repro.workload import FacultyWorkload
+
+LEFT = RowSchema.of("a", "b")
+RIGHT = RowSchema.of("c", "d")
+BOTH = LEFT.concat(RIGHT)
+
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def walk(node, row):
+    """The reference: evaluate the tree node by node against a row of
+    ``BOTH``."""
+    if isinstance(node, Attr):
+        return row[BOTH.index_of(node.name)]
+    if isinstance(node, Literal):
+        return node.value
+    if isinstance(node, Compare):
+        return _OPERATORS[node.op](walk(node.left, row), walk(node.right, row))
+    if isinstance(node, And):
+        return all(walk(part, row) for part in node.parts)
+    if isinstance(node, Or):
+        return any(walk(part, row) for part in node.parts)
+    if isinstance(node, Not):
+        return not walk(node.part, row)
+    assert isinstance(node, TruePredicate)
+    return True
+
+
+def outcome(thunk):
+    """The value, or the exception's type and message."""
+    try:
+        return ("value", thunk())
+    except Exception as error:  # noqa: BLE001 - the differential's point
+        return (type(error), str(error))
+
+
+values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["", "a", "b", "1) or (True"]),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True, width=16),
+    st.booleans(),
+)
+operands = st.one_of(
+    st.sampled_from(BOTH.attributes).map(Attr), values.map(Literal)
+)
+comparisons = st.builds(
+    Compare, operands, st.sampled_from(sorted(_OPERATORS)), operands
+)
+predicates = st.recursive(
+    st.one_of(comparisons, st.just(TruePredicate())),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda ps: And(tuple(ps))),
+        st.lists(inner, max_size=3).map(lambda ps: Or(tuple(ps))),
+        inner.map(Not),
+    ),
+    max_leaves=8,
+)
+rows = st.tuples(values, values, values, values)
+
+
+class TestDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(predicates, rows)
+    def test_three_forms_agree_with_the_tree_walk(self, predicate, row):
+        left, right = row[:2], row[2:]
+        expected = outcome(lambda: walk(predicate, row))
+        by_row = predicate.compile_against(BOTH)
+        by_pair = compile_pair(predicate, LEFT, RIGHT)
+        by_loop = compile_join_loop(predicate, LEFT, RIGHT)
+        assert outcome(lambda: by_row(row)) == expected
+        assert outcome(lambda: by_pair(left, right)) == expected
+        looped = outcome(lambda: by_loop(left, [right]))
+        if expected[0] == "value":
+            assert looped == ("value", [row] if expected[1] else [])
+        else:
+            assert looped == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(operands, max_size=4), rows)
+    def test_computed_projection_agrees(self, expressions, row):
+        items = [(f"o{i}", e) for i, e in enumerate(expressions)]
+        scan = TableScan(Table("t", BOTH, [row]))
+        expected = tuple(walk(e, row) for e in expressions)
+        (projected,) = Project(scan, items).run()
+        # repr: nan != nan, and True == 1 would hide a wrong column.
+        assert repr(projected) == repr(expected)
+
+
+class TestConnectives:
+    def test_empty_and_is_true_empty_or_is_false(self):
+        assert And(()).compile_against(BOTH)((0, 0, 0, 0)) is True
+        assert Or(()).compile_against(BOTH)((0, 0, 0, 0)) is False
+        assert compile_pair(And(()), LEFT, RIGHT)((0, 0), (0, 0)) is True
+        assert compile_pair(Or(()), LEFT, RIGHT)((0, 0), (0, 0)) is False
+
+    def test_short_circuit_order(self):
+        raising = Compare(Attr("a"), "<", Literal("text"))
+        false = Compare(Attr("a"), "=", Literal(-1))
+        true = Compare(Attr("a"), "=", Literal(1))
+        row = (1, 0, 0, 0)
+        assert And((false, raising)).compile_against(BOTH)(row) is False
+        assert Or((true, raising)).compile_against(BOTH)(row) is True
+        with pytest.raises(TypeError):
+            And((true, raising)).compile_against(BOTH)(row)
+        with pytest.raises(TypeError):
+            And((raising, false)).compile_against(BOTH)(row)
+        pair = compile_pair(And((false, raising)), LEFT, RIGHT)
+        assert pair(row[:2], row[2:]) is False
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1) or (True",
+            "' or True or '",
+            '" or True or "',
+            "x\nrow[0]",
+            "__import__('os')",
+            "c0",
+            "row",
+        ],
+    )
+    def test_code_looking_literal_is_a_value(self, text):
+        equal = Compare(Attr("a"), "=", Literal(text))
+        compiled = equal.compile_against(BOTH)
+        assert compiled((text, 0, 0, 0)) is True
+        assert compiled(("other", 0, 0, 0)) is False
+        assert compiled((True, 0, 0, 0)) is False
+        # No literal reaches the source: it is a bound name there.
+        constants: dict = {}
+        source = equal.source(lambda name: "row[0]", constants)
+        assert source == "row[0] == c0"
+        assert constants == {"c0": text}
+        assert text not in compiled.__code__.co_consts
+        assert compiled.__globals__["c0"] is text
+
+    def test_generated_namespace_has_no_builtins(self):
+        compiled = TruePredicate().compile_against(BOTH)
+        assert compiled.__globals__["__builtins__"] == {}
+
+
+class TestErrors:
+    def scans(self):
+        stats = EngineStats()
+        left = TableScan(Table("l", LEFT, [(1, 2)]), stats)
+        right = TableScan(Table("r", RIGHT, [(3, 4)]), stats)
+        return left, right
+
+    def test_traceback_names_the_predicate(self):
+        predicate = Compare(Attr("a"), "<", Literal("text"))
+        with pytest.raises(TypeError) as raised:
+            predicate.compile_against(BOTH)((1, 0, 0, 0))
+        rendered = "".join(traceback.format_tb(raised.value.__traceback__))
+        assert "<predicate a < 'text'>" in rendered
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda l, r, p: ThetaNestedLoopJoin(l, r, p),
+            lambda l, r, p: RowSemijoin(l, r, p),
+            lambda l, r, p: HashEquiJoin(l, r, "a", "c", residual=p),
+            lambda l, r, p: MergeEquiJoin(l, r, "a", "c", residual=p),
+            lambda l, r, p: Select(l, p),
+            lambda l, r, p: Project(l, [("o", p.left)]),
+        ],
+    )
+    def test_unknown_attribute_fails_at_construction(self, build):
+        left, right = self.scans()
+        with pytest.raises(SchemaError, match="'zzz' not in schema"):
+            build(left, right, Compare(Attr("zzz"), "<", Attr("a")))
+
+    @pytest.mark.parametrize(
+        "join", [ThetaNestedLoopJoin, RowSemijoin]
+    )
+    def test_attribute_on_both_sides_fails_at_construction(self, join):
+        left, _right = self.scans()
+        again = TableScan(Table("l2", LEFT, [(1, 2)]), left.stats)
+        with pytest.raises(SchemaError, match="duplicate attributes"):
+            join(left, again, Compare(Attr("a"), "<", Attr("b")))
+
+    def test_unknown_operator_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown comparison operator"):
+            Compare(Attr("a"), "<>", Attr("b"))
+        with pytest.raises(ValueError):
+            Compare(Attr("a"), "or True or", Attr("b"))
+
+
+def tables(n, m, stats):
+    """``n`` left rows (key, i) and ``m`` right rows (key, j): keys
+    cycle over 0..3, so every key group is a non-trivial product."""
+    left = Table("l", LEFT, [(i % 4, i) for i in range(n)])
+    right = Table("r", RIGHT, [(j % 4, j) for j in range(m)])
+    return TableScan(left, stats), TableScan(right, stats)
+
+
+class TestCounts:
+    LESS = Compare(Attr("b"), "<", Attr("d"))
+
+    def test_theta_evaluates_every_pair(self):
+        stats = EngineStats()
+        out = ThetaNestedLoopJoin(*tables(7, 11, stats), self.LESS).run()
+        assert stats.comparisons == 7 * 11
+        assert stats.rows_materialized == 11
+        assert out == [
+            (i % 4, i, j % 4, j)
+            for i in range(7)
+            for j in range(11)
+            if i < j
+        ]
+
+    def test_semijoin_stops_at_first_match(self):
+        stats = EngineStats()
+        out = RowSemijoin(*tables(7, 5, stats), self.LESS).run()
+        # Left row i meets right rows 0..i+1, matching at j = i + 1;
+        # rows 4..6 never match and see all five.
+        assert stats.comparisons == (2 + 3 + 4 + 5) + 3 * 5
+        assert stats.rows_materialized == 5
+        assert out == [(i % 4, i) for i in range(4)]
+
+    def test_hash_residual_counts_each_bucket_pair(self):
+        stats = EngineStats()
+        join = HashEquiJoin(
+            *tables(8, 12, stats), "a", "c", residual=self.LESS
+        )
+        out = join.run()
+        assert stats.comparisons == 8 * 3
+        assert stats.rows_materialized == 12
+        assert sorted(out) == sorted(
+            (i % 4, i, j % 4, j)
+            for i in range(8)
+            for j in range(12)
+            if i % 4 == j % 4 and i < j
+        )
+
+    def test_merge_residual_counts_each_group_pair(self):
+        stats = EngineStats()
+        left = Table("l", LEFT, sorted((i % 4, i) for i in range(8)))
+        right = Table("r", RIGHT, sorted((j % 4, j) for j in range(12)))
+        join = MergeEquiJoin(
+            TableScan(left, stats),
+            TableScan(right, stats),
+            "a",
+            "c",
+            residual=self.LESS,
+        )
+        out = join.run()
+        # One key comparison per group, then 2 x 3 residual pairs.
+        assert stats.comparisons == 4 + 4 * (2 * 3)
+        assert stats.rows_materialized == 4 * (2 + 3)
+        assert len(out) == sum(
+            1
+            for i in range(8)
+            for j in range(12)
+            if i % 4 == j % 4 and i < j
+        )
+
+    def test_conventional_superstar_counts_are_the_parents(self):
+        faculty = FacultyWorkload(
+            faculty_count=120, continuous=True, full_fraction=1.0
+        ).generate(7)
+        result = conventional_superstar(faculty)
+        assert result.comparisons == 15_600
+        assert result.faculty_scans == 3
+        assert result.details == {"rows_materialized": 240}
+
+
+def python_calls(n, m):
+    """Python-level calls (function entries and generator resumptions)
+    the engine and its generated code make while an n x m theta join
+    runs."""
+    join = ThetaNestedLoopJoin(*tables(n, m, EngineStats()), TestCounts.LESS)
+    calls = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        filename = frame.f_code.co_filename
+        # Not a garbage-collection callback or the like.
+        ours = "relational" in filename or filename.startswith("<predicate")
+        calls += event == "call" and ours
+
+    sys.setprofile(profiler)
+    try:
+        out = join.run()
+    finally:
+        sys.setprofile(None)
+    assert join.stats.comparisons == n * m
+    return calls - len(out)  # one resumption per row the consumer takes
+
+
+class TestStructure:
+    def test_calls_grow_with_the_outer_side_not_the_product(self):
+        base = python_calls(20, 50)
+        wider = python_calls(20, 200)
+        taller = python_calls(80, 50)
+        # 150 more right rows: 150 more resumptions of the right scan,
+        # not 20 x 150 more predicate calls.
+        assert wider - base == 150
+        assert taller > base
+        assert taller - base <= 5 * 60
+
+    def test_compiled_callables_have_no_closure(self):
+        predicate = And(
+            (TestCounts.LESS, Not(Compare(Attr("a"), "=", Literal(9))))
+        )
+        for compiled in (
+            predicate.compile_against(BOTH),
+            compile_pair(predicate, LEFT, RIGHT),
+            compile_join_loop(predicate, LEFT, RIGHT),
+        ):
+            assert compiled.__closure__ is None
