@@ -19,8 +19,10 @@ cell:
 * registry vs tables — the registry declares the table's state class,
   supports exactly the admissible cells, and flags order-freeness
   exactly where the paper does;
-* backends — every supported cell offers both the tuple-at-a-time and
-  the columnar backend; inadmissible cells offer neither.
+* backends — every supported cell offers the tuple-at-a-time and both
+  batch backends; inadmissible cells offer none;
+* shape — ``TemporalOperator.shape`` agrees with the operator spec's
+  ``kind``.
 
 The checker accepts an injected registry mapping so tests can corrupt
 one cell and prove the mismatch is caught.  Exit contract (via
@@ -38,12 +40,17 @@ from ..model.sortorder import SortOrder
 from ..streams import registry as registry_module
 from ..streams.registry import RegistryEntry, TemporalOperator
 from .tables import (
+    OPERATOR_SPECS,
     Derivation,
     derive_cell,
     derive_fused_bound,
     expected_cell,
     full_grid,
 )
+
+
+#: ``OperatorSpec.kind`` -> the ``TemporalOperator.shape`` it implies.
+_SHAPE_OF_KIND = {"join": "join", "semijoin": "semi", "self-semijoin": "self"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class CellReport:
     problems: Tuple[str, ...]
     #: Slot-store bound the fused backend must honour for this cell
     #: (from :func:`~repro.analysis.tables.derive_fused_bound`) and the
-    #: bound its processor class actually declares.
+    #: bound its cell row actually declares.
     fused_bound_expected: Optional[str] = None
     fused_bound_declared: Optional[str] = None
 
@@ -176,6 +183,14 @@ def _check_cell(
     derivation: Derivation = derive_cell(operator, x_order, y_order)
     problems: List[str] = []
 
+    # -- one definition of operator shape --------------------------------
+    kind = OPERATOR_SPECS[operator].kind
+    if _SHAPE_OF_KIND[kind] != operator.shape:
+        problems.append(
+            f"operator.shape is {operator.shape!r} but the operator "
+            f"spec says {kind!r}"
+        )
+
     # -- theory vs tables ------------------------------------------------
     if derivation.admissible != table.admissible:
         problems.append(
@@ -234,18 +249,13 @@ def _check_cell(
     # -- fused slot-store bound ------------------------------------------
     fused_expected = derive_fused_bound(operator, table.state_class)
     fused_declared: Optional[str] = None
-    if entry is not None and entry.fused_factory is not None:
-        # Mirrored cells wrap the processor class in a closure that
-        # records the upper-half original as ``base_factory``.
-        base = getattr(
-            entry.fused_factory, "base_factory", entry.fused_factory
-        )
-        fused_declared = getattr(base, "slot_bound", None)
+    if entry is not None and entry.cell is not None:
+        fused_declared = entry.cell.slot_bound
     if fused_declared != fused_expected:
         problems.append(
             f"fused slot-store bound: cell class "
             f"{table.state_class!r} requires {fused_expected!r}, the "
-            f"fused processor declares {fused_declared!r}"
+            f"cell row declares {fused_declared!r}"
         )
 
     return CellReport(

@@ -269,8 +269,8 @@ def expected_cell(
 
 
 #: The fused backend's slot-store high-water vocabulary, coarsest
-#: first.  Each fused processor class declares one of these as its
-#: ``slot_bound``; the plan checker certifies the declaration against
+#: first.  Each row of ``repro.columnar.backend.CELLS`` declares one
+#: of these as its ``slot_bound``; the plan checker certifies it against
 #: :func:`derive_fused_bound`.
 FUSED_BOUNDS = ("zero", "one", "active-intervals")
 

@@ -1,12 +1,16 @@
-"""Columnar batch-sweep stream processors.
+"""The batch backends: one cell table, one processor.
 
-Each class here is a drop-in physical alternative to one tuple-at-a-time
-processor in :mod:`repro.streams.processors`: same constructor signature
-(``TupleStream`` operands), same admission checks (the '-' cells of
-Tables 1-3 stay rejected), same output values (payload tuples / pairs),
-and the same :class:`~repro.streams.metrics.ProcessorMetrics` accounting
-— so every Table-1/2/3 state-class verification runs unchanged against
-this backend.
+:data:`CELLS` holds one row per admissible upper-half cell of Tables
+1-3: its label, the sort orders each operand may declare, and the sweep
+kernel each batch backend runs (:mod:`~repro.columnar.kernels` probe
+scans; :mod:`~repro.columnar.fused` endpoint-event sweeps, or the
+columnar kernel itself where the cell keeps no slot store).
+:class:`ColumnarProcessor` runs any ``(cell, backend)`` pair as a
+drop-in physical alternative to the cell's tuple-at-a-time processor in
+:mod:`repro.streams.processors`: same ``TupleStream`` operands, same
+admission checks (the '-' cells stay rejected), same output values, and
+the same :class:`~repro.streams.metrics.ProcessorMetrics` accounting —
+so every Table-1/2/3 state-class verification runs unchanged on both.
 
 The difference is purely physical: operands are drained into
 :class:`~repro.columnar.relation.IntervalColumns` up front (one pass,
@@ -15,21 +19,30 @@ kernel over the endpoint columns.  The kernels' ``SweepStats`` are then
 folded into the processor's :class:`~repro.streams.workspace.
 WorkspaceMeter`, preserving high-water marks, insert/discard totals,
 the optional Figure-5 trace, and the optional workspace ``limit``.
+
+A lower-half (mirrored) registry entry runs its upper-half cell on
+time-reversed *columns* — Section 4.2.1's symmetry, ``[TS, TE)`` to
+``[-TE, -TS)`` — after the drain and order check of the original
+streams: row positions do not move, so index columns and payloads are
+used as they are.
 """
 
 from __future__ import annotations
 
 import gc
+from array import array
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import neg
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, StreamOrderError
 from ..governance.budget import active_token
 from ..model import sortorder as so
-from ..model.tuples import TemporalTuple
 from ..obs.trace import get_tracer
 from ..resilience.recovery import RecoveryPolicy
 from ..streams.processors.base import StreamProcessor
+from ..streams.registry import TemporalOperator
 from ..streams.stream import TupleStream
 from . import fused, kernels
 from .fused import LazyPairs
@@ -57,40 +70,164 @@ def cyclic_gc_paused():
             gc.enable()
 
 
-class ColumnarProcessor(StreamProcessor):
-    """Shared plumbing: drain operands into columns, run one kernel,
-    emit payloads, and mirror the kernel's accounting into the meter."""
+@dataclass(frozen=True)
+class Cell:
+    """One admissible upper-half cell of Tables 1-3, as the batch
+    backends see it."""
 
+    operator: TemporalOperator
+    #: Operator label; processors report ``<backend>-<label>``.
+    label: str
     #: Sort orders each operand may declare, as in the tuple processors
-    #: (``None`` y_orders means the operator is unary).
-    x_orders: Sequence[so.SortOrder] = (so.TS_ASC,)
-    y_orders: Optional[Sequence[so.SortOrder]] = (so.TS_ASC,)
+    #: (``None`` y_orders: the operator is unary).
+    x_orders: Tuple[so.SortOrder, ...]
+    y_orders: Optional[Tuple[so.SortOrder, ...]]
+    #: The sweep kernel per batch backend.
+    columnar: Callable
+    fused: Callable
+    #: Certified high-water bound of the fused slot store ("zero",
+    #: "one" or "active-intervals"); the symbolic plan checker diffs it
+    #: against the Tables 1-3 derivation.
+    slot_bound: str = "active-intervals"
     #: True for the order-free Before-semijoin.
     order_free: bool = False
-    #: Which physical backend this processor family implements; audit
-    #: records and EXPLAIN ANALYZE surface it per operator/shard.
-    backend_name: str = "columnar"
 
-    def __init__(self, x: TupleStream, y: Optional[TupleStream] = None) -> None:
+    @property
+    def shape(self) -> str:
+        return self.operator.shape
+
+    def kernel(self, backend: str) -> Callable:
+        return self.fused if backend == "fused" else self.columnar
+
+
+_T = TemporalOperator
+_TS, _TE = (so.TS_ASC,), (so.TE_ASC,)
+
+#: label -> cell.  The six cells whose fused kernel *is* the columnar
+#: one keep no slot store (``slot_bound`` "zero"/"one").
+CELLS = {
+    cell.label: cell
+    for cell in (
+        # Table 1 — Contain
+        Cell(_T.CONTAIN_JOIN, "contain-join[TS^,TS^]", _TS, _TS,
+             kernels.contain_join_ts_ts, fused.contain_join_ts_ts),
+        Cell(_T.CONTAIN_JOIN, "contain-join[TS^,TE^]", _TS, _TE,
+             kernels.contain_join_ts_te, fused.contain_join_ts_te),
+        Cell(_T.CONTAIN_SEMIJOIN, "contain-semijoin[TS^,TS^]", _TS, _TS,
+             kernels.contain_semijoin_ts_ts, fused.contain_semijoin_ts_ts),
+        Cell(_T.CONTAIN_SEMIJOIN, "contain-semijoin[TS^,TE^]", _TS, _TE,
+             kernels.contain_semijoin_ts_te, kernels.contain_semijoin_ts_te,
+             "zero"),
+        Cell(_T.CONTAINED_SEMIJOIN, "contained-semijoin[TS^,TS^]", _TS, _TS,
+             kernels.contained_semijoin_ts_ts,
+             fused.contained_semijoin_ts_ts),
+        Cell(_T.CONTAINED_SEMIJOIN, "contained-semijoin[TE^,TS^]", _TE, _TS,
+             kernels.contained_semijoin_te_ts,
+             kernels.contained_semijoin_te_ts, "zero"),
+        # Table 2 — Overlap
+        Cell(_T.OVERLAP_JOIN, "overlap-join[TS^,TS^]", _TS, _TS,
+             kernels.overlap_join_ts_ts, fused.overlap_join_ts_ts),
+        Cell(_T.OVERLAP_SEMIJOIN, "overlap-semijoin[TS^,TS^]", _TS, _TS,
+             kernels.overlap_semijoin_ts_ts, kernels.overlap_semijoin_ts_ts,
+             "zero"),
+        # Section 4.2.4 — Before
+        Cell(_T.BEFORE_SEMIJOIN, "before-semijoin", _TS, _TS,
+             kernels.before_semijoin, kernels.before_semijoin,
+             "zero", order_free=True),
+        # Table 3 — self semijoins
+        Cell(_T.SELF_CONTAINED_SEMIJOIN, "contained-semijoin[X,X][TS^,TE^]",
+             (so.TS_TE_ASC,), None,
+             kernels.self_contained_semijoin_ts_te,
+             kernels.self_contained_semijoin_ts_te, "one"),
+        Cell(_T.SELF_CONTAIN_SEMIJOIN, "contain-semijoin[X,X][TSv,TEv]",
+             (so.TS_TE_DESC,), None,
+             kernels.self_contain_semijoin_ts_te_desc,
+             kernels.self_contain_semijoin_ts_te_desc, "one"),
+        Cell(_T.SELF_CONTAIN_SEMIJOIN, "contain-semijoin[X,X][TS^]",
+             _TS, None,
+             kernels.self_contain_semijoin_ts, fused.self_contain_semijoin_ts),
+    )
+}
+
+
+def _reversed(columns: IntervalColumns) -> Tuple[array, array]:
+    """The endpoint columns under time reversal, ``(-TE, -TS)``; an
+    endpoint of -2**63 has no negation in ``array('q')`` and raises
+    ``OverflowError``."""
+    return (
+        array("q", map(neg, columns.te)),
+        array("q", map(neg, columns.ts)),
+    )
+
+
+def sweep(
+    cell: Cell,
+    backend: str,
+    x: IntervalColumns,
+    y: Optional[IntervalColumns] = None,
+    mirrored: bool = False,
+    limit: Optional[int] = None,
+    trace: Optional[list] = None,
+) -> Tuple[object, SweepStats]:
+    """Run ``cell``'s kernel for ``backend`` over drained columns — the
+    one shape dispatch, shared by :class:`ColumnarProcessor` and the
+    shard workers: unary (``"self"``) kernels take X's two endpoint
+    columns, binary ones X's and Y's.  The output holds X positions
+    (``"semi"``/``"self"``) or, for ``"join"``, what
+    :class:`~repro.columnar.fused.LazyPairs` accepts; positions index
+    the operands as given, mirrored or not."""
+    columns: list = []
+    for operand in (x, y):
+        if operand is not None:
+            columns += (
+                _reversed(operand) if mirrored else (operand.ts, operand.te)
+            )
+    return cell.kernel(backend)(*columns, limit=limit, trace=trace)
+
+
+class ColumnarProcessor(StreamProcessor):
+    """One cell on one batch backend: drain operands into columns, run
+    the cell's kernel, emit payloads, and mirror the kernel's
+    accounting into the meter."""
+
+    def __init__(
+        self,
+        cell: Cell,
+        backend: str,
+        x: TupleStream,
+        y: Optional[TupleStream] = None,
+        mirrored: bool = False,
+    ) -> None:
         super().__init__(x, y)
-        if not self.order_free:
-            self._require_order(x, tuple(self.x_orders), "X")
-            if self.y_orders is not None:
-                if y is None:
-                    raise TypeError(f"{self.operator} is a binary operator")
-                self._require_order(y, tuple(self.y_orders), "Y")
-        self.metrics.backend = self.backend_name
-        kernel = getattr(type(self), "kernel", None)
-        self.metrics.kernel = getattr(kernel, "__name__", None)
+        self.cell = cell
+        #: Which physical backend runs the cell; audit records and
+        #: EXPLAIN ANALYZE surface it per operator/shard.
+        self.backend_name = backend
+        self.mirrored = mirrored
+        self.operator = f"{backend}-{cell.label}"
+        if mirrored:
+            self.operator = f"mirror({self.operator})"
+        if cell.y_orders is not None and y is None:
+            raise TypeError(f"{self.operator} is a binary operator")
+        if not cell.order_free:
+            for stream, orders, role in (
+                (x, cell.x_orders, "X"), (y, cell.y_orders, "Y")
+            ):
+                if orders is not None:
+                    if mirrored:
+                        orders = tuple(o.mirrored() for o in orders)
+                    self._require_order(stream, orders, role)
+        self.metrics.backend = backend
+        self.metrics.kernel = cell.kernel(backend).__name__
 
     # ------------------------------------------------------------------
     # materialisation
     # ------------------------------------------------------------------
     def _drain(self, stream: TupleStream) -> IntervalColumns:
         """One batch pass over a stream, charged to its counters exactly
-        like cursor reads (cf. ``mirror_stream``: reading below the
-        single-buffer cursor, straight from the source factory).  A
-        stream born as columns hands them over as they are.
+        like cursor reads (reading below the single-buffer cursor,
+        straight from the source factory).  A stream born as columns
+        hands them over as they are.
 
         Under QUARANTINE the batch shortcut would bypass the cursor's
         side-channel, so the drain goes through the cursor instead and
@@ -144,11 +281,6 @@ class ColumnarProcessor(StreamProcessor):
     # ------------------------------------------------------------------
     # operator body
     # ------------------------------------------------------------------
-    def _kernel(
-        self, x: IntervalColumns, y: Optional[IntervalColumns]
-    ) -> Tuple[Sequence, SweepStats]:
-        raise NotImplementedError
-
     def _materialise(self) -> Sequence:
         x_cols = self._drain(self.x)
         y_cols = self._drain(self.y) if self.y is not None else None
@@ -158,9 +290,18 @@ class ColumnarProcessor(StreamProcessor):
             # kernel sweep (the drains above checked at their pass
             # boundaries).
             token.check()
-        out, stats = self._kernel(x_cols, y_cols)
+        out, stats = sweep(
+            self.cell, self.backend_name, x_cols, y_cols, self.mirrored,
+            limit=self.meter.limit, trace=self.meter.trace,
+        )
         self._absorb(stats)
-        return out
+        if self.cell.shape == "join":
+            # Payload pairs only materialise when the caller actually
+            # touches them (``len()``, metrics, EXPLAIN and the hybrid
+            # executor's index-column read do not).
+            return LazyPairs(out, x_cols.payload, y_cols.payload)
+        payload = x_cols.payload
+        return [payload[i] for i in out]
 
     def _execute(self) -> Iterator:
         yield from self._materialise()
@@ -186,263 +327,3 @@ class ColumnarProcessor(StreamProcessor):
             if tracer.enabled:
                 span.set(**self.metrics.to_dict())
         return out
-
-
-class _SemijoinKernelMixin:
-    """Binary semijoins: kernel emits X positions, output is X payloads."""
-
-    kernel = None  # staticmethod set by subclasses
-
-    def _kernel(self, x, y):
-        idx, stats = type(self).kernel(
-            x.ts, x.te, y.ts, y.te,
-            limit=self.meter.limit, trace=self.meter.trace,
-        )
-        payload = x.payload
-        return [payload[i] for i in idx], stats
-
-
-class _JoinKernelMixin:
-    """Binary joins, columnar and fused alike: whatever the kernel
-    emits — eager ``(xi, yj)`` index columns or fused
-    :class:`~repro.columnar.fused.JoinRuns` — is wrapped in
-    :class:`~repro.columnar.fused.LazyPairs`, so payload pairs only
-    materialise when the caller actually touches them (``len()``,
-    metrics, EXPLAIN and the hybrid executor's index-column read do
-    not)."""
-
-    kernel = None
-
-    def _kernel(self, x, y):
-        out, stats = type(self).kernel(
-            x.ts, x.te, y.ts, y.te,
-            limit=self.meter.limit, trace=self.meter.trace,
-        )
-        return LazyPairs(out, x.payload, y.payload), stats
-
-
-class _SelfKernelMixin:
-    """Unary self semijoins: kernel sees only the X columns."""
-
-    kernel = None
-
-    def _kernel(self, x, y):
-        idx, stats = type(self).kernel(
-            x.ts, x.te, limit=self.meter.limit, trace=self.meter.trace
-        )
-        payload = x.payload
-        return [payload[i] for i in idx], stats
-
-
-# ----------------------------------------------------------------------
-# Table 1 — Contain
-# ----------------------------------------------------------------------
-class ColumnarContainJoinTsTs(_JoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-contain-join[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(kernels.contain_join_ts_ts)
-
-
-class ColumnarContainJoinTsTe(_JoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-contain-join[TS^,TE^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TE_ASC,)
-    kernel = staticmethod(kernels.contain_join_ts_te)
-
-
-class ColumnarContainSemijoinTsTs(_SemijoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-contain-semijoin[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(kernels.contain_semijoin_ts_ts)
-
-
-class ColumnarContainSemijoinTsTe(_SemijoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-contain-semijoin[TS^,TE^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TE_ASC,)
-    kernel = staticmethod(kernels.contain_semijoin_ts_te)
-
-
-class ColumnarContainedSemijoinTsTs(_SemijoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-contained-semijoin[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(kernels.contained_semijoin_ts_ts)
-
-
-class ColumnarContainedSemijoinTeTs(_SemijoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-contained-semijoin[TE^,TS^]"
-    x_orders = (so.TE_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(kernels.contained_semijoin_te_ts)
-
-
-# ----------------------------------------------------------------------
-# Table 2 — Overlap
-# ----------------------------------------------------------------------
-class ColumnarOverlapJoin(_JoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-overlap-join[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(kernels.overlap_join_ts_ts)
-
-
-class ColumnarOverlapSemijoin(_SemijoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-overlap-semijoin[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(kernels.overlap_semijoin_ts_ts)
-
-
-# ----------------------------------------------------------------------
-# Section 4.2.4 — Before
-# ----------------------------------------------------------------------
-class ColumnarBeforeSemijoin(_SemijoinKernelMixin, ColumnarProcessor):
-    operator = "columnar-before-semijoin"
-    order_free = True
-    kernel = staticmethod(kernels.before_semijoin)
-
-
-# ----------------------------------------------------------------------
-# Table 3 — self semijoins
-# ----------------------------------------------------------------------
-class ColumnarSelfContainedSemijoin(_SelfKernelMixin, ColumnarProcessor):
-    operator = "columnar-contained-semijoin[X,X][TS^,TE^]"
-    x_orders = (so.TS_TE_ASC,)
-    y_orders = None
-    kernel = staticmethod(kernels.self_contained_semijoin_ts_te)
-
-
-class ColumnarSelfContainSemijoinDesc(_SelfKernelMixin, ColumnarProcessor):
-    operator = "columnar-contain-semijoin[X,X][TSv,TEv]"
-    x_orders = (so.TS_TE_DESC,)
-    y_orders = None
-    kernel = staticmethod(kernels.self_contain_semijoin_ts_te_desc)
-
-
-class ColumnarSelfContainSemijoin(_SelfKernelMixin, ColumnarProcessor):
-    operator = "columnar-contain-semijoin[X,X][TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = None
-    kernel = staticmethod(kernels.self_contain_semijoin_ts)
-
-
-# ======================================================================
-# Fused endpoint-event sweep backend
-# ======================================================================
-class FusedProcessor(ColumnarProcessor):
-    """Shared plumbing for the fused backend: same drain/absorb/metrics
-    contract as :class:`ColumnarProcessor`, but the kernels come from
-    :mod:`repro.columnar.fused` — one endpoint-event sweep per query
-    over a disposal-keyed slot store — and join output stays lazy.
-
-    ``slot_bound`` names the certified high-water bound of the cell's
-    slot store ("zero", "one", or "active-intervals"); the symbolic
-    plan checker diffs it against the Tables 1-3 derivation."""
-
-    backend_name = "fused"
-    #: Slot-store high-water bound certified by ``repro.analysis``.
-    slot_bound: str = "active-intervals"
-
-
-# ----------------------------------------------------------------------
-# Table 1 — Contain
-# ----------------------------------------------------------------------
-class FusedContainJoinTsTs(_JoinKernelMixin, FusedProcessor):
-    operator = "fused-contain-join[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(fused.contain_join_ts_ts)
-
-
-class FusedContainJoinTsTe(_JoinKernelMixin, FusedProcessor):
-    operator = "fused-contain-join[TS^,TE^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TE_ASC,)
-    kernel = staticmethod(fused.contain_join_ts_te)
-
-
-class FusedContainSemijoinTsTs(_SemijoinKernelMixin, FusedProcessor):
-    operator = "fused-contain-semijoin[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(fused.contain_semijoin_ts_ts)
-
-
-class FusedContainSemijoinTsTe(_SemijoinKernelMixin, FusedProcessor):
-    operator = "fused-contain-semijoin[TS^,TE^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TE_ASC,)
-    kernel = staticmethod(fused.contain_semijoin_ts_te)
-    slot_bound = "zero"
-
-
-class FusedContainedSemijoinTsTs(_SemijoinKernelMixin, FusedProcessor):
-    operator = "fused-contained-semijoin[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(fused.contained_semijoin_ts_ts)
-
-
-class FusedContainedSemijoinTeTs(_SemijoinKernelMixin, FusedProcessor):
-    operator = "fused-contained-semijoin[TE^,TS^]"
-    x_orders = (so.TE_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(fused.contained_semijoin_te_ts)
-    slot_bound = "zero"
-
-
-# ----------------------------------------------------------------------
-# Table 2 — Overlap
-# ----------------------------------------------------------------------
-class FusedOverlapJoin(_JoinKernelMixin, FusedProcessor):
-    operator = "fused-overlap-join[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(fused.overlap_join_ts_ts)
-
-
-class FusedOverlapSemijoin(_SemijoinKernelMixin, FusedProcessor):
-    operator = "fused-overlap-semijoin[TS^,TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = (so.TS_ASC,)
-    kernel = staticmethod(fused.overlap_semijoin_ts_ts)
-    slot_bound = "zero"
-
-
-# ----------------------------------------------------------------------
-# Section 4.2.4 — Before
-# ----------------------------------------------------------------------
-class FusedBeforeSemijoin(_SemijoinKernelMixin, FusedProcessor):
-    operator = "fused-before-semijoin"
-    order_free = True
-    kernel = staticmethod(fused.before_semijoin)
-    slot_bound = "zero"
-
-
-# ----------------------------------------------------------------------
-# Table 3 — self semijoins
-# ----------------------------------------------------------------------
-class FusedSelfContainedSemijoin(_SelfKernelMixin, FusedProcessor):
-    operator = "fused-contained-semijoin[X,X][TS^,TE^]"
-    x_orders = (so.TS_TE_ASC,)
-    y_orders = None
-    kernel = staticmethod(fused.self_contained_semijoin_ts_te)
-    slot_bound = "one"
-
-
-class FusedSelfContainSemijoinDesc(_SelfKernelMixin, FusedProcessor):
-    operator = "fused-contain-semijoin[X,X][TSv,TEv]"
-    x_orders = (so.TS_TE_DESC,)
-    y_orders = None
-    kernel = staticmethod(fused.self_contain_semijoin_ts_te_desc)
-    slot_bound = "one"
-
-
-class FusedSelfContainSemijoin(_SelfKernelMixin, FusedProcessor):
-    operator = "fused-contain-semijoin[X,X][TS^]"
-    x_orders = (so.TS_ASC,)
-    y_orders = None
-    kernel = staticmethod(fused.self_contain_semijoin_ts)

@@ -45,10 +45,13 @@ from array import array
 from typing import Sequence
 
 #: Bits reserved for the column index in packed entry keys and events.
-#: Bounds relation size at 2**21 (~2M rows) per operand — far above the
-#: benchmark sizes; :func:`check_capacity` guards the edge explicitly.
+#: Bounds relation size at 2**21 (~2M rows) per operand, and leaves the
+#: disposal endpoint the other 42 bits of a signed ``array('q')`` word:
+#: ``-2**42 <= endpoint < 2**42``.  :func:`check_capacity` guards both
+#: edges explicitly.
 IDX_BITS = 21
 IDX_MASK = (1 << IDX_BITS) - 1
+ENDPOINT_LIMIT = 1 << (63 - IDX_BITS)
 
 #: Tie ranks at a shared timestamp (see the module docstring): the
 #: closed-open disposal rule orders evictions before probes before
@@ -64,13 +67,32 @@ SIDE_Y = 1
 SIDE_BITS = 1
 
 
-def check_capacity(n: int) -> None:
-    """Refuse relations too large for the packed index field."""
-    if n > IDX_MASK:
+def packing_fits(n: int, lo: int = 0, hi: int = 0) -> bool:
+    """Whether ``n`` rows with endpoints in ``[lo, hi]`` pack into
+    slot-store words: the index into :data:`IDX_BITS` bits, the
+    shifted endpoint into what a signed 64-bit word has left."""
+    return n <= IDX_MASK and -ENDPOINT_LIMIT <= lo and hi < ENDPOINT_LIMIT
+
+
+def check_capacity(n: int, lo: int = 0, hi: int = 0) -> None:
+    """Refuse, before the sweep, an operand the packed keys cannot
+    hold (a key that does not fit would otherwise surface mid-sweep as
+    a raw ``OverflowError`` from the slot array)."""
+    if not packing_fits(n, lo, hi):
         raise ValueError(
             f"fused backend packs column indexes into {IDX_BITS} bits "
-            f"(max {IDX_MASK} rows per operand); got {n}"
+            f"(max {IDX_MASK} rows per operand) and endpoints into "
+            f"[-2**{63 - IDX_BITS}, 2**{63 - IDX_BITS}); got {n} rows "
+            f"spanning [{lo}, {hi}]"
         )
+
+
+def check_stored(ts: Sequence[int], te: Sequence[int]) -> None:
+    """:func:`check_capacity` for the operand a kernel stores, read off
+    its endpoint columns (``TS < TE`` row-wise, so the span is
+    ``[min TS, max TE]``)."""
+    if len(ts):
+        check_capacity(len(ts), min(ts), max(te))
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,13 @@ the run totals in O(1) and expands to ``(xi, yj)`` index columns /
 payload pairs only when something actually touches the output
 (mirroring the parallel runtime's lazy-materialisation Amdahl fix).
 
-The zero-state (class d) and one-state (class a1) cells are already
-single fused scans in the columnar kernel family — two-pointer merges
-with no active list to restructure — so their fused kernels share the
-columnar implementation and declare the matching slot-store bound.
+The zero-state (class d, and the class-(b) Overlap-semijoin that
+retires each X at its first witness) and one-state (class a1) cells are
+already single fused scans in the columnar kernel family — two-pointer
+merges with no slot store to restructure — so the cell table in
+:mod:`repro.columnar.backend` points their fused column at the
+columnar kernel itself; the six are re-exported below so every kernel
+name a fused run reports resolves in this module.
 
 Every kernel returns ``(output, SweepStats)`` with the same accounting
 contract as :mod:`repro.columnar.kernels`; probe/evict binary searches
@@ -49,14 +52,22 @@ from bisect import bisect_right, insort
 from sys import maxsize
 from typing import List, Optional, Sequence, Tuple
 
-from . import kernels
 from .events import (
     IDX_MASK,
-    check_capacity,
+    check_stored,
     disposal_bound,
     pack_entry,
 )
-from .kernels import SweepStats, _overflow
+from .kernels import (  # noqa: F401 - the six shared cells, re-exported
+    SweepStats,
+    _overflow,
+    before_semijoin,
+    contain_semijoin_ts_te,
+    contained_semijoin_te_ts,
+    overlap_semijoin_ts_ts,
+    self_contain_semijoin_ts_te_desc,
+    self_contained_semijoin_ts_te,
+)
 
 #: Run-descriptor probe sides (see :class:`JoinRuns`).
 PROBE_Y = 0
@@ -235,7 +246,7 @@ def contain_join_ts_ts(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_capacity(nx)
+    check_stored(x_ts, x_te)
     store = array("q")
     pend = array("q")
     pend_ts = 0
@@ -321,7 +332,7 @@ def contain_join_ts_te(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_capacity(nx)
+    check_stored(x_ts, x_te)
     ts_store = array("q")  # pack_entry(TS, index): probe order
     te_store = array("q")  # pack_entry(TE, index): disposal order
     arena = array("q")
@@ -401,7 +412,7 @@ def contain_semijoin_ts_ts(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_capacity(nx)
+    check_stored(x_ts, x_te)
     store = array("q")
     pend = array("q")
     pend_ts = 0
@@ -478,7 +489,7 @@ def contained_semijoin_ts_ts(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_capacity(ny)
+    check_stored(y_ts, y_te)
     store = array("q")
     out: List[int] = []
     append = out.append
@@ -521,38 +532,6 @@ def contained_semijoin_ts_ts(
     return out, stats
 
 
-def contain_semijoin_ts_te(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    y_ts: Sequence[int],
-    y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Class-(d) cell: the Figure-6 two-pointer scan is already one
-    fused sweep whose local workspace is the two input buffers alone —
-    zero slot-store entries — so the fused backend shares the columnar
-    kernel (and its ``SweepStats``) verbatim."""
-    return kernels.contain_semijoin_ts_te(
-        x_ts, x_te, y_ts, y_te, limit=limit, trace=trace
-    )
-
-
-def contained_semijoin_te_ts(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    y_ts: Sequence[int],
-    y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Class-(d) cell (roles swapped): zero slot-store state; shares
-    the columnar two-pointer kernel and its ``SweepStats``."""
-    return kernels.contained_semijoin_te_ts(
-        x_ts, x_te, y_ts, y_te, limit=limit, trace=trace
-    )
-
-
 # ----------------------------------------------------------------------
 # Table 2 — Overlap
 # ----------------------------------------------------------------------
@@ -572,7 +551,8 @@ def overlap_join_ts_ts(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_capacity(max(nx, ny))
+    check_stored(x_ts, x_te)
+    check_stored(y_ts, y_te)
     x_store = array("q")
     y_store = array("q")
     arena = array("q")
@@ -655,71 +635,9 @@ def overlap_join_ts_ts(
     return JoinRuns(probes, los, his, arena, total, sides), stats
 
 
-def overlap_semijoin_ts_ts(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    y_ts: Sequence[int],
-    y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Class-(b) *semijoin*: the eager algorithm retires each X at its
-    first witness, which the columnar kernel realises as a two-pointer
-    scan whose state is the input buffers alone — zero slot-store
-    entries, shared verbatim (with its ``SweepStats``)."""
-    return kernels.overlap_semijoin_ts_ts(
-        x_ts, x_te, y_ts, y_te, limit=limit, trace=trace
-    )
-
-
-# ----------------------------------------------------------------------
-# Section 4.2.4 — Before
-# ----------------------------------------------------------------------
-def before_semijoin(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    y_ts: Sequence[int],
-    y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Order-free class-(d) cell: the whole state is one running
-    maximum — zero slot-store entries; shares the columnar kernel and
-    its ``SweepStats``."""
-    return kernels.before_semijoin(
-        x_ts, x_te, y_ts, y_te, limit=limit, trace=trace
-    )
-
-
 # ----------------------------------------------------------------------
 # Table 3 — self semijoins
 # ----------------------------------------------------------------------
-def self_contained_semijoin_ts_te(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Class (a1): one extremal state tuple; shares the columnar
-    kernel and its ``SweepStats`` (slot-store bound: one entry)."""
-    return kernels.self_contained_semijoin_ts_te(
-        x_ts, x_te, limit=limit, trace=trace
-    )
-
-
-def self_contain_semijoin_ts_te_desc(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Class (a1), descending dual: one extremal state tuple; shares
-    the columnar kernel and its ``SweepStats``."""
-    return kernels.self_contain_semijoin_ts_te_desc(
-        x_ts, x_te, limit=limit, trace=trace
-    )
-
-
 def self_contain_semijoin_ts(
     x_ts: Sequence[int],
     x_te: Sequence[int],
@@ -736,7 +654,7 @@ def self_contain_semijoin_ts(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx = len(x_ts)
-    check_capacity(nx)
+    check_stored(x_ts, x_te)
     store = array("q")
     out: List[int] = []
     comparisons = eviction_checks = inserted = discarded = high = 0

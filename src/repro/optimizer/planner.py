@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..governance.budget import QueryBudget
 
+from ..columnar.events import packing_fits
 from ..columnar.relation import IntervalColumns
 from ..errors import (
     PlanStateError,
@@ -40,7 +41,7 @@ from ..model.relation import TemporalRelation
 from ..model.sortorder import order_satisfies
 from ..obs.trace import get_tracer
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
-from ..stats.estimators import collect_statistics
+from ..stats.estimators import TemporalStatistics, collect_statistics
 from ..streams.metrics import ProcessorMetrics
 from ..streams.processors.baseline import (
     NestedLoopJoin,
@@ -70,13 +71,6 @@ _PREDICATES: dict[TemporalOperator, Callable] = {
     TemporalOperator.BEFORE_SEMIJOIN: before_predicate,
 }
 
-_SEMIJOINS = {
-    TemporalOperator.CONTAIN_SEMIJOIN,
-    TemporalOperator.CONTAINED_SEMIJOIN,
-    TemporalOperator.OVERLAP_SEMIJOIN,
-    TemporalOperator.BEFORE_SEMIJOIN,
-}
-
 #: What the planner plans over and runs on.
 Operand = Union[TemporalRelation, IntervalColumns]
 
@@ -85,6 +79,19 @@ def _stream_over(operand: Operand, name: str) -> TupleStream:
     if isinstance(operand, IntervalColumns):
         return TupleStream.from_columns(operand, name)
     return TupleStream.from_relation(operand, name=name)
+
+
+def _fused_packs(entry: RegistryEntry, *operands: TemporalStatistics) -> bool:
+    """Whether both operands fit the fused slot store's packed
+    ``(endpoint << 21) | index`` words, read off the statistics the
+    planner already holds (a mirrored cell packs negated endpoints)."""
+    for stats in operands:
+        lo, hi = stats.span_start, stats.span_end
+        if entry.mirrored:
+            lo, hi = -hi, -lo
+        if not packing_fits(stats.cardinality, lo, hi):
+            return False
+    return True
 
 
 def _entry_of(alternative: "Alternative") -> RegistryEntry:
@@ -253,6 +260,12 @@ class TemporalJoinPlanner:
             for backend in planner_backends:
                 if backend not in entry.backends:
                     continue
+                if (
+                    backend == "fused"
+                    and self.backend == "auto"
+                    and not _fused_packs(entry, x_stats, y_stats)
+                ):
+                    continue  # columnar runs the same cell unpacked
                 if entry.order_free:
                     # One alternative per backend suffices: the
                     # algorithm ignores sort orders entirely.
@@ -634,7 +647,7 @@ class TemporalJoinPlanner:
         predicate = _PREDICATES[operator]
         x_stream = _stream_over(x_relation, "X")
         y_stream = _stream_over(y_relation, "Y")
-        if operator in _SEMIJOINS:
+        if operator.shape == "semi":
             processor = NestedLoopSemijoin(x_stream, y_stream, predicate)
         else:
             processor = NestedLoopJoin(x_stream, y_stream, predicate)

@@ -61,17 +61,12 @@ from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..resilience.retry import RetryPolicy
 from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..streams.metrics import ProcessorMetrics
-from ..streams.registry import RegistryEntry, TemporalOperator
+from ..streams.registry import RegistryEntry
 from ..streams.workspace import WorkspaceReport
 from . import shm
 from .pool import get_pool
-from .shards import SELF_OPERATORS, RangePlan, ShardRange, plan_ranges
+from .shards import RangePlan, ShardRange, plan_ranges
 from .worker import run_shard
-
-#: Operators whose outputs are (x, y) pairs.
-_JOIN_OPERATORS = frozenset(
-    {TemporalOperator.CONTAIN_JOIN, TemporalOperator.OVERLAP_JOIN}
-)
 
 EXECUTION_MODES = ("auto", "process", "inline")
 
@@ -157,14 +152,6 @@ class ParallelOutcome:
         return bool(self.report.fallbacks)
 
 
-def _shape_of(operator: TemporalOperator) -> str:
-    if operator in SELF_OPERATORS:
-        return "self"
-    if operator in _JOIN_OPERATORS:
-        return "join"
-    return "semi"
-
-
 # ----------------------------------------------------------------------
 # shard tasks and the two transports' shared pieces
 # ----------------------------------------------------------------------
@@ -181,7 +168,7 @@ def _shard_tasks(
 ) -> List[dict]:
     """One task per planned range: column ranges plus small config,
     everything :func:`~repro.parallel.worker.run_shard` reads."""
-    shape = _shape_of(entry.operator)
+    shape = entry.operator.shape
     tasks = []
     for shard_range in plan.ranges:
         task = {
@@ -596,7 +583,7 @@ def execute_parallel(
             f"{EXECUTION_MODES}"
         )
     report = report if report is not None else ExecutionReport()
-    unary = entry.operator in SELF_OPERATORS
+    unary = entry.operator.shape == "self"
     if not unary and y_tuples is None:
         raise ExecutionError(
             f"{entry.operator.value} is binary; y_tuples is required"

@@ -51,12 +51,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..errors import ExecutionError
 from ..streams.registry import RegistryEntry, TemporalOperator
 
-#: Operators whose shard input is the relation itself (Table 3).
+#: Operators whose shard input is the relation itself (Table 3): a
+#: view of ``TemporalOperator.shape``, kept under the name the shard
+#: tests import.
 SELF_OPERATORS = frozenset(
-    {
-        TemporalOperator.SELF_CONTAINED_SEMIJOIN,
-        TemporalOperator.SELF_CONTAIN_SEMIJOIN,
-    }
+    op for op in TemporalOperator if op.shape == "self"
 )
 
 #: operator -> necessity-window atoms over the Y (or, for self
@@ -140,7 +139,7 @@ class RangePlan:
         return len(self.ranges)
 
     def as_dict(self) -> dict:
-        unary = self.operator in SELF_OPERATORS
+        unary = self.operator.shape == "self"
         return {
             "operator": self.operator.value,
             "strategy": "range",
@@ -292,7 +291,7 @@ def plan_ranges(
     operator = entry.operator
     plan = RangePlan(operator=operator, requested_shards=shards)
     plan.x_total = len(x_ts)
-    if operator in SELF_OPERATORS:
+    if operator.shape == "self":
         _plan_self(plan, x_ts, x_te, shards)
     elif operator is TemporalOperator.BEFORE_SEMIJOIN:
         _plan_before(plan, x_ts, y_ts, y_te, shards)
@@ -390,7 +389,7 @@ def _plan_self(plan, x_ts, x_te, shards) -> None:
 def _finish_accounting(plan: RangePlan) -> None:
     plan.cuts = [r.owned_lo for r in plan.ranges[1:]]
     plan.shipped_total = sum(r.context_count for r in plan.ranges)
-    total = plan.x_total if plan.operator in SELF_OPERATORS else plan.y_total
+    total = plan.x_total if plan.operator.shape == "self" else plan.y_total
     if total and plan.ranges:
         coverage = [0] * (total + 1)
         for r in plan.ranges:
@@ -406,7 +405,7 @@ def _finish_accounting(plan: RangePlan) -> None:
         plan.boundary_spanning = spanning
         plan.replicated_total = replicated
     if plan.ranges:
-        unary = plan.operator in SELF_OPERATORS
+        unary = plan.operator.shape == "self"
         work = [
             r.context_count if unary else r.owned_count + r.context_count
             for r in plan.ranges

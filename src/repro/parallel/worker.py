@@ -5,11 +5,11 @@ in the parent (``mode="inline"``).  It takes the shard's endpoint
 columns — any int64 buffers — and runs them in one of two ways:
 
 * **Kernel fast path** — columnar or fused backend, STRICT policy, no
-  fault plan, no workspace budget, non-mirrored cell: the sweep kernel
-  runs *directly on the endpoint buffers* (wrapped in
+  fault plan, no workspace budget: the cell's sweep kernel runs
+  *directly on the endpoint buffers* (wrapped in
   :class:`~repro.columnar.relation.IntervalColumns` endpoint-only
-  columns), so the shard costs exactly the kernel plus zero object
-  traffic.
+  columns; a mirrored cell on their negations), so the shard costs
+  exactly the kernel plus zero object traffic.
 * **Resilience ladder** — every other configuration reconstructs the
   shard's tuples from the endpoint buffers (surrogate = global column
   index, no payloads) and runs the unchanged
@@ -38,7 +38,7 @@ import time
 from array import array
 from typing import Optional
 
-from ..columnar.backend import cyclic_gc_paused
+from ..columnar.backend import cyclic_gc_paused, sweep
 from ..columnar.relation import IntervalColumns
 from ..governance.budget import QueryBudget, active_token, governed
 from ..obs.graft import DEFAULT_MAX_TRACE_BYTES, serialize_tracer
@@ -229,69 +229,53 @@ def run_shard(
 
 
 def _fast_path_eligible(task: dict, entry: RegistryEntry) -> bool:
-    if task["backend"] not in ("columnar", "fused"):
-        return False
     return (
-        task["policy"] is RecoveryPolicy.STRICT
+        task["backend"] in ("columnar", "fused")
+        and task["policy"] is RecoveryPolicy.STRICT
         and task["fault_plan"] is None
         and task["workspace_budget"] is None
-        and not entry.mirrored
-        and isinstance(_fast_path_factory(task, entry), type)
+        and entry.cell is not None
     )
-
-
-def _fast_path_factory(task: dict, entry: RegistryEntry):
-    """The kernel-bearing processor class for the task's backend."""
-    if task["backend"] == "fused":
-        return entry.fused_factory
-    return entry.columnar_factory
 
 
 # ----------------------------------------------------------------------
 # kernel fast path
 # ----------------------------------------------------------------------
 def _run_kernel(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
-    factory = _fast_path_factory(task, entry)
-    kernel = factory.kernel
+    cell, backend = entry.cell, task["backend"]
     shape, x_base = task["shape"], task["x_base"]
     x_cols = IntervalColumns.from_views(
         x_ts, x_te, entry.x_order, name="X[shard]"
     )
+    y_cols = None
+    if shape != "self":
+        empty = array("q")
+        y_cols = IntervalColumns.from_views(
+            y_ts if y_ts is not None else empty,
+            y_te if y_te is not None else empty,
+            entry.y_order,
+            name="Y[shard]",
+        )
     residual_filtered = 0
-    y_read = 0
     second = None
     with cyclic_gc_paused():
+        result, stats = sweep(cell, backend, x_cols, y_cols, entry.mirrored)
         if shape == "self":
-            positions, stats = kernel(x_cols.ts, x_cols.te)
             # Owner-filter in shard-local coordinates: only positions
             # inside the owned slice of the context window survive.
             lo = task["owned_lo"] - x_base
             hi = task["owned_hi"] - x_base
-            first = array(
-                "q", (rel for rel in positions if lo <= rel < hi)
-            )
-            residual_filtered = len(positions) - len(first)
+            first = array("q", (rel for rel in result if lo <= rel < hi))
+            residual_filtered = len(result) - len(first)
+        elif shape == "semi":
+            first = array("q", result)
+        elif hasattr(result, "index_columns"):
+            # Fused kernels emit lazy JoinRuns; the shard boundary
+            # is the consumption point, so expand here.
+            first, second = result.index_columns()
         else:
-            empty = array("q")
-            y_cols = IntervalColumns.from_views(
-                y_ts if y_ts is not None else empty,
-                y_te if y_te is not None else empty,
-                entry.y_order,
-                name="Y[shard]",
-            )
-            y_read = len(y_cols)
-            result, stats = kernel(
-                x_cols.ts, x_cols.te, y_cols.ts, y_cols.te
-            )
-            if shape != "join":
-                first = array("q", result)
-            elif hasattr(result, "index_columns"):
-                # Fused kernels emit lazy JoinRuns; the shard boundary
-                # is the consumption point, so expand here.
-                first, second = result.index_columns()
-            else:
-                first = array("q", result[0])
-                second = array("q", result[1])
+            first = array("q", result[0])
+            second = array("q", result[1])
     output_count = len(first)
     token = active_token()
     if token is not None:
@@ -304,12 +288,12 @@ def _run_kernel(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
         "report": ExecutionReport(),
         "metrics": _kernel_metrics(
             len(x_cols),
-            y_read,
+            len(y_cols) if y_cols is not None else 0,
             shape,
             output_count,
             stats,
-            backend=task["backend"],
-            kernel_name=getattr(kernel, "__name__", None),
+            backend=backend,
+            kernel_name=cell.kernel(backend).__name__,
         ),
         "output_count": output_count,
         "residual_filtered": residual_filtered,

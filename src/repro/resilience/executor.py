@@ -53,21 +53,17 @@ from .retry import RetryPolicy
 
 Predicate = Callable[[TemporalTuple, TemporalTuple], bool]
 
-#: Fallback oracle for every supported operator: the join predicate and
-#: the output shape ("join" pairs, "semi" X payloads, "self" X payloads
-#: with the i != j rule of Section 4.2.3).
+#: Fallback oracle for every supported operator: the join predicate
+#: (the output shape is the operator's own ``shape``).
 _FALLBACKS: dict = {
-    TemporalOperator.CONTAIN_JOIN: (contain_predicate, "join"),
-    TemporalOperator.CONTAIN_SEMIJOIN: (contain_predicate, "semi"),
-    TemporalOperator.CONTAINED_SEMIJOIN: (contained_predicate, "semi"),
-    TemporalOperator.OVERLAP_JOIN: (overlap_predicate, "join"),
-    TemporalOperator.OVERLAP_SEMIJOIN: (overlap_predicate, "semi"),
-    TemporalOperator.BEFORE_SEMIJOIN: (before_predicate, "semi"),
-    TemporalOperator.SELF_CONTAINED_SEMIJOIN: (
-        contained_predicate,
-        "self",
-    ),
-    TemporalOperator.SELF_CONTAIN_SEMIJOIN: (contain_predicate, "self"),
+    TemporalOperator.CONTAIN_JOIN: contain_predicate,
+    TemporalOperator.CONTAIN_SEMIJOIN: contain_predicate,
+    TemporalOperator.CONTAINED_SEMIJOIN: contained_predicate,
+    TemporalOperator.OVERLAP_JOIN: overlap_predicate,
+    TemporalOperator.OVERLAP_SEMIJOIN: overlap_predicate,
+    TemporalOperator.BEFORE_SEMIJOIN: before_predicate,
+    TemporalOperator.SELF_CONTAINED_SEMIJOIN: contained_predicate,
+    TemporalOperator.SELF_CONTAIN_SEMIJOIN: contain_predicate,
 }
 
 #: Spill block size when the overflow came from a meter limit the
@@ -339,11 +335,12 @@ def _finish_by_spill(
     extra passes over the spilled inner.
     """
     try:
-        predicate, shape = _FALLBACKS[entry.operator]
+        predicate = _FALLBACKS[entry.operator]
     except KeyError:  # pragma: no cover - registry and map kept in sync
         raise ExecutionError(
             f"no spill fallback registered for {entry.operator.value}"
         ) from None
+    shape = entry.operator.shape
     block = max(1, workspace_budget or _DEFAULT_SPILL_BLOCK)
 
     x_spill = HeapFile(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..errors import UnsupportedBackendError, UnsupportedSortOrderError
@@ -69,6 +70,16 @@ class TemporalOperator(enum.Enum):
     BEFORE_SEMIJOIN = "before-semijoin"
     SELF_CONTAINED_SEMIJOIN = "contained-semijoin(X,X)"
     SELF_CONTAIN_SEMIJOIN = "contain-semijoin(X,X)"
+
+    @property
+    def shape(self) -> str:
+        """What the operator emits: ``"join"`` — (x, y) pairs;
+        ``"semi"`` — X tuples of a binary semijoin; ``"self"`` — X
+        tuples of a unary Table-3 semijoin (Section 4.2.3's i != j
+        rule).  The one definition every executor dispatches on."""
+        if self.value.endswith("(X,X)"):
+            return "self"
+        return "semi" if self.value.endswith("semijoin") else "join"
 
 
 #: Paper wording for each state class.
@@ -120,12 +131,11 @@ class RegistryEntry:
     #: True when the algorithm works regardless of input sort orders
     #: (Before-semijoin); the planner then charges no sorts.
     order_free: bool = False
-    #: The columnar batch-sweep alternative for this cell, when one is
-    #: implemented ('-' cells have no alternative backend: no sort
-    #: order makes them streamable, and batching does not change that).
-    columnar_factory: Optional[Callable] = None
-    #: The fused endpoint-event sweep alternative for this cell.
-    fused_factory: Optional[Callable] = None
+    #: The cell's row in :data:`repro.columnar.backend.CELLS`, which
+    #: both batch backends run ('-' cells have none: no sort order
+    #: makes them streamable, and batching does not change that).  A
+    #: mirrored entry shares its upper-half original's row.
+    cell: Optional[object] = None
 
     @property
     def supported(self) -> bool:
@@ -137,10 +147,8 @@ class RegistryEntry:
         names = []
         if self.factory is not None:
             names.append("tuple")
-        if self.columnar_factory is not None:
-            names.append("columnar")
-        if self.fused_factory is not None:
-            names.append("fused")
+        if self.cell is not None:
+            names += ["columnar", "fused"]
         return tuple(names)
 
     @property
@@ -162,17 +170,16 @@ class RegistryEntry:
             )
         if backend == "tuple":
             return self.factory
-        chosen = (
-            self.fused_factory
-            if backend == "fused"
-            else self.columnar_factory
-        )
-        if chosen is None:
+        if self.cell is None:
             raise UnsupportedBackendError(
                 f"{self.operator.value} on orders ([{self.x_order}], "
                 f"[{self.y_order}]) has no {backend!r} implementation"
             )
-        return chosen
+        from ..columnar.backend import ColumnarProcessor
+
+        return partial(
+            ColumnarProcessor, self.cell, backend, mirrored=self.mirrored
+        )
 
     def build(self, x_stream, y_stream=None, backend: str = "tuple"):
         """Instantiate the processor on concrete streams."""
@@ -182,119 +189,78 @@ class RegistryEntry:
         return factory(x_stream, y_stream)
 
 
-def _mirror_factory(factory: Callable, unary: bool = False) -> Callable:
-    """Lift an upper-half factory to its time-reversal mirror.
-
-    The wrapper carries the wrapped factory as ``base_factory`` so
-    introspection (the plan checker certifying fused slot-store bounds,
-    EXPLAIN surfacing kernel names) can reach the concrete processor
-    class behind a mirrored cell."""
-    if unary:
-        wrapper = lambda x: MirroredProcessor(factory, x)  # noqa: E731
-    else:
-        wrapper = lambda x, y: MirroredProcessor(factory, x, y)  # noqa: E731
-    wrapper.base_factory = factory
-    return wrapper
-
-
-def _upper_half_binary() -> list[RegistryEntry]:
-    """Upper halves of Tables 1 and 2 (ascending sort orders)."""
-    from ..columnar.backend import (
-        ColumnarBeforeSemijoin,
-        ColumnarContainedSemijoinTeTs,
-        ColumnarContainedSemijoinTsTs,
-        ColumnarContainJoinTsTe,
-        ColumnarContainJoinTsTs,
-        ColumnarContainSemijoinTsTe,
-        ColumnarContainSemijoinTsTs,
-        ColumnarOverlapJoin,
-        ColumnarOverlapSemijoin,
-        FusedBeforeSemijoin,
-        FusedContainedSemijoinTeTs,
-        FusedContainedSemijoinTsTs,
-        FusedContainJoinTsTe,
-        FusedContainJoinTsTs,
-        FusedContainSemijoinTsTe,
-        FusedContainSemijoinTsTs,
-        FusedOverlapJoin,
-        FusedOverlapSemijoin,
+def _mirrored(entry: RegistryEntry) -> RegistryEntry:
+    """The lower-half twin of an upper-half entry: mirrored orders, the
+    tuple processor behind the time-reversal wrapper, the same cell
+    (the batch processor reverses time on its columns)."""
+    return RegistryEntry(
+        entry.operator,
+        entry.x_order.mirrored(),
+        entry.y_order.mirrored() if entry.y_order else None,
+        entry.state_class,
+        partial(MirroredProcessor, entry.factory) if entry.factory else None,
+        mirrored=True,
+        cell=entry.cell,
     )
 
+
+def _upper_half_binary(cells: dict) -> list[RegistryEntry]:
+    """Upper halves of Tables 1 and 2 (ascending sort orders)."""
     T = TemporalOperator
     rows: list[RegistryEntry] = []
 
-    def add(op, xo, yo, cls, factory, columnar=None, fused=None):
+    def add(op, xo, yo, cls, factory=None, cell=None):
         rows.append(
             RegistryEntry(
                 op, xo, yo, cls, factory,
-                columnar_factory=columnar, fused_factory=fused,
+                cell=cells[cell] if cell else None,
             )
         )
 
     # --- Table 1, Contain-join -------------------------------------
     add(T.CONTAIN_JOIN, TS_ASC, TS_ASC, "a", ContainJoinTsTs,
-        ColumnarContainJoinTsTs, FusedContainJoinTsTs)
+        "contain-join[TS^,TS^]")
     add(T.CONTAIN_JOIN, TS_ASC, TE_ASC, "b", ContainJoinTsTe,
-        ColumnarContainJoinTsTe, FusedContainJoinTsTe)
-    add(T.CONTAIN_JOIN, TE_ASC, TS_ASC, "-", None)
-    add(T.CONTAIN_JOIN, TE_ASC, TE_ASC, "-", None)
+        "contain-join[TS^,TE^]")
+    add(T.CONTAIN_JOIN, TE_ASC, TS_ASC, "-")
+    add(T.CONTAIN_JOIN, TE_ASC, TE_ASC, "-")
     # --- Table 1, Contain-semijoin ----------------------------------
     add(T.CONTAIN_SEMIJOIN, TS_ASC, TS_ASC, "c", ContainSemijoinTsTs,
-        ColumnarContainSemijoinTsTs, FusedContainSemijoinTsTs)
+        "contain-semijoin[TS^,TS^]")
     add(T.CONTAIN_SEMIJOIN, TS_ASC, TE_ASC, "d", ContainSemijoinTsTe,
-        ColumnarContainSemijoinTsTe, FusedContainSemijoinTsTe)
-    add(T.CONTAIN_SEMIJOIN, TE_ASC, TS_ASC, "-", None)
-    add(T.CONTAIN_SEMIJOIN, TE_ASC, TE_ASC, "-", None)
+        "contain-semijoin[TS^,TE^]")
+    add(T.CONTAIN_SEMIJOIN, TE_ASC, TS_ASC, "-")
+    add(T.CONTAIN_SEMIJOIN, TE_ASC, TE_ASC, "-")
     # --- Table 1, Contained-semijoin --------------------------------
     add(T.CONTAINED_SEMIJOIN, TS_ASC, TS_ASC, "c", ContainedSemijoinTsTs,
-        ColumnarContainedSemijoinTsTs, FusedContainedSemijoinTsTs)
-    add(T.CONTAINED_SEMIJOIN, TS_ASC, TE_ASC, "-", None)
+        "contained-semijoin[TS^,TS^]")
+    add(T.CONTAINED_SEMIJOIN, TS_ASC, TE_ASC, "-")
     add(T.CONTAINED_SEMIJOIN, TE_ASC, TS_ASC, "d", ContainedSemijoinTeTs,
-        ColumnarContainedSemijoinTeTs, FusedContainedSemijoinTeTs)
-    add(T.CONTAINED_SEMIJOIN, TE_ASC, TE_ASC, "-", None)
+        "contained-semijoin[TE^,TS^]")
+    add(T.CONTAINED_SEMIJOIN, TE_ASC, TE_ASC, "-")
     # --- Table 2, Overlap -------------------------------------------
     add(T.OVERLAP_JOIN, TS_ASC, TS_ASC, "a", OverlapJoin,
-        ColumnarOverlapJoin, FusedOverlapJoin)
-    add(T.OVERLAP_JOIN, TS_ASC, TE_ASC, "-", None)
-    add(T.OVERLAP_JOIN, TE_ASC, TS_ASC, "-", None)
-    add(T.OVERLAP_JOIN, TE_ASC, TE_ASC, "-", None)
+        "overlap-join[TS^,TS^]")
+    add(T.OVERLAP_JOIN, TS_ASC, TE_ASC, "-")
+    add(T.OVERLAP_JOIN, TE_ASC, TS_ASC, "-")
+    add(T.OVERLAP_JOIN, TE_ASC, TE_ASC, "-")
     add(T.OVERLAP_SEMIJOIN, TS_ASC, TS_ASC, "b", OverlapSemijoin,
-        ColumnarOverlapSemijoin, FusedOverlapSemijoin)
-    add(T.OVERLAP_SEMIJOIN, TS_ASC, TE_ASC, "-", None)
-    add(T.OVERLAP_SEMIJOIN, TE_ASC, TS_ASC, "-", None)
-    add(T.OVERLAP_SEMIJOIN, TE_ASC, TE_ASC, "-", None)
+        "overlap-semijoin[TS^,TS^]")
+    add(T.OVERLAP_SEMIJOIN, TS_ASC, TE_ASC, "-")
+    add(T.OVERLAP_SEMIJOIN, TE_ASC, TS_ASC, "-")
+    add(T.OVERLAP_SEMIJOIN, TE_ASC, TE_ASC, "-")
     # --- Section 4.2.4: Before --------------------------------------
     # No sort ordering bounds the join state; the sweep implementation
     # exists but is Theta(|X|) in workspace, which we classify '-'.
-    add(T.BEFORE_JOIN, TS_ASC, TS_ASC, "-", None)
-    add(T.BEFORE_JOIN, TS_ASC, TE_ASC, "-", None)
-    add(T.BEFORE_JOIN, TE_ASC, TS_ASC, "-", None)
-    add(T.BEFORE_JOIN, TE_ASC, TE_ASC, "-", None)
-    # The semijoin is single-pass and order-independent.
-    for xo in (TS_ASC, TE_ASC):
-        for yo in (TS_ASC, TE_ASC):
-            rows.append(
-                RegistryEntry(
-                    T.BEFORE_SEMIJOIN, xo, yo, "d", BeforeSemijoin,
-                    order_free=True,
-                    columnar_factory=ColumnarBeforeSemijoin,
-                    fused_factory=FusedBeforeSemijoin,
-                )
-            )
+    add(T.BEFORE_JOIN, TS_ASC, TS_ASC, "-")
+    add(T.BEFORE_JOIN, TS_ASC, TE_ASC, "-")
+    add(T.BEFORE_JOIN, TE_ASC, TS_ASC, "-")
+    add(T.BEFORE_JOIN, TE_ASC, TE_ASC, "-")
     return rows
 
 
 def _build_registry() -> dict:
-    from ..columnar.backend import (
-        ColumnarBeforeSemijoin,
-        ColumnarSelfContainedSemijoin,
-        ColumnarSelfContainSemijoin,
-        ColumnarSelfContainSemijoinDesc,
-        FusedBeforeSemijoin,
-        FusedSelfContainedSemijoin,
-        FusedSelfContainSemijoin,
-        FusedSelfContainSemijoinDesc,
-    )
+    from ..columnar.backend import CELLS
 
     registry: dict = {}
 
@@ -305,60 +271,31 @@ def _build_registry() -> dict:
             entry.y_order.primary if entry.y_order else None,
         )
 
-    upper = _upper_half_binary()
+    upper = _upper_half_binary(CELLS)
     for entry in upper:
         registry[key(entry)] = entry
-        if entry.order_free:
-            # Order-independent algorithms need no mirror: the plain
-            # factory is registered for every combination below.
-            # (Mirroring Before would also transpose its operands.)
-            continue
-        mirrored = RegistryEntry(
-            entry.operator,
-            entry.x_order.mirrored(),
-            entry.y_order.mirrored() if entry.y_order else None,
-            entry.state_class,
-            _mirror_factory(entry.factory) if entry.factory else None,
-            mirrored=True,
-            columnar_factory=(
-                _mirror_factory(entry.columnar_factory)
-                if entry.columnar_factory
-                else None
-            ),
-            fused_factory=(
-                _mirror_factory(entry.fused_factory)
-                if entry.fused_factory
-                else None
-            ),
-        )
+        mirrored = _mirrored(entry)
         registry.setdefault(key(mirrored), mirrored)
 
     # Mixed ascending/descending combinations: "it is generally
     # inappropriate to have one relation sorted in ascending order and
     # the other in descending order."
-    binary_ops = [
-        e.operator for e in upper
-    ]
     all_keys = [so.primary for so in (TS_ASC, TS_DESC, TE_ASC, TE_DESC)]
-    for op in dict.fromkeys(binary_ops):
-        if op is TemporalOperator.BEFORE_SEMIJOIN:
-            continue  # genuinely order-independent, filled below
+    for op in dict.fromkeys(e.operator for e in upper):
         for xk in all_keys:
             for yk in all_keys:
                 registry.setdefault(
                     (op, xk, yk),
                     RegistryEntry(
-                        op,
-                        SortOrder.of(xk),
-                        SortOrder.of(yk),
-                        "-",
-                        None,
+                        op, SortOrder.of(xk), SortOrder.of(yk), "-", None
                     ),
                 )
+    # The Before-semijoin is single-pass and order-independent: the
+    # plain factory serves every combination, no mirror needed
+    # (mirroring Before would also transpose its operands).
     for xk in all_keys:
         for yk in all_keys:
-            registry.setdefault(
-                (TemporalOperator.BEFORE_SEMIJOIN, xk, yk),
+            registry[(TemporalOperator.BEFORE_SEMIJOIN, xk, yk)] = (
                 RegistryEntry(
                     TemporalOperator.BEFORE_SEMIJOIN,
                     SortOrder.of(xk),
@@ -366,9 +303,8 @@ def _build_registry() -> dict:
                     "d",
                     BeforeSemijoin,
                     order_free=True,
-                    columnar_factory=ColumnarBeforeSemijoin,
-                    fused_factory=FusedBeforeSemijoin,
-                ),
+                    cell=CELLS["before-semijoin"],
+                )
             )
 
     # --- Table 3: self semijoins ------------------------------------
@@ -380,8 +316,7 @@ def _build_registry() -> dict:
             None,
             "a1",
             SelfContainedSemijoin,
-            columnar_factory=ColumnarSelfContainedSemijoin,
-            fused_factory=FusedSelfContainedSemijoin,
+            cell=CELLS["contained-semijoin[X,X][TS^,TE^]"],
         ),
         RegistryEntry(
             T.SELF_CONTAIN_SEMIJOIN,
@@ -389,46 +324,23 @@ def _build_registry() -> dict:
             None,
             "b1",
             SelfContainSemijoin,
-            columnar_factory=ColumnarSelfContainSemijoin,
-            fused_factory=FusedSelfContainSemijoin,
+            cell=CELLS["contain-semijoin[X,X][TS^]"],
         ),
-        RegistryEntry(
-            T.SELF_CONTAINED_SEMIJOIN,
-            TS_DESC,
-            None,
-            "-",
-            None,
-        ),
+        RegistryEntry(T.SELF_CONTAINED_SEMIJOIN, TS_DESC, None, "-", None),
         RegistryEntry(
             T.SELF_CONTAIN_SEMIJOIN,
             SortOrder.by_ts(Direction.DESC, secondary_te=True),
             None,
             "a1",
             SelfContainSemijoinDesc,
-            columnar_factory=ColumnarSelfContainSemijoinDesc,
-            fused_factory=FusedSelfContainSemijoinDesc,
+            cell=CELLS["contain-semijoin[X,X][TSv,TEv]"],
         ),
     ]
     for entry in self_rows:
-        registry[(entry.operator, entry.x_order.primary, None)] = entry
+        registry[key(entry)] = entry
         if entry.factory is not None:
-            mirrored = RegistryEntry(
-                entry.operator,
-                entry.x_order.mirrored(),
-                None,
-                entry.state_class,
-                _mirror_factory(entry.factory, unary=True),
-                mirrored=True,
-                columnar_factory=_mirror_factory(
-                    entry.columnar_factory, unary=True
-                ),
-                fused_factory=_mirror_factory(
-                    entry.fused_factory, unary=True
-                ),
-            )
-            registry.setdefault(
-                (entry.operator, mirrored.x_order.primary, None), mirrored
-            )
+            mirrored = _mirrored(entry)
+            registry.setdefault(key(mirrored), mirrored)
     for op in (T.SELF_CONTAINED_SEMIJOIN, T.SELF_CONTAIN_SEMIJOIN):
         for xk in all_keys:
             registry.setdefault(

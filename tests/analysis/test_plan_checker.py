@@ -21,6 +21,7 @@ import pytest
 from repro.analysis.check_registry import check_plan
 from repro.analysis.tables import (
     ALL_KEYS,
+    OPERATOR_SPECS,
     TE_DOWN,
     TE_UP,
     TS_DOWN,
@@ -108,7 +109,7 @@ def test_corrupted_order_free_flag_is_caught():
 
 def test_unsupported_admissible_cell_is_caught():
     report = check_plan(
-        registry=_corrupt(CONTAIN_TS_TS, factory=None, columnar_factory=None)
+        registry=_corrupt(CONTAIN_TS_TS, factory=None, cell=None)
     )
     assert not report.ok
     assert any(
@@ -119,7 +120,7 @@ def test_unsupported_admissible_cell_is_caught():
 
 
 def test_missing_backend_is_caught():
-    report = check_plan(registry=_corrupt(CONTAIN_TS_TS, columnar_factory=None))
+    report = check_plan(registry=_corrupt(CONTAIN_TS_TS, cell=None))
     assert not report.ok
     assert any(
         "lacks backend" in problem
@@ -137,6 +138,24 @@ def test_missing_cell_is_caught():
         for cell in report.mismatches
         for problem in cell.problems
     )
+
+
+def test_operator_shape_drift_is_caught(monkeypatch):
+    """``TemporalOperator.shape`` is the one definition the executors
+    dispatch on; the independent operator specs still police it."""
+    spec = OPERATOR_SPECS[TemporalOperator.OVERLAP_JOIN]
+    monkeypatch.setitem(
+        OPERATOR_SPECS,
+        TemporalOperator.OVERLAP_JOIN,
+        dataclasses.replace(spec, kind="semijoin"),
+    )
+    drifted = {
+        cell.operator
+        for cell in check_plan().mismatches
+        if any("operator.shape" in problem for problem in cell.problems)
+    }
+    assert drifted == {"overlap-join"}
+    assert {op.shape for op in TemporalOperator} == {"join", "semi", "self"}
 
 
 def test_mismatch_json_names_the_cell():

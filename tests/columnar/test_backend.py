@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.columnar import (
-    ColumnarContainJoinTsTs,
-    ColumnarOverlapJoin,
-    ColumnarSelfContainSemijoin,
-)
+from repro.columnar import CELLS, ColumnarProcessor
 from repro.errors import (
     UnsupportedBackendError,
     UnsupportedSortOrderError,
@@ -14,6 +10,7 @@ from repro.errors import (
 )
 from repro.model import (
     TE_ASC,
+    TE_DESC,
     TS_ASC,
     TemporalRelation,
     TemporalSchema,
@@ -37,6 +34,10 @@ def stream(tuples, order, name):
     return TupleStream.from_tuples(
         sort_tuples(tuples, order), order=order, name=name
     )
+
+
+OVERLAP_JOIN = lookup(TemporalOperator.OVERLAP_JOIN, TS_ASC, TS_ASC)
+SELF_CONTAIN = lookup(TemporalOperator.SELF_CONTAIN_SEMIJOIN, TS_ASC)
 
 
 class TestRegistrySelection:
@@ -65,7 +66,10 @@ class TestRegistrySelection:
             stream(YS, TS_ASC, "Y"),
             backend="columnar",
         )
-        assert isinstance(processor, ColumnarContainJoinTsTs)
+        assert isinstance(processor, ColumnarProcessor)
+        assert processor.cell is entry.cell
+        assert processor.cell is CELLS["contain-join[TS^,TS^]"]
+        assert processor.operator == "columnar-contain-join[TS^,TS^]"
         pairs = processor.run()
         assert sorted((a.value, b.value) for a, b in pairs) == [
             (0, 10),
@@ -77,16 +81,20 @@ class TestRegistrySelection:
 class TestColumnarProcessors:
     def test_admission_check_matches_tuple_backend(self):
         with pytest.raises(UnsupportedSortOrderError):
-            ColumnarOverlapJoin(
-                stream(XS, TE_ASC, "X"), stream(YS, TS_ASC, "Y")
+            OVERLAP_JOIN.build(
+                stream(XS, TE_ASC, "X"),
+                stream(YS, TS_ASC, "Y"),
+                backend="columnar",
             )
 
     def test_binary_operator_requires_y(self):
         with pytest.raises(TypeError):
-            ColumnarOverlapJoin(stream(XS, TS_ASC, "X"))
+            OVERLAP_JOIN.build(stream(XS, TS_ASC, "X"), backend="columnar")
 
     def test_single_use(self):
-        processor = ColumnarSelfContainSemijoin(stream(XS, TS_ASC, "X"))
+        processor = SELF_CONTAIN.build(
+            stream(XS, TS_ASC, "X"), backend="columnar"
+        )
         processor.run()
         from repro.errors import ExecutionError
 
@@ -97,21 +105,25 @@ class TestColumnarProcessors:
         from repro.errors import StreamOrderError
 
         bad = TupleStream.from_tuples(XS[::-1], order=TS_ASC, name="bad")
-        processor = ColumnarSelfContainSemijoin(bad)
+        processor = SELF_CONTAIN.build(bad, backend="columnar")
         with pytest.raises(StreamOrderError):
             processor.run()
 
     def test_meter_limit_enforced(self):
-        processor = ColumnarOverlapJoin(
-            stream(XS, TS_ASC, "X"), stream(YS, TS_ASC, "Y")
+        processor = OVERLAP_JOIN.build(
+            stream(XS, TS_ASC, "X"),
+            stream(YS, TS_ASC, "Y"),
+            backend="columnar",
         )
         processor.meter.limit = 1
         with pytest.raises(WorkspaceOverflowError):
             processor.run()
 
     def test_meter_trace_enabled(self):
-        processor = ColumnarOverlapJoin(
-            stream(XS, TS_ASC, "X"), stream(YS, TS_ASC, "Y")
+        processor = OVERLAP_JOIN.build(
+            stream(XS, TS_ASC, "X"),
+            stream(YS, TS_ASC, "Y"),
+            backend="columnar",
         )
         processor.meter.enable_trace()
         processor.run()
@@ -134,6 +146,47 @@ class TestColumnarProcessors:
             assert report.total_inserted == report.total_discarded
             assert report.residual == 0
         assert results["tuple"] == results["columnar"]
+
+
+class TestMirroredCells:
+    """Lower-half entries run the upper-half cell on negated columns."""
+
+    ENTRY = lookup(TemporalOperator.CONTAIN_JOIN, TE_DESC, TE_DESC)
+
+    @pytest.mark.parametrize("backend", ["columnar", "fused"])
+    def test_operator_names_the_mirror_and_admits_mirrored_orders(
+        self, backend
+    ):
+        processor = self.ENTRY.build(
+            stream(XS, TE_DESC, "X"), stream(YS, TE_DESC, "Y"),
+            backend=backend,
+        )
+        assert processor.cell is CELLS["contain-join[TS^,TS^]"]
+        assert processor.operator == (
+            f"mirror({backend}-contain-join[TS^,TS^])"
+        )
+        assert processor.metrics.kernel == "contain_join_ts_ts"
+        with pytest.raises(UnsupportedSortOrderError):
+            self.ENTRY.build(
+                stream(XS, TS_ASC, "X"), stream(YS, TS_ASC, "Y"),
+                backend=backend,
+            )
+
+    @pytest.mark.parametrize("backend", ["columnar", "fused"])
+    def test_unnegatable_endpoint_overflows_before_any_output(
+        self, backend
+    ):
+        """-2**63 has no time reversal in an int64 column: the type PR
+        14 pinned at the bridge, raised before the sweep."""
+        xs = XS + [TemporalTuple("floor", 99, -(2**63), 3)]
+        processor = self.ENTRY.build(
+            stream(xs, TE_DESC, "X"), stream(YS, TE_DESC, "Y"),
+            backend=backend,
+        )
+        with pytest.raises(OverflowError):
+            processor.run()
+        assert processor.metrics.output_count == 0
+        assert processor.metrics.comparisons == 0
 
 
 class TestPlannerBackend:
@@ -166,6 +219,46 @@ class TestPlannerBackend:
             if profile.chosen.kind == "stream":
                 assert profile.metrics.passes_x == 1
         assert outputs["tuple"] == outputs["columnar"]
+
+    @pytest.mark.parametrize(
+        "ts, te, upper, lower",
+        [
+            (0, 2**42 - 1, True, True),
+            (0, 2**42, False, True),  # mirrored: -2**42 still packs
+            (-(2**42), 5, True, False),  # mirrored: +2**42 does not
+            (-(2**42) - 1, 5, False, False),
+        ],
+    )
+    def test_auto_skips_fused_past_the_packing_limit(
+        self, ts, te, upper, lower
+    ):
+        """The statistics the planner already collects say whether the
+        slot store's packed words can hold the operands; where they
+        cannot, ``auto`` offers the cell on columnar only."""
+        x, y = self.make_relations()
+        wide = TemporalTuple("wide", 99, ts, te)
+        x = TemporalRelation(x.schema, list(x.tuples) + [wide])
+        planner = TemporalJoinPlanner(backend="auto")
+        offered = {True: set(), False: set()}
+        for alt in planner.alternatives(
+            TemporalOperator.CONTAIN_JOIN, x, y
+        ):
+            if alt.kind == "stream":
+                offered[alt.entry.mirrored].add(alt.backend)
+        assert ("fused" in offered[False]) is upper
+        assert ("fused" in offered[True]) is lower
+        assert offered[False] >= {"tuple", "columnar"} <= offered[True]
+        results, profile = planner.execute(
+            TemporalOperator.CONTAIN_JOIN, x, y
+        )
+        baseline = TemporalJoinPlanner(backend="tuple").execute(
+            TemporalOperator.CONTAIN_JOIN, x, y
+        )[0]
+        assert sorted((a.value, b.value) for a, b in results) == sorted(
+            (a.value, b.value) for a, b in baseline
+        )
+        if not (upper or lower):
+            assert profile.chosen.backend != "fused"
 
     def test_columnar_planner_skips_tuple_only_cells(self):
         """Every enumerated stream alternative must actually be

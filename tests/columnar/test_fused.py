@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.tables import FUSED_BOUNDS, derive_fused_bound
 from repro.columnar import fused, kernels
-from repro.columnar.backend import FusedContainJoinTsTs, LazyPairs
+from repro.columnar.backend import CELLS, LazyPairs
 from repro.columnar.events import (
     IDX_MASK,
     RANK_EVICT,
@@ -29,10 +29,16 @@ from repro.columnar.events import (
     merged_schedule,
     pack_entry,
     pack_event,
+    packing_fits,
 )
 from repro.errors import WorkspaceOverflowError
 from repro.model import TS_ASC, TemporalTuple, sort_tuples
-from repro.streams import TupleStream, supported_entries
+from repro.streams import (
+    TemporalOperator,
+    TupleStream,
+    lookup,
+    supported_entries,
+)
 from repro.streams.registry import _registry
 
 #: Endpoints cover negatives: the time-reversal mirrors feed negated
@@ -85,6 +91,90 @@ class TestEntryKeys:
         check_capacity(IDX_MASK)
         with pytest.raises(ValueError):
             check_capacity(IDX_MASK + 1)
+
+    def test_capacity_guard_covers_the_endpoint_span(self):
+        """Both edges of the packed word, at the predicate level: 2**21
+        rows, and endpoints outside [-2**42, 2**42)."""
+        limit = 2**42
+        assert packing_fits(IDX_MASK, -limit, limit - 1)
+        assert not packing_fits(IDX_MASK + 1, 0, 0)
+        assert not packing_fits(1, 0, limit)
+        assert not packing_fits(1, -limit - 1, 0)
+        # The extremes really pack into an int64 slot, one past do not.
+        array("q", [pack_entry(limit - 1, IDX_MASK), pack_entry(-limit, 0)])
+        with pytest.raises(OverflowError):
+            array("q", [pack_entry(limit, 0)])
+        with pytest.raises(ValueError):
+            check_capacity(1, 0, limit)
+
+
+#: (kernel, its columnar twin, which operand it stores) for every fused
+#: kernel with a slot store.
+STORING_KERNELS = [
+    (fused.contain_join_ts_ts, kernels.contain_join_ts_ts, "x"),
+    (fused.contain_join_ts_te, kernels.contain_join_ts_te, "x"),
+    (fused.contain_semijoin_ts_ts, kernels.contain_semijoin_ts_ts, "x"),
+    (fused.contained_semijoin_ts_ts, kernels.contained_semijoin_ts_ts, "y"),
+    (fused.overlap_join_ts_ts, kernels.overlap_join_ts_ts, "x"),
+    (fused.overlap_join_ts_ts, kernels.overlap_join_ts_ts, "y"),
+]
+
+
+class TestPackingLimit:
+    """An endpoint >= 2**42 used to die mid-sweep with a raw
+    ``OverflowError: int too big to convert``."""
+
+    @staticmethod
+    def columns(stored, te):
+        wide = ([0, 1], [te, te])  # the stored side: ends at ``te``
+        narrow = ([2, 3], [5, 6])
+        x, y = (wide, narrow) if stored == "x" else (narrow, wide)
+        return x[0], x[1], y[0], y[1]
+
+    @pytest.mark.parametrize(
+        "kernel, twin, stored", STORING_KERNELS,
+        ids=[f"{k.__name__}-{s}" for k, _, s in STORING_KERNELS],
+    )
+    def test_boundary(self, kernel, twin, stored):
+        fits = self.columns(stored, 2**42 - 1)
+        out, _ = kernel(*fits)
+        expected, _ = twin(*fits)
+        if isinstance(out, fused.JoinRuns):
+            out = tuple(map(list, out.index_columns()))
+        assert out == expected
+        with pytest.raises(ValueError, match="endpoints"):
+            kernel(*self.columns(stored, 2**42))
+        twin(*self.columns(stored, 2**42))  # columnar packs nothing
+
+    def test_self_kernel_boundary(self):
+        ts = [0, 1, 2]
+        fits = [2**42 - 1, 5, 4]
+        out, _ = fused.self_contain_semijoin_ts(ts, fits)
+        assert out == kernels.self_contain_semijoin_ts(ts, fits)[0] == [0, 1]
+        with pytest.raises(ValueError, match="endpoints"):
+            fused.self_contain_semijoin_ts(ts, [2**42, 5, 4])
+
+    def test_processor_refuses_before_the_sweep(self):
+        """The reproduction from the issue: x_te = 2**50.  Tuple and
+        columnar return the row; fused names the limit instead of
+        failing mid-sweep."""
+        entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
+        xs = [TemporalTuple("wide", 0, 0, 2**50)]
+        ys = [TemporalTuple("y", 1, 2, 5)]
+
+        def build(backend):
+            return entry.build(
+                TupleStream.from_tuples(xs, order=TS_ASC, name="X"),
+                TupleStream.from_tuples(ys, order=TS_ASC, name="Y"),
+                backend=backend,
+            )
+
+        for backend in ("tuple", "columnar"):
+            assert list(build(backend).run()) == [(xs[0], ys[0])]
+        processor = build("fused")
+        with pytest.raises(ValueError, match="endpoints"):
+            processor.run()
+        assert processor.metrics.comparisons == 0
 
 
 class TestEventSchedule:
@@ -250,17 +340,15 @@ class TestEndpointOnlyExecution:
 
 class TestSlotBounds:
     def test_every_fused_cell_declares_a_certified_bound(self):
-        """Each fused processor's declared slot_bound is in the bound
-        vocabulary and matches the Tables-1/2/3 derivation."""
+        """Each cell row's declared slot_bound is in the bound
+        vocabulary and matches the Tables-1/2/3 derivation (a mirrored
+        entry shares its upper-half original's row)."""
         seen = 0
         for entry in _registry().values():
-            if entry.fused_factory is None:
+            if entry.cell is None:
                 continue
             seen += 1
-            base = getattr(
-                entry.fused_factory, "base_factory", entry.fused_factory
-            )
-            declared = base.slot_bound
+            declared = entry.cell.slot_bound
             assert declared in FUSED_BOUNDS
             assert declared == derive_fused_bound(
                 entry.operator, entry.state_class
@@ -277,7 +365,6 @@ class TestSlotBounds:
             ],
             TS_ASC,
         )
-        from repro.streams import TemporalOperator
 
         def run(op, x_order, y_order, backend):
             entry = None
@@ -341,4 +428,4 @@ class TestSlotBounds:
         )
 
     def test_processor_class_exposes_bound(self):
-        assert FusedContainJoinTsTs.slot_bound == "active-intervals"
+        assert CELLS["contain-join[TS^,TS^]"].slot_bound == "active-intervals"

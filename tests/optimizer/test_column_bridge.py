@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.algebra import LJoin, LProject, optimize
 from repro.columnar import IntervalColumns
+from repro.columnar.fused import LazyPairs
 from repro.governance import QueryBudget
 from repro.model import (
     TE_ASC,
@@ -40,7 +41,7 @@ from repro.optimizer import (
 from repro.query import parse_query, translate
 from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
-from repro.streams import TemporalOperator
+from repro.streams import TemporalOperator, TupleStream, lookup
 from repro.workload import (
     PoissonWorkload,
     fixed_duration,
@@ -114,6 +115,63 @@ def test_tuples_built_per_query(arrange, text, backend, constructions):
     assert info.chosen.startswith("stream")
     expected = len(cat["X"]) + len(cat["Y"]) if backend == "tuple" else 0
     assert constructions[0] == expected
+
+
+MIRRORED_CELLS = (
+    (TemporalOperator.CONTAIN_JOIN, TE_DESC, TE_DESC),
+    (TemporalOperator.CONTAIN_SEMIJOIN, TE_DESC, TS_DESC),
+    (TemporalOperator.OVERLAP_JOIN, TE_DESC, TE_DESC),
+    (TemporalOperator.SELF_CONTAINED_SEMIJOIN, TE_DESC, None),
+)
+
+
+@pytest.mark.parametrize("backend", ("columnar", "fused"))
+@pytest.mark.parametrize(
+    "operator, x_order, y_order", MIRRORED_CELLS,
+    ids=[cell[0].value for cell in MIRRORED_CELLS],
+)
+def test_mirrored_cell_builds_no_tuples(
+    operator, x_order, y_order, backend, constructions
+):
+    """A lower-half cell reverses time on the columns: operands born as
+    columns reach the kernel, and the output leaves it, without one
+    ``TemporalTuple`` — and the positions are the tuple backend's."""
+    entry = lookup(operator, x_order, y_order)
+    assert entry.mirrored
+    # The containing (X) side mixes durations, so it nests within itself.
+    sides = (
+        ("X", PoissonWorkload(150, 0.4, uniform_duration(5, 40)), entry.x_order),
+        ("Y", PoissonWorkload(150, 0.4, fixed_duration(4)), entry.y_order),
+    )
+    operands = {}
+    for seed, (name, workload, order) in enumerate(sides, start=5):
+        if order is not None:
+            rel = workload.generate(seed)
+            born = IntervalColumns.from_tuples(rel.tuples)
+            operands[name] = IntervalColumns(
+                born.ts, born.te, range(len(born)), None
+            ).sorted_by(order)
+
+    def run(on):
+        return entry.build(
+            *(TupleStream.from_columns(c, n) for n, c in operands.items()),
+            backend=on,
+        ).run()
+
+    constructions[0] = 0
+    out = run(backend)
+    if operator.shape == "join":
+        assert isinstance(out, LazyPairs) and not out.materialized
+        out.index_columns()
+    assert len(out) > 0
+    assert constructions[0] == 0
+    assert [c.tuples_built for c in operands.values()] == [0] * len(operands)
+    # Payloads are row positions, the tuple backend's surrogates.
+    if operator.shape == "join":
+        expected = [(a.surrogate, b.surrogate) for a, b in run("tuple")]
+    else:
+        expected = [tup.surrogate for tup in run("tuple")]
+    assert list(out) == expected
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.harness import generate_relation
-from repro.model import TS_ASC, sort_tuples
+from repro.model import TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
 from repro.streams import TemporalOperator, lookup
 
@@ -45,6 +45,36 @@ def test_every_cell_matches_serial(entry, backend, shards, small_inputs):
     assert canon(outcome.results) == expected
     assert outcome.plan.effective_shards >= 1
     assert not outcome.degraded
+
+
+@pytest.mark.parametrize(
+    "entry", [cell for cell in CELLS if cell.mirrored], ids=cell_id
+)
+@pytest.mark.parametrize("backend", ["columnar", "fused"])
+def test_mirrored_strict_shard_takes_the_kernel_fast_path(
+    entry, backend, small_inputs, monkeypatch
+):
+    """A STRICT lower-half shard runs its cell's kernel on the negated
+    endpoint buffers: it names that kernel, rebuilds no tuple (the
+    recovery ladder would rebuild every one), and still equals the
+    serial run."""
+    x_raw, y_raw = small_inputs
+    xs, ys = sorted_inputs(entry, x_raw, y_raw)
+    expected = canon(serial_run(entry, xs, ys, backend))
+    built = []
+    validate = TemporalTuple.__post_init__
+    monkeypatch.setattr(
+        TemporalTuple,
+        "__post_init__",
+        lambda self: (built.append(self), validate(self))[1],
+    )
+    outcome = execute_parallel(
+        entry, xs, ys, shards=3, backend=backend, mode="inline"
+    )
+    assert outcome.plan.effective_shards > 1
+    assert outcome.metrics.kernel == entry.cell.kernel(backend).__name__
+    assert canon(outcome.results) == expected
+    assert built == []
 
 
 class TestChaosDifferential:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StreamOrderError, WorkspaceOverflowError
 from repro.model import TemporalTuple, sort_tuples
-from repro.model.sortorder import TS_ASC
+from repro.model.sortorder import TE_DESC, TS_ASC
 from repro.resilience import ExecutionReport, RecoveryPolicy
 from repro.resilience.executor import execute_entry
 from repro.streams import TupleStream
@@ -165,6 +165,69 @@ class TestQuarantine:
             join_oracle(kept, ys, contain_predicate)
         )
         assert len(report.quarantined) == 2
+
+
+#: The lower-half twin of CONTAIN_TS_TS: the batch backends run it on
+#: negated columns, reading the *original* streams.
+CONTAIN_TE_DESC = lookup(TemporalOperator.CONTAIN_JOIN, TE_DESC, TE_DESC)
+
+
+@pytest.mark.parametrize("backend", ["columnar", "fused"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+class TestMirroredBatchCellTagsTheOffendingSide:
+    def operands(self, side):
+        xs = sort_tuples(DENSE_X, TE_DESC)
+        ys = sort_tuples(DENSE_Y, TE_DESC)
+        # The earliest-ending tuple moved to the front breaks TEv.
+        if side == "X":
+            xs = xs[-1:] + xs[:-1]
+        else:
+            ys = ys[-1:] + ys[:-1]
+        return xs, ys
+
+    def test_strict_names_the_stream(self, side, backend):
+        xs, ys = self.operands(side)
+        with pytest.raises(StreamOrderError) as err:
+            execute_entry(CONTAIN_TE_DESC, xs, ys, backend=backend)
+        assert err.value.stream_name == side
+
+    def test_quarantine_names_the_stream(self, side, backend):
+        xs, ys = self.operands(side)
+        report = ExecutionReport()
+        outcome = execute_entry(
+            CONTAIN_TE_DESC,
+            xs,
+            ys,
+            backend=backend,
+            policy=RecoveryPolicy.QUARANTINE,
+            report=report,
+        )
+        assert {e.stream for e in report.quarantined} == {side}
+        assert canon(outcome.results) == canon(
+            join_oracle(
+                greedy_clean(xs, TE_DESC),
+                greedy_clean(ys, TE_DESC),
+                contain_predicate,
+            )
+        )
+
+    def test_degrade_resorts_only_that_side(self, side, backend):
+        xs, ys = self.operands(side)
+        report = ExecutionReport()
+        outcome = execute_entry(
+            CONTAIN_TE_DESC,
+            xs,
+            ys,
+            backend=backend,
+            policy=RecoveryPolicy.DEGRADE,
+            report=report,
+        )
+        (fallback,) = report.fallbacks
+        assert fallback.kind == "re-sort"
+        assert fallback.detail.startswith(f"re-sorted {side} ")
+        assert canon(outcome.results) == canon(
+            join_oracle(xs, ys, contain_predicate)
+        )
 
 
 class TestDegradeFixed:
