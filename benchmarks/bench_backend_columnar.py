@@ -20,12 +20,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_backend_columnar.py \
         --sizes 1000 10000 100000 --out BENCH_columnar.json
 
-The report records three headline claims on the Figure-5 Contain-join
-at the largest size — fused >= 8x over tuple, fused >= 1.8x over
-columnar, and the retained columnar >= 3x over tuple — enforced only
-at 100k tuples or more (below that each claim reports ``passed: null``
-plus a ``skipped_reason``, never a fake pass).  The script exits
-non-zero when any enforced claim fails, so CI can hold the line.
+The report records two headline claims on the Figure-5 Contain-join
+at the largest size — fused >= 8x over tuple and the retained columnar
+>= 3x over tuple — enforced only at 100k tuples or more (below that
+each claim reports ``passed: null`` plus a ``skipped_reason``, never a
+fake pass).  The script exits non-zero when an enforced claim fails.
+Fused against columnar is reported per row (``fused_vs_columnar``) but
+not claimed: end to end (``bench/``) the two trade places by workload.
 """
 
 import argparse
@@ -263,12 +264,6 @@ def main(argv=None):
         "contain-join at the largest size (enforced at 100k+)",
     )
     parser.add_argument(
-        "--require-fused-vs-columnar",
-        type=float,
-        default=1.8,
-        help="minimum fused speedup over columnar on the same cell",
-    )
-    parser.add_argument(
         "--require-speedup",
         type=float,
         default=3.0,
@@ -314,13 +309,6 @@ def main(argv=None):
             top,
             args.require_fused_speedup,
             headline["fused_speedup"] if headline else None,
-            enforced,
-        ),
-        build_claim(
-            "fused_vs_columnar",
-            top,
-            args.require_fused_vs_columnar,
-            headline["fused_vs_columnar"] if headline else None,
             enforced,
         ),
         build_claim(

@@ -22,7 +22,9 @@ cell:
 * backends — every supported cell offers the tuple-at-a-time and both
   batch backends; inadmissible cells offer none;
 * shape — ``TemporalOperator.shape`` agrees with the operator spec's
-  ``kind``.
+  ``kind``;
+* fallback — every operator with a supported cell has a row in the one
+  operator → predicate map (``streams.processors.baseline.PREDICATES``).
 
 The checker accepts an injected registry mapping so tests can corrupt
 one cell and prove the mismatch is caught.  Exit contract (via
@@ -38,6 +40,7 @@ from typing import List, Mapping, Optional, Tuple
 
 from ..model.sortorder import SortOrder
 from ..streams import registry as registry_module
+from ..streams.processors.baseline import PREDICATES
 from ..streams.registry import RegistryEntry, TemporalOperator
 from .tables import (
     OPERATOR_SPECS,
@@ -240,6 +243,12 @@ def _check_cell(
                 problems.append(
                     f"supported cell lacks backend(s): {missing}"
                 )
+        # -- fallback predicate -------------------------------------------
+        if entry.supported and operator not in PREDICATES:
+            problems.append(
+                "supported cell's operator has no PREDICATES row: the "
+                "spill and nested-loop fallbacks cannot evaluate it"
+            )
         if not table.admissible and entry.backends:
             problems.append(
                 "inadmissible cell offers backends "

@@ -362,7 +362,7 @@ _GOVERNED_FUNCTIONS: Sequence[Tuple[str, Tuple[str, ...]]] = (
     ("streams/workspace.py", ("on_insert",)),
     ("columnar/backend.py", ("_absorb", "_materialise")),
     ("parallel/pool.py", ("_collect",)),
-    ("parallel/worker.py", ("_run_kernel",)),
+    ("parallel/worker.py", ("run_shard",)),
     ("parallel/shm.py", ("write_result", "read_result")),
 )
 

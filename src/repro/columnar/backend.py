@@ -160,31 +160,6 @@ def _reversed(columns: IntervalColumns) -> Tuple[array, array]:
     )
 
 
-def sweep(
-    cell: Cell,
-    backend: str,
-    x: IntervalColumns,
-    y: Optional[IntervalColumns] = None,
-    mirrored: bool = False,
-    limit: Optional[int] = None,
-    trace: Optional[list] = None,
-) -> Tuple[object, SweepStats]:
-    """Run ``cell``'s kernel for ``backend`` over drained columns — the
-    one shape dispatch, shared by :class:`ColumnarProcessor` and the
-    shard workers: unary (``"self"``) kernels take X's two endpoint
-    columns, binary ones X's and Y's.  The output holds X positions
-    (``"semi"``/``"self"``) or, for ``"join"``, what
-    :class:`~repro.columnar.fused.LazyPairs` accepts; positions index
-    the operands as given, mirrored or not."""
-    columns: list = []
-    for operand in (x, y):
-        if operand is not None:
-            columns += (
-                _reversed(operand) if mirrored else (operand.ts, operand.te)
-            )
-    return cell.kernel(backend)(*columns, limit=limit, trace=trace)
-
-
 class ColumnarProcessor(StreamProcessor):
     """One cell on one batch backend: drain operands into columns, run
     the cell's kernel, emit payloads, and mirror the kernel's
@@ -290,9 +265,19 @@ class ColumnarProcessor(StreamProcessor):
             # kernel sweep (the drains above checked at their pass
             # boundaries).
             token.check()
-        out, stats = sweep(
-            self.cell, self.backend_name, x_cols, y_cols, self.mirrored,
-            limit=self.meter.limit, trace=self.meter.trace,
+        # The one shape dispatch: unary ("self") kernels take X's two
+        # endpoint columns, binary ones X's and Y's.  Output positions
+        # index the operands as given, mirrored or not.
+        columns: list = []
+        for operand in (x_cols, y_cols):
+            if operand is not None:
+                columns += (
+                    _reversed(operand)
+                    if self.mirrored
+                    else (operand.ts, operand.te)
+                )
+        out, stats = self.cell.kernel(self.backend_name)(
+            *columns, limit=self.meter.limit, trace=self.meter.trace
         )
         self._absorb(stats)
         if self.cell.shape == "join":

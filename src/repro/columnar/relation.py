@@ -122,8 +122,9 @@ class IntervalColumns:
         """An operand born as columns (payload = row positions) as
         :class:`TemporalTuple` values, for consumers that are
         tuple-at-a-time by nature (cursors, nested loops, the recovery
-        ladder): one validated tuple per position, its surrogate the
-        payload entry, no value — built on first use and kept."""
+        ladder's re-sort and spill): one validated tuple per position,
+        its surrogate the payload entry, no value — built on first use
+        and kept."""
         if self._tuples is None:
             self._tuples = [
                 TemporalTuple(position, None, start, end)

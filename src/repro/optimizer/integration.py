@@ -23,21 +23,22 @@ position.  Statistics, the sort (an argsort, skipped when the columns
 are already in order) and the batch backends' drain all read the
 columns, so a columnar or fused join builds no
 :class:`~repro.model.tuples.TemporalTuple` at all; a consumer that is
-tuple-at-a-time by nature (tuple backend, nested-loop winner, recovery
-ladder) makes the operand build them once — surrogate the row position,
-no value — so the stream operators (which only inspect endpoints for
-the inequality operators) run unchanged.  The
-join's output comes back as an **index-pair relation**
+tuple-at-a-time by nature (tuple backend, nested-loop winner, a
+recovery rung that reads tuples) makes the operand build them once —
+surrogate the row position, no value — so the stream operators (which
+only inspect endpoints for the inequality operators) run unchanged.
+The join's output comes back as an **index-pair relation**
 (see :class:`_StreamJoin`): the two sides' rows plus two parallel
 index columns, one entry per output pair in emission order.  The batch
 backends hand over their kernels' positional index columns directly
 (``index_columns()`` on the lazy join output — no payload pair is ever
-built); the tuple backend and the nested-loop and resilient fallbacks
-return pairs, whose surrogates are the indexes.  Rows are assembled
-late, by whoever consumes the join: the projection that sits directly
-above it (every Quel ``retrieve`` produces one) gathers only the
-columns it keeps, column-wise; any other parent iterates concatenated
-rows.  Either way each output pair maps back to its original rows
+built); the tuple backend and the nested-loop and spill fallbacks
+return pairs, whose surrogates are the indexes
+(:func:`~repro.resilience.executor.index_sides` decodes either).  Rows
+are assembled late, by whoever consumes the join: the projection that
+sits directly above it (every Quel ``retrieve`` produces one) gathers
+only the columns it keeps, column-wise; any other parent iterates
+concatenated rows.  Either way each output pair maps back to its original rows
 losslessly — duplicates included.
 """
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from operator import add, attrgetter, itemgetter, lt
+from operator import add, itemgetter, lt
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -62,10 +63,10 @@ from ..allen.symbolic import Comparison, Endpoint, EndpointKind
 from ..columnar.relation import IntervalColumns
 from ..errors import PlanningError
 from ..model.interval import Interval
-from ..model.tuples import TemporalTuple
 from ..relational.expressions import Compare
 from ..relational.operators import BinaryOperator, EngineStats, Operator
 from ..relational.schema import Row, RowSchema
+from ..resilience.executor import index_sides
 from ..semantic.bridge import to_symbolic
 from ..semantic.inequality_graph import ImplicationGraph
 from ..semantic.recognize import GENERAL_OVERLAP, recognize_allen
@@ -320,7 +321,9 @@ class _StreamJoin(BinaryOperator):
             recovery=recovery,
             report=self._report,
         )
-        x_side, y_side = _index_pair_sides(results, x[1], y[1])
+        x_side, y_side = index_sides(
+            results, self.operator_kind.shape, x[1], y[1]
+        )
         wall_seconds = time.perf_counter() - started
         self.info = StreamJoinInfo(
             operator=self.operator_kind,
@@ -429,44 +432,6 @@ def _rows_to_columns(rows: list[Row], schema: RowSchema) -> IntervalColumns:
             Interval(start, end)  # raises on the first offending row
         ts, te = array("q", starts), array("q", ends)  # int subclasses
     return IntervalColumns(ts, te, range(len(rows)), None)
-
-
-_surrogate_of = attrgetter("surrogate")
-
-
-def _index_pair_sides(results, x_rows: list[Row], y_rows: list[Row]):
-    """The X and Y side of a join result as ``(rows, index column)``
-    pairs, output pairs in emission order.
-
-    The batch backends' lazy outputs (``LazyPairs``, and ``LazyResults``
-    of a sharded plan) carry positions into the *sorted* operands, so
-    each side's rows are put in that order once (|side| work) and the
-    kernel's index columns are used as they are.  Anything else is a
-    sequence of tuple pairs whose surrogates index the rows directly.
-    """
-    if hasattr(results, "index_columns"):
-        x_index, y_index = results.index_columns()
-        return (
-            (_in_order_of(results.x_payload, x_rows), x_index),
-            (_in_order_of(results.y_payload, y_rows), y_index),
-        )
-    xs, ys = zip(*results) if results else ((), ())
-    return (
-        (x_rows, list(map(_surrogate_of, xs))),
-        (y_rows, list(map(_surrogate_of, ys))),
-    )
-
-
-def _in_order_of(payload, rows: list[Row]) -> list[Row]:
-    """``rows`` in the order of ``payload``: the row positions of an
-    operand that stayed columns (a ``range`` when no argsort moved
-    them), or the index-surrogate tuples of one that went through the
-    recovery ladder."""
-    if isinstance(payload, range):
-        return rows
-    if payload and isinstance(payload[0], TemporalTuple):
-        payload = map(_surrogate_of, payload)
-    return list(map(rows.__getitem__, payload))
 
 
 def _concatenated(left_side, right_side) -> Iterator[Row]:

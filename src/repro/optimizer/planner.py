@@ -25,7 +25,7 @@ data instances".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..governance.budget import QueryBudget
@@ -40,16 +40,14 @@ from ..errors import (
 from ..model.relation import TemporalRelation
 from ..model.sortorder import order_satisfies
 from ..obs.trace import get_tracer
+from ..resilience.executor import execute_entry, stream_over
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..stats.estimators import TemporalStatistics, collect_statistics
 from ..streams.metrics import ProcessorMetrics
 from ..streams.processors.baseline import (
+    PREDICATES,
     NestedLoopJoin,
     NestedLoopSemijoin,
-    before_predicate,
-    contain_predicate,
-    contained_predicate,
-    overlap_predicate,
 )
 from ..streams.registry import (
     BACKENDS,
@@ -57,28 +55,10 @@ from ..streams.registry import (
     TemporalOperator,
     supported_entries,
 )
-from ..streams.stream import TupleStream
 from .cost import CostModel, expected_output_for, expected_workspace_for
-
-#: Nested-loop predicate per operator (the correctness semantics).
-_PREDICATES: dict[TemporalOperator, Callable] = {
-    TemporalOperator.CONTAIN_JOIN: contain_predicate,
-    TemporalOperator.CONTAIN_SEMIJOIN: contain_predicate,
-    TemporalOperator.CONTAINED_SEMIJOIN: contained_predicate,
-    TemporalOperator.OVERLAP_JOIN: overlap_predicate,
-    TemporalOperator.OVERLAP_SEMIJOIN: overlap_predicate,
-    TemporalOperator.BEFORE_JOIN: before_predicate,
-    TemporalOperator.BEFORE_SEMIJOIN: before_predicate,
-}
 
 #: What the planner plans over and runs on.
 Operand = Union[TemporalRelation, IntervalColumns]
-
-
-def _stream_over(operand: Operand, name: str) -> TupleStream:
-    if isinstance(operand, IntervalColumns):
-        return TupleStream.from_columns(operand, name)
-    return TupleStream.from_relation(operand, name=name)
 
 
 def _fused_packs(entry: RegistryEntry, *operands: TemporalStatistics) -> bool:
@@ -100,6 +80,19 @@ def _entry_of(alternative: "Alternative") -> RegistryEntry:
             f"{alternative.kind} alternative has no registry entry"
         )
     return alternative.entry
+
+
+def _note_recovery(
+    profile: "ExecutionProfile",
+    recovery: RecoveryPolicy,
+    report: ExecutionReport,
+) -> None:
+    profile.details["recovery"] = recovery.value
+    profile.details["execution_report"] = report
+    if report.fallbacks:
+        profile.details["fallback"] = [
+            event.kind for event in report.fallbacks
+        ]
 
 
 def _in_entry_order(
@@ -417,14 +410,14 @@ class TemporalJoinPlanner:
 
         ``recovery`` selects how a violated assumption is handled:
 
-        * ``None`` (legacy) — a workspace overflow silently falls back
-          to the stateless nested loop, recorded in the profile;
-        * a :class:`~repro.resilience.recovery.RecoveryPolicy` — the
-          stream plan runs through the resilient executor: ``STRICT``
-          fails fast with the original error, ``QUARANTINE`` skips
-          violating tuples into the report's side-channel, ``DEGRADE``
-          re-sorts on order violations and spills into extra passes on
-          overflow.  The :class:`~repro.resilience.recovery.
+        * ``None`` (legacy) — ``STRICT``, except that a workspace
+          overflow silently falls back to the stateless nested loop,
+          recorded in the profile;
+        * a :class:`~repro.resilience.recovery.RecoveryPolicy` —
+          ``STRICT`` fails fast with the original error, ``QUARANTINE``
+          skips violating tuples into the report's side-channel,
+          ``DEGRADE`` re-sorts on order violations and spills into
+          extra passes on overflow.  The :class:`~repro.resilience.recovery.
           ExecutionReport` lands in ``profile.details``.
 
         A planner constructed with ``budget=`` runs the whole thing
@@ -494,9 +487,14 @@ class TemporalJoinPlanner:
                 results, metrics = self._run_nested_loop(
                     operator, x_relation, y_relation
                 )
-            elif chosen.kind == "parallel-stream":
+            else:
+                run = (
+                    self._run_parallel
+                    if chosen.kind == "parallel-stream"
+                    else self._run_cell
+                )
                 try:
-                    results, metrics = self._run_parallel(
+                    results, metrics = run(
                         chosen,
                         x_sorted,
                         y_sorted,
@@ -513,58 +511,36 @@ class TemporalJoinPlanner:
                     results, metrics = self._run_nested_loop(
                         operator, x_relation, y_relation
                     )
-            elif recovery is not None:
-                results, metrics = self._run_resilient(
-                    chosen,
-                    x_sorted,
-                    y_sorted,
-                    workspace_budget,
-                    recovery,
-                    report,
-                    profile,
-                )
-            else:
-                try:
-                    results, metrics = self._run_stream(
-                        chosen, x_sorted, y_sorted, workspace_budget
-                    )
-                except WorkspaceOverflowError:
-                    profile.details["workspace_overflow"] = True
-                    profile.details["fallback"] = "nested-loop"
-                    results, metrics = self._run_nested_loop(
-                        operator, x_relation, y_relation
-                    )
             profile.metrics = metrics
             return results, profile
 
-    def _run_resilient(
+    def _run_cell(
         self,
         alternative: Alternative,
         x_relation: Operand,
         y_relation: Operand,
         workspace_budget: Optional[int],
-        recovery: RecoveryPolicy,
+        recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
         profile: ExecutionProfile,
     ):
-        from ..resilience.executor import execute_entry
-
+        """Run the chosen cell serially, operands as they are.  Legacy
+        mode (``recovery=None``) is STRICT whose overflow the caller
+        answers with the nested loop, and reports no ladder."""
         entry = _entry_of(alternative)
         outcome = execute_entry(
             entry,
-            x_relation.tuples,
-            y_relation.tuples,
+            x_relation,
+            y_relation if entry.y_order is not None else None,
             backend=alternative.backend,
-            policy=recovery,
+            policy=recovery or RecoveryPolicy.STRICT,
             workspace_budget=workspace_budget,
             report=report,
         )
-        profile.details["recovery"] = recovery.value
-        profile.details["execution_report"] = outcome.report
-        if outcome.report.fallbacks:
-            profile.details["fallback"] = [
-                event.kind for event in outcome.report.fallbacks
-            ]
+        if recovery is None:
+            outcome.metrics.resilience = None
+        else:
+            _note_recovery(profile, recovery, outcome.report)
         return outcome.results, outcome.metrics
 
     def _run_parallel(
@@ -604,39 +580,8 @@ class TemporalJoinPlanner:
         if outcome.containment:
             profile.details["containment"] = dict(outcome.containment)
         if recovery is not None:
-            profile.details["recovery"] = recovery.value
-            profile.details["execution_report"] = outcome.report
-            if outcome.report.fallbacks:
-                profile.details["fallback"] = [
-                    event.kind for event in outcome.report.fallbacks
-                ]
+            _note_recovery(profile, recovery, outcome.report)
         return outcome.results, outcome.metrics
-
-    def _run_stream(
-        self,
-        alternative: Alternative,
-        x_relation: Operand,
-        y_relation: Operand,
-        workspace_budget: Optional[int] = None,
-    ):
-        entry = _entry_of(alternative)
-        processor = entry.build(
-            _stream_over(x_relation, "X"),
-            _stream_over(y_relation, "Y"),
-            backend=alternative.backend,
-        )
-        if workspace_budget is not None and hasattr(processor, "meter"):
-            processor.meter.limit = workspace_budget
-        if hasattr(processor, "meter"):
-            # Governance rides the metered insert path here exactly as
-            # it does in the resilient executor: under a token, every
-            # insert reports the joint state size against the
-            # workspace-tuple cap.
-            from ..governance.budget import active_token
-
-            processor.meter.token = active_token()
-        results = processor.run()
-        return results, processor.metrics
 
     def _run_nested_loop(
         self,
@@ -644,9 +589,9 @@ class TemporalJoinPlanner:
         x_relation: Operand,
         y_relation: Operand,
     ):
-        predicate = _PREDICATES[operator]
-        x_stream = _stream_over(x_relation, "X")
-        y_stream = _stream_over(y_relation, "Y")
+        predicate = PREDICATES[operator]
+        x_stream = stream_over(x_relation, "X")
+        y_stream = stream_over(y_relation, "Y")
         if operator.shape == "semi":
             processor = NestedLoopSemijoin(x_stream, y_stream, predicate)
         else:

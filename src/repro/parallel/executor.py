@@ -7,9 +7,8 @@ independent shards.  Every run has one spine: the operands are
 columnised (:class:`~repro.columnar.relation.IntervalColumns`), shards
 are planned as contiguous index ranges (:mod:`repro.parallel.shards`),
 each shard runs the one shard body
-(:func:`repro.parallel.worker.run_shard` — the columnar or fused
-kernel directly on the endpoint columns when eligible, otherwise the
-resilience ladder over index-surrogate tuples) and returns an
+(:func:`repro.parallel.worker.run_shard` — ``execute_entry`` itself,
+over the shard's endpoint columns) and returns an
 ``array('q')`` index chunk, and the chunks are wrapped in
 :class:`LazyResults`, whose payload tuples materialise on the parent
 side only when touched.  The two modes differ only in transport:
@@ -50,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Union
 
 from ..columnar.relation import IntervalColumns
-from ..errors import ExecutionError, ReproError
+from ..errors import ExecutionError, ReproError, StreamOrderError
 from ..governance.budget import active_token
 from ..model.tuples import TemporalTuple
 from ..obs.graft import graft_worker_trace
@@ -519,6 +518,22 @@ def _as_columns(operand, order, name: str) -> IntervalColumns:
     )
 
 
+def _verify_order(
+    columns: IntervalColumns, order, name: str, report: ExecutionReport
+) -> None:
+    """STRICT's order check over a whole operand, before it is cut: a
+    violation straddling a shard boundary is in order within both
+    slices, so no shard could see it."""
+    try:
+        IntervalColumns.from_views(
+            columns.ts, columns.te, order, name
+        ).verify_order()
+    except StreamOrderError as error:
+        error.stream_name = name
+        report.note_order_violation()
+        raise
+
+
 def _note_pool_fallback(span, exc: Exception) -> None:
     """Satellite of the silent-``except Exception`` bugfix: fallbacks
     are counted and carry the exception class into EXPLAIN ANALYZE."""
@@ -598,6 +613,10 @@ def execute_parallel(
     ) as span:
         x_cols = _as_columns(x_tuples, entry.x_order, "X")
         y_cols = None if unary else _as_columns(y_tuples, entry.y_order, "Y")
+        if policy is RecoveryPolicy.STRICT and not entry.order_free:
+            _verify_order(x_cols, entry.x_order, "X", report)
+            if y_cols is not None:
+                _verify_order(y_cols, entry.y_order, "Y", report)
         plan = plan_ranges(
             entry,
             x_cols.ts,

@@ -1,28 +1,22 @@
 """The shard body, and its worker-side shared-memory transport.
 
 :func:`run_shard` is the one way a shard executes, in a pool worker or
-in the parent (``mode="inline"``).  It takes the shard's endpoint
-columns — any int64 buffers — and runs them in one of two ways:
+in the parent (``mode="inline"``), whatever the backend and recovery
+policy.  It wraps the shard's endpoint columns — any int64 buffers — as
+:class:`~repro.columnar.relation.IntervalColumns` whose payload is the
+shard-local row position and runs them through
+:func:`~repro.resilience.executor.execute_entry`, the body every serial
+plan runs too: a batch backend sweeps the buffers as they are (a
+mirrored cell their negations), so a clean shard costs the kernel plus
+zero object traffic, and the STRICT/QUARANTINE/DEGRADE ladder, fault
+plans and retry semantics apply per shard; only a rung that is
+tuple-at-a-time by nature builds the shard's tuples (surrogate =
+position, no payloads).
 
-* **Kernel fast path** — columnar or fused backend, STRICT policy, no
-  fault plan, no workspace budget: the cell's sweep kernel runs
-  *directly on the endpoint buffers* (wrapped in
-  :class:`~repro.columnar.relation.IntervalColumns` endpoint-only
-  columns; a mirrored cell on their negations), so the shard costs
-  exactly the kernel plus zero object traffic.
-* **Resilience ladder** — every other configuration reconstructs the
-  shard's tuples from the endpoint buffers (surrogate = global column
-  index, no payloads) and runs the unchanged
-  :func:`~repro.resilience.executor.execute_entry`, preserving the
-  STRICT/QUARANTINE/DEGRADE ladder, fault plans, and retry semantics
-  per shard.
-
-Either way the result is a ``(kind, first, second, x_base, y_base)``
-chunk of ``array('q')`` index columns; the parent materialises payload
-tuples lazily from its own relation lists.  Surrogates of reconstructed
-tuples are their global indexes, which the mirrored processors
-preserve, so every backend/policy combination encodes without ever
-pickling a tuple.
+The result is a ``(kind, first, second, x_base, y_base)`` chunk of
+``array('q')`` shard-local index columns; the parent adds the bases and
+materialises payload tuples lazily from its own relation lists, so no
+backend/policy combination ever pickles a tuple.
 
 :func:`run_task` is the process transport around that body: a task
 names an operand segment plus column offsets; the worker maps the
@@ -36,9 +30,8 @@ import os
 import threading
 import time
 from array import array
-from typing import Optional
+from typing import Optional, Sequence
 
-from ..columnar.backend import cyclic_gc_paused, sweep
 from ..columnar.relation import IntervalColumns
 from ..governance.budget import QueryBudget, active_token, governed
 from ..obs.graft import DEFAULT_MAX_TRACE_BYTES, serialize_tracer
@@ -49,7 +42,7 @@ from ..obs.metrics import (
     uninstall_registry,
 )
 from ..obs.trace import Tracer, set_tracer, span_creation_count
-from ..resilience.recovery import ExecutionReport, RecoveryPolicy
+from ..resilience.executor import execute_entry, index_sides
 from ..streams.registry import RegistryEntry, lookup
 from . import shm
 
@@ -223,148 +216,21 @@ def run_shard(
     raises (STRICT semantics must propagate the original exception
     types to the caller).
     """
-    if _fast_path_eligible(task, entry):
-        return _run_kernel(task, entry, x_ts, x_te, y_ts, y_te)
-    return _run_ladder(task, entry, x_ts, x_te, y_ts, y_te)
-
-
-def _fast_path_eligible(task: dict, entry: RegistryEntry) -> bool:
-    return (
-        task["backend"] in ("columnar", "fused")
-        and task["policy"] is RecoveryPolicy.STRICT
-        and task["fault_plan"] is None
-        and task["workspace_budget"] is None
-        and entry.cell is not None
-    )
-
-
-# ----------------------------------------------------------------------
-# kernel fast path
-# ----------------------------------------------------------------------
-def _run_kernel(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
-    cell, backend = entry.cell, task["backend"]
     shape, x_base = task["shape"], task["x_base"]
-    x_cols = IntervalColumns.from_views(
-        x_ts, x_te, entry.x_order, name="X[shard]"
+    x_cols = IntervalColumns(
+        x_ts, x_te, range(len(x_ts)), entry.x_order, name="X[shard]"
     )
     y_cols = None
     if shape != "self":
-        empty = array("q")
-        y_cols = IntervalColumns.from_views(
-            y_ts if y_ts is not None else empty,
-            y_te if y_te is not None else empty,
-            entry.y_order,
-            name="Y[shard]",
-        )
-    residual_filtered = 0
-    second = None
-    with cyclic_gc_paused():
-        result, stats = sweep(cell, backend, x_cols, y_cols, entry.mirrored)
-        if shape == "self":
-            # Owner-filter in shard-local coordinates: only positions
-            # inside the owned slice of the context window survive.
-            lo = task["owned_lo"] - x_base
-            hi = task["owned_hi"] - x_base
-            first = array("q", (rel for rel in result if lo <= rel < hi))
-            residual_filtered = len(result) - len(first)
-        elif shape == "semi":
-            first = array("q", result)
-        elif hasattr(result, "index_columns"):
-            # Fused kernels emit lazy JoinRuns; the shard boundary
-            # is the consumption point, so expand here.
-            first, second = result.index_columns()
-        else:
-            first = array("q", result[0])
-            second = array("q", result[1])
-    output_count = len(first)
-    token = active_token()
-    if token is not None:
-        # The kernel bypassed the metered insert path; report its own
-        # high-water against the governance workspace cap, and take
-        # one deadline checkpoint before the result leaves the shard.
-        token.charge_workspace(stats.high_water)
-        token.check()
-    summary = {
-        "report": ExecutionReport(),
-        "metrics": _kernel_metrics(
-            len(x_cols),
-            len(y_cols) if y_cols is not None else 0,
-            shape,
-            output_count,
-            stats,
-            backend=backend,
-            kernel_name=cell.kernel(backend).__name__,
-        ),
-        "output_count": output_count,
-        "residual_filtered": residual_filtered,
-    }
-    # Positions stay shard-local; the parent adds the bases during its
-    # lazy payload materialisation (one addition fewer per output on
-    # the shard's critical path).
-    chunk = (_SHAPE_KINDS[shape], first, second, x_base, task["y_base"])
-    return summary, chunk
-
-
-def _kernel_metrics(
-    x_read,
-    y_read,
-    shape,
-    output_count,
-    stats,
-    backend="columnar",
-    kernel_name=None,
-) -> dict:
-    binary = shape != "self"
-    return {
-        "tuples_read_x": x_read,
-        "tuples_read_y": y_read,
-        "passes_x": 1,
-        "passes_y": 1 if binary else 0,
-        "pass_reads_x": [x_read],
-        "pass_reads_y": [y_read] if binary else [],
-        "buffers": 2,
-        "output_count": output_count,
-        "comparisons": stats.comparisons,
-        "eviction_checks": stats.eviction_checks,
-        "backend": backend,
-        "kernel": kernel_name,
-        "workspace": {
-            "high_water": stats.high_water,
-            "total_inserted": stats.inserted,
-            "total_discarded": stats.discarded,
-            "residual": 0,
-        },
-        "state_high_water": {},
-        "resilience": None,
-    }
-
-
-# ----------------------------------------------------------------------
-# resilience-ladder path
-# ----------------------------------------------------------------------
-def _reconstruct(ts, te, base: int) -> list:
-    """Payload-free tuples whose surrogate is the global column index —
-    the property every processor (mirrored ones included) preserves, so
-    outputs encode back to global indexes without identity tricks."""
-    return IntervalColumns(ts, te, range(base, base + len(ts)), None).tuples
-
-
-def _run_ladder(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
-    from ..resilience.executor import execute_entry
-
-    shape = task["shape"]
-    x_records = _reconstruct(x_ts, x_te, task["x_base"])
-    y_records: Optional[list] = None
-    if shape != "self":
-        y_records = (
-            _reconstruct(y_ts, y_te, task["y_base"])
-            if y_ts is not None
-            else []
+        if y_ts is None:
+            y_ts = y_te = array("q")
+        y_cols = IntervalColumns(
+            y_ts, y_te, range(len(y_ts)), entry.y_order, name="Y[shard]"
         )
     outcome = execute_entry(
         entry,
-        x_records,
-        y_records,
+        x_cols,
+        y_cols,
         backend=task["backend"],
         policy=task["policy"],
         workspace_budget=task["workspace_budget"],
@@ -373,29 +239,48 @@ def _run_ladder(task, entry, x_ts, x_te, y_ts, y_te) -> tuple:
         page_capacity=task["page_capacity"],
         sort_memory_pages=task["sort_memory_pages"],
     )
+    # The shard boundary is where a lazy join output is consumed.
+    (x_rows, first), (y_rows, second) = index_sides(
+        outcome.results,
+        shape,
+        x_cols.payload,
+        None if y_cols is None else y_cols.payload,
+    )
+    first = _local_positions(x_rows, first)
     residual_filtered = 0
     if shape == "self":
-        owned_lo, owned_hi = task["owned_lo"], task["owned_hi"]
-        first = array("q")
-        for emitted in outcome.results:
-            if owned_lo <= emitted.surrogate < owned_hi:
-                first.append(emitted.surrogate)
-            else:
-                residual_filtered += 1
-        second = None
-    elif shape == "join":
-        first, second = array("q"), array("q")
-        for left, right in outcome.results:
-            first.append(left.surrogate)
-            second.append(right.surrogate)
-    else:
-        first = array("q", (t.surrogate for t in outcome.results))
-        second = None
+        # Owner-filter in shard-local coordinates: only positions
+        # inside the owned slice of the context window survive.
+        lo, hi = task["owned_lo"] - x_base, task["owned_hi"] - x_base
+        emitted = len(first)
+        first = array("q", (rel for rel in first if lo <= rel < hi))
+        residual_filtered = emitted - len(first)
+    token = active_token()
+    if token is not None:
+        # One deadline checkpoint before the result leaves the shard.
+        token.check()
     summary = {
         "report": outcome.report,
-        "metrics": outcome.metrics.to_dict() if outcome.metrics else {},
+        "metrics": outcome.metrics.to_dict(),
         "output_count": len(first),
         "residual_filtered": residual_filtered,
     }
-    # Ladder surrogates are already global indexes — bases stay zero.
-    return summary, (_SHAPE_KINDS[shape], first, second, 0, 0)
+    # Positions stay shard-local; the parent adds the bases during its
+    # lazy payload materialisation (one addition fewer per output on
+    # the shard's critical path).
+    chunk = (
+        _SHAPE_KINDS[shape],
+        first,
+        _local_positions(y_rows, second) if shape == "join" else None,
+        x_base,
+        task["y_base"],
+    )
+    return summary, chunk
+
+
+def _local_positions(rows: Sequence[int], index: Sequence[int]) -> array:
+    """One side of the decoded output as shard-local positions: the
+    kernel's index column as it is unless a rung moved the rows."""
+    if not isinstance(rows, range):
+        index = map(rows.__getitem__, index)
+    return array("q", index)

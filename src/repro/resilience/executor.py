@@ -1,8 +1,12 @@
-"""The graceful-degradation ladder over registry entries.
+"""The one body that runs a registry cell, and its degradation ladder.
 
 :func:`execute_entry` runs one Table-1/2/3 cell on concrete inputs
 under a :class:`~repro.resilience.recovery.RecoveryPolicy`, optionally
-behind a seeded :class:`~repro.resilience.faults.FaultPlan`:
+behind a seeded :class:`~repro.resilience.faults.FaultPlan`.  The
+planner's serial plans and every parallel shard go through it, so the
+two assumptions the paper's single-pass algorithms rest on — the
+operand is in its declared order, the state fits the workspace — are
+enforced in exactly one place:
 
 * ``STRICT`` — any violated assumption raises its original exception
   type (order violations as :class:`~repro.errors.StreamOrderError`,
@@ -17,14 +21,24 @@ behind a seeded :class:`~repro.resilience.faults.FaultPlan`:
   both operands to heap files and finishes with a block nested-loop
   whose block size *is* the workspace budget — trading the violated
   memory bound for extra passes, never for a wrong answer.
+
+Operands are taken as they already exist — endpoint columns, a
+relation, or a tuple sequence (:func:`stream_over`).  A batch backend
+reads columns as they are, so a clean STRICT or DEGRADE run builds no
+:class:`~repro.model.tuples.TemporalTuple`; the rungs that are
+tuple-at-a-time by nature (the quarantining cursor, the external
+re-sort, the spill, fault-plan staging) make a column operand build its
+tuples, once, when they are reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..columnar.relation import IntervalColumns
 from ..errors import (
     ExecutionError,
     ProcessorStateError,
@@ -32,19 +46,16 @@ from ..errors import (
     WorkspaceOverflowError,
 )
 from ..governance.budget import active_token
+from ..model.relation import TemporalRelation
+from ..model.sortorder import SortOrder
 from ..model.tuples import TemporalTuple
 from ..obs.trace import get_tracer
 from ..storage.external_sort import external_sort
 from ..storage.heap_file import HeapFile
 from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..streams.metrics import ProcessorMetrics
-from ..streams.processors.baseline import (
-    before_predicate,
-    contain_predicate,
-    contained_predicate,
-    overlap_predicate,
-)
-from ..streams.registry import RegistryEntry, TemporalOperator
+from ..streams.processors.baseline import PREDICATES
+from ..streams.registry import RegistryEntry
 from ..streams.stream import TupleStream
 from ..streams.workspace import Workspace, WorkspaceMeter
 from .faults import FaultPlan, ResilientHeapFile
@@ -53,18 +64,9 @@ from .retry import RetryPolicy
 
 Predicate = Callable[[TemporalTuple, TemporalTuple], bool]
 
-#: Fallback oracle for every supported operator: the join predicate
-#: (the output shape is the operator's own ``shape``).
-_FALLBACKS: dict = {
-    TemporalOperator.CONTAIN_JOIN: contain_predicate,
-    TemporalOperator.CONTAIN_SEMIJOIN: contain_predicate,
-    TemporalOperator.CONTAINED_SEMIJOIN: contained_predicate,
-    TemporalOperator.OVERLAP_JOIN: overlap_predicate,
-    TemporalOperator.OVERLAP_SEMIJOIN: overlap_predicate,
-    TemporalOperator.BEFORE_SEMIJOIN: before_predicate,
-    TemporalOperator.SELF_CONTAINED_SEMIJOIN: contained_predicate,
-    TemporalOperator.SELF_CONTAIN_SEMIJOIN: contain_predicate,
-}
+#: What a cell runs on: columns and relations declare their own sort
+#: order; a bare tuple sequence is claimed to be in the entry's.
+Operand = Union[IntervalColumns, TemporalRelation, Sequence[TemporalTuple]]
 
 #: Spill block size when the overflow came from a meter limit the
 #: caller set directly rather than through ``workspace_budget``.
@@ -76,7 +78,7 @@ class ResilientResult:
     """Output of one resilient execution: the rows, what the resilience
     layer did to produce them, and the operator's own accounting."""
 
-    results: list
+    results: Sequence
     report: ExecutionReport
     metrics: Optional[ProcessorMetrics]
     policy: RecoveryPolicy
@@ -87,26 +89,74 @@ class ResilientResult:
         return bool(self.report.fallbacks)
 
 
-def _meter_of(processor) -> WorkspaceMeter:
-    """The operator's joint meter; mirrored processors delegate to the
-    inner (upper-half) algorithm's meter."""
-    meter = getattr(processor, "meter", None)
-    if meter is None:
-        meter = processor.inner.meter
-    return meter
+def stream_over(
+    operand: Operand,
+    name: str,
+    order: Optional[SortOrder] = None,
+    **options,
+) -> TupleStream:
+    """A stream over one operand as it already exists.  ``order`` is
+    what a bare tuple sequence is claimed to be sorted by; ``options``
+    are the stream constructors' shared ``verify_order``/``recovery``/
+    ``report``."""
+    if isinstance(operand, IntervalColumns):
+        return TupleStream.from_columns(operand, name, **options)
+    if isinstance(operand, TemporalRelation):
+        return TupleStream.from_relation(operand, name=name, **options)
+    return TupleStream.from_tuples(operand, order=order, name=name, **options)
 
 
-def _metrics_of(processor) -> ProcessorMetrics:
-    return processor.metrics
+def _tuples_of(operand: Operand) -> Sequence[TemporalTuple]:
+    """The operand as tuples, for a rung that is tuple-at-a-time by
+    nature; columns build theirs on first use and keep them."""
+    return getattr(operand, "tuples", operand)
 
 
-def _finalise(processor) -> None:
-    """Capture stream/workspace counters after an aborted run; mirrored
-    processors delegate to the inner algorithm."""
-    target = processor
-    if not hasattr(target, "_finalise_metrics"):
-        target = target.inner
-    target._finalise_metrics()
+_surrogate_of = attrgetter("surrogate")
+
+
+def _positions(payload: Sequence) -> Sequence[int]:
+    """The operand row positions a payload column, or a list of emitted
+    payload entries, stands for: positions stay as they are; tuples
+    (what an operand carries once a cursor, the re-sort or the spill
+    has read it) stand for their surrogate."""
+    if payload and isinstance(payload[0], TemporalTuple):
+        return list(map(_surrogate_of, payload))
+    return payload
+
+
+def index_sides(results, shape: str, x_rows: Sequence, y_rows: Sequence):
+    """A cell's output as the ``(rows, index column)`` sides of an
+    index-pair relation: output ``k``, in emission order, is
+    ``x_rows[index[k]]`` (paired, for a join, with the Y side's).  For
+    operands whose payload entries — tuple surrogates, once tuples were
+    built — are positions into ``x_rows``/``y_rows``.
+
+    The batch backends' lazy outputs (``LazyPairs``, and ``LazyResults``
+    of a sharded plan) carry positions into the operands *as the kernel
+    read them*, so each side's rows are put in that order once (|side|
+    work, none when nothing moved them) and the kernel's index columns
+    are used as they are.  Anything else is a sequence of payload
+    entries, or pairs of them, that index the rows directly.
+    """
+    if hasattr(results, "index_columns"):
+        x_index, y_index = results.index_columns()
+        return (
+            (_in_order_of(results.x_payload, x_rows), x_index),
+            (_in_order_of(results.y_payload, y_rows), y_index),
+        )
+    if shape != "join":
+        return (x_rows, _positions(results)), (y_rows, ())
+    xs, ys = zip(*results) if results else ((), ())
+    return (x_rows, _positions(xs)), (y_rows, _positions(ys))
+
+
+def _in_order_of(payload: Optional[Sequence], rows: Sequence) -> Sequence:
+    """``rows`` in the order of ``payload`` (a ``range`` when nothing
+    moved them)."""
+    if payload is None or isinstance(payload, range):
+        return rows
+    return list(map(rows.__getitem__, _positions(payload)))
 
 
 def _exhaust(stream: Optional[TupleStream]) -> None:
@@ -127,8 +177,8 @@ def _exhaust(stream: Optional[TupleStream]) -> None:
 
 def execute_entry(
     entry: RegistryEntry,
-    x_tuples: Sequence[TemporalTuple],
-    y_tuples: Optional[Sequence[TemporalTuple]] = None,
+    x_tuples: Operand,
+    y_tuples: Optional[Operand] = None,
     backend: str = "tuple",
     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
     workspace_budget: Optional[int] = None,
@@ -140,52 +190,44 @@ def execute_entry(
 ) -> ResilientResult:
     """Run one registry cell with the chosen recovery policy.
 
-    Inputs are taken as materialised tuple sequences (already in — or
-    claimed to be in — the entry's declared orders).  With a
-    ``fault_plan`` the operands are staged on heap files wrapped in
+    Operands are already in — or claimed to be in — the entry's
+    declared orders (an order-free cell reads them in any order, so its
+    streams verify none).  With a ``fault_plan`` the operands are
+    staged on heap files wrapped in
     :class:`~repro.resilience.faults.ResilientHeapFile`, so every page
     read runs through fault injection and retry-with-backoff.
     """
     report = report if report is not None else ExecutionReport()
-    x_records: List[TemporalTuple] = list(x_tuples)
     unary = entry.y_order is None
-    if unary:
-        y_records: Optional[List[TemporalTuple]] = None
-    else:
-        if y_tuples is None:
-            raise ExecutionError(
-                f"{entry.operator.value} is a binary operator; "
-                "y_tuples is required"
-            )
-        y_records = list(y_tuples)
+    if not unary and y_tuples is None:
+        raise ExecutionError(
+            f"{entry.operator.value} is a binary operator; "
+            "y_tuples is required"
+        )
+    x_operand, y_operand = x_tuples, None if unary else y_tuples
+    options = dict(
+        verify_order=not entry.order_free, recovery=policy, report=report
+    )
 
-    def make_stream(records, order, name):
-        if fault_plan is not None:
-            # The staged file's name feeds the fault plan's draw key;
-            # qualifying it with the cell keeps fault schedules of
-            # different operators/backends decorrelated under one seed.
-            staged = HeapFile(
-                f"{entry.operator.value}[{backend}].{name}",
-                page_capacity=page_capacity,
-            )
-            staged.extend(records)
-            staged.stats.reset()  # staging traffic is not query cost
-            source: object = ResilientHeapFile(
+    def make_stream(operand, order, name):
+        if fault_plan is None:
+            return stream_over(operand, name, order, **options)
+        # The staged file's name feeds the fault plan's draw key;
+        # qualifying it with the cell keeps fault schedules of
+        # different operators/backends decorrelated under one seed.
+        staged = HeapFile(
+            f"{entry.operator.value}[{backend}].{name}",
+            page_capacity=page_capacity,
+        )
+        staged.extend(_tuples_of(operand))
+        staged.stats.reset()  # staging traffic is not query cost
+        return TupleStream.from_heap_file(
+            ResilientHeapFile(
                 staged, fault_plan, retry=retry_policy, report=report
-            )
-            return TupleStream.from_heap_file(
-                source,
-                order=order,
-                name=name,
-                recovery=policy,
-                report=report,
-            )
-        return TupleStream.from_tuples(
-            records,
-            order=order,
+            ),
+            order=getattr(operand, "order", order),
             name=name,
-            recovery=policy,
-            report=report,
+            **options,
         )
 
     resorted: set = set()
@@ -193,24 +235,21 @@ def execute_entry(
     # At most one re-sort per operand, then one spill: four attempts
     # cover every legal degradation path; a fifth means a logic error.
     for _attempt in range(4):
-        x_stream = make_stream(x_records, entry.x_order, "X")
+        x_stream = make_stream(x_operand, entry.x_order, "X")
         y_stream = (
             None
             if unary
-            else make_stream(y_records, entry.y_order, "Y")
+            else make_stream(y_operand, entry.y_order, "Y")
         )
         processor = entry.build(x_stream, y_stream, backend=backend)
-        if workspace_budget is not None:
-            _meter_of(processor).limit = workspace_budget
-        token = active_token()
-        if token is not None:
-            # Governance rides the metered insert path.  Its errors are
-            # terminal on every rung: the except clauses below catch
-            # only the two recoverable stream errors, so a deadline,
-            # cancellation, or budget breach propagates out of the
-            # ladder with its original type — never re-sorted, spilled,
-            # or retried.
-            _meter_of(processor).token = token
+        processor.meter.limit = workspace_budget
+        # Governance rides the metered insert path.  Its errors are
+        # terminal on every rung: the except clauses below catch only
+        # the two recoverable stream errors, so a deadline,
+        # cancellation, or budget breach propagates out of the ladder
+        # with its original type — never re-sorted, spilled, or
+        # retried.
+        processor.meter.token = active_token()
         try:
             with tracer.span(
                 "attempt",
@@ -223,11 +262,6 @@ def execute_entry(
                 if policy is not RecoveryPolicy.STRICT:
                     _exhaust(x_stream)
                     _exhaust(y_stream)
-            metrics = _metrics_of(processor)
-            metrics.resilience = report.as_dict()
-            return ResilientResult(
-                results, report, metrics, policy, backend
-            )
         except StreamOrderError as error:
             if not getattr(error, "reported", False):
                 report.note_order_violation()
@@ -244,8 +278,8 @@ def execute_entry(
                 if "X" in resorted:
                     raise  # re-sorted input violated again: not ours
                 resorted.add("X")
-                x_records = _resort(
-                    x_records,
+                x_operand = _resort(
+                    _tuples_of(x_operand),
                     entry.x_order,
                     "X",
                     report,
@@ -257,8 +291,8 @@ def execute_entry(
                     raise
                 if "Y" not in resorted:
                     resorted.add("Y")
-                    y_records = _resort(
-                        y_records,
+                    y_operand = _resort(
+                        _tuples_of(y_operand),
                         entry.y_order,
                         "Y",
                         report,
@@ -278,18 +312,16 @@ def execute_entry(
                 )
             results = _finish_by_spill(
                 entry,
-                x_records,
-                y_records,
+                _tuples_of(x_operand),
+                None if unary else _tuples_of(y_operand),
                 workspace_budget,
                 report,
                 page_capacity,
             )
-            _finalise(processor)
-            metrics = _metrics_of(processor)
-            metrics.resilience = report.as_dict()
-            return ResilientResult(
-                results, report, metrics, policy, backend
-            )
+            processor._finalise_metrics()
+        metrics = processor.metrics
+        metrics.resilience = report.as_dict()
+        return ResilientResult(results, report, metrics, policy, backend)
     raise ExecutionError(
         f"{entry.operator.value} kept violating assumptions after "
         "re-sorting both operands — degradation cannot converge"
@@ -323,8 +355,8 @@ def _resort(
 
 def _finish_by_spill(
     entry: RegistryEntry,
-    x_records: List[TemporalTuple],
-    y_records: Optional[List[TemporalTuple]],
+    x_records: Sequence[TemporalTuple],
+    y_records: Optional[Sequence[TemporalTuple]],
     workspace_budget: Optional[int],
     report: ExecutionReport,
     page_capacity: int,
@@ -334,12 +366,7 @@ def _finish_by_spill(
     never exceeds the budget — the memory bound holds, the price is
     extra passes over the spilled inner.
     """
-    try:
-        predicate = _FALLBACKS[entry.operator]
-    except KeyError:  # pragma: no cover - registry and map kept in sync
-        raise ExecutionError(
-            f"no spill fallback registered for {entry.operator.value}"
-        ) from None
+    predicate = PREDICATES[entry.operator]
     shape = entry.operator.shape
     block = max(1, workspace_budget or _DEFAULT_SPILL_BLOCK)
 

@@ -154,3 +154,23 @@ def conjoin(*predicates: Predicate) -> Predicate:
         return all(p(x, y) for p in predicates)
 
     return combined
+
+
+# Imported down here because the registry module builds its table from
+# the processors, which import the predicates above.
+from ..registry import TemporalOperator  # noqa: E402
+
+#: The join predicate of every temporal operator — its correctness
+#: semantics, which the nested-loop fallbacks and oracles evaluate (what
+#: is emitted follows from the operator's own ``shape``).
+PREDICATES: dict[TemporalOperator, Predicate] = {
+    TemporalOperator.CONTAIN_JOIN: contain_predicate,
+    TemporalOperator.CONTAIN_SEMIJOIN: contain_predicate,
+    TemporalOperator.CONTAINED_SEMIJOIN: contained_predicate,
+    TemporalOperator.OVERLAP_JOIN: overlap_predicate,
+    TemporalOperator.OVERLAP_SEMIJOIN: overlap_predicate,
+    TemporalOperator.BEFORE_JOIN: before_predicate,
+    TemporalOperator.BEFORE_SEMIJOIN: before_predicate,
+    TemporalOperator.SELF_CONTAINED_SEMIJOIN: contained_predicate,
+    TemporalOperator.SELF_CONTAIN_SEMIJOIN: contain_predicate,
+}

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Union
 from ...model.tuples import TemporalTuple
 from ..metrics import ProcessorMetrics
 from ..stream import TupleStream
+from ..workspace import WorkspaceMeter
 from .base import StreamProcessor
 
 JoinOutput = Union[TemporalTuple, tuple]
@@ -110,6 +111,15 @@ class MirroredProcessor:
 
     def run(self) -> list:
         return list(self)
+
+    @property
+    def meter(self) -> WorkspaceMeter:
+        """The inner algorithm's joint workspace meter — where a
+        workspace budget and a governance token attach."""
+        return self.inner.meter
+
+    def _finalise_metrics(self) -> None:
+        self.inner._finalise_metrics()
 
     @property
     def metrics(self) -> ProcessorMetrics:

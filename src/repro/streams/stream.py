@@ -112,14 +112,26 @@ class TupleStream:
         )
 
     @classmethod
-    def from_columns(cls, columns, name: str) -> "TupleStream":
+    def from_columns(
+        cls,
+        columns,
+        name: str,
+        verify_order: bool = True,
+        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
+        report: Optional[ExecutionReport] = None,
+    ) -> "TupleStream":
         """A stream over an operand born as endpoint columns (an
         :class:`~repro.columnar.relation.IntervalColumns`), inheriting
         its declared order.  A batch processor drains
         :attr:`columns`; only a cursor read makes the operand build
         its tuples."""
         stream = cls(
-            lambda: iter(columns.tuples), order=columns.order, name=name
+            lambda: iter(columns.tuples),
+            order=columns.order,
+            name=name,
+            verify_order=verify_order,
+            recovery=recovery,
+            report=report,
         )
         stream.columns = columns
         return stream
@@ -314,10 +326,16 @@ class TupleStream:
         """Account one whole-stream batch read (the columnar drain,
         which bypasses the single-buffer cursor) exactly like a cursor
         pass: pass counter, per-pass base, read total, and the same
-        trace/metric hooks."""
+        trace/metric hooks.  The read was the whole source, so the
+        cursor is left exhausted: a later :meth:`drain` finds nothing
+        more to scan instead of re-reading it tuple by tuple."""
         self._pass_bases.append(self.tuples_read)
         self.passes += 1
         self.tuples_read += count
+        self._iterator = None
+        self._buffer = None
+        self._started = True
+        self._exhausted = True
         token = active_token()
         if token is not None:
             token.check()

@@ -40,12 +40,16 @@ class TestRunQueryTrace:
         assert tracer is not None and tracer.open_spans == 0
         (query,) = tracer.find("query")
         assert query.attributes["rows"] == len(result.rows)
-        # The hybrid planner and the stream operator both report in.
+        # The hybrid planner, the one body that runs a cell (STRICT
+        # when no recovery policy was asked for) and the stream
+        # operator all report in.
         assert any(s.name.startswith("plan:") for s in tracer.spans)
+        (attempt,) = tracer.find("attempt")
+        assert attempt.attributes["policy"] == "strict"
         operators = [
             s for s in tracer.spans if s.name.startswith("operator:")
         ]
-        assert operators
+        assert [s.parent_id for s in operators] == [attempt.span_id]
         assert all(
             s.attributes["passes_x"] == 1 and s.attributes["passes_y"] == 1
             for s in operators

@@ -104,17 +104,26 @@ def constructions(monkeypatch):
 @pytest.mark.parametrize("text", (DURING, OVERLAP), ids=("during", "overlap"))
 @pytest.mark.parametrize("arrange", (dict, shuffled), ids=("sorted", "shuffled"))
 def test_tuples_built_per_query(arrange, text, backend, constructions):
+    """Under every policy: a clean run never reaches a rung that is
+    tuple-at-a-time by nature, and the answer is ``recovery=None``'s."""
     cat = arrange(catalog())
     plan = plan_for(text, cat)
-    constructions[0] = 0
-    executed = execute_hybrid(
-        plan, cat, planner=TemporalJoinPlanner(backend=backend)
-    )
-    assert executed.rows
-    (info,) = executed.stream_joins
-    assert info.chosen.startswith("stream")
     expected = len(cat["X"]) + len(cat["Y"]) if backend == "tuple" else 0
-    assert constructions[0] == expected
+    rows = None
+    for recovery in (None, RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE):
+        constructions[0] = 0
+        executed = execute_hybrid(
+            plan,
+            cat,
+            planner=TemporalJoinPlanner(backend=backend),
+            recovery=recovery,
+        )
+        assert executed.rows
+        (info,) = executed.stream_joins
+        assert info.chosen.startswith("stream")
+        assert constructions[0] == expected, recovery
+        rows = rows or executed.rows
+        assert executed.rows == rows, recovery
 
 
 MIRRORED_CELLS = (
@@ -335,6 +344,12 @@ EXECUTIONS = {
     "serial": ({}, None),
     "inline-2": ({"parallelism": 2, "parallel_mode": "inline"}, None),
     "quarantine": ({}, RecoveryPolicy.QUARANTINE),
+    "strict": ({}, RecoveryPolicy.STRICT),
+    "degrade-clean": ({}, RecoveryPolicy.DEGRADE),
+    "inline-2-degrade": (
+        {"parallelism": 2, "parallel_mode": "inline"},
+        RecoveryPolicy.DEGRADE,
+    ),
     # A 3-tuple workspace: the batch backends overflow into the nested
     # loop (no recovery) or the spill (DEGRADE); tuple refuses.
     "cap-nested-loop": ({"budget": QueryBudget(workspace_tuple_cap=3)}, None),

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.model import TE_ASC, TS_ASC
+from repro.errors import BudgetExceededError
+from repro.governance import QueryBudget
+from repro.model import TE_ASC, TE_DESC, TS_ASC
 from repro.optimizer import CostModel, TemporalJoinPlanner, expected_workspace_for
 from repro.stats import collect_statistics
 from repro.streams import TemporalOperator, contain_predicate
@@ -276,3 +278,32 @@ class TestWorkspaceBudgetFallback:
         assert profile.chosen.entry.state_class in ("c", "d")
         if profile.chosen.entry.state_class == "d":
             assert profile.metrics.workspace_high_water == 0
+
+    @pytest.mark.parametrize("backend", ("tuple", "columnar", "fused"))
+    @pytest.mark.parametrize("order", (TS_ASC, TE_DESC), ids=("upper", "mirrored"))
+    def test_mirrored_cell_honours_the_budget_like_its_twin(self, order, backend):
+        """TEv/TEv is the lower-half twin of TS^/TS^: the same state,
+        so the same budget breach, whichever half the operands' order
+        selects and whichever backend runs the cell."""
+        x, y = (r.sorted_by(order) for r in self.inputs())
+        results, profile = TemporalJoinPlanner(backend=backend).execute(
+            TemporalOperator.CONTAIN_JOIN, x, y, workspace_budget=5
+        )
+        assert profile.chosen.entry.x_order == order
+        assert profile.chosen.entry.mirrored is (order is TE_DESC)
+        assert profile.details.get("workspace_overflow")
+        assert profile.details.get("fallback") == "nested-loop"
+        assert len(results) == sum(
+            contain_predicate(a, b) for a in x for b in y
+        )
+        governed = TemporalJoinPlanner(
+            backend=backend, budget=QueryBudget(workspace_tuple_cap=5)
+        )
+        if backend == "tuple":
+            # The metered insert path charges the governance token.
+            with pytest.raises(BudgetExceededError):
+                governed.execute(TemporalOperator.CONTAIN_JOIN, x, y)
+        else:
+            # The cap doubles as the kernel's limit, which trips first.
+            _, profile = governed.execute(TemporalOperator.CONTAIN_JOIN, x, y)
+            assert profile.details.get("fallback") == "nested-loop"

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from repro.errors import BudgetExceededError, StreamOrderError
+from repro.governance import QueryBudget, governed
 from repro.resilience import (
     ExecutionReport,
     FaultPlan,
@@ -13,7 +15,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.harness import generate_relation
-from repro.model import TS_ASC, TemporalTuple, sort_tuples
+from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
 from repro.streams import TemporalOperator, lookup
 
@@ -21,6 +23,7 @@ from .conftest import (
     all_supported_cells,
     canon,
     cell_id,
+    plan_for,
     serial_run,
     sorted_inputs,
 )
@@ -75,6 +78,115 @@ def test_mirrored_strict_shard_takes_the_kernel_fast_path(
     assert outcome.metrics.kernel == entry.cell.kernel(backend).__name__
     assert canon(outcome.results) == expected
     assert built == []
+
+
+@pytest.mark.parametrize("backend", ["columnar", "fused"])
+def test_clean_degrade_shard_builds_no_tuple(
+    backend, small_inputs, monkeypatch
+):
+    """The shard body is the serial body: DEGRADE on input that turns
+    out clean sweeps the endpoint buffers like STRICT does."""
+    entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
+    xs, ys = sorted_inputs(entry, *small_inputs)
+    expected = canon(serial_run(entry, xs, ys, backend))
+    built = []
+    validate = TemporalTuple.__post_init__
+    monkeypatch.setattr(
+        TemporalTuple,
+        "__post_init__",
+        lambda self: (built.append(self), validate(self))[1],
+    )
+    outcome = execute_parallel(
+        entry,
+        xs,
+        ys,
+        shards=3,
+        backend=backend,
+        policy=RecoveryPolicy.DEGRADE,
+        mode="inline",
+    )
+    assert outcome.plan.effective_shards > 1
+    assert outcome.metrics.kernel == entry.cell.kernel(backend).__name__
+    assert (outcome.metrics.passes_x, outcome.metrics.passes_y) == (1, 1)
+    assert not outcome.degraded
+    assert canon(outcome.results) == expected
+    assert built == []
+
+
+ORDERED_CELLS = [
+    lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC),
+    lookup(TemporalOperator.CONTAIN_JOIN, TE_DESC, TE_DESC),
+]
+
+
+@pytest.mark.parametrize("entry", ORDERED_CELLS, ids=cell_id)
+@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+@pytest.mark.parametrize("mode", ["inline", "process"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+@pytest.mark.parametrize("swap", ["far", "cut-straddling"])
+def test_strict_sees_an_order_violation_wherever_it_sits(
+    swap, side, mode, backend, entry
+):
+    """Serial STRICT raises on any out-of-order pair; so must every
+    sharded run — including a swap straddling the X cut, which is in
+    order within both slices and so invisible to every shard."""
+    xs, ys = sorted_inputs(
+        entry,
+        [TemporalTuple(f"x{i}", i, 3 * i, 3 * i + 40) for i in range(400)],
+        [TemporalTuple(f"y{i}", i, 3 * i + 1, 3 * i + 9) for i in range(400)],
+    )
+    operand = xs if side == "X" else ys
+    if swap == "far":
+        a, b = 20, 300
+    else:
+        first = plan_for(entry, xs, ys, shards=2).ranges[0]
+        b = first.owned_hi if side == "X" else first.y_hi
+        a = b - 1
+    operand[a], operand[b] = operand[b], operand[a]
+    with pytest.raises(StreamOrderError):
+        serial_run(entry, xs, ys, backend)
+    report = ExecutionReport()
+    with pytest.raises(StreamOrderError) as err:
+        execute_parallel(
+            entry,
+            xs,
+            ys,
+            shards=2,
+            workers=WORKERS,
+            backend=backend,
+            mode=mode,
+            report=report,
+        )
+    assert err.value.stream_name == side
+    assert report.order_violations == 1
+
+
+@pytest.mark.parametrize("backend", ["columnar", "fused"])
+@pytest.mark.parametrize("mode", ["inline", "process"])
+def test_governed_strict_batch_shard_charges_its_high_water(
+    mode, backend, small_inputs
+):
+    """The batch kernels bypass the metered insert path; the shard's
+    processor reports the sweep's high-water against the workspace cap
+    all the same, in the parent and in a pool worker."""
+    entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
+    xs, ys = sorted_inputs(entry, *small_inputs)
+    serial = execute_parallel(
+        entry, xs, ys, shards=2, backend=backend, mode="inline"
+    )
+    assert serial.metrics.workspace_high_water > 2
+    with governed(QueryBudget(workspace_tuple_cap=2)):
+        with pytest.raises(BudgetExceededError) as err:
+            execute_parallel(
+                entry,
+                xs,
+                ys,
+                shards=2,
+                workers=WORKERS,
+                backend=backend,
+                mode=mode,
+            )
+    assert err.value.resource == "workspace"
 
 
 class TestChaosDifferential:

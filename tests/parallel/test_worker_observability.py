@@ -148,6 +148,17 @@ class TestGraftStructure:
         ]
         assert len(grafted_ops) == len(outcome.shard_runs)
         assert len(shard_spans) == len(outcome.shard_runs)
+        # One shard body for every backend: a STRICT batch shard grafts
+        # the same attempt -> operator pair the tuple backend does.
+        for backend in ("tuple", "columnar", "fused"):
+            outcome, tracer = traced_contain_run(backend=backend)
+            by_id = {s.span_id: s for s in tracer.spans}
+            parents = [
+                by_id[s.parent_id].name
+                for s in tracer.spans
+                if s.name.startswith("operator:") and s.pid is not None
+            ]
+            assert parents == ["attempt"] * len(outcome.shard_runs)
 
     def test_worker_pids_agree_between_spans_and_shard_table(self):
         outcome, tracer = traced_contain_run(shards=4, workers=4)

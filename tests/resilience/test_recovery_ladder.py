@@ -12,6 +12,7 @@ from repro.errors import StreamOrderError, WorkspaceOverflowError
 from repro.model import TemporalTuple, sort_tuples
 from repro.model.sortorder import TE_DESC, TS_ASC
 from repro.resilience import ExecutionReport, RecoveryPolicy
+from repro.resilience import executor
 from repro.resilience.executor import execute_entry
 from repro.streams import TupleStream
 from repro.streams.processors.baseline import (
@@ -165,6 +166,37 @@ class TestQuarantine:
             join_oracle(kept, ys, contain_predicate)
         )
         assert len(report.quarantined) == 2
+
+
+@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+@pytest.mark.parametrize(
+    "policy", [RecoveryPolicy.QUARANTINE, RecoveryPolicy.DEGRADE]
+)
+def test_clean_run_scans_each_operand_once(policy, backend, monkeypatch):
+    """Finishing the scan after the operator (``_exhaust``) completes
+    the *same* pass: a batch drain already read the whole operand, so
+    there is nothing left to re-read tuple by tuple."""
+    streams = []
+    stream_over = executor.stream_over
+
+    def recording(*args, **options):
+        streams.append(stream_over(*args, **options))
+        return streams[-1]
+
+    monkeypatch.setattr(executor, "stream_over", recording)
+    xs = sort_tuples(DENSE_X, TS_ASC)
+    ys = sort_tuples(DENSE_Y, TS_ASC)
+    outcome = execute_entry(
+        CONTAIN_TS_TS, xs, ys, backend=backend, policy=policy
+    )
+    assert canon(outcome.results) == canon(
+        join_oracle(xs, ys, contain_predicate)
+    )
+    assert [(s.name, s.passes, s.tuples_read) for s in streams] == [
+        ("X", 1, len(xs)),
+        ("Y", 1, len(ys)),
+    ]
+    assert (outcome.metrics.passes_x, outcome.metrics.passes_y) == (1, 1)
 
 
 #: The lower-half twin of CONTAIN_TS_TS: the batch backends run it on
