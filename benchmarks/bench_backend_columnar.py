@@ -9,11 +9,11 @@ the same pre-sorted relations; outputs are cross-checked, and every
 row carries per-repeat ``timing_stats`` (all samples, best, mean,
 stdev) gathered after one untimed warm-up run per backend.
 
-For the join cells the batch backends' output is lazy
-(:class:`~repro.columnar.fused.LazyPairs`): the timed run covers the
-sweep itself, and the payload-pair expansion is measured separately as
-``<backend>_expand_seconds`` — consumers that never touch the pairs
-never pay it.
+For the join cells both batch backends produce their ``(xi, yj)``
+index columns inside the timed kernel; only the payload pairs stay lazy
+(:class:`~repro.columnar.fused.LazyPairs`), and building them is
+measured separately as ``<backend>_expand_seconds`` — consumers that
+never touch the pairs never pay it.
 
 Usage::
 

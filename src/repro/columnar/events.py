@@ -1,28 +1,19 @@
-"""Endpoint-event encoding and ordering for the fused sweep backend.
+"""The merged endpoint-event ordering the fused sweep realises.
 
 The fused kernels in :mod:`repro.columnar.fused` run each Table-1/2/3
 cell as **one** endpoint-event sweep: both operands' ``(TS, TE)``
-columns are merged into a single event ordering, and the workspace is a
-dense ``array('q')`` slot store whose packed keys *are* end-point
-events ordered by the cell's disposal rule.  This module owns the two
-encodings and the tie-rank law they share.
+columns are merged into a single event ordering.  This module states
+that ordering explicitly — as packed, sortable event words — so the
+hypothesis tests in ``tests/columnar/test_fused.py`` can replay it with
+a naive active set and pin the kernels against it.  Nothing on the
+query path packs anything: the kernels' slot store is two plain
+columns (disposal endpoints, row positions), and they realise this
+order implicitly with a two-pointer merge plus the equal-timestamp
+holdback.
 
-**Entry keys** (the slot store).  A live interval is one machine word::
-
-    key = (disposal_endpoint << IDX_BITS) | column_index
-
-ordered first by the endpoint the cell's Section-4.2 garbage-collection
-rule watches (``ValidTo`` for every contain/overlap cell: state dies
-once ``ValidTo <= buffer.ValidFrom``), then by column index.  Python
-ints shift arithmetically, so the packing stays order-preserving for
-the negated endpoints the time-reversal mirrors feed in.  With the
-store sorted on this key, *eviction* is one ranged prefix delete below
-:func:`disposal_bound` and *probing* is one binary search — no
-probe-scan compaction, no dict.
-
-**Schedule events** (the merged ordering).  The sweep consumes three
-event kinds, and at a shared timestamp ``t`` the closed-open interval
-semantics of Section 4.2 (``[ValidFrom, ValidTo)``) force one order:
+The sweep consumes three event kinds, and at a shared timestamp ``t``
+the closed-open interval semantics of Section 4.2
+(``[ValidFrom, ValidTo)``) force one order:
 
 * ``RANK_EVICT`` — an interval ending at ``t`` is already dead for a
   buffer whose ``ValidFrom`` is ``t`` (disposal is
@@ -33,10 +24,7 @@ semantics of Section 4.2 (``[ValidFrom, ValidTo)``) force one order:
   contain (or precede) a probe starting at the same instant, so *start
   events fire last* and stay invisible to the equal-time probe.
 
-:func:`merged_schedule` materialises that ordering explicitly; the
-fused kernels realise the same order implicitly with their two-pointer
-merge plus the equal-timestamp holdback, and the hypothesis tests in
-``tests/columnar/test_fused.py`` pin the two against each other.
+:func:`merged_schedule` materialises that ordering.
 """
 
 from __future__ import annotations
@@ -44,14 +32,11 @@ from __future__ import annotations
 from array import array
 from typing import Sequence
 
-#: Bits reserved for the column index in packed entry keys and events.
-#: Bounds relation size at 2**21 (~2M rows) per operand, and leaves the
-#: disposal endpoint the other 42 bits of a signed ``array('q')`` word:
-#: ``-2**42 <= endpoint < 2**42``.  :func:`check_capacity` guards both
-#: edges explicitly.
+#: Bits reserved for the column index in a packed schedule event:
+#: :func:`merged_schedule` takes at most 2**21 - 1 rows per operand
+#: (:func:`check_capacity`).
 IDX_BITS = 21
 IDX_MASK = (1 << IDX_BITS) - 1
-ENDPOINT_LIMIT = 1 << (63 - IDX_BITS)
 
 #: Tie ranks at a shared timestamp (see the module docstring): the
 #: closed-open disposal rule orders evictions before probes before
@@ -67,60 +52,13 @@ SIDE_Y = 1
 SIDE_BITS = 1
 
 
-def packing_fits(n: int, lo: int = 0, hi: int = 0) -> bool:
-    """Whether ``n`` rows with endpoints in ``[lo, hi]`` pack into
-    slot-store words: the index into :data:`IDX_BITS` bits, the
-    shifted endpoint into what a signed 64-bit word has left."""
-    return n <= IDX_MASK and -ENDPOINT_LIMIT <= lo and hi < ENDPOINT_LIMIT
-
-
-def check_capacity(n: int, lo: int = 0, hi: int = 0) -> None:
-    """Refuse, before the sweep, an operand the packed keys cannot
-    hold (a key that does not fit would otherwise surface mid-sweep as
-    a raw ``OverflowError`` from the slot array)."""
-    if not packing_fits(n, lo, hi):
+def check_capacity(n: int) -> None:
+    """Refuse a column whose indexes do not fit a schedule event."""
+    if n > IDX_MASK:
         raise ValueError(
-            f"fused backend packs column indexes into {IDX_BITS} bits "
-            f"(max {IDX_MASK} rows per operand) and endpoints into "
-            f"[-2**{63 - IDX_BITS}, 2**{63 - IDX_BITS}); got {n} rows "
-            f"spanning [{lo}, {hi}]"
+            f"the merged schedule packs column indexes into {IDX_BITS} "
+            f"bits (max {IDX_MASK} rows per operand); got {n} rows"
         )
-
-
-def check_stored(ts: Sequence[int], te: Sequence[int]) -> None:
-    """:func:`check_capacity` for the operand a kernel stores, read off
-    its endpoint columns (``TS < TE`` row-wise, so the span is
-    ``[min TS, max TE]``)."""
-    if len(ts):
-        check_capacity(len(ts), min(ts), max(te))
-
-
-# ----------------------------------------------------------------------
-# entry keys: the slot store's packed (disposal endpoint, index) words
-# ----------------------------------------------------------------------
-def pack_entry(endpoint: int, index: int) -> int:
-    """One slot-store word: disposal endpoint in the high bits, column
-    index in the low bits."""
-    return (endpoint << IDX_BITS) | index
-
-
-def entry_index(key: int) -> int:
-    """The column index packed into an entry key."""
-    return key & IDX_MASK
-
-
-def entry_endpoint(key: int) -> int:
-    """The disposal endpoint packed into an entry key."""
-    return key >> IDX_BITS
-
-
-def disposal_bound(t: int) -> int:
-    """The largest packed key any entry with ``endpoint <= t`` can
-    have: ``bisect_right(store, disposal_bound(t))`` is exactly the
-    count of entries the Section-4.2 rule disposes at sweep point
-    ``t`` (``ValidTo <= t``), and the suffix above it is exactly the
-    entries with ``endpoint > t``."""
-    return (t << IDX_BITS) | IDX_MASK
 
 
 # ----------------------------------------------------------------------

@@ -4,31 +4,35 @@ Where :mod:`repro.columnar.kernels` runs each cell as two interleaved
 per-operand scans with a probe-scan-compacted active list, the kernels
 here sweep the **merged endpoint-event ordering** of
 :mod:`repro.columnar.events` once per query and keep the workspace as a
-dense ``array('q')`` slot store of packed
-``(disposal_endpoint << IDX_BITS) | index`` words:
+**two-column slot store in disposal order**: a list of the stored
+rows' raw disposal endpoints (``ValidTo`` for every contain and overlap
+cell) and a parallel list of their column positions.
 
-* **insert** is one ``bisect.insort`` into the slot array (the packed
-  word is appended into its disposal-order slot — a single C-level
-  ``memmove``, no dict, no per-entry Python objects);
-* **evict** is one ranged prefix delete below
-  :func:`~repro.columnar.events.disposal_bound` — the Section-4.2 rule
-  (``ValidTo <= buffer.ValidFrom``) disposes exactly a prefix of the
-  disposal-ordered store, so dead entries leave in one ``del`` instead
-  of being re-visited by every later probe scan;
+* **insert** is one ``bisect_right`` on the endpoint column and one
+  C-level ``insert`` into each column.  Equal endpoints land in
+  insertion order, which is position order because the stored operand
+  arrives sorted — the store is ordered by ``(endpoint, position)``
+  without either being packed into the other, so any endpoint and any
+  operand size fit;
+* **evict** is one ranged prefix delete: the Section-4.2 rule
+  (``ValidTo <= buffer.ValidFrom``) disposes exactly the entries below
+  ``bisect_right(endpoints, buffer.ValidFrom)``, so dead entries leave
+  in one ``del`` per column instead of being re-visited by every later
+  probe scan;
 * **probe** is one binary search: because the merge admits an interval
   only once the sweep has strictly passed its start (the
   ``RANK_START``-last tie law, realised as the equal-timestamp
   holdback), every stored entry already satisfies the start-side match
   condition, and the end-side condition selects a contiguous *run* of
-  the store.
+  the store;
+* **emit** is a read of that run: the join kernels extend their
+  ``(xi, yj)`` index columns with the run's positions (sorted back into
+  position order) against the probe repeated — one C-level step per
+  run, none per pair, byte-identical in order to the columnar kernels'
+  output.
 
-Join output is **lazy**: kernels emit :class:`JoinRuns` — run
-descriptors ``(probe_index, active_lo, active_hi)`` over snapshots of
-the matching store range copied into an append-only arena — and the
-backend wraps them in :class:`LazyPairs`, which reports ``len()`` from
-the run totals in O(1) and expands to ``(xi, yj)`` index columns /
-payload pairs only when something actually touches the output
-(mirroring the parallel runtime's lazy-materialisation Amdahl fix).
+The backend wraps a join's index columns in :class:`LazyPairs`, which
+builds payload pairs only when something touches them.
 
 The zero-state (class d, and the class-(b) Overlap-semijoin that
 retires each X at its first witness) and one-state (class a1) cells are
@@ -38,26 +42,20 @@ merges with no slot store to restructure — so the cell table in
 columnar kernel itself; the six are re-exported below so every kernel
 name a fused run reports resolves in this module.
 
-Every kernel returns ``(output, SweepStats)`` with the same accounting
-contract as :mod:`repro.columnar.kernels`; probe/evict binary searches
-charge their comparison count logarithmically (``bit_length`` of the
-store size per search), which the differential tests pin from above by
-the columnar backend's linear-scan counts.
+Every kernel returns ``(output, SweepStats)`` with the same output and
+accounting contract as :mod:`repro.columnar.kernels`; probe/evict
+binary searches charge their comparison count logarithmically
+(``bit_length`` of the store size per search), which the differential
+tests pin from above by the columnar backend's linear-scan counts.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
+from itertools import repeat
 from sys import maxsize
 from typing import List, Optional, Sequence, Tuple
 
-from .events import (
-    IDX_MASK,
-    check_stored,
-    disposal_bound,
-    pack_entry,
-)
 from .kernels import (  # noqa: F401 - the six shared cells, re-exported
     SweepStats,
     _overflow,
@@ -69,98 +67,26 @@ from .kernels import (  # noqa: F401 - the six shared cells, re-exported
     self_contained_semijoin_ts_te,
 )
 
-#: Run-descriptor probe sides (see :class:`JoinRuns`).
-PROBE_Y = 0
-PROBE_X = 1
-
-
-class JoinRuns:
-    """Lazy join output: run descriptors over workspace snapshots.
-
-    Each run ``r`` pairs probe element ``probes[r]`` with every entry
-    of ``arena[los[r]:his[r]]`` — a snapshot of the slot store's
-    matching range at probe time.  ``sides[r]`` says which operand the
-    probe element belongs to (``None`` means every probe is a Y
-    element, the shape of the contain joins).  ``len()`` is the exact
-    pair count, known without expanding anything.
-    """
-
-    __slots__ = ("probes", "los", "his", "arena", "total", "sides")
-
-    def __init__(
-        self,
-        probes: array,
-        los: array,
-        his: array,
-        arena: array,
-        total: int,
-        sides: Optional[bytearray] = None,
-    ) -> None:
-        self.probes = probes
-        self.los = los
-        self.his = his
-        self.arena = arena
-        self.total = total
-        self.sides = sides
-
-    def __len__(self) -> int:
-        return self.total
-
-    def index_columns(self) -> Tuple[array, array]:
-        """Expand the runs to parallel ``(xi, yj)`` index columns —
-        the eager representation the shard workers ship over shared
-        memory.  Within a run, stored entries are emitted in ascending
-        column-index order (the columnar backend's insertion order), so
-        the expansion is byte-identical to the eager kernels' output."""
-        xi = array("q")
-        yj = array("q")
-        arena = self.arena
-        probes = self.probes
-        los = self.los
-        his = self.his
-        sides = self.sides
-        one = array("q", [0])
-        for r in range(len(probes)):
-            lo = r_lo = los[r]
-            hi = his[r]
-            idxs = sorted(key & IDX_MASK for key in arena[lo:hi])
-            one[0] = probes[r]
-            repeated = one * (hi - r_lo)
-            if sides is None or sides[r] == PROBE_Y:
-                xi.extend(array("q", idxs))
-                yj.extend(repeated)
-            else:
-                xi.extend(repeated)
-                yj.extend(array("q", idxs))
-        return xi, yj
+#: A join kernel's output: parallel ``(xi, yj)`` position columns.
+IndexColumns = Tuple[List[int], List[int]]
 
 
 class LazyPairs(Sequence):
     """The join output of both batch backends: a sequence of payload
     pairs that materialises on first touch.
 
-    ``source`` is what the kernel returned — a fused :class:`JoinRuns`
-    or the columnar kernels' eager ``(xi, yj)`` index columns.
-    ``len()`` is known without expanding anything; indexing, iteration,
-    or containment triggers one expansion (runs → index columns →
-    payload gathers) whose result is cached.  EXPLAIN and metrics read
-    only ``len()``, and the hybrid executor reads only
-    :meth:`index_columns`, so neither pays for payload pairs.
+    ``columns`` is what the kernel returned — its ``(xi, yj)`` index
+    columns.  ``len()`` reads their length; indexing, iteration or
+    containment triggers one payload gather whose result is cached.
+    EXPLAIN and metrics read only ``len()``, and the hybrid executor
+    reads only :meth:`index_columns`, so neither pays for payload
+    pairs.
     """
 
-    __slots__ = (
-        "_runs", "_columns", "_length", "x_payload", "y_payload", "_pairs"
-    )
+    __slots__ = ("_columns", "x_payload", "y_payload", "_pairs")
 
-    def __init__(self, source, x_payload, y_payload) -> None:
-        if isinstance(source, JoinRuns):
-            self._runs: Optional[JoinRuns] = source
-            self._columns = None
-            self._length = source.total
-        else:
-            self._runs = None
-            self._columns = source
-            self._length = len(source[0])
+    def __init__(self, columns: IndexColumns, x_payload, y_payload) -> None:
+        self._columns = columns
         #: The *sorted* operands' payload columns, which
         #: :meth:`index_columns` positions point into.
         self.x_payload = x_payload
@@ -168,27 +94,23 @@ class LazyPairs(Sequence):
         self._pairs: Optional[list] = None
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._columns[0])
 
     @property
     def materialized(self) -> bool:
         return self._pairs is not None
 
-    def index_columns(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """Parallel ``(xi, yj)`` columns, one entry per output pair in
-        emission order; each is a position into the sorted operand
-        (``x_payload[xi[k]]`` pairs with ``y_payload[yj[k]]``).  Runs
-        expand once: the columns are cached and the runs released."""
-        runs = self._runs
-        if runs is not None:
-            self._columns = runs.index_columns()
-            self._runs = None
+    def index_columns(self) -> IndexColumns:
+        """The kernel's own parallel ``(xi, yj)`` columns, one entry
+        per output pair in emission order; each is a position into the
+        sorted operand (``x_payload[xi[k]]`` pairs with
+        ``y_payload[yj[k]]``)."""
         return self._columns
 
     def _materialise(self) -> list:
         pairs = self._pairs
         if pairs is None:
-            xi, yj = self.index_columns()
+            xi, yj = self._columns
             pairs = list(
                 zip(
                     map(self.x_payload.__getitem__, xi),
@@ -218,7 +140,7 @@ class LazyPairs(Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "materialized" if self._pairs is not None else "lazy"
-        return f"LazyPairs(n={self._length}, {state})"
+        return f"LazyPairs(n={len(self)}, {state})"
 
 
 # ----------------------------------------------------------------------
@@ -231,50 +153,51 @@ def contain_join_ts_ts(
     y_te: Sequence[int],
     limit: Optional[int] = None,
     trace: Optional[List[int]] = None,
-) -> Tuple[JoinRuns, SweepStats]:
+) -> Tuple[IndexColumns, SweepStats]:
     """Contain-join(X, Y), both on ValidFrom^, as one fused sweep.
 
-    The slot store holds open X entries keyed on ValidTo (the class-(a)
+    The slot store holds open X entries in ValidTo order (the class-(a)
     disposal endpoint).  X starts sharing a probe's timestamp are held
     back until the sweep strictly passes them (``RANK_START`` last), so
     every stored entry satisfies ``X.TS < y.TS`` by construction and
     the probe's match set is exactly the store suffix with
-    ``X.TE > y.TE`` — one binary search, emitted as a run descriptor.
+    ``X.TE > y.TE`` — one binary search, emitted as one run.
     Held-back entries still count toward the state high-water mark at
     admission, matching the eager backends' accounting.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_stored(x_ts, x_te)
-    store = array("q")
-    pend = array("q")
-    pend_ts = 0
-    arena = array("q")
-    probes = array("q")
-    los = array("q")
-    his = array("q")
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    rows: List[int] = []  # stored X: column position, parallel to ends
+    held: List[int] = []  # admitted X rows starting at ``held_ts``
+    held_ts = 0
+    xi: List[int] = []
+    yj: List[int] = []
     comparisons = eviction_checks = inserted = discarded = high = 0
-    total = 0
     i = 0
     for j in range(ny):
         yts = y_ts[j]
-        if pend and pend_ts < yts:
-            for key in pend:
-                insort(store, key)
-            del pend[:]
+        if held and held_ts < yts:
+            for row in held:
+                xte = x_te[row]
+                at = bisect_right(ends, xte)
+                ends.insert(at, xte)
+                rows.insert(at, row)
+            del held[:]
         while i < nx and x_ts[i] <= yts:
             comparisons += 1
             xte = x_te[i]
             if xte > yts:  # skip dead-on-arrival entries
-                key = pack_entry(xte, i)
                 if x_ts[i] == yts:
-                    pend.append(key)
-                    pend_ts = yts
+                    held.append(i)
+                    held_ts = yts
                 else:
-                    insort(store, key)
+                    at = bisect_right(ends, xte)
+                    ends.insert(at, xte)
+                    rows.insert(at, i)
                 inserted += 1
-                cur = len(store) + len(pend)
+                cur = len(rows) + len(held)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -282,32 +205,29 @@ def contain_join_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             i += 1
-        k = bisect_right(store, disposal_bound(yts))
-        eviction_checks += len(store).bit_length()
+        k = bisect_right(ends, yts)
+        eviction_checks += len(rows).bit_length()
         if k:
-            del store[:k]
+            del ends[:k]
+            del rows[:k]
             discarded += k
             if trace is not None:
-                trace.append(len(store) + len(pend))
-        yte = y_te[j]
-        cut = bisect_right(store, disposal_bound(yte))
-        comparisons += len(store).bit_length()
-        m = len(store) - cut
+                trace.append(len(rows) + len(held))
+        cut = bisect_right(ends, y_te[j])
+        comparisons += len(rows).bit_length()
+        m = len(rows) - cut
         if m:
-            probes.append(j)
-            los.append(len(arena))
-            arena.extend(store[cut:])
-            his.append(len(arena))
-            total += m
-    discarded += len(store) + len(pend)
-    if trace is not None and (store or pend):
+            xi.extend(sorted(rows[cut:]))
+            yj.extend(repeat(j, m))
+    discarded += len(rows) + len(held)
+    if trace is not None and (rows or held):
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
-    return JoinRuns(probes, los, his, arena, total), stats
+    return (xi, yj), stats
 
 
 def contain_join_ts_te(
@@ -317,30 +237,30 @@ def contain_join_ts_te(
     y_te: Sequence[int],
     limit: Optional[int] = None,
     trace: Optional[List[int]] = None,
-) -> Tuple[JoinRuns, SweepStats]:
+) -> Tuple[IndexColumns, SweepStats]:
     """Contain-join(X, Y) with X on ValidFrom^ and Y on ValidTo^
-    (class (b)), as one fused sweep with a two-key slot store.
+    (class (b)), as one fused sweep with a store in each order.
 
     The disposal rule watches ``X.TE <= y.TE``, while the match set of
-    a probe is ``X.TS < y.TS`` — so the store is kept in *start* order
-    for probing and a parallel ValidTo-ordered key column identifies
-    the disposal prefix.  After the ranged eviction every stored entry
-    satisfies ``X.TE > y.TE``, making the probe's match set exactly the
-    store prefix with ``X.TS < y.TS``: still one binary search and one
-    run descriptor per probe.
+    a probe is ``X.TS < y.TS`` — so the store is kept twice: in *start*
+    order for probing, and in ValidTo order to identify the disposal
+    prefix.  X arrives in ValidFrom order, so the start-ordered pair is
+    append-only and ascending in position: an evicted entry is found in
+    it by bisecting for its position.  After the ranged eviction every
+    stored entry satisfies ``X.TE > y.TE``, so the probe's match set is
+    exactly the prefix with ``X.TS < y.TS``: still one binary search
+    and one run per probe, already in position order.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_stored(x_ts, x_te)
-    ts_store = array("q")  # pack_entry(TS, index): probe order
-    te_store = array("q")  # pack_entry(TE, index): disposal order
-    arena = array("q")
-    probes = array("q")
-    los = array("q")
-    his = array("q")
+    starts: List[int] = []  # stored X: ValidFrom, ascending (appended)
+    rows: List[int] = []  # their positions, parallel and ascending too
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    end_rows: List[int] = []  # their positions, parallel to ends
+    xi: List[int] = []
+    yj: List[int] = []
     comparisons = eviction_checks = inserted = discarded = high = 0
-    total = 0
     i = 0
     for j in range(ny):
         yte = y_te[j]
@@ -348,10 +268,13 @@ def contain_join_ts_te(
             comparisons += 1
             xte = x_te[i]
             if xte > yte:  # dead-on-arrival otherwise
-                insort(ts_store, pack_entry(x_ts[i], i))
-                insort(te_store, pack_entry(xte, i))
+                starts.append(x_ts[i])
+                rows.append(i)
+                at = bisect_right(ends, xte)
+                ends.insert(at, xte)
+                end_rows.insert(at, i)
                 inserted += 1
-                cur = len(ts_store)
+                cur = len(rows)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -359,38 +282,34 @@ def contain_join_ts_te(
                 if trace is not None:
                     trace.append(cur)
             i += 1
-        k = bisect_right(te_store, disposal_bound(yte))
-        eviction_checks += len(te_store).bit_length()
+        k = bisect_right(ends, yte)
+        eviction_checks += len(rows).bit_length()
         if k:
-            for key in te_store[:k]:
-                idx = key & IDX_MASK
-                ts_key = pack_entry(x_ts[idx], idx)
-                pos = bisect_right(ts_store, ts_key) - 1
-                del ts_store[pos]
-                eviction_checks += len(ts_store).bit_length()
-            del te_store[:k]
+            for row in end_rows[:k]:
+                at = bisect_left(rows, row)
+                del starts[at]
+                del rows[at]
+                eviction_checks += len(rows).bit_length()
+            del ends[:k]
+            del end_rows[:k]
             discarded += k
             if trace is not None:
-                trace.append(len(ts_store))
-        yts = y_ts[j]
+                trace.append(len(rows))
         # Every survivor ends after y.TE; starts before y.TS == match.
-        cut = bisect_right(ts_store, pack_entry(yts, 0) - 1)
-        comparisons += len(ts_store).bit_length()
+        cut = bisect_left(starts, y_ts[j])
+        comparisons += len(rows).bit_length()
         if cut:
-            probes.append(j)
-            los.append(len(arena))
-            arena.extend(ts_store[:cut])
-            his.append(len(arena))
-            total += cut
-    discarded += len(ts_store)
-    if trace is not None and ts_store:
+            xi.extend(rows[:cut])
+            yj.extend(repeat(j, cut))
+    discarded += len(rows)
+    if trace is not None and rows:
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
-    return JoinRuns(probes, los, his, arena, total), stats
+    return (xi, yj), stats
 
 
 # ----------------------------------------------------------------------
@@ -412,33 +331,37 @@ def contain_semijoin_ts_ts(
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_stored(x_ts, x_te)
-    store = array("q")
-    pend = array("q")
-    pend_ts = 0
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    rows: List[int] = []  # stored X: column position, parallel to ends
+    held: List[int] = []  # admitted X rows starting at ``held_ts``
+    held_ts = 0
     out: List[int] = []
     comparisons = eviction_checks = inserted = discarded = high = 0
     i = 0
     for j in range(ny):
         yts = y_ts[j]
-        if i >= nx and not store and not pend:
+        if i >= nx and not rows and not held:
             break
-        if pend and pend_ts < yts:
-            for key in pend:
-                insort(store, key)
-            del pend[:]
+        if held and held_ts < yts:
+            for row in held:
+                xte = x_te[row]
+                at = bisect_right(ends, xte)
+                ends.insert(at, xte)
+                rows.insert(at, row)
+            del held[:]
         while i < nx and x_ts[i] <= yts:
             comparisons += 1
             xte = x_te[i]
             if xte > yts:  # dead-on-arrival otherwise
-                key = pack_entry(xte, i)
                 if x_ts[i] == yts:
-                    pend.append(key)
-                    pend_ts = yts
+                    held.append(i)
+                    held_ts = yts
                 else:
-                    insort(store, key)
+                    at = bisect_right(ends, xte)
+                    ends.insert(at, xte)
+                    rows.insert(at, i)
                 inserted += 1
-                cur = len(store) + len(pend)
+                cur = len(rows) + len(held)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -446,23 +369,24 @@ def contain_semijoin_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             i += 1
-        k = bisect_right(store, disposal_bound(yts))
-        eviction_checks += len(store).bit_length()
+        k = bisect_right(ends, yts)
+        eviction_checks += len(rows).bit_length()
         if k:
-            del store[:k]
+            del ends[:k]
+            del rows[:k]
             discarded += k
-        yte = y_te[j]
-        cut = bisect_right(store, disposal_bound(yte))
-        comparisons += len(store).bit_length()
-        m = len(store) - cut
+        cut = bisect_right(ends, y_te[j])
+        comparisons += len(rows).bit_length()
+        m = len(rows) - cut
         if m:
-            out.extend(sorted(key & IDX_MASK for key in store[cut:]))
-            del store[cut:]  # matched: emit and retire immediately
+            out.extend(sorted(rows[cut:]))
+            del ends[cut:]  # matched: emit and retire immediately
+            del rows[cut:]
             discarded += m
         if trace is not None and (k or m):
-            trace.append(len(store) + len(pend))
-    discarded += len(store) + len(pend)
-    if trace is not None and (store or pend):
+            trace.append(len(rows) + len(held))
+    discarded += len(rows) + len(held)
+    if trace is not None and (rows or held):
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks
@@ -481,16 +405,16 @@ def contained_semijoin_ts_ts(
     trace: Optional[List[int]] = None,
 ) -> Tuple[List[int], SweepStats]:
     """Contained-semijoin(X, Y), both on ValidFrom^ (class (c)), fused:
-    the state is the waiting Y side, keyed on ValidTo.  Every stored Y
-    starts strictly before the consumed X (the eager kernel's strict
-    admission rule), so X is contained in *some* stored Y iff the
-    store's maximum ValidTo exceeds ``X.TE`` — an O(1) test against
-    the last slot instead of a probe scan."""
+    the state is the waiting Y side, and only its ValidTo column — no
+    stored row is ever emitted.  Every stored Y starts strictly before
+    the consumed X (the eager kernel's strict admission rule), so X is
+    contained in *some* stored Y iff the store's maximum ValidTo
+    exceeds ``X.TE`` — an O(1) test against the last slot instead of a
+    probe scan."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_stored(y_ts, y_te)
-    store = array("q")
+    ends: List[int] = []  # stored Y: ValidTo, ascending
     out: List[int] = []
     append = out.append
     comparisons = eviction_checks = inserted = discarded = high = 0
@@ -501,9 +425,9 @@ def contained_semijoin_ts_ts(
             comparisons += 1
             yte = y_te[j]
             if yte > xts:  # dead-on-arrival otherwise
-                insort(store, pack_entry(yte, j))
+                insort(ends, yte)
                 inserted += 1
-                cur = len(store)
+                cur = len(ends)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -511,18 +435,18 @@ def contained_semijoin_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             j += 1
-        k = bisect_right(store, disposal_bound(xts))
-        eviction_checks += len(store).bit_length()
+        k = bisect_right(ends, xts)
+        eviction_checks += len(ends).bit_length()
         if k:
-            del store[:k]
+            del ends[:k]
             discarded += k
             if trace is not None:
-                trace.append(len(store))
+                trace.append(len(ends))
         comparisons += 1
-        if store and store[-1] > disposal_bound(x_te[i]):
+        if ends and ends[-1] > x_te[i]:
             append(i)
-    discarded += len(store)
-    if trace is not None and store:
+    discarded += len(ends)
+    if trace is not None and ends:
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks
@@ -542,50 +466,45 @@ def overlap_join_ts_ts(
     y_te: Sequence[int],
     limit: Optional[int] = None,
     trace: Optional[List[int]] = None,
-) -> Tuple[JoinRuns, SweepStats]:
+) -> Tuple[IndexColumns, SweepStats]:
     """Overlap-join(X, Y), both on ValidFrom^ (class (a)), fused: one
-    ValidTo-keyed slot store per side.  Consuming an element evicts the
-    opposite store's disposal prefix (``TE <= p``) and then *every*
+    ValidTo-ordered slot store per side.  Consuming an element evicts
+    the opposite store's disposal prefix (``TE <= p``) and then *every*
     survivor overlaps it — the whole store is the run, no per-entry
     probe at all."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    check_stored(x_ts, x_te)
-    check_stored(y_ts, y_te)
-    x_store = array("q")
-    y_store = array("q")
-    arena = array("q")
-    probes = array("q")
-    los = array("q")
-    his = array("q")
-    sides = bytearray()
+    x_ends: List[int] = []  # stored X: ValidTo, ascending
+    x_rows: List[int] = []  # stored X: column position, parallel
+    y_ends: List[int] = []  # stored Y, likewise
+    y_rows: List[int] = []
+    xi: List[int] = []
+    yj: List[int] = []
     comparisons = eviction_checks = inserted = discarded = high = 0
-    total = 0
     i = j = 0
     while True:
         if i < nx and (j >= ny or x_ts[i] <= y_ts[j]):
-            p = x_ts[i]
-            k = bisect_right(y_store, disposal_bound(p))
-            eviction_checks += len(y_store).bit_length()
+            k = bisect_right(y_ends, x_ts[i])
+            eviction_checks += len(y_rows).bit_length()
             if k:
-                del y_store[:k]
+                del y_ends[:k]
+                del y_rows[:k]
                 discarded += k
                 if trace is not None:
-                    trace.append(len(x_store) + len(y_store))
-            m = len(y_store)
+                    trace.append(len(x_rows) + len(y_rows))
+            m = len(y_rows)
             comparisons += m  # every survivor is one matched pair
             if m:
-                probes.append(i)
-                los.append(len(arena))
-                arena.extend(y_store)
-                his.append(len(arena))
-                sides.append(PROBE_X)
-                total += m
+                xi.extend(repeat(i, m))
+                yj.extend(sorted(y_rows))
             if j < ny:  # an X tuple only joins future Y if any remain
-                insort(x_store, pack_entry(x_te[i], i))
+                xte = x_te[i]
+                at = bisect_right(x_ends, xte)
+                x_ends.insert(at, xte)
+                x_rows.insert(at, i)
                 inserted += 1
-                cur = len(x_store) + len(y_store)
+                cur = len(x_rows) + len(y_rows)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -594,27 +513,26 @@ def overlap_join_ts_ts(
                     trace.append(cur)
             i += 1
         elif j < ny:
-            p = y_ts[j]
-            k = bisect_right(x_store, disposal_bound(p))
-            eviction_checks += len(x_store).bit_length()
+            k = bisect_right(x_ends, y_ts[j])
+            eviction_checks += len(x_rows).bit_length()
             if k:
-                del x_store[:k]
+                del x_ends[:k]
+                del x_rows[:k]
                 discarded += k
                 if trace is not None:
-                    trace.append(len(x_store) + len(y_store))
-            m = len(x_store)
+                    trace.append(len(x_rows) + len(y_rows))
+            m = len(x_rows)
             comparisons += m
             if m:
-                probes.append(j)
-                los.append(len(arena))
-                arena.extend(x_store)
-                his.append(len(arena))
-                sides.append(PROBE_Y)
-                total += m
+                xi.extend(sorted(x_rows))
+                yj.extend(repeat(j, m))
             if i < nx:
-                insort(y_store, pack_entry(y_te[j], j))
+                yte = y_te[j]
+                at = bisect_right(y_ends, yte)
+                y_ends.insert(at, yte)
+                y_rows.insert(at, j)
                 inserted += 1
-                cur = len(x_store) + len(y_store)
+                cur = len(x_rows) + len(y_rows)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -624,15 +542,15 @@ def overlap_join_ts_ts(
             j += 1
         else:
             break
-    discarded += len(x_store) + len(y_store)
-    if trace is not None and (x_store or y_store):
+    discarded += len(x_rows) + len(y_rows)
+    if trace is not None and (x_rows or y_rows):
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
-    return JoinRuns(probes, los, his, arena, total, sides), stats
+    return (xi, yj), stats
 
 
 # ----------------------------------------------------------------------
@@ -645,59 +563,63 @@ def self_contain_semijoin_ts(
     trace: Optional[List[int]] = None,
 ) -> Tuple[List[int], SweepStats]:
     """Contain-semijoin(X, X) on ValidFrom^ (class (b1)), fused: open
-    candidates wait in a ValidTo-keyed slot store.  Each element evicts
-    the disposal prefix (``TE <= ts``), then the candidates it proves
-    to be containers form the store suffix with ``TE > te`` — minus
-    same-start peers, which the closed-open tie law keeps unmatched
-    (``RANK_START`` last: an equal-time start never strictly
+    candidates wait in a ValidTo-ordered slot store.  Each element
+    evicts the disposal prefix (``TE <= ts``), then the candidates it
+    proves to be containers form the store suffix with ``TE > te`` —
+    minus same-start peers, which the closed-open tie law keeps
+    unmatched (``RANK_START`` last: an equal-time start never strictly
     contains)."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx = len(x_ts)
-    check_stored(x_ts, x_te)
-    store = array("q")
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    rows: List[int] = []  # stored X: column position, parallel to ends
     out: List[int] = []
     comparisons = eviction_checks = inserted = discarded = high = 0
     for i in range(nx):
         ts = x_ts[i]
         te = x_te[i]
-        k = bisect_right(store, disposal_bound(ts))
-        eviction_checks += len(store).bit_length()
+        k = bisect_right(ends, ts)
+        eviction_checks += len(rows).bit_length()
         dropped = k
         if k:
-            del store[:k]
-        cut = bisect_right(store, disposal_bound(te))
-        comparisons += len(store).bit_length()
-        if cut < len(store):
+            del ends[:k]
+            del rows[:k]
+        cut = bisect_right(ends, te)
+        comparisons += len(rows).bit_length()
+        if cut < len(rows):
             matched: List[int] = []
-            keep = array("q")
-            for key in store[cut:]:
+            keep_ends: List[int] = []
+            keep_rows: List[int] = []
+            for end, row in zip(ends[cut:], rows[cut:]):
                 comparisons += 1
-                idx = key & IDX_MASK
-                if x_ts[idx] < ts:
-                    matched.append(idx)  # proven container: retire
+                if x_ts[row] < ts:
+                    matched.append(row)  # proven container: retire
                 else:
-                    keep.append(key)  # same-start peer: not strict
+                    keep_ends.append(end)  # same-start peer: not strict
+                    keep_rows.append(row)
             if matched:
-                store[cut:] = keep
+                ends[cut:] = keep_ends
+                rows[cut:] = keep_rows
                 matched.sort()
                 out.extend(matched)
                 dropped += len(matched)
         if dropped:
             discarded += dropped
             if trace is not None:
-                trace.append(len(store))
-        insort(store, pack_entry(te, i))
+                trace.append(len(rows))
+        ends.insert(cut, te)  # what is left above ``cut`` ends after te
+        rows.insert(cut, i)
         inserted += 1
-        cur = len(store)
+        cur = len(rows)
         if cur > high:
             high = cur
             if high > budget:
                 raise _overflow(budget)
         if trace is not None:
             trace.append(cur)
-    discarded += len(store)
-    if trace is not None and store:
+    discarded += len(rows)
+    if trace is not None and rows:
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks

@@ -51,22 +51,40 @@ class CostModel:
     #: Largest shard count the cost model will consider.
     max_parallel_workers: int = 8
     #: Per-tuple CPU price of the columnar batch sweep relative to
-    #: tuple-at-a-time, *before* its active-list scan.  With the three
-    #: constants below, fitted to the per-layer numbers committed in
-    #: ``bench/README.md``: tuple sweep 8 us/tuple; columnar kernel 0.6
-    #: us/tuple + 0.012 us per live interval (12.4 ms at ~40 expected
-    #: live, 85.9 ms at ~1440); fused kernel 0.9-1.1 us/tuple at any
-    #: depth (bisect probes); runs -> index columns 14.6 ms for 86 220
-    #: pairs.
+    #: tuple-at-a-time, *before* its active-list scan and its output.
+    #: The five batch constants price one tuple-backend tuple at 8 us
+    #: and are fitted to kernel timings of the tree that gave the fused
+    #: kernels their two-column slot store (PR 18, parent a0c234f;
+    #: Fig-5 generator, 12 000 tuples, seeds 1/2, kernels alone, best
+    #: of 21-31 interleaved).  Columnar: 0.35 us/tuple + 0.013 us per
+    #: tuple per modelled live interval + 0.028 us per output pair (two
+    #: Python-level appends).  Fused: 0.45 us/tuple at any depth (bisect
+    #: probes) + 0.53 us per emitted run + 0.012-0.027 us per pair,
+    #: i.e. 0.05 us per pair at the ~14 pairs a run carries there.  The
+    #: two per-tuple prices are PR 14's scale, ~0.3 us above both
+    #: measurements, so the difference that decides between the
+    #: backends is the measured one: without output fused overtakes
+    #: columnar at 6-7 live intervals (at ~35 before PR 18, whose
+    #: kernels stopped paying three Python calls per probe to pack
+    #: keys; ``fused_cpu_factor`` moved 0.1 -> 0.09 with it).  The
+    #: traced benchmark run of the same tree (``bench/run.py --trace
+    #: 1``, seed 1990) reads ``columnar.kernel_s`` / ``fused.kernel_s``
+    #: 13.9 / 11.4 ms on ``fig5_contain`` (modelled 16.0 / 13.0), 95 /
+    #: 5.0 ms on ``deep_state`` (89 / 3.6) and 10.0 / 11.3 ms on
+    #: ``tie_overlap`` (16.9 / 18.2: the overlap output is over-
+    #: estimated 2.7x there, on both backends alike).
     columnar_cpu_factor: float = 0.08
     #: Per-tuple CPU price of the fused endpoint-event sweep, *before*
-    #: its run expansion.
-    fused_cpu_factor: float = 0.1
+    #: its output.
+    fused_cpu_factor: float = 0.09
     #: Columnar's extra per tuple and per expected live interval: every
     #: probe scans the active list linearly.
     COLUMNAR_SCAN_FACTOR: ClassVar[float] = 0.0015
-    #: Fused's extra per expected output pair: runs -> index columns.
-    FUSED_EXPAND_FACTOR: ClassVar[float] = 0.02
+    #: What each batch kernel pays per expected output pair to emit its
+    #: index columns: columnar two appends per pair; fused a slice, a
+    #: sort and two extends per run, spread over the run's pairs.
+    COLUMNAR_PAIR_FACTOR: ClassVar[float] = 0.0035
+    FUSED_PAIR_FACTOR: ClassVar[float] = 0.006
 
     # ------------------------------------------------------------------
     # building blocks
@@ -118,20 +136,21 @@ class CostModel:
         """CPU price of sweeping ``tuples`` input tuples on one
         execution backend (page I/O is backend-independent).  The two
         batch backends differ in what grows with the data: columnar
-        scans the expected workspace per tuple, fused expands its runs
-        per expected output pair."""
-        cost = float(tuples)
+        scans the expected workspace per tuple, and each emits an
+        expected output pair at its own price."""
+        per_tuple, per_pair = 1.0, 0.0
         if backend == "columnar":
-            cost *= (
+            per_tuple = (
                 self.columnar_cpu_factor
                 + self.COLUMNAR_SCAN_FACTOR * expected_workspace
             )
+            per_pair = self.COLUMNAR_PAIR_FACTOR
         elif backend == "fused":
-            cost = (
-                cost * self.fused_cpu_factor
-                + expected_output * self.FUSED_EXPAND_FACTOR
-            )
-        return cost * self.tuple_cpu
+            per_tuple = self.fused_cpu_factor
+            per_pair = self.FUSED_PAIR_FACTOR
+        return (
+            tuples * per_tuple + expected_output * per_pair
+        ) * self.tuple_cpu
 
     def stream_pass_cost(
         self,

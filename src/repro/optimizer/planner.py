@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Optional, Union
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..governance.budget import QueryBudget
 
-from ..columnar.events import packing_fits
 from ..columnar.relation import IntervalColumns
 from ..errors import (
     PlanStateError,
@@ -42,7 +41,7 @@ from ..model.sortorder import order_satisfies
 from ..obs.trace import get_tracer
 from ..resilience.executor import execute_entry, stream_over
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
-from ..stats.estimators import TemporalStatistics, collect_statistics
+from ..stats.estimators import collect_statistics
 from ..streams.metrics import ProcessorMetrics
 from ..streams.processors.baseline import (
     PREDICATES,
@@ -59,19 +58,6 @@ from .cost import CostModel, expected_output_for, expected_workspace_for
 
 #: What the planner plans over and runs on.
 Operand = Union[TemporalRelation, IntervalColumns]
-
-
-def _fused_packs(entry: RegistryEntry, *operands: TemporalStatistics) -> bool:
-    """Whether both operands fit the fused slot store's packed
-    ``(endpoint << 21) | index`` words, read off the statistics the
-    planner already holds (a mirrored cell packs negated endpoints)."""
-    for stats in operands:
-        lo, hi = stats.span_start, stats.span_end
-        if entry.mirrored:
-            lo, hi = -hi, -lo
-        if not packing_fits(stats.cardinality, lo, hi):
-            return False
-    return True
 
 
 def _entry_of(alternative: "Alternative") -> RegistryEntry:
@@ -253,12 +239,6 @@ class TemporalJoinPlanner:
             for backend in planner_backends:
                 if backend not in entry.backends:
                     continue
-                if (
-                    backend == "fused"
-                    and self.backend == "auto"
-                    and not _fused_packs(entry, x_stats, y_stats)
-                ):
-                    continue  # columnar runs the same cell unpacked
                 if entry.order_free:
                     # One alternative per backend suffices: the
                     # algorithm ignores sort orders entirely.

@@ -220,45 +220,59 @@ class TestPlannerBackend:
                 assert profile.metrics.passes_x == 1
         assert outputs["tuple"] == outputs["columnar"]
 
+    @pytest.mark.parametrize("order", [TS_ASC, TE_DESC], ids=str)
     @pytest.mark.parametrize(
-        "ts, te, upper, lower",
+        "base",
         [
-            (0, 2**42 - 1, True, True),
-            (0, 2**42, False, True),  # mirrored: -2**42 still packs
-            (-(2**42), 5, True, False),  # mirrored: +2**42 does not
-            (-(2**42) - 1, 5, False, False),
+            2**42 - 50,  # straddling where the packed store stopped,
+            -(2**42) - 50,  # on either side
+            2**62 - 300,
+            -(2**62),
         ],
     )
-    def test_auto_skips_fused_past_the_packing_limit(
-        self, ts, te, upper, lower
-    ):
-        """The statistics the planner already collects say whether the
-        slot store's packed words can hold the operands; where they
-        cannot, ``auto`` offers the cell on columnar only."""
-        x, y = self.make_relations()
-        wide = TemporalTuple("wide", 99, ts, te)
-        x = TemporalRelation(x.schema, list(x.tuples) + [wide])
-        planner = TemporalJoinPlanner(backend="auto")
+    def test_fused_and_auto_take_any_int64_endpoints(self, base, order):
+        """Nothing is packed into the fused slot store, so ``auto``
+        offers every cell on fused wherever the endpoints sit, and the
+        cell (``order`` ValidFrom^) and its mirror (ValidTov, which
+        sweeps the negated endpoints) run them to columnar's rows."""
+
+        def relation(name, rows):
+            return TemporalRelation(
+                TemporalSchema(name, "Id", "Seq"),
+                sort_tuples(
+                    [T(i, base + ts, base + te) for i, (ts, te) in rows],
+                    order,
+                ),
+                order=order,
+            )
+
+        x = relation("X", enumerate((2 * i, 2 * i + 40) for i in range(120)))
+        y = relation(
+            "Y", enumerate((2 * i + 1, 2 * i + 11) for i in range(120))
+        )
         offered = {True: set(), False: set()}
-        for alt in planner.alternatives(
+        for alt in TemporalJoinPlanner(backend="auto").alternatives(
             TemporalOperator.CONTAIN_JOIN, x, y
         ):
             if alt.kind == "stream":
                 offered[alt.entry.mirrored].add(alt.backend)
-        assert ("fused" in offered[False]) is upper
-        assert ("fused" in offered[True]) is lower
-        assert offered[False] >= {"tuple", "columnar"} <= offered[True]
-        results, profile = planner.execute(
-            TemporalOperator.CONTAIN_JOIN, x, y
-        )
-        baseline = TemporalJoinPlanner(backend="tuple").execute(
-            TemporalOperator.CONTAIN_JOIN, x, y
-        )[0]
-        assert sorted((a.value, b.value) for a, b in results) == sorted(
-            (a.value, b.value) for a, b in baseline
-        )
-        if not (upper or lower):
-            assert profile.chosen.backend != "fused"
+        assert offered[False] == offered[True] == set(BACKENDS)
+        rows = {}
+        for backend in ("columnar", "fused", "auto"):
+            results, profile = TemporalJoinPlanner(backend=backend).execute(
+                TemporalOperator.CONTAIN_JOIN, x, y
+            )
+            assert profile.chosen.kind == "stream"
+            assert profile.chosen.entry.mirrored is (order is TE_DESC)
+            rows[backend] = [(a.value, b.value) for a, b in results]
+        assert profile.chosen.backend == "fused"  # auto's pick
+        assert rows["fused"] == rows["auto"] == rows["columnar"]
+        assert sorted(rows["fused"]) == [
+            (i, k)
+            for i in range(120)
+            for k in range(120)
+            if 2 * i < 2 * k + 1 and 2 * k + 11 < 2 * i + 40
+        ]
 
     def test_columnar_planner_skips_tuple_only_cells(self):
         """Every enumerated stream alternative must actually be

@@ -1,15 +1,19 @@
-"""Fused endpoint-event backend: event encoding laws, the tie-rank
-order against the kernels' implicit merge, lazy join materialisation,
-endpoint-only column execution, and the slot-store bound declarations."""
+"""Fused endpoint-event backend: the two-column slot store's ordering
+laws, counts frozen in a golden table, the whole int64 range against the
+columnar twins, the tie-rank order against the kernels' implicit merge,
+lazy payload materialisation, endpoint-only column execution, and the
+slot-store bound declarations."""
 
 from array import array
+from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.tables import FUSED_BOUNDS, derive_fused_bound
-from repro.columnar import fused, kernels
+from repro.columnar import ColumnarProcessor, fused, kernels
 from repro.columnar.backend import CELLS, LazyPairs
 from repro.columnar.events import (
     IDX_MASK,
@@ -19,20 +23,15 @@ from repro.columnar.events import (
     SIDE_X,
     SIDE_Y,
     check_capacity,
-    disposal_bound,
-    entry_endpoint,
-    entry_index,
     event_index,
     event_rank,
     event_side,
     event_time,
     merged_schedule,
-    pack_entry,
     pack_event,
-    packing_fits,
 )
 from repro.errors import WorkspaceOverflowError
-from repro.model import TS_ASC, TemporalTuple, sort_tuples
+from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.streams import (
     TemporalOperator,
     TupleStream,
@@ -42,7 +41,7 @@ from repro.streams import (
 from repro.streams.registry import _registry
 
 #: Endpoints cover negatives: the time-reversal mirrors feed negated
-#: columns through the same packing.
+#: columns through the same kernels.
 times = st.integers(min_value=-(10**6), max_value=10**6)
 indexes = st.integers(min_value=0, max_value=IDX_MASK)
 
@@ -61,120 +60,388 @@ interval_columns = st.lists(
 )
 
 
+def by_ts(spans):
+    """``(ts, te)`` spans as columns in ValidFrom^ order."""
+    rows = sorted(spans)
+    return [ts for ts, _ in rows], [te for _, te in rows]
+
+
+def by_te(spans):
+    """``(ts, te)`` spans as columns in ValidTo^ order."""
+    rows = sorted(spans, key=lambda span: (span[1], span[0]))
+    return [ts for ts, _ in rows], [te for _, te in rows]
+
+
+def mirrored(spans):
+    """Time reversal, ``[ts, te)`` to ``[-te, -ts)``."""
+    return [(-te, -ts) for ts, te in spans]
+
+
+#: Every fused kernel with a slot store -> the order each operand
+#: arrives in (``None``: the kernel is unary).
+STORING_KERNELS = {
+    "contain_join_ts_ts": (by_ts, by_ts),
+    "contain_join_ts_te": (by_ts, by_te),
+    "contain_semijoin_ts_ts": (by_ts, by_ts),
+    "contained_semijoin_ts_ts": (by_ts, by_ts),
+    "overlap_join_ts_ts": (by_ts, by_ts),
+    "self_contain_semijoin_ts": (by_ts, None),
+}
+
+
+def sweep(module, name, xs, ys):
+    """One storing kernel of ``module`` on spans: ``(output, the five
+    SweepStats counts in slot order — comparisons, eviction checks,
+    inserted, discarded, high water — and the trace)``."""
+    x_order, y_order = STORING_KERNELS[name]
+    columns = list(x_order(xs))
+    if y_order is not None:
+        columns += y_order(ys)
+    trace = []
+    out, stats = getattr(module, name)(*columns, trace=trace)
+    counts = tuple(getattr(stats, field) for field in stats.__slots__)
+    return out, counts, trace
+
+
 class TestEntryKeys:
-    @given(times, indexes)
-    def test_pack_roundtrip(self, t, i):
-        key = pack_entry(t, i)
-        assert entry_endpoint(key) == t
-        assert entry_index(key) == i
+    """The slot store is two columns, disposal endpoints and row
+    positions, with nothing packed: these are the two ordering laws the
+    kernels' ``bisect_right`` inserts, evictions and probes rest on."""
 
-    @given(times, times, indexes, indexes)
-    def test_order_preserving(self, t1, t2, i1, i2):
-        """Packed keys sort exactly like (endpoint, index) tuples —
-        including for negative (mirrored) endpoints."""
-        a, b = pack_entry(t1, i1), pack_entry(t2, i2)
-        assert (a < b) == ((t1, i1) < (t2, i2))
+    @staticmethod
+    def store_of(endpoints):
+        """Rows ``0..n-1`` inserted in position order the way every
+        storing kernel inserts: ``bisect_right`` on the endpoint."""
+        ends, rows = [], []
+        for row, end in enumerate(endpoints):
+            at = bisect_right(ends, end)
+            ends.insert(at, end)
+            rows.insert(at, row)
+        return ends, rows
 
-    @given(st.lists(st.tuples(times, indexes), max_size=40), times)
-    def test_disposal_bound_splits_store(self, entries, t):
-        """bisect at disposal_bound(t) == count of entries with
-        endpoint <= t — the Section-4.2 disposal prefix."""
-        store = sorted(pack_entry(e, i) for e, i in entries)
-        from bisect import bisect_right
+    @given(
+        st.lists(
+            st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1),
+            max_size=40,
+        )
+    )
+    def test_order_preserving(self, endpoints):
+        """Searching the endpoint alone keeps the store sorted exactly
+        like ``(endpoint, position)`` tuples — equal endpoints sit in
+        insertion order, which is position order — over the whole
+        int64 range, negative (mirrored) endpoints included."""
+        ends, rows = self.store_of(endpoints)
+        assert list(zip(ends, rows)) == sorted(
+            (end, row) for row, end in enumerate(endpoints)
+        )
 
-        k = bisect_right(store, disposal_bound(t))
-        assert k == sum(1 for e, _ in entries if e <= t)
-        assert all(entry_endpoint(key) <= t for key in store[:k])
-        assert all(entry_endpoint(key) > t for key in store[k:])
+    @given(st.lists(times, max_size=40), times)
+    def test_disposal_bound_splits_store(self, endpoints, t):
+        """bisect at ``t`` == count of entries with endpoint <= t — the
+        Section-4.2 disposal prefix — and the rows above it are exactly
+        the entries a probe at ``t`` still sees."""
+        ends, rows = self.store_of(endpoints)
+        k = bisect_right(ends, t)
+        assert k == sum(1 for end in endpoints if end <= t)
+        assert sorted(rows[:k]) == [
+            row for row, end in enumerate(endpoints) if end <= t
+        ]
+        assert all(end > t for end in ends[k:])
 
     def test_capacity_guard(self):
         check_capacity(IDX_MASK)
         with pytest.raises(ValueError):
             check_capacity(IDX_MASK + 1)
 
-    def test_capacity_guard_covers_the_endpoint_span(self):
-        """Both edges of the packed word, at the predicate level: 2**21
-        rows, and endpoints outside [-2**42, 2**42)."""
-        limit = 2**42
-        assert packing_fits(IDX_MASK, -limit, limit - 1)
-        assert not packing_fits(IDX_MASK + 1, 0, 0)
-        assert not packing_fits(1, 0, limit)
-        assert not packing_fits(1, -limit - 1, 0)
-        # The extremes really pack into an int64 slot, one past do not.
-        array("q", [pack_entry(limit - 1, IDX_MASK), pack_entry(-limit, 0)])
-        with pytest.raises(OverflowError):
-            array("q", [pack_entry(limit, 0)])
-        with pytest.raises(ValueError):
-            check_capacity(1, 0, limit)
 
-
-#: (kernel, its columnar twin, which operand it stores) for every fused
-#: kernel with a slot store.
-STORING_KERNELS = [
-    (fused.contain_join_ts_ts, kernels.contain_join_ts_ts, "x"),
-    (fused.contain_join_ts_te, kernels.contain_join_ts_te, "x"),
-    (fused.contain_semijoin_ts_ts, kernels.contain_semijoin_ts_ts, "x"),
-    (fused.contained_semijoin_ts_ts, kernels.contained_semijoin_ts_ts, "y"),
-    (fused.overlap_join_ts_ts, kernels.overlap_join_ts_ts, "x"),
-    (fused.overlap_join_ts_ts, kernels.overlap_join_ts_ts, "y"),
+# ----------------------------------------------------------------------
+# counts frozen across commits
+# ----------------------------------------------------------------------
+#: One adversarial workload: X and Y starts that tie with each other
+#: (the holdback fires at 5, 10 and 20), entries dead on arrival
+#: ((0, 3), (2, 4) before the first Y start they could meet), equal end
+#: times on both sides (8, 15, 30), ends equal to a later start (30, 40),
+#: and one interval per side spanning everything.
+GOLDEN_X = [
+    (-10, 200), (0, 3), (0, 100), (2, 4), (5, 8), (5, 9), (5, 30), (7, 8),
+    (10, 12), (10, 15), (11, 15), (20, 21), (20, 40), (26, 30), (30, 45),
+    (41, 42), (60, 61),
 ]
+GOLDEN_Y = [
+    (-5, 150), (5, 8), (5, 8), (5, 20), (6, 7), (10, 12), (10, 15),
+    (12, 15), (20, 25), (20, 30), (27, 30), (30, 40), (40, 41), (50, 99),
+]
+GOLDEN_FIXTURES = {
+    "adversarial": (GOLDEN_X, GOLDEN_Y),
+    "reversed": (mirrored(GOLDEN_X), mirrored(GOLDEN_Y)),
+    "empty-x": ([], GOLDEN_Y),
+    "empty-y": (GOLDEN_X, []),
+}
+
+#: (kernel, fixture) -> (SweepStats counts, Figure-5 trace, output), as
+#: the packed-key kernels of PR 17 (a0c234f) produced them: what "no
+#: pinned count moving" means between commits, where the benchmark only
+#: checks that counts repeat between rounds.
+GOLDEN = {
+    ("contain_join_ts_ts", "adversarial"): (
+        (46, 34, 12, 12, 7),
+        [1, 2, 3, 4, 5, 6, 7, 5, 6, 5, 6, 7, 5, 6, 5, 6, 4, 3, 2, 0],
+        (
+            [0, 0, 2, 0, 2, 0, 2, 0, 2, 4, 5, 6, 0, 2, 6, 0, 2, 6, 0, 2, 6,
+             0, 2, 6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2],
+            [0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7,
+             8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13],
+        ),
+    ),
+    ("contain_join_ts_ts", "reversed"): (
+        (47, 34, 12, 12, 9),
+        [1, 2, 3, 4, 5, 6, 5, 4, 3, 4, 5, 6, 7, 8, 9, 6, 5, 0],
+        (
+            [0, 0, 1, 0, 1, 3, 0, 1, 0, 1, 5, 0, 1, 0, 1, 7, 0, 1, 0, 1, 7,
+             0, 1, 7, 0, 1, 7, 0, 1, 0, 1, 0, 1, 7, 12, 14],
+            [0, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6, 6, 7, 7, 8, 8, 8,
+             9, 9, 9, 10, 10, 10, 11, 11, 12, 12, 13, 13, 13, 13, 13],
+        ),
+    ),
+    ("contain_join_ts_ts", "empty-x"): (
+        (0, 0, 0, 0, 0), [], ([], []),
+    ),
+    ("contain_join_ts_ts", "empty-y"): (
+        (0, 0, 0, 0, 0), [], ([], []),
+    ),
+    ("contain_join_ts_te", "adversarial"): (
+        (53, 67, 12, 12, 6),
+        [1, 2, 3, 4, 5, 6, 4, 5, 6, 5, 3, 4, 5, 4, 5, 4, 3, 4, 2, 1, 0],
+        (
+            [0, 2, 4, 5, 6, 0, 2, 0, 2, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0, 2, 0,
+             2, 6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2, 0],
+            [0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 7,
+             7, 7, 8, 8, 9, 9, 9, 10, 10, 11, 11, 11, 12, 12, 13],
+        ),
+    ),
+    ("contain_join_ts_te", "reversed"): (
+        (49, 60, 11, 11, 6),
+        [1, 2, 3, 4, 5, 6, 5, 3, 4, 5, 6, 3, 4, 5, 2, 1, 0],
+        (
+            [0, 1, 0, 1, 3, 0, 1, 0, 1, 5, 0, 1, 0, 1, 7, 0, 1, 7, 0, 1, 7,
+             0, 1, 7, 0, 1, 7, 12, 14, 0, 1, 0, 1, 0, 1, 0],
+            [0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7,
+             8, 8, 8, 9, 9, 9, 9, 9, 10, 10, 11, 11, 12, 12, 13],
+        ),
+    ),
+    ("contain_join_ts_te", "empty-x"): (
+        (0, 0, 0, 0, 0), [], ([], []),
+    ),
+    ("contain_join_ts_te", "empty-y"): (
+        (0, 0, 0, 0, 0), [], ([], []),
+    ),
+    ("contain_semijoin_ts_ts", "adversarial"): (
+        (25, 12, 12, 12, 4),
+        [1, 0, 1, 2, 3, 4, 3, 0, 1, 2, 3, 2, 3, 4, 2, 3, 1, 2, 1, 0],
+        [0, 2, 4, 5, 6, 12, 14],
+    ),
+    ("contain_semijoin_ts_ts", "reversed"): (
+        (26, 14, 12, 12, 6),
+        [1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 0, 1, 2, 3, 4, 5, 6, 3, 0],
+        [0, 1, 3, 5, 7, 12, 14],
+    ),
+    ("contain_semijoin_ts_ts", "empty-x"): (
+        (0, 0, 0, 0, 0), [], [],
+    ),
+    ("contain_semijoin_ts_ts", "empty-y"): (
+        (0, 0, 0, 0, 0), [], [],
+    ),
+    ("contained_semijoin_ts_ts", "adversarial"): (
+        (31, 28, 8, 8, 4),
+        [1, 2, 3, 4, 2, 3, 4, 1, 2, 1, 2, 0],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("contained_semijoin_ts_ts", "reversed"): (
+        (31, 27, 6, 6, 4),
+        [1, 2, 1, 2, 3, 4, 2, 3, 2, 1, 0],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("contained_semijoin_ts_ts", "empty-x"): (
+        (0, 0, 0, 0, 0), [], [],
+    ),
+    ("contained_semijoin_ts_ts", "empty-y"): (
+        (17, 0, 0, 0, 0), [], [],
+    ),
+    ("overlap_join_ts_ts", "adversarial"): (
+        (86, 70, 30, 30, 10),
+        [1, 2, 3, 4, 5, 6, 7, 8, 6, 7, 8, 9, 10, 9, 10, 8, 9, 10, 7, 8, 9,
+         10, 9, 10, 6, 7, 8, 6, 7, 8, 7, 8, 7, 8, 6, 7, 5, 6, 5, 6, 4, 5, 3,
+         4, 0],
+        (
+            [0, 1, 2, 3, 4, 5, 6, 0, 2, 4, 5, 6, 0, 2, 4, 5, 6, 0, 2, 4, 5,
+             6, 0, 2, 4, 5, 6, 7, 7, 7, 7, 8, 8, 9, 9, 0, 2, 6, 8, 9, 0, 2,
+             6, 8, 9, 10, 10, 10, 10, 0, 2, 6, 9, 10, 11, 12, 0, 2, 6, 11,
+             12, 0, 2, 6, 11, 12, 13, 13, 0, 2, 6, 12, 13, 14, 0, 2, 12, 14,
+             0, 2, 14, 15, 0, 2, 16, 16],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3,
+             3, 4, 4, 4, 4, 4, 0, 1, 2, 3, 0, 3, 0, 3, 5, 5, 5, 5, 5, 6, 6,
+             6, 6, 6, 0, 3, 5, 6, 7, 7, 7, 7, 7, 0, 0, 8, 8, 8, 8, 8, 9, 9,
+             9, 9, 9, 0, 9, 10, 10, 10, 10, 10, 0, 11, 11, 11, 11, 12, 12,
+             12, 0, 13, 13, 0, 13],
+        ),
+    ),
+    ("overlap_join_ts_ts", "reversed"): (
+        (86, 73, 29, 29, 11),
+        [1, 2, 3, 4, 5, 4, 5, 6, 4, 5, 4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 7,
+         8, 6, 7, 5, 6, 7, 8, 9, 8, 9, 10, 8, 9, 10, 11, 8, 9, 10, 9, 10, 6,
+         0],
+        (
+            [0, 1, 0, 1, 2, 2, 3, 4, 0, 1, 3, 5, 0, 1, 3, 5, 6, 7, 0, 1, 5,
+             6, 7, 0, 1, 5, 6, 7, 0, 1, 5, 7, 8, 8, 8, 0, 1, 7, 9, 9, 10,
+             10, 0, 1, 7, 9, 10, 0, 1, 7, 9, 10, 11, 11, 11, 0, 1, 7, 9, 10,
+             11, 12, 12, 13, 13, 14, 14, 0, 1, 7, 12, 13, 14, 0, 1, 7, 12,
+             13, 14, 0, 1, 7, 12, 14, 15, 16],
+            [0, 0, 1, 1, 0, 1, 0, 0, 2, 2, 2, 0, 3, 3, 3, 3, 0, 0, 4, 4, 4,
+             4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 0, 5, 6, 7, 7, 7, 0, 7, 0, 7,
+             8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 0, 7, 9, 10, 10, 10, 10, 10, 10,
+             0, 7, 0, 7, 0, 7, 11, 11, 11, 11, 11, 11, 12, 12, 12, 12, 12,
+             12, 13, 13, 13, 13, 13, 0, 0],
+        ),
+    ),
+    ("overlap_join_ts_ts", "empty-x"): (
+        (0, 0, 0, 0, 0), [], ([], []),
+    ),
+    ("overlap_join_ts_ts", "empty-y"): (
+        (0, 0, 0, 0, 0), [], ([], []),
+    ),
+    ("self_contain_semijoin_ts", "adversarial"): (
+        (21, 24, 17, 17, 3),
+        [1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 0,
+         1, 0, 1, 0, 1, 0],
+        [0, 2, 5, 6, 12, 14],
+    ),
+    ("self_contain_semijoin_ts", "reversed"): (
+        (18, 20, 17, 17, 3),
+        [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 3, 0, 1,
+         0, 1, 2, 0, 1, 2, 0],
+        [0, 1, 3, 5, 7, 12],
+    ),
+    ("self_contain_semijoin_ts", "empty-x"): (
+        (0, 0, 0, 0, 0), [], [],
+    ),
+    ("self_contain_semijoin_ts", "empty-y"): (
+        (21, 24, 17, 17, 3),
+        [1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 0,
+         1, 0, 1, 0, 1, 0],
+        [0, 2, 5, 6, 12, 14],
+    ),
+}
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+    @pytest.mark.parametrize("name", STORING_KERNELS)
+    def test_kernel_reproduces_the_golden_row(self, name, fixture):
+        out, counts, trace = sweep(fused, name, *GOLDEN_FIXTURES[fixture])
+        assert (counts, trace, out) == GOLDEN[name, fixture]
+
+
+# ----------------------------------------------------------------------
+# the old packing limit is ordinary input
+# ----------------------------------------------------------------------
+WIDE = 2**62
+LIMIT = 2**42  # the packed store took endpoints in [-LIMIT, LIMIT)
+
+
+def _near(*anchors):
+    """Endpoints clustered just above the anchors, so ties and nesting
+    happen at the magnitudes under test."""
+    return st.builds(
+        int.__add__, st.sampled_from(anchors), st.integers(0, 64)
+    )
+
+
+#: Anywhere in +-2**62.
+wide_times = st.one_of(
+    _near(-WIDE, -LIMIT - 32, -(2**21), 0, 2**21, LIMIT - 32, WIDE - 64),
+    st.integers(-WIDE, WIDE),
+)
+#: Outside what the packed store could hold.
+refused_times = st.one_of(
+    _near(-WIDE, -LIMIT - 65, LIMIT, WIDE - 64),
+    st.integers(LIMIT, WIDE),
+    st.integers(-WIDE, -LIMIT - 1),
+)
+
+
+def _spans(first):
+    return st.lists(
+        st.tuples(first, wide_times)
+        .filter(lambda pair: pair[0] != pair[1])
+        .map(lambda pair: (min(pair), max(pair))),
+        max_size=30,
+    )
+
+
+wide_spans = _spans(wide_times)
+#: Every interval has an endpoint the old pre-sweep check refused.
+refused_spans = _spans(refused_times)
 
 
 class TestPackingLimit:
-    """An endpoint >= 2**42 used to die mid-sweep with a raw
-    ``OverflowError: int too big to convert``."""
+    """A stored operand with an endpoint outside [-2**42, 2**42) used
+    to be refused before the sweep (and, before that, died mid-sweep
+    with a raw ``OverflowError``).  Nothing is packed now: the whole
+    +-2**62 range, as given and under time reversal, runs and agrees
+    with the columnar twin."""
 
     @staticmethod
-    def columns(stored, te):
-        wide = ([0, 1], [te, te])  # the stored side: ends at ``te``
-        narrow = ([2, 3], [5, 6])
-        x, y = (wide, narrow) if stored == "x" else (narrow, wide)
-        return x[0], x[1], y[0], y[1]
+    def agree(name, xs, ys):
+        for spans_x, spans_y in ((xs, ys), (mirrored(xs), mirrored(ys))):
+            out, counts, _ = sweep(fused, name, spans_x, spans_y)
+            expected, twin, _ = sweep(kernels, name, spans_x, spans_y)
+            assert out == expected
+            assert counts[2:] == twin[2:]  # inserted, discarded, high water
 
     @pytest.mark.parametrize(
-        "kernel, twin, stored", STORING_KERNELS,
-        ids=[f"{k.__name__}-{s}" for k, _, s in STORING_KERNELS],
+        "name, stored",
+        [
+            ("contain_join_ts_ts", "x"),
+            ("contain_join_ts_te", "x"),
+            ("contain_semijoin_ts_ts", "x"),
+            ("contained_semijoin_ts_ts", "y"),
+            ("overlap_join_ts_ts", "x"),
+            ("overlap_join_ts_ts", "y"),
+        ],
     )
-    def test_boundary(self, kernel, twin, stored):
-        fits = self.columns(stored, 2**42 - 1)
-        out, _ = kernel(*fits)
-        expected, _ = twin(*fits)
-        if isinstance(out, fused.JoinRuns):
-            out = tuple(map(list, out.index_columns()))
-        assert out == expected
-        with pytest.raises(ValueError, match="endpoints"):
-            kernel(*self.columns(stored, 2**42))
-        twin(*self.columns(stored, 2**42))  # columnar packs nothing
+    @given(kept=refused_spans, probing=wide_spans)
+    @settings(max_examples=60, deadline=None)
+    def test_boundary(self, name, stored, kept, probing):
+        """``stored`` names the operand whose slot store holds the
+        once-refused endpoints."""
+        xs, ys = (kept, probing) if stored == "x" else (probing, kept)
+        self.agree(name, xs, ys)
 
-    def test_self_kernel_boundary(self):
-        ts = [0, 1, 2]
-        fits = [2**42 - 1, 5, 4]
-        out, _ = fused.self_contain_semijoin_ts(ts, fits)
-        assert out == kernels.self_contain_semijoin_ts(ts, fits)[0] == [0, 1]
-        with pytest.raises(ValueError, match="endpoints"):
-            fused.self_contain_semijoin_ts(ts, [2**42, 5, 4])
+    @given(xs=refused_spans)
+    @settings(max_examples=60, deadline=None)
+    def test_self_kernel_boundary(self, xs):
+        self.agree("self_contain_semijoin_ts", xs, [])
 
-    def test_processor_refuses_before_the_sweep(self):
-        """The reproduction from the issue: x_te = 2**50.  Tuple and
-        columnar return the row; fused names the limit instead of
-        failing mid-sweep."""
-        entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
-        xs = [TemporalTuple("wide", 0, 0, 2**50)]
-        ys = [TemporalTuple("y", 1, 2, 5)]
-
-        def build(backend):
-            return entry.build(
-                TupleStream.from_tuples(xs, order=TS_ASC, name="X"),
-                TupleStream.from_tuples(ys, order=TS_ASC, name="Y"),
+    @pytest.mark.parametrize("order", [TS_ASC, TE_DESC], ids=str)
+    def test_processor_runs_the_old_reproduction(self, order):
+        """The reproduction from the issue that introduced the limit,
+        x_te = 2**50: every backend returns the row, on the cell and
+        (time-reversed) on its mirror."""
+        entry = lookup(TemporalOperator.CONTAIN_JOIN, order, order)
+        spans = [(0, 2**50)], [(2, 5)]
+        if order is TE_DESC:
+            spans = map(mirrored, spans)
+        (xs, ys) = (
+            [TemporalTuple(name, 0, ts, te) for ts, te in side]
+            for name, side in zip("xy", spans)
+        )
+        for backend in ("tuple", "columnar", "fused"):
+            processor = entry.build(
+                TupleStream.from_tuples(xs, order=order, name="X"),
+                TupleStream.from_tuples(ys, order=order, name="Y"),
                 backend=backend,
             )
-
-        for backend in ("tuple", "columnar"):
-            assert list(build(backend).run()) == [(xs[0], ys[0])]
-        processor = build("fused")
-        with pytest.raises(ValueError, match="endpoints"):
-            processor.run()
-        assert processor.metrics.comparisons == 0
+            assert list(processor.run()) == [(xs[0], ys[0])]
 
 
 class TestEventSchedule:
@@ -217,8 +484,7 @@ class TestEventSchedule:
         a naive active set gives the same output multiset."""
         x_ts, x_te = xcols
         y_ts, y_te = ycols
-        runs, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
-        xi, yj = runs.index_columns()
+        (xi, yj), _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         got = sorted(zip(xi, yj))
 
         # Replay the explicit schedule: starts admit, evicts remove,
@@ -240,25 +506,25 @@ class TestEventSchedule:
 
 
 class TestLazyPairs:
-    def _runs(self, n=6):
+    def _columns(self, n=6):
         x_ts = list(range(n))
         x_te = [t + 10 for t in x_ts]
         y_ts = [t + 1 for t in x_ts]
         y_te = [t + 2 for t in y_ts]
-        runs, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        columns, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         xp = [f"x{i}" for i in range(n)]
         yp = [f"y{j}" for j in range(n)]
-        return runs, xp, yp
+        return columns, xp, yp
 
     def test_len_before_materialize(self):
-        runs, xp, yp = self._runs()
-        lazy = LazyPairs(runs, xp, yp)
-        assert len(lazy) == runs.total > 0
+        columns, xp, yp = self._columns()
+        lazy = LazyPairs(columns, xp, yp)
+        assert len(lazy) == len(columns[0]) > 0
         assert lazy.materialized is False  # len() touched nothing
 
     def test_materialises_on_iteration_and_caches(self):
-        runs, xp, yp = self._runs()
-        lazy = LazyPairs(runs, xp, yp)
+        columns, xp, yp = self._columns()
+        lazy = LazyPairs(columns, xp, yp)
         first = list(lazy)
         assert lazy.materialized is True
         assert list(lazy) is not first  # list() copies...
@@ -268,38 +534,56 @@ class TestLazyPairs:
     @given(interval_columns, interval_columns)
     @settings(max_examples=40)
     def test_len_matches_eager_kernel(self, xcols, ycols):
-        """The O(1) run-total length equals the eager columnar kernel's
-        pair count, without expanding a single pair."""
+        """The length equals the columnar kernel's pair count, without
+        building a single payload pair."""
         x_ts, x_te = xcols
         y_ts, y_te = ycols
-        runs, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
-        lazy = LazyPairs(runs, [None] * len(x_ts), [None] * len(y_ts))
+        columns, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        lazy = LazyPairs(columns, [None] * len(x_ts), [None] * len(y_ts))
         (exi, _), _ = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         assert len(lazy) == len(exi)
         assert lazy.materialized is False
 
     def test_equality_materialises(self):
-        runs, xp, yp = self._runs()
-        lazy = LazyPairs(runs, xp, yp)
-        eager = list(LazyPairs(runs, xp, yp))
+        columns, xp, yp = self._columns()
+        lazy = LazyPairs(columns, xp, yp)
+        eager = list(LazyPairs(columns, xp, yp))
         assert lazy == eager
         assert lazy.materialized is True
 
     def test_index_columns_expand_the_runs_once(self):
-        """``len()`` -> index columns -> a later ``list()``: the runs
-        expand on the first ask and the columns are reused after."""
-        runs, xp, yp = self._runs()
-        lazy = LazyPairs(runs, xp, yp)
-        assert len(lazy) == runs.total
-        xi, yj = lazy.index_columns()
-        assert lazy.index_columns()[0] is xi  # cached, not re-expanded
-        assert lazy.materialized is False  # columns are not pairs
-        assert (lazy.x_payload, lazy.y_payload) == (xp, yp)
-        assert list(lazy) == [(xp[i], yp[j]) for i, j in zip(xi, yj)]
+        """The runs expand once, inside the kernel: on both batch
+        backends ``index_columns()`` hands back the kernel's own two
+        lists — no copy, no conversion, however often it is asked —
+        and a later ``list()`` gathers payloads through them."""
+        cell = CELLS["contain-join[TS^,TS^]"]
+        xs = [TemporalTuple(f"x{i}", i, i, i + 10) for i in range(6)]
+        ys = [TemporalTuple(f"y{i}", i, i + 1, i + 3) for i in range(6)]
+        for backend in ("columnar", "fused"):
+            returned = []
+
+            def spy(*columns, **options):
+                returned.append(cell.kernel(backend)(*columns, **options))
+                return returned[0]
+
+            lazy = ColumnarProcessor(
+                replace(cell, columnar=spy, fused=spy),
+                backend,
+                TupleStream.from_tuples(xs, order=TS_ASC, name="X"),
+                TupleStream.from_tuples(ys, order=TS_ASC, name="Y"),
+            ).run()
+            (((xi, yj), _),) = returned
+            assert type(xi) is type(yj) is list
+            assert len(lazy) == len(xi) > 0
+            assert lazy.index_columns()[0] is xi
+            assert lazy.index_columns()[1] is yj
+            assert lazy.materialized is False  # columns are not pairs
+            assert (lazy.x_payload, lazy.y_payload) == (xs, ys)
+            assert list(lazy) == [(xs[i], ys[j]) for i, j in zip(xi, yj)]
 
     def test_wraps_eager_index_columns_too(self):
-        """The columnar kernels' ``(xi, yj)`` go in as they are."""
-        _, xp, yp = self._runs()
+        """Any ``(xi, yj)`` goes in as it is."""
+        _, xp, yp = self._columns()
         columns = ([0, 0, 2], [1, 3, 3])
         lazy = LazyPairs(columns, xp, yp)
         assert len(lazy) == 3 and lazy.materialized is False
@@ -316,9 +600,8 @@ class TestEndpointOnlyExecution:
         x_te = array("q", [10, 6, 12])
         y_ts = array("q", [1, 3, 6, 11])
         y_te = array("q", [4, 6, 11, 12])
-        runs, stats = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
-        xi, yj = runs.index_columns()
-        assert sorted(zip(xi, yj)) == [(0, 0), (0, 1), (2, 2)]
+        (xi, yj), stats = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        assert list(zip(xi, yj)) == [(0, 0), (0, 1), (2, 2)]
         assert stats.inserted == stats.discarded
         assert stats.high_water >= 1
 

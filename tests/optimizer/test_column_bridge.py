@@ -470,16 +470,42 @@ def slotted(n, duration, name, seed):
 
 
 @pytest.mark.parametrize("scale", (1, 16))
-def test_auto_picks_columnar_on_an_output_heavy_shallow_join(scale):
-    n = 6000 // scale  # fig5_contain: ~14 pairs per X tuple, ~40 live
+def test_auto_picks_fused_on_the_fig5_contain_join(scale):
+    """~14 pairs per X tuple in runs of ~14, ~40 live: since the fused
+    kernels emit index columns themselves the two backends are within
+    a few percent of each other here, fused ahead."""
+    n = 6000 // scale
     x = PoissonWorkload(n, 0.5, fixed_duration(40), name="X").generate(1)
     y = PoissonWorkload(n, 0.5, fixed_duration(10), name="Y").generate(2)
     chosen = TemporalJoinPlanner(backend="auto").choose(
         TemporalOperator.CONTAIN_JOIN, x, y
     )
-    assert (chosen.kind, chosen.backend) == ("stream", "columnar")
+    assert (chosen.kind, chosen.backend) == ("stream", "fused")
     assert chosen.cost_breakdown["expected_output"] == pytest.approx(
         n * 0.5 * 30, rel=0.1
+    )
+
+
+@pytest.mark.parametrize("scale", (1, 16))
+def test_auto_picks_columnar_on_an_output_heavy_shallow_join(scale):
+    """tie_overlap's shape: 32 pairs per tuple modelled, ~32 live.
+    Per output pair columnar's two appends are cheaper than fused's
+    per-run slice, sort and extends, and at this depth its active-list
+    scan costs less than that difference."""
+    n = 7000 // scale
+
+    def grid_steps(rng):
+        return 16 * rng.randint(1, 3)
+
+    x = slotted(n, grid_steps, "x", 1)
+    y = slotted(n, grid_steps, "y", 2)
+    chosen = TemporalJoinPlanner(backend="auto").choose(
+        TemporalOperator.OVERLAP_JOIN, x, y
+    )
+    assert (chosen.kind, chosen.backend) == ("stream", "columnar")
+    assert chosen.cost_breakdown["expected_workspace"] < 40
+    assert chosen.cost_breakdown["expected_output"] == pytest.approx(
+        n * 0.5 * 64, rel=0.1
     )
 
 
