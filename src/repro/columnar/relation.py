@@ -54,7 +54,9 @@ class IntervalColumns:
     whichever side of the process boundary owns the tuple objects.
     """
 
-    __slots__ = ("ts", "te", "payload", "order", "name", "_tuples")
+    __slots__ = (
+        "ts", "te", "payload", "order", "name", "_tuples", "statistics"
+    )
 
     def __init__(
         self,
@@ -78,6 +80,9 @@ class IntervalColumns:
         self.order = order
         self.name = name
         self._tuples: Optional[Sequence[TemporalTuple]] = None
+        #: Its relation's, when the hybrid executor has them to hand over
+        #: (:func:`repro.stats.collect_statistics` then gathers nothing).
+        self.statistics = None
 
     # ------------------------------------------------------------------
     # construction

@@ -10,6 +10,7 @@ sort order is metadata that the optimizer and the stream engine consult;
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from ..errors import SchemaError
@@ -37,9 +38,17 @@ class TemporalRelation:
         The sort order the tuples are known to obey, or ``None`` when
         unordered.  Trusted, not verified (use :meth:`sorted_by` to
         establish an order, or :meth:`verify_order` to audit).
+
+    The tuples never change, so a relation memoises its column forms in
+    slots that are ``None`` until first asked for: :meth:`columns`
+    fills its own; ``endpoints`` (the validated ``array('q')`` pair)
+    and ``statistics`` are filled by the layers that build them
+    (:mod:`repro.optimizer.integration`, :mod:`repro.stats`).  Nothing
+    invalidates them: every derivation returns a new relation.
     """
 
     __slots__ = ("schema", "tuples", "constraints", "order")
+    __slots__ += ("_columns", "endpoints", "statistics")  # the memo
 
     def __init__(
         self,
@@ -52,6 +61,7 @@ class TemporalRelation:
         self.tuples: tuple[TemporalTuple, ...] = tuple(tuples)
         self.constraints = constraints or ConstraintSet()
         self.order = order
+        self._columns = self.endpoints = self.statistics = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -107,6 +117,16 @@ class TemporalRelation:
             f"TemporalRelation({self.schema.relation_name!r}, "
             f"{len(self.tuples)} tuples, order={self.order})"
         )
+
+    def columns(self) -> tuple[list, list, list, list]:
+        """The four attribute columns, positionally aligned with
+        :attr:`tuples`; built once and shared: read, never write."""
+        if self._columns is None:
+            self._columns = tuple(
+                list(map(attrgetter(name), self.tuples))
+                for name in ("surrogate", "value", "valid_from", "valid_to")
+            )
+        return self._columns
 
     # ------------------------------------------------------------------
     # relational-style derivations

@@ -15,31 +15,40 @@ TQuel general overlap under the intra-tuple background
 (:func:`repro.semantic.recognize.recognize_allen`), so rephrased or
 padded conditions are still recognised.
 
-Row bridging is column-first: each side's two endpoint columns are read
-straight off its row list and validated in bulk (:func:`_rows_to_columns`),
-and the planner's operand *is* that
-:class:`~repro.columnar.relation.IntervalColumns`, its payload the row
-position.  Statistics, the sort (an argsort, skipped when the columns
-are already in order) and the batch backends' drain all read the
-columns, so a columnar or fused join builds no
+The bridge is column-first from the leaf to the projection.  A stream
+join consumes both children column-wise
+(:meth:`~repro.relational.operators.Operator.batch`): under a Quel
+``retrieve`` that is a scan, the pushed-down plain projection and
+perhaps a selection, none of which builds a row — the scan answers
+with the columns its :class:`~repro.model.relation.TemporalRelation`
+memoises.  The planner's operand is a per-query
+:class:`~repro.columnar.relation.IntervalColumns` over each side's two
+endpoint columns (:func:`_operand`), its payload the row position.
+Endpoint columns that arrive untouched from a scan are validated and
+summarised once per relation — the arrays and the statistics are
+memoised on it and shared, read-only, by every query; any other columns
+are validated in bulk per query.  The sort (an argsort, skipped when the
+columns are already in order) and the batch backends' drain read the
+columns too, so a columnar or fused join builds no
 :class:`~repro.model.tuples.TemporalTuple` at all; a consumer that is
 tuple-at-a-time by nature (tuple backend, nested-loop winner, a
 recovery rung that reads tuples) makes the operand build them once —
 surrogate the row position, no value — so the stream operators (which
 only inspect endpoints for the inequality operators) run unchanged.
 The join's output comes back as an **index-pair relation**
-(see :class:`_StreamJoin`): the two sides' rows plus two parallel
-index columns, one entry per output pair in emission order.  The batch
-backends hand over their kernels' positional index columns directly
-(``index_columns()`` on the lazy join output — no payload pair is ever
-built); the tuple backend and the nested-loop and spill fallbacks
-return pairs, whose surrogates are the indexes
+(see :class:`_StreamJoin`): per side, the order the kernel read it in
+and an index column, one entry per output pair in emission order.  The
+batch backends hand over their kernels' positional index columns
+directly (``index_columns()`` on the lazy join output — no payload pair
+is ever built); the tuple backend and the nested-loop and spill
+fallbacks return pairs, whose surrogates are the indexes
 (:func:`~repro.resilience.executor.index_sides` decodes either).  Rows
-are assembled late, by whoever consumes the join: the projection that
-sits directly above it (every Quel ``retrieve`` produces one) gathers
-only the columns it keeps, column-wise; any other parent iterates
-concatenated rows.  Either way each output pair maps back to its original rows
-losslessly — duplicates included.
+are assembled late, by one gather (:func:`_gathered`) from the
+children's columns: the projection directly above the join (every Quel
+``retrieve`` produces one) asks for only the columns it keeps, any
+other parent for all of them, and a stream join above takes the
+gathered columns unzipped.  Either way each output pair maps back to
+its original rows losslessly — duplicates included.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from operator import add, itemgetter, lt
+from operator import lt
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -64,12 +73,13 @@ from ..columnar.relation import IntervalColumns
 from ..errors import PlanningError
 from ..model.interval import Interval
 from ..relational.expressions import Compare
-from ..relational.operators import BinaryOperator, EngineStats, Operator
+from ..relational.operators import Batch, BinaryOperator, EngineStats, Operator
 from ..relational.schema import Row, RowSchema
 from ..resilience.executor import index_sides
 from ..semantic.bridge import to_symbolic
 from ..semantic.inequality_graph import ImplicationGraph
 from ..semantic.recognize import GENERAL_OVERLAP, recognize_allen
+from ..stats.estimators import collect_statistics
 from ..streams.registry import TemporalOperator
 from .planner import TemporalJoinPlanner
 
@@ -236,13 +246,14 @@ class _StreamJoin(BinaryOperator):
     how it becomes rows depends only on who asks.  A plain-attribute
     projection directly above calls :meth:`narrowed` and gets just its
     columns, gathered column-wise; any other parent iterates and gets
-    concatenated rows, in the same emission order.  Every parent drains
-    both its inputs, so :attr:`info` is set once the plan has run.
+    every column, and a stream join (:meth:`batch`) gets them unzipped
+    — all in the same emission order.  Every parent drains both its
+    inputs, so :attr:`info` is set once the plan has run.
     """
 
     def __init__(
         self,
-        schema: RowSchema,
+        plan: LJoin,
         left: Operator,
         right: Operator,
         operator_kind: TemporalOperator,
@@ -251,7 +262,12 @@ class _StreamJoin(BinaryOperator):
         recovery=None,
         report=None,
     ) -> None:
-        super().__init__(left, right, schema)
+        super().__init__(left, right, plan.schema())
+        #: The range variables the predicate relates, one per side (a
+        #: side that is itself a join carries others too).
+        self._variables = {
+            name.partition(".")[0] for name in plan.predicate.attributes()
+        }
         self.operator_kind = operator_kind
         self.swapped = swapped
         self.info: Optional[StreamJoinInfo] = None
@@ -260,69 +276,66 @@ class _StreamJoin(BinaryOperator):
         self._report = report
 
     def __iter__(self) -> Iterator[Row]:
-        return self._run(None)
+        return self._run(range(len(self.schema)), late=False)
 
     def narrowed(self, positions: Sequence[int]) -> Iterator[Row]:
-        return self._run(positions)
+        return self._run(positions, late=True)
 
-    def _run(self, positions: Optional[Sequence[int]]) -> Iterator[Row]:
-        left_rows = self.left.run()
-        right_rows = self.right.run()
+    def batch(self) -> Batch:
+        return self._run(range(len(self.schema)), late=False, rows=False)
+
+    def _run(self, positions: Sequence[int], late: bool, rows: bool = True):
+        """The output cut down to ``positions``: an iterator of rows,
+        or (``rows=False``) the gathered columns themselves."""
+        left = self.left.batch()
+        right = self.right.batch()
         tracer = get_tracer()
         with tracer.span(
             f"stream-join:{self.operator_kind.value}", swapped=self.swapped
         ) as span:
             with tracer.span(
-                "bridge:rows-to-relation",
-                rows=len(left_rows) + len(right_rows),
+                "bridge:rows-to-relation", rows=left.length + right.length
             ):
-                left = _rows_to_columns(left_rows, self.left.schema)
-                right = _rows_to_columns(right_rows, self.right.schema)
-            left_side, right_side = self._index_pairs(
-                (left, left_rows), (right, right_rows), span
-            )
-            with tracer.span(
-                "bridge:assemble", late=positions is not None
-            ) as assemble:
-                if positions is None:
-                    columns_gathered = len(self.schema)
-                    assembly = _concatenated(left_side, right_side)
-                else:
-                    columns_gathered = len(set(positions))
-                    assembly = _gathered(
-                        left_side,
-                        right_side,
-                        len(self.left.schema),
-                        positions,
-                    )
-                if tracer.enabled:
-                    # A C-level iterator: run it to completion here, so
+                operands = (
+                    _operand(left, self.left.schema, self._variables),
+                    _operand(right, self.right.schema, self._variables),
+                )
+            left_side, right_side = self._index_pairs(*operands, span)
+            with tracer.span("bridge:assemble", late=late) as assemble:
+                gathered = _gathered(
+                    (left.columns, *left_side),
+                    (right.columns, *right_side),
+                    positions,
+                )
+                if not rows:
+                    out = Batch(list(map(list, gathered)), len(left_side[1]))
+                elif tracer.enabled:
+                    # C-level iterators: run them to completion here, so
                     # the span times the work and not its creation.
-                    rows = list(assembly)
-                    assemble.set(
-                        rows=len(rows), columns_gathered=columns_gathered
-                    )
-                    return iter(rows)
-        return assembly
+                    out = iter(list(zip(*gathered)))
+                else:
+                    out = zip(*gathered)
+                assemble.set(
+                    rows=len(left_side[1]),
+                    columns_gathered=len(set(positions)),
+                )
+        return out
 
     def _index_pairs(self, left, right, span):
-        """Plan and run the join over ``(columns, rows)`` sides;
-        returns the ``(rows, index column)`` sides of its index-pair
-        relation and records the :class:`StreamJoinInfo`, whose
+        """Plan and run the join over the two sides' operands; returns
+        the ``(order, index column)`` sides of its index-pair relation
+        — output ``k`` is position ``order[index[k]]`` of that side's
+        batch — and records the :class:`StreamJoinInfo`, whose
         ``wall_seconds`` brackets plan + sort + sweep + index
         extraction — no row is assembled inside it."""
         x, y = (right, left) if self.swapped else (left, right)
         recovery = self._recovery
         started = time.perf_counter()
         results, profile = self._planner.execute(
-            self.operator_kind,
-            x[0],
-            y[0],
-            recovery=recovery,
-            report=self._report,
+            self.operator_kind, x, y, recovery=recovery, report=self._report
         )
         x_side, y_side = index_sides(
-            results, self.operator_kind.shape, x[1], y[1]
+            results, self.operator_kind.shape, x.payload, y.payload
         )
         wall_seconds = time.perf_counter() - started
         self.info = StreamJoinInfo(
@@ -342,7 +355,7 @@ class _StreamJoin(BinaryOperator):
         )
         # The operands as given and as the winner read them (the same
         # object where no sort was planned).
-        operands = {id(o): o for o in (x[0], y[0], *profile.operands)}
+        operands = {id(o): o for o in (x, y, *profile.operands)}
         span.set(
             output_rows=len(results),
             tuples_built=sum(o.tuples_built for o in operands.values()),
@@ -378,7 +391,7 @@ def _build(
         return build_node(plan, built_children)
     operator_kind, swapped = recognised
     join = _StreamJoin(
-        plan.schema(),
+        plan,
         *built_children,
         operator_kind,
         swapped,
@@ -390,8 +403,12 @@ def _build(
     return join
 
 
-def _rows_to_columns(rows: list[Row], schema: RowSchema) -> IntervalColumns:
-    """Rows -> their two endpoint columns, payload the row position.
+def _operand(
+    batch: Batch, schema: RowSchema, related: set[str]
+) -> IntervalColumns:
+    """One side's two endpoint columns — those of the one variable of
+    ``related`` (the join predicate's two) that its schema carries — as
+    the planner's operand, payload the row position.
 
     Projection pushdown may have pruned an endpoint the recognised
     operator never reads (Before/After mention only one endpoint per
@@ -399,27 +416,45 @@ def _rows_to_columns(rows: list[Row], schema: RowSchema) -> IntervalColumns:
     interval is well-formed, without affecting the operator's
     predicate.
 
-    The columns are validated in bulk, at C level.  Only when that
-    fails does a second pass visit the rows one by one, so the first
-    offending row raises exactly what building its
-    :class:`~repro.model.tuples.TemporalTuple` would have.
+    Endpoint columns that are still a relation's own (nothing since
+    the scan touched a row) are validated and summarised once, on the
+    relation; the operand over them is per query, so the tuples a
+    tuple-at-a-time consumer builds on it are not shared.
     """
-    variable = _variable_of_schema(schema)
-    from_name = f"{variable}.ValidFrom"
-    to_name = f"{variable}.ValidTo"
-    has_from, has_to = from_name in schema, to_name in schema
-    if not has_from and not has_to:
+    variable = _variable_of_schema(schema, related)
+    starts, ends = (
+        batch.columns[schema.index_of(name)] if name in schema else None
+        for name in (f"{variable}.ValidFrom", f"{variable}.ValidTo")
+    )
+    if starts is None and ends is None:
         raise PlanningError(
             f"neither endpoint of {variable!r} survives in the schema"
         )
-
-    def column(name: str) -> list:
-        return list(map(itemgetter(schema.index_of(name)), rows))
-
-    starts = column(from_name) if has_from else None
-    ends = column(to_name) if has_to else [start + 1 for start in starts]
+    relation = batch.relation
+    if relation is not None:
+        _, _, own_starts, own_ends = relation.columns()
+        if starts is own_starts and ends is own_ends:
+            if relation.endpoints is None:
+                relation.endpoints = _validated(starts, ends)
+            operand = IntervalColumns(
+                *relation.endpoints, range(batch.length), None
+            )
+            operand.statistics = collect_statistics(relation)
+            return operand
+    if ends is None:
+        ends = [start + 1 for start in starts]
     if starts is None:
         starts = [end - 1 for end in ends]
+    return IntervalColumns(
+        *_validated(starts, ends), range(batch.length), None
+    )
+
+
+def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
+    """Two endpoint columns as int64 arrays, validated in bulk, at C
+    level.  Only when that fails does a second pass visit the rows one
+    by one, so the first offending row raises exactly what building its
+    :class:`~repro.model.tuples.TemporalTuple` would have."""
     try:
         ts, te = array("q", starts), array("q", ends)
         well_formed = all(map(lt, ts, te)) and (
@@ -431,37 +466,29 @@ def _rows_to_columns(rows: list[Row], schema: RowSchema) -> IntervalColumns:
         for start, end in zip(starts, ends):
             Interval(start, end)  # raises on the first offending row
         ts, te = array("q", starts), array("q", ends)  # int subclasses
-    return IntervalColumns(ts, te, range(len(rows)), None)
+    return ts, te
 
 
-def _concatenated(left_side, right_side) -> Iterator[Row]:
-    """Index-pair relation -> whole rows, left columns then right."""
-    (left_rows, left_index), (right_rows, right_index) = left_side, right_side
-    return map(
-        add,
-        map(left_rows.__getitem__, left_index),
-        map(right_rows.__getitem__, right_index),
-    )
-
-
-def _gathered(
-    left_side, right_side, left_width: int, positions: Sequence[int]
-) -> Iterator[Row]:
-    """Index-pair relation -> rows of just ``positions`` (of the
-    concatenated schema): each column is read off its side's rows once
-    (|side| work), then looked up per output pair and zipped."""
-    columns: dict[int, list] = {}
+def _gathered(left_side, right_side, positions: Sequence[int]) -> list:
+    """Index-pair relation -> one lazy column per entry of
+    ``positions`` (of the concatenated schema).  A side is ``(columns,
+    order, index)``: each column asked for is put in the kernel's order
+    once (|side| work, none when nothing moved the rows), then looked
+    up per output pair."""
+    columns = left_side[0] + right_side[0]
+    ordered: dict[int, Sequence] = {}
     lookups = []
     for position in positions:
-        if position < left_width:
-            (rows, index), offset = left_side, position
-        else:
-            (rows, index), offset = right_side, position - left_width
-        column = columns.get(position)
+        in_left = position < len(left_side[0])
+        _, order, index = left_side if in_left else right_side
+        column = ordered.get(position)
         if column is None:
-            column = columns[position] = list(map(itemgetter(offset), rows))
+            column = columns[position]
+            if not isinstance(order, range):
+                column = list(map(column.__getitem__, order))
+            ordered[position] = column
         lookups.append(map(column.__getitem__, index))
-    return zip(*lookups)
+    return lookups
 
 
 def _parallel_details(details: dict) -> Optional[dict]:
@@ -479,15 +506,13 @@ def _parallel_details(details: dict) -> Optional[dict]:
     return out
 
 
-def _variable_of_schema(schema: RowSchema) -> str:
-    variables = {
-        attribute.partition(".")[0]
-        for attribute in schema.attributes
-        if "." in attribute
+def _variable_of_schema(schema: RowSchema, related: set[str]) -> str:
+    variables = related & {
+        attribute.partition(".")[0] for attribute in schema.attributes
     }
     if len(variables) != 1:
         raise PlanningError(
-            "stream join sides must carry exactly one range variable; "
-            f"schema has {sorted(variables)}"
+            "a stream join side must carry exactly one of the range "
+            f"variables its predicate relates; schema has {sorted(variables)}"
         )
     return next(iter(variables))

@@ -1,6 +1,6 @@
 """Physical operators of the conventional relational engine."""
 
-from .base import BinaryOperator, EngineStats, Operator, UnaryOperator
+from .base import Batch, BinaryOperator, EngineStats, Operator, UnaryOperator
 from .basic import (
     Distinct,
     HashAggregate,
@@ -22,6 +22,7 @@ from .joins import (
 from .scan import TableScan, temporal_scan
 
 __all__ = [
+    "Batch",
     "BinaryOperator",
     "CrossProduct",
     "Distinct",

@@ -1,7 +1,11 @@
 """Iterator-model (Volcano-style) operator base for the conventional
 engine.
 
-Every operator exposes an output :class:`RowSchema` and iterates rows.
+Every operator exposes an output :class:`RowSchema` and is consumed
+row-at-a-time (``__iter__``) or column-at-a-time
+(:meth:`Operator.batch`, what a stream join asks of its children), to
+the same rows and the same charges; only a temporal scan, a plain
+projection and a selection answer the latter without building rows.
 Operators in one plan share an :class:`EngineStats` so benchmarks can
 read total scans, rows and predicate evaluations off the executed plan
 — the conventional-side counterpart of the stream engine's
@@ -13,8 +17,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
+from ...model.relation import TemporalRelation
 from ..schema import Row, RowSchema
 
 
@@ -34,6 +39,18 @@ class EngineStats:
         self.rows_materialized += other.rows_materialized
 
 
+class Batch(NamedTuple):
+    """An operator's whole output: one column per schema attribute,
+    each ``length`` long.  Columns may be shared: read, never write."""
+
+    columns: list[Sequence]
+    length: int
+    #: Set while every column is still one of this relation's own
+    #: ``columns()`` (a scan, plain projections of it), so a consumer
+    #: may use what the relation memoises about them.
+    relation: Optional[TemporalRelation] = None
+
+
 class Operator(abc.ABC):
     """A node in a physical plan tree."""
 
@@ -48,6 +65,13 @@ class Operator(abc.ABC):
     def run(self) -> list[Row]:
         """Execute to completion."""
         return list(self)
+
+    def batch(self) -> Batch:
+        """Execute to completion, column-wise (``zip(*columns)`` is
+        :meth:`run`'s rows); by default, read off those rows."""
+        rows = self.run()
+        columns = zip(*rows) if rows else ((),) * len(self.schema)
+        return Batch(list(map(list, columns)), len(rows))
 
     def narrowed(self, positions: Sequence[int]) -> Iterator[Row]:
         """The output rows cut down to ``positions`` (non-empty; may

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 from ..expressions import Attr, Predicate, compile_row_tuple
 from ..schema import Row, RowSchema
-from .base import Operator, UnaryOperator
+from .base import Batch, Operator, UnaryOperator
 
 ProjectionItem = Union[str, tuple]
 """Either an attribute name (kept as-is) or ``(output_name,
@@ -27,6 +28,13 @@ class Select(UnaryOperator):
             self.stats.comparisons += 1
             if self._compiled(row):
                 yield row
+
+    def batch(self) -> Batch:
+        child = self.child.batch()
+        self.stats.comparisons += child.length
+        keep = list(map(self._compiled, zip(*child.columns)))
+        columns = [list(compress(column, keep)) for column in child.columns]
+        return Batch(columns, len(columns[0]))
 
     def describe(self) -> str:
         return f"Select({self.predicate})"
@@ -70,6 +78,13 @@ class Project(UnaryOperator):
         if self._positions is not None:
             return self.child.narrowed(self._positions)
         return map(self._computed, self.child)
+
+    def batch(self) -> Batch:
+        if self._positions is None:
+            return super().batch()
+        columns, length, relation = self.child.batch()
+        kept = [columns[position] for position in self._positions]
+        return Batch(kept, length, relation)
 
     def describe(self) -> str:
         return f"Project({', '.join(self.schema.attributes)})"
@@ -125,7 +140,13 @@ class HashAggregate(UnaryOperator):
         super().__init__(child, RowSchema(names))
         self.group_by = tuple(group_by)
         self.aggregates = dict(aggregates)
-        self._key_readers = [child.schema.reader(a) for a in self.group_by]
+        positions = [child.schema.index_of(a) for a in self.group_by]
+        if len(positions) == 1:
+            # itemgetter of one position returns the bare value.
+            (at,) = positions
+            self._key = lambda row: (row[at],)
+        else:
+            self._key = itemgetter(*positions) if positions else lambda row: ()
         self._folds = []
         for initial, fold, attribute in self.aggregates.values():
             self._folds.append(
@@ -135,7 +156,7 @@ class HashAggregate(UnaryOperator):
     def __iter__(self) -> Iterator[Row]:
         groups: dict[tuple, list] = {}
         for row in self.child:
-            key = tuple(read(row) for read in self._key_readers)
+            key = self._key(row)
             state = groups.get(key)
             if state is None:
                 state = [initial for initial, _f, _r in self._folds]

@@ -7,7 +7,7 @@ from typing import Iterator, Optional
 from ...model.relation import TemporalRelation
 from ..schema import Row
 from ..table import Table, table_from_temporal
-from .base import EngineStats, Operator
+from .base import Batch, EngineStats, Operator
 
 
 class TableScan(Operator):
@@ -25,6 +25,16 @@ class TableScan(Operator):
             self.stats.rows_scanned += 1
             yield row
 
+    def batch(self) -> Batch:
+        """A temporal relation's own columns, charged as the drained
+        iteration is."""
+        relation = self.table.relation
+        if relation is None:
+            return super().batch()
+        self.stats.scans_started += 1
+        self.stats.rows_scanned += len(relation)
+        return Batch(list(relation.columns()), len(relation), relation)
+
     def describe(self) -> str:
         return f"Scan({self.table.name}, {len(self.table)} rows)"
 
@@ -34,6 +44,6 @@ def temporal_scan(
     variable: Optional[str] = None,
     stats: Optional[EngineStats] = None,
 ) -> TableScan:
-    """Scan a temporal relation as flat (optionally qualified) rows —
-    the leaf of every Section-3 conventional plan."""
+    """Scan a temporal relation as flat (optionally qualified) rows, or
+    as its columns — the leaf of every Section-3 conventional plan."""
     return TableScan(table_from_temporal(relation, variable), stats=stats)

@@ -2,22 +2,21 @@
 
 The conventional engine operates over :class:`Table` values — a
 :class:`~repro.relational.schema.RowSchema` plus a list of rows.
-:func:`table_from_temporal` flattens a
-:class:`~repro.model.relation.TemporalRelation` into the row form the
+:func:`table_from_temporal` presents a
+:class:`~repro.model.relation.TemporalRelation` as the table the
 Section-3 pipeline expects, qualifying attributes with a range-variable
-name.
+name.  Such a table is its relation's memoised columns: a column
+consumer (``TableScan.batch``) takes them as they are, and flat rows
+are zipped from them only when a row consumer asks for
+:attr:`Table.rows`.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from ..model.relation import TemporalRelation
 from .schema import Row, RowSchema
-
-
-_FLATTENED = attrgetter("surrogate", "value", "valid_from", "valid_to")
 
 
 class Table:
@@ -28,8 +27,11 @@ class Table:
     ) -> None:
         self.name = name
         self.schema = schema
+        #: The temporal relation this table presents
+        #: (:func:`table_from_temporal`); ``None`` for a table of rows.
+        self.relation: Optional[TemporalRelation] = None
         arity = len(schema)
-        self.rows: list[Row] = []
+        self._rows: Optional[list[Row]] = []
         for row in rows:
             row = tuple(row)
             if len(row) != arity:
@@ -37,13 +39,21 @@ class Table:
                     f"row arity {len(row)} does not match schema arity "
                     f"{arity} in table {name!r}"
                 )
-            self.rows.append(row)
+            self._rows.append(row)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows; those of a temporal relation are built from its
+        columns on first use and kept."""
+        if self._rows is None:
+            self._rows = list(zip(*self.relation.columns()))
+        return self._rows
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.rows if self.relation is None else self.relation)
 
     def column(self, attribute: str) -> list:
         read = self.schema.reader(attribute)
@@ -56,7 +66,7 @@ class Table:
 def table_from_temporal(
     relation: TemporalRelation, variable: Optional[str] = None
 ) -> Table:
-    """Flatten a temporal relation into rows.
+    """A temporal relation as a table of flat four-attribute rows.
 
     With ``variable`` given, attributes are qualified (``f1.Name``);
     otherwise the schema's bare attribute names are used.
@@ -68,5 +78,5 @@ def table_from_temporal(
         schema = RowSchema(tuple(names))
     table = Table(variable or relation.schema.relation_name, schema)
     # Four-attribute rows by construction: nothing to copy or check.
-    table.rows = list(map(_FLATTENED, relation.tuples))
+    table.relation, table._rows = relation, None
     return table

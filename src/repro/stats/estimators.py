@@ -65,20 +65,32 @@ def collect_statistics(
 ) -> TemporalStatistics:
     """Gather :class:`TemporalStatistics` from the two endpoint columns
     — an :class:`~repro.columnar.relation.IntervalColumns` operand's
-    own, or one pass over the tuples to read them off."""
+    own (unless it was handed its relation's), a relation's (a value:
+    gathered once and kept), or one pass over the tuples."""
     if isinstance(tuples, IntervalColumns):
-        starts: Sequence[int] = tuples.ts
-        ends: Sequence[int] = tuples.te
-    else:
-        rows = list(tuples)
-        starts = [tup.valid_from for tup in rows]
-        ends = [tup.valid_to for tup in rows]
+        return tuples.statistics or _summarised(tuples.ts, tuples.te)
+    if isinstance(tuples, TemporalRelation):
+        if tuples.statistics is None:
+            tuples.statistics = _summarised(*tuples.columns()[2:])
+        return tuples.statistics
+    rows = list(tuples)
+    return _summarised(
+        [tup.valid_from for tup in rows], [tup.valid_to for tup in rows]
+    )
+
+
+def _summarised(
+    starts: Sequence[int], ends: Sequence[int]
+) -> TemporalStatistics:
     cardinality = len(starts)
     if cardinality == 0:
         return TemporalStatistics(0, 0.0, 0.0, 0.0, 0, 0, 0)
     durations = list(map(sub, ends, starts))
-    sorted_starts = sorted(starts)
-    inter = mean_inter_arrival(sorted_starts)
+    # mean_inter_arrival reads the two ends of the sorted starts: no sort.
+    first = min(starts)
+    inter = (
+        (max(starts) - first) / (cardinality - 1) if cardinality > 1 else 0.0
+    )
     rate = 1.0 / inter if inter > 0 else float(cardinality)
     return TemporalStatistics(
         cardinality=cardinality,
@@ -86,7 +98,7 @@ def collect_statistics(
         arrival_rate=rate,
         mean_duration=sum(durations) / cardinality,
         max_duration=max(durations),
-        span_start=sorted_starts[0],
+        span_start=first,
         span_end=max(ends),
     )
 

@@ -67,6 +67,35 @@ class TestHashAggregate:
         )
         assert len(agg.run()) == 5
 
+    @pytest.mark.parametrize(
+        "group_by, expected",
+        [
+            ([], [(5, 800)]),
+            (["dept"], [("books", 1, 300), ("tools", 2, 250), ("toys", 2, 250)]),
+            (
+                ["emp", "dept"],
+                [
+                    ("ann", "toys", 1, 100),
+                    ("bob", "toys", 1, 150),
+                    ("cat", "tools", 1, 200),
+                    ("dan", "tools", 1, 50),
+                    ("fay", "books", 1, 300),
+                ],
+            ),
+        ],
+        ids=("zero", "one", "two"),
+    )
+    def test_group_key_of_every_arity(self, group_by, expected):
+        """The key is a tuple of the group-by values whatever their
+        number — never a bare value, never the whole row."""
+        agg = HashAggregate(
+            scan(),
+            group_by,
+            {"n": count_of("emp"), "total": sum_of("salary")},
+        )
+        assert sorted(agg.run()) == expected
+        assert agg.stats.rows_materialized == len(expected)
+
     def test_state_is_one_accumulator_per_group(self):
         agg = HashAggregate(scan(), ["dept"], {"total": sum_of("salary")})
         agg.run()

@@ -1,18 +1,23 @@
 """Tests for statistical estimators and workspace prediction."""
 
+import random
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import TS_ASC, TemporalTuple
+from repro.columnar import IntervalColumns
+from repro.model import TS_ASC, TemporalRelation, TemporalSchema, TemporalTuple
 from repro.stats import (
+    TemporalStatistics,
     collect_statistics,
     estimate_contain_join_workspace,
     estimate_overlap_join_workspace,
     mean_inter_arrival,
 )
 from repro.streams import OverlapJoin, TupleStream
-from repro.workload import PoissonWorkload, fixed_duration
+from repro.workload import PoissonWorkload, fixed_duration, uniform_duration
 
 
 class TestMeanInterArrival:
@@ -82,6 +87,70 @@ class TestCollectStatistics:
         stats = collect_statistics(tuples)
         assert stats.expected_open_tuples() >= 0.0
         assert stats.span_length >= 0
+
+
+def sorting_statistics(tuples):
+    """``collect_statistics`` as it was while it sorted the start column
+    to read its two ends — the loop version the min/max one must equal
+    field for field, floats included."""
+    starts = [t.valid_from for t in tuples]
+    ends = [t.valid_to for t in tuples]
+    cardinality = len(starts)
+    if cardinality == 0:
+        return TemporalStatistics(0, 0.0, 0.0, 0.0, 0, 0, 0)
+    durations = [end - start for start, end in zip(starts, ends)]
+    sorted_starts = sorted(starts)
+    inter = mean_inter_arrival(sorted_starts)
+    return TemporalStatistics(
+        cardinality=cardinality,
+        mean_inter_arrival=inter,
+        arrival_rate=1.0 / inter if inter > 0 else float(cardinality),
+        mean_duration=sum(durations) / cardinality,
+        max_duration=max(durations),
+        span_start=sorted_starts[0],
+        span_end=max(ends),
+    )
+
+
+def poisson(n, seed=9):
+    return list(
+        PoissonWorkload(n, 0.3, uniform_duration(1, 90)).generate(seed).tuples
+    )
+
+
+def shuffled(tuples):
+    tuples = list(tuples)
+    random.Random(4).shuffle(tuples)
+    return tuples
+
+
+STATISTICS_INPUTS = {
+    "sorted": poisson(700),
+    "shuffled": shuffled(poisson(700)),
+    "empty": [],
+    "singleton": poisson(1),
+    "all-equal-start": [
+        TemporalTuple(str(i), i, 40, 41 + i % 7) for i in range(30)
+    ],
+    # Gaps no float holds exactly: the division must be the same one.
+    "huge": shuffled(
+        TemporalTuple(str(i), i, 3**i, 3**i + 2**61) for i in range(37)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STATISTICS_INPUTS)
+def test_statistics_equal_the_sorting_versions(name):
+    tuples = STATISTICS_INPUTS[name]
+    expected = astuple(sorting_statistics(tuples))
+    relation = TemporalRelation(TemporalSchema("R", "Id", "Seq"), tuples)
+    born = IntervalColumns.from_tuples(tuples)
+    columns = IntervalColumns(born.ts, born.te, range(len(tuples)), None)
+    # Asked twice, a relation and an operand answer from memory.
+    for source in (tuples, relation, relation, columns, columns):
+        assert astuple(collect_statistics(source)) == expected
+    assert relation.statistics is collect_statistics(relation)
+    assert columns.tuples_built == 0
 
 
 class TestWorkspacePrediction:
