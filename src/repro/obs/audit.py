@@ -12,10 +12,12 @@ the audit log, success or failure:
   logical plan, and a hash of the operator registry (two runs with
   equal hashes executed the same plan shape against the same table of
   algorithms);
-* execution — backend, row count, the stream joins taken, the
-  per-shard attempt table (same numbers as the EXPLAIN ANALYZE shard
-  table), containment counters (retries / worker deaths /
-  speculations), and the governance spend summary when budgeted;
+* execution — backend, row count, one join row per stream join (the
+  measured operator row next to every alternative the planner costed),
+  the shard rows (what the ``shard:<i>`` spans and the EXPLAIN ANALYZE
+  shard table carry), containment counters (retries / worker deaths /
+  speculations), and the governance spend summary when budgeted — all
+  read off the result, so the same traced or untraced;
 * telemetry — the merged metrics snapshot and a compact trace summary
   when the run was observed.
 
@@ -110,17 +112,28 @@ def build_record(
     source: str,
     result: Optional[object] = None,
     error: Optional[BaseException] = None,
-    backend: Optional[str] = None,
     query_id: Optional[str] = None,
 ) -> dict:
     """One audit record for a finished (or failed) ``run_query`` call.
 
     ``result`` is the :class:`~repro.query.runner.QueryResult` on
-    success; ``error`` the raised exception on failure.  Everything
-    observable is best-effort: a missing tracer/registry simply leaves
-    its field ``None``.
+    success; ``error`` the raised exception on failure.  What ran is
+    read off the result's join rows (``StreamJoinInfo.as_dict()``) —
+    never off the trace, so a record says the same thing traced or
+    untraced.  Everything observable is best-effort: a missing
+    tracer/registry simply leaves its field ``None``.
     """
-    record: dict = {
+    joins = [
+        info.as_dict() for info in getattr(result, "stream_joins", None) or ()
+    ]
+    # Schema v1 lists every join's shard rows in one top-level table.
+    shards = [row for join in joins for row in join.pop("shards")]
+    containment: Dict[str, int] = {}
+    for join in joins:
+        for key, value in (join["containment"] or {}).items():
+            containment[key] = containment.get(key, 0) + value
+    backends = sorted({join["metrics"]["backend"] for join in joins})
+    return {
         "schema_version": AUDIT_SCHEMA_VERSION,
         "query_id": query_id or _next_query_id(source),
         # Audit-record timestamps are *meant* to be wall-clock (they
@@ -131,78 +144,20 @@ def build_record(
         "query": normalize_query(source),
         "registry_hash": registry_hash(),
         "plan_hash": plan_hash(getattr(result, "plan", None)),
-        "backend": backend,
+        "backend": ",".join(backends) or None,
         "rows": len(result.rows) if result is not None else None,
         "error": (
             {"type": type(error).__name__, "message": str(error)[:500]}
             if error is not None
             else None
         ),
-        "stream_joins": _stream_join_entries(result),
-        "shards": _shard_table(result),
-        "containment": _containment_of(result),
+        "stream_joins": joins or None,
+        "shards": shards or None,
+        "containment": containment or None,
         "governance": getattr(result, "governance", None),
         "metrics": _metrics_snapshot(),
         "trace": _trace_summary(getattr(result, "trace", None)),
     }
-    if record["backend"] is None and record["shards"]:
-        record["backend"] = record["shards"][0].get("backend")
-    return record
-
-
-def _stream_join_entries(result: Optional[object]) -> Optional[list]:
-    joins = getattr(result, "stream_joins", None)
-    if not joins:
-        return None
-    out = []
-    for info in joins:
-        entry = {
-            "operator": info.operator.value,
-            "swapped": info.swapped,
-            "chosen": info.chosen,
-            "output_rows": info.output_rows,
-            "recovery": info.recovery,
-            "wall_seconds": round(info.wall_seconds, 6),
-        }
-        parallel = getattr(info, "parallel", None)
-        if parallel:
-            entry["parallel"] = {
-                k: v for k, v in parallel.items() if k != "shard_runs"
-            }
-        out.append(entry)
-    return out
-
-
-def _shard_table(result: Optional[object]) -> Optional[list]:
-    """The per-shard attempt table — from the trace when the run was
-    traced (the same spans EXPLAIN ANALYZE renders), otherwise from
-    the planner's shard-run details."""
-    trace = getattr(result, "trace", None)
-    if trace is not None and getattr(trace, "spans", None):
-        from .explain import shard_summaries
-
-        shards = shard_summaries(trace)
-        if shards:
-            return shards
-    joins = getattr(result, "stream_joins", None) or []
-    shards = []
-    for info in joins:
-        parallel = getattr(info, "parallel", None) or {}
-        for run in parallel.get("shard_runs") or []:
-            row = dict(run)
-            row["shard"] = row.pop("index", None)
-            shards.append(row)
-    return shards or None
-
-
-def _containment_of(result: Optional[object]) -> Optional[dict]:
-    joins = getattr(result, "stream_joins", None) or []
-    merged: Dict[str, int] = {}
-    for info in joins:
-        parallel = getattr(info, "parallel", None) or {}
-        for key, value in (parallel.get("containment") or {}).items():
-            merged[key] = merged.get(key, 0) + value
-    return merged or None
 
 
 def _metrics_snapshot() -> Optional[dict]:
@@ -337,9 +292,12 @@ def render_record(record: dict) -> str:
     if error:
         lines.append(f"  error: {error.get('type')}: {error.get('message')}")
     for join in record.get("stream_joins") or []:
+        measured = join.get("metrics") or {}
         lines.append(
             f"  join {join.get('operator')}: {join.get('chosen')} "
-            f"-> {join.get('output_rows')} rows"
+            f"-> {join.get('output_rows')} rows  "
+            f"cmp={measured.get('comparisons')} "
+            f"state-hw={measured.get('workspace_high_water')}"
         )
     shards = record.get("shards") or []
     if shards:
@@ -352,7 +310,7 @@ def render_record(record: dict) -> str:
                 f"    shard {shard.get('shard')}: "
                 f"out={shard.get('output_count')} "
                 f"attempt={shard.get('attempt')} "
-                f"wall_ms={shard.get('wall_ms', shard.get('wall_seconds'))}"
+                f"wall_ms={shard.get('wall_ms')}"
             )
     containment = record.get("containment")
     if containment:

@@ -183,71 +183,34 @@ def render_governance(governance: dict) -> str:
 
 
 def operator_summaries(tracer: Tracer) -> List[dict]:
-    """One dict per operator span: name, wall time, and the Table-1/2/3
-    quantities — the trace summary benchmarks attach to their JSON."""
-    out: List[dict] = []
-    for span in tracer.spans:
-        if not span.name.startswith("operator:"):
-            continue
-        a = span.attributes
-        out.append(
-            {
-                "operator": span.name[len("operator:"):],
-                "wall_ms": round(span.duration_ns / 1e6, 3),
-                "tuples_read_x": a.get("tuples_read_x"),
-                "tuples_read_y": a.get("tuples_read_y"),
-                "passes_x": a.get("passes_x"),
-                "passes_y": a.get("passes_y"),
-                "pass_reads_x": a.get("pass_reads_x"),
-                "pass_reads_y": a.get("pass_reads_y"),
-                "comparisons": a.get("comparisons"),
-                "eviction_checks": a.get("eviction_checks"),
-                "backend": a.get("backend"),
-                "kernel": a.get("kernel"),
-                "output_count": a.get("output_count"),
-                "workspace_high_water": (a.get("workspace") or {}).get(
-                    "high_water"
-                ),
-                "state_high_water": a.get("state_high_water"),
-            }
-        )
-    return out
+    """One dict per operator span: name, wall time, and the operator
+    row the span carries (``ProcessorMetrics.to_dict()``, the
+    Table-1/2/3 quantities) — the trace summary benchmarks attach to
+    their JSON."""
+    return [
+        {
+            "operator": span.name[len("operator:"):],
+            "wall_ms": round(span.duration_ns / 1e6, 3),
+            **span.attributes,
+        }
+        for span in tracer.spans
+        if span.name.startswith("operator:")
+    ]
 
 
 def shard_summaries(tracer: Tracer) -> List[dict]:
-    """One dict per parallel shard span (``shard:<i>``), in shard
-    order: the per-shard partition bounds, sweep quantities, and
-    resilience outcome EXPLAIN ANALYZE renders as the shard table."""
-    out: List[dict] = []
-    for span in tracer.spans:
-        if not span.name.startswith("shard:"):
-            continue
-        a = span.attributes
-        out.append(
-            {
-                "shard": int(span.name[len("shard:"):]),
-                "operator": a.get("operator"),
-                "backend": a.get("backend"),
-                "kernel": a.get("kernel"),
-                "eviction_checks": a.get("eviction_checks"),
-                "x_tuples": a.get("x_tuples"),
-                "y_tuples": a.get("y_tuples"),
-                "owned_lo": a.get("owned_lo"),
-                "owned_hi": a.get("owned_hi"),
-                "wall_ms": a.get("wall_ms"),
-                "passes_x": a.get("passes_x"),
-                "passes_y": a.get("passes_y"),
-                "output_count": a.get("output_count"),
-                "degraded": a.get("degraded"),
-                "fallbacks": a.get("fallbacks"),
-                "faults": a.get("faults"),
-                "quarantined": a.get("quarantined"),
-                "residual_filtered": a.get("residual_filtered"),
-                "attempt": a.get("attempt"),
-            }
-        )
-    out.sort(key=lambda s: s["shard"])
-    return out
+    """The shard row each parallel shard span (``shard:<i>``) carries
+    (``ShardRun.as_dict()``), in shard order: the partition bounds,
+    sweep quantities and resilience outcome EXPLAIN ANALYZE renders as
+    the shard table."""
+    return sorted(
+        (
+            dict(span.attributes)
+            for span in tracer.spans
+            if span.name.startswith("shard:")
+        ),
+        key=lambda row: row["shard"],
+    )
 
 
 def render_shard_table(tracer: Tracer) -> str:

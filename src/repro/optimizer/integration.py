@@ -80,8 +80,9 @@ from ..semantic.bridge import to_symbolic
 from ..semantic.inequality_graph import ImplicationGraph
 from ..semantic.recognize import GENERAL_OVERLAP, recognize_allen
 from ..stats.estimators import collect_statistics
+from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import TemporalOperator
-from .planner import TemporalJoinPlanner
+from .planner import ExecutionProfile, TemporalJoinPlanner
 
 #: Allen relation -> (registry operator, operands swapped?).  The
 #: registry names operators from the containing/overlapping side.
@@ -96,25 +97,60 @@ _OPERATOR_FOR_RELATION = {
 
 @dataclass
 class StreamJoinInfo:
-    """One join the hybrid executor ran through the stream engine."""
+    """One join the hybrid executor ran through the stream engine — the
+    join row.  It keeps the planner's profile of the run, so whatever is
+    said about the join is read off that, not copied out of it."""
 
     operator: TemporalOperator
     swapped: bool
-    chosen: str  # the planner alternative's description
-    workspace_high_water: int
+    #: Ranked alternatives (the chosen one first) with their cost
+    #: breakdowns, the measured operator row and, under ``details``,
+    #: the recovery report and a sharded plan's partition, shard rows
+    #: and containment counters.
+    profile: ExecutionProfile
     output_rows: int
     #: Recovery policy the join ran under (``None`` = legacy mode).
     recovery: Optional[str] = None
-    #: The chosen operator's full :class:`~repro.streams.metrics.
-    #: ProcessorMetrics` (``None`` for nested-loop winners without one).
-    metrics: Optional[object] = None
     #: Wall-clock seconds spent planning + executing this join.
     wall_seconds: float = 0.0
-    #: Parallel execution details when the planner chose a sharded
-    #: plan: the partition plan, the per-shard attempt table
-    #: (``shard_runs``), and the containment counters — the audit
-    #: record's source when the run was untraced.
-    parallel: Optional[dict] = None
+
+    @property
+    def chosen(self) -> str:
+        return self.profile.chosen.describe()
+
+    @property
+    def metrics(self) -> ProcessorMetrics:
+        return self.profile.metrics
+
+    @property
+    def workspace_high_water(self) -> int:
+        return self.metrics.workspace_high_water
+
+    @property
+    def parallel(self) -> Optional[dict]:
+        """The partition plan of a sharded run; ``None`` for a serial
+        one."""
+        return self.profile.details.get("parallel")
+
+    def as_dict(self) -> dict:
+        """The join row's one dict form (the audit record's)."""
+        details = self.profile.details
+        return {
+            "operator": self.operator.value,
+            "swapped": self.swapped,
+            "chosen": self.chosen,
+            "output_rows": self.output_rows,
+            "recovery": self.recovery,
+            "wall_seconds": round(self.wall_seconds, 6),
+            "metrics": self.metrics.to_dict(),
+            "alternatives": [
+                alternative.as_dict()
+                for alternative in self.profile.alternatives
+            ],
+            "parallel": self.parallel,
+            "containment": details.get("containment") or None,
+            "shards": details.get("shard_runs", []),
+        }
 
 
 @dataclass
@@ -341,17 +377,10 @@ class _StreamJoin(BinaryOperator):
         self.info = StreamJoinInfo(
             operator=self.operator_kind,
             swapped=self.swapped,
-            chosen=profile.chosen.describe(),
-            workspace_high_water=(
-                profile.metrics.workspace_high_water
-                if profile.metrics
-                else 0
-            ),
+            profile=profile,
             output_rows=len(results),
             recovery=recovery.value if recovery is not None else None,
-            metrics=profile.metrics,
             wall_seconds=wall_seconds,
-            parallel=_parallel_details(profile.details),
         )
         # The operands as given and as the winner read them (the same
         # object where no sort was planned).
@@ -363,6 +392,8 @@ class _StreamJoin(BinaryOperator):
                 not isinstance(o.payload, range) for o in profile.operands
             ),
         )
+        # The join row outlives the query; its operands must not.
+        profile.operands = ()
         return (y_side, x_side) if self.swapped else (x_side, y_side)
 
     def describe(self) -> str:
@@ -489,21 +520,6 @@ def _gathered(left_side, right_side, positions: Sequence[int]) -> list:
             ordered[position] = column
         lookups.append(map(column.__getitem__, index))
     return lookups
-
-
-def _parallel_details(details: dict) -> Optional[dict]:
-    """The parallel slice of an execution profile, or ``None`` for a
-    serial plan — carried on :class:`StreamJoinInfo` so the audit layer
-    sees the shard attempt table without re-parsing the trace."""
-    if "parallel" not in details:
-        return None
-    out = {
-        "plan": details["parallel"],
-        "shard_runs": details.get("shard_runs") or [],
-    }
-    if details.get("containment"):
-        out["containment"] = details["containment"]
-    return out
 
 
 def _variable_of_schema(schema: RowSchema, related: set[str]) -> str:

@@ -68,19 +68,6 @@ def _entry_of(alternative: "Alternative") -> RegistryEntry:
     return alternative.entry
 
 
-def _note_recovery(
-    profile: "ExecutionProfile",
-    recovery: RecoveryPolicy,
-    report: ExecutionReport,
-) -> None:
-    profile.details["recovery"] = recovery.value
-    profile.details["execution_report"] = report
-    if report.fallbacks:
-        profile.details["fallback"] = [
-            event.kind for event in report.fallbacks
-        ]
-
-
 def _in_entry_order(
     alternative: "Alternative", x: Operand, y: Operand
 ) -> tuple[Operand, Operand]:
@@ -108,6 +95,23 @@ class Alternative:
     workers: int = 1
     #: Physical backend this alternative executes on.
     backend: str = "tuple"
+
+    def as_dict(self) -> dict:
+        """The alternative as the audit record lists it, its estimates
+        (``cost_breakdown``: expected workspace, expected output) next
+        to what the run measured."""
+        entry = self.entry
+        return {
+            "kind": self.kind,
+            "backend": self.backend,
+            "x_order": str(entry.x_order) if entry else None,
+            "y_order": str(entry.y_order) if entry else None,
+            "sort_x": self.sort_x,
+            "sort_y": self.sort_y,
+            "workers": self.workers,
+            "estimated_cost": self.estimated_cost,
+            "cost_breakdown": self.cost_breakdown,
+        }
 
     def describe(self) -> str:
         if self.kind == "nested-loop":
@@ -468,21 +472,19 @@ class TemporalJoinPlanner:
                     operator, x_relation, y_relation
                 )
             else:
-                run = (
-                    self._run_parallel
-                    if chosen.kind == "parallel-stream"
-                    else self._run_cell
+                args = (
+                    chosen,
+                    x_sorted,
+                    y_sorted,
+                    workspace_budget,
+                    recovery,
+                    report,
                 )
                 try:
-                    results, metrics = run(
-                        chosen,
-                        x_sorted,
-                        y_sorted,
-                        workspace_budget,
-                        recovery,
-                        report,
-                        profile,
-                    )
+                    if chosen.kind == "parallel-stream":
+                        outcome = self._run_parallel(*args, profile.details)
+                    else:
+                        outcome = self._run_cell(*args)
                 except WorkspaceOverflowError:
                     if recovery is not None:
                         raise
@@ -491,6 +493,16 @@ class TemporalJoinPlanner:
                     results, metrics = self._run_nested_loop(
                         operator, x_relation, y_relation
                     )
+                else:
+                    results, metrics = outcome.results, outcome.metrics
+                    if recovery is not None:
+                        profile.details["recovery"] = recovery.value
+                        profile.details["execution_report"] = outcome.report
+                        if outcome.report.fallbacks:
+                            profile.details["fallback"] = [
+                                event.kind
+                                for event in outcome.report.fallbacks
+                            ]
             profile.metrics = metrics
             return results, profile
 
@@ -502,7 +514,6 @@ class TemporalJoinPlanner:
         workspace_budget: Optional[int],
         recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
-        profile: ExecutionProfile,
     ):
         """Run the chosen cell serially, operands as they are.  Legacy
         mode (``recovery=None``) is STRICT whose overflow the caller
@@ -519,9 +530,7 @@ class TemporalJoinPlanner:
         )
         if recovery is None:
             outcome.metrics.resilience = None
-        else:
-            _note_recovery(profile, recovery, outcome.report)
-        return outcome.results, outcome.metrics
+        return outcome
 
     def _run_parallel(
         self,
@@ -531,10 +540,12 @@ class TemporalJoinPlanner:
         workspace_budget: Optional[int],
         recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
-        profile: ExecutionProfile,
+        details: dict,
     ):
         """Run the chosen cell through the time-domain parallel
-        executor; the recovery ladder applies per shard."""
+        executor; the recovery ladder applies per shard.  The partition
+        plan, the shard rows and the containment counters land in the
+        profile's ``details``."""
         from ..parallel import execute_parallel
 
         entry = _entry_of(alternative)
@@ -550,18 +561,16 @@ class TemporalJoinPlanner:
             report=report,
             mode=self.parallel_mode,
         )
-        profile.details["parallel"] = dict(
-            outcome.plan.as_dict(), mode=outcome.mode,
-            workers=outcome.workers,
+        details.update(
+            parallel=dict(
+                outcome.plan.as_dict(),
+                mode=outcome.mode,
+                workers=outcome.workers,
+            ),
+            shard_runs=[run.as_dict() for run in outcome.shard_runs],
+            containment=dict(outcome.containment),
         )
-        profile.details["shard_runs"] = [
-            run.as_dict() for run in outcome.shard_runs
-        ]
-        if outcome.containment:
-            profile.details["containment"] = dict(outcome.containment)
-        if recovery is not None:
-            _note_recovery(profile, recovery, outcome.report)
-        return outcome.results, outcome.metrics
+        return outcome
 
     def _run_nested_loop(
         self,

@@ -61,7 +61,6 @@ from ..resilience.retry import RetryPolicy
 from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import RegistryEntry
-from ..streams.workspace import WorkspaceReport
 from . import shm
 from .pool import get_pool
 from .shards import RangePlan, ShardRange, plan_ranges
@@ -76,52 +75,78 @@ def _available_cpus() -> int:
 
 @dataclass
 class ShardRun:
-    """What one shard did — the EXPLAIN ANALYZE shard-table row."""
+    """What one shard did — the shard row.  :meth:`as_dict` is its one
+    published form: the ``shard:<i>`` span's attributes, the audit
+    record's shard row and the EXPLAIN ANALYZE shard table."""
 
+    #: Published as ``shard``.
     index: int
-    x_count: int
-    y_count: int
+    operator: str
+    backend: str
+    #: The batch kernel that swept the shard (``None`` on the
+    #: tuple-at-a-time backend).
+    kernel: Optional[str]
+    x_tuples: int
+    y_tuples: int
     owned_lo: int
     owned_hi: int
+    #: Published, in milliseconds, as ``wall_ms``.
     wall_seconds: float
     passes_x: int
     passes_y: int
+    eviction_checks: int
     output_count: int
     degraded: bool
     fallbacks: int
     faults: int
     quarantined: int
     residual_filtered: int
-    #: Dispatch attempt that produced this summary: 0 on the first
-    #: dispatch, >0 when the shard was re-dispatched after a worker
-    #: death, straggling, or a corrupt result segment.
-    attempt: int = 0
-    #: Worker process that ran the shard (process mode only).
-    pid: Optional[int] = None
+    #: Dispatch attempt that produced this row: 0 on the first dispatch
+    #: (and for inline shards, which run in-process exactly once), >0
+    #: when the shard was re-dispatched after a worker death,
+    #: straggling, or a corrupt result segment.
+    attempt: int
+    #: Worker process that ran the shard (``None`` inline).
+    pid: Optional[int]
     #: Real Span objects the shard allocated in the worker — always
     #: reported, so untraced runs can enforce that it stayed zero.
-    worker_spans_created: int = 0
+    worker_spans_created: int
+
+    @classmethod
+    def of(cls, task: dict, summary: dict) -> "ShardRun":
+        """The row of one finished shard, whichever transport ran it:
+        what its task cut it to, and what its body reported."""
+        metrics: ProcessorMetrics = summary["metrics"]
+        report: ExecutionReport = summary["report"]
+        return cls(
+            index=task["index"],
+            operator=task["operator"].value,
+            backend=task["backend"],
+            kernel=metrics.kernel,
+            x_tuples=task["x_len"],
+            y_tuples=task["y_len"],
+            owned_lo=task["owned_lo"],
+            owned_hi=task["owned_hi"],
+            wall_seconds=summary["wall_seconds"],
+            passes_x=metrics.passes_x,
+            passes_y=metrics.passes_y,
+            eviction_checks=metrics.eviction_checks,
+            output_count=summary["output_count"],
+            degraded=bool(report.fallbacks),
+            fallbacks=len(report.fallbacks),
+            faults=report.faults_injected,
+            quarantined=len(report.quarantined),
+            residual_filtered=summary["residual_filtered"],
+            attempt=summary.get("attempt", 0),
+            pid=summary.get("pid"),
+            worker_spans_created=summary.get("worker_spans_created", 0),
+        )
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "x_count": self.x_count,
-            "y_count": self.y_count,
-            "owned_lo": self.owned_lo,
-            "owned_hi": self.owned_hi,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "passes_x": self.passes_x,
-            "passes_y": self.passes_y,
-            "output_count": self.output_count,
-            "degraded": self.degraded,
-            "fallbacks": self.fallbacks,
-            "faults": self.faults,
-            "quarantined": self.quarantined,
-            "residual_filtered": self.residual_filtered,
-            "attempt": self.attempt,
-            "pid": self.pid,
-            "worker_spans_created": self.worker_spans_created,
-        }
+        row = dict(vars(self))
+        row["shard"] = row.pop("index")
+        row["wall_ms"] = round(row.pop("wall_seconds") * 1e3, 3)
+        return row
 
 
 @dataclass
@@ -163,7 +188,6 @@ def _shard_tasks(
     fault_plan: Optional[FaultPlan],
     retry_policy: Optional[RetryPolicy],
     page_capacity: int,
-    sort_memory_pages: int,
 ) -> List[dict]:
     """One task per planned range: column ranges plus small config,
     everything :func:`~repro.parallel.worker.run_shard` reads."""
@@ -184,7 +208,6 @@ def _shard_tasks(
             "fault_plan": fault_plan,
             "retry_policy": retry_policy,
             "page_capacity": page_capacity,
-            "sort_memory_pages": sort_memory_pages,
         }
         if shape == "self":
             # Kernel input is the context hull range of the X columns.
@@ -205,42 +228,25 @@ def _shard_tasks(
     return tasks
 
 
-def _run_record(task: dict, summary: dict, chunk: tuple) -> dict:
-    """One finished shard as the merge loop and the span helpers read
-    it, whichever transport ran it."""
-    return dict(
-        summary,
-        index=task["index"],
-        chunk=chunk,
-        x_count=task["x_len"],
-        y_count=task["y_len"],
-        owned_lo=task["owned_lo"],
-        owned_hi=task["owned_hi"],
-    )
-
-
 def _run_inline(
     tracer,
     entry: RegistryEntry,
     tasks: List[dict],
     x_cols: IntervalColumns,
     y_cols: Optional[IntervalColumns],
-) -> List[dict]:
+) -> List[tuple]:
     """The in-process transport: each shard runs on slices of the
     parent's columns, with the shard span wrapping the real run so
-    per-shard operator/attempt spans nest underneath it."""
-    runs = []
+    per-shard operator/attempt spans nest underneath it.  Returns one
+    ``(shard row, summary, chunk)`` per shard."""
+    finished = []
     for task in tasks:
         x_lo, y_lo = task["x_base"], task["y_base"]
         x_hi, y_hi = x_lo + task["x_len"], y_lo + task["y_len"]
         y_ts = y_te = None
         if y_hi > y_lo:
             y_ts, y_te = y_cols.ts[y_lo:y_hi], y_cols.te[y_lo:y_hi]
-        with tracer.span(
-            f"shard:{task['index']}",
-            operator=entry.operator.value,
-            backend=task["backend"],
-        ) as span:
+        with tracer.span(f"shard:{task['index']}") as span:
             started = time.perf_counter()
             summary, chunk = run_shard(
                 task,
@@ -251,11 +257,11 @@ def _run_inline(
                 y_te,
             )
             summary["wall_seconds"] = time.perf_counter() - started
-            run = _run_record(task, summary, chunk)
+            run = ShardRun.of(task, summary)
             if tracer.enabled:
-                span.set(**_span_attributes(run))
-        runs.append(run)
-    return runs
+                span.set(**run.as_dict())
+        finished.append((run, summary, chunk))
+    return finished
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +441,8 @@ def _run_shm(
     straggler_after: Optional[float],
 ) -> tuple:
     """The process transport: run the shard tasks through the warm
-    pool; returns ``(run dicts, containment stats)``.
+    pool; returns ``(one (shard row, summary, chunk) per shard,
+    containment stats)``.
 
     The parent owns every segment name it hands out: operands and all
     result segments — including the fresh names re-dispatches create,
@@ -484,7 +491,7 @@ def _run_shm(
             straggler_after=straggler_after,
         )
         containment = dict(pool.last_batch_stats)
-        runs = []
+        finished = []
         for summary in summaries:
             chunk, summary = _read_result_with_retry(
                 pool,
@@ -494,14 +501,10 @@ def _run_shm(
                 token,
                 containment,
             )
-            run = _run_record(
-                tasks_by_index[summary["index"]], summary, chunk
-            )
-            run["clock_offset_ns"] = pool.clock_offsets.get(
-                summary.get("pid")
-            )
-            runs.append(run)
-        return runs, containment
+            run = ShardRun.of(tasks_by_index[summary["index"]], summary)
+            summary["clock_offset_ns"] = pool.clock_offsets.get(run.pid)
+            finished.append((run, summary, chunk))
+        return finished, containment
     finally:
         segment.close()
         for name in result_names:
@@ -562,7 +565,6 @@ def execute_parallel(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     page_capacity: int = DEFAULT_PAGE_CAPACITY,
-    sort_memory_pages: int = 8,
     mode: str = "auto",
     worker_fault_plan: Optional[WorkerFaultPlan] = None,
     straggler_after: Optional[float] = None,
@@ -634,7 +636,6 @@ def execute_parallel(
             fault_plan,
             retry_policy,
             page_capacity,
-            sort_memory_pages,
         )
         effective_workers = max(
             1,
@@ -643,7 +644,7 @@ def execute_parallel(
                 plan.effective_shards,
             ),
         )
-        runs: Optional[List[dict]] = None
+        finished: Optional[List[tuple]] = None
         containment: dict = {}
         want_process = mode == "process" or (
             mode == "auto"
@@ -654,7 +655,7 @@ def execute_parallel(
         # One shard gains nothing from a process hop unless asked for.
         if want_process and len(tasks) >= (2 if mode == "auto" else 1):
             try:
-                runs, containment = _run_shm(
+                finished, containment = _run_shm(
                     entry,
                     backend,
                     tasks,
@@ -674,25 +675,25 @@ def execute_parallel(
                 _note_pool_fallback(span, exc)
             else:
                 effective_mode = "process"
-                for run in runs:
-                    _merge_worker_metrics(run)
-                    _emit_shard_span(tracer, entry, backend, run, span)
-        if runs is None:
-            runs = _run_inline(tracer, entry, tasks, x_cols, y_cols)
+                for run, summary, _chunk in finished:
+                    _merge_worker_metrics(run, summary)
+                    _emit_shard_span(tracer, run, summary, span)
+        if finished is None:
+            finished = _run_inline(tracer, entry, tasks, x_cols, y_cols)
             effective_mode = "inline"
 
         shard_runs: List[ShardRun] = []
-        metrics = _fresh_metrics()
-        residual_total = 0
-        for run in runs:
-            _merge_report(report, run["report"])
-            shard_runs.append(_shard_run_of(run))
-            residual_total += run["residual_filtered"]
-            _absorb_metrics(metrics, run["metrics"])
+        chunks: List[tuple] = []
+        metrics = ProcessorMetrics(buffers=0)
+        for run, summary, chunk in finished:
+            shard_runs.append(run)
+            chunks.append(chunk)
+            _merge_report(report, summary["report"])
+            metrics.fold(summary["metrics"])
         results = LazyResults(
             x_cols.payload,
             None if y_cols is None else y_cols.payload,
-            [run["chunk"] for run in runs],
+            chunks,
         )
         metrics.output_count = len(results)
         metrics.resilience = report.as_dict()
@@ -711,7 +712,11 @@ def execute_parallel(
                 worker_deaths=containment.get("worker_deaths", 0),
                 speculations=containment.get("speculations", 0),
             )
-        _bump_registry(plan, residual_total, effective_mode)
+        _bump_registry(
+            plan,
+            sum(run.residual_filtered for run in shard_runs),
+            effective_mode,
+        )
 
     return ParallelOutcome(
         results=results,
@@ -728,35 +733,9 @@ def execute_parallel(
 
 
 # ----------------------------------------------------------------------
-# spans and per-shard summaries
+# process-mode shard spans and worker telemetry
 # ----------------------------------------------------------------------
-def _span_attributes(run: dict) -> dict:
-    metrics = run["metrics"]
-    report: ExecutionReport = run["report"]
-    return {
-        "x_tuples": run["x_count"],
-        "y_tuples": run["y_count"],
-        "owned_lo": run["owned_lo"],
-        "owned_hi": run["owned_hi"],
-        "wall_ms": round(run["wall_seconds"] * 1e3, 3),
-        "passes_x": metrics.get("passes_x"),
-        "passes_y": metrics.get("passes_y"),
-        "kernel": metrics.get("kernel"),
-        "eviction_checks": metrics.get("eviction_checks"),
-        "output_count": run["output_count"],
-        "degraded": bool(report.fallbacks),
-        "fallbacks": len(report.fallbacks),
-        "faults": report.faults_injected,
-        "quarantined": len(report.quarantined),
-        "residual_filtered": run["residual_filtered"],
-        # Inline shards run in-process exactly once; report attempt 0 so
-        # the shard table (and audit records built from it) carry a
-        # dispatch count in every mode.
-        "attempt": run.get("attempt", 0),
-    }
-
-
-def _emit_shard_span(tracer, entry, backend, run: dict, parallel_span):
+def _emit_shard_span(tracer, run: ShardRun, summary: dict, parallel_span):
     """Process-mode shards ran in a worker process; give each a summary
     span in the parent trace so EXPLAIN ANALYZE sees the same shard
     breakdown either way, then graft the worker's own span tree (when
@@ -765,29 +744,19 @@ def _emit_shard_span(tracer, entry, backend, run: dict, parallel_span):
     window."""
     if not tracer.enabled:
         return
-    pid = run.get("pid")
-    with tracer.span(
-        f"shard:{run['index']}",
-        operator=entry.operator.value,
-        backend=backend,
-    ) as span:
-        span.set(**_span_attributes(run))
-        if pid is not None:
-            span.set(
-                pid=pid,
-                worker_spans_created=run.get("worker_spans_created", 0),
-            )
-    payload = run.get("worker_trace")
+    with tracer.span(f"shard:{run.index}") as span:
+        span.set(**run.as_dict())
+    payload = summary.get("worker_trace")
     if payload is None:
         return
     graft = graft_worker_trace(
         tracer,
         span,
         payload,
-        offset_ns=run.get("clock_offset_ns"),
+        offset_ns=summary.get("clock_offset_ns"),
         window=(parallel_span.start_ns, span.end_ns),
-        attempt=run.get("attempt", 0),
-        worker=f"worker:{pid}" if pid else None,
+        attempt=run.attempt,
+        worker=f"worker:{run.pid}" if run.pid else None,
     )
     if graft.dropped_spans:
         span.set(trace_dropped_spans=graft.dropped_spans)
@@ -801,50 +770,23 @@ def _emit_shard_span(tracer, entry, backend, run: dict, parallel_span):
         span.end_ns = max(span.end_ns, graft.end_ns or span.end_ns)
 
 
-def _merge_worker_metrics(run: dict) -> None:
+def _merge_worker_metrics(run: ShardRun, summary: dict) -> None:
     """Fold the worker's metric snapshot into the parent registry with
     ``worker``/``shard`` labels, so per-worker contributions stay
     distinguishable in the merged Prometheus dump."""
     registry = active_registry()
-    snapshot = run.get("worker_metrics")
+    snapshot = summary.get("worker_metrics")
     if registry is None or not snapshot:
         return
     try:
         registry.merge(
             snapshot,
-            labels={
-                "worker": str(run.get("pid")),
-                "shard": str(run["index"]),
-            },
+            labels={"worker": str(run.pid), "shard": str(run.index)},
         )
     except ValueError:
         # Mismatched histogram layouts across versions: drop the
         # worker's contribution, never the query.
         pass
-
-
-def _shard_run_of(run: dict) -> ShardRun:
-    metrics = run["metrics"]
-    report: ExecutionReport = run["report"]
-    return ShardRun(
-        index=run["index"],
-        x_count=run["x_count"],
-        y_count=run["y_count"],
-        owned_lo=run["owned_lo"],
-        owned_hi=run["owned_hi"],
-        wall_seconds=run["wall_seconds"],
-        passes_x=metrics.get("passes_x") or 0,
-        passes_y=metrics.get("passes_y") or 0,
-        output_count=run["output_count"],
-        degraded=bool(report.fallbacks),
-        fallbacks=len(report.fallbacks),
-        faults=report.faults_injected,
-        quarantined=len(report.quarantined),
-        residual_filtered=run["residual_filtered"],
-        attempt=run.get("attempt", 0),
-        pid=run.get("pid"),
-        worker_spans_created=run.get("worker_spans_created", 0),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -864,49 +806,6 @@ def _merge_report(
     target.workspace_overflows += shard_report.workspace_overflows
     target.order_violations += shard_report.order_violations
     target.storage_errors += shard_report.storage_errors
-
-
-def _fresh_metrics() -> ProcessorMetrics:
-    metrics = ProcessorMetrics()
-    metrics.buffers = 0
-    metrics.passes_x = 0
-    metrics.passes_y = 0
-    return metrics
-
-
-def _absorb_metrics(target: ProcessorMetrics, shard: dict) -> None:
-    """Aggregate shard metrics: totals sum; passes and workspace
-    high-water take the per-shard maximum — the Tables-1/2/3 bound (and
-    the single-scan claim) hold *per shard*, which is the shard-local
-    workspace guarantee the partitioner is built on."""
-    target.tuples_read_x += shard.get("tuples_read_x", 0)
-    target.tuples_read_y += shard.get("tuples_read_y", 0)
-    target.passes_x = max(target.passes_x, shard.get("passes_x", 0))
-    target.passes_y = max(target.passes_y, shard.get("passes_y", 0))
-    target.buffers += shard.get("buffers", 0)
-    target.comparisons += shard.get("comparisons", 0)
-    target.eviction_checks += shard.get("eviction_checks", 0)
-    # Backend/kernel identify *what ran*; shards of one run share them,
-    # so the merged record carries the (last) shard's values — the
-    # audit-record key distinguishing columnar from fused executions.
-    target.backend = shard.get("backend", target.backend)
-    if shard.get("kernel") is not None:
-        target.kernel = shard["kernel"]
-    workspace = shard.get("workspace") or {}
-    target.workspace = WorkspaceReport(
-        max(
-            target.workspace.high_water,
-            workspace.get("high_water", 0),
-        ),
-        target.workspace.total_inserted
-        + workspace.get("total_inserted", 0),
-        target.workspace.total_discarded
-        + workspace.get("total_discarded", 0),
-        target.workspace.residual + workspace.get("residual", 0),
-    )
-    for name, value in (shard.get("state_high_water") or {}).items():
-        current = target.state_high_water.get(name, 0)
-        target.state_high_water[name] = max(current, value)
 
 
 def _bump_registry(

@@ -237,7 +237,6 @@ def run_shard(
         fault_plan=task["fault_plan"],
         retry_policy=task["retry_policy"],
         page_capacity=task["page_capacity"],
-        sort_memory_pages=task["sort_memory_pages"],
     )
     # The shard boundary is where a lazy join output is consumed.
     (x_rows, first), (y_rows, second) = index_sides(
@@ -261,7 +260,7 @@ def run_shard(
         token.check()
     summary = {
         "report": outcome.report,
-        "metrics": outcome.metrics.to_dict(),
+        "metrics": outcome.metrics,
         "output_count": len(first),
         "residual_filtered": residual_filtered,
     }

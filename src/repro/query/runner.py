@@ -7,6 +7,7 @@ execute), for examples, tests, and interactive use.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -18,6 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 from ..algebra.physical import compile_plan
 from ..algebra.rewrite import optimize
 from ..model.relation import TemporalRelation
+from ..obs.trace import NULL_TRACER, Tracer, set_tracer
 from ..relational.operators import EngineStats
 from ..relational.schema import Row, RowSchema
 from .parser import parse_query
@@ -130,65 +132,28 @@ def run_query(
         outermost layer, so admission rejections and governance aborts
         are audited too.
     """
+    log = token = None
+    tracer = NULL_TRACER
     if audit is not None:
         from ..obs.audit import AuditLog, build_record
 
         log = audit if isinstance(audit, AuditLog) else AuditLog(audit)
-        try:
-            result = run_query(
-                source,
-                catalog,
-                rewrite=rewrite,
-                semantic=semantic,
-                streams=streams,
-                recovery=recovery,
-                trace=trace,
-                parallelism=parallelism,
-                deadline=deadline,
-                budget=budget,
-                admission=admission,
-            )
-        except Exception as exc:
-            log.append(build_record(source, error=exc))
-            raise
-        log.append(build_record(source, result=result))
-        return result
-    if admission is not None:
-        with admission.admit():
-            return run_query(
-                source,
-                catalog,
-                rewrite=rewrite,
-                semantic=semantic,
-                streams=streams,
-                recovery=recovery,
-                trace=trace,
-                parallelism=parallelism,
-                deadline=deadline,
-                budget=budget,
-            )
-    if deadline is not None or budget is not None:
-        from ..governance.budget import governed
+    try:
+        # audit > admission > governance > trace, entered in that order.
+        with ExitStack() as stack:
+            if admission is not None:
+                stack.enter_context(admission.admit())
+            if deadline is not None or budget is not None:
+                from ..governance.budget import governed
 
-        with governed(budget=budget, deadline=deadline) as token:
-            result = run_query(
-                source,
-                catalog,
-                rewrite=rewrite,
-                semantic=semantic,
-                streams=streams,
-                recovery=recovery,
-                trace=trace,
-                parallelism=parallelism,
-            )
-        result.governance = token.as_dict()
-        return result
-    if trace:
-        from ..obs.trace import Tracer, set_tracer
-
-        tracer = trace if isinstance(trace, Tracer) else Tracer("query")
-        previous = set_tracer(tracer)
-        try:
+                token = stack.enter_context(
+                    governed(budget=budget, deadline=deadline)
+                )
+            if trace:
+                tracer = (
+                    trace if isinstance(trace, Tracer) else Tracer("query")
+                )
+                stack.callback(set_tracer, set_tracer(tracer))
             with tracer.span(
                 "query",
                 source=" ".join(source.split())[:200],
@@ -206,13 +171,17 @@ def run_query(
                     parallelism,
                 )
                 span.set(rows=len(result.rows))
-        finally:
-            set_tracer(previous)
-        result.trace = tracer
-        return result
-    return _run_pipeline(
-        source, catalog, rewrite, semantic, streams, recovery, parallelism
-    )
+        if trace:
+            result.trace = tracer
+        if token is not None:
+            result.governance = token.as_dict()
+    except Exception as exc:
+        if log is not None:
+            log.append(build_record(source, error=exc))
+        raise
+    if log is not None:
+        log.append(build_record(source, result=result))
+    return result
 
 
 def _run_pipeline(

@@ -72,6 +72,9 @@ Operand = Union[IntervalColumns, TemporalRelation, Sequence[TemporalTuple]]
 #: caller set directly rather than through ``workspace_budget``.
 _DEFAULT_SPILL_BLOCK = 64
 
+#: Memory pages DEGRADE's external re-sort merges with.
+_SORT_MEMORY_PAGES = 8
+
 
 @dataclass
 class ResilientResult:
@@ -186,7 +189,6 @@ def execute_entry(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     page_capacity: int = DEFAULT_PAGE_CAPACITY,
-    sort_memory_pages: int = 8,
 ) -> ResilientResult:
     """Run one registry cell with the chosen recovery policy.
 
@@ -284,7 +286,6 @@ def execute_entry(
                     "X",
                     report,
                     page_capacity,
-                    sort_memory_pages,
                 )
             if not unary and (side is None or "Y" in side):
                 if "Y" in resorted and side is not None:
@@ -297,7 +298,6 @@ def execute_entry(
                         "Y",
                         report,
                         page_capacity,
-                        sort_memory_pages,
                     )
             continue
         except WorkspaceOverflowError:
@@ -334,14 +334,13 @@ def _resort(
     label: str,
     report: ExecutionReport,
     page_capacity: int,
-    sort_memory_pages: int,
 ) -> List[TemporalTuple]:
     """DEGRADE's answer to an order violation: buy the declared order
     with an external sort, charging its passes to the report."""
     staged = HeapFile(f"degrade.{label}", page_capacity=page_capacity)
     staged.extend(records)
     outcome = external_sort(
-        staged, order, memory_pages=sort_memory_pages
+        staged, order, memory_pages=_SORT_MEMORY_PAGES
     )
     report.note_fallback(
         "re-sort",

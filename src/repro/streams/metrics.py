@@ -76,16 +76,40 @@ class ProcessorMetrics:
         return self.workspace.high_water + self.buffers
 
     def to_dict(self) -> dict:
-        """Plain-data snapshot used by the trace/metric exporters and
-        benchmark JSON reports (everything JSON-serialisable)."""
+        """The operator row's one dict form: what an ``operator:`` span
+        carries, and so what EXPLAIN ANALYZE, the audit record and the
+        benchmark JSON reports read (everything JSON-serialisable)."""
         out = asdict(self)
-        out["workspace"] = {
-            "high_water": self.workspace.high_water,
-            "total_inserted": self.workspace.total_inserted,
-            "total_discarded": self.workspace.total_discarded,
-            "residual": self.workspace.residual,
-        }
+        out["workspace_high_water"] = self.workspace.high_water
         return out
+
+    def fold(self, shard: "ProcessorMetrics") -> None:
+        """Fold one shard's row into the merged row of a sharded run:
+        totals sum; passes and high-water marks take the per-shard
+        maximum — the Tables-1/2/3 bound (and the single-scan claim)
+        hold *per shard*, which is the shard-local workspace guarantee
+        the partitioner is built on.  Backend and kernel say what ran;
+        the shards of one run share them."""
+        self.tuples_read_x += shard.tuples_read_x
+        self.tuples_read_y += shard.tuples_read_y
+        self.passes_x = max(self.passes_x, shard.passes_x)
+        self.passes_y = max(self.passes_y, shard.passes_y)
+        self.buffers += shard.buffers
+        self.comparisons += shard.comparisons
+        self.eviction_checks += shard.eviction_checks
+        self.backend = shard.backend
+        self.kernel = shard.kernel or self.kernel
+        mine, theirs = self.workspace, shard.workspace
+        self.workspace = WorkspaceReport(
+            max(mine.high_water, theirs.high_water),
+            mine.total_inserted + theirs.total_inserted,
+            mine.total_discarded + theirs.total_discarded,
+            mine.residual + theirs.residual,
+        )
+        for name, value in shard.state_high_water.items():
+            self.state_high_water[name] = max(
+                self.state_high_water.get(name, 0), value
+            )
 
     def summary(self) -> str:
         """One-line human-readable report (used by example scripts)."""

@@ -357,9 +357,10 @@ _REGISTRY: Optional[dict] = None
 
 
 def _registry() -> dict:
+    """The table, in the one order every listing of it uses."""
     global _REGISTRY
     if _REGISTRY is None:
-        _REGISTRY = _build_registry()
+        _REGISTRY = dict(sorted(_build_registry().items(), key=_key_repr))
     return _REGISTRY
 
 
@@ -384,11 +385,7 @@ def lookup(
 
 def entries_for(operator: TemporalOperator) -> list[RegistryEntry]:
     """All registered cells of one operator (one table column)."""
-    return [
-        e
-        for k, e in sorted(_registry().items(), key=_key_repr)
-        if e.operator is operator
-    ]
+    return [e for e in _registry().values() if e.operator is operator]
 
 
 def supported_entries(operator: TemporalOperator) -> list[RegistryEntry]:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.algebra import optimize
 from repro.cli import main
 from repro.errors import AdmissionRejectedError
 from repro.obs.audit import (
@@ -16,7 +17,10 @@ from repro.obs.audit import (
     render_record,
     validate_record,
 )
-from repro.query import run_query
+from repro.obs.trace import Tracer, set_tracer
+from repro.optimizer import TemporalJoinPlanner, execute_hybrid
+from repro.query import parse_query, run_query, translate
+from repro.resilience.recovery import RecoveryPolicy
 from repro.workload import PoissonWorkload, fixed_duration
 
 DURING_QUERY = (
@@ -71,9 +75,87 @@ class TestRecordConstruction:
         record = build_record(DURING_QUERY, result=result)
         joins = record["stream_joins"]
         assert joins and joins[0]["output_rows"] == len(result.rows)
-        assert record["backend"] is None or isinstance(
-            record["backend"], str
+        assert record["backend"] == "tuple"
+
+    def test_backend_is_none_without_a_stream_join(self):
+        result = run_query(DURING_QUERY, catalog())
+        record = build_record(DURING_QUERY, result=result)
+        assert record["stream_joins"] is None
+        assert record["backend"] is None
+
+
+MODES = {
+    "serial": {},
+    "inline-2": {"parallelism": 2, "parallel_mode": "inline"},
+    "process-2": {"parallelism": 2, "parallel_mode": "process"},
+}
+#: What legitimately differs between two runs of one query: clocks,
+#: which worker took the shard, and the spans tracing itself allocates.
+VOLATILE = {"wall_seconds", "wall_ms", "pid", "worker_spans_created"}
+
+
+def audited(backend, mode, recovery, traced):
+    """One hybrid run of the during-query at a size where a 2-shard
+    plan wins on every backend: (audit record, tracer)."""
+    cat = catalog(150)
+    plan = optimize(translate(parse_query(DURING_QUERY), cat))
+    planner = TemporalJoinPlanner(backend=backend, **MODES[mode])
+    tracer = Tracer("audited") if traced else None
+    previous = set_tracer(tracer) if traced else None
+    try:
+        executed = execute_hybrid(
+            plan, cat, planner=planner, recovery=recovery
         )
+    finally:
+        if traced:
+            set_tracer(previous)
+    return build_record(DURING_QUERY, result=executed), tracer
+
+
+def stable(rows):
+    return [
+        {k: v for k, v in row.items() if k not in VOLATILE} for row in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "recovery", [None, RecoveryPolicy.DEGRADE], ids=["legacy", "degrade"]
+)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused", "auto"])
+def test_record_is_the_same_traced_or_untraced(backend, mode, recovery):
+    """The record is built from the result's rows, never from the
+    trace: tracing a query changes no join row and no shard row, and
+    the shard row is exactly what the ``shard:<i>`` span carries."""
+    plain, _ = audited(backend, mode, recovery, traced=False)
+    traced, tracer = audited(backend, mode, recovery, traced=True)
+    for record in (plain, traced):
+        assert validate_record(record) == []
+        json.dumps(record)
+        (join,) = record["stream_joins"]
+        assert record["backend"] == join["metrics"]["backend"]
+        assert record["backend"] == join["alternatives"][0]["backend"]
+        if backend != "auto":
+            assert record["backend"] == backend
+        assert bool(record["shards"]) == (mode != "serial")
+        # Measured next to estimated, per join.
+        assert join["metrics"]["output_count"] == join["output_rows"]
+        estimates = join["alternatives"][0]["cost_breakdown"]
+        assert {"expected_workspace", "expected_output"} <= set(estimates)
+    assert stable(traced["stream_joins"]) == stable(plain["stream_joins"])
+    assert stable(traced["shards"] or []) == stable(plain["shards"] or [])
+    # The record's shard rows are the ``ShardRun.as_dict()``s themselves.
+    spans = [s for s in tracer.spans if s.name.startswith("shard:")]
+    rows = traced["shards"] or []
+    assert len(spans) == len(rows)
+    for span, row in zip(spans, rows):
+        carried = {
+            k: v
+            for k, v in span.attributes.items()
+            # the worker graft's own notes on the span it grafted under
+            if not k.startswith("trace_")
+        }
+        assert carried == row
 
 
 class TestValidation:
