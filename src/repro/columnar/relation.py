@@ -30,11 +30,27 @@ from __future__ import annotations
 from array import array
 from itertools import islice
 from operator import ge, le
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ..errors import StreamOrderError
 from ..model.sortorder import Direction, SortAttribute, SortOrder, sort_tuples
 from ..model.tuples import TemporalTuple
+
+
+class SortedView(NamedTuple):
+    """A relation's endpoint columns in one sort order, kept on the
+    relation (``TemporalRelation.orders``) for every query that reads
+    it in that order: read, never write."""
+
+    ts: Sequence[int]
+    te: Sequence[int]
+    #: Row positions in that order: the argsort's permutation, or the
+    #: identity ``range`` over the relation's own arrays.
+    permutation: Sequence[int]
+    #: ``id(attribute column)`` -> that column put through
+    #: ``permutation``, filled by the bridge's gather; the relation
+    #: memoises its columns, so an id stays its column's.
+    gathered: dict
 
 
 class IntervalColumns:
@@ -55,7 +71,8 @@ class IntervalColumns:
     """
 
     __slots__ = (
-        "ts", "te", "payload", "order", "name", "_tuples", "statistics"
+        "ts", "te", "payload", "order", "name", "_tuples", "statistics",
+        "orders",
     )
 
     def __init__(
@@ -83,6 +100,9 @@ class IntervalColumns:
         #: Its relation's, when the hybrid executor has them to hand over
         #: (:func:`repro.stats.collect_statistics` then gathers nothing).
         self.statistics = None
+        #: Likewise its relation's ``{order: SortedView}`` memo, when
+        #: these columns are the relation's own or one of those views.
+        self.orders: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -174,22 +194,29 @@ class IntervalColumns:
         tuples (stable, keys applied least-significant first).  Columns
         already in that order are shared, not copied — the payload
         object is the same iff no argsort ran; otherwise the argsort's
-        permutation carries ``ts``, ``te`` and the payload along."""
-        keys = self._key_columns(order)
-        if self._in_order(keys):
-            return IntervalColumns(
-                self.ts, self.te, self.payload, order, self.name
-            )
-        permutation = list(range(len(self)))
-        for column, descending in reversed(keys):
-            permutation.sort(key=column.__getitem__, reverse=descending)
-        return IntervalColumns(
-            array("q", map(self.ts.__getitem__, permutation)),
-            array("q", map(self.te.__getitem__, permutation)),
-            list(map(self.payload.__getitem__, permutation)),
-            order,
-            self.name,
-        )
+        permutation carries ``ts``, ``te`` and the payload along.  A
+        relation's own columns (``orders`` set, no row moved) are
+        sorted once per order: the view is kept on the relation."""
+        kept = self.orders if isinstance(self.payload, range) else None
+        view = None if kept is None else kept.get(order)
+        if view is None:
+            keys = self._key_columns(order)
+            ts, te, payload = self.ts, self.te, self.payload
+            if not self._in_order(keys):
+                permutation = list(range(len(self)))
+                for column, descending in reversed(keys):
+                    permutation.sort(
+                        key=column.__getitem__, reverse=descending
+                    )
+                ts = array("q", map(ts.__getitem__, permutation))
+                te = array("q", map(te.__getitem__, permutation))
+                payload = list(map(payload.__getitem__, permutation))
+            view = SortedView(ts, te, payload, {})
+            if kept is not None:
+                kept[order] = view
+        columns = IntervalColumns(*view[:3], order, self.name)
+        columns.orders = kept
+        return columns
 
     def verify_order(self) -> None:
         """Check the endpoint columns against the declared sort order,
@@ -197,26 +224,38 @@ class IntervalColumns:
 
         Raises :class:`~repro.errors.StreamOrderError` on the first
         violation — the batch backend's counterpart of the verifying
-        stream cursor.
+        stream cursor.  A relation's kept view was sorted or checked
+        when it was kept; a relation's own columns that pass are kept
+        as the view (a declared order is checked once per relation, not
+        per query), and a failure keeps nothing.
         """
-        if self.order is None:
+        order, kept = self.order, self.orders
+        if order is None:
             return
-        keys = self._key_columns(self.order)
+        view = None if kept is None else kept.get(order)
+        if view is not None and view.ts is self.ts and view.te is self.te:
+            return
+        keys = self._key_columns(order)
         if keys is None:
             # Non-endpoint components have no column; fall back to
             # the tuple-level check for the whole order (requires
             # payloads — endpoint-only views have none to check).
-            if self.payload is not None and not self.order.is_sorted(
+            if self.payload is not None and not order.is_sorted(
                 list(self.payload)
             ):
                 raise StreamOrderError(
                     f"columns {self.name!r} violate declared order "
-                    f"[{self.order}]"
+                    f"[{order}]"
                 )
             return
-        if self._in_order(keys):
-            return
-        # Slow pass, on failure only: locate the first violation.
+        if not self._in_order(keys):
+            self._raise_first_violation(keys)
+        if kept is not None:
+            kept[order] = SortedView(self.ts, self.te, self.payload, {})
+
+    def _raise_first_violation(self, keys: list) -> None:
+        """The slow pass, when the C-level one did not vouch for the
+        columns (a compound order may still have no violation)."""
         for i in range(1, len(self.ts)):
             for column, descending in keys:
                 a, b = column[i - 1], column[i]

@@ -40,15 +40,21 @@ class TemporalRelation:
         establish an order, or :meth:`verify_order` to audit).
 
     The tuples never change, so a relation memoises its column forms in
-    slots that are ``None`` until first asked for: :meth:`columns`
-    fills its own; ``endpoints`` (the validated ``array('q')`` pair)
-    and ``statistics`` are filled by the layers that build them
-    (:mod:`repro.optimizer.integration`, :mod:`repro.stats`).  Nothing
-    invalidates them: every derivation returns a new relation.
+    four slots, empty until first asked for and each filled by the
+    layer that builds it: :meth:`columns` fills its own; ``endpoints``
+    (the validated ``array('q')`` pair) is filled by
+    :mod:`repro.optimizer.integration`, ``statistics`` by
+    :mod:`repro.stats`, and ``orders`` — ``{SortOrder: view}``, the
+    endpoint arrays in each sort order a query has read them in
+    (:class:`repro.columnar.relation.SortedView`) — by
+    :meth:`IntervalColumns.sorted_by
+    <repro.columnar.relation.IntervalColumns.sorted_by>` and
+    ``verify_order``.  Nothing invalidates them: every derivation
+    returns a new relation, whose memo starts empty.
     """
 
     __slots__ = ("schema", "tuples", "constraints", "order")
-    __slots__ += ("_columns", "endpoints", "statistics")  # the memo
+    __slots__ += ("_columns", "endpoints", "statistics", "orders")  # the memo
 
     def __init__(
         self,
@@ -62,6 +68,7 @@ class TemporalRelation:
         self.constraints = constraints or ConstraintSet()
         self.order = order
         self._columns = self.endpoints = self.statistics = None
+        self.orders: dict = {}
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -24,12 +24,13 @@ with the columns its :class:`~repro.model.relation.TemporalRelation`
 memoises.  The planner's operand is a per-query
 :class:`~repro.columnar.relation.IntervalColumns` over each side's two
 endpoint columns (:func:`_operand`), its payload the row position.
-Endpoint columns that arrive untouched from a scan are validated and
-summarised once per relation — the arrays and the statistics are
-memoised on it and shared, read-only, by every query; any other columns
-are validated in bulk per query.  The sort (an argsort, skipped when the
-columns are already in order) and the batch backends' drain read the
-columns too, so a columnar or fused join builds no
+Endpoint columns that arrive untouched from a scan are validated,
+summarised and put in each sort order once per relation — the arrays,
+the statistics and the sorted views are memoised on it and shared,
+read-only, by every query; any other columns are validated in bulk and
+sorted per query.  The sort (an argsort, skipped when the columns are
+already in order) and the batch backends' drain read the columns too,
+so a columnar or fused join builds no
 :class:`~repro.model.tuples.TemporalTuple` at all; a consumer that is
 tuple-at-a-time by nature (tuple backend, nested-loop winner, a
 recovery rung that reads tuples) makes the operand build them once —
@@ -339,9 +340,7 @@ class _StreamJoin(BinaryOperator):
             left_side, right_side = self._index_pairs(*operands, span)
             with tracer.span("bridge:assemble", late=late) as assemble:
                 gathered = _gathered(
-                    (left.columns, *left_side),
-                    (right.columns, *right_side),
-                    positions,
+                    (left, *left_side), (right, *right_side), positions
                 )
                 if not rows:
                     out = Batch(list(map(list, gathered)), len(left_side[1]))
@@ -366,6 +365,9 @@ class _StreamJoin(BinaryOperator):
         extraction — no row is assembled inside it."""
         x, y = (right, left) if self.swapped else (left, right)
         recovery = self._recovery
+        # Traced only: the orders each relation had kept before this run.
+        traced = get_tracer().enabled
+        known = [set(o.orders or ()) for o in (x, y)] if traced else ()
         started = time.perf_counter()
         results, profile = self._planner.execute(
             self.operator_kind, x, y, recovery=recovery, report=self._report
@@ -390,6 +392,9 @@ class _StreamJoin(BinaryOperator):
             tuples_built=sum(o.tuples_built for o in operands.values()),
             sorted=any(
                 not isinstance(o.payload, range) for o in profile.operands
+            ),
+            orders_reused=sum(
+                o.order in seen for o, seen in zip(profile.operands, known)
             ),
         )
         # The join row outlives the query; its operands must not.
@@ -448,9 +453,10 @@ def _operand(
     predicate.
 
     Endpoint columns that are still a relation's own (nothing since
-    the scan touched a row) are validated and summarised once, on the
-    relation; the operand over them is per query, so the tuples a
-    tuple-at-a-time consumer builds on it are not shared.
+    the scan touched a row) are validated, summarised and sorted once,
+    on the relation, whose declared order they carry; the operand over
+    them is per query, so the tuples a tuple-at-a-time consumer builds
+    on it are not shared.
     """
     variable = _variable_of_schema(schema, related)
     starts, ends = (
@@ -470,7 +476,13 @@ def _operand(
             operand = IntervalColumns(
                 *relation.endpoints, range(batch.length), None
             )
+            # A declared order is a claim the stream layer checks: one
+            # with a non-endpoint key (no column) stays undeclared.
+            order = relation.order
+            if order is not None and operand._key_columns(order) is not None:
+                operand.order = order
             operand.statistics = collect_statistics(relation)
+            operand.orders = relation.orders
             return operand
     if ends is None:
         ends = [start + 1 for start in starts]
@@ -502,21 +514,29 @@ def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
 
 def _gathered(left_side, right_side, positions: Sequence[int]) -> list:
     """Index-pair relation -> one lazy column per entry of
-    ``positions`` (of the concatenated schema).  A side is ``(columns,
+    ``positions`` (of the concatenated schema).  A side is ``(batch,
     order, index)``: each column asked for is put in the kernel's order
-    once (|side| work, none when nothing moved the rows), then looked
-    up per output pair."""
-    columns = left_side[0] + right_side[0]
+    once (|side| work, none when nothing moved the rows) and kept beside
+    ``order`` when that is one of its relation's kept permutations,
+    then looked up per output pair."""
+    columns = left_side[0].columns + right_side[0].columns
     ordered: dict[int, Sequence] = {}
     lookups = []
     for position in positions:
-        in_left = position < len(left_side[0])
-        _, order, index = left_side if in_left else right_side
+        in_left = position < len(left_side[0].columns)
+        batch, order, index = left_side if in_left else right_side
         column = ordered.get(position)
         if column is None:
             column = columns[position]
             if not isinstance(order, range):
-                column = list(map(column.__getitem__, order))
+                relation = batch.relation
+                views = () if relation is None else relation.orders.values()
+                kept = next(
+                    (v.gathered for v in views if v.permutation is order), {}
+                )
+                if id(column) not in kept:
+                    kept[id(column)] = list(map(column.__getitem__, order))
+                column = kept[id(column)]
             ordered[position] = column
         lookups.append(map(column.__getitem__, index))
     return lookups

@@ -156,10 +156,15 @@ def index_sides(results, shape: str, x_rows: Sequence, y_rows: Sequence):
 
 def _in_order_of(payload: Optional[Sequence], rows: Sequence) -> Sequence:
     """``rows`` in the order of ``payload`` (a ``range`` when nothing
-    moved them)."""
+    moved them).  Identity rows in the order of positions are those
+    positions: handed on as they are — a relation's kept permutation
+    is not copied per query."""
     if payload is None or isinstance(payload, range):
         return rows
-    return list(map(rows.__getitem__, _positions(payload)))
+    positions = _positions(payload)
+    if rows == range(len(positions)):
+        return positions
+    return list(map(rows.__getitem__, positions))
 
 
 def _exhaust(stream: Optional[TupleStream]) -> None:

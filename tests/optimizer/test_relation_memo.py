@@ -1,7 +1,8 @@
 """A relation memoises its column forms (attribute columns, validated
-endpoint arrays, statistics) and every query over it shares them.  That
-is safe only if nothing derives, validates, builds tuples on, or writes
-into the wrong relation's copy — pinned here."""
+endpoint arrays, statistics, the sort orders it has been read in) and
+every query over it shares them.  That is safe only if nothing derives,
+validates, sorts, builds tuples on, or writes into the wrong relation's
+copy — pinned here."""
 
 import gc
 import random
@@ -11,23 +12,38 @@ from collections import Counter, namedtuple
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.algebra import optimize
 from repro.columnar import IntervalColumns
-from repro.errors import BudgetExceededError, WorkspaceOverflowError
+from repro.errors import (
+    BudgetExceededError,
+    StreamOrderError,
+    WorkspaceOverflowError,
+)
 from repro.governance import QueryBudget
 from repro.model import (
+    TE_ASC,
     TE_DESC,
     TS_ASC,
+    TS_DESC,
+    TS_TE_ASC,
+    TS_TE_DESC,
+    SortOrder,
     TemporalRelation,
     TemporalSchema,
     TemporalTuple,
+    sort_tuples,
 )
 from repro.obs import Tracer, set_tracer
 from repro.optimizer import TemporalJoinPlanner, execute_hybrid, integration
+from repro.optimizer import planner as planner_module
 from repro.query import parse_query, run_query, translate
 from repro.resilience.executor import execute_entry
 from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
+from repro.relational import temporal_scan
 from repro.streams import TemporalOperator, lookup
 from repro.workload import PoissonWorkload, fixed_duration
 
@@ -46,7 +62,7 @@ def relation(name, tuples):
     return TemporalRelation(TemporalSchema(name, "Id", "Seq"), list(tuples))
 
 
-def catalog(n=120):
+def catalog(n=150):
     """X in arrival order shuffled (every plan sorts it), Y sorted (its
     memoised arrays reach the kernels as they are)."""
     x = list(PoissonWorkload(n, 0.4, fixed_duration(4), name="X").generate(5))
@@ -59,11 +75,13 @@ def plan_for(text, cat):
     return optimize(translate(parse_query(text), cat))
 
 
-def run(text, cat, backend, recovery=None, budget=None):
+def run(text, cat, backend, recovery=None, budget=None, **parallel):
     return execute_hybrid(
         plan_for(text, cat),
         cat,
-        planner=TemporalJoinPlanner(backend=backend, budget=budget),
+        planner=TemporalJoinPlanner(
+            backend=backend, budget=budget, **parallel
+        ),
         recovery=recovery,
     )
 
@@ -80,6 +98,16 @@ def assert_memo_is_the_tuples(rel):
     assert rel.columns() == (surrogates, values, starts, ends)
     assert rel.endpoints == (array("q", starts), array("q", ends))
     assert rel.statistics == collect_statistics(list(rel.tuples))
+    own = {id(column): column for column in rel.columns()}
+    for order, view in rel.orders.items():
+        # A kept view is what a fresh sort of the tuples gives ...
+        expected = sort_tuples(rel.tuples, order)
+        assert [rel.tuples[i] for i in view.permutation] == expected
+        assert list(view.ts) == [t.valid_from for t in expected]
+        assert list(view.te) == [t.valid_to for t in expected]
+        # ... and so is every attribute column kept beside it.
+        for key, column in view.gathered.items():
+            assert column == [own[key][i] for i in view.permutation]
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +129,7 @@ def test_a_derived_relation_has_its_own_columns(derive):
     assert_memo_is_the_tuples(source)
     derived = DERIVATIONS[derive](source)
     assert derived.endpoints is None and derived.statistics is None
+    assert source.orders and derived.orders == {}
     assert derived.tuples != source.tuples
     assert derived.columns() == columns_of_tuples(derived)
     derived_cat = {"X": derived, "Y": cat["Y"]}
@@ -172,22 +201,23 @@ def test_invalid_endpoints_raise_alike_on_every_query(offender, side, backend):
 # ----------------------------------------------------------------------
 # (iv) the tuples a tuple-at-a-time consumer builds are per query
 # ----------------------------------------------------------------------
-def tuples_built(cat, backend):
+def join_span(text, cat, backend="auto"):
+    """The attributes of the one ``stream-join:*`` span of a traced run."""
     tracer = Tracer("memo")
     previous = set_tracer(tracer)
     try:
-        run(DURING, cat, backend)
+        run(text, cat, backend)
     finally:
         set_tracer(previous)
     (join,) = [s for s in tracer.spans if s.name.startswith("stream-join:")]
-    return join.attributes["tuples_built"]
+    return join.attributes
 
 
 def test_tuples_built_is_per_query_not_per_relation():
     cat = catalog()
     both = len(cat["X"]) + len(cat["Y"])
     assert [
-        tuples_built(cat, backend)
+        join_span(DURING, cat, backend)["tuples_built"]
         for backend in ("auto", "tuple", "fused", "tuple", "columnar")
     ] == [0, both, 0, both, 0]
 
@@ -216,6 +246,15 @@ def test_every_backend_and_rung_leaves_the_memo_alone():
                 if policy is None and passes > 1:
                     rungs.add("nested-loop")  # the legacy overflow answer
     assert rungs == {"spill", "nested-loop"}
+    for backend in BACKENDS:
+        for mode in ("inline", "process"):
+            executed = run(
+                DURING, cat, backend, parallelism=2, parallel_mode=mode
+            )
+            assert Counter(executed.rows) == expected
+            (info,) = executed.stream_joins
+            assert info.parallel["mode"] == mode
+            assert len(info.profile.details["shard_runs"]) == 2
 
     # The re-sort and order-quarantine rungs need an operand that lies
     # about its order: the bridge's never does, so make ones that do,
@@ -251,22 +290,231 @@ class Watched(TemporalRelation):
     __slots__ = ("__weakref__",)
 
 
-def test_dropping_the_relation_frees_its_columns():
-    x = Watched(
-        TemporalSchema("X", "Id", "Seq"),
-        [TemporalTuple(Probe(), i, 3 * i, 3 * i + 4) for i in range(40)],
+def live_copies(wanted):
+    """How many live lists other than ``wanted`` hold what it holds."""
+    return sum(
+        type(found) is list and found is not wanted and found == wanted
+        for found in gc.get_objects()
     )
+
+
+def test_dropping_the_relation_frees_its_columns():
+    rows = [TemporalTuple(Probe(), 7 * i, 3 * i, 3 * i + 4) for i in range(40)]
+    random.Random(41).shuffle(rows)  # so that reading it takes an argsort
+    x = Watched(TemporalSchema("X", "Id", "Seq"), rows)
     cat = {"X": x, "Y": catalog()["Y"]}
     for backend in ("auto", "tuple"):
         assert run(DURING, cat, backend).rows
     # Whatever still held a column would keep its entries alive: the
     # surrogates stand for the four lists, which take no weak reference.
-    watched = [x, *x.endpoints, *x.columns()[0]]
-    assert len(watched) == 43
+    (view,) = x.orders.values()  # both backends read X by one order
+    watched = [x, *x.endpoints, view.ts, view.te, *x.columns()[0]]
+    assert len(watched) == 45 and view.ts is not x.endpoints[0]
     gone = list(map(weakref.ref, watched))
-    del x, cat["X"], watched
+    # A list takes no weak reference: look for the permutation and the
+    # column kept beside it among the live lists instead.
+    kept_lists = [list(view.permutation), *map(list, view.gathered.values())]
+    assert len(kept_lists) == 2 and all(map(live_copies, kept_lists))
+    del x, cat["X"], watched, view, rows
     gc.collect()
-    assert [ref() for ref in gone] == [None] * 43
+    assert [ref() for ref in gone] == [None] * 45
+    assert not any(map(live_copies, kept_lists))
+
+
+# ----------------------------------------------------------------------
+# (vii) a relation is sorted once per order, and every query reads that
+# ----------------------------------------------------------------------
+OVERLAP_SELF = (
+    "range of a is X range of b is X "
+    "retrieve (A = a.Seq, B = b.Seq) where a overlap b"
+)
+
+
+@pytest.mark.parametrize("text", (DURING, OVERLAP_SELF), ids=("two", "self"))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_second_query_sorts_nothing(backend, text, monkeypatch):
+    """No relation here declares an order, so ``_in_order`` is asked
+    exactly once per view built and answers ``False`` exactly where an
+    argsort follows."""
+    order_tests, handed = [], []
+    in_order = IntervalColumns._in_order
+    execute_entry_ = planner_module.execute_entry
+
+    def counting(keys):
+        order_tests.append(in_order(keys))
+        return order_tests[-1]
+
+    def recording(entry, x, y=None, **options):
+        handed.append(
+            [part for o in (x, y) for part in (o.ts, o.te, o.payload)]
+        )
+        return execute_entry_(entry, x, y, **options)
+
+    monkeypatch.setattr(IntervalColumns, "_in_order", staticmethod(counting))
+    monkeypatch.setattr(planner_module, "execute_entry", recording)
+    cat = catalog()
+    if text is OVERLAP_SELF:
+        del cat["Y"]
+    first = run(text, cat, backend)
+    views = [view for rel in cat.values() for view in rel.orders.values()]
+    # X is shuffled (an argsort); Y arrives in order (its own arrays).
+    moved = sorted(not isinstance(v.permutation, range) for v in views)
+    assert moved == ([True] if text is OVERLAP_SELF else [False, True])
+    assert sorted(not answer for answer in order_tests) == moved
+    second = run(text, cat, backend)
+    assert len(order_tests) == len(views)  # nothing sorted, nothing re-checked
+    assert views == [v for rel in cat.values() for v in rel.orders.values()]
+    assert second.rows == first.rows  # emission order and all
+    was, now = handed
+    assert len(was) == 6 and all(a is b for a, b in zip(was, now))
+    assert {id(part) for part in now[:2]} <= {
+        id(part) for view in views for part in view[:2]
+    }
+    for rel in cat.values():
+        assert_memo_is_the_tuples(rel)
+
+
+ORDERS = (TS_ASC, TS_DESC, TE_ASC, TE_DESC, TS_TE_ASC, TS_TE_DESC)
+shapes = st.one_of(
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 9)), max_size=30),
+    # all-equal, tied and duplicate rows
+    st.lists(st.sampled_from([(0, 4), (0, 4), (0, 6), (2, 4)]), max_size=30),
+)
+
+
+def own_operand(rel):
+    """The planner's operand over ``rel``'s own columns, as the bridge
+    builds it for an untouched scan."""
+    scan = temporal_scan(rel, "a")
+    return integration._operand(scan.batch(), scan.schema, {"a"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes, st.sampled_from(("as-is", "sorted", "reversed")), st.data())
+def test_a_kept_view_is_the_stable_tuple_sort(pairs, arrangement, data):
+    tuples = [
+        TemporalTuple(f"s{i}", i, start, start + length)
+        for i, (start, length) in enumerate(pairs)
+    ]
+    if arrangement != "as-is":
+        tuples = sort_tuples(tuples, data.draw(st.sampled_from(ORDERS)))
+    if arrangement == "reversed":
+        tuples.reverse()
+    rel = relation("X", tuples)
+    for order in data.draw(st.permutations(ORDERS)):
+        expected = sort_tuples(tuples, order)
+        first = own_operand(rel).sorted_by(order)
+        again = own_operand(rel).sorted_by(order)
+        assert first is not again and first.tuples_built == 0
+        for columns in (first, again):  # the kept view itself, both times
+            parts = (columns.ts, columns.te, columns.payload)
+            assert all(a is b for a, b in zip(parts, rel.orders[order]))
+        assert [tuples[i] for i in again.payload] == expected
+        assert list(again.ts) == [t.valid_from for t in expected]
+        assert list(again.te) == [t.valid_to for t in expected]
+        again.verify_order()
+        # Sorting a view is not answered with the relation's views.
+        twice = again.sorted_by(ORDERS[0])
+        assert [tuples[i] for i in twice.payload] == sort_tuples(
+            expected, ORDERS[0]
+        )
+    assert len(rel.orders) == 6
+    assert_memo_is_the_tuples(rel)
+
+
+# ----------------------------------------------------------------------
+# (viii) a declared order reaches the planner as a claim that is checked
+# ----------------------------------------------------------------------
+def declared(order, lie=False, n=150):
+    """``catalog()``'s relations sorted by ``order`` and saying so; with
+    ``lie``, X says so of its shuffled tuples."""
+    cat = catalog(n)
+    return {
+        name: rel.replace_tuples(rel.tuples, order)
+        if lie and name == "X"
+        else rel.sorted_by(order)
+        for name, rel in cat.items()
+    }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_declared_order_is_not_sorted_again(backend):
+    plain, sorted_ = catalog(), declared(TS_ASC)
+    (planned,) = run(DURING, plain, backend).stream_joins
+    executed = run(DURING, sorted_, backend)
+    (info,) = executed.stream_joins
+    was, now = planned.profile.chosen, info.profile.chosen
+    assert (was.sort_x, was.sort_y) == (True, True)
+    assert (now.sort_x, now.sort_y) == (False, False)
+    assert now.cost_breakdown["sort"] == 0 < was.cost_breakdown["sort"]
+    assert (now.entry, now.backend) == (was.entry, was.backend)
+    assert Counter(executed.rows) == Counter(
+        run_query(DURING, sorted_, streams=False).rows
+    )
+    for rel in sorted_.values():
+        if backend == "tuple":  # its cursor checks as it reads, per query
+            assert rel.orders == {}
+            continue
+        # The claim was checked: the relation's own arrays are the view.
+        (view,) = rel.orders.values()
+        assert all(a is b for a, b in zip(view, rel.endpoints))
+        assert view.permutation == range(len(rel))
+
+
+def test_an_order_with_a_non_endpoint_key_stays_undeclared():
+    by_surrogate = SortOrder.by_surrogate()
+    cat = declared(by_surrogate)
+    assert cat["X"].order == by_surrogate
+    assert own_operand(cat["X"]).order is None
+    (info,) = run(DURING, cat, "auto").stream_joins
+    (planned,) = run(DURING, catalog(), "auto").stream_joins
+    assert info.chosen == planned.chosen
+
+
+@pytest.mark.parametrize(
+    "policy", POLICIES, ids=lambda p: getattr(p, "value", "legacy")
+)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_misdeclared_order_is_caught_on_every_query(backend, policy):
+    cat = declared(TS_ASC, lie=True)
+    oracle = Counter(run_query(DURING, cat, streams=False).rows)
+    for _ in range(2):
+        if policy in (None, RecoveryPolicy.STRICT):
+            with pytest.raises(StreamOrderError) as error:
+                run(DURING, cat, backend, policy)
+            # `a during b`: the contained X is the cell's Y operand.
+            assert "Y" in error.value.stream_name
+        else:
+            executed = run(DURING, cat, backend, policy)
+            report = executed.execution_report
+            if policy is RecoveryPolicy.DEGRADE:
+                assert Counter(executed.rows) == oracle
+                assert [f.kind for f in report.fallbacks] == ["re-sort"]
+            else:
+                assert report.quarantined
+                assert {q.stream for q in report.quarantined} == {"Y"}
+                assert Counter(executed.rows) < oracle
+        assert cat["X"].orders == {}  # a failed check keeps nothing
+    assert_memo_is_the_tuples(cat["X"])
+
+
+# ----------------------------------------------------------------------
+# (ix) the span says which operands were answered from a kept order
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "make, sorts", ((catalog, True), (lambda: declared(TS_ASC), False))
+)
+def test_orders_reused_counts_operands_answered_from_the_memo(make, sorts):
+    cat = make()
+    spans = [join_span(DURING, cat) for _ in range(3)]
+    assert [s["orders_reused"] for s in spans] == [0, 2, 2]
+    # What the plan says does not depend on which queries ran before.
+    assert [s["sorted"] for s in spans] == [sorts] * 3
+    assert [s["tuples_built"] for s in spans] == [0] * 3
+    # A selection below the join: that side is sorted per query.
+    selected = DURING + " and a.Seq < 100"
+    spans = [join_span(selected, cat) for _ in range(2)]
+    assert [s["orders_reused"] for s in spans] == [1, 1]
 
 
 # ----------------------------------------------------------------------
