@@ -18,15 +18,12 @@ never touch the pairs never pay it.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backend_columnar.py \
-        --sizes 1000 10000 100000 --out BENCH_columnar.json
+        --sizes 1000 10000 100000 --out /tmp/backend_columnar.json
 
-The report records two headline claims on the Figure-5 Contain-join
-at the largest size — fused >= 8x over tuple and the retained columnar
->= 3x over tuple — enforced only at 100k tuples or more (below that
-each claim reports ``passed: null`` plus a ``skipped_reason``, never a
-fake pass).  The script exits non-zero when an enforced claim fails.
-Fused against columnar is reported per row (``fused_vs_columnar``) but
-not claimed: end to end (``bench/``) the two trade places by workload.
+A kernel-level comparison, not a source of claims: it exits non-zero
+only when the backends disagree on a cell's output.  What a query pays
+end to end is measured by ``bench/run.py``, where the batch backends
+trade places by workload.
 """
 
 import argparse
@@ -56,46 +53,15 @@ from repro.workload import (  # noqa: E402
     uniform_duration,
 )
 
-HEADLINE = "contain-join[TS^,TS^]"
-
-#: (figure, cell label, operator, X order, Y order or None for unary)
+#: (figure, operator, X order, Y order); a cell's label is its registry
+#: row's.  The first is the one the report also traces.
 CELLS = (
-    ("fig5", HEADLINE, TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC),
-    (
-        "fig5",
-        "contain-join[TS^,TE^]",
-        TemporalOperator.CONTAIN_JOIN,
-        TS_ASC,
-        TE_ASC,
-    ),
-    (
-        "fig6",
-        "contain-semijoin[TS^,TE^]",
-        TemporalOperator.CONTAIN_SEMIJOIN,
-        TS_ASC,
-        TE_ASC,
-    ),
-    (
-        "tab2",
-        "overlap-join[TS^,TS^]",
-        TemporalOperator.OVERLAP_JOIN,
-        TS_ASC,
-        TS_ASC,
-    ),
-    (
-        "tab2",
-        "overlap-semijoin[TS^,TS^]",
-        TemporalOperator.OVERLAP_SEMIJOIN,
-        TS_ASC,
-        TS_ASC,
-    ),
-    (
-        "tab3",
-        "contained-semijoin[X,X][TS^,TE^]",
-        TemporalOperator.SELF_CONTAINED_SEMIJOIN,
-        TS_TE_ASC,
-        None,
-    ),
+    ("fig5", TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC),
+    ("fig5", TemporalOperator.CONTAIN_JOIN, TS_ASC, TE_ASC),
+    ("fig6", TemporalOperator.CONTAIN_SEMIJOIN, TS_ASC, TE_ASC),
+    ("tab2", TemporalOperator.OVERLAP_JOIN, TS_ASC, TS_ASC),
+    ("tab2", TemporalOperator.OVERLAP_SEMIJOIN, TS_ASC, TS_ASC),
+    ("tab3", TemporalOperator.SELF_CONTAINED_SEMIJOIN, TS_TE_ASC, None),
 )
 
 
@@ -141,8 +107,9 @@ def timing_stats(samples):
     }
 
 
-def measure_cell(figure, label, operator, x_order, y_order, x, y, repeats):
+def measure_cell(figure, operator, x_order, y_order, x, y, repeats):
     entry = lookup(operator, x_order, y_order)
+    label = entry.cell.label
     x_rel = x.sorted_by(x_order)
     y_rel = y.sorted_by(y_order) if y_order is not None else None
     row = {"figure": figure, "cell": label, "n": len(x)}
@@ -190,18 +157,19 @@ def measure_cell(figure, label, operator, x_order, y_order, x, y, repeats):
     return row
 
 
-def traced_headline(x, y):
-    """One traced run of the headline cell per backend; the resulting
+def traced_first_cell(x, y):
+    """One traced run of the first cell per backend; the resulting
     operator summaries are attached to the JSON report so perf numbers
-    come with their passes/comparisons/state-high-water (and now
-    backend/kernel) provenance."""
+    come with their passes/comparisons/state-high-water and
+    backend/kernel provenance."""
     from repro.obs import install_registry, uninstall_registry
     from repro.obs.explain import operator_summaries
     from repro.obs.trace import Tracer, set_tracer
 
-    entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
-    x_rel = x.sorted_by(TS_ASC)
-    y_rel = y.sorted_by(TS_ASC)
+    _, operator, x_order, y_order = CELLS[0]
+    entry = lookup(operator, x_order, y_order)
+    x_rel = x.sorted_by(x_order)
+    y_rel = y.sorted_by(y_order)
     summaries = {}
     for backend in BACKENDS:
         tracer = Tracer(f"bench:{backend}")
@@ -214,25 +182,6 @@ def traced_headline(x, y):
             set_tracer(previous)
         summaries[backend] = operator_summaries(tracer)
     return summaries
-
-
-def build_claim(label, n, required, measured, enforced):
-    claim = {
-        "cell": HEADLINE,
-        "metric": label,
-        "n": n,
-        "required_speedup": required,
-        "measured_speedup": measured,
-        "enforced": enforced,
-    }
-    if not enforced or measured is None:
-        claim["passed"] = None
-        claim["skipped_reason"] = (
-            f"headline enforced only at 100k+ tuples (largest size {n})"
-        )
-    else:
-        claim["passed"] = measured >= required
-    return claim
 
 
 def main(argv=None):
@@ -249,26 +198,12 @@ def main(argv=None):
         type=int,
         default=3,
         help="timed runs per cell after one untimed warm-up "
-        "(best kept as the headline number; all samples reported)",
+        "(best kept as the row's number; all samples reported)",
     )
     parser.add_argument(
         "--out",
-        default="BENCH_columnar.json",
+        default="bench_backend_columnar.json",
         help="path of the JSON report",
-    )
-    parser.add_argument(
-        "--require-fused-speedup",
-        type=float,
-        default=8.0,
-        help="minimum fused speedup over tuple on the Figure-5 "
-        "contain-join at the largest size (enforced at 100k+)",
-    )
-    parser.add_argument(
-        "--require-speedup",
-        type=float,
-        default=3.0,
-        help="retained minimum columnar speedup over tuple on the "
-        "same cell",
     )
     args = parser.parse_args(argv)
 
@@ -276,15 +211,14 @@ def main(argv=None):
     results = []
     for n in sorted(args.sizes):
         x, y, z = make_inputs(n)
-        for figure, label, operator, x_order, y_order in CELLS:
+        for figure, operator, x_order, y_order in CELLS:
             left = z if y_order is None else x
             row = measure_cell(
-                figure, label, operator, x_order, y_order, left, y,
-                args.repeats,
+                figure, operator, x_order, y_order, left, y, args.repeats
             )
             results.append(row)
             print(
-                f"n={n:>7d} {label:34s} "
+                f"n={n:>7d} {row['cell']:34s} "
                 f"tuple {row['tuple_seconds']:8.4f}s  "
                 f"columnar {row['columnar_seconds']:8.4f}s  "
                 f"fused {row['fused_seconds']:8.4f}s  "
@@ -292,33 +226,6 @@ def main(argv=None):
                 f"{row['fused_vs_columnar']:4.2f}x  "
                 f"out={row['output']}"
             )
-
-    top = max(args.sizes)
-    headline = next(
-        (
-            r
-            for r in results
-            if r["cell"] == HEADLINE and r["n"] == top
-        ),
-        None,
-    )
-    enforced = headline is not None and top >= 100000
-    claims = [
-        build_claim(
-            "fused_vs_tuple",
-            top,
-            args.require_fused_speedup,
-            headline["fused_speedup"] if headline else None,
-            enforced,
-        ),
-        build_claim(
-            "columnar_vs_tuple",
-            top,
-            args.require_speedup,
-            headline["speedup"] if headline else None,
-            enforced,
-        ),
-    ]
 
     trace_n = min(args.sizes)
     trace_x, trace_y, _ = make_inputs(trace_n)
@@ -333,13 +240,11 @@ def main(argv=None):
         "repeats": args.repeats,
         "warmup": 1,
         "backends": list(BACKENDS),
-        "headline_claim": claims[0],
-        "headline_claims": claims,
         "results": results,
         "trace_summary": {
-            "cell": HEADLINE,
+            "cell": results[0]["cell"],
             "n": trace_n,
-            "operators": traced_headline(trace_x, trace_y),
+            "operators": traced_first_cell(trace_x, trace_y),
         },
         "profile": run_profile(run_started),
     }
@@ -347,22 +252,6 @@ def main(argv=None):
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(f"\nwrote {args.out}")
-    failed = [c for c in claims if c["passed"] is False]
-    for claim in failed:
-        print(
-            f"FAIL: {HEADLINE} at n={claim['n']} "
-            f"{claim['metric']} = {claim['measured_speedup']}x "
-            f"(< {claim['required_speedup']}x required)",
-            file=sys.stderr,
-        )
-    if failed:
-        return 1
-    for claim in claims:
-        if claim["passed"] is True:
-            print(
-                f"claim holds: {claim['metric']} = "
-                f"{claim['measured_speedup']}x at n={claim['n']}"
-            )
     return 0
 
 

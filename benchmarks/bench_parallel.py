@@ -13,16 +13,11 @@ lands in a JSON report.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py \
-        --sizes 10000 100000 --workers 4 --out BENCH_parallel.json
+        --sizes 10000 100000 --workers 4 --out /tmp/parallel.json
 
-The report records the headline claim — partitioned execution at
-``--workers`` workers is at least ``--require-speedup`` (default 2x)
-faster than serial on the Figure-5 contain-join, columnar backend, at
-the largest size — and the script exits non-zero when an *enforced*
-claim fails.  The claim is only enforced at 100k tuples or more AND
-when the machine actually has at least 4 CPUs (``os.cpu_count()``);
-on smaller boxes the measured number is recorded unenforced, the same
-conditional-claim pattern as BENCH_columnar.json.
+A kernel-level comparison, not a source of claims: the measured speedup
+is recorded per row and the script exits non-zero only when parallel
+and serial outputs diverge.
 """
 
 import argparse
@@ -46,10 +41,6 @@ from repro.streams import (  # noqa: E402
     lookup,
 )
 from repro.workload import PoissonWorkload, fixed_duration  # noqa: E402
-
-HEADLINE = "contain-join[TS^,TS^]"
-HEADLINE_BACKEND = "columnar"
-
 
 def make_inputs(n):
     """The Figure-5 Poisson pair: arrival rate 0.5, X lifespans of 40
@@ -101,7 +92,7 @@ def measure(n, x, y, backend, workers, repeats):
         serial_times.append(elapsed)
     # Warm the persistent pool (spawn + module imports) outside the
     # timed region: queries after the first see a warm pool, and that
-    # steady state is what the claim is about.
+    # steady state is what the rows report.
     warm_pool(workers)
     run_parallel(entry, x_rel, y_rel, backend, workers)
     for _ in range(repeats):
@@ -112,7 +103,7 @@ def measure(n, x, y, backend, workers, repeats):
 
     if canonical(serial_out) != canonical(parallel_outcome.results):
         raise AssertionError(
-            f"{HEADLINE} n={n} backend={backend}: parallel output "
+            f"{entry.cell.label} n={n} backend={backend}: parallel output "
             f"diverges from serial ({len(parallel_outcome.results)} vs "
             f"{len(serial_out)} rows)"
         )
@@ -120,7 +111,7 @@ def measure(n, x, y, backend, workers, repeats):
     serial_stats = timing_stats(serial_times)
     parallel_stats = timing_stats(parallel_times)
     return {
-        "cell": HEADLINE,
+        "cell": entry.cell.label,
         "backend": backend,
         "n": n,
         "workers": workers,
@@ -162,20 +153,11 @@ def main(argv=None):
     )
     parser.add_argument(
         "--out",
-        default="BENCH_parallel.json",
+        default="bench_parallel.json",
         help="path of the JSON report",
-    )
-    parser.add_argument(
-        "--require-speedup",
-        type=float,
-        default=2.0,
-        help="minimum parallel speedup on the Figure-5 contain-join, "
-        "columnar backend, at the largest size (only enforced at 100k "
-        "tuples or more on a machine with at least 4 CPUs)",
     )
     args = parser.parse_args(argv)
 
-    cpu_count = os.cpu_count() or 1
     run_started = time.perf_counter()
     results = []
     for n in sorted(args.sizes):
@@ -192,43 +174,6 @@ def main(argv=None):
                 f"out={row['output']}  mode={row['mode']}"
             )
 
-    top = max(args.sizes)
-    headline = next(
-        (
-            r
-            for r in results
-            if r["backend"] == HEADLINE_BACKEND and r["n"] == top
-        ),
-        None,
-    )
-    enforced = top >= 100000 and cpu_count >= 4
-    # Tri-state verdict: True/False only when the claim was actually
-    # enforced; an unenforced run records ``null`` plus the reason, so
-    # a gate that checks ``passed is True`` can never mistake "skipped
-    # on a small box" for "verified".
-    claim = {
-        "cell": HEADLINE,
-        "backend": HEADLINE_BACKEND,
-        "n": top,
-        "workers": args.workers,
-        "required_speedup": args.require_speedup,
-        "measured_speedup": headline["speedup"] if headline else None,
-        "cpu_count": cpu_count,
-        "enforced": enforced,
-        "passed": None,
-    }
-    if headline and enforced:
-        claim["passed"] = headline["speedup"] >= args.require_speedup
-    else:
-        reasons = []
-        if top < 100000:
-            reasons.append(f"requires n >= 100000 (got {top})")
-        if cpu_count < 4:
-            reasons.append(f"requires >= 4 CPUs (got {cpu_count})")
-        if headline is None:
-            reasons.append("no headline row measured")
-        claim["skipped_reason"] = "; ".join(reasons)
-
     report = {
         "benchmark": "parallel-partition",
         "description": (
@@ -238,9 +183,8 @@ def main(argv=None):
         ),
         "repeats": args.repeats,
         "workers": args.workers,
-        "cpu_count": cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "backends": list(BACKENDS),
-        "headline_claim": claim,
         "results": results,
         "profile": run_profile(run_started),
     }
@@ -248,25 +192,6 @@ def main(argv=None):
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(f"\nwrote {args.out}")
-    if claim["passed"] is False:
-        print(
-            f"FAIL: {HEADLINE} ({HEADLINE_BACKEND}) at n={top} sped up "
-            f"only {claim['measured_speedup']}x with {args.workers} "
-            f"workers (< {args.require_speedup}x required)",
-            file=sys.stderr,
-        )
-        return 1
-    if claim["passed"] is True:
-        print(
-            f"claim holds: {HEADLINE} ({HEADLINE_BACKEND}) at n={top} "
-            f"is {claim['measured_speedup']}x faster with "
-            f"{args.workers} workers"
-        )
-    else:
-        print(
-            f"claim SKIPPED ({claim['skipped_reason']}): measured "
-            f"{claim['measured_speedup']}x unenforced"
-        )
     return 0
 
 

@@ -20,7 +20,7 @@ def peak_rss_bytes():
     """Peak resident set size of this process so far, in bytes.
 
     ``ru_maxrss`` is kilobytes on Linux but bytes on macOS; normalise so
-    BENCH_*.json files are comparable across machines."""
+    benchmark reports are comparable across machines."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform != "darwin":
         peak *= 1024
@@ -38,9 +38,9 @@ def run_profile(started_at):
 
 
 def timing_stats(samples):
-    """Per-repeat variance record for BENCH_*.json: the best-of number
-    the speedup claims use, plus min/median/mean/stdev/max over the
-    repeats so a lucky best can be spotted."""
+    """Per-repeat variance record for a benchmark report: the best-of
+    number the speedup rows use, plus min/median/mean/stdev/max over
+    the repeats so a lucky best can be spotted."""
     values = sorted(float(s) for s in samples)
     return {
         "n": len(values),

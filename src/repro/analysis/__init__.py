@@ -18,9 +18,7 @@ them *before anything runs*:
   sort orders and operator condition (an inequality-closure theorem
   check built on :mod:`repro.semantic.inequality_graph`);
 * :mod:`repro.analysis.check_registry` — fails when the code's
-  registry disagrees with the paper's tables or with the derivation;
-* :mod:`repro.analysis.mypy_gate` — ``mypy --strict`` with a tracked
-  baseline, skipped gracefully where mypy is not installed.
+  registry disagrees with the paper's tables or with the derivation.
 
 CLI: ``python -m repro.analysis src/`` (exit 0 clean, 1 findings,
 2 usage/internal error).  See ``docs/STATIC_ANALYSIS.md``.

@@ -19,8 +19,9 @@ cell:
 * registry vs tables — the registry declares the table's state class,
   supports exactly the admissible cells, and flags order-freeness
   exactly where the paper does;
-* backends — every supported cell offers the tuple-at-a-time and both
-  batch backends; inadmissible cells offer none;
+* backends — every supported cell's row carries the tuple-at-a-time
+  processor and both batch kernels (a '-' cell has no row to offer any
+  from);
 * shape — ``TemporalOperator.shape`` agrees with the operator spec's
   ``kind``;
 * fallback — every operator with a supported cell has a row in the one
@@ -235,9 +236,13 @@ def _check_cell(
                 f"{table.order_free}"
             )
         # -- backend discipline ------------------------------------------
-        if table.admissible and entry.supported:
+        if entry.supported:
+            row = entry.cell
+            forms = (row.processor, row.columnar, row.fused)
             missing = [
-                b for b in registry_module.BACKENDS if b not in entry.backends
+                backend
+                for backend, form in zip(registry_module.BACKENDS, forms)
+                if not callable(form)
             ]
             if missing:
                 problems.append(
@@ -248,11 +253,6 @@ def _check_cell(
             problems.append(
                 "supported cell's operator has no PREDICATES row: the "
                 "spill and nested-loop fallbacks cannot evaluate it"
-            )
-        if not table.admissible and entry.backends:
-            problems.append(
-                "inadmissible cell offers backends "
-                f"{list(entry.backends)}; '-' cells must have none"
             )
 
     # -- fused slot-store bound ------------------------------------------

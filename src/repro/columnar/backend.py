@@ -1,16 +1,23 @@
-"""The batch backends: one cell table, one processor.
+"""The cell table, and the one processor of its batch forms.
 
-:data:`CELLS` holds one row per admissible upper-half cell of Tables
-1-3: its label, the sort orders each operand may declare, and the sweep
-kernel each batch backend runs (:mod:`~repro.columnar.kernels` probe
-scans; :mod:`~repro.columnar.fused` endpoint-event sweeps, or the
-columnar kernel itself where the cell keeps no slot store).
-:class:`ColumnarProcessor` runs any ``(cell, backend)`` pair as a
-drop-in physical alternative to the cell's tuple-at-a-time processor in
-:mod:`repro.streams.processors`: same ``TupleStream`` operands, same
-admission checks (the '-' cells stay rejected), same output values, and
-the same :class:`~repro.streams.metrics.ProcessorMetrics` accounting —
-so every Table-1/2/3 state-class verification runs unchanged on both.
+:data:`CELLS` is the one place a cell of Tables 1-3 is written down:
+one row per admissible cell with its operator, the sort order each
+operand must declare, its state class, and its three physical forms —
+the tuple-at-a-time processor of :mod:`repro.streams.processors` (whose
+``operator`` string is the cell's label), the
+:mod:`~repro.columnar.kernels` probe scan, and the
+:mod:`~repro.columnar.fused` endpoint-event sweep (the columnar kernel
+itself where the cell keeps no slot store).  The 120-entry registry of
+:mod:`repro.streams.registry` — the rows, their time-reversal mirrors,
+the order-free Before-semijoin, '-' everywhere else — is derived from
+these rows.
+
+:class:`ColumnarProcessor` runs any ``(cell, batch backend)`` pair as a
+drop-in physical alternative to the cell's tuple processor: same
+``TupleStream`` operands, same admission checks (the '-' cells stay
+rejected), same output values, and the same
+:class:`~repro.streams.metrics.ProcessorMetrics` accounting — so every
+Table-1/2/3 state-class verification runs unchanged on both.
 
 The difference is purely physical: operands are drained into
 :class:`~repro.columnar.relation.IntervalColumns` up front (one pass,
@@ -42,6 +49,20 @@ from ..model import sortorder as so
 from ..obs.trace import get_tracer
 from ..resilience.recovery import RecoveryPolicy
 from ..streams.processors.base import StreamProcessor
+from ..streams.processors.before import BeforeSemijoin
+from ..streams.processors.contain_join import ContainJoinTsTe, ContainJoinTsTs
+from ..streams.processors.contain_semijoin import (
+    ContainedSemijoinTeTs,
+    ContainedSemijoinTsTs,
+    ContainSemijoinTsTe,
+    ContainSemijoinTsTs,
+)
+from ..streams.processors.overlap import OverlapJoin, OverlapSemijoin
+from ..streams.processors.self_semijoin import (
+    SelfContainedSemijoin,
+    SelfContainSemijoin,
+    SelfContainSemijoinDesc,
+)
 from ..streams.registry import TemporalOperator
 from ..streams.stream import TupleStream
 from . import fused, kernels
@@ -72,16 +93,17 @@ def cyclic_gc_paused():
 
 @dataclass(frozen=True)
 class Cell:
-    """One admissible upper-half cell of Tables 1-3, as the batch
-    backends see it."""
+    """One admissible cell of Tables 1-3, in all its forms."""
 
     operator: TemporalOperator
-    #: Operator label; processors report ``<backend>-<label>``.
-    label: str
-    #: Sort orders each operand may declare, as in the tuple processors
-    #: (``None`` y_orders: the operator is unary).
-    x_orders: Tuple[so.SortOrder, ...]
-    y_orders: Optional[Tuple[so.SortOrder, ...]]
+    #: The sort order each operand must declare (``None`` y_order: the
+    #: operator is unary); the time-reversed entry wants their mirrors.
+    x_order: so.SortOrder
+    y_order: Optional[so.SortOrder]
+    #: Table 1's legend, ``streams.registry.STATE_CLASS_DESCRIPTIONS``.
+    state_class: str
+    #: The tuple-at-a-time processor class (backend "tuple").
+    processor: type
     #: The sweep kernel per batch backend.
     columnar: Callable
     fused: Callable
@@ -93,6 +115,12 @@ class Cell:
     order_free: bool = False
 
     @property
+    def label(self) -> str:
+        """The tuple processor's own name for the cell; the batch
+        processors report ``<backend>-<label>``."""
+        return self.processor.operator
+
+    @property
     def shape(self) -> str:
         return self.operator.shape
 
@@ -101,7 +129,7 @@ class Cell:
 
 
 _T = TemporalOperator
-_TS, _TE = (so.TS_ASC,), (so.TE_ASC,)
+_TS, _TE = so.TS_ASC, so.TE_ASC
 
 #: label -> cell.  The six cells whose fused kernel *is* the columnar
 #: one keep no slot store (``slot_bound`` "zero"/"one").
@@ -109,55 +137,66 @@ CELLS = {
     cell.label: cell
     for cell in (
         # Table 1 — Contain
-        Cell(_T.CONTAIN_JOIN, "contain-join[TS^,TS^]", _TS, _TS,
+        Cell(_T.CONTAIN_JOIN, _TS, _TS, "a", ContainJoinTsTs,
              kernels.contain_join_ts_ts, fused.contain_join_ts_ts),
-        Cell(_T.CONTAIN_JOIN, "contain-join[TS^,TE^]", _TS, _TE,
+        Cell(_T.CONTAIN_JOIN, _TS, _TE, "b", ContainJoinTsTe,
              kernels.contain_join_ts_te, fused.contain_join_ts_te),
-        Cell(_T.CONTAIN_SEMIJOIN, "contain-semijoin[TS^,TS^]", _TS, _TS,
+        Cell(_T.CONTAIN_SEMIJOIN, _TS, _TS, "c", ContainSemijoinTsTs,
              kernels.contain_semijoin_ts_ts, fused.contain_semijoin_ts_ts),
-        Cell(_T.CONTAIN_SEMIJOIN, "contain-semijoin[TS^,TE^]", _TS, _TE,
+        Cell(_T.CONTAIN_SEMIJOIN, _TS, _TE, "d", ContainSemijoinTsTe,
              kernels.contain_semijoin_ts_te, kernels.contain_semijoin_ts_te,
              "zero"),
-        Cell(_T.CONTAINED_SEMIJOIN, "contained-semijoin[TS^,TS^]", _TS, _TS,
+        Cell(_T.CONTAINED_SEMIJOIN, _TS, _TS, "c", ContainedSemijoinTsTs,
              kernels.contained_semijoin_ts_ts,
              fused.contained_semijoin_ts_ts),
-        Cell(_T.CONTAINED_SEMIJOIN, "contained-semijoin[TE^,TS^]", _TE, _TS,
+        Cell(_T.CONTAINED_SEMIJOIN, _TE, _TS, "d", ContainedSemijoinTeTs,
              kernels.contained_semijoin_te_ts,
              kernels.contained_semijoin_te_ts, "zero"),
         # Table 2 — Overlap
-        Cell(_T.OVERLAP_JOIN, "overlap-join[TS^,TS^]", _TS, _TS,
+        Cell(_T.OVERLAP_JOIN, _TS, _TS, "a", OverlapJoin,
              kernels.overlap_join_ts_ts, fused.overlap_join_ts_ts),
-        Cell(_T.OVERLAP_SEMIJOIN, "overlap-semijoin[TS^,TS^]", _TS, _TS,
+        Cell(_T.OVERLAP_SEMIJOIN, _TS, _TS, "b", OverlapSemijoin,
              kernels.overlap_semijoin_ts_ts, kernels.overlap_semijoin_ts_ts,
              "zero"),
-        # Section 4.2.4 — Before
-        Cell(_T.BEFORE_SEMIJOIN, "before-semijoin", _TS, _TS,
+        # Section 4.2.4 — Before.  The semijoin is single-pass whatever
+        # the orders; no sort order bounds the join's state, so it has
+        # no row.
+        Cell(_T.BEFORE_SEMIJOIN, _TS, _TS, "d", BeforeSemijoin,
              kernels.before_semijoin, kernels.before_semijoin,
              "zero", order_free=True),
         # Table 3 — self semijoins
-        Cell(_T.SELF_CONTAINED_SEMIJOIN, "contained-semijoin[X,X][TS^,TE^]",
-             (so.TS_TE_ASC,), None,
+        Cell(_T.SELF_CONTAINED_SEMIJOIN, so.TS_TE_ASC, None, "a1",
+             SelfContainedSemijoin,
              kernels.self_contained_semijoin_ts_te,
              kernels.self_contained_semijoin_ts_te, "one"),
-        Cell(_T.SELF_CONTAIN_SEMIJOIN, "contain-semijoin[X,X][TSv,TEv]",
-             (so.TS_TE_DESC,), None,
+        Cell(_T.SELF_CONTAIN_SEMIJOIN, so.TS_TE_DESC, None, "a1",
+             SelfContainSemijoinDesc,
              kernels.self_contain_semijoin_ts_te_desc,
              kernels.self_contain_semijoin_ts_te_desc, "one"),
-        Cell(_T.SELF_CONTAIN_SEMIJOIN, "contain-semijoin[X,X][TS^]",
-             _TS, None,
+        Cell(_T.SELF_CONTAIN_SEMIJOIN, _TS, None, "b1", SelfContainSemijoin,
              kernels.self_contain_semijoin_ts, fused.self_contain_semijoin_ts),
     )
 }
 
 
 def _reversed(columns: IntervalColumns) -> Tuple[array, array]:
-    """The endpoint columns under time reversal, ``(-TE, -TS)``; an
-    endpoint of -2**63 has no negation in ``array('q')`` and raises
-    ``OverflowError``."""
-    return (
-        array("q", map(neg, columns.te)),
-        array("q", map(neg, columns.ts)),
-    )
+    """The endpoint columns under time reversal, ``(-TE, -TS)``."""
+    try:
+        return (
+            array("q", map(neg, columns.te)),
+            array("q", map(neg, columns.ts)),
+        )
+    except OverflowError:
+        lowest = -(2**63)  # the one int64 whose negation is not one
+        row = next(
+            i
+            for i, ends in enumerate(zip(columns.ts, columns.te))
+            if lowest in ends
+        )
+        raise ExecutionError(
+            f"row {row} of {columns.name!r}: endpoint {lowest} has no "
+            "time-reversed image in int64"
+        ) from None
 
 
 class ColumnarProcessor(StreamProcessor):
@@ -182,16 +221,16 @@ class ColumnarProcessor(StreamProcessor):
         self.operator = f"{backend}-{cell.label}"
         if mirrored:
             self.operator = f"mirror({self.operator})"
-        if cell.y_orders is not None and y is None:
+        if cell.y_order is not None and y is None:
             raise TypeError(f"{self.operator} is a binary operator")
         if not cell.order_free:
-            for stream, orders, role in (
-                (x, cell.x_orders, "X"), (y, cell.y_orders, "Y")
+            for stream, order, role in (
+                (x, cell.x_order, "X"), (y, cell.y_order, "Y")
             ):
-                if orders is not None:
+                if order is not None:
                     if mirrored:
-                        orders = tuple(o.mirrored() for o in orders)
-                    self._require_order(stream, orders, role)
+                        order = order.mirrored()
+                    self._require_order(stream, (order,), role)
         self.metrics.backend = backend
         self.metrics.kernel = cell.kernel(backend).__name__
 

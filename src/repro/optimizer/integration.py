@@ -71,7 +71,7 @@ from ..algebra.physical import Catalog, build_node, compile_plan
 from ..allen.relations import AllenRelation
 from ..allen.symbolic import Comparison, Endpoint, EndpointKind
 from ..columnar.relation import IntervalColumns
-from ..errors import PlanningError
+from ..errors import ExecutionError, PlanningError
 from ..model.interval import Interval
 from ..relational.expressions import Compare
 from ..relational.operators import Batch, BinaryOperator, EngineStats, Operator
@@ -497,7 +497,9 @@ def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
     """Two endpoint columns as int64 arrays, validated in bulk, at C
     level.  Only when that fails does a second pass visit the rows one
     by one, so the first offending row raises exactly what building its
-    :class:`~repro.model.tuples.TemporalTuple` would have."""
+    :class:`~repro.model.tuples.TemporalTuple` would have — or, for an
+    endpoint the model admits and an int64 column cannot hold, an
+    :class:`~repro.errors.ExecutionError` naming the row and value."""
     try:
         ts, te = array("q", starts), array("q", ends)
         well_formed = all(map(lt, ts, te)) and (
@@ -506,8 +508,14 @@ def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
     except (TypeError, OverflowError):
         well_formed = False
     if not well_formed:
-        for start, end in zip(starts, ends):
+        for row, (start, end) in enumerate(zip(starts, ends)):
             Interval(start, end)  # raises on the first offending row
+            for endpoint in (start, end):
+                if not -(2**63) <= endpoint < 2**63:
+                    raise ExecutionError(
+                        f"row {row}: endpoint {endpoint} is outside the "
+                        "stream engine's int64 time domain"
+                    )
         ts, te = array("q", starts), array("q", ends)  # int subclasses
     return ts, te
 

@@ -164,9 +164,7 @@ class TemporalJoinPlanner:
 
     def __init__(
         self,
-        cost_model: Optional[CostModel] = None,
         use_histograms: bool = False,
-        histogram_buckets: int = 32,
         backend: str = "tuple",
         parallelism: Optional[int] = None,
         parallel_mode: str = "auto",
@@ -178,13 +176,11 @@ class TemporalJoinPlanner:
                 f"unknown execution backend {backend!r}; "
                 f"choose one of {BACKENDS + ('auto',)}"
             )
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.use_histograms = use_histograms
-        self.histogram_buckets = histogram_buckets
         #: Physical backend stream plans execute on ("tuple",
-        #: "columnar", or "fused").  Cells lacking the backend are not
-        #: enumerated.  "auto" enumerates a costed alternative per
-        #: available backend and lets the cost model pick — the
+        #: "columnar", or "fused").  "auto" enumerates a costed
+        #: alternative per backend and lets the cost model pick — the
         #: backend-choice row of the plan.
         self.backend = backend
         #: Maximum shard count for time-domain-partitioned plans; the
@@ -230,8 +226,8 @@ class TemporalJoinPlanner:
             )
 
             histogram_peak = estimate_peak_workspace(
-                build_histogram(x_relation.tuples, self.histogram_buckets),
-                build_histogram(y_relation.tuples, self.histogram_buckets),
+                build_histogram(x_relation.tuples),
+                build_histogram(y_relation.tuples),
             )
         output = expected_output_for(operator, x_stats, y_stats)
         out: list[Alternative] = []
@@ -241,8 +237,6 @@ class TemporalJoinPlanner:
         order_free_seen: set[str] = set()
         for entry in supported_entries(operator):
             for backend in planner_backends:
-                if backend not in entry.backends:
-                    continue
                 if entry.order_free:
                     # One alternative per backend suffices: the
                     # algorithm ignores sort orders entirely.

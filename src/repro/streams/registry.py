@@ -3,14 +3,16 @@
 The paper's central artifacts are tables mapping (operator, sort order
 of X, sort order of Y) to a *state class* — how much local workspace a
 single-pass stream algorithm needs, or '-' when no garbage-collection
-criterion exists.  This module encodes every row as a
-:class:`RegistryEntry` carrying the state-class label, the paper's
-textual state characterisation, and a factory building the actual
-processor (``None`` for inappropriate rows).
+criterion exists.  This module lists every cell as a
+:class:`RegistryEntry`: a view of the cell's one row in
+:data:`repro.columnar.backend.CELLS` (state class, tuple processor,
+batch kernels) under the entry's own orders, or of no row for an
+inappropriate cell.
 
-The lower halves of the tables are generated from the upper halves by
-time-reversal mirroring, exactly as the paper argues
-("the lower half of Table 1 is the mirror image of the upper half").
+Only the admissible cells are written down.  The lower halves of the
+tables are generated from the upper halves by time-reversal mirroring,
+exactly as the paper argues ("the lower half of Table 1 is the mirror
+image of the upper half"), and every remaining combination is '-'.
 
 State classes (Table 1's legend):
 
@@ -41,21 +43,7 @@ from ..model.sortorder import (
     Direction,
     SortOrder,
 )
-from .processors.before import BeforeSemijoin
-from .processors.contain_join import ContainJoinTsTe, ContainJoinTsTs
-from .processors.contain_semijoin import (
-    ContainedSemijoinTeTs,
-    ContainedSemijoinTsTs,
-    ContainSemijoinTsTe,
-    ContainSemijoinTsTs,
-)
 from .processors.mirror import MirroredProcessor
-from .processors.overlap import OverlapJoin, OverlapSemijoin
-from .processors.self_semijoin import (
-    SelfContainedSemijoin,
-    SelfContainSemijoin,
-    SelfContainSemijoinDesc,
-)
 
 
 class TemporalOperator(enum.Enum):
@@ -125,31 +113,35 @@ class RegistryEntry:
     operator: TemporalOperator
     x_order: SortOrder
     y_order: Optional[SortOrder]
-    state_class: str
-    factory: Optional[Callable]
-    mirrored: bool = False
-    #: True when the algorithm works regardless of input sort orders
-    #: (Before-semijoin); the planner then charges no sorts.
-    order_free: bool = False
-    #: The cell's row in :data:`repro.columnar.backend.CELLS`, which
-    #: both batch backends run ('-' cells have none: no sort order
-    #: makes them streamable, and batching does not change that).  A
-    #: mirrored entry shares its upper-half original's row.
+    #: The cell's row in :data:`repro.columnar.backend.CELLS`: state
+    #: class, tuple processor, batch kernels.  ``None`` for a '-' cell —
+    #: no sort order makes it streamable, and batching does not change
+    #: that.
     cell: Optional[object] = None
+    #: True for a lower-half entry: its row's algorithm under time
+    #: reversal (the tuple processor behind the mirror wrapper, the
+    #: batch processor on negated columns).
+    mirrored: bool = False
 
     @property
     def supported(self) -> bool:
-        return self.factory is not None
+        return self.cell is not None
+
+    @property
+    def state_class(self) -> str:
+        return self.cell.state_class if self.cell is not None else "-"
+
+    @property
+    def order_free(self) -> bool:
+        """True when the algorithm works regardless of input sort
+        orders (Before-semijoin); the planner then charges no sorts."""
+        return self.cell is not None and self.cell.order_free
 
     @property
     def backends(self) -> tuple[str, ...]:
-        """The physical backends this cell can execute on."""
-        names = []
-        if self.factory is not None:
-            names.append("tuple")
-        if self.cell is not None:
-            names += ["columnar", "fused"]
-        return tuple(names)
+        """The physical backends this cell can execute on: a row
+        carries all three forms."""
+        return BACKENDS if self.cell is not None else ()
 
     @property
     def state_description(self) -> str:
@@ -162,23 +154,21 @@ class RegistryEntry:
                 f"unknown execution backend {backend!r}; "
                 f"choose one of {BACKENDS}"
             )
-        if self.factory is None:
+        cell = self.cell
+        if cell is None:
             raise UnsupportedSortOrderError(
                 f"{self.operator.value} has no bounded-workspace stream "
                 f"algorithm for orders ([{self.x_order}], "
                 f"[{self.y_order}])"
             )
         if backend == "tuple":
-            return self.factory
-        if self.cell is None:
-            raise UnsupportedBackendError(
-                f"{self.operator.value} on orders ([{self.x_order}], "
-                f"[{self.y_order}]) has no {backend!r} implementation"
-            )
+            if self.mirrored:
+                return partial(MirroredProcessor, cell.processor)
+            return cell.processor
         from ..columnar.backend import ColumnarProcessor
 
         return partial(
-            ColumnarProcessor, self.cell, backend, mirrored=self.mirrored
+            ColumnarProcessor, cell, backend, mirrored=self.mirrored
         )
 
     def build(self, x_stream, y_stream=None, backend: str = "tuple"):
@@ -189,164 +179,60 @@ class RegistryEntry:
         return factory(x_stream, y_stream)
 
 
-def _mirrored(entry: RegistryEntry) -> RegistryEntry:
-    """The lower-half twin of an upper-half entry: mirrored orders, the
-    tuple processor behind the time-reversal wrapper, the same cell
-    (the batch processor reverses time on its columns)."""
-    return RegistryEntry(
-        entry.operator,
-        entry.x_order.mirrored(),
-        entry.y_order.mirrored() if entry.y_order else None,
-        entry.state_class,
-        partial(MirroredProcessor, entry.factory) if entry.factory else None,
-        mirrored=True,
-        cell=entry.cell,
-    )
-
-
-def _upper_half_binary(cells: dict) -> list[RegistryEntry]:
-    """Upper halves of Tables 1 and 2 (ascending sort orders)."""
-    T = TemporalOperator
-    rows: list[RegistryEntry] = []
-
-    def add(op, xo, yo, cls, factory=None, cell=None):
-        rows.append(
-            RegistryEntry(
-                op, xo, yo, cls, factory,
-                cell=cells[cell] if cell else None,
-            )
-        )
-
-    # --- Table 1, Contain-join -------------------------------------
-    add(T.CONTAIN_JOIN, TS_ASC, TS_ASC, "a", ContainJoinTsTs,
-        "contain-join[TS^,TS^]")
-    add(T.CONTAIN_JOIN, TS_ASC, TE_ASC, "b", ContainJoinTsTe,
-        "contain-join[TS^,TE^]")
-    add(T.CONTAIN_JOIN, TE_ASC, TS_ASC, "-")
-    add(T.CONTAIN_JOIN, TE_ASC, TE_ASC, "-")
-    # --- Table 1, Contain-semijoin ----------------------------------
-    add(T.CONTAIN_SEMIJOIN, TS_ASC, TS_ASC, "c", ContainSemijoinTsTs,
-        "contain-semijoin[TS^,TS^]")
-    add(T.CONTAIN_SEMIJOIN, TS_ASC, TE_ASC, "d", ContainSemijoinTsTe,
-        "contain-semijoin[TS^,TE^]")
-    add(T.CONTAIN_SEMIJOIN, TE_ASC, TS_ASC, "-")
-    add(T.CONTAIN_SEMIJOIN, TE_ASC, TE_ASC, "-")
-    # --- Table 1, Contained-semijoin --------------------------------
-    add(T.CONTAINED_SEMIJOIN, TS_ASC, TS_ASC, "c", ContainedSemijoinTsTs,
-        "contained-semijoin[TS^,TS^]")
-    add(T.CONTAINED_SEMIJOIN, TS_ASC, TE_ASC, "-")
-    add(T.CONTAINED_SEMIJOIN, TE_ASC, TS_ASC, "d", ContainedSemijoinTeTs,
-        "contained-semijoin[TE^,TS^]")
-    add(T.CONTAINED_SEMIJOIN, TE_ASC, TE_ASC, "-")
-    # --- Table 2, Overlap -------------------------------------------
-    add(T.OVERLAP_JOIN, TS_ASC, TS_ASC, "a", OverlapJoin,
-        "overlap-join[TS^,TS^]")
-    add(T.OVERLAP_JOIN, TS_ASC, TE_ASC, "-")
-    add(T.OVERLAP_JOIN, TE_ASC, TS_ASC, "-")
-    add(T.OVERLAP_JOIN, TE_ASC, TE_ASC, "-")
-    add(T.OVERLAP_SEMIJOIN, TS_ASC, TS_ASC, "b", OverlapSemijoin,
-        "overlap-semijoin[TS^,TS^]")
-    add(T.OVERLAP_SEMIJOIN, TS_ASC, TE_ASC, "-")
-    add(T.OVERLAP_SEMIJOIN, TE_ASC, TS_ASC, "-")
-    add(T.OVERLAP_SEMIJOIN, TE_ASC, TE_ASC, "-")
-    # --- Section 4.2.4: Before --------------------------------------
-    # No sort ordering bounds the join state; the sweep implementation
-    # exists but is Theta(|X|) in workspace, which we classify '-'.
-    add(T.BEFORE_JOIN, TS_ASC, TS_ASC, "-")
-    add(T.BEFORE_JOIN, TS_ASC, TE_ASC, "-")
-    add(T.BEFORE_JOIN, TE_ASC, TS_ASC, "-")
-    add(T.BEFORE_JOIN, TE_ASC, TE_ASC, "-")
-    return rows
-
-
 def _build_registry() -> dict:
+    """Tables 1-3 from their admissible cells and the paper's two
+    rules: "the lower half is the mirror image of the upper half", and
+    every other combination is '-' ("it is generally inappropriate to
+    have one relation sorted in ascending order and the other in
+    descending order")."""
     from ..columnar.backend import CELLS
 
-    registry: dict = {}
-
-    def key(entry: RegistryEntry):
-        return (
-            entry.operator,
-            entry.x_order.primary,
-            entry.y_order.primary if entry.y_order else None,
+    keys = [order.primary for order in (TS_ASC, TS_DESC, TE_ASC, TE_DESC)]
+    entries = []
+    for cell in CELLS.values():
+        if cell.order_free:
+            # The plain row serves every combination, no mirror needed
+            # (mirroring Before would also transpose its operands).
+            entries += [
+                RegistryEntry(
+                    cell.operator, SortOrder.of(xk), SortOrder.of(yk), cell
+                )
+                for xk in keys
+                for yk in keys
+            ]
+            continue
+        x_order, y_order = cell.x_order, cell.y_order
+        entries.append(RegistryEntry(cell.operator, x_order, y_order, cell))
+        entries.append(
+            RegistryEntry(
+                cell.operator,
+                x_order.mirrored(),
+                y_order.mirrored() if y_order else None,
+                cell,
+                mirrored=True,
+            )
         )
-
-    upper = _upper_half_binary(CELLS)
-    for entry in upper:
-        registry[key(entry)] = entry
-        mirrored = _mirrored(entry)
-        registry.setdefault(key(mirrored), mirrored)
-
-    # Mixed ascending/descending combinations: "it is generally
-    # inappropriate to have one relation sorted in ascending order and
-    # the other in descending order."
-    all_keys = [so.primary for so in (TS_ASC, TS_DESC, TE_ASC, TE_DESC)]
-    for op in dict.fromkeys(e.operator for e in upper):
-        for xk in all_keys:
-            for yk in all_keys:
+    registry = {
+        (e.operator, e.x_order.primary, e.y_order and e.y_order.primary): e
+        for e in entries
+    }
+    for operator in TemporalOperator:
+        for xk in keys:
+            for yk in [None] if operator.shape == "self" else keys:
+                # A binary table's lower half (both operands descending)
+                # mirrors its upper half, '-' cells included.
+                lower = yk is not None and (
+                    xk.direction is yk.direction is Direction.DESC
+                )
                 registry.setdefault(
-                    (op, xk, yk),
+                    (operator, xk, yk),
                     RegistryEntry(
-                        op, SortOrder.of(xk), SortOrder.of(yk), "-", None
+                        operator,
+                        SortOrder.of(xk),
+                        yk and SortOrder.of(yk),
+                        mirrored=lower,
                     ),
                 )
-    # The Before-semijoin is single-pass and order-independent: the
-    # plain factory serves every combination, no mirror needed
-    # (mirroring Before would also transpose its operands).
-    for xk in all_keys:
-        for yk in all_keys:
-            registry[(TemporalOperator.BEFORE_SEMIJOIN, xk, yk)] = (
-                RegistryEntry(
-                    TemporalOperator.BEFORE_SEMIJOIN,
-                    SortOrder.of(xk),
-                    SortOrder.of(yk),
-                    "d",
-                    BeforeSemijoin,
-                    order_free=True,
-                    cell=CELLS["before-semijoin"],
-                )
-            )
-
-    # --- Table 3: self semijoins ------------------------------------
-    T = TemporalOperator
-    self_rows = [
-        RegistryEntry(
-            T.SELF_CONTAINED_SEMIJOIN,
-            SortOrder.by_ts(secondary_te=True),
-            None,
-            "a1",
-            SelfContainedSemijoin,
-            cell=CELLS["contained-semijoin[X,X][TS^,TE^]"],
-        ),
-        RegistryEntry(
-            T.SELF_CONTAIN_SEMIJOIN,
-            TS_ASC,
-            None,
-            "b1",
-            SelfContainSemijoin,
-            cell=CELLS["contain-semijoin[X,X][TS^]"],
-        ),
-        RegistryEntry(T.SELF_CONTAINED_SEMIJOIN, TS_DESC, None, "-", None),
-        RegistryEntry(
-            T.SELF_CONTAIN_SEMIJOIN,
-            SortOrder.by_ts(Direction.DESC, secondary_te=True),
-            None,
-            "a1",
-            SelfContainSemijoinDesc,
-            cell=CELLS["contain-semijoin[X,X][TSv,TEv]"],
-        ),
-    ]
-    for entry in self_rows:
-        registry[key(entry)] = entry
-        if entry.factory is not None:
-            mirrored = _mirrored(entry)
-            registry.setdefault(key(mirrored), mirrored)
-    for op in (T.SELF_CONTAINED_SEMIJOIN, T.SELF_CONTAIN_SEMIJOIN):
-        for xk in all_keys:
-            registry.setdefault(
-                (op, xk, None),
-                RegistryEntry(op, SortOrder.of(xk), None, "-", None),
-            )
     return registry
 
 

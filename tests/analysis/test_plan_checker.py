@@ -80,53 +80,68 @@ def test_every_admissible_cell_was_derived_not_assumed():
 # ----------------------------------------------------------------------
 # corruption is caught
 # ----------------------------------------------------------------------
-def _corrupt(key, **changes):
+def _corrupt(key, **row_changes):
+    """The registry with one entry's row replaced (``cell=None`` drops
+    it); the mirror twin keeps the true row, so exactly one cell of the
+    grid is wrong."""
     registry = dict(registry_module._registry())
-    registry[key] = dataclasses.replace(registry[key], **changes)
+    entry = registry[key]
+    row = row_changes.pop("cell", entry.cell)
+    if row_changes:
+        row = dataclasses.replace(row, **row_changes)
+    registry[key] = dataclasses.replace(entry, cell=row)
     return registry
 
 
 CONTAIN_TS_TS = (TemporalOperator.CONTAIN_JOIN, TS_UP, TS_UP)
 
 
-def test_corrupted_state_class_is_caught():
-    report = check_plan(registry=_corrupt(CONTAIN_TS_TS, state_class="d"))
+def _problems_of_the_one_bad_cell(registry):
+    report = check_plan(registry=registry)
     assert not report.ok
     (bad,) = report.mismatches
-    assert bad.operator == "contain-join"
-    assert "registry declares class 'd'" in " ".join(bad.problems)
+    assert (bad.operator, bad.x_order, bad.y_order) == (
+        "contain-join",
+        "ValidFrom^",
+        "ValidFrom^",
+    )
+    return " ".join(bad.problems)
+
+
+def test_corrupted_state_class_is_caught():
+    problems = _problems_of_the_one_bad_cell(
+        _corrupt(CONTAIN_TS_TS, state_class="d")
+    )
+    assert "registry declares class 'd'" in problems
 
 
 def test_corrupted_order_free_flag_is_caught():
-    report = check_plan(registry=_corrupt(CONTAIN_TS_TS, order_free=True))
-    assert not report.ok
-    assert any(
-        "order_free" in problem
-        for cell in report.mismatches
-        for problem in cell.problems
+    problems = _problems_of_the_one_bad_cell(
+        _corrupt(CONTAIN_TS_TS, order_free=True)
     )
+    assert "registry order_free=True" in problems
 
 
 def test_unsupported_admissible_cell_is_caught():
-    report = check_plan(
-        registry=_corrupt(CONTAIN_TS_TS, factory=None, cell=None)
+    problems = _problems_of_the_one_bad_cell(
+        _corrupt(CONTAIN_TS_TS, cell=None)
     )
-    assert not report.ok
-    assert any(
-        "supported=False" in problem
-        for cell in report.mismatches
-        for problem in cell.problems
-    )
+    assert "supported=False" in problems
 
 
 def test_missing_backend_is_caught():
-    report = check_plan(registry=_corrupt(CONTAIN_TS_TS, cell=None))
-    assert not report.ok
-    assert any(
-        "lacks backend" in problem
-        for cell in report.mismatches
-        for problem in cell.problems
+    problems = _problems_of_the_one_bad_cell(
+        _corrupt(CONTAIN_TS_TS, columnar=None, fused=None)
     )
+    assert "lacks backend(s): ['columnar', 'fused']" in problems
+
+
+def test_wrong_slot_bound_is_caught():
+    problems = _problems_of_the_one_bad_cell(
+        _corrupt(CONTAIN_TS_TS, slot_bound="zero")
+    )
+    assert "requires 'active-intervals'" in problems
+    assert "declares 'zero'" in problems
 
 
 def test_missing_cell_is_caught():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.columnar import CELLS, ColumnarProcessor
 from repro.errors import (
+    ExecutionError,
     UnsupportedBackendError,
     UnsupportedSortOrderError,
     WorkspaceOverflowError,
@@ -96,8 +97,6 @@ class TestColumnarProcessors:
             stream(XS, TS_ASC, "X"), backend="columnar"
         )
         processor.run()
-        from repro.errors import ExecutionError
-
         with pytest.raises(ExecutionError):
             processor.run()
 
@@ -176,14 +175,14 @@ class TestMirroredCells:
     def test_unnegatable_endpoint_overflows_before_any_output(
         self, backend
     ):
-        """-2**63 has no time reversal in an int64 column: the type PR
-        14 pinned at the bridge, raised before the sweep."""
+        """-2**63 has no time reversal in an int64 column: a typed
+        error naming the row, raised before the sweep."""
         xs = XS + [TemporalTuple("floor", 99, -(2**63), 3)]
         processor = self.ENTRY.build(
             stream(xs, TE_DESC, "X"), stream(YS, TE_DESC, "Y"),
             backend=backend,
         )
-        with pytest.raises(OverflowError):
+        with pytest.raises(ExecutionError, match=f"row 3 of 'X'.* {-2**63} "):
             processor.run()
         assert processor.metrics.output_count == 0
         assert processor.metrics.comparisons == 0

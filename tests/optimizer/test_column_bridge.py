@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.algebra import LJoin, LProject, optimize
 from repro.columnar import IntervalColumns
 from repro.columnar.fused import LazyPairs
+from repro.errors import ExecutionError
 from repro.governance import QueryBudget
 from repro.model import (
     TE_ASC,
@@ -38,7 +39,7 @@ from repro.optimizer import (
     execute_hybrid,
     recognize_stream_join,
 )
-from repro.query import parse_query, translate
+from repro.query import parse_query, run_query, translate
 from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
 from repro.streams import TemporalOperator, TupleStream, lookup
@@ -249,6 +250,37 @@ def test_pruned_endpoint_with_a_bad_survivor(backend):
             cat,
             planner=TemporalJoinPlanner(backend=backend),
         )
+
+
+OUTSIDE_INT64 = {
+    # The model admits any int; an ``array('q')`` column does not.
+    "ValidTo=2^63": (DURING, Raw("big", 99, 3, 2**63), 2**63),
+    # Before prunes b's ValidTo and a's ValidFrom; the bridge
+    # synthesises them one timepoint off the surviving endpoint.
+    "start+1": (BEFORE, Raw("hi", 99, 2**63 - 1, 2**63 + 4), 2**63),
+    "end-1": (AFTER, Raw("lo", 99, -(2**63) - 4, -(2**63)), -(2**63) - 1),
+}
+
+
+@pytest.mark.parametrize("backend", ("tuple", "columnar", "fused"))
+@pytest.mark.parametrize("case", OUTSIDE_INT64)
+def test_endpoint_outside_int64_is_a_typed_error(case, backend):
+    """What ``streams=False`` answers, the stream engine refuses by
+    row and value, not with ``array``'s bare ``OverflowError``."""
+    text, offender, value = OUTSIDE_INT64[case]
+    cat = {
+        "X": relation("X", GOOD),
+        "Y": relation("Y", GOOD[:7] + [offender] + GOOD[7:]),
+    }
+    assert run_query(text, cat, streams=False).rows
+    with pytest.raises(ExecutionError, match=f"row 7: endpoint {value} "):
+        execute_hybrid(
+            plan_for(text, cat),
+            cat,
+            planner=TemporalJoinPlanner(backend=backend),
+        )
+    with pytest.raises(ExecutionError):
+        run_query(text, cat, streams=True)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar import CELLS
 from repro.errors import UnsupportedSortOrderError
 from repro.model import (
     TE_ASC,
@@ -11,6 +12,7 @@ from repro.model import (
     Direction,
     SortOrder,
 )
+from repro.obs.audit import registry_hash
 from repro.streams import (
     RegistryEntry,
     TemporalOperator,
@@ -142,3 +144,43 @@ class TestRegistryApi:
         for op in T:
             for entry in entries_for(op):
                 assert entry.state_description
+
+
+class TestDerivation:
+    """The 120 entries follow from the 12 rows of ``CELLS`` and the
+    paper's two rules (mirror the upper half; '-' elsewhere)."""
+
+    def test_the_derived_table_is_the_hand_built_one(self):
+        """The hash of the hand-written registry this derivation
+        replaced: same operators, orders, state classes, backends,
+        ``mirrored`` and ``order_free`` flags, cell by cell."""
+        assert registry_hash() == "a77374006b81d5ab"
+        entries = [e for op in T for e in entries_for(op)]
+        assert len(entries) == 120
+        assert sum(e.supported for e in entries) == 38
+
+    def test_a_label_is_its_tuple_processors_own_name(self):
+        assert len(CELLS) == 12  # no two rows share a label
+        for label, row in CELLS.items():
+            assert label == row.label == row.processor.operator
+
+    def test_a_mirror_shares_its_original_row(self):
+        for operator in T:
+            for entry in supported_entries(operator):
+                row = entry.cell
+                assert row.operator is operator
+                assert entry.state_class == row.state_class
+                if row.order_free:
+                    assert not entry.mirrored
+                    continue
+                orders = (row.x_order, row.y_order)
+                if entry.mirrored:
+                    orders = [o and o.mirrored() for o in orders]
+                assert (entry.x_order, entry.y_order) == tuple(orders)
+                twin = lookup(
+                    operator,
+                    entry.x_order.mirrored(),
+                    entry.y_order and entry.y_order.mirrored(),
+                )
+                assert twin.cell is row
+                assert twin.mirrored is not entry.mirrored
