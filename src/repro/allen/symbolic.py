@@ -191,6 +191,39 @@ def _te(var: str) -> Endpoint:
     return Endpoint(var, EndpointKind.TE)
 
 
+#: Figure 2, rows (1)-(7): the comparisons each primary relation puts
+#: on ``(X.TS, X.TE, Y.TS, Y.TE)``.  A row is built when it is asked for.
+_FIGURE_2 = {
+    AllenRelation.EQUAL: lambda xts, xte, yts, yte: (
+        Comparison.eq(xts, yts),
+        Comparison.eq(xte, yte),
+    ),
+    AllenRelation.MEETS: lambda xts, xte, yts, yte: (
+        Comparison.eq(xte, yts),
+    ),
+    AllenRelation.STARTS: lambda xts, xte, yts, yte: (
+        Comparison.eq(xts, yts),
+        Comparison.lt(xte, yte),
+    ),
+    AllenRelation.FINISHES: lambda xts, xte, yts, yte: (
+        Comparison.eq(xte, yte),
+        Comparison.gt(xts, yts),
+    ),
+    AllenRelation.DURING: lambda xts, xte, yts, yte: (
+        Comparison.gt(xts, yts),
+        Comparison.lt(xte, yte),
+    ),
+    AllenRelation.OVERLAPS: lambda xts, xte, yts, yte: (
+        Comparison.lt(xts, yts),
+        Comparison.gt(xte, yts),
+        Comparison.lt(xte, yte),
+    ),
+    AllenRelation.BEFORE: lambda xts, xte, yts, yte: (
+        Comparison.lt(xte, yts),
+    ),
+}
+
+
 def constraint_for(
     relation: AllenRelation, x: str = "X", y: str = "Y"
 ) -> Conjunction:
@@ -199,37 +232,13 @@ def constraint_for(
     >>> str(constraint_for(AllenRelation.DURING, 'f', 'g'))
     'g.TS < f.TS AND f.TE < g.TE'
     """
-    xts, xte, yts, yte = _ts(x), _te(x), _ts(y), _te(y)
-    table = {
-        AllenRelation.EQUAL: (
-            Comparison.eq(xts, yts),
-            Comparison.eq(xte, yte),
-        ),
-        AllenRelation.MEETS: (Comparison.eq(xte, yts),),
-        AllenRelation.STARTS: (
-            Comparison.eq(xts, yts),
-            Comparison.lt(xte, yte),
-        ),
-        AllenRelation.FINISHES: (
-            Comparison.eq(xte, yte),
-            Comparison.gt(xts, yts),
-        ),
-        AllenRelation.DURING: (
-            Comparison.gt(xts, yts),
-            Comparison.lt(xte, yte),
-        ),
-        AllenRelation.OVERLAPS: (
-            Comparison.lt(xts, yts),
-            Comparison.gt(xte, yts),
-            Comparison.lt(xte, yte),
-        ),
-        AllenRelation.BEFORE: (Comparison.lt(xte, yts),),
-    }
-    if relation in table:
-        return Conjunction(table[relation])
-    # The six inverse relations reuse the primary rows with the
-    # operands swapped.
-    return constraint_for(relation.inverse(), x=y, y=x)
+    row = _FIGURE_2.get(relation)
+    if row is None:
+        # The six inverse relations reuse the primary rows with the
+        # operands swapped.
+        row = _FIGURE_2[relation.inverse()]
+        x, y = y, x
+    return Conjunction(row(_ts(x), _te(x), _ts(y), _te(y)))
 
 
 def general_overlap_constraint(x: str = "X", y: str = "Y") -> Conjunction:

@@ -306,14 +306,18 @@ class ColumnarProcessor(StreamProcessor):
             token.check()
         # The one shape dispatch: unary ("self") kernels take X's two
         # endpoint columns, binary ones X's and Y's.  Output positions
-        # index the operands as given, mirrored or not.
+        # index the operands as given, mirrored or not.  A kernel reads
+        # each endpoint about three times, and an ``array('q')`` boxes
+        # an int per read: it gets lists, one C-level pass per column
+        # (the arrays stay the validated, kept and shared form).
         columns: list = []
         for operand in (x_cols, y_cols):
             if operand is not None:
-                columns += (
+                columns += map(
+                    list,
                     _reversed(operand)
                     if self.mirrored
-                    else (operand.ts, operand.te)
+                    else (operand.ts, operand.te),
                 )
         out, stats = self.cell.kernel(self.backend_name)(
             *columns, limit=self.meter.limit, trace=self.meter.trace

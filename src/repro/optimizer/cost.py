@@ -311,6 +311,22 @@ def expected_workspace_for(
     return float(x_stats.cardinality + y_stats.cardinality)
 
 
+def _mean_excess(stats: TemporalStatistics, threshold: float) -> float:
+    """``E[max(0, d - threshold)]`` for durations ``d`` taken uniform on
+    ``[2·mean - max, max]`` — the one spread that the mean and the
+    maximum a relation already keeps determine.  The mean of the
+    positive part, not the positive part of the mean: a relation that
+    is not longer than ``threshold`` *on average* still has tuples that
+    are."""
+    mean, longest = stats.mean_duration, float(stats.max_duration)
+    shortest = 2.0 * mean - longest
+    if threshold <= shortest or longest <= shortest:
+        return max(0.0, mean - threshold)
+    if threshold >= longest:
+        return 0.0
+    return (longest - threshold) ** 2 / (2.0 * (longest - shortest))
+
+
 def expected_output_for(
     operator: TemporalOperator,
     x_stats: TemporalStatistics,
@@ -318,11 +334,12 @@ def expected_output_for(
 ) -> float:
     """Expected output pairs of a join, from the same stationary model
     as the workspace: each Y tuple meets the X tuples arriving in the
-    window its predicate leaves open — ``E[d_x] - E[d_y]`` wide for
-    containment (a Y lifespan must fit inside), ``E[d_x] + E[d_y]``
-    for overlap.  Semijoins and self-joins emit no pairs."""
+    window its predicate leaves open — for containment, what an X
+    lifespan has left once a Y lifespan of mean length fits inside,
+    ``E[(d_x - E[d_y])+]``; for overlap ``E[d_x] + E[d_y]``.
+    Semijoins and self-joins emit no pairs."""
     if operator is TemporalOperator.CONTAIN_JOIN:
-        window = max(0.0, x_stats.mean_duration - y_stats.mean_duration)
+        window = _mean_excess(x_stats, y_stats.mean_duration)
     elif operator is TemporalOperator.OVERLAP_JOIN:
         window = x_stats.mean_duration + y_stats.mean_duration
     else:

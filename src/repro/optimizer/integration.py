@@ -69,7 +69,7 @@ from ..obs.trace import get_tracer
 from ..algebra.logical import LJoin, LogicalPlan
 from ..algebra.physical import Catalog, build_node, compile_plan
 from ..allen.relations import AllenRelation
-from ..allen.symbolic import Comparison, Endpoint, EndpointKind
+from ..allen.symbolic import Comparison, Conjunction, Endpoint, EndpointKind
 from ..columnar.relation import IntervalColumns
 from ..errors import ExecutionError, PlanningError
 from ..model.interval import Interval
@@ -211,8 +211,6 @@ def recognize_stream_join(
                 Endpoint(variable, EndpointKind.TE),
             )
         )
-    from ..allen.symbolic import Conjunction
-
     label = recognize_allen(
         Conjunction(tuple(comparisons)), x_var, y_var, background
     )

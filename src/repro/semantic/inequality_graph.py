@@ -36,6 +36,9 @@ class ImplicationGraph:
         # strongest (strict) version.
         self._edges: Dict[Term, Dict[Term, bool]] = {}
         self._constants: set[int] = set()
+        # source -> its best-strictness reachability, kept until the
+        # next edge is added; a copy starts with none.
+        self._reach: Dict[Term, Dict[Term, bool]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -66,6 +69,7 @@ class ImplicationGraph:
         return clone
 
     def _add_edge(self, u: Term, v: Term, strict: bool) -> None:
+        self._reach.clear()
         self._note_term(u)
         self._note_term(v)
         successors = self._edges.setdefault(u, {})
@@ -120,7 +124,10 @@ class ImplicationGraph:
     def _search(self, source: Term) -> Dict[Term, bool]:
         """Best-strictness reachability from ``source``.  A node may be
         revisited when first reached non-strictly and later strictly."""
-        best: Dict[Term, bool] = {source: False}
+        best = self._reach.get(source)
+        if best is not None:
+            return best
+        best = {source: False}
         queue: deque[Term] = deque([source])
         while queue:
             node = queue.popleft()
@@ -131,6 +138,7 @@ class ImplicationGraph:
                 if known is None or (strictness and not known):
                     best[successor] = strictness
                     queue.append(successor)
+        self._reach[source] = best
         return best
 
     def is_consistent(self) -> bool:

@@ -18,7 +18,7 @@ operators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..allen.relations import ALL_RELATIONS
 from ..allen.symbolic import (
@@ -31,7 +31,6 @@ from ..allen.symbolic import (
     general_overlap_constraint,
 )
 from .inequality_graph import ImplicationGraph
-from .simplify import equivalent_under
 
 #: Marker returned by :func:`recognize_allen` for the TQuel overlap.
 GENERAL_OVERLAP = "general-overlap"
@@ -46,19 +45,31 @@ def recognize_allen(
     """The Allen relation (or :data:`GENERAL_OVERLAP`) equivalent to
     ``conjunction`` under ``background``, else ``None``.
 
-    Equivalence is checked both ways via the implication graph, so a
-    condition written with redundant or rephrased inequalities is still
-    recognised.
+    Equivalence is mutual implication under the background
+    (:func:`~repro.semantic.simplify.equivalent_under`), so a condition
+    written with redundant or rephrased inequalities is still
+    recognised; candidates are tried in Figure-2 order, and a pattern's
+    graph is built only once the stated condition implies the pattern.
     """
-    candidates: list[tuple[object, Conjunction]] = [
-        (relation, constraint_for(relation, x, y))
-        for relation in ALL_RELATIONS
-    ]
-    candidates.append((GENERAL_OVERLAP, general_overlap_constraint(x, y)))
-    for label, pattern in candidates:
-        if equivalent_under(conjunction, pattern, background):
+    stated = background.copy()
+    stated.add_conjunction(conjunction)
+    for label, pattern in _figure_2_patterns(x, y):
+        # Most candidates fall here, on the one graph of what was said.
+        if not stated.implies_all(pattern):
+            continue
+        graph = background.copy()
+        graph.add_conjunction(pattern)
+        if graph.implies_all(conjunction):
             return label
     return None
+
+
+def _figure_2_patterns(x: str, y: str) -> Iterator[tuple[object, Conjunction]]:
+    """The candidates in Figure-2 order, TQuel's overlap last, each
+    built when the one before it has failed."""
+    for relation in ALL_RELATIONS:
+        yield relation, constraint_for(relation, x, y)
+    yield GENERAL_OVERLAP, general_overlap_constraint(x, y)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import LJoin, LProject, optimize
+from repro.cli import PARALLEL_DEFAULT_QUEL
 from repro.columnar import IntervalColumns
 from repro.columnar.fused import LazyPairs
 from repro.errors import ExecutionError
@@ -33,17 +34,20 @@ from repro.model import (
     sort_tuples,
 )
 from repro.obs import Tracer, set_tracer
+from repro.obs.audit import build_record
 from repro.obs.explain import render_span_tree
 from repro.optimizer import (
     TemporalJoinPlanner,
     execute_hybrid,
     recognize_stream_join,
 )
+from repro.optimizer.cost import expected_output_for
 from repro.query import parse_query, run_query, translate
 from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
 from repro.streams import TemporalOperator, TupleStream, lookup
 from repro.workload import (
+    FacultyWorkload,
     PoissonWorkload,
     fixed_duration,
     uniform_duration,
@@ -551,6 +555,62 @@ def test_auto_keeps_fused_on_a_deep_state_join(scale):
     )
     assert (chosen.kind, chosen.backend) == ("stream", "fused")
     assert chosen.cost_breakdown["expected_workspace"] > 500
+
+
+def audited_contain_join(text, catalog):
+    """(expected_output, output_rows) of the one stream join, as the
+    audit record lists them side by side."""
+    result = run_query(text, catalog, streams=True)
+    (join,) = build_record(text, result=result)["stream_joins"]
+    assert join["operator"] == "contain-join"
+    estimates = join["alternatives"][0]["cost_breakdown"]
+    return estimates["expected_output"], join["output_rows"]
+
+
+def test_a_contain_join_whose_x_is_shorter_on_average_is_not_priced_at_zero():
+    """deep_state: X lifespans 1280-1600 long (mean 1440) around Y's
+    1552.  The positive part of the mean difference is 0; the mean of
+    the positive part — the X tuples that *are* longer — is what comes
+    out (4 277 rows on the benchmark's seed)."""
+    x = slotted(2500, uniform_duration(1280, 1600), "X", 1)
+    y = slotted(2500, fixed_duration(1552), "Y", 2)
+    expected, measured = audited_contain_join(
+        RANGES + "retrieve (A = a.Seq, B = b.Seq) where b during a",
+        {"X": x, "Y": y},
+    )
+    assert measured > 2000
+    assert measured / 2 <= expected <= measured * 2
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_a_self_contain_join_is_not_priced_at_zero(seed):
+    """Both sides one relation, so the mean durations are equal: the
+    Faculty self contain-join audited ``expected_output: 0.0`` against
+    2 060 rows (seed 7)."""
+    faculty = FacultyWorkload(
+        faculty_count=200, continuous=True, full_fraction=1.0
+    ).generate(seed=seed)
+    expected, measured = audited_contain_join(
+        PARALLEL_DEFAULT_QUEL, {"Faculty": faculty}
+    )
+    assert measured > 1000
+    assert measured / 2 <= expected <= measured * 2
+
+
+def test_fixed_durations_keep_the_mean_difference():
+    """No spread (max = mean): the window is the parent's
+    ``E[d_x] - E[d_y]``, or nothing when Y is the longer."""
+    x = collect_statistics(
+        PoissonWorkload(400, 0.5, fixed_duration(40), name="X").generate(1)
+    )
+    y = collect_statistics(
+        PoissonWorkload(400, 0.5, fixed_duration(10), name="Y").generate(2)
+    )
+    contain = TemporalOperator.CONTAIN_JOIN
+    assert expected_output_for(contain, x, y) == pytest.approx(
+        y.cardinality * x.arrival_rate * 30
+    )
+    assert expected_output_for(contain, y, x) == 0.0
 
 
 # ----------------------------------------------------------------------
