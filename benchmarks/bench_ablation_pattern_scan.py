@@ -5,8 +5,9 @@ observation 3).
 ... one might wonder if we are able to answer this query with only a
 single scan of the relation" — the semantic Superstar strategy IS that
 single-scan pattern matcher.  This ablation measures the crossover:
-how the three strategies scale as the Faculty relation grows, in both
-relation scans and wall-clock.
+how the three strategies scale as the Faculty relation grows, in
+relation scans and comparisons (asserted) and in wall-clock (printed
+only: single-shot millisecond timings assert nothing).
 """
 
 import time
@@ -47,20 +48,25 @@ def test_ablation_scan_scaling():
         stream, stream_s = timed(stream_superstar, faculty)
         semantic, semantic_s = timed(semantic_superstar, faculty)
         assert conventional.rows == stream.rows == semantic.rows
-        ratios.append(conventional_s / max(semantic_s, 1e-9))
+        assert [
+            r.faculty_scans for r in (conventional, stream, semantic)
+        ] == [3, 3, 1]
+        ratios.append(conventional.comparisons / semantic.comparisons)
         rows.append(
             f"{count:6d} {conventional_s * 1e3:12.1f} "
             f"{stream_s * 1e3:10.1f} {semantic_s * 1e3:10.1f} "
-            f"{ratios[-1]:9.1f}x"
+            f"{conventional_s / max(semantic_s, 1e-9):9.1f}x "
+            f"{ratios[-1]:11.1f}x"
         )
     print_table(
-        "ABL3 reproduced: Superstar wall-clock scaling (ms)",
+        "ABL3 reproduced: Superstar scaling (wall-clock ms, printed only)",
         f"{'|fac|':>6s} {'conventional':>12s} {'stream':>10s} "
-        f"{'semantic':>10s} {'speedup':>10s}",
+        f"{'semantic':>10s} {'speedup':>10s} {'comparisons':>12s}",
         rows,
     )
-    # The single-scan pattern matcher's advantage widens with size.
-    assert ratios[-1] > ratios[0]
+    # The single-scan pattern matcher's advantage widens with size: in
+    # comparisons, which are deterministic; the timings are output only.
+    assert ratios[0] < ratios[1] < ratios[2]
 
 
 def test_ablation_single_scan_claim(benchmark):

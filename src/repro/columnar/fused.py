@@ -471,7 +471,10 @@ def overlap_join_ts_ts(
     ValidTo-ordered slot store per side.  Consuming an element evicts
     the opposite store's disposal prefix (``TE <= p``) and then *every*
     survivor overlaps it — the whole store is the run, no per-entry
-    probe at all."""
+    probe at all.  The rest of an equal-ValidFrom group of one operand
+    meets the store exactly as its first element left it, so the run is
+    sorted once per group and re-emitted per member; the eviction
+    search that would find nothing is charged, not run."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
@@ -485,7 +488,8 @@ def overlap_join_ts_ts(
     i = j = 0
     while True:
         if i < nx and (j >= ny or x_ts[i] <= y_ts[j]):
-            k = bisect_right(y_ends, x_ts[i])
+            p = x_ts[i]
+            k = bisect_right(y_ends, p)
             eviction_checks += len(y_rows).bit_length()
             if k:
                 del y_ends[:k]
@@ -498,22 +502,40 @@ def overlap_join_ts_ts(
             if m:
                 xi.extend(repeat(i, m))
                 yj.extend(sorted(y_rows))
-            if j < ny:  # an X tuple only joins future Y if any remain
-                xte = x_te[i]
-                at = bisect_right(x_ends, xte)
-                x_ends.insert(at, xte)
-                x_rows.insert(at, i)
-                inserted += 1
-                cur = len(x_rows) + len(y_rows)
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            i += 1
+            run = None
+            while True:
+                if j < ny:  # an X tuple only joins future Y if any remain
+                    xte = x_te[i]
+                    at = bisect_right(x_ends, xte)
+                    x_ends.insert(at, xte)
+                    x_rows.insert(at, i)
+                    inserted += 1
+                    cur = len(x_rows) + m
+                    if cur > high:
+                        high = cur
+                        if high > budget:
+                            raise _overflow(budget)
+                    if trace is not None:
+                        trace.append(cur)
+                i += 1
+                if i == nx or x_ts[i] != p:
+                    break
+                # Next member of the tie group: no Y enters before every
+                # X at p is taken, so the Y store is as the eviction
+                # left it — the search that would find nothing is only
+                # charged, and the sorted run is the last m positions
+                # emitted.
+                if run is None:
+                    run = yj[len(yj) - m :]
+                    bits = m.bit_length()
+                eviction_checks += bits
+                if m:
+                    comparisons += m
+                    xi.extend(repeat(i, m))
+                    yj.extend(run)
         elif j < ny:
-            k = bisect_right(x_ends, y_ts[j])
+            p = y_ts[j]
+            k = bisect_right(x_ends, p)
             eviction_checks += len(x_rows).bit_length()
             if k:
                 del x_ends[:k]
@@ -526,20 +548,32 @@ def overlap_join_ts_ts(
             if m:
                 xi.extend(sorted(x_rows))
                 yj.extend(repeat(j, m))
-            if i < nx:
-                yte = y_te[j]
-                at = bisect_right(y_ends, yte)
-                y_ends.insert(at, yte)
-                y_rows.insert(at, j)
-                inserted += 1
-                cur = len(x_rows) + len(y_rows)
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            j += 1
+            run = None
+            while True:
+                if i < nx:
+                    yte = y_te[j]
+                    at = bisect_right(y_ends, yte)
+                    y_ends.insert(at, yte)
+                    y_rows.insert(at, j)
+                    inserted += 1
+                    cur = m + len(y_rows)
+                    if cur > high:
+                        high = cur
+                        if high > budget:
+                            raise _overflow(budget)
+                    if trace is not None:
+                        trace.append(cur)
+                j += 1
+                if j == ny or y_ts[j] != p:
+                    break
+                if run is None:
+                    run = xi[len(xi) - m :]
+                    bits = m.bit_length()
+                eviction_checks += bits
+                if m:
+                    comparisons += m
+                    xi.extend(run)
+                    yj.extend(repeat(j, m))
         else:
             break
     discarded += len(x_rows) + len(y_rows)

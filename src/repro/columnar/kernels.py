@@ -33,6 +33,7 @@ eviction batch, exactly like the meter's Figure-5 trace.
 
 from __future__ import annotations
 
+from itertools import repeat
 from sys import maxsize
 from typing import List, Optional, Sequence, Tuple
 
@@ -441,6 +442,13 @@ def overlap_join_ts_ts(
     overlaps the consumed element iff it is still alive (``TE > p``) —
     one comparison both evicts and matches, so every probe survivor is
     an output pair.
+
+    Elements of one operand sharing a ValidFrom meet the same opposite
+    list (Section 4.2: equal starts do not see each other, and the
+    merge takes every X at ``p`` before any Y at ``p``), so only the
+    first of such a tie group scans it; the rest re-emit the survivors
+    that scan just wrote, one ``extend`` per column per member, with
+    the accounting the scan would have charged.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
@@ -451,6 +459,8 @@ def overlap_join_ts_ts(
     out_y: List[int] = []
     emit_x = out_x.append
     emit_y = out_y.append
+    extend_x = out_x.extend
+    extend_y = out_y.extend
     comparisons = eviction_checks = inserted = discarded = cur = high = 0
     i = j = 0
     while True:
@@ -473,17 +483,30 @@ def overlap_join_ts_ts(
                 cur -= dead
                 if trace is not None:
                     trace.append(cur)
-            if j < ny:  # an X tuple only joins future Y if any remain
-                x_active.append((x_te[i], i))
-                inserted += 1
-                cur += 1
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            i += 1
+            run = None
+            while True:
+                if j < ny:  # an X tuple only joins future Y if any remain
+                    x_active.append((x_te[i], i))
+                    inserted += 1
+                    cur += 1
+                    if cur > high:
+                        high = cur
+                        if high > budget:
+                            raise _overflow(budget)
+                    if trace is not None:
+                        trace.append(cur)
+                i += 1
+                if i == nx or x_ts[i] != p:
+                    break
+                # Next member of the tie group: ``y_active`` is as the
+                # scan left it (all alive, nothing to evict), so its w
+                # survivors are the last w positions emitted.
+                if w:
+                    if run is None:
+                        run = out_y[-w:]
+                    extend_x(repeat(i, w))
+                    extend_y(run)
+                    comparisons += w
         elif j < ny:
             p = y_ts[j]
             w = 0
@@ -503,17 +526,27 @@ def overlap_join_ts_ts(
                 cur -= dead
                 if trace is not None:
                     trace.append(cur)
-            if i < nx:
-                y_active.append((y_te[j], j))
-                inserted += 1
-                cur += 1
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            j += 1
+            run = None
+            while True:
+                if i < nx:
+                    y_active.append((y_te[j], j))
+                    inserted += 1
+                    cur += 1
+                    if cur > high:
+                        high = cur
+                        if high > budget:
+                            raise _overflow(budget)
+                    if trace is not None:
+                        trace.append(cur)
+                j += 1
+                if j == ny or y_ts[j] != p:
+                    break
+                if w:
+                    if run is None:
+                        run = out_x[-w:]
+                    extend_x(run)
+                    extend_y(repeat(j, w))
+                    comparisons += w
         else:
             break
     discarded += cur

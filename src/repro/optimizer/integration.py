@@ -261,7 +261,9 @@ def execute_hybrid(
 
         report = ExecutionReport()
     execution.execution_report = report
-    chooser = planner or TemporalJoinPlanner(parallelism=parallelism)
+    chooser = planner or TemporalJoinPlanner(
+        backend="auto", parallelism=parallelism
+    )
     joins: list[_StreamJoin] = []
     operator = _build(
         plan, catalog, stats, chooser, joins, recovery, report

@@ -87,8 +87,9 @@ def run_query(
         resulting report is attached to the result.
     streams:
         Execute recognised temporal joins with the stream engine via
-        the cost-based planner (hybrid execution); the stream joins
-        taken are listed on the result.
+        the cost-based planner (hybrid execution, ``backend="auto"``:
+        the cheapest of the tuple, columnar and fused forms of the
+        chosen cell); the stream joins taken are listed on the result.
     recovery:
         A :class:`~repro.resilience.recovery.RecoveryPolicy` applied to
         the stream joins (only meaningful with ``streams=True``); the
