@@ -252,7 +252,7 @@ def _check_cell(
         if entry.supported and operator not in PREDICATES:
             problems.append(
                 "supported cell's operator has no PREDICATES row: the "
-                "spill and nested-loop fallbacks cannot evaluate it"
+                "spill and the nested-loop alternative cannot evaluate it"
             )
 
     # -- fused slot-store bound ------------------------------------------

@@ -165,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--recovery",
         choices=["strict", "quarantine", "degrade"],
-        default=None,
-        help="run stream joins under a recovery policy",
+        default="strict",
+        help="the recovery policy stream joins run under (default: "
+        "strict)",
     )
     explain.add_argument(
         "--io-events",
@@ -231,7 +232,10 @@ def _add_governance_arguments(command: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="TUPLES",
-        help="cap on concurrent workspace state tuples",
+        help="governance cap on concurrent workspace state tuples; a "
+        "breach aborts the query with a BudgetExceededError under every "
+        "recovery policy (it is not the paper's workspace, which "
+        "DEGRADE would spill)",
     )
     command.add_argument(
         "--page-budget",
@@ -376,9 +380,7 @@ def _run_explain_analyze_command(args) -> int:
 
             text = SUPERSTAR_QUEL
 
-    recovery = (
-        RecoveryPolicy(args.recovery) if args.recovery is not None else None
-    )
+    recovery = RecoveryPolicy(args.recovery)
     budget = _budget_from_args(args)
     governance = None
     tracer = Tracer("explain-analyze", io_events=args.io_events)

@@ -41,8 +41,8 @@ The join's output comes back as an **index-pair relation**
 and an index column, one entry per output pair in emission order.  The
 batch backends hand over their kernels' positional index columns
 directly (``index_columns()`` on the lazy join output — no payload pair
-is ever built); the tuple backend and the nested-loop and spill
-fallbacks return pairs, whose surrogates are the indexes
+is ever built); the tuple backend, a nested-loop winner and the spill
+return pairs, whose surrogates are the indexes
 (:func:`~repro.resilience.executor.index_sides` decodes either).  Rows
 are assembled late, by one gather (:func:`_gathered`) from the
 children's columns: the projection directly above the join (every Quel
@@ -58,11 +58,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from operator import lt
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..governance.budget import QueryBudget
-    from ..resilience.recovery import ExecutionReport, RecoveryPolicy
+from typing import Iterator, Optional, Sequence
 
 from ..obs.trace import get_tracer
 
@@ -77,6 +73,7 @@ from ..relational.expressions import Compare
 from ..relational.operators import Batch, BinaryOperator, EngineStats, Operator
 from ..relational.schema import Row, RowSchema
 from ..resilience.executor import index_sides
+from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..semantic.bridge import to_symbolic
 from ..semantic.inequality_graph import ImplicationGraph
 from ..semantic.recognize import GENERAL_OVERLAP, recognize_allen
@@ -106,18 +103,26 @@ class StreamJoinInfo:
     swapped: bool
     #: Ranked alternatives (the chosen one first) with their cost
     #: breakdowns, the measured operator row and, under ``details``,
-    #: the recovery report and a sharded plan's partition, shard rows
-    #: and containment counters.
+    #: the recovery policy and report and a sharded plan's partition,
+    #: shard rows and containment counters.
     profile: ExecutionProfile
     output_rows: int
-    #: Recovery policy the join ran under (``None`` = legacy mode).
-    recovery: Optional[str] = None
     #: Wall-clock seconds spent planning + executing this join.
     wall_seconds: float = 0.0
 
     @property
     def chosen(self) -> str:
         return self.profile.chosen.describe()
+
+    @property
+    def recovery(self) -> str:
+        """The recovery policy the join ran under, by name."""
+        return self.profile.details["recovery"]
+
+    @property
+    def execution_report(self) -> ExecutionReport:
+        """What the resilience layer did in this join, and only here."""
+        return self.profile.details["execution_report"]
 
     @property
     def metrics(self) -> ProcessorMetrics:
@@ -162,9 +167,11 @@ class HybridExecution:
     schema: RowSchema
     stats: EngineStats
     stream_joins: list[StreamJoinInfo] = field(default_factory=list)
-    #: The resilience report shared by all stream joins of this plan
-    #: (``None`` when executed without a recovery policy).
-    execution_report: Optional[object] = None
+    #: What the resilience layer did across the plan: the merge of the
+    #: stream joins' own reports.
+    execution_report: ExecutionReport = field(
+        default_factory=ExecutionReport
+    )
 
 
 def recognize_stream_join(
@@ -223,55 +230,37 @@ def execute_hybrid(
     plan: LogicalPlan,
     catalog: Catalog,
     planner: Optional[TemporalJoinPlanner] = None,
-    recovery: Optional["RecoveryPolicy"] = None,
-    report: Optional["ExecutionReport"] = None,
+    recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
     parallelism: Optional[int] = None,
-    budget: Optional["QueryBudget"] = None,
 ) -> HybridExecution:
     """Execute ``plan``, sending recognised temporal joins through the
     stream planner and everything else through the conventional
     engine.
 
-    ``recovery``/``report`` select and record the resilience behaviour
-    of the stream joins (see
-    :meth:`~repro.optimizer.planner.TemporalJoinPlanner.execute`);
-    conventional operators are unaffected.  ``parallelism`` caps the
-    shard count of time-domain-partitioned stream plans (ignored when
-    an explicit ``planner`` is given — configure that planner instead).
-    ``budget`` runs the whole execution — stream and conventional
-    operators alike — under a governance token built from that
-    :class:`~repro.governance.QueryBudget`; when the caller already
-    installed a token (e.g. ``run_query(deadline=...)``), the existing
-    token governs and ``budget`` is ignored.
+    ``recovery`` selects the resilience behaviour of the stream joins
+    (see :meth:`~repro.optimizer.planner.TemporalJoinPlanner.execute`);
+    conventional operators are unaffected.  Each join records into its
+    own report; the result's ``execution_report`` is their merge.
+    ``parallelism`` caps the shard count of time-domain-partitioned
+    stream plans (ignored when an explicit ``planner`` is given —
+    configure that planner instead).  Governance is the caller's
+    installed token, if any (``run_query(budget=...)``).
     """
-    if budget is not None:
-        from ..governance.budget import active_token, governed
-
-        if active_token() is None:
-            with governed(budget=budget):
-                return execute_hybrid(
-                    plan, catalog, planner, recovery, report, parallelism
-                )
     stats = EngineStats()
     execution = HybridExecution(
         rows=[], schema=plan.schema(), stats=stats
     )
-    if recovery is not None and report is None:
-        from ..resilience.recovery import ExecutionReport
-
-        report = ExecutionReport()
-    execution.execution_report = report
     chooser = planner or TemporalJoinPlanner(
         backend="auto", parallelism=parallelism
     )
     joins: list[_StreamJoin] = []
-    operator = _build(
-        plan, catalog, stats, chooser, joins, recovery, report
-    )
+    operator = _build(plan, catalog, stats, chooser, joins, recovery)
     execution.rows = operator.run()
     # Plan post-order (left subtree, right subtree, the join itself),
     # whichever side a conventional parent happened to drain first.
     execution.stream_joins = [join.info for join in joins]
+    for info in execution.stream_joins:
+        execution.execution_report.absorb(info.execution_report)
     return execution
 
 
@@ -296,8 +285,7 @@ class _StreamJoin(BinaryOperator):
         operator_kind: TemporalOperator,
         swapped: bool,
         planner: TemporalJoinPlanner,
-        recovery=None,
-        report=None,
+        recovery: RecoveryPolicy,
     ) -> None:
         super().__init__(left, right, plan.schema())
         #: The range variables the predicate relates, one per side (a
@@ -310,7 +298,6 @@ class _StreamJoin(BinaryOperator):
         self.info: Optional[StreamJoinInfo] = None
         self._planner = planner
         self._recovery = recovery
-        self._report = report
 
     def __iter__(self) -> Iterator[Row]:
         return self._run(range(len(self.schema)), late=False)
@@ -364,13 +351,12 @@ class _StreamJoin(BinaryOperator):
         ``wall_seconds`` brackets plan + sort + sweep + index
         extraction — no row is assembled inside it."""
         x, y = (right, left) if self.swapped else (left, right)
-        recovery = self._recovery
         # Traced only: the orders each relation had kept before this run.
         traced = get_tracer().enabled
         known = [set(o.orders or ()) for o in (x, y)] if traced else ()
         started = time.perf_counter()
         results, profile = self._planner.execute(
-            self.operator_kind, x, y, recovery=recovery, report=self._report
+            self.operator_kind, x, y, recovery=self._recovery
         )
         x_side, y_side = index_sides(
             results, self.operator_kind.shape, x.payload, y.payload
@@ -381,7 +367,6 @@ class _StreamJoin(BinaryOperator):
             swapped=self.swapped,
             profile=profile,
             output_rows=len(results),
-            recovery=recovery.value if recovery is not None else None,
             wall_seconds=wall_seconds,
         )
         # The operands as given and as the winner read them (the same
@@ -411,13 +396,12 @@ def _build(
     stats: EngineStats,
     planner: TemporalJoinPlanner,
     joins: list[_StreamJoin],
-    recovery=None,
-    report=None,
+    recovery: RecoveryPolicy,
 ) -> Operator:
     if not plan.children():
         return compile_plan(plan, catalog, stats)
     built_children = [
-        _build(child, catalog, stats, planner, joins, recovery, report)
+        _build(child, catalog, stats, planner, joins, recovery)
         for child in plan.children()
     ]
     recognised = (
@@ -433,7 +417,6 @@ def _build(
         swapped,
         planner,
         recovery,
-        report,
     )
     joins.append(join)
     return join

@@ -7,8 +7,8 @@ their (possibly absent) sort orders, the planner enumerates:
   bounded-workspace stream algorithm), charging external sorts for
   orders the inputs do not already have and the expected workspace for
   the entry's state class;
-* the nested-loop fallback, which needs no sort but re-scans the inner
-  input per outer tuple.
+* the nested loop, which needs no sort but re-scans the inner input
+  per outer tuple.
 
 An operand is a :class:`~repro.model.relation.TemporalRelation` or an
 :class:`~repro.columnar.relation.IntervalColumns` born as columns (the
@@ -25,17 +25,10 @@ data instances".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..governance.budget import QueryBudget
+from typing import Optional, Union
 
 from ..columnar.relation import IntervalColumns
-from ..errors import (
-    PlanStateError,
-    UnsupportedBackendError,
-    WorkspaceOverflowError,
-)
+from ..errors import PlanStateError, UnsupportedBackendError
 from ..model.relation import TemporalRelation
 from ..model.sortorder import order_satisfies
 from ..obs.trace import get_tracer
@@ -168,8 +161,7 @@ class TemporalJoinPlanner:
         backend: str = "tuple",
         parallelism: Optional[int] = None,
         parallel_mode: str = "auto",
-        available_cpus: Optional[int] = None,
-        budget: Optional["QueryBudget"] = None,
+        workspace_budget: Optional[int] = None,
     ) -> None:
         if backend != "auto" and backend not in BACKENDS:
             raise UnsupportedBackendError(
@@ -185,26 +177,18 @@ class TemporalJoinPlanner:
         self.backend = backend
         #: Maximum shard count for time-domain-partitioned plans; the
         #: cost model may pick fewer (or fall back to serial) per
-        #: instance.  ``None``/1 disables parallel alternatives.
+        #: instance.  ``None``/1 disables parallel alternatives.  It is
+        #: also the core grant the shard-count search assumes, so
+        #: ``--parallelism K`` plans K-shard alternatives even on boxes
+        #: the planner would otherwise keep serial.
         self.parallelism = parallelism
         #: Execution mode handed to the parallel executor ("auto",
         #: "process", or "inline" — see repro.parallel.executor).
         self.parallel_mode = parallel_mode
-        #: Cores the shard-count search may assume.  ``None`` means
-        #: "ask the host" (``os.cpu_count()``); an explicit
-        #: ``parallelism`` request is treated as an explicit core
-        #: grant, so ``--parallelism K`` plans K-shard alternatives
-        #: even on boxes the planner would otherwise keep serial.
-        self.available_cpus = (
-            available_cpus
-            if available_cpus is not None
-            else parallelism
-        )
-        #: Per-query :class:`~repro.governance.QueryBudget` every
-        #: ``execute`` runs under when the caller has not already
-        #: installed a governance token.  Its ``workspace_tuple_cap``
-        #: also becomes the default ``workspace_budget``.
-        self.budget = budget
+        #: The paper's finite local workspace, in state tuples, for
+        #: every ``execute`` that does not name its own.  Not a
+        #: governance cap: a breach is a recovery-ladder event.
+        self.workspace_budget = workspace_budget
 
     # ------------------------------------------------------------------
     # enumeration
@@ -306,7 +290,7 @@ class TemporalJoinPlanner:
                         y_stats,
                         workspace,
                         self.parallelism,
-                        available_cpus=self.available_cpus,
+                        available_cpus=self.parallelism,
                         backend=backend,
                         expected_output=output,
                     )
@@ -378,65 +362,28 @@ class TemporalJoinPlanner:
         x_relation: Operand,
         y_relation: Operand,
         workspace_budget: Optional[int] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        report: Optional[ExecutionReport] = None,
+        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
     ) -> tuple[list, ExecutionProfile]:
         """Plan, run the winner, and report the profile.
 
-        ``workspace_budget`` caps the stream algorithm's state tuples
-        (the paper's finite local workspace).
+        ``workspace_budget`` (default: the planner's) caps the stream
+        algorithm's state tuples — the paper's finite local workspace.
 
         ``recovery`` selects how a violated assumption is handled:
+        ``STRICT`` fails fast with the original error (an overflowing
+        workspace raises :class:`~repro.errors.WorkspaceOverflowError`),
+        ``QUARANTINE`` skips violating tuples into the report's
+        side-channel, ``DEGRADE`` re-sorts on order violations and
+        spills into extra passes on overflow.  The policy and this
+        run's own :class:`~repro.resilience.recovery.ExecutionReport`
+        land in ``profile.details``.
 
-        * ``None`` (legacy) — ``STRICT``, except that a workspace
-          overflow silently falls back to the stateless nested loop,
-          recorded in the profile;
-        * a :class:`~repro.resilience.recovery.RecoveryPolicy` —
-          ``STRICT`` fails fast with the original error, ``QUARANTINE``
-          skips violating tuples into the report's side-channel,
-          ``DEGRADE`` re-sorts on order violations and spills into
-          extra passes on overflow.  The :class:`~repro.resilience.recovery.
-          ExecutionReport` lands in ``profile.details``.
-
-        A planner constructed with ``budget=`` runs the whole thing
-        under that :class:`~repro.governance.QueryBudget` (unless the
-        caller already installed a governance token, which then wins),
-        and the budget's ``workspace_tuple_cap`` is the default
-        ``workspace_budget``.
+        Governance (a :class:`~repro.governance.QueryBudget`) is not the
+        planner's: it is whatever token the caller installed
+        (:func:`~repro.governance.governed`, ``run_query(budget=)``).
         """
-        if self.budget is not None:
-            if workspace_budget is None:
-                workspace_budget = self.budget.workspace_tuple_cap
-            from ..governance.budget import active_token, governed
-
-            if active_token() is None:
-                with governed(budget=self.budget):
-                    return self._execute_impl(
-                        operator,
-                        x_relation,
-                        y_relation,
-                        workspace_budget,
-                        recovery,
-                        report,
-                    )
-        return self._execute_impl(
-            operator,
-            x_relation,
-            y_relation,
-            workspace_budget,
-            recovery,
-            report,
-        )
-
-    def _execute_impl(
-        self,
-        operator: TemporalOperator,
-        x_relation: Operand,
-        y_relation: Operand,
-        workspace_budget: Optional[int],
-        recovery: Optional[RecoveryPolicy],
-        report: Optional[ExecutionReport],
-    ) -> tuple[list, ExecutionProfile]:
+        if workspace_budget is None:
+            workspace_budget = self.workspace_budget
         tracer = get_tracer()
         with tracer.span(
             f"plan:{operator.value}", backend=self.backend
@@ -453,50 +400,32 @@ class TemporalJoinPlanner:
                     sort_x=chosen.sort_x,
                     sort_y=chosen.sort_y,
                 )
-            # The nested loop, winner or fallback, reads the operands
-            # as given; only a registry cell reads them sorted.
-            x_sorted, y_sorted = x_relation, y_relation
-            if chosen.kind != "nested-loop":
-                x_sorted, y_sorted = _in_entry_order(
-                    chosen, x_relation, y_relation
-                )
-            profile.operands = (x_sorted, y_sorted)
+            report = ExecutionReport()
+            profile.details.update(
+                recovery=recovery.value, execution_report=report
+            )
             if chosen.kind == "nested-loop":
+                # The nested loop reads the operands as given.
+                profile.operands = (x_relation, y_relation)
                 results, metrics = self._run_nested_loop(
                     operator, x_relation, y_relation
                 )
             else:
+                profile.operands = _in_entry_order(
+                    chosen, x_relation, y_relation
+                )
                 args = (
                     chosen,
-                    x_sorted,
-                    y_sorted,
+                    *profile.operands,
                     workspace_budget,
                     recovery,
                     report,
                 )
-                try:
-                    if chosen.kind == "parallel-stream":
-                        outcome = self._run_parallel(*args, profile.details)
-                    else:
-                        outcome = self._run_cell(*args)
-                except WorkspaceOverflowError:
-                    if recovery is not None:
-                        raise
-                    profile.details["workspace_overflow"] = True
-                    profile.details["fallback"] = "nested-loop"
-                    results, metrics = self._run_nested_loop(
-                        operator, x_relation, y_relation
-                    )
+                if chosen.kind == "parallel-stream":
+                    outcome = self._run_parallel(*args, profile.details)
                 else:
-                    results, metrics = outcome.results, outcome.metrics
-                    if recovery is not None:
-                        profile.details["recovery"] = recovery.value
-                        profile.details["execution_report"] = outcome.report
-                        if outcome.report.fallbacks:
-                            profile.details["fallback"] = [
-                                event.kind
-                                for event in outcome.report.fallbacks
-                            ]
+                    outcome = self._run_cell(*args)
+                results, metrics = outcome.results, outcome.metrics
             profile.metrics = metrics
             return results, profile
 
@@ -506,25 +435,20 @@ class TemporalJoinPlanner:
         x_relation: Operand,
         y_relation: Operand,
         workspace_budget: Optional[int],
-        recovery: Optional[RecoveryPolicy],
-        report: Optional[ExecutionReport],
+        recovery: RecoveryPolicy,
+        report: ExecutionReport,
     ):
-        """Run the chosen cell serially, operands as they are.  Legacy
-        mode (``recovery=None``) is STRICT whose overflow the caller
-        answers with the nested loop, and reports no ladder."""
+        """Run the chosen cell serially, operands as they are."""
         entry = _entry_of(alternative)
-        outcome = execute_entry(
+        return execute_entry(
             entry,
             x_relation,
             y_relation if entry.y_order is not None else None,
             backend=alternative.backend,
-            policy=recovery or RecoveryPolicy.STRICT,
+            policy=recovery,
             workspace_budget=workspace_budget,
             report=report,
         )
-        if recovery is None:
-            outcome.metrics.resilience = None
-        return outcome
 
     def _run_parallel(
         self,
@@ -532,8 +456,8 @@ class TemporalJoinPlanner:
         x_relation: Operand,
         y_relation: Operand,
         workspace_budget: Optional[int],
-        recovery: Optional[RecoveryPolicy],
-        report: Optional[ExecutionReport],
+        recovery: RecoveryPolicy,
+        report: ExecutionReport,
         details: dict,
     ):
         """Run the chosen cell through the time-domain parallel
@@ -550,7 +474,7 @@ class TemporalJoinPlanner:
             shards=alternative.workers,
             workers=alternative.workers,
             backend=alternative.backend,
-            policy=recovery or RecoveryPolicy.STRICT,
+            policy=recovery,
             workspace_budget=workspace_budget,
             report=report,
             mode=self.parallel_mode,

@@ -688,7 +688,7 @@ def execute_parallel(
         for run, summary, chunk in finished:
             shard_runs.append(run)
             chunks.append(chunk)
-            _merge_report(report, summary["report"])
+            report.absorb(summary["report"])
             metrics.fold(summary["metrics"])
         results = LazyResults(
             x_cols.payload,
@@ -787,25 +787,6 @@ def _merge_worker_metrics(run: ShardRun, summary: dict) -> None:
         # Mismatched histogram layouts across versions: drop the
         # worker's contribution, never the query.
         pass
-
-
-# ----------------------------------------------------------------------
-# merging
-# ----------------------------------------------------------------------
-def _merge_report(
-    target: ExecutionReport, shard_report: ExecutionReport
-) -> None:
-    """Fold a shard's report into the caller's, without re-triggering
-    the note_* metric hooks (the shard already counted what it could)."""
-    target.faults.extend(shard_report.faults)
-    target.retries += shard_report.retries
-    target.simulated_delay += shard_report.simulated_delay
-    target.quarantined.extend(shard_report.quarantined)
-    target.fallbacks.extend(shard_report.fallbacks)
-    target.passes_added += shard_report.passes_added
-    target.workspace_overflows += shard_report.workspace_overflows
-    target.order_violations += shard_report.order_violations
-    target.storage_errors += shard_report.storage_errors
 
 
 def _bump_registry(

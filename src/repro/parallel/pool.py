@@ -44,10 +44,6 @@ Failure semantics — **shard-level containment**, not batch abort:
   ``finally``-block sweep; segments that a speculation *loser* may
   write after that sweep land on the pool's deferred-cleanup list and
   are re-swept on the next batches and at shutdown.
-
-The batch timeout is configurable: ``WorkerPool(batch_timeout=...)``
-or the ``REPRO_BATCH_TIMEOUT`` environment variable (seconds), default
-600.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ import atexit
 import math
 import os
 import pickle
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -70,8 +65,7 @@ from . import shm
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..governance.budget import CancellationToken
 
-#: Default seconds of total batch silence before the pool is declared
-#: hung (override per pool or via ``REPRO_BATCH_TIMEOUT``).
+#: Seconds of total batch silence before the pool is declared hung.
 _BATCH_TIMEOUT = 600.0
 #: Poll interval while waiting on the result queue.
 _POLL_SECONDS = 0.05
@@ -94,21 +88,6 @@ _DEFERRED_SWEEPS = 3
 _ORPHAN_GRACE = 0.25
 
 
-#: ``REPRO_POOL_DEBUG=1`` traces dispatch/ack/reap/re-dispatch events
-#: to stderr — the fault-containment ladder is timing-dependent, and
-#: this is the only way to see a production incident's event order.
-_DEBUG = bool(os.environ.get("REPRO_POOL_DEBUG"))
-
-
-def _dbg(msg: str) -> None:
-    if _DEBUG:  # pragma: no cover - diagnostics only
-        print(
-            f"[pool pid={os.getpid()} t={time.monotonic():.3f}] {msg}",
-            file=sys.stderr,
-            flush=True,
-        )
-
-
 #: Help strings for the structured containment counters; the event
 #: names mirror the counter suffixes (dispatch/ack/reap/redispatch/
 #: straggler) so a Prometheus dump and a trace tell the same story.
@@ -127,11 +106,9 @@ def _pool_event(
     amount: float = 1.0,
     **attrs,
 ) -> None:
-    """One containment-ladder event, three sinks: the active tracer
-    (structured event on the enclosing span), the ``repro_pool_*``
-    counters, and — when ``REPRO_POOL_DEBUG`` is set — the legacy
-    stderr line.  The env knob is now purely a verbosity toggle."""
-    _dbg(name + " " + " ".join(f"{k}={v}" for k, v in attrs.items()))
+    """One containment-ladder event, two sinks: the active tracer
+    (structured event on the enclosing span) and the ``repro_pool_*``
+    counters."""
     tracer = get_tracer()
     if tracer.enabled:
         tracer.event(f"pool.{name}", **attrs)
@@ -144,18 +121,6 @@ def _pool_event(
             registry.counter(counter, _POOL_COUNTER_HELP[counter]).inc(
                 amount, **labels
             )
-
-
-def _default_batch_timeout() -> float:
-    raw = os.environ.get("REPRO_BATCH_TIMEOUT")
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return _BATCH_TIMEOUT
 
 
 class WorkerPoolError(RuntimeError):
@@ -195,10 +160,6 @@ def _worker_main(tasks, results, acks) -> None:
         task = tasks.get()
         if task is None:
             break
-        _dbg(
-            f"worker got job={task.get('job')} index={task.get('index')} "
-            f"attempt={task.get('attempt', 0)}"
-        )
         acks.put(
             {
                 "job": task.get("job"),
@@ -252,7 +213,6 @@ class WorkerPool:
     def __init__(
         self,
         size: int,
-        batch_timeout: Optional[float] = None,
         straggler_fraction: float = _STRAGGLER_FRACTION,
     ):
         import multiprocessing
@@ -273,11 +233,6 @@ class WorkerPool:
         self._job_counter = 0
         self._spawn_counter = 0
         self._broken = False
-        self._batch_timeout = (
-            batch_timeout
-            if batch_timeout is not None
-            else _default_batch_timeout()
-        )
         self._straggler_fraction = straggler_fraction
         self._target_size = max(1, size)
         #: name -> remaining sweep attempts for segments a speculation
@@ -452,12 +407,12 @@ class WorkerPool:
         orphan_deadline: Optional[float] = None
         death_time = 0.0
         start = time.monotonic()
-        silence_deadline = start + self._batch_timeout
+        silence_deadline = start + _BATCH_TIMEOUT
         if straggler_after is None:
             if token is not None and token.deadline_at is not None:
                 allowance = max(token.deadline_at - start, _POLL_SECONDS)
             else:
-                allowance = self._batch_timeout
+                allowance = _BATCH_TIMEOUT
             straggler_after = self._straggler_fraction * allowance
         while len(summaries) + len(errors) < len(states):
             if token is not None:
@@ -501,23 +456,17 @@ class WorkerPool:
                     self._broken = True
                     raise WorkerPoolError(
                         "shard batch produced no result for "
-                        f"{self._batch_timeout}s"
+                        f"{_BATCH_TIMEOUT}s"
                     )
                 continue
             result = self._results.get()
-            _dbg(
-                f"result job={result.get('job')} "
-                f"index={result.get('index')} "
-                f"attempt={result.get('attempt')} "
-                f"error={'error' in result}"
-            )
             if result.get("job") != job:
                 # Stale traffic from an abandoned batch: discard, and
                 # crucially do NOT refresh the liveness deadline — an
                 # abandoned batch's stragglers must not keep a hung
                 # batch looking alive.
                 continue
-            silence_deadline = time.monotonic() + self._batch_timeout
+            silence_deadline = time.monotonic() + _BATCH_TIMEOUT
             index = result.get("index")
             state = states.get(index)
             if state is None:
@@ -561,7 +510,6 @@ class WorkerPool:
                 if previous is None or estimate < previous:
                     self.clock_offsets[pid] = estimate
             if ack.get("job") != job:
-                _dbg(f"stale ack {ack}")
                 continue
             _pool_event(
                 "ack",

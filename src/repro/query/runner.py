@@ -22,6 +22,7 @@ from ..model.relation import TemporalRelation
 from ..obs.trace import NULL_TRACER, Tracer, set_tracer
 from ..relational.operators import EngineStats
 from ..relational.schema import Row, RowSchema
+from ..resilience.recovery import RecoveryPolicy
 from .parser import parse_query
 from .translator import translate
 
@@ -39,8 +40,8 @@ class QueryResult:
     #: Temporal joins executed by the stream engine (hybrid mode).
     stream_joins: list = None
     #: The resilience :class:`~repro.resilience.recovery.
-    #: ExecutionReport`, set when ``streams=True`` ran with a recovery
-    #: policy.
+    #: ExecutionReport` (the merge of the stream joins' own), set when
+    #: ``streams=True`` ran.
     execution_report: Optional[object] = None
     #: The :class:`~repro.obs.trace.Tracer` that recorded this run, set
     #: when ``run_query`` was called with ``trace=...``.
@@ -63,7 +64,7 @@ def run_query(
     rewrite: bool = True,
     semantic: bool = False,
     streams: bool = False,
-    recovery: Optional[object] = None,
+    recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
     trace: Optional[object] = None,
     parallelism: Optional[int] = None,
     deadline: Optional[float] = None,
@@ -91,10 +92,11 @@ def run_query(
         the cheapest of the tuple, columnar and fused forms of the
         chosen cell); the stream joins taken are listed on the result.
     recovery:
-        A :class:`~repro.resilience.recovery.RecoveryPolicy` applied to
-        the stream joins (only meaningful with ``streams=True``); the
-        resulting :class:`~repro.resilience.recovery.ExecutionReport`
-        is attached to the result as ``execution_report``.
+        The :class:`~repro.resilience.recovery.RecoveryPolicy` applied
+        to the stream joins (only meaningful with ``streams=True``;
+        ``STRICT`` by default); the resulting
+        :class:`~repro.resilience.recovery.ExecutionReport` is attached
+        to the result as ``execution_report``.
     trace:
         ``True`` (record with a fresh :class:`~repro.obs.trace.Tracer`)
         or an existing tracer.  The tracer is installed as the active
@@ -117,7 +119,9 @@ def run_query(
         (deadline, workspace tuples, page reads, shared-memory bytes).
         ``deadline`` merges into it; breaches raise the typed
         :class:`~repro.errors.GovernanceError` subclasses, which the
-        resilience ladder never retries.  The spend summary is
+        resilience ladder never retries.  Its workspace cap is not the
+        paper's workspace: breaching it ends the query under every
+        ``recovery`` policy.  The spend summary is
         attached as ``result.governance``.
     admission:
         An :class:`~repro.governance.AdmissionController`; the query
@@ -191,7 +195,7 @@ def _run_pipeline(
     rewrite: bool,
     semantic: bool,
     streams: bool,
-    recovery: Optional[object],
+    recovery: RecoveryPolicy,
     parallelism: Optional[int] = None,
 ) -> QueryResult:
     plan = translate(parse_query(source), catalog)

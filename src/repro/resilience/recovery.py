@@ -67,8 +67,10 @@ class ExecutionReport:
     taken, passes added.
 
     One report may be threaded through several components (streams,
-    resilient heap files, the executor) of one logical query run; the
-    counters are cumulative.
+    resilient heap files, the executor) of one operator run; the
+    counters are cumulative.  Reports of separate runs (the shards of
+    a sharded run, the stream joins of a query) are kept apart and
+    combined with :meth:`absorb`.
     """
 
     #: Fault events observed by resilient storage (FaultEvent objects;
@@ -171,6 +173,19 @@ class ExecutionReport:
                 "repro_resilience_storage_errors_total",
                 "Persistent storage faults surfaced after retries",
             ).inc()
+
+    def absorb(self, other: "ExecutionReport") -> None:
+        """Fold another run's report into this one, without re-triggering
+        the note_* metric hooks (that run already counted what it could)."""
+        self.faults.extend(other.faults)
+        self.retries += other.retries
+        self.simulated_delay += other.simulated_delay
+        self.quarantined.extend(other.quarantined)
+        self.fallbacks.extend(other.fallbacks)
+        self.passes_added += other.passes_added
+        self.workspace_overflows += other.workspace_overflows
+        self.order_violations += other.order_violations
+        self.storage_errors += other.storage_errors
 
     # ------------------------------------------------------------------
     # accounting invariants

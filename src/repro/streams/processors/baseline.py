@@ -161,8 +161,8 @@ def conjoin(*predicates: Predicate) -> Predicate:
 from ..registry import TemporalOperator  # noqa: E402
 
 #: The join predicate of every temporal operator — its correctness
-#: semantics, which the nested-loop fallbacks and oracles evaluate (what
-#: is emitted follows from the operator's own ``shape``).
+#: semantics, which the nested loop, the spill and the oracles evaluate
+#: (what is emitted follows from the operator's own ``shape``).
 PREDICATES: dict[TemporalOperator, Predicate] = {
     TemporalOperator.CONTAIN_JOIN: contain_predicate,
     TemporalOperator.CONTAIN_SEMIJOIN: contain_predicate,

@@ -19,6 +19,7 @@ from repro.model import (
     sort_tuples,
 )
 from repro.optimizer.planner import TemporalJoinPlanner
+from repro.resilience.recovery import RecoveryPolicy
 from repro.streams import BACKENDS, TemporalOperator, TupleStream, lookup
 from repro.streams.registry import supported_entries
 
@@ -285,18 +286,35 @@ class TestPlannerBackend:
                 assert "columnar" in alt.entry.backends
 
     def test_workspace_budget_falls_back_to_nested_loop(self):
-        x, y = self.make_relations()
-        planner = TemporalJoinPlanner(backend="columnar")
-        results, profile = planner.execute(
-            TemporalOperator.OVERLAP_JOIN, x, y, workspace_budget=1
-        )
-        if profile.details.get("workspace_overflow"):
-            baseline = TemporalJoinPlanner(backend="tuple").execute(
-                TemporalOperator.OVERLAP_JOIN, x, y
-            )[0]
-            assert sorted((a.value, b.value) for a, b in results) == sorted(
-                (a.value, b.value) for a, b in baseline
+        """A one-tuple workspace: STRICT raises the overflow, DEGRADE's
+        spill (the block nested loop) answers as the tuple backend.
+        Operands large enough that a stream cell, not the nested loop,
+        wins the plan."""
+        x, y = (
+            TemporalRelation(
+                TemporalSchema(name, "Id", "Seq"),
+                [T(i, 2 * i + shift, 2 * i + shift + 9) for i in range(120)],
+                order=TS_ASC,
             )
+            for name, shift in (("X", 0), ("Y", 1))
+        )
+        planner = TemporalJoinPlanner(backend="columnar", workspace_budget=1)
+        with pytest.raises(WorkspaceOverflowError):
+            planner.execute(TemporalOperator.OVERLAP_JOIN, x, y)
+        results, profile = planner.execute(
+            TemporalOperator.OVERLAP_JOIN,
+            x,
+            y,
+            recovery=RecoveryPolicy.DEGRADE,
+        )
+        fallbacks = profile.details["execution_report"].fallbacks
+        assert [event.kind for event in fallbacks] == ["spill"]
+        baseline = TemporalJoinPlanner(backend="tuple").execute(
+            TemporalOperator.OVERLAP_JOIN, x, y
+        )[0]
+        assert sorted((a.value, b.value) for a, b in results) == sorted(
+            (a.value, b.value) for a, b in baseline
+        )
 
 
 def test_every_supported_cell_reachable_per_backend():

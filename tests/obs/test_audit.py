@@ -104,10 +104,11 @@ def audited(backend, mode, recovery, traced):
     planner = TemporalJoinPlanner(backend=backend, **MODES[mode])
     tracer = Tracer("audited") if traced else None
     previous = set_tracer(tracer) if traced else None
+    # ``None``: the caller names no policy (the id ``legacy`` is kept
+    # from when that was a mode of its own; it is STRICT).
+    policy = {} if recovery is None else {"recovery": recovery}
     try:
-        executed = execute_hybrid(
-            plan, cat, planner=planner, recovery=recovery
-        )
+        executed = execute_hybrid(plan, cat, planner=planner, **policy)
     finally:
         if traced:
             set_tracer(previous)
@@ -135,6 +136,7 @@ def test_record_is_the_same_traced_or_untraced(backend, mode, recovery):
         assert validate_record(record) == []
         json.dumps(record)
         (join,) = record["stream_joins"]
+        assert join["recovery"] == (recovery or RecoveryPolicy.STRICT).value
         assert record["backend"] == join["metrics"]["backend"]
         assert record["backend"] == join["alternatives"][0]["backend"]
         if backend != "auto":

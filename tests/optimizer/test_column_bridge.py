@@ -19,8 +19,7 @@ from repro.algebra import LJoin, LProject, optimize
 from repro.cli import PARALLEL_DEFAULT_QUEL
 from repro.columnar import IntervalColumns
 from repro.columnar.fused import LazyPairs
-from repro.errors import ExecutionError
-from repro.governance import QueryBudget
+from repro.errors import ExecutionError, WorkspaceOverflowError
 from repro.model import (
     TE_ASC,
     TE_DESC,
@@ -109,13 +108,13 @@ def constructions(monkeypatch):
 @pytest.mark.parametrize("text", (DURING, OVERLAP), ids=("during", "overlap"))
 @pytest.mark.parametrize("arrange", (dict, shuffled), ids=("sorted", "shuffled"))
 def test_tuples_built_per_query(arrange, text, backend, constructions):
-    """Under every policy: a clean run never reaches a rung that is
-    tuple-at-a-time by nature, and the answer is ``recovery=None``'s."""
+    """Under STRICT and DEGRADE: a clean run never reaches a rung that
+    is tuple-at-a-time by nature, and the answer is STRICT's."""
     cat = arrange(catalog())
     plan = plan_for(text, cat)
     expected = len(cat["X"]) + len(cat["Y"]) if backend == "tuple" else 0
     rows = None
-    for recovery in (None, RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE):
+    for recovery in (RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE):
         constructions[0] = 0
         executed = execute_hybrid(
             plan,
@@ -308,7 +307,7 @@ def bridged(rows, schema):
     )
 
 
-def reference_rows(plan, cat, planner, recovery=None):
+def reference_rows(plan, cat, planner, recovery):
     """``plan`` (a projection over one recognised join) through the
     tuple-born operand path, row by row."""
     assert isinstance(plan, LProject) and isinstance(plan.child, LJoin)
@@ -327,12 +326,12 @@ def reference_rows(plan, cat, planner, recovery=None):
     return [tuple(read(row) for read in readers) for row in joined]
 
 
-def assert_same_as_reference(text, cat, make_planner, recovery=None):
+def assert_same_as_reference(text, cat, make_planner, recovery):
     plan = plan_for(text, cat)
     try:
         expected = reference_rows(plan, cat, make_planner(), recovery)
-    except Exception as error:  # the tuple backend under a 3-tuple cap
-        with pytest.raises(type(error)):
+    except WorkspaceOverflowError:  # a 3-tuple workspace under STRICT
+        with pytest.raises(WorkspaceOverflowError):
             execute_hybrid(
                 plan, cat, planner=make_planner(), recovery=recovery
             )
@@ -377,8 +376,11 @@ def catalogs():
 
 CATALOGS = dict(catalogs())
 EXECUTIONS = {
-    "serial": ({}, None),
-    "inline-2": ({"parallelism": 2, "parallel_mode": "inline"}, None),
+    "serial": ({}, RecoveryPolicy.STRICT),
+    "inline-2": (
+        {"parallelism": 2, "parallel_mode": "inline"},
+        RecoveryPolicy.STRICT,
+    ),
     "quarantine": ({}, RecoveryPolicy.QUARANTINE),
     "strict": ({}, RecoveryPolicy.STRICT),
     "degrade-clean": ({}, RecoveryPolicy.DEGRADE),
@@ -386,13 +388,11 @@ EXECUTIONS = {
         {"parallelism": 2, "parallel_mode": "inline"},
         RecoveryPolicy.DEGRADE,
     ),
-    # A 3-tuple workspace: the batch backends overflow into the nested
-    # loop (no recovery) or the spill (DEGRADE); tuple refuses.
-    "cap-nested-loop": ({"budget": QueryBudget(workspace_tuple_cap=3)}, None),
-    "cap-spill": (
-        {"budget": QueryBudget(workspace_tuple_cap=3)},
-        RecoveryPolicy.DEGRADE,
-    ),
+    # A 3-tuple workspace on every backend: STRICT refuses with the
+    # overflow (the id names the nested loop that used to answer it),
+    # DEGRADE spills.
+    "cap-nested-loop": ({"workspace_budget": 3}, RecoveryPolicy.STRICT),
+    "cap-spill": ({"workspace_budget": 3}, RecoveryPolicy.DEGRADE),
 }
 
 
@@ -416,25 +416,28 @@ def test_rows_equal_the_tuple_bridge(cat, text, execution, backend):
 
 @pytest.mark.parametrize("backend", BATCH)
 def test_the_cap_really_forces_the_fallbacks(backend):
-    for execution, marker in (
-        ("cap-nested-loop", None),
-        ("cap-spill", "spill"),
-    ):
-        options, recovery = EXECUTIONS[execution]
-        executed = assert_same_as_reference(
-            DURING,
-            CATALOGS["shuffled"],
-            lambda: TemporalJoinPlanner(backend=backend, **options),
-            recovery,
+    """The cap overflows the chosen stream cell: STRICT raises the
+    overflow itself, DEGRADE answers through the spill."""
+    cat = CATALOGS["shuffled"]
+    options, recovery = EXECUTIONS["cap-nested-loop"]
+    with pytest.raises(WorkspaceOverflowError):
+        execute_hybrid(
+            plan_for(DURING, cat),
+            cat,
+            planner=TemporalJoinPlanner(backend=backend, **options),
+            recovery=recovery,
         )
-        (info,) = executed.stream_joins
-        assert executed.rows and info.chosen.startswith("stream")
-        if marker is None:
-            # Only the nested loop re-reads an input per outer tuple.
-            assert max(info.metrics.passes_x, info.metrics.passes_y) > 1
-        else:
-            fallbacks = info.metrics.resilience["fallbacks"]
-            assert [f["kind"] for f in fallbacks] == [marker]
+    options, recovery = EXECUTIONS["cap-spill"]
+    executed = assert_same_as_reference(
+        DURING,
+        cat,
+        lambda: TemporalJoinPlanner(backend=backend, **options),
+        recovery,
+    )
+    (info,) = executed.stream_joins
+    assert executed.rows and info.chosen.startswith("stream")
+    fallbacks = info.metrics.resilience["fallbacks"]
+    assert [f["kind"] for f in fallbacks] == ["spill"]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ from dataclasses import replace
 import pytest
 
 from repro.algebra import LDistinct, LJoin, LProject, LSelect, optimize
-from repro.governance import QueryBudget
+from repro.errors import BudgetExceededError
+from repro.governance import QueryBudget, governed
 from repro.model import TemporalRelation, TemporalSchema, TemporalTuple
 from repro.obs import Tracer, set_tracer
 from repro.optimizer import TemporalJoinPlanner, execute_hybrid
@@ -222,14 +223,14 @@ def test_under_quarantine(backend, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_under_a_budget(backend, mode):
-    executed = check(
-        QUERIES["during-swapped"],
-        catalog(),
-        backend,
-        mode,
-        budget=QueryBudget(workspace_tuple_cap=10_000),
-    )
+    """Governance is the caller's token: a cap the join stays under
+    changes nothing, one it breaches ends the query."""
+    with governed(budget=QueryBudget(workspace_tuple_cap=10_000)):
+        executed = check(QUERIES["during-swapped"], catalog(), backend, mode)
     assert executed.rows
+    with governed(budget=QueryBudget(workspace_tuple_cap=1)):
+        with pytest.raises(BudgetExceededError):
+            check(QUERIES["during-swapped"], catalog(), backend, mode)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

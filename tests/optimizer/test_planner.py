@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import BudgetExceededError
-from repro.governance import QueryBudget
+from repro.errors import BudgetExceededError, WorkspaceOverflowError
+from repro.governance import QueryBudget, governed
 from repro.model import TE_ASC, TE_DESC, TS_ASC
 from repro.optimizer import CostModel, TemporalJoinPlanner, expected_workspace_for
+from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
 from repro.streams import TemporalOperator, contain_predicate
 from repro.workload import PoissonWorkload, fixed_duration
@@ -233,8 +234,8 @@ class TestHistogramPlanning:
 
 class TestWorkspaceBudgetFallback:
     """The trade-off triangle, operationally: when the chosen stream
-    plan overflows a finite workspace, execution falls back to the
-    nested loop and still answers correctly."""
+    plan overflows a finite workspace, STRICT says so and DEGRADE pays
+    in extra passes (the spill) and still answers correctly."""
 
     def inputs(self):
         x = make_relation(300, duration=40, name="X")
@@ -247,18 +248,27 @@ class TestWorkspaceBudgetFallback:
         results, profile = planner.execute(
             TemporalOperator.CONTAIN_JOIN, x, y, workspace_budget=10_000
         )
-        assert "workspace_overflow" not in profile.details
+        assert profile.details["execution_report"].workspace_overflows == 0
+        assert profile.details["recovery"] == "strict"
         assert profile.chosen.kind == "stream"
         assert results
 
     def test_tiny_budget_falls_back(self):
         x, y = self.inputs()
-        planner = TemporalJoinPlanner()
-        results, profile = planner.execute(
-            TemporalOperator.CONTAIN_JOIN, x, y, workspace_budget=2
+        with pytest.raises(WorkspaceOverflowError):
+            TemporalJoinPlanner().execute(
+                TemporalOperator.CONTAIN_JOIN, x, y, workspace_budget=2
+            )
+        # The planner's own budget is the default; DEGRADE spills.
+        results, profile = TemporalJoinPlanner(workspace_budget=2).execute(
+            TemporalOperator.CONTAIN_JOIN,
+            x,
+            y,
+            recovery=RecoveryPolicy.DEGRADE,
         )
-        assert profile.details.get("workspace_overflow")
-        assert profile.details.get("fallback") == "nested-loop"
+        report = profile.details["execution_report"]
+        assert [event.kind for event in report.fallbacks] == ["spill"]
+        assert report.passes_added >= 1
         # Correctness is preserved through the fallback.
         expected = sorted(
             (a.value, b.value)
@@ -274,7 +284,7 @@ class TestWorkspaceBudgetFallback:
         results, profile = planner.execute(
             TemporalOperator.CONTAIN_SEMIJOIN, x, y, workspace_budget=0
         )
-        assert "workspace_overflow" not in profile.details
+        assert profile.details["execution_report"].workspace_overflows == 0
         assert profile.chosen.entry.state_class in ("c", "d")
         if profile.chosen.entry.state_class == "d":
             assert profile.metrics.workspace_high_water == 0
@@ -284,26 +294,30 @@ class TestWorkspaceBudgetFallback:
     def test_mirrored_cell_honours_the_budget_like_its_twin(self, order, backend):
         """TEv/TEv is the lower-half twin of TS^/TS^: the same state,
         so the same budget breach, whichever half the operands' order
-        selects and whichever backend runs the cell."""
+        selects and whichever backend runs the cell — and a governance
+        cap of the same size is a different limit with one answer."""
         x, y = (r.sorted_by(order) for r in self.inputs())
-        results, profile = TemporalJoinPlanner(backend=backend).execute(
-            TemporalOperator.CONTAIN_JOIN, x, y, workspace_budget=5
+        planner = TemporalJoinPlanner(backend=backend, workspace_budget=5)
+        with pytest.raises(WorkspaceOverflowError):
+            planner.execute(TemporalOperator.CONTAIN_JOIN, x, y)
+        results, profile = planner.execute(
+            TemporalOperator.CONTAIN_JOIN,
+            x,
+            y,
+            recovery=RecoveryPolicy.DEGRADE,
         )
         assert profile.chosen.entry.x_order == order
         assert profile.chosen.entry.mirrored is (order is TE_DESC)
-        assert profile.details.get("workspace_overflow")
-        assert profile.details.get("fallback") == "nested-loop"
+        fallbacks = profile.details["execution_report"].fallbacks
+        assert [event.kind for event in fallbacks] == ["spill"]
         assert len(results) == sum(
             contain_predicate(a, b) for a in x for b in y
         )
-        governed = TemporalJoinPlanner(
-            backend=backend, budget=QueryBudget(workspace_tuple_cap=5)
-        )
-        if backend == "tuple":
-            # The metered insert path charges the governance token.
+        with governed(budget=QueryBudget(workspace_tuple_cap=5)):
             with pytest.raises(BudgetExceededError):
-                governed.execute(TemporalOperator.CONTAIN_JOIN, x, y)
-        else:
-            # The cap doubles as the kernel's limit, which trips first.
-            _, profile = governed.execute(TemporalOperator.CONTAIN_JOIN, x, y)
-            assert profile.details.get("fallback") == "nested-loop"
+                TemporalJoinPlanner(backend=backend).execute(
+                    TemporalOperator.CONTAIN_JOIN,
+                    x,
+                    y,
+                    recovery=RecoveryPolicy.DEGRADE,
+                )

@@ -23,7 +23,7 @@ from repro.errors import (
     StreamOrderError,
     WorkspaceOverflowError,
 )
-from repro.governance import QueryBudget
+from repro.governance import QueryBudget, governed
 from repro.model import (
     TE_ASC,
     TE_DESC,
@@ -49,6 +49,8 @@ from repro.streams import TemporalOperator, lookup
 from repro.workload import PoissonWorkload, fixed_duration
 
 BACKENDS = ("tuple", "columnar", "fused", "auto")
+#: ``None`` names no policy, which is STRICT (its id, ``legacy``, is
+#: kept from when that was a mode of its own).
 POLICIES = (
     None,
     RecoveryPolicy.STRICT,
@@ -76,14 +78,17 @@ def plan_for(text, cat):
     return optimize(translate(parse_query(text), cat))
 
 
-def run(text, cat, backend, recovery=None, budget=None, **parallel):
+def run(
+    text, cat, backend, recovery=None, workspace_budget=None, **parallel
+):
+    policy = {} if recovery is None else {"recovery": recovery}
     return execute_hybrid(
         plan_for(text, cat),
         cat,
         planner=TemporalJoinPlanner(
-            backend=backend, budget=budget, **parallel
+            backend=backend, workspace_budget=workspace_budget, **parallel
         ),
-        recovery=recovery,
+        **policy,
     )
 
 
@@ -228,25 +233,29 @@ def test_tuples_built_is_per_query_not_per_relation():
 # ----------------------------------------------------------------------
 def test_every_backend_and_rung_leaves_the_memo_alone():
     cat = catalog()
-    caps = (None, QueryBudget(workspace_tuple_cap=3))
     expected = Counter(run_query(DURING, cat, streams=False).rows)
     rungs = set()
     for backend in BACKENDS:
         for policy in POLICIES:
-            for budget in caps:
+            for workspace_budget in (None, 3):
                 try:
-                    executed = run(DURING, cat, backend, policy, budget)
-                except (WorkspaceOverflowError, BudgetExceededError):
-                    assert budget is not None
+                    executed = run(
+                        DURING, cat, backend, policy, workspace_budget
+                    )
+                except WorkspaceOverflowError:
+                    # Only DEGRADE answers an overflow: with the spill.
+                    assert workspace_budget is not None
+                    assert policy is not RecoveryPolicy.DEGRADE
                     continue
                 assert Counter(executed.rows) == expected
                 (info,) = executed.stream_joins
-                resilience = info.metrics.resilience or {"fallbacks": []}
+                resilience = info.metrics.resilience
                 rungs.update(f["kind"] for f in resilience["fallbacks"])
-                passes = max(info.metrics.passes_x, info.metrics.passes_y)
-                if policy is None and passes > 1:
-                    rungs.add("nested-loop")  # the legacy overflow answer
-    assert rungs == {"spill", "nested-loop"}
+        # A governance cap is no rung: it ends the query, DEGRADE or not.
+        with governed(budget=QueryBudget(workspace_tuple_cap=3)):
+            with pytest.raises(BudgetExceededError):
+                run(DURING, cat, backend, RecoveryPolicy.DEGRADE)
+    assert rungs == {"spill"}
     for backend in BACKENDS:
         for mode in ("inline", "process"):
             executed = run(

@@ -121,9 +121,7 @@ class TestPlannerParallelAlternative:
         """The regression: with no backend term the tuple, columnar and
         fused parallel alternatives of a cell cost the same, and the
         stable sort kept tuple."""
-        planner = TemporalJoinPlanner(
-            backend="auto", parallelism=4, available_cpus=4
-        )
+        planner = TemporalJoinPlanner(backend="auto", parallelism=4)
         x = make_relation(3000, name="X", seed=1)
         y = make_relation(3000, name="Y", seed=2)
         ranked = planner.alternatives(
