@@ -6,9 +6,8 @@ The package implements the paper's full pipeline:
 * :mod:`repro.model` — the temporal data model: discrete time,
   half-open lifespans, temporal 4-tuples, relations, sort orders, and
   integrity constraints (Section 2);
-* :mod:`repro.allen` — the thirteen interval relationships, their
-  explicit inequality constraints, and a derived composition table
-  (Figure 2);
+* :mod:`repro.allen` — the thirteen interval relationships and their
+  explicit inequality constraints (Figure 2);
 * :mod:`repro.relational` / :mod:`repro.query` / :mod:`repro.algebra`
   — the conventional system of Section 3: a Quel-like query language,
   logical algebra with selection/projection pushdown (Figure 3), and a
@@ -44,11 +43,8 @@ Quickstart::
 from . import (
     algebra,
     allen,
-    bitemporal,
     model,
-    multiattr,
     optimizer,
-    patterns,
     query,
     relational,
     semantic,
@@ -67,11 +63,8 @@ __all__ = [
     "__version__",
     "algebra",
     "allen",
-    "bitemporal",
     "model",
-    "multiattr",
     "optimizer",
-    "patterns",
     "query",
     "relational",
     "semantic",

@@ -1,10 +1,9 @@
 """Allen interval algebra (Figure 2 of the paper).
 
-The thirteen elementary temporal relationships, their explicit
-inequality constraints, and the derived composition table.
+The thirteen elementary temporal relationships and their explicit
+inequality constraints.
 """
 
-from .composition import compose, compose_sets, is_consistent_triple
 from .relations import (
     ALL_RELATIONS,
     GENERAL_OVERLAP,
@@ -34,10 +33,7 @@ __all__ = [
     "GENERAL_OVERLAP",
     "Term",
     "classify",
-    "compose",
-    "compose_sets",
     "constraint_for",
     "general_overlap_constraint",
     "intra_tuple_constraint",
-    "is_consistent_triple",
 ]

@@ -9,10 +9,10 @@ them *before anything runs*:
 * :mod:`repro.analysis.framework` — a small AST lint framework (rule
   registry, per-file visitor dispatch, ``# repro: noqa(RULE)``
   suppressions, human and JSON reporters);
-* :mod:`repro.analysis.rules` — the repo-specific rules REP001-REP006
-  (tie-safe comparators, BufferPool discipline, seeded randomness in
-  worker paths, WorkspaceMeter accounting, context-managed tracer
-  spans, no bare ``assert`` in ``src/``);
+* :mod:`repro.analysis.rules` — the repo-specific rules REP001 and
+  REP003-REP006 (tie-safe comparators, seeded randomness in worker
+  paths, WorkspaceMeter accounting, context-managed tracer spans, no
+  bare ``assert`` in ``src/``);
 * :mod:`repro.analysis.tables` — Tables 1-3 encoded as data plus a
   symbolic derivation of single-pass admissibility from each cell's
   sort orders and operator condition (an inequality-closure theorem

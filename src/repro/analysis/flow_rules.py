@@ -357,7 +357,6 @@ _CHARGING_PRIMITIVES = frozenset(
 #: the erosion this rule exists to catch.
 _GOVERNED_FUNCTIONS: Sequence[Tuple[str, Tuple[str, ...]]] = (
     ("storage/heap_file.py", ("page", "scan")),
-    ("storage/buffer_pool.py", ("get_page",)),
     ("streams/stream.py", ("_open", "note_batch_pass")),
     ("streams/workspace.py", ("on_insert",)),
     ("columnar/backend.py", ("_absorb", "_materialise")),

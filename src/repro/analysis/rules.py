@@ -1,14 +1,14 @@
-"""The repo-specific lint rules (REP001-REP006).
+"""The repo-specific lint rules (REP001, REP003-REP006).
 
 Each rule protects one structural claim of the paper (or one
 engineering invariant earlier PRs established to keep the
 reproduction honest).  Rules are deliberately calibrated against the
 real tree: they encode *which* constructs are sanctioned (e.g. the
-tie-safe comparator vocabulary in ``model/interval.py``, the
-``BufferPool`` facade, seeded ``random.Random`` instances) and flag
-everything else.  Scope decisions use forward-slash path fragments so
-the same rules run unchanged over the fixture corpus in
-``tests/analysis/fixtures/``, which mirrors the repo layout.
+tie-safe comparator vocabulary in ``model/interval.py``, seeded
+``random.Random`` instances) and flag everything else.  Scope
+decisions use forward-slash path fragments so the same rules run
+unchanged over the fixture corpus in ``tests/analysis/fixtures/``,
+which mirrors the repo layout.
 """
 
 from __future__ import annotations
@@ -115,44 +115,6 @@ class TieSafeComparators(Rule):
                         "tie-safe in one place",
                     )
                     return
-
-
-@register_rule
-class BufferPoolDiscipline(Rule):
-    """REP002: all page access goes through ``BufferPool``."""
-
-    id = "REP002"
-    title = "heap/page access bypassing BufferPool"
-    rationale = (
-        "Section 5's cost model counts page I/O; the experiments only "
-        "reproduce if every page fetch is observed by the BufferPool "
-        "(hit/miss accounting, capacity pressure).  Direct "
-        "HeapFile.page() calls or Page() construction outside the "
-        "storage layer make I/O invisible to the model."
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if module.in_dir("storage") or module.in_dir("resilience"):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "page":
-                yield module.finding(
-                    self,
-                    node,
-                    "direct .page() access bypasses BufferPool "
-                    "accounting; go through BufferPool.get_page() / "
-                    ".scan()",
-                )
-            elif isinstance(func, ast.Name) and func.id == "Page":
-                yield module.finding(
-                    self,
-                    node,
-                    "constructing Page outside the storage layer; pages "
-                    "are owned by HeapFile/BufferPool",
-                )
 
 
 @register_rule

@@ -175,10 +175,6 @@ class StorageError(ReproError):
     """Base class for errors in the simulated storage layer."""
 
 
-class BufferPoolError(StorageError):
-    """Raised when the buffer pool cannot satisfy a pin request."""
-
-
 class TransientIOError(StorageError):
     """A page read failed in a way that a retry may heal (the simulated
     analogue of a dropped request or a momentary device error).  Raised

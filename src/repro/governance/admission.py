@@ -1,7 +1,7 @@
 """Admission control: bounded concurrent-query slots.
 
 The always-on service cannot let an unbounded number of queries run
-concurrently — each holds workspace, buffer-pool frames, and possibly
+concurrently — each holds workspace, page reads, and possibly
 shared-memory segments.  :class:`AdmissionController` grants at most
 ``max_concurrent`` slots; a query that cannot get one waits in line up
 to ``queue_timeout`` seconds and is then rejected with the typed

@@ -15,13 +15,6 @@ from .constraints import (
     Violation,
     faculty_constraints,
 )
-from .coalesce import (
-    coalesce,
-    history_intervals,
-    is_coalesced,
-    timeslice,
-    total_duration,
-)
 from .interval import Interval
 from .relation import TemporalRelation
 from .sortorder import (
@@ -68,13 +61,8 @@ __all__ = [
     "TimeDomain",
     "Timepoint",
     "Violation",
-    "coalesce",
     "faculty_constraints",
-    "history_intervals",
-    "is_coalesced",
     "order_satisfies",
     "sort_tuples",
-    "timeslice",
-    "total_duration",
     "validate_timepoint",
 ]

@@ -30,9 +30,8 @@ from .time_domain import Timepoint, validate_timepoint
 
 class HasLifespan(Protocol):
     """Anything carrying a half-open lifespan ``[valid_from, valid_to)``
-    — :class:`~repro.model.tuples.TemporalTuple`, multi-attribute and
-    bitemporal tuples, and (via its alias properties) :class:`Interval`
-    itself."""
+    — :class:`~repro.model.tuples.TemporalTuple` and (via its alias
+    properties) :class:`Interval` itself."""
 
     @property
     def valid_from(self) -> Timepoint: ...

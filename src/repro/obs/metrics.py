@@ -14,8 +14,8 @@ Usage::
     uninstall_registry()
 
 The registry is deliberately synchronous and process-local — it models
-the paper-relevant quantities (page I/O, buffer-pool hits, workspace
-sizes, resilience events), not a distributed telemetry pipeline.
+the paper-relevant quantities (page I/O, workspace sizes, resilience
+events), not a distributed telemetry pipeline.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ how tests exercise the :class:`~repro.errors.StorageFaultError` path.
 
 :class:`ResilientHeapFile` wraps a :class:`~repro.storage.heap_file.
 HeapFile` with a plan and a retry policy.  It quacks like a heap file
-(``scan``/``page``/``file_id``/…), so tuple streams, the buffer pool,
-and the external sort run over it unchanged.
+(``scan``/``page``/``num_pages``/…), so tuple streams and the
+external sort run over it unchanged.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ class ResilientHeapFile:
     """A heap file behind fault injection and retry-with-backoff.
 
     Drop-in for :class:`~repro.storage.heap_file.HeapFile` wherever
-    pages are *read* (streams, buffer pool, external sort); writes pass
+    pages are *read* (streams, external sort); writes pass
     straight through to the wrapped file.
     """
 
@@ -235,10 +235,6 @@ class ResilientHeapFile:
     @property
     def name(self) -> str:
         return self.inner.name
-
-    @property
-    def file_id(self) -> int:
-        return self.inner.file_id
 
     @property
     def page_capacity(self) -> int:

@@ -8,11 +8,6 @@ from .knowledge import (
     chronological_facts,
     extract_context,
 )
-from .network import (
-    QualitativeNetwork,
-    network_from_graph,
-    possible_relations,
-)
 from .optimizer import (
     JoinFinding,
     SemanticReport,
@@ -37,7 +32,6 @@ __all__ = [
     "GENERAL_OVERLAP",
     "ImplicationGraph",
     "JoinFinding",
-    "QualitativeNetwork",
     "QueryContext",
     "SemanticReport",
     "SimplificationResult",
@@ -49,8 +43,6 @@ __all__ = [
     "extract_context",
     "is_redundant",
     "is_temporal_comparison",
-    "network_from_graph",
-    "possible_relations",
     "recognize_allen",
     "recognize_derived_containment",
     "semantically_optimize",

@@ -1,20 +1,15 @@
-"""Simulated storage substrate: pages, heap files, buffer pool, and
-external sort, all instrumented with I/O counters so query plans can be
-compared by disk accesses and passes over streams."""
+"""Simulated storage substrate: pages, heap files and external sort,
+all instrumented with I/O counters so query plans can be compared by
+disk accesses and passes over streams."""
 
-from .buffer_pool import BufferPool
 from .external_sort import ExternalSortResult, external_sort
 from .heap_file import HeapFile
-from .index import ENDPOINTS, EndpointIndex
 from .iostats import CostWeights, IOStats
 from .page import DEFAULT_PAGE_CAPACITY, Page
 
 __all__ = [
-    "BufferPool",
     "CostWeights",
     "DEFAULT_PAGE_CAPACITY",
-    "ENDPOINTS",
-    "EndpointIndex",
     "ExternalSortResult",
     "HeapFile",
     "IOStats",

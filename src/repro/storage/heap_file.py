@@ -9,7 +9,6 @@ IOStats` (or a caller-provided one), which is how benchmarks observe
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterable, Iterator, Optional
 
 from ..governance.budget import active_token
@@ -17,10 +16,6 @@ from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
 from .iostats import IOStats
 from .page import DEFAULT_PAGE_CAPACITY, Page
-
-#: Process-wide generator of never-reused file ids (unlike ``id()``,
-#: which the allocator recycles after garbage collection).
-_FILE_IDS = itertools.count()
 
 
 class HeapFile:
@@ -34,10 +29,6 @@ class HeapFile:
         verify_checksums: bool = True,
     ) -> None:
         self.name = name
-        #: Unique identity of this file object.  Two files may share a
-        #: *name* (re-created runs, test fixtures); caches such as the
-        #: buffer pool must key frames by this id, never by name.
-        self.file_id = next(_FILE_IDS)
         self.page_capacity = page_capacity
         self.stats = stats if stats is not None else IOStats()
         #: When True (the default), every page fetch re-verifies the

@@ -35,7 +35,6 @@ from .contain_semijoin import (
     ContainSemijoinTsTe,
     ContainSemijoinTsTs,
 )
-from .merge_equijoin import SurrogateMergeJoin
 from .mirror import MirroredProcessor, mirror_stream, mirror_tuple
 from .overlap import OverlapJoin, OverlapSemijoin
 from .self_semijoin import (
@@ -73,7 +72,6 @@ __all__ = [
     "SelfContainSemijoinDesc",
     "SelfContainedSemijoin",
     "StreamProcessor",
-    "SurrogateMergeJoin",
     "SymmetricSweepJoin",
     "UnboundedStateJoin",
     "before_predicate",

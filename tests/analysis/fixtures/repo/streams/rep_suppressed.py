@@ -11,7 +11,7 @@ def blanket(a, b):
 
 
 def wrong_code(a, b):
-    return a.valid_to < b.valid_to  # repro: noqa(REP002)
+    return a.valid_to < b.valid_to  # repro: noqa(REP003)
 
 
 def in_string():

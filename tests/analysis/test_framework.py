@@ -41,7 +41,7 @@ def test_coded_noqa_suppresses_only_listed_rules():
     supp = suppressions_for(text)
     assert supp[1] == frozenset({"REP001", "REP006"})
     assert is_suppressed(Finding("REP001", "m", "f.py", 1, 1), supp)
-    assert not is_suppressed(Finding("REP002", "m", "f.py", 1, 1), supp)
+    assert not is_suppressed(Finding("REP003", "m", "f.py", 1, 1), supp)
 
 
 def test_noqa_inside_string_literal_is_inert():

@@ -28,8 +28,6 @@ EXPECTED = {
     ("REP001", "streams/rep001_violation.py", 25),
     ("REP001", "streams/rep001_violation.py", 29),
     ("REP001", "streams/rep_suppressed.py", 14),
-    ("REP002", "query/rep002_violation.py", 5),
-    ("REP002", "query/rep002_violation.py", 9),
     ("REP003", "parallel/rep003_violation.py", 7),
     ("REP003", "parallel/rep003_violation.py", 8),
     ("REP003", "parallel/rep003_violation.py", 12),
@@ -63,7 +61,6 @@ CLEAN_FIXTURES = [
     "model/interval.py",
     "model/rep003_scope.py",
     "streams/rep001_clean.py",
-    "storage/rep002_clean.py",
     "parallel/rep003_clean.py",
     "governance/rep003_clean.py",
     "streams/rep004_clean.py",
@@ -86,7 +83,7 @@ def test_corpus_produces_exactly_the_expected_findings(corpus_report):
     # The two REP003 findings on line 16 collapse in a set; compare
     # multiset cardinality separately.
     assert got == EXPECTED
-    assert len(corpus_report.findings) == 36
+    assert len(corpus_report.findings) == 34
     assert not corpus_report.parse_errors
 
 
@@ -101,19 +98,19 @@ def test_suppressions_are_counted(corpus_report):
 
 
 def test_mismatched_noqa_code_does_not_suppress(corpus_report):
-    # noqa(REP002) on a REP001 violation leaves the finding live.
+    # noqa(REP003) on a REP001 violation leaves the finding live.
     assert ("REP001", "streams/rep_suppressed.py", 14) in {
         (f.rule, f.path, f.line) for f in corpus_report.findings
     }
 
 
 def test_mismatched_noqa_is_reported_unused(corpus_report):
-    # ...and the same stale noqa(REP002) is surfaced as unused, so
+    # ...and the same stale noqa(REP003) is surfaced as unused, so
     # --strict-noqa keeps the exemption list honest.
     assert [
         (u.path, u.line, u.codes)
         for u in corpus_report.unused_suppressions
-    ] == [("streams/rep_suppressed.py", 14, ("REP002",))]
+    ] == [("streams/rep_suppressed.py", 14, ("REP003",))]
 
 
 @pytest.mark.parametrize("relative", CLEAN_FIXTURES)

@@ -20,9 +20,10 @@ from repro.optimizer import TemporalJoinPlanner
 from repro.query import parse_query, translate
 from repro.semantic import semantically_optimize
 from repro.stats import collect_statistics
-from repro.storage import BufferPool, HeapFile, IOStats, external_sort
+from repro.storage import HeapFile, IOStats, external_sort
 from repro.streams import (
     ContainJoinTsTs,
+    NestedLoopJoin,
     TemporalOperator,
     TupleStream,
     contain_predicate,
@@ -83,20 +84,38 @@ class TestStorageToStreams:
         assert join.metrics.passes_y == 1
         assert stats.page_reads > 0 and stats.page_writes > 0
 
-    def test_buffer_pool_scan_feeds_stream(self):
-        rel = PoissonWorkload(
-            200, 0.5, fixed_duration(10), name="Z"
-        ).generate(3).sorted_by(TS_ASC)
-        stats = IOStats()
-        heap = HeapFile.from_records("z", rel.tuples, stats=stats)
-        pool = BufferPool(capacity_pages=4)
-        stream = TupleStream(
-            lambda: pool.scan(heap, stats=stats),
-            order=TS_ASC,
-            name="pooled",
+    def test_nested_loop_rereads_inner_per_outer_tuple(self):
+        """Section 3: the conventional nested loop re-reads the inner
+        relation once per outer tuple; the stream join reads each input
+        once.  600 x 600 tuples on 16-record pages, no page cache."""
+        x_file, y_file = (
+            HeapFile.from_records(
+                name,
+                PoissonWorkload(600, 0.5, fixed_duration(d), name=name)
+                .generate(seed)
+                .sorted_by(TS_ASC)
+                .tuples,
+                page_capacity=16,
+            )
+            for name, d, seed in (("X", 25, 1), ("Y", 6, 2))
         )
-        assert len(list(stream.drain())) == 200
-        assert pool.misses > 0
+
+        def run(operator, *predicate):
+            stats = IOStats()
+            join = operator(
+                TupleStream(lambda: x_file.scan(stats=stats), order=TS_ASC),
+                TupleStream(lambda: y_file.scan(stats=stats), order=TS_ASC),
+                *predicate,
+            )
+            rows = sorted((a.value, b.value) for a, b in join.run())
+            return rows, stats.page_reads
+
+        nested_rows, nested_reads = run(NestedLoopJoin, contain_predicate)
+        stream_rows, stream_reads = run(ContainJoinTsTs)
+        assert (x_file.num_pages, y_file.num_pages) == (38, 38)
+        assert nested_reads == 38 + 600 * 38 == 22_838
+        assert stream_reads == 38 + 38
+        assert nested_rows == stream_rows
 
 
 class TestQueryToBothEngines:

@@ -1,12 +1,12 @@
-"""Storage-layer hardening: page checksums, buffer-pool invalidation
-by file identity, and stream restart semantics."""
+"""Storage-layer hardening: page checksums and stream restart
+semantics."""
 
 import pytest
 
 from repro.errors import PageCorruptionError, StreamOrderError
 from repro.model import TemporalTuple
 from repro.model.sortorder import TS_ASC
-from repro.storage import BufferPool, HeapFile
+from repro.storage import HeapFile
 from repro.storage.page import Page
 from repro.streams import TupleStream
 
@@ -41,43 +41,6 @@ class TestPageChecksums:
         f.extend(tuples(8))
         f._pages[0]._records[0] = TemporalTuple("evil", 99, 0, 1)
         assert len(list(f.scan())) == 8
-
-
-class TestBufferPoolInvalidation:
-    def test_invalidate_drops_only_that_file(self):
-        pool = BufferPool(capacity_pages=16)
-        a = HeapFile.from_records("a", tuples(8), page_capacity=4)
-        b = HeapFile.from_records("b", tuples(8), page_capacity=4)
-        list(pool.scan(a))
-        list(pool.scan(b))
-        assert len(pool) == 4
-        pool.invalidate(a)
-        assert len(pool) == 2
-        hits_before = pool.hits
-        list(pool.scan(b))
-        assert pool.hits == hits_before + 2  # b's frames survived
-
-    def test_recreated_file_with_same_name_never_sees_stale_frames(self):
-        pool = BufferPool(capacity_pages=16)
-        old = HeapFile.from_records("runs", tuples(8), page_capacity=4)
-        list(pool.scan(old))
-        # Same name, new identity, different contents — the seed's
-        # name-keyed cache would happily serve old's pages here.
-        new = HeapFile.from_records(
-            "runs", tuples(8, start=100), page_capacity=4
-        )
-        assert list(pool.scan(new)) == new.records()
-        # And invalidating the new file leaves the old file's frames.
-        pool.invalidate(new)
-        assert (old.file_id, 0) in pool._frames
-
-    def test_eviction_keeps_secondary_index_consistent(self):
-        pool = BufferPool(capacity_pages=2)
-        f = HeapFile.from_records("big", tuples(16), page_capacity=4)
-        list(pool.scan(f))
-        assert len(pool) == 2
-        pool.invalidate(f)  # must not KeyError on evicted frames
-        assert len(pool) == 0
 
 
 class TestStreamRestart:

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from repro.allen.symbolic import Comparison, CompOp, Conjunction, Endpoint, EndpointKind
 from repro.model import Interval
-from repro.semantic import (
-    ImplicationGraph,
-    eliminate_redundant,
-    possible_relations,
-)
-from repro.allen import classify
+from repro.semantic import ImplicationGraph, eliminate_redundant
 
 VARIABLES = ("u", "v", "w")
 
@@ -103,17 +98,3 @@ class TestImplicationSoundness:
         for binding in assignments():
             if holds(facts, binding):
                 assert candidate.evaluate(binding)
-
-
-class TestPossibleRelationsSoundness:
-    @settings(max_examples=40, deadline=None)
-    @given(background_strategy)
-    def test_true_relation_always_possible(self, facts):
-        """For every model of the facts, the actually-holding Allen
-        relation between u and v must be in possible_relations."""
-        graph = ImplicationGraph()
-        graph.add_facts(facts)
-        allowed = possible_relations("u", "v", graph)
-        for binding in assignments():
-            if holds(facts, binding):
-                assert classify(binding["u"], binding["v"]) in allowed

@@ -15,8 +15,6 @@ EXPECTED_MARKERS = {
     "sort_order_tradeoffs.py": "planner choices for Contain-join:",
     "payroll_history.py": "shuffled input correctly rejected",
     "semantic_optimization.py": "results identical before/after",
-    "hr_audit.py": "decompose -> recompose round-trips exactly",
-    "incident_patterns.py": "ran as one scan",
 }
 
 
