@@ -28,8 +28,8 @@ return positional indexes; payloads are materialised once per output.
 from __future__ import annotations
 
 from array import array
-from itertools import islice
-from operator import ge, le
+from itertools import compress, islice
+from operator import ge, le, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ..errors import StreamOrderError
@@ -64,15 +64,17 @@ class IntervalColumns:
     Endpoint columns are any int64 buffer the kernels can index — an
     ``array('q')``, or a ``memoryview`` cast to ``'q'`` over a
     ``multiprocessing.shared_memory`` segment (the zero-copy shard
-    runtime maps published columns read-only this way).  ``payload``
-    may be ``None`` for such endpoint-only views: kernels return
+    runtime maps published columns read-only this way), or a list of
+    ints (a selection's, gathered per query from a relation's validated
+    columns).
+    ``payload`` may be ``None`` for endpoint-only views: kernels return
     positional indexes, and the payloads materialise lazily on
     whichever side of the process boundary owns the tuple objects.
     """
 
     __slots__ = (
         "ts", "te", "payload", "order", "name", "_tuples", "statistics",
-        "orders",
+        "orders", "selected_from",
     )
 
     def __init__(
@@ -103,6 +105,10 @@ class IntervalColumns:
         #: Likewise its relation's ``{order: SortedView}`` memo, when
         #: these columns are the relation's own or one of those views.
         self.orders: Optional[dict] = None
+        #: The columns these are some rows of, in the same order (what a
+        #: selection below a join keeps); both payloads are positions
+        #: of the same rows, ``len(selected_from)`` of them.
+        self.selected_from: Optional[IntervalColumns] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -180,13 +186,17 @@ class IntervalColumns:
 
     @staticmethod
     def _in_order(keys: list) -> bool:
-        """One C-level pass: does a single key column already obey its
-        order?  Compound orders are not decided here (``False``)."""
-        if len(keys) != 1:
-            return False
-        ((column, descending),) = keys
-        in_order = ge if descending else le
-        return all(map(in_order, column, islice(column, 1, None)))
+        """One C-level pass: do the key columns already obey their
+        order?  A compound order compares rows as tuples of their keys,
+        a descending key negated."""
+        if len(keys) == 1:
+            ((column, descending),) = keys
+            in_order = ge if descending else le
+            return all(map(in_order, column, islice(column, 1, None)))
+        rows = list(
+            zip(*(map(neg, c) if descending else c for c, descending in keys))
+        )
+        return all(map(le, rows, islice(rows, 1, None)))
 
     def sorted_by(self, order: SortOrder) -> "IntervalColumns":
         """These columns in ``order`` (endpoint keys only), exactly as
@@ -196,7 +206,11 @@ class IntervalColumns:
         object is the same iff no argsort ran; otherwise the argsort's
         permutation carries ``ts``, ``te`` and the payload along.  A
         relation's own columns (``orders`` set, no row moved) are
-        sorted once per order: the view is kept on the relation."""
+        sorted once per order: the view is kept on the relation.  A
+        selection is its source's sorted form, filtered: a stable sort
+        cut down to some rows is the stable sort of those rows."""
+        if self.selected_from is not None:
+            return self._kept_rows_of(self.selected_from.sorted_by(order))
         kept = self.orders if isinstance(self.payload, range) else None
         view = None if kept is None else kept.get(order)
         if view is None:
@@ -218,6 +232,28 @@ class IntervalColumns:
         columns.orders = kept
         return columns
 
+    def _kept_rows_of(self, view: "IntervalColumns") -> "IntervalColumns":
+        """This selection's rows in the order of ``view``, its source
+        sorted: shared when no row moved, else ``view`` filtered by
+        payload position — one C-level ``compress`` per column."""
+        permutation = view.payload
+        if isinstance(permutation, range) or (
+            permutation is self.selected_from.payload
+        ):
+            ts, te, payload = self.ts, self.te, self.payload
+        else:
+            selected = [False] * len(view)
+            for position in self.payload:
+                selected[position] = True
+            keep = list(map(selected.__getitem__, permutation))
+            ts, te, payload = (
+                list(compress(column, keep))
+                for column in (view.ts, view.te, permutation)
+            )
+        columns = IntervalColumns(ts, te, payload, view.order, self.name)
+        columns.selected_from = view
+        return columns
+
     def verify_order(self) -> None:
         """Check the endpoint columns against the declared sort order,
         columnar-ly (no per-tuple attribute extraction).
@@ -227,10 +263,14 @@ class IntervalColumns:
         stream cursor.  A relation's kept view was sorted or checked
         when it was kept; a relation's own columns that pass are kept
         as the view (a declared order is checked once per relation, not
-        per query), and a failure keeps nothing.
+        per query), and a failure keeps nothing.  A selection of columns
+        in this order is in it wherever they are.
         """
-        order, kept = self.order, self.orders
+        order, kept, source = self.order, self.orders, self.selected_from
         if order is None:
+            return
+        if source is not None and source.order == order:
+            source.verify_order()
             return
         view = None if kept is None else kept.get(order)
         if view is not None and view.ts is self.ts and view.te is self.te:
@@ -254,8 +294,8 @@ class IntervalColumns:
             kept[order] = SortedView(self.ts, self.te, self.payload, {})
 
     def _raise_first_violation(self, keys: list) -> None:
-        """The slow pass, when the C-level one did not vouch for the
-        columns (a compound order may still have no violation)."""
+        """The slow pass, run only to name the violation the C-level
+        one found."""
         for i in range(1, len(self.ts)):
             for column, descending in keys:
                 a, b = column[i - 1], column[i]

@@ -27,11 +27,15 @@ endpoint columns (:func:`_operand`), its payload the row position.
 Endpoint columns that arrive untouched from a scan are validated,
 summarised and put in each sort order once per relation — the arrays,
 the statistics and the sorted views are memoised on it and shared,
-read-only, by every query; any other columns are validated in bulk and
-sorted per query.  The sort (an argsort, skipped when the columns are
-already in order) and the batch backends' drain read the columns too,
-so a columnar or fused join builds no
-:class:`~repro.model.tuples.TemporalTuple` at all; a consumer that is
+read-only, by every query.  A selection below the join keeps the
+relation and names the rows it kept: its operand is those rows of the
+relation's, summarised per query and sorted by filtering the relation's
+kept view.  Any other columns (a pruned endpoint, a join below the
+join) are validated in bulk and sorted per query.  The sort (an
+argsort, skipped when the columns are already in order) and the batch
+backends' drain read the columns too, so a columnar or fused join
+builds no :class:`~repro.model.tuples.TemporalTuple` at all; a
+consumer that is
 tuple-at-a-time by nature (tuple backend, nested-loop winner, a
 recovery rung that reads tuples) makes the operand build them once —
 surrogate the row position, no value — so the stream operators (which
@@ -69,6 +73,7 @@ from ..allen.symbolic import Comparison, Conjunction, Endpoint, EndpointKind
 from ..columnar.relation import IntervalColumns
 from ..errors import ExecutionError, PlanningError
 from ..model.interval import Interval
+from ..model.relation import TemporalRelation
 from ..relational.expressions import Compare
 from ..relational.operators import Batch, BinaryOperator, EngineStats, Operator
 from ..relational.schema import Row, RowSchema
@@ -347,20 +352,23 @@ class _StreamJoin(BinaryOperator):
         """Plan and run the join over the two sides' operands; returns
         the ``(order, index column)`` sides of its index-pair relation
         — output ``k`` is position ``order[index[k]]`` of that side's
-        batch — and records the :class:`StreamJoinInfo`, whose
-        ``wall_seconds`` brackets plan + sort + sweep + index
-        extraction — no row is assembled inside it."""
+        batch columns, or ``index[k]`` where ``order`` is ``None`` — and
+        records the :class:`StreamJoinInfo`, whose ``wall_seconds``
+        brackets plan + sort + sweep + index extraction — no row is
+        assembled inside it."""
         x, y = (right, left) if self.swapped else (left, right)
         # Traced only: the orders each relation had kept before this run.
         traced = get_tracer().enabled
-        known = [set(o.orders or ()) for o in (x, y)] if traced else ()
+        known = (
+            [set((o.selected_from or o).orders or ()) for o in (x, y)]
+            if traced
+            else ()
+        )
         started = time.perf_counter()
         results, profile = self._planner.execute(
             self.operator_kind, x, y, recovery=self._recovery
         )
-        x_side, y_side = index_sides(
-            results, self.operator_kind.shape, x.payload, y.payload
-        )
+        x_side, y_side = index_sides(results, self.operator_kind.shape)
         wall_seconds = time.perf_counter() - started
         self.info = StreamJoinInfo(
             operator=self.operator_kind,
@@ -376,7 +384,9 @@ class _StreamJoin(BinaryOperator):
             output_rows=len(results),
             tuples_built=sum(o.tuples_built for o in operands.values()),
             sorted=any(
-                not isinstance(o.payload, range) for o in profile.operands
+                o.payload is not given.payload
+                and not isinstance(o.payload, range)
+                for o, given in zip(profile.operands, (x, y))
             ),
             orders_reused=sum(
                 o.order in seen for o, seen in zip(profile.operands, known)
@@ -427,7 +437,8 @@ def _operand(
 ) -> IntervalColumns:
     """One side's two endpoint columns — those of the one variable of
     ``related`` (the join predicate's two) that its schema carries — as
-    the planner's operand, payload the row position.
+    the planner's operand, payload each row's position in the batch's
+    columns.
 
     Projection pushdown may have pruned an endpoint the recognised
     operator never reads (Before/After mention only one endpoint per
@@ -436,10 +447,13 @@ def _operand(
     predicate.
 
     Endpoint columns that are still a relation's own (nothing since
-    the scan touched a row) are validated, summarised and sorted once,
-    on the relation, whose declared order they carry; the operand over
-    them is per query, so the tuples a tuple-at-a-time consumer builds
-    on it are not shared.
+    the scan touched a row) are the relation's operand
+    (:func:`_relation_operand`).  A selection's are some rows of them:
+    its operand is those rows of the relation's (``selected_from``), so
+    it is sorted by filtering the relation's kept view, summarised over
+    the rows kept and, like any undeclared operand, priced as a sort.
+    The operand is per query, so the tuples a tuple-at-a-time consumer
+    builds on it are not shared.
     """
     variable = _variable_of_schema(schema, related)
     starts, ends = (
@@ -450,47 +464,84 @@ def _operand(
         raise PlanningError(
             f"neither endpoint of {variable!r} survives in the schema"
         )
-    relation = batch.relation
+    relation, rows = batch.relation, batch.selection
+    whole = None
     if relation is not None:
-        _, _, own_starts, own_ends = relation.columns()
-        if starts is own_starts and ends is own_ends:
-            if relation.endpoints is None:
-                relation.endpoints = _validated(starts, ends)
-            operand = IntervalColumns(
-                *relation.endpoints, range(batch.length), None
-            )
-            # A declared order is a claim the stream layer checks: one
-            # with a non-endpoint key (no column) stays undeclared.
-            order = relation.order
-            if order is not None and operand._key_columns(order) is not None:
-                operand.order = order
-            operand.statistics = collect_statistics(relation)
-            operand.orders = relation.orders
-            return operand
+        # A bad row a selection drops must not fail the query.
+        whole = _relation_operand(relation, starts, ends, rows is None)
+    if rows is not None:
+        # Gathered from the relation's lists, not its arrays: no int is
+        # boxed.
+        starts, ends = (
+            None if column is None else list(map(column.__getitem__, rows))
+            for column in (starts, ends)
+        )
+    if whole is not None:
+        if rows is None:
+            return whole
+        operand = IntervalColumns(starts, ends, rows, None)
+        operand.selected_from = whole
+        return operand
     if ends is None:
         ends = [start + 1 for start in starts]
     if starts is None:
         starts = [end - 1 for end in ends]
     return IntervalColumns(
-        *_validated(starts, ends), range(batch.length), None
+        *_validated(starts, ends),
+        range(batch.length) if rows is None else rows,
+        None,
     )
 
 
-def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
+def _relation_operand(
+    relation: TemporalRelation, starts: Sequence, ends: Sequence, strict: bool
+) -> Optional[IntervalColumns]:
+    """The operand over ``relation``'s own endpoint columns, if
+    ``starts``/``ends`` are they: validated, summarised and sorted once,
+    on the relation, whose declared order it carries.  ``None`` when
+    they are not — or, unless ``strict``, when a row fails validation
+    (the caller then validates only the rows it reads)."""
+    _, _, own_starts, own_ends = relation.columns()
+    if starts is not own_starts or ends is not own_ends:
+        return None
+    if relation.endpoints is None:
+        relation.endpoints = (_validated if strict else _int64)(starts, ends)
+        if relation.endpoints is None:
+            return None
+    operand = IntervalColumns(*relation.endpoints, range(len(relation)), None)
+    # A declared order is a claim the stream layer checks: one with a
+    # non-endpoint key (no column) stays undeclared.
+    order = relation.order
+    if order is not None and operand._key_columns(order) is not None:
+        operand.order = order
+    operand.statistics = collect_statistics(relation)
+    operand.orders = relation.orders
+    return operand
+
+
+def _int64(starts: Sequence, ends: Sequence) -> Optional[tuple[array, array]]:
     """Two endpoint columns as int64 arrays, validated in bulk, at C
-    level.  Only when that fails does a second pass visit the rows one
-    by one, so the first offending row raises exactly what building its
-    :class:`~repro.model.tuples.TemporalTuple` would have — or, for an
-    endpoint the model admits and an int64 column cannot hold, an
-    :class:`~repro.errors.ExecutionError` naming the row and value."""
+    level; ``None`` when some row is not a well-formed interval of
+    plain ints."""
     try:
         ts, te = array("q", starts), array("q", ends)
-        well_formed = all(map(lt, ts, te)) and (
-            {*map(type, starts), *map(type, ends)} <= {int}
-        )
     except (TypeError, OverflowError):
-        well_formed = False
-    if not well_formed:
+        return None
+    well_formed = all(map(lt, ts, te)) and (
+        {*map(type, starts), *map(type, ends)} <= {int}
+    )
+    return (ts, te) if well_formed else None
+
+
+def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
+    """:func:`_int64`, or — only when that fails — a second pass over
+    the rows one by one, so the first offending row raises exactly what
+    building its :class:`~repro.model.tuples.TemporalTuple` would have —
+    or, for an endpoint the model admits and an int64 column cannot
+    hold, an :class:`~repro.errors.ExecutionError` naming the row and
+    value."""
+    arrays = _int64(starts, ends)
+    if arrays is None:
         for row, (start, end) in enumerate(zip(starts, ends)):
             Interval(start, end)  # raises on the first offending row
             for endpoint in (start, end):
@@ -499,17 +550,17 @@ def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
                         f"row {row}: endpoint {endpoint} is outside the "
                         "stream engine's int64 time domain"
                     )
-        ts, te = array("q", starts), array("q", ends)  # int subclasses
-    return ts, te
+        arrays = array("q", starts), array("q", ends)  # int subclasses
+    return arrays
 
 
 def _gathered(left_side, right_side, positions: Sequence[int]) -> list:
     """Index-pair relation -> one lazy column per entry of
     ``positions`` (of the concatenated schema).  A side is ``(batch,
     order, index)``: each column asked for is put in the kernel's order
-    once (|side| work, none when nothing moved the rows) and kept beside
-    ``order`` when that is one of its relation's kept permutations,
-    then looked up per output pair."""
+    once (|side| work, none when nothing moved the rows: ``order`` is
+    ``None``) and kept beside ``order`` when that is one of its
+    relation's kept permutations, then looked up per output pair."""
     columns = left_side[0].columns + right_side[0].columns
     ordered: dict[int, Sequence] = {}
     lookups = []
@@ -519,7 +570,7 @@ def _gathered(left_side, right_side, positions: Sequence[int]) -> list:
         column = ordered.get(position)
         if column is None:
             column = columns[position]
-            if not isinstance(order, range):
+            if order is not None:
                 relation = batch.relation
                 views = () if relation is None else relation.orders.values()
                 kept = next(

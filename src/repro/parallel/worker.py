@@ -239,12 +239,7 @@ def run_shard(
         page_capacity=task["page_capacity"],
     )
     # The shard boundary is where a lazy join output is consumed.
-    (x_rows, first), (y_rows, second) = index_sides(
-        outcome.results,
-        shape,
-        x_cols.payload,
-        None if y_cols is None else y_cols.payload,
-    )
+    (x_rows, first), (y_rows, second) = index_sides(outcome.results, shape)
     first = _local_positions(x_rows, first)
     residual_filtered = 0
     if shape == "self":
@@ -277,9 +272,11 @@ def run_shard(
     return summary, chunk
 
 
-def _local_positions(rows: Sequence[int], index: Sequence[int]) -> array:
+def _local_positions(
+    rows: Optional[Sequence[int]], index: Sequence[int]
+) -> array:
     """One side of the decoded output as shard-local positions: the
     kernel's index column as it is unless a rung moved the rows."""
-    if not isinstance(rows, range):
+    if rows is not None:
         index = map(rows.__getitem__, index)
     return array("q", index)

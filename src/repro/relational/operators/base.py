@@ -5,7 +5,9 @@ Every operator exposes an output :class:`RowSchema` and is consumed
 row-at-a-time (``__iter__``) or column-at-a-time
 (:meth:`Operator.batch`, what a stream join asks of its children), to
 the same rows and the same charges; only a temporal scan, a plain
-projection and a selection answer the latter without building rows.
+projection and a selection answer the latter without building rows, and
+over a scan a selection names the rows it keeps instead of copying
+them.
 Operators in one plan share an :class:`EngineStats` so benchmarks can
 read total scans, rows and predicate evaluations off the executed plan
 — the conventional-side counterpart of the stream engine's
@@ -41,14 +43,28 @@ class EngineStats:
 
 class Batch(NamedTuple):
     """An operator's whole output: one column per schema attribute,
-    each ``length`` long.  Columns may be shared: read, never write."""
+    each ``length`` long — or, with a ``selection``, the columns its
+    rows are kept from.  Columns may be shared: read, never write."""
 
     columns: list[Sequence]
     length: int
     #: Set while every column is still one of this relation's own
-    #: ``columns()`` (a scan, plain projections of it), so a consumer
-    #: may use what the relation memoises about them.
+    #: ``columns()`` (a scan, plain projections and selections of it),
+    #: so a consumer may use what the relation memoises about them.
     relation: Optional[TemporalRelation] = None
+    #: With ``relation``: the ascending positions of the relation rows
+    #: a selection kept (``None``: every row).  Row ``i`` of the batch
+    #: is entry ``selection[i]`` of each column.
+    selection: Optional[Sequence[int]] = None
+
+    def materialised(self) -> list[Sequence]:
+        """The output columns themselves, ``length`` long each."""
+        if self.selection is None:
+            return self.columns
+        return [
+            list(map(column.__getitem__, self.selection))
+            for column in self.columns
+        ]
 
 
 class Operator(abc.ABC):

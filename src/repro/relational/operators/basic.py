@@ -30,11 +30,20 @@ class Select(UnaryOperator):
                 yield row
 
     def batch(self) -> Batch:
+        """The kept rows; over a relation's own columns, named by their
+        positions in them (the columns stay the relation's)."""
         child = self.child.batch()
         self.stats.comparisons += child.length
-        keep = list(map(self._compiled, zip(*child.columns)))
-        columns = [list(compress(column, keep)) for column in child.columns]
-        return Batch(columns, len(columns[0]))
+        keep = map(self._compiled, zip(*child.materialised()))
+        if child.relation is None:
+            keep = list(keep)
+            columns = [list(compress(c, keep)) for c in child.columns]
+            return Batch(columns, len(columns[0]))
+        rows = child.selection
+        selection = list(
+            compress(range(child.length) if rows is None else rows, keep)
+        )
+        return child._replace(length=len(selection), selection=selection)
 
     def describe(self) -> str:
         return f"Select({self.predicate})"
@@ -82,9 +91,11 @@ class Project(UnaryOperator):
     def batch(self) -> Batch:
         if self._positions is None:
             return super().batch()
-        columns, length, relation = self.child.batch()
-        kept = [columns[position] for position in self._positions]
-        return Batch(kept, length, relation)
+        child = self.child.batch()
+        columns = child.columns
+        return child._replace(
+            columns=[columns[position] for position in self._positions]
+        )
 
     def describe(self) -> str:
         return f"Project({', '.join(self.schema.attributes)})"

@@ -128,43 +128,40 @@ def _positions(payload: Sequence) -> Sequence[int]:
     return payload
 
 
-def index_sides(results, shape: str, x_rows: Sequence, y_rows: Sequence):
-    """A cell's output as the ``(rows, index column)`` sides of an
-    index-pair relation: output ``k``, in emission order, is
-    ``x_rows[index[k]]`` (paired, for a join, with the Y side's).  For
-    operands whose payload entries — tuple surrogates, once tuples were
-    built — are positions into ``x_rows``/``y_rows``.
+def index_sides(results, shape: str):
+    """A cell's output as the ``(order, index column)`` sides of an
+    index-pair relation: output ``k``, in emission order, is row
+    ``order[index[k]]`` — or ``index[k]`` where ``order`` is ``None`` —
+    paired, for a join, with the Y side's.  For operands whose payload
+    entries — tuple surrogates, once tuples were built — are row
+    positions.
 
     The batch backends' lazy outputs (``LazyPairs``, and ``LazyResults``
     of a sharded plan) carry positions into the operands *as the kernel
-    read them*, so each side's rows are put in that order once (|side|
-    work, none when nothing moved them) and the kernel's index columns
-    are used as they are.  Anything else is a sequence of payload
-    entries, or pairs of them, that index the rows directly.
+    read them*, so a side's order is that operand's payload and the
+    kernel's index columns are used as they are.  Anything else is a
+    sequence of payload entries, or pairs of them, that are the row
+    positions themselves.
     """
     if hasattr(results, "index_columns"):
         x_index, y_index = results.index_columns()
         return (
-            (_in_order_of(results.x_payload, x_rows), x_index),
-            (_in_order_of(results.y_payload, y_rows), y_index),
+            (_order_of(results.x_payload), x_index),
+            (_order_of(results.y_payload), y_index),
         )
     if shape != "join":
-        return (x_rows, _positions(results)), (y_rows, ())
+        return (None, _positions(results)), (None, ())
     xs, ys = zip(*results) if results else ((), ())
-    return (x_rows, _positions(xs)), (y_rows, _positions(ys))
+    return (None, _positions(xs)), (None, _positions(ys))
 
 
-def _in_order_of(payload: Optional[Sequence], rows: Sequence) -> Sequence:
-    """``rows`` in the order of ``payload`` (a ``range`` when nothing
-    moved them).  Identity rows in the order of positions are those
-    positions: handed on as they are — a relation's kept permutation
-    is not copied per query."""
+def _order_of(payload: Optional[Sequence]) -> Optional[Sequence[int]]:
+    """The row positions a kernel operand's payload stands for, in its
+    order; ``None`` when nothing moved the rows (a ``range``).  A
+    relation's kept permutation is handed on, not copied per query."""
     if payload is None or isinstance(payload, range):
-        return rows
-    positions = _positions(payload)
-    if rows == range(len(positions)):
-        return positions
-    return list(map(rows.__getitem__, positions))
+        return None
+    return _positions(payload)
 
 
 def _exhaust(stream: Optional[TupleStream]) -> None:

@@ -1,11 +1,35 @@
 """Unit tests for the columnar interval representation."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import IntervalColumns
 from repro.errors import StreamOrderError
-from repro.model import TE_ASC, TS_ASC, TS_DESC, TemporalTuple
+from repro.model import (
+    TE_ASC,
+    TE_DESC,
+    TS_ASC,
+    TS_DESC,
+    TS_TE_ASC,
+    TS_TE_DESC,
+    TemporalTuple,
+    sort_tuples,
+)
 from repro.model.sortorder import SortOrder
+
+ORDERS = (
+    TS_ASC,
+    TS_DESC,
+    TE_ASC,
+    TE_DESC,
+    TS_TE_ASC,
+    TS_TE_DESC,
+    TS_TE_ASC.mirrored(),
+    TS_TE_DESC.mirrored(),
+)
 
 
 def T(value, ts, te):
@@ -66,6 +90,44 @@ class TestVerifyOrder:
         IntervalColumns.from_tuples(
             dup, order=TS_ASC, presorted=True
         ).verify_order()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=12
+        ),
+        st.sampled_from(ORDERS),
+        st.data(),
+    )
+    def test_the_one_pass_verdict_equals_the_slow_pass(
+        self, pairs, order, data
+    ):
+        """Compound orders too, on sorted columns, ties and one-swap
+        violations: the C-level pass decides, the slow one only names."""
+        drawn = [T(i, ts, ts + length) for i, (ts, length) in enumerate(pairs)]
+        tuples = sort_tuples(drawn, order)
+        if len(tuples) > 1 and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(tuples) - 2))
+            tuples[i], tuples[i + 1] = tuples[i + 1], tuples[i]
+        columns = IntervalColumns.from_tuples(tuples, order, presorted=True)
+        keys = columns._key_columns(order)
+        try:
+            columns._raise_first_violation(keys)
+            slow = True
+        except StreamOrderError:
+            slow = False
+        assert IntervalColumns._in_order(keys) is slow
+        assert slow is order.is_sorted(tuples)
+        with mock.patch.object(
+            IntervalColumns,
+            "_raise_first_violation",
+            side_effect=StreamOrderError("named"),
+        ) as named:
+            try:
+                columns.verify_order()
+            except StreamOrderError:
+                pass
+        assert named.called is not slow
 
     def test_surrogate_order_falls_back_to_tuple_check(self):
         order = SortOrder.by_surrogate()

@@ -521,10 +521,11 @@ def test_orders_reused_counts_operands_answered_from_the_memo(make, sorts):
     # What the plan says does not depend on which queries ran before.
     assert [s["sorted"] for s in spans] == [sorts] * 3
     assert [s["tuples_built"] for s in spans] == [0] * 3
-    # A selection below the join: that side is sorted per query.
+    # A selection below the join: that side filters the kept view.
     selected = DURING + " and a.Seq < 100"
     spans = [join_span(selected, cat) for _ in range(2)]
-    assert [s["orders_reused"] for s in spans] == [1, 1]
+    assert [s["orders_reused"] for s in spans] == [2, 2]
+    assert [s["sorted"] for s in spans] == [sorts] * 2
 
 
 # ----------------------------------------------------------------------

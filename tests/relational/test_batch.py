@@ -115,7 +115,8 @@ def test_column_form_equals_row_form(spec):
     by_rows = build(spec, EngineStats(), count())
     by_columns = build(spec, EngineStats(), count())
     rows = by_rows.run()
-    columns, length, _ = by_columns.batch()
+    batch = by_columns.batch()
+    columns, length = batch.materialised(), batch.length
     assert len(columns) == len(by_columns.schema)
     assert {len(column) for column in columns} == {length}
     assert list(zip(*columns)) == rows
@@ -132,16 +133,23 @@ def test_a_batch_remembers_its_relation_until_a_row_is_touched():
         return temporal_scan(relation, "r", stats=EngineStats())
 
     swapped = Project(scan(), [("a", Attr("r.ValidTo")), "r.Id"])
-    columns, length, source = swapped.batch()
-    assert source is relation and length == 5
+    batch = swapped.batch()
+    assert batch.relation is relation and batch.length == 5
+    assert batch.selection is None
     # The relation's own columns, selected: nothing copied.
-    assert columns[0] is relation.columns()[3]
-    assert columns[1] is relation.columns()[0]
-    for touched in (
-        Select(scan(), Compare(Attr("r.Seq"), "<", Literal(1))),
-        Project(scan(), [("k", Literal(7))]),
-        Distinct(scan()),
-    ):
+    assert batch.columns[0] is relation.columns()[3]
+    assert batch.columns[1] is relation.columns()[0]
+    # A selection names the rows it keeps; the columns stay the
+    # relation's, through a projection above it as well.
+    even = Compare(Attr("r.Seq"), "<", Literal(1))
+    selected = (Select(scan(), even), Project(Select(scan(), even), ["r.Id"]))
+    for kept in selected:
+        batch = kept.batch()
+        assert batch.relation is relation
+        assert batch.selection == [0, 2, 4] and batch.length == 3
+        assert batch.columns[0] is relation.columns()[0]
+        assert batch.materialised()[0] == [0, 2, 4]
+    for touched in (Project(scan(), [("k", Literal(7))]), Distinct(scan())):
         assert touched.batch().relation is None
     # A row consumer of the same relation sees rows, built on demand.
     assert scan().run() == [
