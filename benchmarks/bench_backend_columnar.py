@@ -157,31 +157,19 @@ def measure_cell(figure, operator, x_order, y_order, x, y, repeats):
     return row
 
 
-def traced_first_cell(x, y):
-    """One traced run of the first cell per backend; the resulting
-    operator summaries are attached to the JSON report so perf numbers
-    come with their passes/comparisons/state-high-water and
-    backend/kernel provenance."""
-    from repro.obs import install_registry, uninstall_registry
-    from repro.obs.explain import operator_summaries
-    from repro.obs.trace import Tracer, set_tracer
-
+def first_cell_rows(x, y):
+    """The first cell's operator row (``ProcessorMetrics.to_dict()``)
+    per backend, attached to the JSON report so perf numbers come with
+    their passes/comparisons/state-high-water and backend/kernel
+    provenance."""
     _, operator, x_order, y_order = CELLS[0]
     entry = lookup(operator, x_order, y_order)
     x_rel = x.sorted_by(x_order)
     y_rel = y.sorted_by(y_order)
-    summaries = {}
-    for backend in BACKENDS:
-        tracer = Tracer(f"bench:{backend}")
-        previous = set_tracer(tracer)
-        install_registry()
-        try:
-            run_once(entry, x_rel, y_rel, backend)
-        finally:
-            uninstall_registry()
-            set_tracer(previous)
-        summaries[backend] = operator_summaries(tracer)
-    return summaries
+    return {
+        backend: run_once(entry, x_rel, y_rel, backend)[2].to_dict()
+        for backend in BACKENDS
+    }
 
 
 def main(argv=None):
@@ -227,8 +215,8 @@ def main(argv=None):
                 f"out={row['output']}"
             )
 
-    trace_n = min(args.sizes)
-    trace_x, trace_y, _ = make_inputs(trace_n)
+    row_n = min(args.sizes)
+    row_x, row_y, _ = make_inputs(row_n)
 
     report = {
         "benchmark": "backend-columnar",
@@ -241,10 +229,10 @@ def main(argv=None):
         "warmup": 1,
         "backends": list(BACKENDS),
         "results": results,
-        "trace_summary": {
+        "operator_rows": {
             "cell": results[0]["cell"],
-            "n": trace_n,
-            "operators": traced_first_cell(trace_x, trace_y),
+            "n": row_n,
+            "operators": first_cell_rows(row_x, row_y),
         },
         "profile": run_profile(run_started),
     }

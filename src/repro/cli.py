@@ -20,16 +20,20 @@ Subcommands:
 
       python -m repro audit audit.jsonl --tail 5 --validate
 
-* ``explain-analyze`` — run a query with full tracing + metrics and
-  print the annotated execution tree (EXPLAIN ANALYZE).  Defaults to
-  the Fig-8 Superstar query on generated Faculty data::
+* ``explain-analyze`` — run a query with the stream engine and print
+  its EXPLAIN ANALYZE text, rendered from the result: each stream
+  join's measured Tables 1-3 counts beside every ranked alternative's
+  estimates, its shard rows, and the conventional engine's counters.
+  Defaults to a contain-join over generated Faculty data; a trace is
+  recorded only when a trace file is asked for::
 
       python -m repro.cli explain-analyze \\
           --chrome-trace trace.json --prometheus metrics.prom
 
-  ``--check-single-scan`` exits non-zero if any operator reports more
-  than one pass over an input (the CI gate for the paper's single-scan
-  claims).
+  ``--check-single-scan`` exits non-zero if any join row or shard row
+  reports more than one pass over an input on a fault-free run (the CI
+  gate for the paper's single-scan claims).  The Fig-8 Superstar
+  strategies are ``demo``'s.
 """
 
 from __future__ import annotations
@@ -44,10 +48,8 @@ from .errors import ReproError
 from .io import load_temporal_csv
 from .query.runner import run_query
 
-#: Default query for ``explain-analyze --parallelism``: a shardable
-#: two-variable contain join over the generated Faculty data (the
-#: Fig-8 Superstar walkthrough bypasses the hybrid planner, so it
-#: cannot demonstrate time-domain partitioning).
+#: Default query of ``explain-analyze``, serial or parallel: a
+#: shardable two-variable contain join over the generated Faculty data.
 PARALLEL_DEFAULT_QUEL = """
 range of x is Faculty
 range of y is Faculty
@@ -127,16 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
     explain = commands.add_parser(
         "explain-analyze",
         help=(
-            "run a query with tracing + metrics and print the annotated "
-            "execution tree (defaults to the Fig-8 Superstar query on "
-            "generated Faculty data)"
+            "run a query with the stream engine and print its EXPLAIN "
+            "ANALYZE text: measured counts beside the planner's estimates "
+            "(defaults to a contain-join over generated Faculty data)"
         ),
     )
     explain.add_argument(
         "text",
         nargs="?",
         default=None,
-        help="query text (default: the Superstar query)",
+        help="query text (default: a contain-join of Faculty with itself)",
     )
     explain.add_argument(
         "--relation",
@@ -172,15 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--io-events",
         action="store_true",
-        help="record one trace event per page read (verbose)",
+        help="record one trace event per page read in the trace file "
+        "(verbose)",
     )
     explain.add_argument(
         "--chrome-trace",
         metavar="PATH",
-        help="write the Chrome trace-event JSON (chrome://tracing)",
+        help="trace the run and write the Chrome trace-event JSON "
+        "(chrome://tracing)",
     )
     explain.add_argument(
-        "--jsonl", metavar="PATH", help="write the span log as JSONL"
+        "--jsonl",
+        metavar="PATH",
+        help="trace the run and write the span log as JSONL",
     )
     explain.add_argument(
         "--prometheus",
@@ -190,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--check-single-scan",
         action="store_true",
-        help="exit non-zero if any operator — or any fault-free "
-        "parallel shard — reports passes > 1",
+        help="exit non-zero if any stream join or parallel shard "
+        "reports passes > 1 on a fault-free run",
     )
     explain.add_argument(
         "--parallelism",
@@ -200,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="let the planner shard stream joins over up to K workers "
         "(time-domain range partitioning) and render the per-shard "
-        "breakdown; without query text a contain-join over the "
-        "generated Faculty data is used",
+        "breakdown",
     )
     _add_governance_arguments(explain)
     _add_audit_argument(explain)
@@ -288,17 +293,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-def _run_query_command(args) -> int:
+def _load_catalog(bindings: Sequence[str]) -> Optional[dict]:
+    """The ``--relation NAME=FILE.csv`` bindings as a catalog, or
+    ``None`` (reported on stderr) when one is malformed."""
     catalog = {}
-    for binding in args.relation:
+    for binding in bindings:
         name, eq, path = binding.partition("=")
         if not eq or not name or not path:
             print(
                 f"error: --relation needs NAME=FILE.csv, got {binding!r}",
                 file=sys.stderr,
             )
-            return 2
+            return None
         catalog[name] = load_temporal_csv(path, relation_name=name)
+    return catalog
+
+
+def _run_query_command(args) -> int:
+    catalog = _load_catalog(args.relation)
+    if catalog is None:
+        return 2
     result = run_query(
         args.text,
         catalog,
@@ -344,95 +358,40 @@ def _run_explain_analyze_command(args) -> int:
         to_jsonl,
         uninstall_registry,
     )
-    from .obs.explain import (
-        parallel_scan_violations,
-        render_explain,
-        render_shard_table,
-        single_scan_violations,
-    )
+    from .obs.explain import render_explain, scan_violations
     from .resilience.recovery import RecoveryPolicy
 
-    catalog = {}
-    for binding in args.relation:
-        name, eq, path = binding.partition("=")
-        if not eq or not name or not path:
-            print(
-                f"error: --relation needs NAME=FILE.csv, got {binding!r}",
-                file=sys.stderr,
-            )
-            return 2
-        catalog[name] = load_temporal_csv(path, relation_name=name)
+    catalog = _load_catalog(args.relation)
+    if catalog is None:
+        return 2
     if not catalog:
         from .workload import FacultyWorkload
 
         catalog["Faculty"] = FacultyWorkload(
             faculty_count=args.faculty, continuous=True, full_fraction=1.0
         ).generate(seed=args.seed)
-    text = args.text
-    if text is None:
-        if args.parallelism:
-            # The Fig-8 walkthrough bypasses run_query, so parallel
-            # runs default to a shardable Fig-5-style contain join
-            # over the same generated Faculty data instead.
-            text = PARALLEL_DEFAULT_QUEL
-        else:
-            from .superstar import SUPERSTAR_QUEL
-
-            text = SUPERSTAR_QUEL
-
-    recovery = RecoveryPolicy(args.recovery)
-    budget = _budget_from_args(args)
-    governance = None
-    tracer = Tracer("explain-analyze", io_events=args.io_events)
+    # The text is rendered from the result; a trace is only for a file.
+    tracer = None
+    if args.chrome_trace or args.jsonl:
+        tracer = Tracer("explain-analyze", io_events=args.io_events)
     registry = install_registry()
     try:
-        if args.text is None and not args.parallelism:
-            # Fig-8 Superstar walkthrough: the hybrid recognizer keeps
-            # the three-variable upper join conventional, so the
-            # paper's stream/semantic strategies are traced directly —
-            # their operator spans must show passes=1 and (for the
-            # self semijoin) a one-tuple state.
-            if budget is not None:
-                from .governance import governed
-
-                with governed(budget=budget) as token:
-                    plan, row_count = _traced_superstar(
-                        tracer, catalog["Faculty"], text
-                    )
-                governance = token.as_dict()
-            else:
-                plan, row_count = _traced_superstar(
-                    tracer, catalog["Faculty"], text
-                )
-        else:
-            result = run_query(
-                text,
-                catalog,
-                semantic=args.semantic,
-                streams=True,
-                recovery=recovery,
-                trace=tracer,
-                parallelism=args.parallelism,
-                budget=budget,
-                audit=args.audit_log,
-            )
-            plan, row_count = result.plan, len(result.rows)
-            governance = result.governance
-        if args.audit_log and args.text is None and not args.parallelism:
-            print(
-                "note: --audit-log applies to run_query-backed paths; "
-                "the Fig-8 walkthrough is not audited",
-                file=sys.stderr,
-            )
+        result = run_query(
+            args.text or PARALLEL_DEFAULT_QUEL,
+            catalog,
+            semantic=args.semantic,
+            streams=True,
+            recovery=RecoveryPolicy(args.recovery),
+            trace=tracer,
+            parallelism=args.parallelism,
+            budget=_budget_from_args(args),
+            audit=args.audit_log,
+        )
     finally:
         uninstall_registry()
 
-    print(render_explain(tracer, plan, governance=governance))
-    shard_table = render_shard_table(tracer)
-    if shard_table:
-        print()
-        print(shard_table)
-    print(f"\n-- {row_count} row(s)", file=sys.stderr)
+    print(render_explain(result))
+    print(f"\n-- {len(result.rows)} row(s)", file=sys.stderr)
 
     if args.chrome_trace:
         with open(args.chrome_trace, "w") as fh:
@@ -448,58 +407,15 @@ def _run_explain_analyze_command(args) -> int:
         print(f"metrics written to {args.prometheus}", file=sys.stderr)
 
     if args.check_single_scan:
-        violations = single_scan_violations(tracer)
-        shard_violations = parallel_scan_violations(tracer)
-        if violations or shard_violations:
-            for violation in violations:
-                print(
-                    "single-scan violation: "
-                    f"{violation['operator']} reported "
-                    f"passes_x={violation['passes_x']} "
-                    f"passes_y={violation['passes_y']}",
-                    file=sys.stderr,
-                )
-            for violation in shard_violations:
-                print(
-                    "parallel single-scan violation: shard "
-                    f"{violation['shard']} of {violation['operator']} "
-                    f"ran passes_x={violation['passes_x']} "
-                    f"passes_y={violation['passes_y']} fault-free",
-                    file=sys.stderr,
-                )
+        violations = scan_violations(
+            [info.as_dict() for info in result.stream_joins]
+        )
+        for violation in violations:
+            print(f"single-scan violation: {violation}", file=sys.stderr)
+        if violations:
             return 1
         print("single-scan check passed", file=sys.stderr)
     return 0
-
-
-def _traced_superstar(tracer, faculty, text):
-    """Run the Fig-8 Superstar stream + semantic strategies under the
-    given tracer, returning (logical plan, row count)."""
-    from .algebra import optimize
-    from .obs.trace import set_tracer
-    from .query import parse_query, translate
-    from .superstar import (
-        semantic_assumptions_hold,
-        semantic_superstar,
-        stream_superstar,
-    )
-
-    catalog = {"Faculty": faculty}
-    plan = optimize(translate(parse_query(text), catalog))
-    previous = set_tracer(tracer)
-    try:
-        with tracer.span(
-            "query", source="superstar (Fig-8)", faculty=len(faculty)
-        ) as root:
-            with tracer.span("strategy:stream-overlap"):
-                outcome = stream_superstar(faculty)
-            if semantic_assumptions_hold(faculty):
-                with tracer.span("strategy:semantic-self-semijoin"):
-                    outcome = semantic_superstar(faculty)
-            root.set(rows=len(outcome.rows), strategy=outcome.strategy)
-    finally:
-        set_tracer(previous)
-    return plan, len(outcome.rows)
 
 
 def _run_audit_command(args) -> int:
@@ -508,8 +424,8 @@ def _run_audit_command(args) -> int:
     if not os.path.exists(args.path):
         print(f"error: no audit log at {args.path}", file=sys.stderr)
         return 2
-    records = AuditLog(args.path).records()
-    shown = records[-args.tail:] if args.tail is not None else records
+    log = AuditLog(args.path)
+    shown = log.records() if args.tail is None else log.tail(args.tail)
     problems_total = 0
     for record in shown:
         if args.json:

@@ -344,14 +344,9 @@ class ColumnarProcessor(StreamProcessor):
                 "processors are single-use"
             )
         self._consumed = True
-        tracer = get_tracer()
-        with tracer.span(
-            f"operator:{self.operator}", backend=self.backend_name
-        ) as span:
+        with get_tracer().span(f"operator:{self.operator}"):
             with cyclic_gc_paused():
                 out = self._materialise()
             self.metrics.output_count = len(out)
             self._finalise_metrics()
-            if tracer.enabled:
-                span.set(**self.metrics.to_dict())
         return out

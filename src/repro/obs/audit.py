@@ -14,12 +14,12 @@ the audit log, success or failure:
   algorithms);
 * execution — backend, row count, one join row per stream join (the
   measured operator row next to every alternative the planner costed),
-  the shard rows (what the ``shard:<i>`` spans and the EXPLAIN ANALYZE
-  shard table carry), containment counters (retries / worker deaths /
-  speculations), and the governance spend summary when budgeted — all
-  read off the result, so the same traced or untraced;
+  the shard rows (both as EXPLAIN ANALYZE renders them), containment
+  counters (retries / worker deaths / speculations), and the governance
+  spend summary when budgeted — all read off the result, so the same
+  traced or untraced;
 * telemetry — the merged metrics snapshot and a compact trace summary
-  when the run was observed.
+  (span count, wall time, worker pids) when the run was observed.
 
 The schema is versioned (:data:`AUDIT_SCHEMA_VERSION`);
 :func:`validate_record` checks a parsed record against it and is wired
@@ -33,6 +33,8 @@ import json
 import os
 import time
 from typing import Any, Dict, List, Optional
+
+from .explain import render_join, render_shard
 
 AUDIT_SCHEMA_VERSION = 1
 
@@ -175,8 +177,6 @@ def _metrics_snapshot() -> Optional[dict]:
 def _trace_summary(trace: Optional[object]) -> Optional[dict]:
     if trace is None or not getattr(trace, "spans", None):
         return None
-    from .explain import operator_summaries
-
     spans = trace.spans
     roots = [s for s in spans if s.parent_id is None]
     wall_ns = max((s.end_ns or 0) for s in spans) - min(
@@ -191,7 +191,6 @@ def _trace_summary(trace: Optional[object]) -> Optional[dict]:
         "roots": len(roots),
         "wall_ms": round(wall_ns / 1e6, 3),
         "worker_pids": worker_pids,
-        "operators": operator_summaries(trace),
     }
 
 
@@ -276,7 +275,8 @@ class AuditLog:
 # rendering
 # ----------------------------------------------------------------------
 def render_record(record: dict) -> str:
-    """A compact human-readable rendering of one audit record."""
+    """A human-readable rendering of one audit record; its join and
+    shard rows as EXPLAIN ANALYZE renders them."""
     lines: List[str] = []
     status = record.get("status", "?")
     lines.append(
@@ -291,33 +291,15 @@ def render_record(record: dict) -> str:
     error = record.get("error")
     if error:
         lines.append(f"  error: {error.get('type')}: {error.get('message')}")
-    for join in record.get("stream_joins") or []:
-        measured = join.get("metrics") or {}
-        lines.append(
-            f"  join {join.get('operator')}: {join.get('chosen')} "
-            f"-> {join.get('output_rows')} rows  "
-            f"cmp={measured.get('comparisons')} "
-            f"state-hw={measured.get('workspace_high_water')}"
-        )
+    for number, join in enumerate(record.get("stream_joins") or [], 1):
+        lines.extend(f"  {line}" for line in render_join(join, number))
     shards = record.get("shards") or []
     if shards:
         attempts = sum((s.get("attempt") or 0) + 1 for s in shards)
         lines.append(
             f"  shards: {len(shards)} ({attempts} dispatch attempt(s))"
         )
-        for shard in shards:
-            lines.append(
-                f"    shard {shard.get('shard')}: "
-                f"out={shard.get('output_count')} "
-                f"attempt={shard.get('attempt')} "
-                f"wall_ms={shard.get('wall_ms')}"
-            )
-    containment = record.get("containment")
-    if containment:
-        lines.append(
-            "  containment: "
-            + " ".join(f"{k}={v}" for k, v in sorted(containment.items()))
-        )
+        lines.extend(f"    {render_shard(shard)}" for shard in shards)
     governance = record.get("governance")
     if governance:
         lines.append(

@@ -1,10 +1,16 @@
-"""EXPLAIN ANALYZE rendering over a recorded trace.
+"""EXPLAIN ANALYZE: a query result rendered as text.
 
-Given a traced query run (see ``run_query(..., trace=True)``), this
-module renders the annotated execution tree the paper's Tables 1-3 are
-about: per-operator tuples read, passes over each input, comparisons,
-state high-water marks, wall time, and any resilience events — each
-quantity the cell claims, measured on the run that just happened.
+Everything printed is read off the result, never off a trace: the
+logical plan, one block per join row (``StreamJoinInfo.as_dict()``: the
+chosen cell's measured Tables 1-3 counts, each ranked alternative's
+``expected_workspace`` / ``expected_output`` beside the measured
+high-water and ``output_rows``), the join's shard rows
+(``ShardRun.as_dict()``), the conventional engine's ``EngineStats`` and
+the governance spend.  So a traced and an untraced run print the same
+text apart from the times, each a ``<n>ms`` token.  The audit record's
+``stream_joins`` and ``shards`` are those same dicts, and
+:func:`~repro.obs.audit.render_record` renders them with the same
+functions.
 
 It sits *above* the engine: nothing in streams/storage/optimizer
 imports this module.
@@ -12,278 +18,250 @@ imports this module.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from .trace import Span, Tracer
+from typing import List, Sequence
 
 
-def _ms(ns: int) -> str:
-    return f"{ns / 1e6:.3f}ms"
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.3f}ms"
 
 
-def _operator_line(span: Span) -> str:
-    """The per-operator annotation: the Table-1/2/3 quantities."""
-    a = span.attributes
-    parts: List[str] = []
-    if "tuples_read_x" in a:
-        passes = a.get("pass_reads_x") or []
-        detail = (
-            "+".join(str(n) for n in passes)
-            if len(passes) > 1
-            else str(a["tuples_read_x"])
-        )
-        parts.append(f"x={detail} tuples/{a.get('passes_x', '?')} pass")
-    if a.get("tuples_read_y") or a.get("passes_y"):
-        passes = a.get("pass_reads_y") or []
-        detail = (
-            "+".join(str(n) for n in passes)
-            if len(passes) > 1
-            else str(a["tuples_read_y"])
-        )
-        parts.append(f"y={detail} tuples/{a.get('passes_y', '?')} pass")
-    if "output_count" in a:
-        parts.append(f"out={a['output_count']}")
-    if "comparisons" in a:
-        parts.append(f"cmp={a['comparisons']}")
-    if a.get("eviction_checks"):
-        parts.append(f"evict={a['eviction_checks']}")
-    if a.get("backend") and a["backend"] != "tuple":
-        kernel = a.get("kernel")
-        parts.append(
-            f"via={a['backend']}:{kernel}" if kernel
-            else f"via={a['backend']}"
-        )
-    workspace = a.get("workspace") or {}
-    if workspace:
-        parts.append(f"state-hw={workspace.get('high_water')}")
-    state = a.get("state_high_water") or {}
-    if state:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(state.items()))
-        parts.append(f"[{inner}]")
-    if "buffers" in a:
-        parts.append(f"buffers={a['buffers']}")
-    resilience = a.get("resilience") or {}
-    if resilience and (
+def _reads(metrics: dict, side: str) -> str:
+    """``<reads> tuples/<passes> pass``; a multi-pass run shows each
+    pass's reads (``200+200 tuples/2 pass``)."""
+    passes = metrics[f"pass_reads_{side}"]
+    reads = (
+        "+".join(map(str, passes))
+        if len(passes) > 1
+        else str(metrics[f"tuples_read_{side}"])
+    )
+    return f"{side}={reads} tuples/{metrics[f'passes_{side}']} pass"
+
+
+def _faulted(resilience: dict) -> bool:
+    """Did the run absorb a fault, quarantine a tuple or fall back?
+    Any of those legitimately costs an extra pass."""
+    return bool(
         resilience.get("faults_injected")
-        or resilience.get("fallbacks")
         or resilience.get("quarantined")
-    ):
+        or resilience.get("fallbacks")
+    )
+
+
+def _measured(metrics: dict) -> str:
+    """The operator row: the Table-1/2/3 quantities the run measured."""
+    parts = [_reads(metrics, "x")]
+    if metrics["tuples_read_y"] or metrics["passes_y"]:
+        parts.append(_reads(metrics, "y"))
+    parts += [
+        f"out={metrics['output_count']}",
+        f"cmp={metrics['comparisons']}",
+        f"evict={metrics['eviction_checks']}",
+        f"state-hw={metrics['workspace_high_water']}",
+    ]
+    if metrics["state_high_water"]:
+        inner = ", ".join(
+            f"{k}={v}" for k, v in sorted(metrics["state_high_water"].items())
+        )
+        parts.append(f"[{inner}]")
+    parts.append(f"buffers={metrics['buffers']}")
+    kernel = metrics["kernel"]
+    parts.append(
+        f"via={metrics['backend']}" + (f":{kernel}" if kernel else "")
+    )
+    resilience = metrics["resilience"] or {}
+    if _faulted(resilience):
         parts.append(
             "resilience(faults={faults_injected} retries={retries} "
             "quarantined={quarantined} passes_added={passes_added})".format(
-                **{
-                    k: resilience.get(k, 0)
-                    for k in (
-                        "faults_injected",
-                        "retries",
-                        "quarantined",
-                        "passes_added",
-                    )
-                }
+                **resilience
             )
         )
     return "  ".join(parts)
 
 
-def _generic_line(span: Span) -> str:
-    """Compact attribute rendering for non-operator spans."""
-    skip = {"error"}
-    parts = []
-    for key in sorted(span.attributes):
-        if key in skip:
-            continue
-        value = span.attributes[key]
-        if isinstance(value, (dict, list)):
-            continue
-        text = str(value)
-        if len(text) > 60:
-            text = text[:57] + "..."
-        parts.append(f"{key}={text}")
-    return " ".join(parts)
-
-
-def render_span_tree(tracer: Tracer) -> str:
-    """The annotated execution tree, one line per span (plus indented
-    event lines), depth-first in start order."""
-    lines: List[str] = []
-    for span, depth in tracer.walk():
-        indent = "  " * depth
-        annotation = (
-            _operator_line(span)
-            if span.name.startswith("operator:")
-            else _generic_line(span)
+def _alternative(alternative: dict) -> List[str]:
+    """One ranked alternative as table cells: what it is, its cost, and
+    the cost model's expected workspace and output."""
+    if alternative["kind"] == "nested-loop":
+        label = "nested-loop"
+    else:
+        kind = (
+            "stream"
+            if alternative["kind"] == "stream"
+            else f"parallel[{alternative['workers']}]-stream"
         )
-        suffix = f"  {annotation}" if annotation else ""
-        error = span.attributes.get("error")
-        if error:
-            suffix += f"  !error={error}"
+        sorts = "".join(
+            f", sort {side.upper()}"
+            for side in ("x", "y")
+            if alternative[f"sort_{side}"]
+        )
+        label = (
+            f"{kind}({alternative['backend']}) "
+            f"[{alternative['x_order']} / {alternative['y_order']}]{sorts}"
+        )
+    breakdown = alternative["cost_breakdown"]
+    return [
+        label,
+        f"{alternative['estimated_cost']:.1f}",
+        *(
+            "-" if key not in breakdown else f"{breakdown[key]:.1f}"
+            for key in ("expected_workspace", "expected_output")
+        ),
+    ]
+
+
+def _table(rows: List[List[str]]) -> List[str]:
+    """Rows of cells, the first left-aligned, the rest right-aligned."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return [
+        "  ".join(
+            cell.ljust(widths[0]) if i == 0 else cell.rjust(widths[i])
+            for i, cell in enumerate(row)
+        ).rstrip()
+        for row in rows
+    ]
+
+
+def render_join(join: dict, number: int) -> List[str]:
+    """One join row's block: the chosen cell and its measured counts,
+    what its operands went through, a sharded plan's partition, and
+    every ranked alternative's estimates beside the measured values."""
+    metrics = join["metrics"]
+    lines = [
+        f"join {number}: {join['operator']}"
+        + ("  (sides swapped)" if join["swapped"] else "")
+        + f"  recovery={join['recovery']}  rows={join['output_rows']}"
+        + f"  wall={_ms(join['wall_seconds'])}",
+        f"  chosen: {join['chosen']}",
+        f"  measured: {_measured(metrics)}",
+        f"  operands: tuples_built={join.get('tuples_built', '-')}"
+        f"  sorted={join.get('sorted', '-')}"
+        f"  orders_reused={join.get('orders_reused', '-')}",
+    ]
+    parallel = join["parallel"]
+    if parallel:
         lines.append(
-            f"{indent}{span.name}  ({_ms(span.duration_ns)}){suffix}"
+            f"  parallel: mode={parallel['mode']}"
+            f"  shards={parallel['effective_shards']}"
+            f"  workers={parallel['workers']}"
+            f"  skew={parallel['skew_ratio']}"
+            f"  replicated={parallel['replicated_total']}"
         )
-        for event in span.events:
-            attrs = " ".join(
-                f"{k}={v}" for k, v in sorted(event["attributes"].items())
+    if join["containment"]:
+        lines.append(
+            "  containment: "
+            + "  ".join(
+                f"{k}={v}" for k, v in sorted(join["containment"].items())
             )
-            lines.append(f"{indent}  * {event['name']}  {attrs}")
-    return "\n".join(lines)
+        )
+    rows = [["rank  alternative", "cost", "exp-workspace", "exp-output"]]
+    for rank, alternative in enumerate(join["alternatives"], 1):
+        label, *numbers = _alternative(alternative)
+        rows.append([f"{rank:>4}  {label}", *numbers])
+    rows.append(
+        [
+            "      measured",
+            "",
+            str(metrics["workspace_high_water"]),
+            str(join["output_rows"]),
+        ]
+    )
+    lines.extend(f"  {line}" for line in _table(rows))
+    return lines
 
 
-def render_explain(
-    tracer: Tracer,
-    plan: Optional[object] = None,
-    governance: Optional[dict] = None,
-) -> str:
-    """Full EXPLAIN ANALYZE text: the logical plan (when given)
-    followed by the annotated span tree, plus the governance spend
-    summary when the run was budgeted."""
+def render_shard(shard: dict) -> str:
+    """One shard row: what the shard was cut to, its sweep and its own
+    recovery ladder."""
+    return (
+        f"shard {shard['shard']}: owned=[{shard['owned_lo']},"
+        f"{shard['owned_hi']})  x={shard['x_tuples']}  y={shard['y_tuples']}"
+        f"  out={shard['output_count']}"
+        f"  passes={shard['passes_x']}x/{shard['passes_y']}y"
+        f"  evict={shard['eviction_checks']}  faults={shard['faults']}"
+        f"  quarantined={shard['quarantined']}"
+        f"  resid={shard['residual_filtered']}  attempt={shard['attempt']}"
+        f"  wall={shard['wall_ms']:.3f}ms"
+    )
+
+
+def render_explain(result) -> str:
+    """The full EXPLAIN ANALYZE text of a ``run_query`` (or
+    ``execute_hybrid``) result."""
     sections: List[str] = []
-    if plan is not None and hasattr(plan, "explain"):
-        sections.append("== logical plan ==")
-        sections.append(plan.explain())
-    sections.append("== execution trace (EXPLAIN ANALYZE) ==")
-    sections.append(render_span_tree(tracer))
+    plan = getattr(result, "plan", None)
+    if plan is not None:
+        sections += ["== logical plan ==", plan.explain()]
+    sections.append("== stream joins ==")
+    joins = [info.as_dict() for info in result.stream_joins or ()]
+    for number, join in enumerate(joins, 1):
+        sections += render_join(join, number)
+        sections += [f"  {render_shard(shard)}" for shard in join["shards"]]
+    if not joins:
+        sections.append("(none)")
+    sections.append("== conventional engine ==")
+    sections.append(
+        "  ".join(f"{k}={v}" for k, v in vars(result.stats).items())
+    )
+    governance = getattr(result, "governance", None)
     if governance:
-        sections.append(render_governance(governance))
+        sections.append(_governance(governance))
     return "\n".join(sections)
 
 
-def render_governance(governance: dict) -> str:
-    """The governance spend summary (``CancellationToken.as_dict()``)
-    as an EXPLAIN section: each budgeted resource with spend vs cap,
-    unbudgeted ones with bare spend."""
-    budget = governance.get("budget") or {}
-    lines = ["== governance =="]
+def _governance(governance: dict) -> str:
+    """The governance spend summary (``CancellationToken.as_dict()``):
+    each budgeted resource with spend vs cap, unbudgeted ones with bare
+    spend."""
+    budget = governance["budget"] or {}
 
-    def cap_of(key):
-        cap = budget.get(key)
-        return "unbounded" if cap is None else str(cap)
+    def cap(key):
+        value = budget.get(key)
+        return "unbounded" if value is None else str(value)
 
     deadline = budget.get("deadline_seconds")
-    lines.append(
-        f"elapsed={governance.get('elapsed_seconds')}s"
-        + (f" of deadline={deadline}s" if deadline is not None else "")
-    )
-    lines.append(
-        f"pages_read={governance.get('pages_read')}"
-        f" (cap {cap_of('page_read_cap')})"
-    )
-    lines.append(
-        f"workspace_peak={governance.get('workspace_peak')}"
-        f" (cap {cap_of('workspace_tuple_cap')})"
-    )
-    lines.append(
-        f"shm_bytes={governance.get('shm_bytes')}"
-        f" (cap {cap_of('shm_byte_cap')})"
-    )
-    lines.append(
-        f"checkpoints={governance.get('checkpoints')}"
-        f" cancelled={governance.get('cancelled')}"
-    )
-    return "\n".join(lines)
-
-
-def operator_summaries(tracer: Tracer) -> List[dict]:
-    """One dict per operator span: name, wall time, and the operator
-    row the span carries (``ProcessorMetrics.to_dict()``, the
-    Table-1/2/3 quantities) — the trace summary benchmarks attach to
-    their JSON."""
-    return [
-        {
-            "operator": span.name[len("operator:"):],
-            "wall_ms": round(span.duration_ns / 1e6, 3),
-            **span.attributes,
-        }
-        for span in tracer.spans
-        if span.name.startswith("operator:")
-    ]
-
-
-def shard_summaries(tracer: Tracer) -> List[dict]:
-    """The shard row each parallel shard span (``shard:<i>``) carries
-    (``ShardRun.as_dict()``), in shard order: the partition bounds,
-    sweep quantities and resilience outcome EXPLAIN ANALYZE renders as
-    the shard table."""
-    return sorted(
-        (
-            dict(span.attributes)
-            for span in tracer.spans
-            if span.name.startswith("shard:")
-        ),
-        key=lambda row: row["shard"],
+    return "\n".join(
+        [
+            "== governance ==",
+            f"elapsed={_ms(governance['elapsed_seconds'])}"
+            + (f" of deadline={deadline}s" if deadline is not None else ""),
+            f"pages_read={governance['pages_read']}"
+            f" (cap {cap('page_read_cap')})",
+            f"workspace_peak={governance['workspace_peak']}"
+            f" (cap {cap('workspace_tuple_cap')})",
+            f"shm_bytes={governance['shm_bytes']}"
+            f" (cap {cap('shm_byte_cap')})",
+            f"checkpoints={governance['checkpoints']}"
+            f" cancelled={governance['cancelled']}",
+        ]
     )
 
 
-def render_shard_table(tracer: Tracer) -> str:
-    """A text table of the parallel shard breakdown, or ``""`` when
-    the trace has no shard spans (serial run)."""
-    shards = shard_summaries(tracer)
-    if not shards:
-        return ""
-    columns = (
-        ("shard", "shard"),
-        ("owned", None),
-        ("x", "x_tuples"),
-        ("y", "y_tuples"),
-        ("out", "output_count"),
-        ("passes", None),
-        ("wall_ms", "wall_ms"),
-        ("faults", "faults"),
-        ("resid", "residual_filtered"),
-        ("att", "attempt"),
-    )
-    rows = []
-    for s in shards:
-        row = []
-        for header, key in columns:
-            if header == "owned":
-                row.append(f"[{s['owned_lo']},{s['owned_hi']})")
-            elif header == "passes":
-                row.append(f"{s['passes_x'] or '?'}x/{s['passes_y'] or '?'}y")
-            else:
-                value = s.get(key)
-                row.append("-" if value is None else str(value))
-        rows.append(row)
-    headers = [h for h, _ in columns]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows))
-        for i in range(len(headers))
-    ]
-    def fmt(values):
-        return "  ".join(v.rjust(widths[i]) for i, v in enumerate(values))
-    lines = ["== parallel shards ==", fmt(headers)]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)
-
-
-def parallel_scan_violations(tracer: Tracer) -> List[dict]:
-    """Shard spans that ran more than one pass over either input while
-    fault-free — each shard of a parallel plan is held to the same
-    single-scan guarantee as the serial operator (the extended CI
-    gate).  Shards that degraded, quarantined tuples, or absorbed
-    injected faults legitimately re-scan and are excluded."""
-    violations: List[dict] = []
-    for summary in shard_summaries(tracer):
-        passes_x = summary.get("passes_x") or 0
-        passes_y = summary.get("passes_y") or 0
-        fault_free = (
-            not (summary.get("faults") or 0)
-            and not (summary.get("quarantined") or 0)
-            and not (summary.get("fallbacks") or 0)
-            and not summary.get("degraded")
-        )
-        if fault_free and (passes_x > 1 or passes_y > 1):
-            violations.append(summary)
-    return violations
-
-
-def single_scan_violations(tracer: Tracer) -> List[dict]:
-    """Operator spans that report more than one pass over either input
-    — empty on a fault-free run of single-scan algorithms (the CI
-    gate)."""
-    violations: List[dict] = []
-    for summary in operator_summaries(tracer):
-        passes_x = summary.get("passes_x") or 0
-        passes_y = summary.get("passes_y") or 0
-        if passes_x > 1 or passes_y > 1:
-            violations.append(summary)
+def scan_violations(joins: Sequence[dict]) -> List[str]:
+    """The single-scan gate over join rows (``StreamJoinInfo.as_dict()``)
+    and their shard rows: one line per row that read an input more than
+    once on a fault-free run.  A row whose run absorbed faults,
+    quarantined tuples or fell back legitimately re-scans and is
+    excluded — the same rule for a join and for each shard, which the
+    Tables 1-3 bounds hold per shard."""
+    violations: List[str] = []
+    for join in joins:
+        metrics = join["metrics"]
+        rows = [
+            (join["operator"], metrics, _faulted(metrics["resilience"] or {}))
+        ]
+        rows += [
+            (
+                f"{join['operator']} shard {shard['shard']}",
+                shard,
+                shard["faults"] or shard["quarantined"] or shard["fallbacks"],
+            )
+            for shard in join["shards"]
+        ]
+        violations += [
+            f"{label} reported passes_x={row['passes_x']} "
+            f"passes_y={row['passes_y']} fault-free"
+            for label, row, faulted in rows
+            if not faulted and max(row["passes_x"], row["passes_y"]) > 1
+        ]
     return violations

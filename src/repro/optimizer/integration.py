@@ -114,6 +114,14 @@ class StreamJoinInfo:
     output_rows: int
     #: Wall-clock seconds spent planning + executing this join.
     wall_seconds: float = 0.0
+    #: What the operands went through on the way in: the
+    #: ``TemporalTuple``s built from their endpoint columns, whether the
+    #: winner read one through an argsort's permutation, and how many
+    #: (0-2) were answered from an order their relation kept from an
+    #: earlier query.
+    tuples_built: int = 0
+    sorted: bool = False
+    orders_reused: int = 0
 
     @property
     def chosen(self) -> str:
@@ -153,6 +161,9 @@ class StreamJoinInfo:
             "output_rows": self.output_rows,
             "recovery": self.recovery,
             "wall_seconds": round(self.wall_seconds, 6),
+            "tuples_built": self.tuples_built,
+            "sorted": self.sorted,
+            "orders_reused": self.orders_reused,
             "metrics": self.metrics.to_dict(),
             "alternatives": [
                 alternative.as_dict()
@@ -319,9 +330,7 @@ class _StreamJoin(BinaryOperator):
         left = self.left.batch()
         right = self.right.batch()
         tracer = get_tracer()
-        with tracer.span(
-            f"stream-join:{self.operator_kind.value}", swapped=self.swapped
-        ) as span:
+        with tracer.span(f"stream-join:{self.operator_kind.value}"):
             with tracer.span(
                 "bridge:rows-to-relation", rows=left.length + right.length
             ):
@@ -329,7 +338,7 @@ class _StreamJoin(BinaryOperator):
                     _operand(left, self.left.schema, self._variables),
                     _operand(right, self.right.schema, self._variables),
                 )
-            left_side, right_side = self._index_pairs(*operands, span)
+            left_side, right_side = self._index_pairs(*operands)
             with tracer.span("bridge:assemble", late=late) as assemble:
                 gathered = _gathered(
                     (left, *left_side), (right, *right_side), positions
@@ -348,7 +357,7 @@ class _StreamJoin(BinaryOperator):
                 )
         return out
 
-    def _index_pairs(self, left, right, span):
+    def _index_pairs(self, left, right):
         """Plan and run the join over the two sides' operands; returns
         the ``(order, index column)`` sides of its index-pair relation
         — output ``k`` is position ``order[index[k]]`` of that side's
@@ -357,31 +366,23 @@ class _StreamJoin(BinaryOperator):
         brackets plan + sort + sweep + index extraction — no row is
         assembled inside it."""
         x, y = (right, left) if self.swapped else (left, right)
-        # Traced only: the orders each relation had kept before this run.
-        traced = get_tracer().enabled
-        known = (
-            [set((o.selected_from or o).orders or ()) for o in (x, y)]
-            if traced
-            else ()
-        )
+        # The orders each relation had kept before this run.
+        known = [set((o.selected_from or o).orders or ()) for o in (x, y)]
         started = time.perf_counter()
         results, profile = self._planner.execute(
             self.operator_kind, x, y, recovery=self._recovery
         )
         x_side, y_side = index_sides(results, self.operator_kind.shape)
         wall_seconds = time.perf_counter() - started
+        # The operands as given and as the winner read them (the same
+        # object where no sort was planned).
+        operands = {id(o): o for o in (x, y, *profile.operands)}
         self.info = StreamJoinInfo(
             operator=self.operator_kind,
             swapped=self.swapped,
             profile=profile,
             output_rows=len(results),
             wall_seconds=wall_seconds,
-        )
-        # The operands as given and as the winner read them (the same
-        # object where no sort was planned).
-        operands = {id(o): o for o in (x, y, *profile.operands)}
-        span.set(
-            output_rows=len(results),
             tuples_built=sum(o.tuples_built for o in operands.values()),
             sorted=any(
                 o.payload is not given.payload

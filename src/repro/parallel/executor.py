@@ -26,8 +26,8 @@ side only when touched.  The two modes differ only in transport:
 Resilience composes per shard: each shard runs under the caller's
 policy and fault plan, so a faulted shard retries, quarantines, or
 degrades on its own — siblings never see it.  Shard reports are merged
-into one :class:`~repro.resilience.recovery.ExecutionReport`; per-shard
-summaries surface as ``shard:<i>`` trace spans for EXPLAIN ANALYZE.
+into one :class:`~repro.resilience.recovery.ExecutionReport`; each
+shard's row is a :class:`ShardRun`, and its time a ``shard:<i>`` span.
 Pool infrastructure failures are *visible* degradations: the run falls
 back inline, bumps ``repro_parallel_pool_fallbacks_total`` with the
 exception class, and records it on the ``parallel:`` span.
@@ -76,8 +76,8 @@ def _available_cpus() -> int:
 @dataclass
 class ShardRun:
     """What one shard did — the shard row.  :meth:`as_dict` is its one
-    published form: the ``shard:<i>`` span's attributes, the audit
-    record's shard row and the EXPLAIN ANALYZE shard table."""
+    published form: the join row's and the audit record's shard rows,
+    which EXPLAIN ANALYZE renders."""
 
     #: Published as ``shard``.
     index: int
@@ -246,7 +246,9 @@ def _run_inline(
         y_ts = y_te = None
         if y_hi > y_lo:
             y_ts, y_te = y_cols.ts[y_lo:y_hi], y_cols.te[y_lo:y_hi]
-        with tracer.span(f"shard:{task['index']}") as span:
+        with tracer.span(
+            f"shard:{task['index']}", shard=task["index"], attempt=0
+        ):
             started = time.perf_counter()
             summary, chunk = run_shard(
                 task,
@@ -257,10 +259,7 @@ def _run_inline(
                 y_te,
             )
             summary["wall_seconds"] = time.perf_counter() - started
-            run = ShardRun.of(task, summary)
-            if tracer.enabled:
-                span.set(**run.as_dict())
-        finished.append((run, summary, chunk))
+        finished.append((ShardRun.of(task, summary), summary, chunk))
     return finished
 
 
@@ -737,15 +736,16 @@ def execute_parallel(
 # ----------------------------------------------------------------------
 def _emit_shard_span(tracer, run: ShardRun, summary: dict, parallel_span):
     """Process-mode shards ran in a worker process; give each a summary
-    span in the parent trace so EXPLAIN ANALYZE sees the same shard
-    breakdown either way, then graft the worker's own span tree (when
-    the run carried one) underneath it with clock-calibrated, monotone
-    timestamps, and backdate the summary span to cover the grafted
-    window."""
+    span in the parent trace, named and identified as an inline shard's
+    is, then graft the worker's own span tree (when the run carried
+    one) underneath it with clock-calibrated, monotone timestamps, and
+    backdate the summary span to cover the grafted window."""
     if not tracer.enabled:
         return
-    with tracer.span(f"shard:{run.index}") as span:
-        span.set(**run.as_dict())
+    with tracer.span(
+        f"shard:{run.index}", shard=run.index, attempt=run.attempt, pid=run.pid
+    ) as span:
+        pass  # a marker; stretched over the grafted window below
     payload = summary.get("worker_trace")
     if payload is None:
         return

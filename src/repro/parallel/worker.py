@@ -106,8 +106,6 @@ def run_task(task: dict) -> dict:
                 f"worker:shard:{task['index']}",
                 shard=task["index"],
                 attempt=task.get("attempt", 0),
-                operator=task.get("operator"),
-                backend=task.get("backend"),
             ):
                 summary = _run_governed(task)
         else:

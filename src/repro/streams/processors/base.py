@@ -109,14 +109,11 @@ class StreamProcessor(abc.ABC):
                 "processors are single-use"
             )
         self._consumed = True
-        tracer = get_tracer()
-        with tracer.span(f"operator:{self.operator}") as span:
+        with get_tracer().span(f"operator:{self.operator}"):
             for item in self._execute():
                 self.metrics.output_count += 1
                 yield item
             self._finalise_metrics()
-            if tracer.enabled:
-                span.set(**self.metrics.to_dict())
 
     def run(self) -> list:
         """Execute to completion and return the materialised output."""

@@ -2,6 +2,7 @@
 the run_query hook (success and failure), and the CLI subcommand."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -17,10 +18,13 @@ from repro.obs.audit import (
     render_record,
     validate_record,
 )
+from repro.obs.explain import render_join, render_shard
 from repro.obs.trace import Tracer, set_tracer
 from repro.optimizer import TemporalJoinPlanner, execute_hybrid
+from repro.parallel import ShardRun
 from repro.query import parse_query, run_query, translate
 from repro.resilience.recovery import RecoveryPolicy
+from repro.streams import ProcessorMetrics
 from repro.workload import PoissonWorkload, fixed_duration
 
 DURING_QUERY = (
@@ -128,8 +132,7 @@ def stable(rows):
 @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused", "auto"])
 def test_record_is_the_same_traced_or_untraced(backend, mode, recovery):
     """The record is built from the result's rows, never from the
-    trace: tracing a query changes no join row and no shard row, and
-    the shard row is exactly what the ``shard:<i>`` span carries."""
+    trace: tracing a query changes no join row and no shard row."""
     plain, _ = audited(backend, mode, recovery, traced=False)
     traced, tracer = audited(backend, mode, recovery, traced=True)
     for record in (plain, traced):
@@ -148,18 +151,45 @@ def test_record_is_the_same_traced_or_untraced(backend, mode, recovery):
         assert {"expected_workspace", "expected_output"} <= set(estimates)
     assert stable(traced["stream_joins"]) == stable(plain["stream_joins"])
     assert stable(traced["shards"] or []) == stable(plain["shards"] or [])
-    # The record's shard rows are the ``ShardRun.as_dict()``s themselves.
+    # One ``shard:<i>`` span per shard row, identified as the row is.
     spans = [s for s in tracer.spans if s.name.startswith("shard:")]
-    rows = traced["shards"] or []
-    assert len(spans) == len(rows)
-    for span, row in zip(spans, rows):
-        carried = {
-            k: v
-            for k, v in span.attributes.items()
-            # the worker graft's own notes on the span it grafted under
-            if not k.startswith("trace_")
-        }
-        assert carried == row
+    assert [
+        (span.attributes["shard"], span.attributes["attempt"])
+        for span in spans
+    ] == [(row["shard"], row["attempt"]) for row in traced["shards"] or []]
+
+
+#: What a span may say of its shard: which one, which dispatch attempt,
+#: which worker — what the worker graft needs.
+IDENTITY = {"shard", "attempt", "pid"}
+#: Every key of the operator row and of the shard row.
+COUNTED = set(ProcessorMetrics().to_dict()) | set(
+    ShardRun(*[0] * len(fields(ShardRun))).as_dict()
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+def test_spans_carry_timings_not_counts(backend, mode):
+    """The counts live once, on the result's rows: no operator, shard
+    or stream-join span repeats a key of either row, identity aside."""
+    _, tracer = audited(backend, mode, None, traced=True)
+    spans = [
+        s
+        for s in tracer.spans
+        if s.name.startswith(
+            ("operator:", "shard:", "stream-join:", "worker:shard:")
+        )
+    ]
+    assert any(s.name.startswith("operator:") for s in spans)
+    assert any(s.name.startswith("stream-join:") for s in spans)
+    sharded = any(s.name.startswith("shard:") for s in spans)
+    assert sharded == (mode != "serial")
+    for span in spans:
+        assert not (set(span.attributes) & COUNTED) - IDENTITY, (
+            span.name,
+            span.attributes,
+        )
 
 
 class TestValidation:
@@ -241,14 +271,14 @@ class TestRunQueryHook:
         assert validate_record(record) == []
         assert record["trace"]["spans"] == len(result.trace.spans)
         shards = record["shards"] or []
-        from repro.obs.explain import shard_summaries
-
-        expected = shard_summaries(result.trace)
-        assert [s["shard"] for s in shards] == [
-            e["shard"] for e in expected
+        spans = [
+            s.attributes
+            for s in result.trace.spans
+            if s.name.startswith("shard:")
         ]
+        assert [s["shard"] for s in shards] == [s["shard"] for s in spans]
         assert [s["attempt"] for s in shards] == [
-            e["attempt"] for e in expected
+            s["attempt"] for s in spans
         ]
 
     def test_failure_is_audited_then_reraised(self, tmp_path):
@@ -355,11 +385,50 @@ class TestCliAudit:
         assert records and records[-1]["status"] == "ok"
         assert all(validate_record(r) == [] for r in records)
 
-    def test_walkthrough_path_warns_not_audited(self, tmp_path, capsys):
+    def test_default_explain_analyze_is_audited(self, tmp_path, capsys):
+        """Without query text explain-analyze still runs through
+        run_query, so it is audited like any other run."""
         path = tmp_path / "audit.jsonl"
         code = main(
             ["explain-analyze", "--faculty", "60", "--audit-log", str(path)]
         )
-        _, err = capsys.readouterr().out, capsys.readouterr().err
+        capsys.readouterr()
         assert code == 0
-        assert AuditLog(path).records() == []
+        (record,) = AuditLog(path).records()
+        assert validate_record(record) == []
+        assert record["trace"] is None
+        (join,) = record["stream_joins"]
+        assert join["operator"] == "contain-join"
+
+    @pytest.mark.parametrize(
+        "tail, shown", [(None, 5), (0, 0), (2, 2), (-2, 0), (9, 5)]
+    )
+    def test_tail_shows_the_last_n_records(
+        self, tmp_path, capsys, tail, shown
+    ):
+        path = tmp_path / "audit.jsonl"
+        log = AuditLog(path)
+        for i in range(5):
+            log.append(build_record(f"query {i}", error=ValueError(str(i))))
+        args = ["audit", str(path), "--json"]
+        if tail is not None:
+            args += ["--tail", str(tail)]
+        code, out, _ = self.run_cli(args, capsys)
+        assert code == 0
+        queries = [json.loads(line)["query"] for line in out.splitlines()]
+        assert queries == [f"query {i}" for i in range(5 - shown, 5)]
+
+    def test_render_uses_the_explain_join_block(self, tmp_path, capsys):
+        path = tmp_path / "audit.jsonl"
+        result = run_query(
+            DURING_QUERY, catalog(), streams=True, parallelism=2, audit=path
+        )
+        code, out, _ = self.run_cli(["audit", str(path)], capsys)
+        assert code == 0
+        (record,) = AuditLog(path).records()
+        for line in render_join(record["stream_joins"][0], 1):
+            assert f"  {line}" in out
+        for shard in record["shards"] or []:
+            assert render_shard(shard) in out
+        (join,) = result.stream_joins
+        assert f"rows={join.output_rows}" in out

@@ -1,19 +1,18 @@
-"""EXPLAIN ANALYZE: the traced run_query surface, the renderer, and the
-CLI subcommand end to end (artifact files included)."""
+"""EXPLAIN ANALYZE: the traced run_query surface, the renderer over the
+result, the single-scan gate over join and shard rows, and the CLI
+subcommand end to end (artifact files included)."""
 
 import json
+import re
 
 import pytest
 
+from repro.algebra import optimize
 from repro.cli import main
-from repro.obs.explain import (
-    operator_summaries,
-    render_explain,
-    render_span_tree,
-    single_scan_violations,
-)
-from repro.obs.trace import NULL_TRACER, Tracer, get_tracer
-from repro.query import run_query
+from repro.obs.explain import render_explain, scan_violations
+from repro.obs.trace import NULL_TRACER, Tracer, get_tracer, set_tracer
+from repro.optimizer import TemporalJoinPlanner, execute_hybrid
+from repro.query import parse_query, run_query, translate
 from repro.workload import PoissonWorkload, fixed_duration
 
 DURING_QUERY = (
@@ -26,6 +25,11 @@ def catalog(n=120):
     x = PoissonWorkload(n, 0.4, fixed_duration(4), name="X").generate(5)
     y = PoissonWorkload(n, 0.4, fixed_duration(30), name="Y").generate(6)
     return {"X": x, "Y": y}
+
+
+def masked(text):
+    """The text with every time (a ``<n>ms`` token) blanked."""
+    return re.sub(r"[0-9.]+ms\b", "-ms", text)
 
 
 class TestRunQueryTrace:
@@ -50,10 +54,10 @@ class TestRunQueryTrace:
             s for s in tracer.spans if s.name.startswith("operator:")
         ]
         assert [s.parent_id for s in operators] == [attempt.span_id]
-        assert all(
-            s.attributes["passes_x"] == 1 and s.attributes["passes_y"] == 1
-            for s in operators
-        )
+        # The span is the operator's time; its counts are the join row's.
+        assert [s.attributes for s in operators] == [{}]
+        (join,) = result.stream_joins
+        assert (join.metrics.passes_x, join.metrics.passes_y) == (1, 1)
         assert get_tracer() is NULL_TRACER
 
     def test_existing_tracer_is_reused(self):
@@ -72,41 +76,140 @@ class TestRunQueryTrace:
 
 class TestRendering:
     @pytest.fixture()
-    def traced(self):
-        return run_query(DURING_QUERY, catalog(), streams=True, trace=True)
+    def result(self):
+        return run_query(DURING_QUERY, catalog(), streams=True)
 
-    def test_span_tree_has_indented_operator_lines(self, traced):
-        text = render_span_tree(traced.trace)
-        lines = text.splitlines()
-        assert lines[0].startswith("query  (")
-        op_lines = [ln for ln in lines if "operator:" in ln]
-        assert op_lines and all(ln.startswith("  ") for ln in op_lines)
-        assert any("pass" in ln and "cmp=" in ln for ln in op_lines)
+    def test_join_block_shows_measured_counts(self, result):
+        text = render_explain(result)
+        (join,) = result.stream_joins
+        metrics = join.metrics
+        assert "join 1: contain-join  (sides swapped)" in text
+        assert (
+            f"x={metrics.tuples_read_x} tuples/1 pass  "
+            f"y={metrics.tuples_read_y} tuples/1 pass  "
+            f"out={join.output_rows}  cmp={metrics.comparisons}"
+        ) in text
+        assert f"tuples_built=0  sorted={join.sorted}" in text
+        # The conventional engine's counters close the text.
+        assert text.splitlines()[-1] == (
+            f"scans_started={result.stats.scans_started}"
+            f"  rows_scanned={result.stats.rows_scanned}"
+            f"  comparisons={result.stats.comparisons}"
+            f"  rows_materialized={result.stats.rows_materialized}"
+        )
 
-    def test_render_explain_includes_plan(self, traced):
-        text = render_explain(traced.trace, traced.plan)
-        assert "== logical plan ==" in text
-        assert "== execution trace (EXPLAIN ANALYZE) ==" in text
+    def test_render_explain_includes_plan(self, result):
+        text = render_explain(result)
+        assert text.startswith("== logical plan ==\n" + result.plan.explain())
+        assert "== stream joins ==" in text
+        assert "== conventional engine ==" in text
 
-    def test_operator_summaries_and_single_scan_gate(self, traced):
-        summaries = operator_summaries(traced.trace)
-        assert summaries
-        for summary in summaries:
-            assert summary["passes_x"] == 1
-            assert summary["pass_reads_x"] == [summary["tuples_read_x"]]
-            assert summary["wall_ms"] >= 0
-        assert single_scan_violations(traced.trace) == []
+    def test_every_alternative_shows_its_estimates(self, result):
+        """Each ranked alternative's expected workspace and output, and
+        under them the measured high-water and rows."""
+        lines = render_explain(result).splitlines()
+        (join,) = result.stream_joins
+        header = lines.index(
+            next(line for line in lines if "exp-workspace" in line)
+        )
+        count = len(join.profile.alternatives)
+        ranked = lines[header + 1 : header + 1 + count]
+        for rank, (line, alternative) in enumerate(
+            zip(ranked, join.profile.alternatives), 1
+        ):
+            cells = line.split()
+            assert cells[0] == str(rank)
+            breakdown = alternative.cost_breakdown
+            assert cells[-3:] == [
+                f"{alternative.estimated_cost:.1f}",
+                *(
+                    f"{breakdown[key]:.1f}" if key in breakdown else "-"
+                    for key in ("expected_workspace", "expected_output")
+                ),
+            ]
+        measured = lines[header + 1 + len(ranked)].split()
+        assert measured == [
+            "measured",
+            str(join.workspace_high_water),
+            str(join.output_rows),
+        ]
+
+    def test_single_scan_gate_passes_on_the_join_rows(self, result):
+        joins = [info.as_dict() for info in result.stream_joins]
+        assert joins and joins[0]["metrics"]["passes_x"] == 1
+        assert scan_violations(joins) == []
 
     def test_single_scan_violations_flag_multi_pass(self):
-        tracer = Tracer("t")
-        with tracer.span("operator:x", passes_x=2, pass_reads_x=[5, 5]):
-            pass
-        violations = single_scan_violations(tracer)
-        assert [v["operator"] for v in violations] == ["x"]
+        """One rule for join rows and shard rows: more than one pass on
+        a fault-free run is a violation; a faulted row is excused."""
+
+        def join(passes_x, shards=(), faults=0):
+            return {
+                "operator": "contain-join",
+                "metrics": {
+                    "passes_x": passes_x,
+                    "passes_y": 1,
+                    "resilience": {"faults_injected": faults},
+                },
+                "shards": list(shards),
+            }
+
+        def shard(index, passes_y, faults=0):
+            return {
+                "shard": index,
+                "passes_x": 1,
+                "passes_y": passes_y,
+                "faults": faults,
+                "quarantined": 0,
+                "fallbacks": 0,
+            }
+
+        assert scan_violations([join(1, [shard(0, 1)])]) == []
+        assert scan_violations([join(2, faults=1)]) == []
+        assert scan_violations([join(1, [shard(0, 2, faults=1)])]) == []
+        joins = [join(2), join(1, [shard(0, 1), shard(1, 2)])]
+        assert scan_violations(joins) == [
+            "contain-join reported passes_x=2 passes_y=1 fault-free",
+            "contain-join shard 1 reported passes_x=1 passes_y=2 fault-free",
+        ]
+
+
+MODES = {
+    "serial": {},
+    "inline-2": {"parallelism": 2, "parallel_mode": "inline"},
+    "process-2": {"parallelism": 2, "parallel_mode": "process"},
+}
+
+
+def explained(backend, mode, traced):
+    """EXPLAIN ANALYZE of one hybrid run of the during-query at a size
+    where a 2-shard plan wins on every backend."""
+    cat = catalog(150)
+    plan = optimize(translate(parse_query(DURING_QUERY), cat))
+    planner = TemporalJoinPlanner(backend=backend, **MODES[mode])
+    previous = set_tracer(Tracer("explained")) if traced else None
+    try:
+        executed = execute_hybrid(plan, cat, planner=planner)
+    finally:
+        if traced:
+            set_tracer(previous)
+    return render_explain(executed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+def test_explain_is_the_same_traced_or_untraced(backend, mode):
+    """The text is rendered from the result: tracing the query changes
+    nothing in it but the times."""
+    plain = explained(backend, mode, traced=False)
+    traced = explained(backend, mode, traced=True)
+    assert masked(traced) == masked(plain)
+    assert f"via={backend}" in plain
+    assert ("shard 1:" in plain) == (mode != "serial")
 
 
 class TestCli:
-    def test_default_superstar_run_with_artifacts(self, tmp_path, capsys):
+    def test_default_run_with_artifacts(self, tmp_path, capsys):
         chrome = tmp_path / "trace.json"
         prom = tmp_path / "metrics.prom"
         jsonl = tmp_path / "spans.jsonl"
@@ -126,15 +229,41 @@ class TestCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "== execution trace (EXPLAIN ANALYZE) ==" in out
-        assert "operator:" in out
+        assert "join 1: contain-join" in out
+        assert "measured: x=" in out
         doc = json.loads(chrome.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
         prom_text = prom.read_text()
-        assert "repro_stream_passes_total" in prom_text
         assert "repro_operator_runs_total" in prom_text
-        for line in jsonl.read_text().splitlines():
-            json.loads(line)
+        names = [
+            json.loads(line)["name"]
+            for line in jsonl.read_text().splitlines()
+        ]
+        assert "query" in names
+        assert any(name.startswith("operator:") for name in names)
+
+    def test_trace_files_do_not_change_the_text(self, tmp_path, capsys):
+        """A trace is recorded only for a trace file, and the text is
+        the same with or without one."""
+        assert main(["explain-analyze", "--faculty", "40"]) == 0
+        plain = capsys.readouterr().out
+        chrome = tmp_path / "trace.json"
+        args = ["explain-analyze", "--faculty", "40", "--chrome-trace"]
+        assert main(args + [str(chrome)]) == 0
+        traced = capsys.readouterr().out
+        assert masked(traced) == masked(plain)
+        assert json.loads(chrome.read_text())["traceEvents"]
+
+    def test_budgeted_run_renders_governance(self, capsys):
+        code = main(
+            ["explain-analyze", "--faculty", "40", "--page-budget", "1000"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        section = out[out.index("== governance ==") :].splitlines()
+        assert re.fullmatch(r"elapsed=[0-9.]+ms", section[1])
+        assert re.fullmatch(r"pages_read=\d+ \(cap 1000\)", section[2])
+        assert section[3].endswith("(cap unbounded)")
 
     def test_explicit_query_over_csv(self, tmp_path, capsys):
         cat = catalog(n=40)
@@ -166,4 +295,4 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "== logical plan ==" in out
-        assert "operator:" in out
+        assert "join 1: contain-join" in out

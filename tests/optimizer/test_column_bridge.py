@@ -34,7 +34,7 @@ from repro.model import (
 )
 from repro.obs import Tracer, set_tracer
 from repro.obs.audit import build_record
-from repro.obs.explain import render_span_tree
+from repro.obs.explain import render_explain
 from repro.optimizer import (
     TemporalJoinPlanner,
     execute_hybrid,
@@ -617,7 +617,8 @@ def test_fixed_durations_keep_the_mean_difference():
 
 
 # ----------------------------------------------------------------------
-# observability: the stream-join span says what the bridge built
+# observability: the join row says what the bridge built; the
+# stream-join span is its time
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("arrange", (dict, shuffled), ids=("sorted", "shuffled"))
@@ -627,15 +628,21 @@ def test_stream_join_span_reports_tuples_built_and_sorted(arrange, backend):
     tracer = Tracer("bridge")
     previous = set_tracer(tracer)
     try:
-        execute_hybrid(plan, cat, planner=TemporalJoinPlanner(backend=backend))
+        executed = execute_hybrid(
+            plan, cat, planner=TemporalJoinPlanner(backend=backend)
+        )
     finally:
         set_tracer(previous)
-    (join,) = [s for s in tracer.spans if s.name.startswith("stream-join:")]
+    (info,) = executed.stream_joins
     built = 300 if backend == "tuple" else 0
-    assert join.attributes["tuples_built"] == built
-    assert join.attributes["sorted"] is (arrange is shuffled)
+    assert info.tuples_built == built
+    assert info.sorted is (arrange is shuffled)
+    row = info.as_dict()
+    assert (row["tuples_built"], row["sorted"]) == (built, arrange is shuffled)
+    (join,) = [s for s in tracer.spans if s.name.startswith("stream-join:")]
+    assert join.attributes == {}
     (loaded,) = tracer.find("bridge:rows-to-relation")
     assert loaded.attributes == {"rows": 300}
-    text = render_span_tree(tracer)
-    assert f"tuples_built={built}" in text
-    assert f"sorted={arrange is shuffled}" in text
+    assert loaded.parent_id == join.span_id
+    text = render_explain(executed)
+    assert f"tuples_built={built}  sorted={arrange is shuffled}" in text

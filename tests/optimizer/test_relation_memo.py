@@ -207,23 +207,17 @@ def test_invalid_endpoints_raise_alike_on_every_query(offender, side, backend):
 # ----------------------------------------------------------------------
 # (iv) the tuples a tuple-at-a-time consumer builds are per query
 # ----------------------------------------------------------------------
-def join_span(text, cat, backend="auto"):
-    """The attributes of the one ``stream-join:*`` span of a traced run."""
-    tracer = Tracer("memo")
-    previous = set_tracer(tracer)
-    try:
-        run(text, cat, backend)
-    finally:
-        set_tracer(previous)
-    (join,) = [s for s in tracer.spans if s.name.startswith("stream-join:")]
-    return join.attributes
+def join_row(text, cat, backend="auto"):
+    """The one join row of an (untraced) run, in its dict form."""
+    (join,) = run(text, cat, backend).stream_joins
+    return join.as_dict()
 
 
 def test_tuples_built_is_per_query_not_per_relation():
     cat = catalog()
     both = len(cat["X"]) + len(cat["Y"])
     assert [
-        join_span(DURING, cat, backend)["tuples_built"]
+        join_row(DURING, cat, backend)["tuples_built"]
         for backend in ("auto", "tuple", "fused", "tuple", "columnar")
     ] == [0, both, 0, both, 0]
 
@@ -509,23 +503,23 @@ def test_a_misdeclared_order_is_caught_on_every_query(backend, policy):
 
 
 # ----------------------------------------------------------------------
-# (ix) the span says which operands were answered from a kept order
+# (ix) the join row says which operands were answered from a kept order
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "make, sorts", ((catalog, True), (lambda: declared(TS_ASC), False))
 )
 def test_orders_reused_counts_operands_answered_from_the_memo(make, sorts):
     cat = make()
-    spans = [join_span(DURING, cat) for _ in range(3)]
-    assert [s["orders_reused"] for s in spans] == [0, 2, 2]
+    rows = [join_row(DURING, cat) for _ in range(3)]
+    assert [r["orders_reused"] for r in rows] == [0, 2, 2]
     # What the plan says does not depend on which queries ran before.
-    assert [s["sorted"] for s in spans] == [sorts] * 3
-    assert [s["tuples_built"] for s in spans] == [0] * 3
+    assert [r["sorted"] for r in rows] == [sorts] * 3
+    assert [r["tuples_built"] for r in rows] == [0] * 3
     # A selection below the join: that side filters the kept view.
     selected = DURING + " and a.Seq < 100"
-    spans = [join_span(selected, cat) for _ in range(2)]
-    assert [s["orders_reused"] for s in spans] == [2, 2]
-    assert [s["sorted"] for s in spans] == [sorts] * 2
+    rows = [join_row(selected, cat) for _ in range(2)]
+    assert [r["orders_reused"] for r in rows] == [2, 2]
+    assert [r["sorted"] for r in rows] == [sorts] * 2
 
 
 # ----------------------------------------------------------------------

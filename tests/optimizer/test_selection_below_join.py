@@ -24,7 +24,6 @@ from repro.model import (
     TemporalTuple,
     sort_tuples,
 )
-from repro.obs import Tracer
 from repro.optimizer import TemporalJoinPlanner, execute_hybrid, integration
 from repro.query import parse_query, run_query, translate
 from repro.relational import Select
@@ -254,14 +253,13 @@ def test_a_second_query_sorts_and_validates_nothing_on_the_selected_side():
             if getattr(arg, "__name__", None) == "sort":
                 calls["argsort"] += 1
 
-    tracer = Tracer("second")
     sys.setprofile(profiler)
     try:
-        executed = run_query(text, cat, streams=True, trace=tracer)
+        executed = run_query(text, cat, streams=True)
     finally:
         sys.setprofile(None)
     assert Counter(executed.rows) == oracle
     assert calls == Counter()
-    (join,) = tracer.find("stream-join:overlap-join")
-    assert join.attributes["orders_reused"] == 2
-    assert join.attributes["tuples_built"] == 0
+    (join,) = executed.stream_joins
+    assert join.operator.value == "overlap-join"
+    assert (join.orders_reused, join.tuples_built) == (2, 0)

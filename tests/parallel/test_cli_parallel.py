@@ -19,15 +19,17 @@ class TestExplainAnalyzeParallelism:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "== parallel shards ==" in captured.out
-        assert "parallel:" in captured.out
-        # at least the header plus one shard row
+        assert "  parallel: mode=" in captured.out
+        # one row per shard, under its join
         lines = [
             line
             for line in captured.out.splitlines()
-            if line.strip() and line.lstrip()[0].isdigit()
+            if line.startswith("  shard ")
         ]
-        assert lines, captured.out
+        assert [line.split(":")[0] for line in lines] == [
+            "  shard 0",
+            "  shard 1",
+        ], captured.out
 
     def test_single_scan_gate_covers_shards(self, capsys):
         code = main(
@@ -52,7 +54,7 @@ class TestExplainAnalyzeParallelism:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "plan:" in captured.out
+        assert "  chosen: " in captured.out
 
     def test_artifacts_include_shard_spans(self, tmp_path, capsys):
         jsonl = tmp_path / "spans.jsonl"

@@ -89,10 +89,16 @@ class TestShardSpans:
             s for s in tracer.spans if s.name.startswith("shard:")
         ]
         assert len(shard_spans) == outcome.plan.effective_shards
-        for span in shard_spans:
-            assert span.attributes["passes_x"] <= 1
-            assert "owned_lo" in span.attributes
-            assert "wall_ms" in span.attributes
+        # The span is the shard's time and identity; its counts are the
+        # shard row's.
+        assert [
+            (s.attributes["shard"], s.attributes["attempt"])
+            for s in shard_spans
+        ] == [(run.index, run.attempt) for run in outcome.shard_runs]
+        for run in outcome.shard_runs:
+            assert run.passes_x <= 1
+            assert "owned_lo" in run.as_dict()
+            assert "wall_ms" in run.as_dict()
         parallel_spans = [
             s for s in tracer.spans if s.name.startswith("parallel:")
         ]

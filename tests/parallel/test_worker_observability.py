@@ -11,8 +11,8 @@ observable effect" discipline extended across the process boundary:
   forest back and the parent grafts it under the matching ``shard:<i>``
   span with monotone, clock-calibrated, window-clamped timestamps and
   distinct worker pids;
-* the audit record written for a traced parallel query agrees with the
-  EXPLAIN ANALYZE shard table, attempt for attempt.
+* each grafted ``shard:<i>`` span names the shard row it times, attempt
+  for attempt and worker for worker.
 """
 
 import json
@@ -28,7 +28,6 @@ from repro.obs import (
     to_chrome_trace,
     uninstall_registry,
 )
-from repro.obs.explain import shard_summaries
 from repro.parallel import execute_parallel
 from repro.resilience import (
     RetryPolicy,
@@ -169,8 +168,8 @@ class TestGraftStructure:
         assert {r.pid for r in outcome.shard_runs} == pids
         # On tiny shards one warm worker can legally drain the whole
         # queue before its siblings wake, so >=2 distinct pids is only
-        # guaranteed at real sizes — bench_trace_artifacts and the CI
-        # multi-track gate enforce it there.
+        # guaranteed at real sizes — the CI multi-track gate enforces it
+        # there.
 
     def test_chrome_trace_has_one_track_per_worker(self):
         outcome, tracer = traced_contain_run(shards=4, workers=4)
@@ -199,12 +198,14 @@ class TestGraftStructure:
         outcome, tracer = traced_contain_run()
         if outcome.mode != "process":
             pytest.skip("pool unavailable; fell back to inline")
-        summaries = shard_summaries(tracer)
-        assert len(summaries) == len(outcome.shard_runs)
-        for summary, run in zip(summaries, outcome.shard_runs):
-            assert summary["shard"] == run.index
-            assert summary["attempt"] == run.attempt
-            assert summary["output_count"] == run.output_count
+        spans = [s for s in tracer.spans if s.name.startswith("shard:")]
+        assert len(spans) == len(outcome.shard_runs)
+        for span, run in zip(spans, outcome.shard_runs):
+            # What the graft needs, and no count: those are the row's.
+            assert span.attributes["shard"] == run.index
+            assert span.attributes["attempt"] == run.attempt
+            assert span.attributes["pid"] == run.pid
+            assert "output_count" not in span.attributes
 
 
 class TestWorkerMetricsMerge:

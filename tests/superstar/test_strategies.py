@@ -72,6 +72,22 @@ class TestProfiles:
         assert conventional.faculty_scans == 3
         assert semantic.faculty_scans == 1
 
+    def test_stream_strategies_read_each_input_once(self, strong_faculty):
+        """Fig 8's single-scan claim, per operator: the stream strategy's
+        two overlap joins and the semantic self semijoin each make one
+        pass over every input they read."""
+        stream = stream_superstar(strong_faculty)
+        semantic = semantic_superstar(strong_faculty)
+        passes = [
+            (metrics.passes_x, metrics.passes_y)
+            for metrics in (
+                stream.details["overlap_a"],
+                stream.details["overlap_b"],
+                semantic.details["semijoin"],
+            )
+        ]
+        assert passes == [(1, 1), (1, 1), (1, 0)]
+
     def test_semantic_workspace_is_one_tuple(self, strong_faculty):
         semantic = semantic_superstar(strong_faculty)
         assert semantic.workspace_high_water == 1

@@ -139,6 +139,26 @@ class TestCli:
     def test_bad_relation_binding(self, capsys):
         code = main(["query", "--relation", "nonsense", "range of f is F retrieve (N = f.Name)"])
         assert code == 2
+        assert "--relation needs NAME=FILE.csv" in capsys.readouterr().err
+
+    def test_bad_relation_binding_in_explain_analyze(
+        self, faculty_csv, capsys
+    ):
+        """The binding after a good one is checked too, before anything
+        runs."""
+        code = main(
+            [
+                "explain-analyze",
+                "-r",
+                f"Faculty={faculty_csv}",
+                "-r",
+                "=nameless.csv",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--relation needs NAME=FILE.csv" in captured.err
+        assert captured.out == ""
 
     def test_parse_error_reported(self, faculty_csv, capsys):
         code = main(
