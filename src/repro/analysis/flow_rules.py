@@ -512,10 +512,10 @@ class GovernanceExceptHygiene(Rule):
     id = "REP009"
     title = "broad excepts re-raise or pre-filter governance errors"
     rationale = (
-        "Deadline/budget/cancellation errors are deliberately outside "
-        "the RETRYABLE set: a retry ladder or pool path that catches "
-        "Exception without re-raising turns a hard governance verdict "
-        "into a silent retry, defeating PR 7 entirely."
+        "Deadline/budget/cancellation errors are terminal: a recovery "
+        "ladder or pool path that catches Exception without re-raising "
+        "turns a hard governance verdict into a silent fallback or "
+        "re-dispatch."
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

@@ -113,14 +113,12 @@ class GovernanceError(ReproError):
     cancellation, and resource-budget breaches.
 
     Governance errors are **terminal by design**: the recovery ladder
-    (STRICT/QUARANTINE/DEGRADE) and the storage retry loop must never
-    retry, re-sort, or spill around one — retrying a query that already
-    blew its deadline or budget only spends more of the resource the
-    caller asked us to bound.  ``RETRYABLE`` in
-    :mod:`repro.resilience.retry` is an allowlist that excludes this
-    hierarchy, and :func:`repro.resilience.executor.execute_entry`
-    catches only the two recoverable stream errors, so these propagate
-    through every rung untouched.
+    (STRICT/QUARANTINE/DEGRADE) must never re-sort or spill around one
+    — re-running a query that already blew its deadline or budget only
+    spends more of the resource the caller asked us to bound.
+    :func:`repro.resilience.executor.execute_entry` catches only the
+    two recoverable stream errors, so these propagate through every
+    rung untouched.
     """
 
 
@@ -175,28 +173,7 @@ class StorageError(ReproError):
     """Base class for errors in the simulated storage layer."""
 
 
-class TransientIOError(StorageError):
-    """A page read failed in a way that a retry may heal (the simulated
-    analogue of a dropped request or a momentary device error).  Raised
-    by the fault-injection harness; callers that do not retry see it as
-    an ordinary :class:`StorageError`."""
-
-
 class PageCorruptionError(StorageError):
-    """A page's stored checksum does not match its records.  A re-read
-    may heal it (torn read); persistent corruption surfaces through
-    :class:`StorageFaultError` once retries are exhausted."""
-
-
-class StorageFaultError(StorageError):
-    """A page read kept failing after the retry budget was spent.
-
-    Carries the full fault history so the failure is diagnosable:
-    ``history`` is the sequence of fault events (see
-    :class:`repro.resilience.faults.FaultEvent`) observed for the
-    failing read, most recent last.
-    """
-
-    def __init__(self, message: str, history: tuple = ()) -> None:
-        super().__init__(message)
-        self.history = tuple(history)
+    """A page's stored checksum does not match its records.  Heap files
+    live in memory, so a re-read returns the same records: the error is
+    final and propagates under every recovery policy."""

@@ -37,14 +37,10 @@ def _reads(metrics: dict, side: str) -> str:
     return f"{side}={reads} tuples/{metrics[f'passes_{side}']} pass"
 
 
-def _faulted(resilience: dict) -> bool:
-    """Did the run absorb a fault, quarantine a tuple or fall back?
-    Any of those legitimately costs an extra pass."""
-    return bool(
-        resilience.get("faults_injected")
-        or resilience.get("quarantined")
-        or resilience.get("fallbacks")
-    )
+def _recovered(resilience: dict) -> bool:
+    """Did the run quarantine a tuple or fall back?  Either
+    legitimately costs an extra pass."""
+    return bool(resilience.get("quarantined") or resilience.get("fallbacks"))
 
 
 def _measured(metrics: dict) -> str:
@@ -69,12 +65,10 @@ def _measured(metrics: dict) -> str:
         f"via={metrics['backend']}" + (f":{kernel}" if kernel else "")
     )
     resilience = metrics["resilience"] or {}
-    if _faulted(resilience):
+    if _recovered(resilience):
         parts.append(
-            "resilience(faults={faults_injected} retries={retries} "
-            "quarantined={quarantined} passes_added={passes_added})".format(
-                **resilience
-            )
+            "resilience(quarantined={quarantined} "
+            "passes_added={passes_added})".format(**resilience)
         )
     return "  ".join(parts)
 
@@ -178,7 +172,7 @@ def render_shard(shard: dict) -> str:
         f"{shard['owned_hi']})  x={shard['x_tuples']}  y={shard['y_tuples']}"
         f"  out={shard['output_count']}"
         f"  passes={shard['passes_x']}x/{shard['passes_y']}y"
-        f"  evict={shard['eviction_checks']}  faults={shard['faults']}"
+        f"  evict={shard['eviction_checks']}"
         f"  quarantined={shard['quarantined']}"
         f"  resid={shard['residual_filtered']}  attempt={shard['attempt']}"
         f"  wall={shard['wall_ms']:.3f}ms"
@@ -240,28 +234,23 @@ def _governance(governance: dict) -> str:
 def scan_violations(joins: Sequence[dict]) -> List[str]:
     """The single-scan gate over join rows (``StreamJoinInfo.as_dict()``)
     and their shard rows: one line per row that read an input more than
-    once on a fault-free run.  A row whose run absorbed faults,
-    quarantined tuples or fell back legitimately re-scans and is
-    excluded — the same rule for a join and for each shard, which the
-    Tables 1-3 bounds hold per shard."""
+    once without recovering.  A row whose run quarantined tuples or fell
+    back legitimately re-scans and is excluded — the same rule for a
+    join and for each shard, which the Tables 1-3 bounds hold per
+    shard."""
     violations: List[str] = []
     for join in joins:
         metrics = join["metrics"]
-        rows = [
-            (join["operator"], metrics, _faulted(metrics["resilience"] or {}))
-        ]
+        rows = [(join["operator"], metrics, metrics["resilience"] or {})]
         rows += [
-            (
-                f"{join['operator']} shard {shard['shard']}",
-                shard,
-                shard["faults"] or shard["quarantined"] or shard["fallbacks"],
-            )
+            (f"{join['operator']} shard {shard['shard']}", shard, shard)
             for shard in join["shards"]
         ]
         violations += [
             f"{label} reported passes_x={row['passes_x']} "
-            f"passes_y={row['passes_y']} fault-free"
-            for label, row, faulted in rows
-            if not faulted and max(row["passes_x"], row["passes_y"]) > 1
+            f"passes_y={row['passes_y']} without recovery"
+            for label, row, resilience in rows
+            if not _recovered(resilience)
+            and max(row["passes_x"], row["passes_y"]) > 1
         ]
     return violations

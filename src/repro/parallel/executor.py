@@ -24,10 +24,10 @@ side only when touched.  The two modes differ only in transport:
   whenever the worker pool is unavailable.
 
 Resilience composes per shard: each shard runs under the caller's
-policy and fault plan, so a faulted shard retries, quarantines, or
-degrades on its own — siblings never see it.  Shard reports are merged
-into one :class:`~repro.resilience.recovery.ExecutionReport`; each
-shard's row is a :class:`ShardRun`, and its time a ``shard:<i>`` span.
+policy, so a shard quarantines or degrades on its own — siblings never
+see it.  Shard reports are merged into one
+:class:`~repro.resilience.recovery.ExecutionReport`; each shard's row
+is a :class:`ShardRun`, and its time a ``shard:<i>`` span.
 Pool infrastructure failures are *visible* degradations: the run falls
 back inline, bumps ``repro_parallel_pool_fallbacks_total`` with the
 exception class, and records it on the ``parallel:`` span.
@@ -55,10 +55,8 @@ from ..model.tuples import TemporalTuple
 from ..obs.graft import graft_worker_trace
 from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
-from ..resilience.faults import FaultPlan, WorkerFaultPlan
+from ..resilience.faults import WorkerFaultPlan
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
-from ..resilience.retry import RetryPolicy
-from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import RegistryEntry
 from . import shm
@@ -98,7 +96,6 @@ class ShardRun:
     output_count: int
     degraded: bool
     fallbacks: int
-    faults: int
     quarantined: int
     residual_filtered: int
     #: Dispatch attempt that produced this row: 0 on the first dispatch
@@ -134,7 +131,6 @@ class ShardRun:
             output_count=summary["output_count"],
             degraded=bool(report.fallbacks),
             fallbacks=len(report.fallbacks),
-            faults=report.faults_injected,
             quarantined=len(report.quarantined),
             residual_filtered=summary["residual_filtered"],
             attempt=summary.get("attempt", 0),
@@ -185,9 +181,6 @@ def _shard_tasks(
     backend: str,
     policy: RecoveryPolicy,
     workspace_budget: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    retry_policy: Optional[RetryPolicy],
-    page_capacity: int,
 ) -> List[dict]:
     """One task per planned range: column ranges plus small config,
     everything :func:`~repro.parallel.worker.run_shard` reads."""
@@ -205,9 +198,6 @@ def _shard_tasks(
             "backend": backend,
             "policy": policy,
             "workspace_budget": workspace_budget,
-            "fault_plan": fault_plan,
-            "retry_policy": retry_policy,
-            "page_capacity": page_capacity,
         }
         if shape == "self":
             # Kernel input is the context hull range of the X columns.
@@ -561,9 +551,6 @@ def execute_parallel(
     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
     workspace_budget: Optional[int] = None,
     report: Optional[ExecutionReport] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    page_capacity: int = DEFAULT_PAGE_CAPACITY,
     mode: str = "auto",
     worker_fault_plan: Optional[WorkerFaultPlan] = None,
     straggler_after: Optional[float] = None,
@@ -626,16 +613,7 @@ def execute_parallel(
             y_cols.te if y_cols is not None else None,
             shards=shards,
         )
-        tasks = _shard_tasks(
-            entry,
-            plan,
-            backend,
-            policy,
-            workspace_budget,
-            fault_plan,
-            retry_policy,
-            page_capacity,
-        )
+        tasks = _shard_tasks(entry, plan, backend, policy, workspace_budget)
         effective_workers = max(
             1,
             min(

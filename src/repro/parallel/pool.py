@@ -17,7 +17,7 @@ global that was unsafe under concurrent ``run_query`` calls.
 Failure semantics — **shard-level containment**, not batch abort:
 
 * a worker raising a :class:`~repro.errors.ReproError` (STRICT
-  violations, storage faults, governance breaches) ships the pickled
+  violations, corrupt pages, governance breaches) ships the pickled
   original exception back; ``run_batch`` re-raises the lowest-index
   one after every shard resolves — deterministic errors are never
   retried, they would only fail again;
@@ -475,7 +475,7 @@ class WorkerPool:
                 continue  # duplicate from a speculation loser
             if "error" in result:
                 # Deterministic shard failure (STRICT violation,
-                # storage fault, governance breach): never retried —
+                # corrupt page, governance breach): never retried —
                 # a re-run of an idempotent shard fails identically.
                 errors[index] = result
             else:

@@ -232,9 +232,6 @@ def run_shard(
         backend=task["backend"],
         policy=task["policy"],
         workspace_budget=task["workspace_budget"],
-        fault_plan=task["fault_plan"],
-        retry_policy=task["retry_policy"],
-        page_capacity=task["page_capacity"],
     )
     # The shard boundary is where a lazy join output is consumed.
     (x_rows, first), (y_rows, second) = index_sides(outcome.results, shape)

@@ -1,19 +1,20 @@
-"""Resilient execution layer: fault injection, retry/backoff, and
-graceful degradation from one-pass streams.
+"""Resilient execution layer: graceful degradation from one-pass
+streams, and worker-level fault injection for the parallel runtime.
 
 The submodules are layered so the core vocabulary (policies, reports,
-faults, retries) has no dependency on the stream engine:
+worker faults) has no dependency on the stream engine:
 
 * :mod:`.recovery` — :class:`RecoveryPolicy` ladder and the
   :class:`ExecutionReport`;
-* :mod:`.retry` — bounded exponential backoff with deterministic
-  jitter;
-* :mod:`.faults` — seeded :class:`FaultPlan` and the
-  :class:`ResilientHeapFile` wrapper;
+* :mod:`.faults` — the seeded :class:`WorkerFaultPlan`;
 * :mod:`.executor` — the degradation ladder over registry entries
   (re-sort on order violations, spill-and-extra-passes on workspace
   overflow);
-* :mod:`.harness` — the chaos differential sweep over Tables 1-3.
+* :mod:`.harness` — the worker-containment sweep over Tables 1-3.
+
+A corrupt page is not a rung of the ladder: its checksum fails and
+:class:`~repro.errors.PageCorruptionError` propagates under every
+policy.
 
 ``executor`` and ``harness`` import the stream engine, which itself
 imports :mod:`.recovery`; they are therefore loaded lazily here to keep
@@ -22,42 +23,24 @@ the import graph acyclic.
 
 from __future__ import annotations
 
-from .faults import (
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    ResilientHeapFile,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-    wrap_sources,
-)
+from .faults import WorkerFaultKind, WorkerFaultPlan
 from .recovery import (
     ExecutionReport,
     FallbackEvent,
     QuarantineEvent,
     RecoveryPolicy,
 )
-from .retry import RETRYABLE, RetryPolicy, retry_call
 
 __all__ = [
     "ExecutionReport",
     "FallbackEvent",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
     "QuarantineEvent",
-    "RETRYABLE",
     "RecoveryPolicy",
-    "ResilientHeapFile",
     "ResilientResult",
-    "RetryPolicy",
     "WorkerFaultKind",
     "WorkerFaultPlan",
-    "chaos_sweep",
     "execute_entry",
-    "retry_call",
     "worker_chaos_sweep",
-    "wrap_sources",
 ]
 
 #: Names resolved lazily to avoid importing the stream engine (and its
@@ -65,7 +48,6 @@ __all__ = [
 _LAZY = {
     "ResilientResult": ".executor",
     "execute_entry": ".executor",
-    "chaos_sweep": ".harness",
     "worker_chaos_sweep": ".harness",
 }
 

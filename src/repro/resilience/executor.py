@@ -1,8 +1,7 @@
 """The one body that runs a registry cell, and its degradation ladder.
 
 :func:`execute_entry` runs one Table-1/2/3 cell on concrete inputs
-under a :class:`~repro.resilience.recovery.RecoveryPolicy`, optionally
-behind a seeded :class:`~repro.resilience.faults.FaultPlan`.  The
+under a :class:`~repro.resilience.recovery.RecoveryPolicy`.  The
 planner's serial plans and every parallel shard go through it, so the
 two assumptions the paper's single-pass algorithms rest on — the
 operand is in its declared order, the state fits the workspace — are
@@ -10,8 +9,7 @@ enforced in exactly one place:
 
 * ``STRICT`` — any violated assumption raises its original exception
   type (order violations as :class:`~repro.errors.StreamOrderError`,
-  budget breaches as :class:`~repro.errors.WorkspaceOverflowError`,
-  persistent storage faults as :class:`~repro.errors.StorageFaultError`);
+  budget breaches as :class:`~repro.errors.WorkspaceOverflowError`);
 * ``QUARANTINE`` — order/validity-violating tuples are skipped into
   the report's counted side-channel by the streams themselves;
 * ``DEGRADE`` — the paper's Section-4.1 trade-off triangle, exercised
@@ -27,8 +25,9 @@ relation, or a tuple sequence (:func:`stream_over`).  A batch backend
 reads columns as they are, so a clean STRICT or DEGRADE run builds no
 :class:`~repro.model.tuples.TemporalTuple`; the rungs that are
 tuple-at-a-time by nature (the quarantining cursor, the external
-re-sort, the spill, fault-plan staging) make a column operand build its
-tuples, once, when they are reached.
+re-sort, the spill) make a column operand build its tuples, once, when
+they are reached.  A corrupt page on a re-sort or spill file raises
+:class:`~repro.errors.PageCorruptionError` under every policy.
 """
 
 from __future__ import annotations
@@ -52,15 +51,12 @@ from ..model.tuples import TemporalTuple
 from ..obs.trace import get_tracer
 from ..storage.external_sort import external_sort
 from ..storage.heap_file import HeapFile
-from ..storage.page import DEFAULT_PAGE_CAPACITY
 from ..streams.metrics import ProcessorMetrics
 from ..streams.processors.baseline import PREDICATES
 from ..streams.registry import RegistryEntry
 from ..streams.stream import TupleStream
 from ..streams.workspace import Workspace, WorkspaceMeter
-from .faults import FaultPlan, ResilientHeapFile
 from .recovery import ExecutionReport, RecoveryPolicy
-from .retry import RetryPolicy
 
 Predicate = Callable[[TemporalTuple, TemporalTuple], bool]
 
@@ -188,18 +184,12 @@ def execute_entry(
     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
     workspace_budget: Optional[int] = None,
     report: Optional[ExecutionReport] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    page_capacity: int = DEFAULT_PAGE_CAPACITY,
 ) -> ResilientResult:
     """Run one registry cell with the chosen recovery policy.
 
     Operands are already in — or claimed to be in — the entry's
     declared orders (an order-free cell reads them in any order, so its
-    streams verify none).  With a ``fault_plan`` the operands are
-    staged on heap files wrapped in
-    :class:`~repro.resilience.faults.ResilientHeapFile`, so every page
-    read runs through fault injection and retry-with-backoff.
+    streams verify none).
     """
     report = report if report is not None else ExecutionReport()
     unary = entry.y_order is None
@@ -213,37 +203,16 @@ def execute_entry(
         verify_order=not entry.order_free, recovery=policy, report=report
     )
 
-    def make_stream(operand, order, name):
-        if fault_plan is None:
-            return stream_over(operand, name, order, **options)
-        # The staged file's name feeds the fault plan's draw key;
-        # qualifying it with the cell keeps fault schedules of
-        # different operators/backends decorrelated under one seed.
-        staged = HeapFile(
-            f"{entry.operator.value}[{backend}].{name}",
-            page_capacity=page_capacity,
-        )
-        staged.extend(_tuples_of(operand))
-        staged.stats.reset()  # staging traffic is not query cost
-        return TupleStream.from_heap_file(
-            ResilientHeapFile(
-                staged, fault_plan, retry=retry_policy, report=report
-            ),
-            order=getattr(operand, "order", order),
-            name=name,
-            **options,
-        )
-
     resorted: set = set()
     tracer = get_tracer()
     # At most one re-sort per operand, then one spill: four attempts
     # cover every legal degradation path; a fifth means a logic error.
     for _attempt in range(4):
-        x_stream = make_stream(x_operand, entry.x_order, "X")
+        x_stream = stream_over(x_operand, "X", entry.x_order, **options)
         y_stream = (
             None
             if unary
-            else make_stream(y_operand, entry.y_order, "Y")
+            else stream_over(y_operand, "Y", entry.y_order, **options)
         )
         processor = entry.build(x_stream, y_stream, backend=backend)
         processor.meter.limit = workspace_budget
@@ -251,8 +220,7 @@ def execute_entry(
         # terminal on every rung: the except clauses below catch only
         # the two recoverable stream errors, so a deadline,
         # cancellation, or budget breach propagates out of the ladder
-        # with its original type — never re-sorted, spilled, or
-        # retried.
+        # with its original type — never re-sorted or spilled.
         processor.meter.token = active_token()
         try:
             with tracer.span(
@@ -283,11 +251,7 @@ def execute_entry(
                     raise  # re-sorted input violated again: not ours
                 resorted.add("X")
                 x_operand = _resort(
-                    _tuples_of(x_operand),
-                    entry.x_order,
-                    "X",
-                    report,
-                    page_capacity,
+                    _tuples_of(x_operand), entry.x_order, "X", report
                 )
             if not unary and (side is None or "Y" in side):
                 if "Y" in resorted and side is not None:
@@ -295,11 +259,7 @@ def execute_entry(
                 if "Y" not in resorted:
                     resorted.add("Y")
                     y_operand = _resort(
-                        _tuples_of(y_operand),
-                        entry.y_order,
-                        "Y",
-                        report,
-                        page_capacity,
+                        _tuples_of(y_operand), entry.y_order, "Y", report
                     )
             continue
         except WorkspaceOverflowError:
@@ -318,7 +278,6 @@ def execute_entry(
                 None if unary else _tuples_of(y_operand),
                 workspace_budget,
                 report,
-                page_capacity,
             )
             processor._finalise_metrics()
         metrics = processor.metrics
@@ -335,11 +294,10 @@ def _resort(
     order,
     label: str,
     report: ExecutionReport,
-    page_capacity: int,
 ) -> List[TemporalTuple]:
     """DEGRADE's answer to an order violation: buy the declared order
     with an external sort, charging its passes to the report."""
-    staged = HeapFile(f"degrade.{label}", page_capacity=page_capacity)
+    staged = HeapFile(f"degrade.{label}")
     staged.extend(records)
     outcome = external_sort(
         staged, order, memory_pages=_SORT_MEMORY_PAGES
@@ -360,7 +318,6 @@ def _finish_by_spill(
     y_records: Optional[Sequence[TemporalTuple]],
     workspace_budget: Optional[int],
     report: ExecutionReport,
-    page_capacity: int,
 ) -> list:
     """DEGRADE's answer to a workspace overflow: spill the operands to
     heap files and finish with a block nested-loop whose resident block
@@ -371,9 +328,7 @@ def _finish_by_spill(
     shape = entry.operator.shape
     block = max(1, workspace_budget or _DEFAULT_SPILL_BLOCK)
 
-    x_spill = HeapFile(
-        f"spill.{entry.operator.value}.X", page_capacity=page_capacity
-    )
+    x_spill = HeapFile(f"spill.{entry.operator.value}.X")
     x_spill.extend(x_records)
     inner_records = x_records if shape == "self" else y_records
     if inner_records is None:
@@ -383,10 +338,7 @@ def _finish_by_spill(
     inner_spill = (
         x_spill
         if shape == "self"
-        else HeapFile(
-            f"spill.{entry.operator.value}.Y",
-            page_capacity=page_capacity,
-        )
+        else HeapFile(f"spill.{entry.operator.value}.Y")
     )
     if inner_spill is not x_spill:
         inner_spill.extend(inner_records)

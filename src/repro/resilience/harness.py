@@ -1,17 +1,16 @@
-"""Chaos differential sweep over Tables 1-3.
+"""Worker-containment differential sweep over Tables 1-3.
 
-The resilience layer's headline claim is *transparency*: a seeded
-transient-fault plan, healed by retries, must leave every registry cell
-byte-identical to its fault-free run — same output rows, same workspace
-high-water mark — on both physical backends.  :func:`chaos_sweep` is
-that claim as an executable: it runs every supported cell twice (clean
-and under the plan), diffs the runs, and returns a serialisable result
-the chaos CI job uploads as an artifact.
+The parallel runtime's claim is *containment*: a worker that dies,
+stalls, or hands back a torn result segment costs at most one shard
+re-dispatch, never the answer.  :func:`worker_chaos_sweep` is that
+claim as an executable: it runs every supported cell twice through the
+shared-memory process runtime (clean and under a seeded
+:class:`~repro.resilience.faults.WorkerFaultPlan`), diffs the runs, and
+returns a serialisable result the chaos CI job uploads as an artifact.
 
-Determinism contract: the dataset is derived from the sweep seed alone,
-the fault plan draws from ``(seed, file, page, logical read)``, and
-retry jitter from ``(seed, key, attempt)`` — so one seed pins the whole
-sweep, faults included.
+Determinism contract: the dataset is derived from the sweep seed alone
+and the faulted shard from ``(seed, cell key, shard count)``, so one
+seed pins the whole sweep, faults included.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ from ..obs.metrics import (
     install_registry,
     uninstall_registry,
 )
-from .executor import ResilientResult, execute_entry
-from .faults import FaultKind, FaultPlan, WorkerFaultKind, WorkerFaultPlan
-from .recovery import ExecutionReport, RecoveryPolicy
-from .retry import RetryPolicy, derived_rng
-
-#: Default fault mix: every species the plan knows.
-ALL_KINDS = (FaultKind.TRANSIENT, FaultKind.CORRUPT, FaultKind.SLOW)
+from .faults import WorkerFaultKind, WorkerFaultPlan, derived_rng
 
 
 def generate_relation(
@@ -59,146 +52,6 @@ def generate_relation(
         te = ts + rng.choice(durations)
         tuples.append(TemporalTuple(f"{label}{i}", rng.randrange(5), ts, te))
     return tuples
-
-
-@dataclass(frozen=True)
-class ChaosCell:
-    """The differential verdict for one registry cell on one backend."""
-
-    operator: str
-    x_order: str
-    y_order: Optional[str]
-    backend: str
-    results_match: bool
-    high_water_match: bool
-    output_rows: int
-    high_water: int
-    faults_injected: int
-    retries: int
-
-    @property
-    def ok(self) -> bool:
-        return self.results_match and self.high_water_match
-
-
-@dataclass
-class ChaosSweepResult:
-    """Every cell's verdict plus the aggregate resilience report."""
-
-    seed: int
-    cells: List[ChaosCell] = field(default_factory=list)
-    report: ExecutionReport = field(default_factory=ExecutionReport)
-
-    @property
-    def all_matched(self) -> bool:
-        return all(cell.ok for cell in self.cells)
-
-    @property
-    def mismatches(self) -> List[ChaosCell]:
-        return [cell for cell in self.cells if not cell.ok]
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "cells": len(self.cells),
-            "all_matched": self.all_matched,
-            "mismatches": [
-                {
-                    "operator": cell.operator,
-                    "x_order": cell.x_order,
-                    "y_order": cell.y_order,
-                    "backend": cell.backend,
-                    "results_match": cell.results_match,
-                    "high_water_match": cell.high_water_match,
-                }
-                for cell in self.mismatches
-            ],
-            "report": self.report.as_dict(),
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    def summary(self) -> str:
-        return (
-            f"chaos sweep seed={self.seed}: {len(self.cells)} cells, "
-            f"{len(self.mismatches)} mismatches, {self.report.summary()}"
-        )
-
-
-def chaos_sweep(
-    seed: int = 0,
-    rate: float = 0.15,
-    kinds: Sequence[FaultKind] = ALL_KINDS,
-    backends: Sequence[str] = BACKENDS,
-    policy: RecoveryPolicy = RecoveryPolicy.STRICT,
-    workspace_budget: Optional[int] = None,
-    relation_size: int = 48,
-    page_capacity: int = 8,
-    retry_policy: Optional[RetryPolicy] = None,
-    report: Optional[ExecutionReport] = None,
-) -> ChaosSweepResult:
-    """Differential chaos run over every supported cell x backend.
-
-    Each cell executes twice on identical, properly sorted inputs: once
-    clean, once with operands staged on fault-injecting heap files under
-    ``FaultPlan(seed, rate, kinds)``.  With the default retry budget,
-    every injected fault must heal; the cell passes when both runs agree
-    on the output rows and the workspace high-water mark.
-    """
-    plan = FaultPlan(seed=seed, rate=rate, kinds=tuple(kinds))
-    retry = retry_policy if retry_policy is not None else RetryPolicy(seed=seed)
-    outcome = ChaosSweepResult(
-        seed=seed,
-        report=report if report is not None else ExecutionReport(),
-    )
-    base_x = generate_relation(seed, "x", relation_size)
-    base_y = generate_relation(seed, "y", relation_size)
-
-    for operator in TemporalOperator:
-        for entry in supported_entries(operator):
-            xs = sort_tuples(base_x, entry.x_order)
-            ys = (
-                sort_tuples(base_y, entry.y_order)
-                if entry.y_order is not None
-                else None
-            )
-            for backend in entry.backends:
-                if backend not in backends:
-                    continue
-                clean = execute_entry(
-                    entry,
-                    xs,
-                    ys,
-                    backend=backend,
-                    policy=policy,
-                    workspace_budget=workspace_budget,
-                )
-                faults_before = outcome.report.faults_injected
-                retries_before = outcome.report.retries
-                chaotic = execute_entry(
-                    entry,
-                    xs,
-                    ys,
-                    backend=backend,
-                    policy=policy,
-                    workspace_budget=workspace_budget,
-                    report=outcome.report,
-                    fault_plan=plan,
-                    retry_policy=retry,
-                    page_capacity=page_capacity,
-                )
-                outcome.cells.append(
-                    _diff_cell(
-                        entry,
-                        backend,
-                        clean,
-                        chaotic,
-                        outcome.report.faults_injected - faults_before,
-                        outcome.report.retries - retries_before,
-                    )
-                )
-    return outcome
 
 
 @dataclass(frozen=True)
@@ -408,91 +261,40 @@ def worker_chaos_sweep(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI for the chaos CI job: run one seeded sweep, write the
-    report artifact, exit non-zero on any mismatch.
-
-    ``--worker-fault`` switches from the storage-fault differential to
-    the worker-containment differential (parallel process runtime under
-    kill/stall/corrupt-result faults).
-    """
+    """CLI for the chaos CI job: run one seeded worker-containment
+    sweep, write the report artifact, exit non-zero on any escape."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Differential chaos sweep over Tables 1-3"
+        description="Worker-containment differential over Tables 1-3"
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rate", type=float, default=0.15)
     parser.add_argument("--size", type=int, default=48)
     parser.add_argument(
         "--worker-fault",
         choices=[kind.value for kind in WorkerFaultKind],
-        default=None,
-        help="run the worker-containment differential with this fault "
-        "kind instead of the storage-fault sweep",
+        default=WorkerFaultKind.KILL.value,
+        help="the carrier fault to inject (default: kill)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        help="shards per cell for the worker-containment differential",
+        "--shards", type=int, default=3, help="shards per cell"
     )
     parser.add_argument(
         "--out", default=None, help="write the sweep report JSON here"
     )
     options = parser.parse_args(argv)
-    result: object
-    if options.worker_fault is not None:
-        worker_result = worker_chaos_sweep(
-            seed=options.seed,
-            kind=WorkerFaultKind(options.worker_fault),
-            relation_size=options.size,
-            shards=options.shards,
-        )
-        ok = worker_result.all_contained
-        result = worker_result
-    else:
-        sweep_result = chaos_sweep(
-            seed=options.seed,
-            rate=options.rate,
-            relation_size=options.size,
-        )
-        ok = (
-            sweep_result.all_matched
-            and sweep_result.report.fully_accounted
-        )
-        result = sweep_result
+    result = worker_chaos_sweep(
+        seed=options.seed,
+        kind=WorkerFaultKind(options.worker_fault),
+        relation_size=options.size,
+        shards=options.shards,
+    )
     print(result.summary())
     if options.out:
         with open(options.out, "w", encoding="utf-8") as handle:
             handle.write(result.to_json())
         print(f"report written to {options.out}")
-    return 0 if ok else 1
-
-
-def _diff_cell(
-    entry,
-    backend: str,
-    clean: ResilientResult,
-    chaotic: ResilientResult,
-    faults: int,
-    retries: int,
-) -> ChaosCell:
-    clean_hw = clean.metrics.workspace.high_water if clean.metrics else -1
-    chaos_hw = (
-        chaotic.metrics.workspace.high_water if chaotic.metrics else -2
-    )
-    return ChaosCell(
-        operator=entry.operator.value,
-        x_order=str(entry.x_order),
-        y_order=str(entry.y_order) if entry.y_order is not None else None,
-        backend=backend,
-        results_match=clean.results == chaotic.results,
-        high_water_match=clean_hw == chaos_hw,
-        output_rows=len(chaotic.results),
-        high_water=chaos_hw,
-        faults_injected=faults,
-        retries=retries,
-    )
+    return 0 if result.all_contained else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

@@ -26,16 +26,10 @@ class HeapFile:
         name: str,
         page_capacity: int = DEFAULT_PAGE_CAPACITY,
         stats: Optional[IOStats] = None,
-        verify_checksums: bool = True,
     ) -> None:
         self.name = name
         self.page_capacity = page_capacity
         self.stats = stats if stats is not None else IOStats()
-        #: When True (the default), every page fetch re-verifies the
-        #: page's stored checksum, so corruption surfaces at read time
-        #: as :class:`~repro.errors.PageCorruptionError` instead of as
-        #: silently wrong answers.
-        self.verify_checksums = verify_checksums
         self._pages: list[Page] = []
 
     # ------------------------------------------------------------------
@@ -90,7 +84,9 @@ class HeapFile:
 
     def page(self, index: int, stats: Optional[IOStats] = None) -> Page:
         """Fetch one page, charging a page read and verifying its
-        checksum (unless verification is disabled on this file)."""
+        checksum, so corruption surfaces at read time as
+        :class:`~repro.errors.PageCorruptionError` instead of as
+        silently wrong answers."""
         (stats or self.stats).record_page_read()
         token = active_token()
         if token is not None:
@@ -108,8 +104,7 @@ class HeapFile:
         if tracer.io_events:
             tracer.event("page.read", file=self.name, page=index)
         page = self._pages[index]
-        if self.verify_checksums:
-            page.verify()
+        page.verify()
         return page
 
     def scan(self, stats: Optional[IOStats] = None) -> Iterator[Any]:
@@ -137,8 +132,7 @@ class HeapFile:
                 ).inc(file=self.name)
             if tracer.io_events:
                 tracer.event("page.read", file=self.name, page=index)
-            if self.verify_checksums:
-                page.verify()
+            page.verify()
             for record in page:
                 accounting.record_tuple_read()
                 yield record

@@ -21,15 +21,6 @@ class IOStats:
     tuple_reads: int = 0
     tuple_writes: int = 0
     scans_started: int = 0
-    #: Page reads that observed an injected or real fault.
-    faults_seen: int = 0
-    #: Read attempts repeated after a retryable fault.
-    retries: int = 0
-    #: Reads that completed but were flagged slow by the fault plan.
-    slow_reads: int = 0
-    #: Simulated time (arbitrary units) spent in backoff sleeps and
-    #: slow-read penalties.  Never wall-clock: tests stay fast.
-    simulated_delay: float = 0.0
 
     def record_page_read(self, count: int = 1) -> None:
         self.page_reads += count
@@ -46,17 +37,6 @@ class IOStats:
     def record_scan(self) -> None:
         self.scans_started += 1
 
-    def record_fault(self) -> None:
-        self.faults_seen += 1
-
-    def record_retry(self, delay: float = 0.0) -> None:
-        self.retries += 1
-        self.simulated_delay += delay
-
-    def record_slow_read(self, delay: float) -> None:
-        self.slow_reads += 1
-        self.simulated_delay += delay
-
     @property
     def total_page_io(self) -> int:
         """Pages moved in either direction."""
@@ -70,10 +50,6 @@ class IOStats:
             tuple_reads=self.tuple_reads,
             tuple_writes=self.tuple_writes,
             scans_started=self.scans_started,
-            faults_seen=self.faults_seen,
-            retries=self.retries,
-            slow_reads=self.slow_reads,
-            simulated_delay=self.simulated_delay,
         )
 
     def delta_since(self, earlier: "IOStats") -> "IOStats":
@@ -84,10 +60,6 @@ class IOStats:
             tuple_reads=self.tuple_reads - earlier.tuple_reads,
             tuple_writes=self.tuple_writes - earlier.tuple_writes,
             scans_started=self.scans_started - earlier.scans_started,
-            faults_seen=self.faults_seen - earlier.faults_seen,
-            retries=self.retries - earlier.retries,
-            slow_reads=self.slow_reads - earlier.slow_reads,
-            simulated_delay=self.simulated_delay - earlier.simulated_delay,
         )
 
     def reset(self) -> None:
@@ -96,10 +68,6 @@ class IOStats:
         self.tuple_reads = 0
         self.tuple_writes = 0
         self.scans_started = 0
-        self.faults_seen = 0
-        self.retries = 0
-        self.slow_reads = 0
-        self.simulated_delay = 0.0
 
 
 @dataclass

@@ -3,8 +3,9 @@
 A :class:`Page` is a fixed-capacity container of records.  There is no
 byte-level serialization — the simulation cares about *counts* (how many
 pages a scan touches), not encodings — but each page does carry a real
-checksum over its records so that corruption (injected or otherwise) is
-*detectable*, not silently returned to the executor.
+checksum over its records so that corruption is *detectable* — a
+:class:`~repro.errors.PageCorruptionError` — not silently returned to
+the executor.
 """
 
 from __future__ import annotations

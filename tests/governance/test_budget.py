@@ -1,7 +1,6 @@
 """Unit behaviour of QueryBudget, CancellationToken, and the
 thread-local ``governed`` installation: deadlines fire at checkpoints,
-caps are terminal, tokens nest, and governance errors are excluded from
-every retry path."""
+caps are terminal, and tokens nest."""
 
 import threading
 
@@ -10,7 +9,6 @@ import pytest
 from repro.errors import (
     BudgetExceededError,
     DeadlineExceededError,
-    GovernanceError,
     QueryCancelledError,
 )
 from repro.governance import (
@@ -20,7 +18,6 @@ from repro.governance import (
     governed,
     install_token,
 )
-from repro.resilience.retry import RETRYABLE
 
 
 class FakeClock:
@@ -177,17 +174,3 @@ class TestGoverned:
             thread.start()
             thread.join()
         assert seen == [None]
-
-
-class TestRetryExclusion:
-    def test_governance_errors_are_never_retryable(self):
-        """The retry allowlist must exclude the whole governance
-        hierarchy — retrying a blown budget only spends more of it."""
-        for retryable in RETRYABLE:
-            assert not issubclass(retryable, GovernanceError)
-        for error in (
-            DeadlineExceededError("d"),
-            QueryCancelledError("c"),
-            BudgetExceededError("b"),
-        ):
-            assert not isinstance(error, RETRYABLE)

@@ -140,37 +140,38 @@ class TestRendering:
         assert scan_violations(joins) == []
 
     def test_single_scan_violations_flag_multi_pass(self):
-        """One rule for join rows and shard rows: more than one pass on
-        a fault-free run is a violation; a faulted row is excused."""
+        """One rule for join rows and shard rows: more than one pass
+        without recovery is a violation; a row that quarantined a tuple
+        or fell back is excused."""
 
-        def join(passes_x, shards=(), faults=0):
+        def join(passes_x, shards=(), quarantined=0):
             return {
                 "operator": "contain-join",
                 "metrics": {
                     "passes_x": passes_x,
                     "passes_y": 1,
-                    "resilience": {"faults_injected": faults},
+                    "resilience": {"quarantined": quarantined},
                 },
                 "shards": list(shards),
             }
 
-        def shard(index, passes_y, faults=0):
+        def shard(index, passes_y, fallbacks=0):
             return {
                 "shard": index,
                 "passes_x": 1,
                 "passes_y": passes_y,
-                "faults": faults,
                 "quarantined": 0,
-                "fallbacks": 0,
+                "fallbacks": fallbacks,
             }
 
         assert scan_violations([join(1, [shard(0, 1)])]) == []
-        assert scan_violations([join(2, faults=1)]) == []
-        assert scan_violations([join(1, [shard(0, 2, faults=1)])]) == []
+        assert scan_violations([join(2, quarantined=1)]) == []
+        assert scan_violations([join(1, [shard(0, 2, fallbacks=1)])]) == []
         joins = [join(2), join(1, [shard(0, 1), shard(1, 2)])]
         assert scan_violations(joins) == [
-            "contain-join reported passes_x=2 passes_y=1 fault-free",
-            "contain-join shard 1 reported passes_x=1 passes_y=2 fault-free",
+            "contain-join reported passes_x=2 passes_y=1 without recovery",
+            "contain-join shard 1 reported passes_x=1 passes_y=2 "
+            "without recovery",
         ]
 
 

@@ -1,6 +1,6 @@
 """Differential suite: parallel execution must be multiset-identical
 to the serial kernel for every registry cell, on both backends, at
-every shard count — including under seeded chaos."""
+every shard count."""
 
 import os
 
@@ -8,13 +8,7 @@ import pytest
 
 from repro.errors import BudgetExceededError, StreamOrderError
 from repro.governance import QueryBudget, governed
-from repro.resilience import (
-    ExecutionReport,
-    FaultPlan,
-    RecoveryPolicy,
-    RetryPolicy,
-)
-from repro.resilience.harness import generate_relation
+from repro.resilience import ExecutionReport, RecoveryPolicy
 from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
 from repro.streams import TemporalOperator, lookup
@@ -187,62 +181,6 @@ def test_governed_strict_batch_shard_charges_its_high_water(
                 mode=mode,
             )
     assert err.value.resource == "workspace"
-
-
-class TestChaosDifferential:
-    """A healing transient fault plan must leave the parallel output
-    byte-identical to a clean serial run — per shard, the full
-    resilience ladder composes exactly as it does serially."""
-
-    pytestmark = pytest.mark.chaos
-
-    @pytest.mark.parametrize("backend", ["tuple", "columnar"])
-    def test_faulted_parallel_matches_clean_serial(self, backend):
-        entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
-        xs = sort_tuples(generate_relation(5, "x", 72), TS_ASC)
-        ys = sort_tuples(generate_relation(5, "y", 72), TS_ASC)
-        expected = canon(serial_run(entry, xs, ys, backend))
-        report = ExecutionReport()
-        outcome = execute_parallel(
-            entry,
-            xs,
-            ys,
-            shards=3,
-            backend=backend,
-            policy=RecoveryPolicy.DEGRADE,
-            fault_plan=FaultPlan(seed=13, rate=0.2),
-            retry_policy=RetryPolicy(seed=13, max_attempts=5),
-            report=report,
-            page_capacity=8,
-            mode="inline",
-        )
-        assert canon(outcome.results) == expected
-        assert report.faults_injected > 0
-        assert report.fully_accounted
-        assert report.storage_errors == 0
-
-    def test_chaos_parallel_is_deterministic(self):
-        entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
-        xs = sort_tuples(generate_relation(5, "x", 48), TS_ASC)
-        ys = sort_tuples(generate_relation(5, "y", 48), TS_ASC)
-
-        def run():
-            report = ExecutionReport()
-            outcome = execute_parallel(
-                entry,
-                xs,
-                ys,
-                shards=3,
-                policy=RecoveryPolicy.DEGRADE,
-                fault_plan=FaultPlan(seed=21, rate=0.25),
-                retry_policy=RetryPolicy(seed=21, max_attempts=5),
-                report=report,
-                page_capacity=8,
-                mode="inline",
-            )
-            return canon(outcome.results), report.faults_injected
-
-        assert run() == run()
 
 
 class TestShardIsolation:

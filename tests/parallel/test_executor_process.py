@@ -3,7 +3,7 @@ workers, shard-span emission, and max-vs-sum metric merging."""
 
 import pytest
 
-from repro.errors import ExecutionError, StorageFaultError
+from repro.errors import ExecutionError, WorkspaceOverflowError
 from repro.model import TS_ASC, sort_tuples
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -12,7 +12,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer, set_tracer
 from repro.parallel import execute_parallel
-from repro.resilience import FaultPlan, RecoveryPolicy, RetryPolicy
+from repro.resilience import RecoveryPolicy
 from repro.streams import TemporalOperator, lookup
 
 from .conftest import canon, make_tuples, serial_run
@@ -42,16 +42,12 @@ class TestProcessMode:
         assert all(r.output_count >= 0 for r in outcome.shard_runs)
 
     def test_strict_fault_propagates_from_worker(self):
-        """A never-healing page under STRICT must surface the original
-        StorageFaultError through the pool, not a pickling wrapper."""
+        """A workspace breach inside a worker under STRICT must surface
+        the original WorkspaceOverflowError through the pool, not a
+        pickling wrapper."""
         entry = contain_entry()
         xs, ys = inputs()
-        plan = FaultPlan(
-            seed=0,
-            rate=0.0,
-            persistent=frozenset({("contain-join[tuple].X", 0)}),
-        )
-        with pytest.raises(StorageFaultError):
+        with pytest.raises(WorkspaceOverflowError):
             execute_parallel(
                 entry,
                 xs,
@@ -59,9 +55,7 @@ class TestProcessMode:
                 shards=2,
                 workers=2,
                 policy=RecoveryPolicy.STRICT,
-                fault_plan=plan,
-                retry_policy=RetryPolicy(seed=0, max_attempts=3),
-                page_capacity=8,
+                workspace_budget=1,
                 mode="process",
             )
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.errors import StorageFaultError
+from repro.errors import WorkspaceOverflowError
 from repro.model import TS_ASC, sort_tuples
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -28,13 +28,7 @@ from repro.parallel import (
 )
 from repro.parallel import executor as executor_mod
 from repro.parallel import pool as pool_mod
-from repro.resilience import (
-    FaultPlan,
-    RecoveryPolicy,
-    RetryPolicy,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-)
+from repro.resilience import RecoveryPolicy, WorkerFaultKind, WorkerFaultPlan
 from repro.streams import TemporalOperator, lookup
 
 from .conftest import canon, make_tuples, serial_run
@@ -81,13 +75,8 @@ class TestSegmentLifecycle:
         names it handed out on the error path too."""
         entry = contain_entry()
         xs, ys = inputs()
-        plan = FaultPlan(
-            seed=0,
-            rate=0.0,
-            persistent=frozenset({("contain-join[tuple].X", 0)}),
-        )
         before = shm_entries()
-        with pytest.raises(StorageFaultError):
+        with pytest.raises(WorkspaceOverflowError):
             execute_parallel(
                 entry,
                 xs,
@@ -95,9 +84,7 @@ class TestSegmentLifecycle:
                 shards=2,
                 workers=2,
                 policy=RecoveryPolicy.STRICT,
-                fault_plan=plan,
-                retry_policy=RetryPolicy(seed=0, max_attempts=3),
-                page_capacity=8,
+                workspace_budget=1,
                 mode="process",
             )
         assert shm_entries() == before

@@ -29,11 +29,7 @@ from repro.obs import (
     uninstall_registry,
 )
 from repro.parallel import execute_parallel
-from repro.resilience import (
-    RetryPolicy,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-)
+from repro.resilience import WorkerFaultKind, WorkerFaultPlan
 from repro.streams import TemporalOperator, lookup
 
 from .conftest import (
@@ -254,7 +250,6 @@ class TestRedispatchObservability:
                 workers=2,
                 mode="process",
                 worker_fault_plan=plan,
-                retry_policy=RetryPolicy(seed=0, max_attempts=3),
             )
         finally:
             uninstall_registry()

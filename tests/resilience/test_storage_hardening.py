@@ -6,6 +6,7 @@ import pytest
 from repro.errors import PageCorruptionError, StreamOrderError
 from repro.model import TemporalTuple
 from repro.model.sortorder import TS_ASC
+from repro.resilience import RecoveryPolicy
 from repro.storage import HeapFile
 from repro.storage.page import Page
 from repro.streams import TupleStream
@@ -36,11 +37,15 @@ class TestPageChecksums:
         with pytest.raises(PageCorruptionError):
             f.page(2)
 
-    def test_verification_can_be_disabled(self):
-        f = HeapFile("lenient", page_capacity=4, verify_checksums=False)
-        f.extend(tuples(8))
-        f._pages[0]._records[0] = TemporalTuple("evil", 99, 0, 1)
-        assert len(list(f.scan())) == 8
+    @pytest.mark.parametrize("policy", list(RecoveryPolicy))
+    def test_corrupt_page_is_typed_under_every_policy(self, policy):
+        """No recovery rung absorbs a corrupt page: a stream over it
+        raises the typed error whatever its policy."""
+        f = HeapFile.from_records("victim", tuples(10), page_capacity=4)
+        f._pages[1]._records[0] = TemporalTuple("evil", 99, 0, 1)
+        stream = TupleStream.from_heap_file(f, order=TS_ASC, recovery=policy)
+        with pytest.raises(PageCorruptionError):
+            list(stream.drain())
 
 
 class TestStreamRestart:
