@@ -1,14 +1,14 @@
-"""Columnar batch-sweep execution backend (Piatov et al.,
-arXiv:2008.12665, applied to the paper's Tables 1-3 algorithms).
+"""The two batch-sweep execution backends, ``columnar`` and ``fused``
+(the paper's Tables 1-3 algorithms over endpoint columns).
 
 The tuple-at-a-time processors in :mod:`repro.streams.processors` are
 faithful to the paper's one-buffer stream model; this package provides
-the physically different but semantically identical *columnar* backend:
+the physically different but semantically identical batch backends:
 operands as parallel endpoint columns, operators as batch sweep kernels
-with lazily evicted active lists — one :data:`CELLS` row per admissible
-cell, run by the one :class:`ColumnarProcessor`.  Select it per plan
-through ``RegistryEntry.build(..., backend="columnar")`` or
-``TemporalJoinPlanner(..., backend="columnar")``.
+whose state is disposed of lazily, at probe time — one :data:`CELLS`
+row per admissible cell, run by the one :class:`ColumnarProcessor`.
+Select one per plan through ``RegistryEntry.build(..., backend=...)``
+or ``TemporalJoinPlanner(..., backend=...)``.
 """
 
 from .backend import CELLS, ColumnarProcessor

@@ -4,10 +4,10 @@
 one row per admissible cell with its operator, the sort order each
 operand must declare, its state class, and its three physical forms —
 the tuple-at-a-time processor of :mod:`repro.streams.processors` (whose
-``operator`` string is the cell's label), the
-:mod:`~repro.columnar.kernels` probe scan, and the
-:mod:`~repro.columnar.fused` endpoint-event sweep (the columnar kernel
-itself where the cell keeps no slot store).  The 120-entry registry of
+``operator`` string is the cell's label) and the kernel each batch
+backend runs: one :mod:`~repro.columnar.kernels` sweep for both, except
+the Overlap-join, whose columnar probe scan and
+:mod:`~repro.columnar.fused` slot store differ.  The 120-entry registry of
 :mod:`repro.streams.registry` — the rows, their time-reversal mirrors,
 the order-free Before-semijoin, '-' everywhere else — is derived from
 these rows.
@@ -25,7 +25,8 @@ counted against the stream like any read), and the sweep runs as a batch
 kernel over the endpoint columns.  The kernels' ``SweepStats`` are then
 folded into the processor's :class:`~repro.streams.workspace.
 WorkspaceMeter`, preserving high-water marks, insert/discard totals,
-the optional Figure-5 trace, and the optional workspace ``limit``.
+the optional Figure-5 trace, and the optional workspace ``limit``; the
+comparison counts are the backend's own charge of the sweep.
 
 A lower-half (mirrored) registry entry runs its upper-half cell on
 time-reversed *columns* — Section 4.2.1's symmetry, ``[TS, TE)`` to
@@ -131,24 +132,25 @@ class Cell:
 _T = TemporalOperator
 _TS, _TE = so.TS_ASC, so.TE_ASC
 
-#: label -> cell.  The six cells whose fused kernel *is* the columnar
-#: one keep no slot store (``slot_bound`` "zero"/"one").
+#: label -> cell.  Every row but the Overlap-join names one kernel in
+#: both batch columns; the six with ``slot_bound`` "zero"/"one" keep no
+#: slot store.
 CELLS = {
     cell.label: cell
     for cell in (
         # Table 1 — Contain
         Cell(_T.CONTAIN_JOIN, _TS, _TS, "a", ContainJoinTsTs,
-             kernels.contain_join_ts_ts, fused.contain_join_ts_ts),
+             kernels.contain_join_ts_ts, kernels.contain_join_ts_ts),
         Cell(_T.CONTAIN_JOIN, _TS, _TE, "b", ContainJoinTsTe,
-             kernels.contain_join_ts_te, fused.contain_join_ts_te),
+             kernels.contain_join_ts_te, kernels.contain_join_ts_te),
         Cell(_T.CONTAIN_SEMIJOIN, _TS, _TS, "c", ContainSemijoinTsTs,
-             kernels.contain_semijoin_ts_ts, fused.contain_semijoin_ts_ts),
+             kernels.contain_semijoin_ts_ts, kernels.contain_semijoin_ts_ts),
         Cell(_T.CONTAIN_SEMIJOIN, _TS, _TE, "d", ContainSemijoinTsTe,
              kernels.contain_semijoin_ts_te, kernels.contain_semijoin_ts_te,
              "zero"),
         Cell(_T.CONTAINED_SEMIJOIN, _TS, _TS, "c", ContainedSemijoinTsTs,
              kernels.contained_semijoin_ts_ts,
-             fused.contained_semijoin_ts_ts),
+             kernels.contained_semijoin_ts_ts),
         Cell(_T.CONTAINED_SEMIJOIN, _TE, _TS, "d", ContainedSemijoinTeTs,
              kernels.contained_semijoin_te_ts,
              kernels.contained_semijoin_te_ts, "zero"),
@@ -174,7 +176,8 @@ CELLS = {
              kernels.self_contain_semijoin_ts_te_desc,
              kernels.self_contain_semijoin_ts_te_desc, "one"),
         Cell(_T.SELF_CONTAIN_SEMIJOIN, _TS, None, "b1", SelfContainSemijoin,
-             kernels.self_contain_semijoin_ts, fused.self_contain_semijoin_ts),
+             kernels.self_contain_semijoin_ts,
+             kernels.self_contain_semijoin_ts),
     )
 }
 
@@ -276,9 +279,18 @@ class ColumnarProcessor(StreamProcessor):
     def _absorb(self, stats: SweepStats) -> None:
         """Fold kernel accounting into the processor's meter/metrics.
         Kernels count their end-of-sweep residue as discarded, so the
-        meter's ``current`` legitimately stays zero."""
-        self.metrics.comparisons += stats.comparisons
-        self.metrics.eviction_checks += stats.eviction_checks
+        meter's ``current`` legitimately stays zero.  The columnar
+        backend reports a slot-store sweep's probe-scan charge, the
+        fused backend its search charge."""
+        comparisons, checks = stats.comparisons, stats.eviction_checks
+        if (
+            self.backend_name == "columnar"
+            and stats.scan_comparisons is not None
+        ):
+            comparisons = stats.scan_comparisons
+            checks = stats.scan_eviction_checks
+        self.metrics.comparisons += comparisons
+        self.metrics.eviction_checks += checks
         meter = self.meter
         meter.total_inserted += stats.inserted
         meter.total_discarded += stats.discarded

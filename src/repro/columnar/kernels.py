@@ -1,16 +1,45 @@
 """Batch sweep kernels over endpoint columns.
 
-Each kernel is the columnar counterpart of one stream processor from
+Each kernel is the batch counterpart of one stream processor from
 :mod:`repro.streams.processors`: same operator semantics (the strict
 closed-open conventions of Section 4.2 — ``TS < TE``, disposal when
-``ValidTo <= buffer.ValidFrom``), same single-pass sweep, but executed
-over whole sorted runs of ``(TS, TE)`` columns instead of advancing a
-one-tuple buffer through layers of Python objects.
+``ValidTo <= buffer.ValidFrom``), same single pass, but executed over
+whole sorted runs of ``(TS, TE)`` columns instead of advancing a
+one-tuple buffer through layers of Python objects.  Both batch
+backends run these functions; :mod:`repro.columnar.fused` re-exports
+them and adds its own Overlap-join.
 
-Active lists follow Piatov et al. (arXiv:2008.12665): a *gapless* list
-of live entries that is **lazily evicted** — dead entries are dropped
-during the probe scan that had to visit them anyway, by compacting
-survivors in place.  No per-eviction list surgery, no holes.
+The five Contain-family cells (Table 1 classes (a), (b), (c) and
+Table 3's (b1)) keep their active intervals in a **two-column slot
+store in disposal order**: a list of the stored rows' raw ``ValidTo``
+endpoints and a parallel list of their column positions.
+
+* **insert** is one ``bisect_right`` on the endpoint column and one
+  C-level ``insert`` into each column.  Equal endpoints land in
+  insertion order, which is position order because the stored operand
+  arrives sorted — the store is ordered by ``(endpoint, position)``
+  without either being packed into the other, so any endpoint and any
+  operand size fit;
+* **evict** is one ranged prefix delete: the Section-4.2 rule
+  (``ValidTo <= buffer.ValidFrom``) disposes exactly the entries below
+  ``bisect_right(endpoints, buffer.ValidFrom)``, at the same sweep
+  positions a lazily compacted active list would drop them;
+* **probe** is one binary search: because the merge admits an interval
+  only once the sweep has strictly passed its start (the
+  ``RANK_START``-last tie law of :mod:`repro.columnar.events`, realised
+  as the equal-timestamp holdback), every stored entry already
+  satisfies the start-side match condition, and the end-side condition
+  selects a contiguous *run* of the store;
+* **emit** is a read of that run: the join kernels extend their
+  ``(xi, yj)`` index columns with the run's positions (sorted back into
+  position order) against the probe repeated — one C-level step per
+  run, none per pair.
+
+The Overlap-join keeps the probe scan of Piatov et al.
+(arXiv:2008.12665) — a gapless active list per side, lazily evicted by
+the scan that visits every entry anyway — because there every live
+entry is an output pair.  The zero-state (class (d)) and one-state
+(class (a1)) cells are two-pointer scans with no store at all.
 
 Kernels deliberately trade abstraction for monomorphic inner loops
 (local variable bindings, inlined comparisons): this is kernel code,
@@ -33,6 +62,7 @@ eviction batch, exactly like the meter's Figure-5 trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from itertools import repeat
 from sys import maxsize
 from typing import List, Optional, Sequence, Tuple
@@ -45,13 +75,19 @@ class SweepStats:
 
     ``comparisons`` counts match tests against *live* state — the same
     work the tuple backend meters — while ``eviction_checks`` counts
-    the liveness tests that lazy eviction spends rediscovering dead
-    entries during probe scans (or, in the fused backend, the binary
-    searches that locate the disposal prefix).  Keeping the two apart
-    is what lets the differential tests assert backend comparison
-    parity instead of ignoring the column: folding dead-entry visits
-    into ``comparisons`` inflated the columnar count ~10% over tuple
-    on identical inputs.
+    the tests spent finding dead state.  Keeping the two apart is what
+    lets the differential tests assert backend comparison parity.
+
+    A slot-store sweep charges that pair twice, both read off the store
+    sizes it computes anyway.  The *search* charge, in ``comparisons``
+    and ``eviction_checks``, is ``bit_length`` of the store per binary
+    search: what the ``fused`` backend reports.  The *probe-scan*
+    charge, in ``scan_comparisons`` and ``scan_eviction_checks``, is
+    what a linear scan of a lazily compacted active list visits: the
+    live entries after each eviction (held-back entries included) and
+    the entries evicted.  The ``columnar`` backend reports it.  A
+    kernel with one charge — no store, or an Overlap-join, which each
+    backend has its own of — leaves the probe-scan pair ``None``.
     """
 
     __slots__ = (
@@ -60,6 +96,8 @@ class SweepStats:
         "inserted",
         "discarded",
         "high_water",
+        "scan_comparisons",
+        "scan_eviction_checks",
     )
 
     def __init__(self) -> None:
@@ -68,6 +106,8 @@ class SweepStats:
         self.inserted = 0
         self.discarded = 0
         self.high_water = 0
+        self.scan_comparisons: Optional[int] = None
+        self.scan_eviction_checks: Optional[int] = None
 
 
 def _overflow(limit: int) -> WorkspaceOverflowError:
@@ -90,30 +130,51 @@ def contain_join_ts_ts(
     """Contain-join(X, Y), both operands sorted ValidFrom ascending.
 
     A matching pair has ``x.TS < y.TS``, so the containing X tuple is
-    always swept first: one active list of open X intervals suffices,
-    probed once per Y element.  X entries die when ``X.TE <= y.TS``
-    (the Section-4.2.1 disposal rule) and are compacted away by the
-    probe scan that discovers them.
+    always swept first: one slot store of open X intervals in ValidTo
+    order (the class-(a) disposal endpoint) suffices, probed once per
+    Y element.  X entries die when ``X.TE <= y.TS`` (the Section-4.2.1
+    disposal rule).  X starts sharing a probe's timestamp are held back
+    until the sweep strictly passes them (``RANK_START`` last), so
+    every stored entry satisfies ``X.TS < y.TS`` by construction and
+    the probe's match set is exactly the store suffix with
+    ``X.TE > y.TE`` — one binary search, emitted as one run.  Held-back
+    entries still count toward the state high-water mark at admission
+    and as live entries of the probe-scan charge.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    active: List[Tuple[int, int, int]] = []  # (TE, TS, index)
-    out_x: List[int] = []
-    out_y: List[int] = []
-    emit_x = out_x.append
-    emit_y = out_y.append
-    comparisons = eviction_checks = inserted = discarded = cur = high = 0
-    i = j = 0
-    while j < ny:
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    rows: List[int] = []  # stored X: column position, parallel to ends
+    held: List[int] = []  # admitted X rows starting at ``held_ts``
+    held_ts = 0
+    xi: List[int] = []
+    yj: List[int] = []
+    comparisons = searched = scanned = eviction_checks = 0
+    inserted = discarded = high = 0
+    i = 0
+    for j in range(ny):
         yts = y_ts[j]
-        if i < nx and x_ts[i] <= yts:
+        if held and held_ts < yts:
+            for row in held:
+                xte = x_te[row]
+                at = bisect_right(ends, xte)
+                ends.insert(at, xte)
+                rows.insert(at, row)
+            del held[:]
+        while i < nx and x_ts[i] <= yts:
             comparisons += 1
             xte = x_te[i]
             if xte > yts:  # skip dead-on-arrival entries
-                active.append((xte, x_ts[i], i))
+                if x_ts[i] == yts:
+                    held.append(i)
+                    held_ts = yts
+                else:
+                    at = bisect_right(ends, xte)
+                    ends.insert(at, xte)
+                    rows.insert(at, i)
                 inserted += 1
-                cur += 1
+                cur = len(rows) + len(held)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -121,36 +182,35 @@ def contain_join_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             i += 1
-            continue
-        yte = y_te[j]
-        w = 0
-        for ent in active:
-            if ent[0] <= yts:
-                continue  # dead: every future Y starts at or after yts
-            active[w] = ent
-            w += 1
-            if ent[1] < yts and yte < ent[0]:
-                emit_x(ent[2])
-                emit_y(j)
-        dead = len(active) - w
-        comparisons += w  # match tests against live entries
-        eviction_checks += dead  # liveness tests that found dead ones
-        if dead:
-            del active[w:]
-            discarded += dead
-            cur -= dead
+        k = bisect_right(ends, yts)
+        eviction_checks += len(rows).bit_length()
+        if k:
+            del ends[:k]
+            del rows[:k]
+            discarded += k
             if trace is not None:
-                trace.append(cur)
-        j += 1
-    discarded += cur  # sweep over: the remaining state space is freed
-    if trace is not None and cur:
+                trace.append(len(rows) + len(held))
+        live = len(rows)
+        searched += live.bit_length()
+        scanned += live
+        if held:
+            scanned += len(held)
+        cut = bisect_right(ends, y_te[j])
+        m = live - cut
+        if m:
+            xi.extend(sorted(rows[cut:]))
+            yj.extend(repeat(j, m))
+    stats.scan_eviction_checks = discarded  # so far, every one evicted
+    discarded += len(rows) + len(held)
+    if trace is not None and (rows or held):
         trace.append(0)
-    stats.comparisons = comparisons
+    stats.comparisons = comparisons + searched
+    stats.scan_comparisons = comparisons + scanned
     stats.eviction_checks = eviction_checks
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
-    return (out_x, out_y), stats
+    return (xi, yj), stats
 
 
 def contain_join_ts_te(
@@ -162,33 +222,47 @@ def contain_join_ts_te(
     trace: Optional[List[int]] = None,
 ) -> Tuple[Tuple[List[int], List[int]], SweepStats]:
     """Contain-join(X, Y) with X on ValidFrom^ and Y on ValidTo^
-    (Table 1's class-(b) row).
+    (Table 1's class-(b) row), with the store kept in each order.
 
     The merge consumes the smaller of ``x.TS`` and ``y.TE``; a matching
     pair satisfies ``x.TS < y.TS < y.TE < x.TE``, so X is always
-    consumed first and one active X list again suffices.  X entries die
-    once ``X.TE <= y.TE`` — future Y end no earlier (Y is ValidTo
-    sorted) and can never end strictly inside them.
+    consumed first and one X store suffices.  X entries die once
+    ``X.TE <= y.TE`` — future Y end no earlier (Y is ValidTo sorted)
+    and can never end strictly inside them — while the match set of a
+    probe is ``X.TS < y.TS``.  So the store is kept in *start* order
+    for probing, and in ValidTo order to identify the disposal prefix.
+    X arrives in ValidFrom order, so the start-ordered pair is
+    append-only and ascending in position: an evicted entry is found in
+    it by bisecting for its position.  After the ranged eviction every
+    stored entry satisfies ``X.TE > y.TE``, so the probe's match set is
+    exactly the prefix with ``X.TS < y.TS``: one binary search and one
+    run per probe, already in position order.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    active: List[Tuple[int, int, int]] = []  # (TE, TS, index)
-    out_x: List[int] = []
-    out_y: List[int] = []
-    emit_x = out_x.append
-    emit_y = out_y.append
-    comparisons = eviction_checks = inserted = discarded = cur = high = 0
-    i = j = 0
-    while j < ny:
+    starts: List[int] = []  # stored X: ValidFrom, ascending (appended)
+    rows: List[int] = []  # their positions, parallel and ascending too
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    end_rows: List[int] = []  # their positions, parallel to ends
+    xi: List[int] = []
+    yj: List[int] = []
+    comparisons = searched = scanned = eviction_checks = 0
+    inserted = discarded = high = 0
+    i = 0
+    for j in range(ny):
         yte = y_te[j]
-        if i < nx and x_ts[i] <= yte:
+        while i < nx and x_ts[i] <= yte:
             comparisons += 1
             xte = x_te[i]
             if xte > yte:  # dead-on-arrival otherwise
-                active.append((xte, x_ts[i], i))
+                starts.append(x_ts[i])
+                rows.append(i)
+                at = bisect_right(ends, xte)
+                ends.insert(at, xte)
+                end_rows.insert(at, i)
                 inserted += 1
-                cur += 1
+                cur = len(rows)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -196,36 +270,38 @@ def contain_join_ts_te(
                 if trace is not None:
                     trace.append(cur)
             i += 1
-            continue
-        yts = y_ts[j]
-        w = 0
-        for ent in active:
-            if ent[0] <= yte:
-                continue  # dead: future Y tuples end at or after yte
-            active[w] = ent
-            w += 1
-            if ent[1] < yts:  # survivor already has TE > y.TE
-                emit_x(ent[2])
-                emit_y(j)
-        dead = len(active) - w
-        comparisons += w
-        eviction_checks += dead
-        if dead:
-            del active[w:]
-            discarded += dead
-            cur -= dead
+        k = bisect_right(ends, yte)
+        eviction_checks += len(rows).bit_length()
+        if k:
+            for row in end_rows[:k]:
+                at = bisect_left(rows, row)
+                del starts[at]
+                del rows[at]
+                eviction_checks += len(rows).bit_length()
+            del ends[:k]
+            del end_rows[:k]
+            discarded += k
             if trace is not None:
-                trace.append(cur)
-        j += 1
-    discarded += cur
-    if trace is not None and cur:
+                trace.append(len(rows))
+        # Every survivor ends after y.TE; starts before y.TS == match.
+        live = len(rows)
+        searched += live.bit_length()
+        scanned += live
+        cut = bisect_left(starts, y_ts[j])
+        if cut:
+            xi.extend(rows[:cut])
+            yj.extend(repeat(j, cut))
+    stats.scan_eviction_checks = discarded  # so far, every one evicted
+    discarded += len(rows)
+    if trace is not None and rows:
         trace.append(0)
-    stats.comparisons = comparisons
+    stats.comparisons = comparisons + searched
+    stats.scan_comparisons = comparisons + scanned
     stats.eviction_checks = eviction_checks
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
-    return (out_x, out_y), stats
+    return (xi, yj), stats
 
 
 # ----------------------------------------------------------------------
@@ -298,24 +374,46 @@ def contain_semijoin_ts_ts(
     trace: Optional[List[int]] = None,
 ) -> Tuple[List[int], SweepStats]:
     """Contain-semijoin(X, Y), both on ValidFrom^ (class (c)): X
-    candidates wait in the active list until a witness arrives (emit
-    and retire) or ``X.TE <= y.TS`` proves none ever will."""
+    candidates wait in the slot store until a witness arrives or
+    ``X.TE <= y.TS`` proves none ever will.  The probe's match set is a
+    store suffix (as in the join), emitted *and retired* with one
+    ranged delete — matched candidates leave immediately, keeping the
+    class-(c) subset property."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    active: List[Tuple[int, int, int]] = []  # (TE, TS, index)
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    rows: List[int] = []  # stored X: column position, parallel to ends
+    held: List[int] = []  # admitted X rows starting at ``held_ts``
+    held_ts = 0
     out: List[int] = []
-    append = out.append
-    comparisons = eviction_checks = inserted = discarded = cur = high = 0
-    i = j = 0
-    while j < ny and (i < nx or active):
+    comparisons = searched = scanned = eviction_checks = evicted = 0
+    inserted = high = 0
+    i = 0
+    for j in range(ny):
         yts = y_ts[j]
-        if i < nx and x_ts[i] <= yts:
+        if i >= nx and not rows and not held:
+            break
+        if held and held_ts < yts:
+            for row in held:
+                xte = x_te[row]
+                at = bisect_right(ends, xte)
+                ends.insert(at, xte)
+                rows.insert(at, row)
+            del held[:]
+        while i < nx and x_ts[i] <= yts:
             comparisons += 1
-            if x_te[i] > yts:  # dead-on-arrival otherwise
-                active.append((x_te[i], x_ts[i], i))
+            xte = x_te[i]
+            if xte > yts:  # dead-on-arrival otherwise
+                if x_ts[i] == yts:
+                    held.append(i)
+                    held_ts = yts
+                else:
+                    at = bisect_right(ends, xte)
+                    ends.insert(at, xte)
+                    rows.insert(at, i)
                 inserted += 1
-                cur += 1
+                cur = len(rows) + len(held)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -323,36 +421,34 @@ def contain_semijoin_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             i += 1
-            continue
-        yte = y_te[j]
-        matched = len(out)
-        w = 0
-        for ent in active:
-            if ent[0] <= yts:
-                continue  # no future y can fall strictly inside
-            if ent[1] < yts and yte < ent[0]:
-                append(ent[2])  # matched: emit and retire immediately
-                continue
-            active[w] = ent
-            w += 1
-        matched = len(out) - matched
-        dropped = len(active) - w
-        comparisons += w + matched  # live entries: match-tested
-        eviction_checks += dropped - matched  # dead entries
-        if dropped:
-            del active[w:]
-            discarded += dropped
-            cur -= dropped
-            if trace is not None:
-                trace.append(cur)
-        j += 1
-    discarded += cur
-    if trace is not None and cur:
+        k = bisect_right(ends, yts)
+        eviction_checks += len(rows).bit_length()
+        if k:
+            del ends[:k]
+            del rows[:k]
+            evicted += k
+        live = len(rows)
+        searched += live.bit_length()
+        scanned += live
+        if held:
+            scanned += len(held)
+        cut = bisect_right(ends, y_te[j])
+        m = live - cut
+        if m:
+            out.extend(sorted(rows[cut:]))
+            del ends[cut:]  # matched: emit and retire immediately
+            del rows[cut:]
+        if trace is not None and (k or m):
+            trace.append(len(rows) + len(held))
+    if trace is not None and (rows or held):
         trace.append(0)
-    stats.comparisons = comparisons
+    stats.comparisons = comparisons + searched
+    stats.scan_comparisons = comparisons + scanned
     stats.eviction_checks = eviction_checks
+    stats.scan_eviction_checks = evicted
     stats.inserted = inserted
-    stats.discarded = discarded
+    # Evicted, retired one per emitted row, or left when the sweep ended.
+    stats.discarded = evicted + len(out) + len(rows) + len(held)
     stats.high_water = high
     return out, stats
 
@@ -367,23 +463,30 @@ def contained_semijoin_ts_ts(
 ) -> Tuple[List[int], SweepStats]:
     """Contained-semijoin(X, Y), both on ValidFrom^ (class (c)): Y
     tuples wait while their lifespan spans the sweep; each X is decided
-    the moment it is consumed."""
+    the moment it is consumed.  The state is the waiting Y side, and
+    only its ValidTo column — no stored row is ever emitted.  Every
+    stored Y starts strictly before the consumed X (strict admission),
+    so X is contained in *some* stored Y iff the store's maximum
+    ValidTo exceeds ``X.TE``: an O(1) test against the last slot, which
+    the search charge counts as one comparison per X."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
-    active: List[Tuple[int, int, int]] = []  # (TE, TS, index) of Y
+    ends: List[int] = []  # stored Y: ValidTo, ascending
     out: List[int] = []
     append = out.append
-    comparisons = eviction_checks = inserted = discarded = cur = high = 0
-    i = j = 0
-    while i < nx:
+    comparisons = scanned = eviction_checks = inserted = discarded = 0
+    high = 0
+    j = 0
+    for i in range(nx):
         xts = x_ts[i]
-        if j < ny and y_ts[j] < xts:
+        while j < ny and y_ts[j] < xts:
             comparisons += 1
-            if y_te[j] > xts:  # dead-on-arrival otherwise
-                active.append((y_te[j], y_ts[j], j))
+            yte = y_te[j]
+            if yte > xts:  # dead-on-arrival otherwise
+                insort(ends, yte)
                 inserted += 1
-                cur += 1
+                cur = len(ends)
                 if cur > high:
                     high = cur
                     if high > budget:
@@ -391,32 +494,22 @@ def contained_semijoin_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             j += 1
-            continue
-        xte = x_te[i]
-        emitted = False
-        w = 0
-        for ent in active:
-            if ent[0] <= xts:
-                continue  # ended at or before the sweep: evict
-            active[w] = ent
-            w += 1
-            if not emitted and ent[1] < xts and xte < ent[0]:
-                append(i)
-                emitted = True
-        dead = len(active) - w
-        comparisons += w
-        eviction_checks += dead
-        if dead:
-            del active[w:]
-            discarded += dead
-            cur -= dead
+        k = bisect_right(ends, xts)
+        eviction_checks += len(ends).bit_length()
+        if k:
+            del ends[:k]
+            discarded += k
             if trace is not None:
-                trace.append(cur)
-        i += 1
-    discarded += cur
-    if trace is not None and cur:
+                trace.append(len(ends))
+        scanned += len(ends)
+        if ends and ends[-1] > x_te[i]:
+            append(i)
+    stats.scan_eviction_checks = discarded  # so far, every one evicted
+    discarded += len(ends)
+    if trace is not None and ends:
         trace.append(0)
-    stats.comparisons = comparisons
+    stats.comparisons = comparisons + nx
+    stats.scan_comparisons = comparisons + scanned
     stats.eviction_checks = eviction_checks
     stats.inserted = inserted
     stats.discarded = discarded
@@ -701,52 +794,71 @@ def self_contain_semijoin_ts(
     trace: Optional[List[int]] = None,
 ) -> Tuple[List[int], SweepStats]:
     """Contain-semijoin(X, X) on ValidFrom^ (Table 3 class (b1)): open,
-    not-yet-proven-container candidates probed by each new element."""
+    not-yet-proven-container candidates wait in a ValidTo-ordered slot
+    store.  Each element evicts the disposal prefix (``TE <= ts``), then
+    the candidates it proves to be containers form the store suffix
+    with ``TE > te`` — minus same-start peers, which the closed-open tie
+    law keeps unmatched (``RANK_START`` last: an equal-time start never
+    strictly contains).  The search charge counts one test per suffix
+    entry; the probe-scan charge has already counted them as live."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx = len(x_ts)
-    active: List[Tuple[int, int, int]] = []  # (TE, TS, index)
+    ends: List[int] = []  # stored X: ValidTo, ascending
+    rows: List[int] = []  # stored X: column position, parallel to ends
     out: List[int] = []
-    append = out.append
-    comparisons = eviction_checks = inserted = discarded = cur = high = 0
+    comparisons = scanned = eviction_checks = evicted = inserted = high = 0
     for i in range(nx):
         ts = x_ts[i]
         te = x_te[i]
-        matched = len(out)
-        w = 0
-        for ent in active:
-            if ent[0] <= ts:
-                continue  # closed: can no longer contain anything
-            if ent[1] < ts and te < ent[0]:
-                append(ent[2])  # proven container: emit and retire
-                continue
-            active[w] = ent
-            w += 1
-        matched = len(out) - matched
-        dropped = len(active) - w
-        comparisons += w + matched
-        eviction_checks += dropped - matched
-        if dropped:
-            del active[w:]
-            discarded += dropped
-            cur -= dropped
-            if trace is not None:
-                trace.append(cur)
-        active.append((te, ts, i))
+        k = bisect_right(ends, ts)
+        eviction_checks += len(rows).bit_length()
+        dropped = k
+        if k:
+            del ends[:k]
+            del rows[:k]
+            evicted += k
+        live = len(rows)
+        comparisons += live.bit_length()
+        scanned += live
+        cut = bisect_right(ends, te)
+        if cut < live:
+            matched: List[int] = []
+            keep_ends: List[int] = []
+            keep_rows: List[int] = []
+            for end, row in zip(ends[cut:], rows[cut:]):
+                comparisons += 1
+                if x_ts[row] < ts:
+                    matched.append(row)  # proven container: retire
+                else:
+                    keep_ends.append(end)  # same-start peer: not strict
+                    keep_rows.append(row)
+            if matched:
+                ends[cut:] = keep_ends
+                rows[cut:] = keep_rows
+                matched.sort()
+                out.extend(matched)
+                dropped += len(matched)
+        if dropped and trace is not None:
+            trace.append(len(rows))
+        ends.insert(cut, te)  # what is left above ``cut`` ends after te
+        rows.insert(cut, i)
         inserted += 1
-        cur += 1
+        cur = len(rows)
         if cur > high:
             high = cur
             if high > budget:
                 raise _overflow(budget)
         if trace is not None:
             trace.append(cur)
-    discarded += cur
-    if trace is not None and cur:
+    if trace is not None and rows:
         trace.append(0)
     stats.comparisons = comparisons
+    stats.scan_comparisons = scanned
     stats.eviction_checks = eviction_checks
+    stats.scan_eviction_checks = evicted
     stats.inserted = inserted
-    stats.discarded = discarded
+    # Evicted, retired one per emitted row, or left when the sweep ended.
+    stats.discarded = evicted + len(out) + len(rows)
     stats.high_water = high
     return out, stats

@@ -77,8 +77,12 @@ class CostModel:
     #: Per-tuple CPU price of the fused endpoint-event sweep, *before*
     #: its output.
     fused_cpu_factor: float = 0.09
-    #: Columnar's extra per tuple and per expected live interval: every
-    #: probe scans the active list linearly.
+    #: Columnar's extra per tuple and per expected live interval, fitted
+    #: when every columnar probe scanned its active list linearly.  Only
+    #: the Overlap-join still does: the Contain-family cells run the
+    #: fused slot-store sweep on both backends, so this over-prices
+    #: columnar there.  Kept as fitted so that no plan moves; the refit
+    #: belongs to the least-squares fit of the cost constants.
     COLUMNAR_SCAN_FACTOR: ClassVar[float] = 0.0015
     #: What each batch kernel pays per expected output pair to emit its
     #: index columns: columnar two appends per pair; fused a slice, a

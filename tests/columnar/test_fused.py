@@ -1,8 +1,9 @@
 """Fused endpoint-event backend: the two-column slot store's ordering
-laws, counts frozen in a golden table, the whole int64 range against the
-columnar twins, the tie-rank order against the kernels' implicit merge,
-lazy payload materialisation, endpoint-only column execution, and the
-slot-store bound declarations."""
+laws, both charges of every slot-store sweep frozen in golden tables,
+the whole int64 range against an independent implementation, the
+tie-rank order against the kernels' implicit merge, one kernel per cell
+in the cell table, lazy payload materialisation, endpoint-only column
+execution, and the slot-store bound declarations."""
 
 from array import array
 from bisect import bisect_right
@@ -77,8 +78,8 @@ def mirrored(spans):
     return [(-te, -ts) for ts, te in spans]
 
 
-#: Every fused kernel with a slot store -> the order each operand
-#: arrives in (``None``: the kernel is unary).
+#: Every kernel with a slot store -> the order each operand arrives in
+#: (``None``: the kernel is unary).
 STORING_KERNELS = {
     "contain_join_ts_ts": (by_ts, by_ts),
     "contain_join_ts_te": (by_ts, by_te),
@@ -89,9 +90,17 @@ STORING_KERNELS = {
 }
 
 
-def sweep(module, name, xs, ys):
-    """One storing kernel of ``module`` on spans: ``(output, the five
-    SweepStats counts in slot order — comparisons, eviction checks,
+#: The two ``SweepStats`` charges: the search charge the fused backend
+#: reports and the probe-scan charge the columnar backend reports.
+CHARGES = {
+    "search": ("comparisons", "eviction_checks"),
+    "scan": ("scan_comparisons", "scan_eviction_checks"),
+}
+
+
+def sweep(module, name, xs, ys, charge="search"):
+    """One storing kernel of ``module`` on spans: ``(output, five
+    SweepStats counts — comparisons and eviction checks of ``charge``,
     inserted, discarded, high water — and the trace)``."""
     x_order, y_order = STORING_KERNELS[name]
     columns = list(x_order(xs))
@@ -99,8 +108,37 @@ def sweep(module, name, xs, ys):
         columns += y_order(ys)
     trace = []
     out, stats = getattr(module, name)(*columns, trace=trace)
-    counts = tuple(getattr(stats, field) for field in stats.__slots__)
+    fields = CHARGES[charge] + ("inserted", "discarded", "high_water")
+    counts = tuple(getattr(stats, field) for field in fields)
     return out, counts, trace
+
+
+def tuple_positions(name, xs, ys):
+    """The tuple processor of ``name``'s cell on the columns
+    :func:`sweep` hands the kernel, its output as column positions:
+    an implementation that shares no code with the batch kernels."""
+    (cell,) = [c for c in CELLS.values() if c.fused.__name__ == name]
+    x_order, y_order = STORING_KERNELS[name]
+    entry = lookup(cell.operator, cell.x_order, cell.y_order)
+    streams = [
+        TupleStream.from_tuples(
+            [
+                TemporalTuple(row, row, ts, te)
+                for row, (ts, te) in enumerate(zip(*order(spans)))
+            ],
+            order=declared,
+            name=role,
+        )
+        for order, spans, declared, role in (
+            (x_order, xs, cell.x_order, "X"),
+            (y_order, ys, cell.y_order, "Y"),
+        )
+        if order is not None
+    ]
+    out = entry.build(*streams, backend="tuple").run()
+    if cell.shape == "join":
+        return [x.surrogate for x, _ in out], [y.surrogate for _, y in out]
+    return [x.surrogate for x in out]
 
 
 class TestEntryKeys:
@@ -333,12 +371,56 @@ GOLDEN = {
 }
 
 
+#: (kernel, fixture) -> SweepStats counts of the probe-scan charge, as
+#: the columnar probe-scan kernels (active lists compacted by the scan)
+#: produced them before the Contain family shared one slot-store sweep.
+#: Their trace and output were GOLDEN's row for the same key, to the
+#: element, so only the counts are kept here.
+SCAN_GOLDEN = {
+    ("contain_join_ts_ts", "adversarial"): (76, 10, 12, 12, 7),
+    ("contain_join_ts_ts", "reversed"): (75, 7, 12, 12, 9),
+    ("contain_join_ts_ts", "empty-x"): (0, 0, 0, 0, 0),
+    ("contain_join_ts_ts", "empty-y"): (0, 0, 0, 0, 0),
+    ("contain_join_ts_te", "adversarial"): (69, 11, 12, 12, 6),
+    ("contain_join_ts_te", "reversed"): (63, 10, 11, 11, 6),
+    ("contain_join_ts_te", "empty-x"): (0, 0, 0, 0, 0),
+    ("contain_join_ts_te", "empty-y"): (0, 0, 0, 0, 0),
+    ("contain_semijoin_ts_ts", "adversarial"): (44, 5, 12, 12, 4),
+    ("contain_semijoin_ts_ts", "reversed"): (40, 5, 12, 12, 6),
+    ("contain_semijoin_ts_ts", "empty-x"): (0, 0, 0, 0, 0),
+    ("contain_semijoin_ts_ts", "empty-y"): (0, 0, 0, 0, 0),
+    ("contained_semijoin_ts_ts", "adversarial"): (40, 6, 8, 8, 4),
+    ("contained_semijoin_ts_ts", "reversed"): (40, 5, 6, 6, 4),
+    ("contained_semijoin_ts_ts", "empty-x"): (0, 0, 0, 0, 0),
+    ("contained_semijoin_ts_ts", "empty-y"): (0, 0, 0, 0, 0),
+    ("self_contain_semijoin_ts", "adversarial"): (16, 10, 17, 17, 3),
+    ("self_contain_semijoin_ts", "reversed"): (12, 9, 17, 17, 3),
+    ("self_contain_semijoin_ts", "empty-x"): (0, 0, 0, 0, 0),
+    ("self_contain_semijoin_ts", "empty-y"): (16, 10, 17, 17, 3),
+}
+
+
 class TestGoldenCounts:
     @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
     @pytest.mark.parametrize("name", STORING_KERNELS)
     def test_kernel_reproduces_the_golden_row(self, name, fixture):
         out, counts, trace = sweep(fused, name, *GOLDEN_FIXTURES[fixture])
         assert (counts, trace, out) == GOLDEN[name, fixture]
+
+    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+    @pytest.mark.parametrize(
+        "name", sorted({name for name, _ in SCAN_GOLDEN})
+    )
+    def test_probe_scan_charge_reproduces_the_columnar_row(
+        self, name, fixture
+    ):
+        out, counts, trace = sweep(
+            kernels, name, *GOLDEN_FIXTURES[fixture], charge="scan"
+        )
+        _, golden_trace, golden_out = GOLDEN[name, fixture]
+        assert (counts, trace, out) == (
+            SCAN_GOLDEN[name, fixture], golden_trace, golden_out
+        )
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +470,17 @@ class TestPackingLimit:
     to be refused before the sweep (and, before that, died mid-sweep
     with a raw ``OverflowError``).  Nothing is packed now: the whole
     +-2**62 range, as given and under time reversal, runs and agrees
-    with the columnar twin."""
+    with an independent implementation: the columnar twin for the
+    Overlap-join, the tuple processor for the kernels both batch
+    backends share."""
 
     @staticmethod
     def agree(name, xs, ys):
         for spans_x, spans_y in ((xs, ys), (mirrored(xs), mirrored(ys))):
             out, counts, _ = sweep(fused, name, spans_x, spans_y)
+            if name != "overlap_join_ts_ts":
+                assert out == tuple_positions(name, spans_x, spans_y)
+                continue
             expected, twin, _ = sweep(kernels, name, spans_x, spans_y)
             assert out == expected
             assert counts[2:] == twin[2:]  # inserted, discarded, high water
@@ -442,6 +529,28 @@ class TestPackingLimit:
                 backend=backend,
             )
             assert list(processor.run()) == [(xs[0], ys[0])]
+
+
+class TestOneKernelPerCell:
+    """Both batch backends run one sweep per cell; only the
+    Overlap-join keeps a kernel of each kind."""
+
+    def test_only_the_overlap_join_has_two_kernels(self):
+        for label, cell in CELLS.items():
+            if cell.operator is TemporalOperator.OVERLAP_JOIN:
+                assert cell.columnar is not cell.fused
+            else:
+                assert cell.columnar is cell.fused, label
+
+    def test_every_reported_kernel_name_resolves(self):
+        """What a processor reports as ``metrics.kernel`` is looked up
+        by name in its backend's module (the benchmark's replay does),
+        and every name exists in both."""
+        for cell in CELLS.values():
+            assert getattr(kernels, cell.columnar.__name__) is cell.columnar
+            assert getattr(fused, cell.fused.__name__) is cell.fused
+            assert hasattr(fused, cell.columnar.__name__)
+            assert hasattr(kernels, cell.fused.__name__)
 
 
 class TestEventSchedule:
@@ -533,14 +642,15 @@ class TestLazyPairs:
 
     @given(interval_columns, interval_columns)
     @settings(max_examples=40)
-    def test_len_matches_eager_kernel(self, xcols, ycols):
-        """The length equals the columnar kernel's pair count, without
+    def test_len_matches_tuple_processor(self, xcols, ycols):
+        """The length equals the tuple processor's pair count, without
         building a single payload pair."""
         x_ts, x_te = xcols
         y_ts, y_te = ycols
         columns, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         lazy = LazyPairs(columns, [None] * len(x_ts), [None] * len(y_ts))
-        (exi, _), _ = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        xs, ys = (list(zip(*side)) for side in (xcols, ycols))
+        (exi, _) = tuple_positions("contain_join_ts_ts", xs, ys)
         assert len(lazy) == len(exi)
         assert lazy.materialized is False
 
