@@ -479,7 +479,6 @@ _GOVERNANCE_NAMES = frozenset(
         "DeadlineExceededError",
         "QueryCancelledError",
         "BudgetExceededError",
-        "AdmissionRejectedError",
         "ReproError",
     }
 )

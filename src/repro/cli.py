@@ -31,9 +31,9 @@ Subcommands:
           --chrome-trace trace.json --prometheus metrics.prom
 
   ``--check-single-scan`` exits non-zero if any join row or shard row
-  reports more than one pass over an input without having quarantined a
-  tuple or fallen back (the CI gate for the paper's single-scan
-  claims).  The Fig-8 Superstar strategies are ``demo``'s.
+  reports more than one pass over an input without falling back (the
+  CI gate for the paper's single-scan claims).  The Fig-8 Superstar
+  strategies are ``demo``'s.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--recovery",
-        choices=["strict", "quarantine", "degrade"],
+        choices=["strict", "degrade"],
         default="strict",
         help="the recovery policy stream joins run under (default: "
         "strict)",
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-single-scan",
         action="store_true",
         help="exit non-zero if any stream join or parallel shard "
-        "reports passes > 1 without quarantining or falling back",
+        "reports passes > 1 without falling back",
     )
     explain.add_argument(
         "--parallelism",

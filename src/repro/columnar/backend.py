@@ -48,7 +48,6 @@ from ..errors import ExecutionError, StreamOrderError
 from ..governance.budget import active_token
 from ..model import sortorder as so
 from ..obs.trace import get_tracer
-from ..resilience.recovery import RecoveryPolicy
 from ..streams.processors.base import StreamProcessor
 from ..streams.processors.before import BeforeSemijoin
 from ..streams.processors.contain_join import ContainJoinTsTe, ContainJoinTsTs
@@ -244,16 +243,7 @@ class ColumnarProcessor(StreamProcessor):
         """One batch pass over a stream, charged to its counters exactly
         like cursor reads (reading below the single-buffer cursor,
         straight from the source factory).  A stream born as columns
-        hands them over as they are.
-
-        Under QUARANTINE the batch shortcut would bypass the cursor's
-        side-channel, so the drain goes through the cursor instead and
-        the resulting rows are clean by construction."""
-        if stream.recovery is RecoveryPolicy.QUARANTINE:
-            rows = list(stream.drain())
-            return IntervalColumns.from_tuples(
-                rows, order=stream.order, name=stream.name, presorted=True
-            )
+        hands them over as they are."""
         columns = stream.columns
         if columns is None:
             columns = IntervalColumns.from_tuples(

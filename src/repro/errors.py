@@ -113,7 +113,7 @@ class GovernanceError(ReproError):
     cancellation, and resource-budget breaches.
 
     Governance errors are **terminal by design**: the recovery ladder
-    (STRICT/QUARANTINE/DEGRADE) must never re-sort or spill around one
+    (STRICT/DEGRADE) must never re-sort or spill around one
     — re-running a query that already blew its deadline or budget only
     spends more of the resource the caller asked us to bound.
     :func:`repro.resilience.executor.execute_entry` catches only the
@@ -136,8 +136,8 @@ class DeadlineExceededError(GovernanceError):
 
 
 class QueryCancelledError(GovernanceError):
-    """The query was cancelled from outside (admission control, a
-    client disconnect, an operator kill) via
+    """The query was cancelled from outside (another thread holding its
+    token, e.g. a client disconnect or an operator kill) via
     :meth:`repro.governance.CancellationToken.cancel`."""
 
     def __init__(self, message: str, reason: str = "cancelled") -> None:
@@ -157,16 +157,6 @@ class BudgetExceededError(GovernanceError):
         self.resource = resource
         self.spent = spent
         self.cap = cap
-
-
-class AdmissionRejectedError(GovernanceError):
-    """The admission controller could not grant a query slot within the
-    queue timeout — the service is at capacity and the caller asked not
-    to wait any longer."""
-
-    def __init__(self, message: str, waited: float = 0.0) -> None:
-        super().__init__(message)
-        self.waited = waited
 
 
 class StorageError(ReproError):

@@ -2,23 +2,20 @@
 
 The paper bounds every stream operator's *workspace* (Tables 1-3), but
 a production runtime also has to bound the *query*: how long it may
-run, how many pages it may touch, how much shared memory it may map,
-and how many queries may run at once.  This package is that layer:
+run, how many pages it may touch, and how much shared memory it may
+map.  This package is that layer:
 
 * :class:`QueryBudget` — declarative per-query caps (wall-clock
   deadline, workspace tuples, page reads, shared-memory bytes);
 * :class:`CancellationToken` — the cooperative runtime carrier of a
   budget, checked at cheap existing checkpoints (page reads, pass
   boundaries, batch drains, shard-collect polls) and cancellable from
-  any thread;
-* :class:`AdmissionController` — bounded concurrent-query slots with a
-  queue-with-timeout, the front door of the always-on service.
+  any thread.
 
 Breaches raise the typed :class:`~repro.errors.GovernanceError`
 hierarchy, which the resilience ladder treats as non-retryable.
 """
 
-from .admission import AdmissionController, AdmissionStats
 from .budget import (
     CancellationToken,
     QueryBudget,
@@ -28,8 +25,6 @@ from .budget import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
     "CancellationToken",
     "QueryBudget",
     "active_token",

@@ -12,10 +12,10 @@ Design constraints, in order:
    Detection latency for a blown deadline is therefore bounded by the
    checkpoint interval (one page / one poll tick), which is the
    guarantee the acceptance criterion states.
-3. **Thread-local installation.**  Admission control implies concurrent
-   queries in one process; a module global would let query A's deadline
-   cancel query B.  Worker processes install their own token from the
-   remaining-deadline seconds shipped in the task dict.
+3. **Thread-local installation.**  Nothing stops two threads from
+   running queries in one process; a module global would let query A's
+   deadline cancel query B.  Worker processes install their own token
+   from the remaining-deadline seconds shipped in the task dict.
 
 Charges are deliberately monotonic counters on the token, so EXPLAIN
 ANALYZE can report how much of each budget a query actually spent.

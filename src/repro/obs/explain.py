@@ -38,9 +38,9 @@ def _reads(metrics: dict, side: str) -> str:
 
 
 def _recovered(resilience: dict) -> bool:
-    """Did the run quarantine a tuple or fall back?  Either
-    legitimately costs an extra pass."""
-    return bool(resilience.get("quarantined") or resilience.get("fallbacks"))
+    """Did the run fall back?  Only a fallback legitimately costs an
+    extra pass."""
+    return bool(resilience.get("fallbacks"))
 
 
 def _measured(metrics: dict) -> str:
@@ -67,8 +67,8 @@ def _measured(metrics: dict) -> str:
     resilience = metrics["resilience"] or {}
     if _recovered(resilience):
         parts.append(
-            "resilience(quarantined={quarantined} "
-            "passes_added={passes_added})".format(**resilience)
+            f"resilience(fallbacks={len(resilience['fallbacks'])} "
+            f"passes_added={resilience['passes_added']})"
         )
     return "  ".join(parts)
 
@@ -173,7 +173,6 @@ def render_shard(shard: dict) -> str:
         f"  out={shard['output_count']}"
         f"  passes={shard['passes_x']}x/{shard['passes_y']}y"
         f"  evict={shard['eviction_checks']}"
-        f"  quarantined={shard['quarantined']}"
         f"  resid={shard['residual_filtered']}  attempt={shard['attempt']}"
         f"  wall={shard['wall_ms']:.3f}ms"
     )
@@ -234,10 +233,9 @@ def _governance(governance: dict) -> str:
 def scan_violations(joins: Sequence[dict]) -> List[str]:
     """The single-scan gate over join rows (``StreamJoinInfo.as_dict()``)
     and their shard rows: one line per row that read an input more than
-    once without recovering.  A row whose run quarantined tuples or fell
-    back legitimately re-scans and is excluded — the same rule for a
-    join and for each shard, which the Tables 1-3 bounds hold per
-    shard."""
+    once without falling back.  A row whose run fell back legitimately
+    re-scans and is excluded — the same rule for a join and for each
+    shard, which the Tables 1-3 bounds hold per shard."""
     violations: List[str] = []
     for join in joins:
         metrics = join["metrics"]

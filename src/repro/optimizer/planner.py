@@ -372,8 +372,7 @@ class TemporalJoinPlanner:
         ``recovery`` selects how a violated assumption is handled:
         ``STRICT`` fails fast with the original error (an overflowing
         workspace raises :class:`~repro.errors.WorkspaceOverflowError`),
-        ``QUARANTINE`` skips violating tuples into the report's
-        side-channel, ``DEGRADE`` re-sorts on order violations and
+        ``DEGRADE`` re-sorts on order violations and
         spills into extra passes on overflow.  The policy and this
         run's own :class:`~repro.resilience.recovery.ExecutionReport`
         land in ``profile.details``.

@@ -24,8 +24,8 @@ side only when touched.  The two modes differ only in transport:
   whenever the worker pool is unavailable.
 
 Resilience composes per shard: each shard runs under the caller's
-policy, so a shard quarantines or degrades on its own — siblings never
-see it.  Shard reports are merged into one
+policy, so a shard raises or degrades on its own — siblings never see
+it.  Shard reports are merged into one
 :class:`~repro.resilience.recovery.ExecutionReport`; each shard's row
 is a :class:`ShardRun`, and its time a ``shard:<i>`` span.
 Pool infrastructure failures are *visible* degradations: the run falls
@@ -96,7 +96,6 @@ class ShardRun:
     output_count: int
     degraded: bool
     fallbacks: int
-    quarantined: int
     residual_filtered: int
     #: Dispatch attempt that produced this row: 0 on the first dispatch
     #: (and for inline shards, which run in-process exactly once), >0
@@ -131,7 +130,6 @@ class ShardRun:
             output_count=summary["output_count"],
             degraded=bool(report.fallbacks),
             fallbacks=len(report.fallbacks),
-            quarantined=len(report.quarantined),
             residual_filtered=summary["residual_filtered"],
             attempt=summary.get("attempt", 0),
             pid=summary.get("pid"),

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Mapping, Optional
 from ..algebra.logical import LogicalPlan
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..governance.admission import AdmissionController
     from ..governance.budget import QueryBudget
 from ..algebra.physical import compile_plan
 from ..algebra.rewrite import optimize
@@ -69,7 +68,6 @@ def run_query(
     parallelism: Optional[int] = None,
     deadline: Optional[float] = None,
     budget: Optional["QueryBudget"] = None,
-    admission: Optional["AdmissionController"] = None,
     audit: Optional[object] = None,
 ) -> QueryResult:
     """Execute a Quel-like query against ``catalog``.
@@ -123,19 +121,13 @@ def run_query(
         paper's workspace: breaching it ends the query under every
         ``recovery`` policy.  The spend summary is
         attached as ``result.governance``.
-    admission:
-        An :class:`~repro.governance.AdmissionController`; the query
-        acquires a slot before anything runs (and before the deadline
-        clock starts, so queue time never eats the query's budget) or
-        raises :class:`~repro.errors.AdmissionRejectedError`.
     audit:
         A filesystem path or an :class:`~repro.obs.audit.AuditLog`;
         exactly one append-only JSONL audit record is written per call
         — on success (query id, plan/registry hashes, shard attempt
         table, governance spend, metrics/trace summaries) and on
         failure (the error, then the exception re-raises).  This is the
-        outermost layer, so admission rejections and governance aborts
-        are audited too.
+        outermost layer, so governance aborts are audited too.
     """
     log = token = None
     tracer = NULL_TRACER
@@ -144,10 +136,8 @@ def run_query(
 
         log = audit if isinstance(audit, AuditLog) else AuditLog(audit)
     try:
-        # audit > admission > governance > trace, entered in that order.
+        # audit > governance > trace, entered in that order.
         with ExitStack() as stack:
-            if admission is not None:
-                stack.enter_context(admission.admit())
             if deadline is not None or budget is not None:
                 from ..governance.budget import governed
 

@@ -24,17 +24,11 @@ the import graph acyclic.
 from __future__ import annotations
 
 from .faults import WorkerFaultKind, WorkerFaultPlan
-from .recovery import (
-    ExecutionReport,
-    FallbackEvent,
-    QuarantineEvent,
-    RecoveryPolicy,
-)
+from .recovery import ExecutionReport, FallbackEvent, RecoveryPolicy
 
 __all__ = [
     "ExecutionReport",
     "FallbackEvent",
-    "QuarantineEvent",
     "RecoveryPolicy",
     "ResilientResult",
     "WorkerFaultKind",

@@ -10,8 +10,6 @@ enforced in exactly one place:
 * ``STRICT`` — any violated assumption raises its original exception
   type (order violations as :class:`~repro.errors.StreamOrderError`,
   budget breaches as :class:`~repro.errors.WorkspaceOverflowError`);
-* ``QUARANTINE`` — order/validity-violating tuples are skipped into
-  the report's counted side-channel by the streams themselves;
 * ``DEGRADE`` — the paper's Section-4.1 trade-off triangle, exercised
   live: an order violation buys a re-sort
   (:func:`~repro.storage.external_sort.external_sort` passes are added
@@ -22,11 +20,11 @@ enforced in exactly one place:
 
 Operands are taken as they already exist — endpoint columns, a
 relation, or a tuple sequence (:func:`stream_over`).  A batch backend
-reads columns as they are, so a clean STRICT or DEGRADE run builds no
+reads columns as they are, so a clean run builds no
 :class:`~repro.model.tuples.TemporalTuple`; the rungs that are
-tuple-at-a-time by nature (the quarantining cursor, the external
-re-sort, the spill) make a column operand build its tuples, once, when
-they are reached.  A corrupt page on a re-sort or spill file raises
+tuple-at-a-time by nature (the external re-sort, the spill) make a
+column operand build its tuples, once, when they are reached.  A
+corrupt page on a re-sort or spill file raises
 :class:`~repro.errors.PageCorruptionError` under every policy.
 """
 
@@ -96,8 +94,7 @@ def stream_over(
 ) -> TupleStream:
     """A stream over one operand as it already exists.  ``order`` is
     what a bare tuple sequence is claimed to be sorted by; ``options``
-    are the stream constructors' shared ``verify_order``/``recovery``/
-    ``report``."""
+    are the stream constructors' shared ``verify_order``/``report``."""
     if isinstance(operand, IntervalColumns):
         return TupleStream.from_columns(operand, name, **options)
     if isinstance(operand, TemporalRelation):
@@ -161,14 +158,13 @@ def _order_of(payload: Optional[Sequence]) -> Optional[Sequence[int]]:
 
 
 def _exhaust(stream: Optional[TupleStream]) -> None:
-    """Finish the stream's scan so tail tuples get order/validity
-    checked too.
+    """Finish the stream's scan so tail tuples get order checked too.
 
     One-pass operators may stop reading early (e.g. once the other
-    operand is exhausted), which would let violations in the unread
-    tail go unnoticed — under QUARANTINE they must still be counted,
-    and under DEGRADE an undetected violation means silently dropped
-    rows.  This completes the *same* scan; it is not an extra pass.
+    operand is exhausted), which would let a violation in the unread
+    tail go unnoticed: the run would return a wrong answer instead of
+    raising (STRICT) or re-sorting (DEGRADE).  This completes the
+    *same* scan; it is not an extra pass.
     """
     if stream is None:
         return
@@ -199,9 +195,7 @@ def execute_entry(
             "y_tuples is required"
         )
     x_operand, y_operand = x_tuples, None if unary else y_tuples
-    options = dict(
-        verify_order=not entry.order_free, recovery=policy, report=report
-    )
+    options = dict(verify_order=not entry.order_free, report=report)
 
     resorted: set = set()
     tracer = get_tracer()
@@ -231,9 +225,8 @@ def execute_entry(
                 policy=policy.value,
             ):
                 results = processor.run()
-                if policy is not RecoveryPolicy.STRICT:
-                    _exhaust(x_stream)
-                    _exhaust(y_stream)
+                _exhaust(x_stream)
+                _exhaust(y_stream)
         except StreamOrderError as error:
             if not getattr(error, "reported", False):
                 report.note_order_violation()

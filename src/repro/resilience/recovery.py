@@ -7,15 +7,13 @@ more passes.  The :class:`RecoveryPolicy` ladder makes that explicit:
 
 * ``STRICT`` — the seed behaviour: any violated assumption (out-of-order
   tuple, workspace over budget) raises its original exception type;
-* ``QUARANTINE`` — tuples that violate the stream's declared order or
-  the ``TS < TE`` intra-tuple constraint are skipped into a counted
-  side-channel instead of poisoning the sweep;
 * ``DEGRADE`` — order violations trigger a re-sort (and an operator
   restart), workspace overflows spill to heap files and finish in extra
   passes; both are recorded as added passes / taken fallbacks.
 
-No policy answers a corrupt page: its checksum fails and
-:class:`~repro.errors.PageCorruptionError` propagates under all three.
+Either policy returns the exact answer or raises; neither drops a
+tuple.  Neither answers a corrupt page: its checksum fails and
+:class:`~repro.errors.PageCorruptionError` propagates under both.
 Every recovery action lands in an :class:`ExecutionReport`.
 """
 
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import List
 
 from ..obs.metrics import active_registry
 
@@ -33,20 +31,9 @@ class RecoveryPolicy(enum.Enum):
 
     #: Fail fast with the original exception types (seed behaviour).
     STRICT = "strict"
-    #: Skip order/validity-violating tuples into a counted side-channel.
-    QUARANTINE = "quarantine"
     #: Re-sort on order violations; spill and take extra passes on
     #: workspace overflow.
     DEGRADE = "degrade"
-
-
-@dataclass(frozen=True)
-class QuarantineEvent:
-    """One tuple diverted to the side-channel instead of processed."""
-
-    stream: str
-    reason: str  # "order" or "validity"
-    tuple_repr: str
 
 
 @dataclass(frozen=True)
@@ -61,7 +48,7 @@ class FallbackEvent:
 @dataclass
 class ExecutionReport:
     """Everything the resilient execution layer did behind the caller's
-    back: tuples quarantined, degradations taken, passes added.
+    back: degradations taken, passes added, violations observed.
 
     One report may be threaded through several components (streams,
     the executor) of one operator run; the counters are cumulative.
@@ -69,8 +56,6 @@ class ExecutionReport:
     joins of a query) are kept apart and combined with :meth:`absorb`.
     """
 
-    #: Tuples skipped into the side-channel under QUARANTINE.
-    quarantined: List[QuarantineEvent] = field(default_factory=list)
     #: Degradation steps taken under DEGRADE.
     fallbacks: List[FallbackEvent] = field(default_factory=list)
     #: Extra passes over the inputs beyond the single-pass plan
@@ -84,19 +69,6 @@ class ExecutionReport:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def note_quarantine(
-        self, stream: str, reason: str, item: Any
-    ) -> None:
-        self.quarantined.append(
-            QuarantineEvent(stream, reason, repr(item))
-        )
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_resilience_quarantined_total",
-                "Tuples diverted to the quarantine side-channel",
-            ).inc(reason=reason)
-
     def note_fallback(
         self, kind: str, detail: str, passes_added: int
     ) -> None:
@@ -134,7 +106,6 @@ class ExecutionReport:
     def absorb(self, other: "ExecutionReport") -> None:
         """Fold another run's report into this one, without re-triggering
         the note_* metric hooks (that run already counted what it could)."""
-        self.quarantined.extend(other.quarantined)
         self.fallbacks.extend(other.fallbacks)
         self.passes_added += other.passes_added
         self.workspace_overflows += other.workspace_overflows
@@ -145,10 +116,6 @@ class ExecutionReport:
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         return {
-            "quarantined": len(self.quarantined),
-            "quarantine_reasons": sorted(
-                {event.reason for event in self.quarantined}
-            ),
             "fallbacks": [
                 {
                     "kind": event.kind,

@@ -20,40 +20,23 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import ExecutionError, StreamOrderError, StreamStateError
 from ..governance.budget import active_token
-from ..model.interval import is_valid_lifespan
 from ..model.relation import TemporalRelation
 from ..model.sortorder import SortOrder
 from ..model.tuples import TemporalTuple
 from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
-from ..resilience.recovery import ExecutionReport, RecoveryPolicy
+from ..resilience.recovery import ExecutionReport
 from ..storage.heap_file import HeapFile
 from ..storage.iostats import IOStats
-
-
-def _tuple_valid(tup: TemporalTuple) -> bool:
-    """The intra-tuple integrity constraint ``TS < TE``.
-
-    :class:`~repro.model.tuples.TemporalTuple` enforces it at
-    construction, but heap files and ad-hoc sources may deliver
-    duck-typed or damaged records; quarantine checks them here.
-    """
-    try:
-        return is_valid_lifespan(tup)
-    except (AttributeError, TypeError):
-        return False
 
 
 class TupleStream:
     """A one-buffer, forward-only cursor over sorted temporal tuples.
 
-    ``recovery`` selects the stream's rung on the resilience ladder:
-    under :attr:`~repro.resilience.recovery.RecoveryPolicy.QUARANTINE`,
-    tuples that violate the declared order or the ``TS < TE`` validity
-    constraint are skipped into a counted side-channel (the ``report``)
-    instead of raising; under ``STRICT`` and ``DEGRADE`` the violation
-    raises :class:`~repro.errors.StreamOrderError` (DEGRADE's re-sort
-    is the *operator's* job — see :mod:`repro.resilience.executor`).
+    A tuple that violates the declared order raises
+    :class:`~repro.errors.StreamOrderError`, noted on ``report`` when
+    one is given; answering it (DEGRADE's re-sort) is the executor's
+    job — see :mod:`repro.resilience.executor`.
     """
 
     def __init__(
@@ -62,14 +45,12 @@ class TupleStream:
         order: Optional[SortOrder] = None,
         name: str = "stream",
         verify_order: bool = True,
-        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
         report: Optional[ExecutionReport] = None,
     ) -> None:
         self._source_factory = source_factory
         self.order = order
         self.name = name
         self.verify_order = verify_order and order is not None
-        self.recovery = recovery
         self.report = report
         self.tuples_read = 0
         self.passes = 0
@@ -77,8 +58,6 @@ class TupleStream:
         #: diffs are the per-pass read counts (:attr:`pass_reads`),
         #: recorded at zero per-tuple cost.
         self._pass_bases: list[int] = []
-        #: Tuples skipped into the side-channel under QUARANTINE.
-        self.quarantined = 0
         #: The whole source as endpoint columns, when it was born that
         #: way (:meth:`from_columns`); batch processors take these as
         #: they are instead of columnising the tuples.
@@ -98,7 +77,6 @@ class TupleStream:
         relation: TemporalRelation,
         name: Optional[str] = None,
         verify_order: bool = True,
-        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
         report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream over a relation, inheriting its declared order."""
@@ -107,7 +85,6 @@ class TupleStream:
             order=relation.order,
             name=name or relation.schema.relation_name,
             verify_order=verify_order,
-            recovery=recovery,
             report=report,
         )
 
@@ -117,7 +94,6 @@ class TupleStream:
         columns,
         name: str,
         verify_order: bool = True,
-        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
         report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream over an operand born as endpoint columns (an
@@ -130,7 +106,6 @@ class TupleStream:
             order=columns.order,
             name=name,
             verify_order=verify_order,
-            recovery=recovery,
             report=report,
         )
         stream.columns = columns
@@ -143,7 +118,6 @@ class TupleStream:
         order: Optional[SortOrder] = None,
         name: str = "stream",
         verify_order: bool = True,
-        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
         report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream over an in-memory (restartable) tuple sequence."""
@@ -153,7 +127,6 @@ class TupleStream:
             order=order,
             name=name,
             verify_order=verify_order,
-            recovery=recovery,
             report=report,
         )
 
@@ -165,7 +138,6 @@ class TupleStream:
         name: Optional[str] = None,
         stats: Optional[IOStats] = None,
         verify_order: bool = True,
-        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
         report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream backed by a simulated disk file; every restart is a
@@ -175,7 +147,6 @@ class TupleStream:
             order=order,
             name=name or heap_file.name,
             verify_order=verify_order,
-            recovery=recovery,
             report=report,
         )
 
@@ -209,12 +180,7 @@ class TupleStream:
 
     def advance(self) -> Optional[TemporalTuple]:
         """Load the next tuple into the buffer, returning it (or
-        ``None`` at end of stream).
-
-        Under QUARANTINE, order- or validity-violating tuples are
-        skipped (and counted) here, so the caller only ever sees a
-        clean, ordered stream.
-        """
+        ``None`` at end of stream)."""
         if self._iterator is None:
             if self._exhausted:
                 return None
@@ -224,56 +190,43 @@ class TupleStream:
                 f"stream {self.name!r} failed to open an iterator"
             )
         previous = self._buffer
-        quarantining = self.recovery is RecoveryPolicy.QUARANTINE
-        while True:
-            nxt = next(self._iterator, None)
-            if nxt is None:
-                self._previous = previous
-                self._buffer = None
-                self._exhausted = True
-                self._iterator = None
-                tracer = get_tracer()
-                if tracer.enabled:
-                    reads = self.pass_reads
-                    tracer.event(
-                        "stream.pass",
-                        stream=self.name,
-                        number=self.passes,
-                        read=reads[-1] if reads else 0,
-                    )
-                return None
-            self.tuples_read += 1
-            if quarantining and not _tuple_valid(nxt):
-                self._quarantine("validity", nxt)
-                continue
-            if (
-                self.verify_order
-                and previous is not None
-                and self.order is not None
-                and not self.order.check(previous, nxt)
-            ):
-                if quarantining:
-                    self._quarantine("order", nxt)
-                    continue
-                error = StreamOrderError(
-                    f"stream {self.name!r} declared order [{self.order}] "
-                    f"but produced {previous} before {nxt}"
-                )
-                # Let the resilient executor target the offending side
-                # (and avoid double-counting the violation).
-                error.stream_name = self.name
-                if self.report is not None:
-                    self.report.note_order_violation()
-                    error.reported = True
-                raise error
+        nxt = next(self._iterator, None)
+        if nxt is None:
             self._previous = previous
-            self._buffer = nxt
-            return nxt
-
-    def _quarantine(self, reason: str, item: TemporalTuple) -> None:
-        self.quarantined += 1
-        if self.report is not None:
-            self.report.note_quarantine(self.name, reason, item)
+            self._buffer = None
+            self._exhausted = True
+            self._iterator = None
+            tracer = get_tracer()
+            if tracer.enabled:
+                reads = self.pass_reads
+                tracer.event(
+                    "stream.pass",
+                    stream=self.name,
+                    number=self.passes,
+                    read=reads[-1] if reads else 0,
+                )
+            return None
+        self.tuples_read += 1
+        if (
+            self.verify_order
+            and previous is not None
+            and self.order is not None
+            and not self.order.check(previous, nxt)
+        ):
+            error = StreamOrderError(
+                f"stream {self.name!r} declared order [{self.order}] "
+                f"but produced {previous} before {nxt}"
+            )
+            # Let the resilient executor target the offending side
+            # (and avoid double-counting the violation).
+            error.stream_name = self.name
+            if self.report is not None:
+                self.report.note_order_violation()
+                error.reported = True
+            raise error
+        self._previous = previous
+        self._buffer = nxt
+        return nxt
 
     def restart(self) -> None:
         """Rewind to the beginning for another pass.  The pass counter

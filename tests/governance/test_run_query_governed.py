@@ -1,20 +1,15 @@
 """Governance through the query surface: ``run_query(deadline=...,
-budget=..., admission=...)`` — the acceptance path.  A deadline below
+budget=...)`` — the acceptance path.  A deadline below
 the query's runtime must raise :class:`DeadlineExceededError` within
 the checkpoint interval; budget breaches must be typed and terminal;
 the spend summary must ride back on the result."""
 
-import threading
 import time
 
 import pytest
 
-from repro.errors import (
-    AdmissionRejectedError,
-    BudgetExceededError,
-    DeadlineExceededError,
-)
-from repro.governance import AdmissionController, QueryBudget, active_token
+from repro.errors import BudgetExceededError, DeadlineExceededError
+from repro.governance import QueryBudget, active_token
 from repro.query import run_query
 from repro.workload import PoissonWorkload, fixed_duration
 
@@ -94,53 +89,3 @@ class TestBudget:
     def test_ungoverned_result_has_no_governance(self):
         result = run_query(DURING_QUERY, catalog(), streams=True)
         assert result.governance is None
-
-
-class TestAdmission:
-    def test_rejected_when_service_is_full(self):
-        controller = AdmissionController(max_concurrent=1)
-        holding = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with controller.admit():
-                holding.set()
-                release.wait(timeout=10.0)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        try:
-            assert holding.wait(timeout=5.0)
-            with pytest.raises(AdmissionRejectedError):
-                run_query(
-                    DURING_QUERY,
-                    catalog(),
-                    streams=True,
-                    admission=controller,
-                )
-        finally:
-            release.set()
-            thread.join(timeout=10.0)
-
-    def test_admitted_query_runs_and_releases_its_slot(self):
-        controller = AdmissionController(max_concurrent=1)
-        cat = catalog()
-        plain = run_query(DURING_QUERY, cat, streams=True)
-        admitted = run_query(
-            DURING_QUERY, cat, streams=True, admission=controller
-        )
-        assert admitted.rows == plain.rows
-        stats = controller.stats()
-        assert stats.admitted == 1 and stats.in_flight == 0
-
-    def test_admission_composes_with_budget(self):
-        controller = AdmissionController(max_concurrent=2)
-        result = run_query(
-            DURING_QUERY,
-            catalog(),
-            streams=True,
-            admission=controller,
-            deadline=60.0,
-        )
-        assert result.governance is not None
-        assert controller.stats().in_flight == 0

@@ -8,7 +8,6 @@ import pytest
 
 from repro.algebra import optimize
 from repro.cli import main
-from repro.errors import AdmissionRejectedError
 from repro.obs.audit import (
     AUDIT_SCHEMA_VERSION,
     AuditLog,
@@ -288,24 +287,6 @@ class TestRunQueryHook:
         (record,) = AuditLog(path).records()
         assert record["status"] == "error"
         assert record["error"]["type"]
-
-    def test_admission_rejection_is_audited(self, tmp_path):
-        from repro.governance import AdmissionController
-
-        path = tmp_path / "audit.jsonl"
-        controller = AdmissionController(1, queue_timeout=0.0)
-        with controller.admit():
-            with pytest.raises(AdmissionRejectedError):
-                run_query(
-                    DURING_QUERY,
-                    catalog(),
-                    streams=True,
-                    admission=controller,
-                    audit=path,
-                )
-        (record,) = AuditLog(path).records()
-        assert record["status"] == "error"
-        assert record["error"]["type"] == "AdmissionRejectedError"
 
 
 class TestRendering:

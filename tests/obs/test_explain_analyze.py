@@ -141,16 +141,16 @@ class TestRendering:
 
     def test_single_scan_violations_flag_multi_pass(self):
         """One rule for join rows and shard rows: more than one pass
-        without recovery is a violation; a row that quarantined a tuple
-        or fell back is excused."""
+        without recovery is a violation; a row that fell back is
+        excused."""
 
-        def join(passes_x, shards=(), quarantined=0):
+        def join(passes_x, shards=(), fallbacks=()):
             return {
                 "operator": "contain-join",
                 "metrics": {
                     "passes_x": passes_x,
                     "passes_y": 1,
-                    "resilience": {"quarantined": quarantined},
+                    "resilience": {"fallbacks": list(fallbacks)},
                 },
                 "shards": list(shards),
             }
@@ -160,12 +160,12 @@ class TestRendering:
                 "shard": index,
                 "passes_x": 1,
                 "passes_y": passes_y,
-                "quarantined": 0,
                 "fallbacks": fallbacks,
             }
 
         assert scan_violations([join(1, [shard(0, 1)])]) == []
-        assert scan_violations([join(2, quarantined=1)]) == []
+        resorted = join(2, fallbacks=[{"kind": "re-sort"}])
+        assert scan_violations([resorted]) == []
         assert scan_violations([join(1, [shard(0, 2, fallbacks=1)])]) == []
         joins = [join(2), join(1, [shard(0, 1), shard(1, 2)])]
         assert scan_violations(joins) == [

@@ -381,7 +381,6 @@ EXECUTIONS = {
         {"parallelism": 2, "parallel_mode": "inline"},
         RecoveryPolicy.STRICT,
     ),
-    "quarantine": ({}, RecoveryPolicy.QUARANTINE),
     "strict": ({}, RecoveryPolicy.STRICT),
     "degrade-clean": ({}, RecoveryPolicy.DEGRADE),
     "inline-2-degrade": (

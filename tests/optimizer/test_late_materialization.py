@@ -16,7 +16,6 @@ from repro.obs import Tracer, set_tracer
 from repro.optimizer import TemporalJoinPlanner, execute_hybrid
 from repro.query import parse_query, run_query, translate
 from repro.relational.expressions import Attr, Compare, Literal
-from repro.resilience.recovery import RecoveryPolicy
 from repro.workload import PoissonWorkload, fixed_duration
 
 BACKENDS = ("tuple", "columnar", "fused", "auto")
@@ -65,7 +64,7 @@ def generic_rows(plan, cat, **execution):
     )
 
 
-def check(text, cat, backend, mode, plan=None, **execution):
+def check(text, cat, backend, mode, plan=None):
     """Gathered == generic as lists; == conventional as multisets.
     Returns the hybrid execution."""
     plan = plan or plan_for(text, cat)
@@ -73,10 +72,8 @@ def check(text, cat, backend, mode, plan=None, **execution):
     def planner():
         return TemporalJoinPlanner(backend=backend, **MODES[mode])
 
-    executed = execute_hybrid(plan, cat, planner=planner(), **execution)
-    expected, schema = generic_rows(
-        plan, cat, planner=planner(), **execution
-    )
+    executed = execute_hybrid(plan, cat, planner=planner())
+    expected, schema = generic_rows(plan, cat, planner=planner())
     assert executed.schema == schema
     assert executed.rows == expected  # order-exact
     if text is not None:
@@ -203,21 +200,6 @@ def test_duplicate_input_rows_are_preserved(backend, mode):
     cat = {"X": relation("X", xs), "Y": relation("Y", ys)}
     executed = check(QUERIES["during-swapped"], cat, backend, mode)
     assert Counter(executed.rows) == {(1, 9): 6, (2, 9): 2}
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_under_quarantine(backend, mode):
-    executed = check(
-        QUERIES["overlap-pushed-selection"],
-        catalog(),
-        backend,
-        mode,
-        recovery=RecoveryPolicy.QUARANTINE,
-    )
-    (info,) = executed.stream_joins
-    assert info.recovery == "quarantine"
-    assert info.output_rows == len(executed.rows) > 0
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -51,12 +51,7 @@ from repro.workload import PoissonWorkload, fixed_duration
 BACKENDS = ("tuple", "columnar", "fused", "auto")
 #: ``None`` names no policy, which is STRICT (its id, ``legacy``, is
 #: kept from when that was a mode of its own).
-POLICIES = (
-    None,
-    RecoveryPolicy.STRICT,
-    RecoveryPolicy.DEGRADE,
-    RecoveryPolicy.QUARANTINE,
-)
+POLICIES = (None, RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE)
 RANGES = "range of a is X range of b is Y "
 DURING = RANGES + "retrieve (A = a.Seq, B = b.Seq) where a during b"
 
@@ -260,25 +255,23 @@ def test_every_backend_and_rung_leaves_the_memo_alone():
             assert info.parallel["mode"] == mode
             assert len(info.profile.details["shard_runs"]) == 2
 
-    # The re-sort and order-quarantine rungs need an operand that lies
-    # about its order: the bridge's never does, so make ones that do,
-    # over the very arrays the queries above shared.
+    # The re-sort rung needs an operand that lies about its order: the
+    # bridge's never does, so make ones that do, over the very arrays
+    # the queries above shared.
     entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
     for backend in ("tuple", "columnar", "fused"):
-        for policy in (RecoveryPolicy.DEGRADE, RecoveryPolicy.QUARANTINE):
-            contained, containing = (
-                IntervalColumns(*rel.endpoints, range(len(rel)), TS_ASC)
-                for rel in (cat["X"], cat["Y"])  # X is shuffled: a lie
-            )
-            outcome = execute_entry(
-                entry, containing, contained, backend=backend, policy=policy
-            )
-            report = outcome.report
-            assert (
-                report.fallbacks
-                if policy is RecoveryPolicy.DEGRADE
-                else report.quarantined
-            )
+        contained, containing = (
+            IntervalColumns(*rel.endpoints, range(len(rel)), TS_ASC)
+            for rel in (cat["X"], cat["Y"])  # X is shuffled: a lie
+        )
+        outcome = execute_entry(
+            entry,
+            containing,
+            contained,
+            backend=backend,
+            policy=RecoveryPolicy.DEGRADE,
+        )
+        assert outcome.report.fallbacks
     for rel in cat.values():
         assert_memo_is_the_tuples(rel)
 
@@ -491,13 +484,8 @@ def test_a_misdeclared_order_is_caught_on_every_query(backend, policy):
         else:
             executed = run(DURING, cat, backend, policy)
             report = executed.execution_report
-            if policy is RecoveryPolicy.DEGRADE:
-                assert Counter(executed.rows) == oracle
-                assert [f.kind for f in report.fallbacks] == ["re-sort"]
-            else:
-                assert report.quarantined
-                assert {q.stream for q in report.quarantined} == {"Y"}
-                assert Counter(executed.rows) < oracle
+            assert Counter(executed.rows) == oracle
+            assert [f.kind for f in report.fallbacks] == ["re-sort"]
         assert cat["X"].orders == {}  # a failed check keeps nothing
     assert_memo_is_the_tuples(cat["X"])
 

@@ -1,8 +1,8 @@
 """One answer to each limit, on every backend and transport.
 
 The paper's finite local workspace (``workspace_budget``) is a
-recovery-ladder event: STRICT and QUARANTINE raise
-``WorkspaceOverflowError``, DEGRADE spills and answers in extra passes.
+recovery-ladder event: STRICT raises ``WorkspaceOverflowError``,
+DEGRADE spills and answers in extra passes.
 A governance cap (``QueryBudget.workspace_tuple_cap`` under
 ``governed()``) is a resource limit: breaching it ends the query with
 ``BudgetExceededError`` whatever the policy.  Neither is ever answered
@@ -44,7 +44,6 @@ LIMITS = {
     # ladder's most forgiving policy must not absorb it.
     "governed-cap": (None, RecoveryPolicy.DEGRADE),
     "workspace-strict": (WORKSPACE, RecoveryPolicy.STRICT),
-    "workspace-quarantine": (WORKSPACE, RecoveryPolicy.QUARANTINE),
     "workspace-degrade": (WORKSPACE, RecoveryPolicy.DEGRADE),
 }
 

@@ -1,6 +1,5 @@
-"""The recovery ladder: STRICT fail-fast, QUARANTINE side-channel, and
-DEGRADE's re-sort / spill fallbacks checked against nested-loop oracles
-on tie-heavy workloads."""
+"""The recovery ladder: STRICT fail-fast and DEGRADE's re-sort / spill
+fallbacks checked against nested-loop oracles on tie-heavy workloads."""
 
 import random
 
@@ -14,7 +13,6 @@ from repro.model.sortorder import TE_DESC, TS_ASC
 from repro.resilience import ExecutionReport, RecoveryPolicy
 from repro.resilience import executor
 from repro.resilience.executor import execute_entry
-from repro.streams import TupleStream
 from repro.streams.processors.baseline import (
     contain_predicate,
     overlap_predicate,
@@ -68,16 +66,6 @@ def self_oracle(xs, predicate):
     ]
 
 
-def greedy_clean(tuples, order):
-    """What a quarantining cursor keeps: each tuple that does not
-    violate the order against the previously *kept* tuple."""
-    kept = []
-    for tup in tuples:
-        if not kept or order.check(kept[-1], tup):
-            kept.append(tup)
-    return kept
-
-
 CONTAIN_TS_TS = lookup(
     TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC
 )
@@ -118,59 +106,32 @@ class TestStrict:
         assert report.workspace_overflows == 1
         assert report.passes_added == 0  # STRICT never degrades
 
-
-class TestQuarantine:
-    def test_stream_skips_out_of_order_tuples(self):
+    @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    def test_violation_in_unread_tail_raises(self, side, backend):
+        """The tuple processor stops reading once the other operand is
+        exhausted; the executor still finishes the scan, so a misorder
+        in the unread tail raises instead of dropping the rows it would
+        have joined.  The batch backends read their operands whole."""
+        xs = [TemporalTuple("a", 0, 0, 10)]
+        ys = [TemporalTuple("y", 0, 5, 6)]
+        tail = [TemporalTuple("b", 1, 20, 30), TemporalTuple("c", 2, 1, 9)]
+        if side == "X":
+            xs += tail
+        else:
+            ys += tail
         report = ExecutionReport()
-        stream = TupleStream.from_tuples(
-            UNSORTED_X,
-            order=TS_ASC,
-            recovery=RecoveryPolicy.QUARANTINE,
-            report=report,
-        )
-        kept = list(stream.drain())
-        assert kept == greedy_clean(UNSORTED_X, TS_ASC)
-        assert stream.quarantined == 2
-        assert [e.reason for e in report.quarantined] == ["order", "order"]
-
-    def test_stream_skips_invalid_tuples(self):
-        class Broken:
-            valid_from = 9
-            valid_to = 3  # violates TS < TE
-
-        report = ExecutionReport()
-        stream = TupleStream.from_tuples(
-            [TemporalTuple("a", 0, 1, 2), Broken(), TemporalTuple("b", 1, 3, 4)],
-            order=TS_ASC,
-            recovery=RecoveryPolicy.QUARANTINE,
-            report=report,
-        )
-        kept = list(stream.drain())
-        assert [t.surrogate for t in kept] == ["a", "b"]
-        assert [e.reason for e in report.quarantined] == ["validity"]
-
-    @pytest.mark.parametrize("backend", ["tuple", "columnar"])
-    def test_executor_result_matches_oracle_on_kept_tuples(self, backend):
-        ys = sort_tuples(DENSE_Y, TS_ASC)
-        report = ExecutionReport()
-        outcome = execute_entry(
-            CONTAIN_TS_TS,
-            UNSORTED_X,
-            ys,
-            backend=backend,
-            policy=RecoveryPolicy.QUARANTINE,
-            report=report,
-        )
-        kept = greedy_clean(UNSORTED_X, TS_ASC)
-        assert canon(outcome.results) == canon(
-            join_oracle(kept, ys, contain_predicate)
-        )
-        assert len(report.quarantined) == 2
+        with pytest.raises(StreamOrderError) as err:
+            execute_entry(
+                CONTAIN_TS_TS, xs, ys, backend=backend, report=report
+            )
+        assert err.value.stream_name == side
+        assert report.order_violations == 1
 
 
 @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
 @pytest.mark.parametrize(
-    "policy", [RecoveryPolicy.QUARANTINE, RecoveryPolicy.DEGRADE]
+    "policy", [RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE]
 )
 def test_clean_run_scans_each_operand_once(policy, backend, monkeypatch):
     """Finishing the scan after the operator (``_exhaust``) completes
@@ -222,26 +183,6 @@ class TestMirroredBatchCellTagsTheOffendingSide:
         with pytest.raises(StreamOrderError) as err:
             execute_entry(CONTAIN_TE_DESC, xs, ys, backend=backend)
         assert err.value.stream_name == side
-
-    def test_quarantine_names_the_stream(self, side, backend):
-        xs, ys = self.operands(side)
-        report = ExecutionReport()
-        outcome = execute_entry(
-            CONTAIN_TE_DESC,
-            xs,
-            ys,
-            backend=backend,
-            policy=RecoveryPolicy.QUARANTINE,
-            report=report,
-        )
-        assert {e.stream for e in report.quarantined} == {side}
-        assert canon(outcome.results) == canon(
-            join_oracle(
-                greedy_clean(xs, TE_DESC),
-                greedy_clean(ys, TE_DESC),
-                contain_predicate,
-            )
-        )
 
     def test_degrade_resorts_only_that_side(self, side, backend):
         xs, ys = self.operands(side)

@@ -7,9 +7,11 @@ from repro.errors import PageCorruptionError, StreamOrderError
 from repro.model import TemporalTuple
 from repro.model.sortorder import TS_ASC
 from repro.resilience import RecoveryPolicy
+from repro.resilience.executor import execute_entry
 from repro.storage import HeapFile
 from repro.storage.page import Page
 from repro.streams import TupleStream
+from repro.streams.registry import TemporalOperator, lookup
 
 
 def tuples(n, start=0):
@@ -39,13 +41,13 @@ class TestPageChecksums:
 
     @pytest.mark.parametrize("policy", list(RecoveryPolicy))
     def test_corrupt_page_is_typed_under_every_policy(self, policy):
-        """No recovery rung absorbs a corrupt page: a stream over it
-        raises the typed error whatever its policy."""
+        """No recovery rung absorbs a corrupt page: a cell whose operand
+        is read off it raises the typed error whatever its policy."""
         f = HeapFile.from_records("victim", tuples(10), page_capacity=4)
         f._pages[1]._records[0] = TemporalTuple("evil", 99, 0, 1)
-        stream = TupleStream.from_heap_file(f, order=TS_ASC, recovery=policy)
+        entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
         with pytest.raises(PageCorruptionError):
-            list(stream.drain())
+            execute_entry(entry, f.scan(), tuples(3), policy=policy)
 
 
 class TestStreamRestart:
