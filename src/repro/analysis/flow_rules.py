@@ -2,7 +2,7 @@
 
 These rules protect the *runtime* invariants PRs 6-8 introduced — shm
 segment ownership, governance checkpoints on hot loops, the
-containment protocol's exception discipline, and span/metric
+containment protocol's exception discipline, and span
 provenance — the concurrency counterpart of the algebraic Tables 1-3
 checks.  They are built on :mod:`repro.analysis.cfg` rather than on
 single-node syntax because each one is a path property: "on every
@@ -51,14 +51,6 @@ def _call_name(call: ast.Call) -> str:
     return ""
 
 
-def _receiver(call: ast.Call) -> Optional[str]:
-    if isinstance(call.func, ast.Attribute) and isinstance(
-        call.func.value, ast.Name
-    ):
-        return call.func.value.id
-    return None
-
-
 def _keyword_true(call: ast.Call, name: str) -> bool:
     for kw in call.keywords:
         if kw.arg == name:
@@ -66,10 +58,6 @@ def _keyword_true(call: ast.Call, name: str) -> bool:
                 isinstance(kw.value, ast.Constant) and kw.value.value is True
             )
     return False
-
-
-def _has_keyword(call: ast.Call, name: str) -> bool:
-    return any(kw.arg == name for kw in call.keywords)
 
 
 def _is_bare_ref(expr: ast.expr, var: str) -> bool:
@@ -567,27 +555,22 @@ class GovernanceExceptHygiene(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP010 — span construction/lifecycle and metric-merge provenance
+# REP010 — span construction and lifecycle
 # ----------------------------------------------------------------------
 _SPAN_MODULES = ("obs/trace.py", "obs/graft.py")
 
 
 @register_rule
 class SpanLifecyclePairing(Rule):
-    """REP010: grafted spans complete + register; merges are labelled."""
+    """REP010: grafted spans complete + register."""
 
     id = "REP010"
-    title = (
-        "direct Span construction is confined and lifecycle-complete; "
-        "metric merges carry labels"
-    )
+    title = "direct Span construction is confined and lifecycle-complete"
     rationale = (
         "PR 8's graft keeps worker observability truthful only if "
         "every directly-built Span gets an end time and lands in "
-        "tracer.spans on every normal path, and every cross-registry "
-        "merge is labelled with its worker/shard provenance; a "
-        "half-built span or unlabelled merge silently corrupts the "
-        "audit record."
+        "tracer.spans on every normal path; a half-built span "
+        "silently corrupts the grafted timeline."
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
@@ -606,20 +589,6 @@ class SpanLifecyclePairing(Rule):
                     "direct Span(...) construction outside obs/trace.py"
                     "/obs/graft.py: use tracer.span(...) so the "
                     "lifecycle is with-scoped",
-                )
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "merge"
-                and _receiver(node) is not None
-                and "registr" in (_receiver(node) or "").lower()
-                and not module.is_file("obs/metrics.py")
-                and not _has_keyword(node, "labels")
-            ):
-                yield module.finding(
-                    self,
-                    node,
-                    "metric registry merge without labels= loses "
-                    "worker/shard provenance in the audit record",
                 )
         if in_span_module:
             yield from self._check_span_lifecycles(module)

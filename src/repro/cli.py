@@ -28,7 +28,7 @@ Subcommands:
   recorded only when a trace file is asked for::
 
       python -m repro.cli explain-analyze \\
-          --chrome-trace trace.json --prometheus metrics.prom
+          --chrome-trace trace.json
 
   ``--check-single-scan`` exits non-zero if any join row or shard row
   reports more than one pass over an input without falling back (the
@@ -189,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace the run and write the span log as JSONL",
     )
     explain.add_argument(
-        "--prometheus",
-        metavar="PATH",
-        help="write the metrics registry in Prometheus text format",
-    )
-    explain.add_argument(
         "--check-single-scan",
         action="store_true",
         help="exit non-zero if any stream join or parallel shard "
@@ -351,13 +346,7 @@ def _run_query_command(args) -> int:
 
 
 def _run_explain_analyze_command(args) -> int:
-    from .obs import (
-        Tracer,
-        install_registry,
-        to_chrome_trace,
-        to_jsonl,
-        uninstall_registry,
-    )
+    from .obs import Tracer, to_chrome_trace, to_jsonl
     from .obs.explain import render_explain, scan_violations
     from .resilience.recovery import RecoveryPolicy
 
@@ -374,21 +363,17 @@ def _run_explain_analyze_command(args) -> int:
     tracer = None
     if args.chrome_trace or args.jsonl:
         tracer = Tracer("explain-analyze", io_events=args.io_events)
-    registry = install_registry()
-    try:
-        result = run_query(
-            args.text or PARALLEL_DEFAULT_QUEL,
-            catalog,
-            semantic=args.semantic,
-            streams=True,
-            recovery=RecoveryPolicy(args.recovery),
-            trace=tracer,
-            parallelism=args.parallelism,
-            budget=_budget_from_args(args),
-            audit=args.audit_log,
-        )
-    finally:
-        uninstall_registry()
+    result = run_query(
+        args.text or PARALLEL_DEFAULT_QUEL,
+        catalog,
+        semantic=args.semantic,
+        streams=True,
+        recovery=RecoveryPolicy(args.recovery),
+        trace=tracer,
+        parallelism=args.parallelism,
+        budget=_budget_from_args(args),
+        audit=args.audit_log,
+    )
 
     print(render_explain(result))
     print(f"\n-- {len(result.rows)} row(s)", file=sys.stderr)
@@ -401,10 +386,6 @@ def _run_explain_analyze_command(args) -> int:
         with open(args.jsonl, "w") as fh:
             fh.write(to_jsonl(tracer))
         print(f"span log written to {args.jsonl}", file=sys.stderr)
-    if args.prometheus:
-        with open(args.prometheus, "w") as fh:
-            fh.write(registry.to_prometheus())
-        print(f"metrics written to {args.prometheus}", file=sys.stderr)
 
     if args.check_single_scan:
         violations = scan_violations(

@@ -4,8 +4,7 @@ Design constraints, in order:
 
 1. **Near-zero cost when disabled.**  The hot paths ask
    :func:`active_token` (one thread-local attribute read) and skip
-   everything on ``None`` — the same cheap-when-off idiom the metrics
-   registry uses.  No budget, no token, no cost.
+   everything on ``None``.  No budget, no token, no cost.
 2. **Checkpoint granularity, never per-tuple.**  Checks live at page
    reads, stream pass boundaries, columnar batch drains, workspace
    *inserts* (already metered), and the shard-collect poll loop.
@@ -34,7 +33,6 @@ from ..errors import (
     DeadlineExceededError,
     QueryCancelledError,
 )
-from ..obs.metrics import active_registry
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,6 @@ class QueryBudget:
             "page_read_cap": self.page_read_cap,
             "shm_byte_cap": self.shm_byte_cap,
         }
-
-
-def _count_budget_breach(resource: str) -> None:
-    registry = active_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_governance_budget_exceeded_total",
-            "Query budget caps breached, by resource",
-        ).inc(resource=resource)
 
 
 class CancellationToken:
@@ -166,23 +155,11 @@ class CancellationToken:
         """The plain checkpoint: cancellation, then deadline."""
         self.checkpoints += 1
         if self._cancelled:
-            registry = active_registry()
-            if registry is not None:
-                registry.counter(
-                    "repro_governance_cancellations_total",
-                    "Queries stopped by explicit cancellation",
-                ).inc(reason=self._cancel_reason)
             raise QueryCancelledError(
                 f"query cancelled: {self._cancel_reason}",
                 reason=self._cancel_reason,
             )
         if self.deadline_at is not None and self._clock() > self.deadline_at:
-            registry = active_registry()
-            if registry is not None:
-                registry.counter(
-                    "repro_governance_deadline_exceeded_total",
-                    "Queries stopped by a wall-clock deadline",
-                ).inc()
             elapsed = self.elapsed()
             raise DeadlineExceededError(
                 "query deadline of "
@@ -196,7 +173,6 @@ class CancellationToken:
         self.pages_read += pages
         cap = self.budget.page_read_cap
         if cap is not None and self.pages_read > cap:
-            _count_budget_breach("pages")
             raise BudgetExceededError(
                 f"page-read budget of {cap} pages exceeded "
                 f"({self.pages_read} read)",
@@ -214,7 +190,6 @@ class CancellationToken:
             self.workspace_peak = size
         cap = self.budget.workspace_tuple_cap
         if cap is not None and size > cap:
-            _count_budget_breach("workspace")
             raise BudgetExceededError(
                 f"workspace budget of {cap} tuples exceeded "
                 f"({size} concurrent)",
@@ -228,7 +203,6 @@ class CancellationToken:
         self.shm_bytes += nbytes
         cap = self.budget.shm_byte_cap
         if cap is not None and self.shm_bytes > cap:
-            _count_budget_breach("shm_bytes")
             raise BudgetExceededError(
                 f"shared-memory budget of {cap} bytes exceeded "
                 f"({self.shm_bytes} mapped)",

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, and EXPLAIN ANALYZE.
+"""Observability: tracing, EXPLAIN ANALYZE, and audit records.
 
 The paper's claims are structural — workspace high-water marks, buffer
 counts, single-scan guarantees — and this package makes them *visible*
@@ -9,10 +9,6 @@ at run time instead of only as post-hoc
   operator -> pass -> page I/O) with monotonic timing, an always-cheap
   no-op default, and exporters for JSONL and the Chrome
   ``chrome://tracing`` trace-event format;
-* :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges, and histograms fed by instrumentation hooks across the
-  streams, columnar, storage, and resilience layers, with a Prometheus
-  text-format dump;
 * :mod:`repro.obs.graft` — cross-process trace transport: workers
   serialize their span forest into the result payload (bounded size)
   and the parent grafts it under the matching ``shard:<i>`` span with
@@ -30,15 +26,6 @@ sleeps or touches the network.
 """
 
 from .graft import GraftResult, graft_worker_trace, serialize_tracer
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    active_registry,
-    install_registry,
-    uninstall_registry,
-)
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -52,23 +39,16 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "GraftResult",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "Tracer",
-    "active_registry",
     "get_tracer",
     "graft_worker_trace",
-    "install_registry",
     "serialize_tracer",
     "set_tracer",
     "span_creation_count",
     "to_chrome_trace",
     "to_jsonl",
-    "uninstall_registry",
 ]

@@ -15,11 +15,11 @@ the audit log, success or failure:
 * execution — backend, row count, one join row per stream join (the
   measured operator row next to every alternative the planner costed),
   the shard rows (both as EXPLAIN ANALYZE renders them), containment
-  counters (retries / worker deaths / speculations), and the governance
-  spend summary when budgeted — all read off the result, so the same
-  traced or untraced;
-* telemetry — the merged metrics snapshot and a compact trace summary
-  (span count, wall time, worker pids) when the run was observed.
+  counters (retries / worker deaths / speculations / pool fallbacks),
+  and the governance spend summary when budgeted — all read off the
+  result, so the same traced or untraced;
+* telemetry — a compact trace summary (span count, wall time, worker
+  pids) when the run was traced.
 
 The schema is versioned (:data:`AUDIT_SCHEMA_VERSION`);
 :func:`validate_record` checks a parsed record against it and is wired
@@ -55,7 +55,6 @@ AUDIT_SCHEMA: Dict[str, tuple] = {
     "shards": (False, (list, type(None))),
     "containment": (False, (dict, type(None))),
     "governance": (False, (dict, type(None))),
-    "metrics": (False, (dict, type(None))),
     "trace": (False, (dict, type(None))),
 }
 
@@ -122,8 +121,7 @@ def build_record(
     success; ``error`` the raised exception on failure.  What ran is
     read off the result's join rows (``StreamJoinInfo.as_dict()``) —
     never off the trace, so a record says the same thing traced or
-    untraced.  Everything observable is best-effort: a missing
-    tracer/registry simply leaves its field ``None``.
+    untraced.  A run without a tracer leaves ``trace`` ``None``.
     """
     joins = [
         info.as_dict() for info in getattr(result, "stream_joins", None) or ()
@@ -157,21 +155,8 @@ def build_record(
         "shards": shards or None,
         "containment": containment or None,
         "governance": getattr(result, "governance", None),
-        "metrics": _metrics_snapshot(),
         "trace": _trace_summary(getattr(result, "trace", None)),
     }
-
-
-def _metrics_snapshot() -> Optional[dict]:
-    from .metrics import active_registry
-
-    registry = active_registry()
-    if registry is None:
-        return None
-    try:
-        return registry.as_dict()
-    except Exception:  # snapshot is best-effort, never fails the query
-        return None
 
 
 def _trace_summary(trace: Optional[object]) -> Optional[dict]:

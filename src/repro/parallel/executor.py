@@ -29,8 +29,8 @@ it.  Shard reports are merged into one
 :class:`~repro.resilience.recovery.ExecutionReport`; each shard's row
 is a :class:`ShardRun`, and its time a ``shard:<i>`` span.
 Pool infrastructure failures are *visible* degradations: the run falls
-back inline, bumps ``repro_parallel_pool_fallbacks_total`` with the
-exception class, and records it on the ``parallel:`` span.
+back inline and records the exception class in
+:attr:`ParallelOutcome.containment` and on the ``parallel:`` span.
 
 Merged output order is deterministic and the same in both modes:
 shards concatenate in cut order, which for semijoins reproduces the
@@ -53,7 +53,6 @@ from ..errors import ExecutionError, ReproError, StreamOrderError
 from ..governance.budget import active_token
 from ..model.tuples import TemporalTuple
 from ..obs.graft import graft_worker_trace
-from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
 from ..resilience.faults import WorkerFaultPlan
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
@@ -162,7 +161,9 @@ class ParallelOutcome:
     plan: RangePlan
     shard_runs: List[ShardRun] = field(default_factory=list)
     #: Containment counters of the process-mode batch (shard_retries,
-    #: worker_deaths, speculations); empty on inline runs.
+    #: worker_deaths, speculations); ``{"pool_fallback:<exception
+    #: class>": 1}`` when the pool failed and the run fell back inline;
+    #: empty on other inline runs.
     containment: dict = field(default_factory=dict)
 
     @property
@@ -368,15 +369,6 @@ def _governance_payload(token) -> Optional[dict]:
     }
 
 
-def _count_shard_retry(reason: str) -> None:
-    registry = active_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_parallel_shard_retries_total",
-            "Shard re-dispatches, by reason",
-        ).inc(reason=reason)
-
-
 def _read_result_with_retry(
     pool,
     summary: dict,
@@ -407,7 +399,6 @@ def _read_result_with_retry(
         )
         task["result_segment"] = fresh
         result_names.append(fresh)
-        _count_shard_retry("corrupt-result")
         containment["shard_retries"] = (
             containment.get("shard_retries", 0) + 1
         )
@@ -451,16 +442,12 @@ def _run_shm(
         if governance is not None:
             for task in tasks:
                 task["governance"] = governance
-        # Ship the parent's observability state as two booleans: the
-        # worker installs a per-task tracer/registry only when asked,
-        # so untraced runs keep the worker-side zero-allocation
-        # guarantee (span_creation_count delta stays 0).
-        observe_trace = bool(get_tracer().enabled)
-        observe_metrics = active_registry() is not None
-        if observe_trace or observe_metrics:
+        # The worker installs a per-task tracer only when asked, so
+        # untraced runs keep the worker-side zero-allocation guarantee
+        # (span_creation_count delta stays 0).
+        if get_tracer().enabled:
             for task in tasks:
-                task["observe_trace"] = observe_trace
-                task["observe_metrics"] = observe_metrics
+                task["observe_trace"] = True
         if worker_fault_plan is not None:
             target = worker_fault_plan.target_shard(
                 f"{entry.operator.value}/{backend}", len(tasks)
@@ -524,16 +511,12 @@ def _verify_order(
         raise
 
 
-def _note_pool_fallback(span, exc: Exception) -> None:
-    """Satellite of the silent-``except Exception`` bugfix: fallbacks
-    are counted and carry the exception class into EXPLAIN ANALYZE."""
+def _note_pool_fallback(span, exc: Exception) -> dict:
+    """A pool fallback is never silent: the exception class goes on
+    the span and into the containment counters the join row (and so
+    EXPLAIN ANALYZE and the audit record) carries."""
     span.set(pool_fallback=True, fallback_error=type(exc).__name__)
-    registry = active_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_parallel_pool_fallbacks_total",
-            "Pool failures that degraded a process run to inline",
-        ).inc(error=type(exc).__name__)
+    return {f"pool_fallback:{type(exc).__name__}": 1}
 
 
 # ----------------------------------------------------------------------
@@ -646,12 +629,11 @@ def execute_parallel(
                 # Pool infrastructure failed (worker death, segment
                 # limits, spawn failure): parallelism is an
                 # optimisation, correctness falls back inline — but
-                # visibly (counter + span), never silently.
-                _note_pool_fallback(span, exc)
+                # visibly (containment + span), never silently.
+                containment = _note_pool_fallback(span, exc)
             else:
                 effective_mode = "process"
                 for run, summary, _chunk in finished:
-                    _merge_worker_metrics(run, summary)
                     _emit_shard_span(tracer, run, summary, span)
         if finished is None:
             finished = _run_inline(tracer, entry, tasks, x_cols, y_cols)
@@ -681,17 +663,12 @@ def execute_parallel(
             boundary_spanning=plan.boundary_spanning,
             output_count=len(results),
         )
-        if containment:
+        if effective_mode == "process":
             span.set(
                 shard_retries=containment.get("shard_retries", 0),
                 worker_deaths=containment.get("worker_deaths", 0),
                 speculations=containment.get("speculations", 0),
             )
-        _bump_registry(
-            plan,
-            sum(run.residual_filtered for run in shard_runs),
-            effective_mode,
-        )
 
     return ParallelOutcome(
         results=results,
@@ -708,7 +685,7 @@ def execute_parallel(
 
 
 # ----------------------------------------------------------------------
-# process-mode shard spans and worker telemetry
+# process-mode shard spans
 # ----------------------------------------------------------------------
 def _emit_shard_span(tracer, run: ShardRun, summary: dict, parallel_span):
     """Process-mode shards ran in a worker process; give each a summary
@@ -744,53 +721,6 @@ def _emit_shard_span(tracer, run: ShardRun, summary: dict, parallel_span):
         # is visible on the timeline (still inside the parallel span).
         span.start_ns = min(span.start_ns, graft.start_ns)
         span.end_ns = max(span.end_ns, graft.end_ns or span.end_ns)
-
-
-def _merge_worker_metrics(run: ShardRun, summary: dict) -> None:
-    """Fold the worker's metric snapshot into the parent registry with
-    ``worker``/``shard`` labels, so per-worker contributions stay
-    distinguishable in the merged Prometheus dump."""
-    registry = active_registry()
-    snapshot = summary.get("worker_metrics")
-    if registry is None or not snapshot:
-        return
-    try:
-        registry.merge(
-            snapshot,
-            labels={"worker": str(run.pid), "shard": str(run.index)},
-        )
-    except ValueError:
-        # Mismatched histogram layouts across versions: drop the
-        # worker's contribution, never the query.
-        pass
-
-
-def _bump_registry(
-    plan, residual_filtered: int, mode: str
-) -> None:
-    registry = active_registry()
-    if registry is None:
-        return
-    registry.counter(
-        "repro_parallel_runs_total",
-        "Parallel operator executions",
-    ).inc(mode=mode)
-    registry.counter(
-        "repro_parallel_shards_total",
-        "Shards executed by the parallel executor",
-    ).inc(plan.effective_shards)
-    registry.counter(
-        "repro_parallel_replicated_tuples_total",
-        "Boundary-spanning tuples shipped to extra shards",
-    ).inc(plan.replicated_total)
-    registry.counter(
-        "repro_parallel_residual_filtered_total",
-        "Self-semijoin outputs dropped by owner filtering",
-    ).inc(residual_filtered)
-    registry.gauge(
-        "repro_parallel_skew_ratio",
-        "max/mean per-shard work of the last partitioning",
-    ).set(round(plan.skew_ratio, 3))
 
 
 # Re-exported so tests can reference the range planner via the

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import ExecutionError
-from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
 from . import shm
 
@@ -88,39 +87,12 @@ _DEFERRED_SWEEPS = 3
 _ORPHAN_GRACE = 0.25
 
 
-#: Help strings for the structured containment counters; the event
-#: names mirror the counter suffixes (dispatch/ack/reap/redispatch/
-#: straggler) so a Prometheus dump and a trace tell the same story.
-_POOL_COUNTER_HELP = {
-    "repro_pool_dispatch_total": "Shard tasks dispatched to the pool",
-    "repro_pool_ack_total": "Task ownership acks drained from workers",
-    "repro_pool_reap_total": "Dead workers reaped mid-batch",
-    "repro_pool_redispatch_total": "Shard re-dispatches, by reason",
-    "repro_pool_straggler_total": "Shards speculatively re-dispatched",
-}
-
-
-def _pool_event(
-    name: str,
-    counter: Optional[str] = None,
-    amount: float = 1.0,
-    **attrs,
-) -> None:
-    """One containment-ladder event, two sinks: the active tracer
-    (structured event on the enclosing span) and the ``repro_pool_*``
-    counters."""
+def _pool_event(name: str, **attrs) -> None:
+    """One containment-ladder event on the active tracer (structured
+    event on the enclosing span)."""
     tracer = get_tracer()
     if tracer.enabled:
         tracer.event(f"pool.{name}", **attrs)
-    if counter is not None:
-        registry = active_registry()
-        if registry is not None:
-            labels = (
-                {"reason": str(attrs["reason"])} if "reason" in attrs else {}
-            )
-            registry.counter(counter, _POOL_COUNTER_HELP[counter]).inc(
-                amount, **labels
-            )
 
 
 class WorkerPoolError(RuntimeError):
@@ -361,8 +333,6 @@ class WorkerPool:
                 )
             _pool_event(
                 "dispatch",
-                counter="repro_pool_dispatch_total",
-                amount=len(tasks),
                 job=job,
                 shards=len(tasks),
                 indices=sorted(states),
@@ -513,7 +483,6 @@ class WorkerPool:
                 continue
             _pool_event(
                 "ack",
-                counter="repro_pool_ack_total",
                 job=job,
                 index=ack.get("index"),
                 attempt=ack.get("attempt"),
@@ -544,8 +513,6 @@ class WorkerPool:
             return False
         _pool_event(
             "reap",
-            counter="repro_pool_reap_total",
-            amount=len(dead),
             pids=[p.pid for p in dead],
             exit_codes=sorted({p.exitcode for p in dead}),
         )
@@ -554,12 +521,6 @@ class WorkerPool:
         self.last_batch_stats["worker_deaths"] = (
             self.last_batch_stats.get("worker_deaths", 0) + len(dead)
         )
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_parallel_worker_deaths_total",
-                "Shard workers that died mid-batch",
-            ).inc(len(dead))
         quorum = max(1, math.ceil(self._target_size / 2))
         if len(self._processes) < quorum:
             self._broken = True
@@ -656,7 +617,6 @@ class WorkerPool:
                 )
                 _pool_event(
                     "straggler",
-                    counter="repro_pool_straggler_total",
                     index=index,
                     silent_seconds=round(now - started, 3),
                 )
@@ -695,7 +655,6 @@ class WorkerPool:
                 segment_names.append(fresh)
         _pool_event(
             "redispatch",
-            counter="repro_pool_redispatch_total",
             index=index,
             attempt=state.attempt,
             reason=reason,
@@ -707,12 +666,6 @@ class WorkerPool:
         self.last_batch_stats["shard_retries"] = (
             self.last_batch_stats.get("shard_retries", 0) + 1
         )
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_parallel_shard_retries_total",
-                "Shard re-dispatches, by reason",
-            ).inc(reason=reason)
         self._tasks.put(task)
 
     def _sweep_deferred(self, final: bool = False) -> None:
@@ -735,27 +688,25 @@ class WorkerPool:
 _POOL: Optional[WorkerPool] = None
 _POOL_GUARD = threading.Lock()
 _ATEXIT_INSTALLED = False
+#: Poisoned pools torn down and rebuilt by :func:`get_pool` in this
+#: process.
+_REBUILDS = 0
 
 
 def get_pool(workers: int) -> WorkerPool:
     """The shared warm pool, grown to at least ``workers`` processes.
 
     A *poisoned* pool (quorum loss, hung batch) is torn down and
-    rebuilt here — counted in ``repro_parallel_pool_rebuilds_total``.
+    rebuilt here — counted in ``pool_stats()["rebuilds"]``.
     A healthy pool that merely lost a worker to a contained crash is
     **not** rebuilt: ``grow`` tops it back up to the requested size.
     """
-    global _POOL, _ATEXIT_INSTALLED
+    global _POOL, _ATEXIT_INSTALLED, _REBUILDS
     with _POOL_GUARD:
         if _POOL is not None and not _POOL.healthy:
             _POOL.shutdown()
             _POOL = None
-            registry = active_registry()
-            if registry is not None:
-                registry.counter(
-                    "repro_parallel_pool_rebuilds_total",
-                    "Worker pools torn down and rebuilt after poisoning",
-                ).inc()
+            _REBUILDS += 1
         if _POOL is None:
             _POOL = WorkerPool(max(1, workers))
             if not _ATEXIT_INSTALLED:
@@ -780,11 +731,17 @@ def pool_stats() -> Dict[str, object]:
     """Introspection for tests and EXPLAIN ANALYZE."""
     with _POOL_GUARD:
         if _POOL is None:
-            return {"alive": False, "size": 0, "pids": []}
+            return {
+                "alive": False,
+                "size": 0,
+                "pids": [],
+                "rebuilds": _REBUILDS,
+            }
         return {
             "alive": _POOL.healthy,
             "size": _POOL.size,
             "pids": _POOL.worker_pids(),
+            "rebuilds": _REBUILDS,
         }
 
 

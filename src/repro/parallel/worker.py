@@ -34,12 +34,6 @@ from typing import Optional, Sequence
 from ..columnar.relation import IntervalColumns
 from ..governance.budget import QueryBudget, active_token, governed
 from ..obs.graft import DEFAULT_MAX_TRACE_BYTES, serialize_tracer
-from ..obs.metrics import (
-    MetricsRegistry,
-    active_registry,
-    install_registry,
-    uninstall_registry,
-)
 from ..obs.trace import Tracer, set_tracer, span_creation_count
 from ..resilience.executor import execute_entry, index_sides
 from ..streams.registry import RegistryEntry, lookup
@@ -87,18 +81,13 @@ def run_task(task: dict) -> dict:
         time.sleep(fault.get("stall_seconds", 2.0))
     spans_before = span_creation_count()
     observe_trace = bool(task.get("observe_trace"))
-    observe_metrics = bool(task.get("observe_metrics"))
     worker_tracer = (
         Tracer(f"worker-{os.getpid()}") if observe_trace else None
     )
-    worker_registry = MetricsRegistry() if observe_metrics else None
     # Pool workers are reused across queries, so the worker-local
-    # tracer/registry MUST be restored in the finally — a leaked tracer
-    # would tax (and mis-attribute) every later untraced shard.
+    # tracer MUST be restored in the finally — a leaked tracer would
+    # tax (and mis-attribute) every later untraced shard.
     prev_tracer = set_tracer(worker_tracer) if observe_trace else None
-    prev_registry = active_registry() if observe_metrics else None
-    if observe_metrics:
-        install_registry(worker_registry)
     try:
         if worker_tracer is not None:
             with worker_tracer.span(
@@ -112,14 +101,7 @@ def run_task(task: dict) -> dict:
     finally:
         if observe_trace:
             set_tracer(prev_tracer)
-        if observe_metrics:
-            if prev_registry is not None:
-                install_registry(prev_registry)
-            else:
-                uninstall_registry()
-    _attach_observability(
-        task, summary, worker_tracer, worker_registry, spans_before
-    )
+    _attach_observability(task, summary, worker_tracer, spans_before)
     if fault is not None and fault.get("kind") == "corrupt-result":
         shm.corrupt_result(task["result_segment"])
     return summary
@@ -145,7 +127,6 @@ def _attach_observability(
     task: dict,
     summary: dict,
     tracer: Optional[Tracer],
-    registry: Optional[MetricsRegistry],
     spans_before: int,
 ) -> None:
     """Ship the shard's telemetry in the result summary.
@@ -153,8 +134,8 @@ def _attach_observability(
     ``worker_spans_created`` is a per-task *delta* (the module counter
     is process-wide and workers are reused), always reported so the
     parent can enforce the zero-allocation guarantee of untraced runs.
-    Trace/metrics payloads are best-effort: a serialisation failure
-    drops the telemetry, never the shard result.
+    The trace payload is best-effort: a serialisation failure drops
+    the trace, never the shard result.
     """
     summary["pid"] = os.getpid()
     summary["worker_spans_created"] = span_creation_count() - spans_before
@@ -170,14 +151,9 @@ def _attach_observability(
             )
         # Telemetry attach is best-effort by contract: the shard's
         # answer is already computed, and governance errors cannot
-        # originate in serialize_tracer/snapshot (no charge points).
+        # originate in serialize_tracer (no charge points).
         except Exception:  # repro: noqa(REP009)
             summary["worker_trace"] = None
-    if registry is not None:
-        try:
-            summary["worker_metrics"] = registry.snapshot()
-        except Exception:  # repro: noqa(REP009)
-            summary["worker_metrics"] = None
 
 
 def _run_shard_body(task: dict) -> dict:

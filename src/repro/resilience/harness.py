@@ -27,11 +27,6 @@ from ..streams.registry import (
     TemporalOperator,
     supported_entries,
 )
-from ..obs.metrics import (
-    active_registry,
-    install_registry,
-    uninstall_registry,
-)
 from .faults import WorkerFaultKind, WorkerFaultPlan, derived_rng
 
 
@@ -165,6 +160,7 @@ def worker_chaos_sweep(
     rebuild.
     """
     from ..parallel.executor import execute_parallel
+    from ..parallel.pool import pool_stats
 
     if straggler_after is None and kind is WorkerFaultKind.STALL:
         # Speculation must trip well inside the stall, or the faulted
@@ -176,87 +172,75 @@ def worker_chaos_sweep(
     outcome = WorkerChaosResult(seed=seed, kind=kind.value)
     base_x = generate_relation(seed, "x", relation_size)
     base_y = generate_relation(seed, "y", relation_size)
-    registry = active_registry()
-    owns_registry = registry is None
-    if owns_registry:
-        registry = install_registry()
-    rebuilds = registry.counter(
-        "repro_parallel_pool_rebuilds_total",
-        "Worker pools torn down and rebuilt after poisoning",
-    )
-    try:
-        for operator in TemporalOperator:
-            for entry in supported_entries(operator):
-                xs = sort_tuples(base_x, entry.x_order)
-                ys = (
-                    sort_tuples(base_y, entry.y_order)
-                    if entry.y_order is not None
-                    else None
+    for operator in TemporalOperator:
+        for entry in supported_entries(operator):
+            xs = sort_tuples(base_x, entry.x_order)
+            ys = (
+                sort_tuples(base_y, entry.y_order)
+                if entry.y_order is not None
+                else None
+            )
+            for backend in entry.backends:
+                if backend not in backends:
+                    continue
+                clean = execute_parallel(
+                    entry,
+                    xs,
+                    ys,
+                    shards=shards,
+                    backend=backend,
+                    mode="process",
                 )
-                for backend in entry.backends:
-                    if backend not in backends:
-                        continue
-                    clean = execute_parallel(
-                        entry,
-                        xs,
-                        ys,
-                        shards=shards,
+                rebuilds_before = pool_stats()["rebuilds"]
+                faulted = execute_parallel(
+                    entry,
+                    xs,
+                    ys,
+                    shards=shards,
+                    backend=backend,
+                    mode="process",
+                    worker_fault_plan=plan,
+                    straggler_after=straggler_after,
+                )
+                if kind is WorkerFaultKind.STALL:
+                    # Quiesce: the speculation *winner* resolved the
+                    # batch, but the stalled loser is still holding
+                    # its worker.  Without this drain, stalled
+                    # workers pile up across cells, later batches
+                    # queue behind them, and queued-but-healthy
+                    # shards get speculated too — the cells stop
+                    # measuring one fault each.
+                    time.sleep(plan.stall_seconds)
+                outcome.cells.append(
+                    WorkerChaosCell(
+                        operator=entry.operator.value,
+                        x_order=str(entry.x_order),
+                        y_order=(
+                            str(entry.y_order)
+                            if entry.y_order is not None
+                            else None
+                        ),
                         backend=backend,
-                        mode="process",
+                        results_match=(
+                            list(clean.results)
+                            == list(faulted.results)
+                        ),
+                        mode=faulted.mode,
+                        shard_retries=faulted.containment.get(
+                            "shard_retries", 0
+                        ),
+                        worker_deaths=faulted.containment.get(
+                            "worker_deaths", 0
+                        ),
+                        speculations=faulted.containment.get(
+                            "speculations", 0
+                        ),
+                        pool_rebuilds=(
+                            pool_stats()["rebuilds"] - rebuilds_before
+                        ),
+                        output_rows=len(faulted.results),
                     )
-                    rebuilds_before = rebuilds.total
-                    faulted = execute_parallel(
-                        entry,
-                        xs,
-                        ys,
-                        shards=shards,
-                        backend=backend,
-                        mode="process",
-                        worker_fault_plan=plan,
-                        straggler_after=straggler_after,
-                    )
-                    if kind is WorkerFaultKind.STALL:
-                        # Quiesce: the speculation *winner* resolved the
-                        # batch, but the stalled loser is still holding
-                        # its worker.  Without this drain, stalled
-                        # workers pile up across cells, later batches
-                        # queue behind them, and queued-but-healthy
-                        # shards get speculated too — the cells stop
-                        # measuring one fault each.
-                        time.sleep(plan.stall_seconds)
-                    outcome.cells.append(
-                        WorkerChaosCell(
-                            operator=entry.operator.value,
-                            x_order=str(entry.x_order),
-                            y_order=(
-                                str(entry.y_order)
-                                if entry.y_order is not None
-                                else None
-                            ),
-                            backend=backend,
-                            results_match=(
-                                list(clean.results)
-                                == list(faulted.results)
-                            ),
-                            mode=faulted.mode,
-                            shard_retries=faulted.containment.get(
-                                "shard_retries", 0
-                            ),
-                            worker_deaths=faulted.containment.get(
-                                "worker_deaths", 0
-                            ),
-                            speculations=faulted.containment.get(
-                                "speculations", 0
-                            ),
-                            pool_rebuilds=int(
-                                rebuilds.total - rebuilds_before
-                            ),
-                            output_rows=len(faulted.results),
-                        )
-                    )
-    finally:
-        if owns_registry:
-            uninstall_registry()
+                )
     return outcome
 
 

@@ -23,8 +23,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import List
 
-from ..obs.metrics import active_registry
-
 
 class RecoveryPolicy(enum.Enum):
     """How the execution layer reacts to violated stream assumptions."""
@@ -74,38 +72,15 @@ class ExecutionReport:
     ) -> None:
         self.fallbacks.append(FallbackEvent(kind, detail, passes_added))
         self.passes_added += passes_added
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_recovery_fallbacks_total",
-                "Degradation steps taken (recovery-ladder transitions)",
-            ).inc(kind=kind)
-            registry.counter(
-                "repro_recovery_passes_added_total",
-                "Extra input passes bought by degradations",
-            ).inc(passes_added)
 
     def note_order_violation(self) -> None:
         self.order_violations += 1
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_resilience_order_violations_total",
-                "Declared-order violations observed",
-            ).inc()
 
     def note_workspace_overflow(self) -> None:
         self.workspace_overflows += 1
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_resilience_workspace_overflows_total",
-                "Workspace budget breaches observed",
-            ).inc()
 
     def absorb(self, other: "ExecutionReport") -> None:
-        """Fold another run's report into this one, without re-triggering
-        the note_* metric hooks (that run already counted what it could)."""
+        """Fold another run's report into this one."""
         self.fallbacks.extend(other.fallbacks)
         self.passes_added += other.passes_added
         self.workspace_overflows += other.workspace_overflows

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from ..errors import StorageError
 from ..model.sortorder import SortOrder, sort_tuples
 from ..model.tuples import TemporalTuple
-from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
 from .heap_file import HeapFile
 from .iostats import IOStats
@@ -200,20 +199,6 @@ def external_sort(
                 spilled_tuples=spilled_tuples,
                 run_sort_workers=run_sort_workers,
             )
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_sort_runs_total",
-                "Initial runs generated by external sorts",
-            ).inc(result.runs_generated)
-            registry.counter(
-                "repro_sort_merge_passes_total",
-                "Merge passes performed by external sorts",
-            ).inc(result.merge_passes)
-            registry.counter(
-                "repro_sort_spilled_tuples_total",
-                "Tuples written to sort-run files",
-            ).inc(spilled_tuples)
         return result
 
 
@@ -272,13 +257,6 @@ def _presorted_result(
             span.set(sorted=sorted_input, tuples_checked=checked)
     if not sorted_input:
         return None
-    registry = active_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_sort_presorted_skips_total",
-            "External sorts skipped because the input was already "
-            "ordered",
-        ).inc()
     return ExternalSortResult(
         source, 0, 0, accounting, skipped_presorted=True
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 from ..governance.budget import active_token
-from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
 from .iostats import IOStats
 from .page import DEFAULT_PAGE_CAPACITY, Page
@@ -43,12 +42,6 @@ class HeapFile:
                 Page(len(self._pages), capacity=self.page_capacity)
             )
             self.stats.record_page_write()
-            registry = active_registry()
-            if registry is not None:
-                registry.counter(
-                    "repro_storage_page_writes_total",
-                    "Heap-file pages allocated and written",
-                ).inc(file=self.name)
         self._pages[-1].append(record)
         self.stats.record_tuple_write()
 
@@ -94,12 +87,6 @@ class HeapFile:
             # the page budget and observes deadline/cancellation, so a
             # blown deadline surfaces within one page of work.
             token.charge_pages(1)
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_storage_page_reads_total",
-                "Heap-file pages fetched",
-            ).inc(file=self.name)
         tracer = get_tracer()
         if tracer.io_events:
             tracer.event("page.read", file=self.name, page=index)
@@ -113,23 +100,12 @@ class HeapFile:
         checksum-verified as it is fetched."""
         accounting = stats or self.stats
         accounting.record_scan()
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_storage_scans_total",
-                "Full heap-file scans started",
-            ).inc(file=self.name)
         tracer = get_tracer()
         token = active_token()
         for index, page in enumerate(self._pages):
             accounting.record_page_read()
             if token is not None:
                 token.charge_pages(1)
-            if registry is not None:
-                registry.counter(
-                    "repro_storage_page_reads_total",
-                    "Heap-file pages fetched",
-                ).inc(file=self.name)
             if tracer.io_events:
                 tracer.event("page.read", file=self.name, page=index)
             page.verify()

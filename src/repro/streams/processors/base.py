@@ -17,7 +17,6 @@ from typing import Iterator, Optional, Sequence
 from ...errors import ExecutionError, UnsupportedSortOrderError
 from ...model.sortorder import SortOrder, order_satisfies
 from ...model.tuples import TemporalTuple
-from ...obs.metrics import active_registry
 from ...obs.trace import get_tracer
 from ..metrics import ProcessorMetrics
 from ..stream import TupleStream
@@ -48,13 +47,6 @@ class StreamProcessor(abc.ABC):
         self.x = x
         self.y = y
         self.meter = WorkspaceMeter()
-        registry = active_registry()
-        if registry is not None:
-            self.meter.observer = registry.histogram(
-                "repro_workspace_state_tuples",
-                "Joint workspace size sampled after every state "
-                "insertion/eviction",
-            ).observe
         self.metrics = ProcessorMetrics(
             buffers=1 if y is None else 2
         )
@@ -131,17 +123,3 @@ class StreamProcessor(abc.ABC):
         self.metrics.state_high_water = {
             ws.name: ws.high_water for ws in self._workspaces
         }
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_operator_runs_total",
-                "Stream-operator executions finalised",
-            ).inc(operator=self.operator)
-            registry.counter(
-                "repro_operator_output_tuples_total",
-                "Tuples/pairs emitted by stream operators",
-            ).inc(self.metrics.output_count, operator=self.operator)
-            registry.counter(
-                "repro_operator_comparisons_total",
-                "Join/state-maintenance comparisons performed",
-            ).inc(self.metrics.comparisons, operator=self.operator)

@@ -23,7 +23,6 @@ from ..governance.budget import active_token
 from ..model.relation import TemporalRelation
 from ..model.sortorder import SortOrder
 from ..model.tuples import TemporalTuple
-from ..obs.metrics import active_registry
 from ..obs.trace import get_tracer
 from ..resilience.recovery import ExecutionReport
 from ..storage.heap_file import HeapFile
@@ -268,18 +267,12 @@ class TupleStream:
             # deadline/cancellation between passes even when the pages
             # themselves are served from memory.
             token.check()
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_stream_passes_total",
-                "Passes opened over tuple streams",
-            ).inc(stream=self.name)
 
     def note_batch_pass(self, count: int) -> None:
         """Account one whole-stream batch read (the columnar drain,
         which bypasses the single-buffer cursor) exactly like a cursor
         pass: pass counter, per-pass base, read total, and the same
-        trace/metric hooks.  The read was the whole source, so the
+        trace hook.  The read was the whole source, so the
         cursor is left exhausted: a later :meth:`drain` finds nothing
         more to scan instead of re-reading it tuple by tuple."""
         self._pass_bases.append(self.tuples_read)
@@ -292,12 +285,6 @@ class TupleStream:
         token = active_token()
         if token is not None:
             token.check()
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_stream_passes_total",
-                "Passes opened over tuple streams",
-            ).inc(stream=self.name)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(

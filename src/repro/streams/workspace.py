@@ -50,11 +50,6 @@ class WorkspaceMeter:
     #: Times the budget was breached (kept even when a recovery policy
     #: later absorbs the overflow by spilling).
     overflows: int = 0
-    #: Optional sampling hook called with the state size after every
-    #: insertion/eviction — how the observability layer records the
-    #: workspace-size timeline (e.g. ``Histogram.observe``) without the
-    #: meter importing it.  ``None`` keeps the hot path a single check.
-    observer: Optional[Callable[[int], None]] = None
     #: Governance hook: when a query runs under a
     #: :class:`~repro.governance.CancellationToken`, the executor
     #: attaches it here and every insert reports the joint state size
@@ -76,8 +71,6 @@ class WorkspaceMeter:
             self.high_water = self.current
         if self.trace is not None:
             self.trace.append(self.current)
-        if self.observer is not None:
-            self.observer(self.current)
         if self.token is not None:
             self.token.charge_workspace(self.current)
         if self.limit is not None and self.current > self.limit:
@@ -92,8 +85,6 @@ class WorkspaceMeter:
         self.total_discarded += count
         if self.trace is not None:
             self.trace.append(self.current)
-        if self.observer is not None:
-            self.observer(self.current)
 
 
 class Workspace(Generic[T]):

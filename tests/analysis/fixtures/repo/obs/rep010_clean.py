@@ -1,6 +1,6 @@
-"""REP010 clean twin: with-scoped spans, labelled merges."""
+"""REP010 clean twin: with-scoped spans."""
 
 
-def traced_merge(tracer, registry, snapshot):
-    with tracer.span("merge-worker"):
-        registry.merge(snapshot, labels={"worker": "w1"})
+def traced_work(tracer, work):
+    with tracer.span("work"):
+        work()

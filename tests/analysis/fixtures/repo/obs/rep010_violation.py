@@ -1,12 +1,8 @@
 """REP010 violating twin: Span construction outside the sanctioned
-modules, and a metric merge with no provenance labels."""
+modules."""
 
 
 def ad_hoc_span(tracer, Span):
     span = Span(tracer, "adhoc", 1, None, 0, {})
     span.end_ns = 1
     return span
-
-
-def merge_without_labels(registry, snapshot):
-    registry.merge(snapshot)

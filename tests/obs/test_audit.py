@@ -49,6 +49,7 @@ class TestRecordConstruction:
         assert record["plan_hash"] and len(record["plan_hash"]) == 16
         assert record["registry_hash"] == registry_hash()
         assert record["error"] is None
+        assert "metrics" not in record
         # JSON-serialisable as-is: that is the JSONL contract.
         json.dumps(record)
 
@@ -225,6 +226,38 @@ class TestValidation:
 
     def test_non_dict_record_rejected(self):
         assert validate_record([1, 2]) != []
+
+    def test_version_1_record_with_metrics_still_validates(self):
+        """Version-1 records written while a metrics registry existed
+        carry a ``metrics`` snapshot; the key is now unknown, and
+        unknown keys are ignored, so old logs stay valid."""
+        assert AUDIT_SCHEMA_VERSION == 1
+        record = {
+            "backend": None,
+            "containment": None,
+            "error": None,
+            "governance": None,
+            "metrics": {
+                "repro_workspace_state_tuples": {
+                    "count": 0,
+                    "kind": "histogram",
+                    "max": None,
+                    "sum": 0.0,
+                },
+            },
+            "plan_hash": "a76e325f78f48a0e",
+            "query": "range of a is X retrieve (A = a.Seq) where a.Seq < 3",
+            "query_id": "q0001-f91c27bda7b1",
+            "registry_hash": "a77374006b81d5ab",
+            "rows": 3,
+            "schema_version": 1,
+            "shards": None,
+            "status": "ok",
+            "stream_joins": None,
+            "trace": None,
+            "ts_unix": 1792201040.058,
+        }
+        assert validate_record(record) == []
 
 
 class TestAuditLog:

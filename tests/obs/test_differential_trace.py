@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.model import TemporalTuple, sort_tuples
-from repro.obs import Tracer, install_registry, uninstall_registry
+from repro.obs import Tracer
 from repro.obs.trace import set_tracer
 from repro.streams import (
     BACKENDS,
@@ -65,7 +65,6 @@ def run_cell(entry, backend, xs, ys, traced):
         return processor.run(), processor.metrics
     tracer = Tracer("diff")
     previous = set_tracer(tracer)
-    install_registry()
     try:
         processor = (
             entry.build(x, backend=backend)
@@ -74,7 +73,6 @@ def run_cell(entry, backend, xs, ys, traced):
         )
         out = processor.run()
     finally:
-        uninstall_registry()
         set_tracer(previous)
     assert tracer.open_spans == 0
     # Descending-order cells run through the mirror wrapper, which

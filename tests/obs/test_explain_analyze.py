@@ -212,7 +212,6 @@ def test_explain_is_the_same_traced_or_untraced(backend, mode):
 class TestCli:
     def test_default_run_with_artifacts(self, tmp_path, capsys):
         chrome = tmp_path / "trace.json"
-        prom = tmp_path / "metrics.prom"
         jsonl = tmp_path / "spans.jsonl"
         code = main(
             [
@@ -221,8 +220,6 @@ class TestCli:
                 "40",
                 "--chrome-trace",
                 str(chrome),
-                "--prometheus",
-                str(prom),
                 "--jsonl",
                 str(jsonl),
                 "--check-single-scan",
@@ -234,8 +231,6 @@ class TestCli:
         assert "measured: x=" in out
         doc = json.loads(chrome.read_text())
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        prom_text = prom.read_text()
-        assert "repro_operator_runs_total" in prom_text
         names = [
             json.loads(line)["name"]
             for line in jsonl.read_text().splitlines()

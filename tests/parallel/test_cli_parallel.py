@@ -58,7 +58,6 @@ class TestExplainAnalyzeParallelism:
 
     def test_artifacts_include_shard_spans(self, tmp_path, capsys):
         jsonl = tmp_path / "spans.jsonl"
-        prom = tmp_path / "metrics.prom"
         code = main(
             [
                 "explain-analyze",
@@ -68,8 +67,6 @@ class TestExplainAnalyzeParallelism:
                 "3000",
                 "--jsonl",
                 str(jsonl),
-                "--prometheus",
-                str(prom),
             ]
         )
         capsys.readouterr()
@@ -81,4 +78,3 @@ class TestExplainAnalyzeParallelism:
         ]
         assert any(name.startswith("shard:") for name in names)
         assert any(name.startswith("parallel:") for name in names)
-        assert "repro_parallel_runs_total" in prom.read_text()

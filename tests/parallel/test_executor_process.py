@@ -5,11 +5,6 @@ import pytest
 
 from repro.errors import ExecutionError, WorkspaceOverflowError
 from repro.model import TS_ASC, sort_tuples
-from repro.obs.metrics import (
-    MetricsRegistry,
-    install_registry,
-    uninstall_registry,
-)
 from repro.obs.trace import Tracer, set_tracer
 from repro.parallel import execute_parallel
 from repro.resilience import RecoveryPolicy
@@ -118,18 +113,3 @@ class TestMergedAccounting:
         assert outcome.metrics.tuples_read_x == sum(
             r.owned_count for r in outcome.plan.ranges
         )
-
-    def test_registry_counters_bumped(self):
-        entry = contain_entry()
-        xs, ys = inputs()
-        install_registry(MetricsRegistry())
-        try:
-            execute_parallel(entry, xs, ys, shards=3, mode="inline")
-            from repro.obs.metrics import active_registry
-
-            dump = active_registry().to_prometheus()
-        finally:
-            uninstall_registry()
-        assert "repro_parallel_runs_total" in dump
-        assert "repro_parallel_shards_total" in dump
-        assert "repro_parallel_skew_ratio" in dump

@@ -12,7 +12,8 @@ observable effect" discipline extended across the process boundary:
   span with monotone, clock-calibrated, window-clamped timestamps and
   distinct worker pids;
 * each grafted ``shard:<i>`` span names the shard row it times, attempt
-  for attempt and worker for worker.
+  for attempt and worker for worker, and the ``pool.*`` events on the
+  parallel span name the same workers.
 """
 
 import json
@@ -20,14 +21,7 @@ import json
 import pytest
 
 from repro.model import TS_ASC, sort_tuples
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    install_registry,
-    set_tracer,
-    to_chrome_trace,
-    uninstall_registry,
-)
+from repro.obs import Tracer, set_tracer, to_chrome_trace
 from repro.parallel import execute_parallel
 from repro.resilience import WorkerFaultKind, WorkerFaultPlan
 from repro.streams import TemporalOperator, lookup
@@ -55,14 +49,12 @@ def run_process(entry, xs, ys, traced, shards=2, workers=2, **kwargs):
         return outcome, None
     tracer = Tracer("diff")
     previous = set_tracer(tracer)
-    install_registry(MetricsRegistry())
     try:
         outcome = execute_parallel(
             entry, xs, ys, shards=shards, workers=workers,
             mode="process", **kwargs
         )
     finally:
-        uninstall_registry()
         set_tracer(previous)
     assert tracer.open_spans == 0
     return outcome, tracer
@@ -204,43 +196,43 @@ class TestGraftStructure:
             assert "output_count" not in span.attributes
 
 
-class TestWorkerMetricsMerge:
-    def test_worker_counters_carry_worker_and_shard_labels(self):
-        entry = contain_entry()
-        x, y = small_xy()
-        xs, ys = sorted_inputs(entry, x, y)
-        registry = MetricsRegistry()
-        install_registry(registry)
-        try:
-            outcome = execute_parallel(
-                entry, xs, ys, shards=2, workers=2, mode="process"
-            )
-        finally:
-            uninstall_registry()
+def pool_events(tracer, name):
+    """The attributes of every ``pool.<name>`` event in the trace."""
+    return [
+        event["attributes"]
+        for span in tracer.spans
+        for event in span.events
+        if event["name"] == f"pool.{name}"
+    ]
+
+
+class TestPoolEvents:
+    def test_dispatch_and_acks_name_shard_workers(self):
+        outcome, tracer = traced_contain_run(shards=2, workers=2)
         if outcome.mode != "process":
             pytest.skip("pool unavailable; fell back to inline")
-        dump = registry.to_prometheus()
-        for run in outcome.shard_runs:
-            assert f'worker="{run.pid}"' in dump
-            assert f'shard="{run.index}"' in dump
-        # Pool containment counters recorded the dispatch/ack traffic.
-        assert "repro_pool_dispatch_total" in dump
-        assert "repro_pool_ack_total" in dump
+        (dispatch,) = pool_events(tracer, "dispatch")
+        assert dispatch["shards"] == len(outcome.shard_runs)
+        # An ack may still be in flight when the batch's last result
+        # lands, so not every shard need show one; every ack drained
+        # names the worker its shard row names.
+        acks = {
+            (ack["index"], ack["pid"]) for ack in pool_events(tracer, "ack")
+        }
+        assert acks <= {(run.index, run.pid) for run in outcome.shard_runs}
 
 
 class TestRedispatchObservability:
     def test_killed_worker_leaves_attempt_one_trail(self):
         """A worker killed on first dispatch is re-dispatched; the audit
-        trail — shard attempt, pool counters, grafted span attributes —
+        trail — shard attempt, pool events, grafted span attributes —
         all agree that the surviving result is attempt 1."""
         entry = contain_entry()
         x, y = small_xy()
         xs, ys = sorted_inputs(entry, x, y)
         plan = WorkerFaultPlan(seed=3, kind=WorkerFaultKind.KILL)
-        registry = MetricsRegistry()
         tracer = Tracer("chaos")
         previous = set_tracer(tracer)
-        install_registry(registry)
         try:
             outcome = execute_parallel(
                 entry,
@@ -252,7 +244,6 @@ class TestRedispatchObservability:
                 worker_fault_plan=plan,
             )
         finally:
-            uninstall_registry()
             set_tracer(previous)
         if outcome.mode != "process":
             pytest.skip("pool unavailable; fell back to inline")
@@ -264,9 +255,11 @@ class TestRedispatchObservability:
         )
         assert victim.attempt >= 1
         assert outcome.containment.get("worker_deaths", 0) >= 1
-        dump = registry.to_prometheus()
-        assert "repro_pool_redispatch_total" in dump
-        assert "repro_pool_reap_total" in dump
+        assert {
+            (event["index"], event["attempt"])
+            for event in pool_events(tracer, "redispatch")
+        } >= {(target, victim.attempt)}
+        assert pool_events(tracer, "reap")
         # The grafted span of the surviving run carries the attempt.
         roots = [
             s

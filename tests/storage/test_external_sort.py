@@ -155,24 +155,6 @@ class TestPresortedSkip:
         assert result.runs_generated > 0
         assert result.output is not f
 
-    def test_skip_counter_bumped(self):
-        from repro.obs.metrics import (
-            MetricsRegistry,
-            install_registry,
-            uninstall_registry,
-        )
-
-        f, _ = self.sorted_file()
-        install_registry(MetricsRegistry())
-        try:
-            external_sort(f, TS_ASC, memory_pages=3)
-            from repro.obs.metrics import active_registry
-
-            dump = active_registry().to_prometheus()
-        finally:
-            uninstall_registry()
-        assert "repro_sort_presorted_skips_total 1" in dump
-
 
 class TestParallelRunGeneration:
     def test_worker_output_identical_to_inline(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.model import TemporalTuple
+from repro.obs.trace import Tracer, set_tracer
 from repro.storage import HeapFile, IOStats, Page
 
 
@@ -79,6 +80,49 @@ class TestHeapFile:
         f = HeapFile("empty")
         assert f.num_pages == 0
         assert list(f.scan()) == []
+
+
+class TestPageReadEvents:
+    """Under ``Tracer(io_events=True)`` every page charged to
+    ``HeapFile.stats`` is one ``page.read`` event naming that page."""
+
+    def read_traced(self, io_events, read):
+        f = HeapFile.from_records("t", tuples(10), page_capacity=4)
+        tracer = Tracer("io", io_events=io_events)
+        previous = set_tracer(tracer)
+        try:
+            with tracer.span("read") as span:
+                read(f)
+        finally:
+            set_tracer(previous)
+        pages = [
+            event["attributes"]["page"]
+            for event in span.events
+            if event["name"] == "page.read"
+            and event["attributes"]["file"] == "t"
+        ]
+        return f, pages
+
+    def test_scan_emits_one_event_per_page_read(self):
+        f, pages = self.read_traced(True, lambda f: list(f.scan()))
+        assert f.stats.page_reads == 3
+        assert pages == [0, 1, 2]
+
+    def test_page_emits_one_event_per_fetch(self):
+        f, pages = self.read_traced(
+            True, lambda f: [f.page(i) for i in (2, 0, 2)]
+        )
+        assert f.stats.page_reads == 3
+        assert pages == [2, 0, 2]
+
+    def test_no_events_when_io_events_is_off(self):
+        def read(f):
+            list(f.scan())
+            f.page(1)
+
+        f, pages = self.read_traced(False, read)
+        assert f.stats.page_reads == 4
+        assert pages == []
 
 
 class TestIOStats:
