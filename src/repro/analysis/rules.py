@@ -126,9 +126,9 @@ class SeededWorkerRandomness(Rule):
     id = "REP003"
     title = "wall-clock time / unseeded randomness in worker paths"
     rationale = (
-        "Parallel range-partitioned execution (and the chaos harness) "
-        "must be replayable: identical inputs + seed must produce "
-        "identical merges and identical fault schedules, and "
+        "Parallel range-partitioned execution must be replayable: "
+        "identical inputs must produce identical shard plans and "
+        "identical merges, and "
         "governance deadlines/budgets must survive wall-clock steps "
         "(NTP slew).  time.time() and module-level random.* smuggle "
         "ambient state in; only injected random.Random(seed) "

@@ -104,8 +104,8 @@ class LazyPairs(Sequence):
 
     def __eq__(self, other):
         """Value equality against any pair sequence (materialises):
-        the differential suites and the chaos harness compare outputs
-        across backends by ``==``."""
+        the differential suites compare outputs across backends by
+        ``==``."""
         if isinstance(other, LazyPairs):
             other = other._materialise()
         if isinstance(other, (list, tuple)):

@@ -15,7 +15,7 @@ the audit log, success or failure:
 * execution — backend, row count, one join row per stream join (the
   measured operator row next to every alternative the planner costed),
   the shard rows (both as EXPLAIN ANALYZE renders them), containment
-  counters (retries / worker deaths / speculations / pool fallbacks),
+  counters (retries / worker deaths / pool fallbacks),
   and the governance spend summary when budgeted — all read off the
   result, so the same traced or untraced;
 * telemetry — a compact trace summary (span count, wall time, worker

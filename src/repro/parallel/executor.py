@@ -54,7 +54,6 @@ from ..governance.budget import active_token
 from ..model.tuples import TemporalTuple
 from ..obs.graft import graft_worker_trace
 from ..obs.trace import get_tracer
-from ..resilience.faults import WorkerFaultPlan
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import RegistryEntry
@@ -98,8 +97,7 @@ class ShardRun:
     residual_filtered: int
     #: Dispatch attempt that produced this row: 0 on the first dispatch
     #: (and for inline shards, which run in-process exactly once), >0
-    #: when the shard was re-dispatched after a worker death,
-    #: straggling, or a corrupt result segment.
+    #: when the shard was re-dispatched after a worker death.
     attempt: int
     #: Worker process that ran the shard (``None`` inline).
     pid: Optional[int]
@@ -161,9 +159,9 @@ class ParallelOutcome:
     plan: RangePlan
     shard_runs: List[ShardRun] = field(default_factory=list)
     #: Containment counters of the process-mode batch (shard_retries,
-    #: worker_deaths, speculations); ``{"pool_fallback:<exception
-    #: class>": 1}`` when the pool failed and the run fell back inline;
-    #: empty on other inline runs.
+    #: worker_deaths); ``{"pool_fallback:<exception class>": 1}`` when
+    #: the pool failed and the run fell back inline; empty on other
+    #: inline runs.
     containment: dict = field(default_factory=dict)
 
     @property
@@ -260,7 +258,8 @@ def _shm_tasks(
 ) -> List[dict]:
     """Copies of the shard tasks plus what the process transport
     ships: segment names and column offsets — factored out so the
-    lifecycle chaos tests can wrap it."""
+    worker-death tests can wrap it (a task's ``fault_exit`` makes its
+    worker exit on every attempt below that number)."""
     offsets = tuple(segment.offsets)
     return [
         dict(
@@ -369,54 +368,11 @@ def _governance_payload(token) -> Optional[dict]:
     }
 
 
-def _read_result_with_retry(
-    pool,
-    summary: dict,
-    tasks_by_index: dict,
-    result_names: List[str],
-    token,
-    containment: dict,
-) -> tuple:
-    """Read one shard's result segment, re-dispatching the shard once
-    if the payload fails its checksum.
-
-    Shards are idempotent, so a corrupt result segment (torn write,
-    chaos fault) costs one re-dispatch, exactly like a worker death.
-    A *second* integrity failure raises — the generic except in
-    ``execute_parallel`` then degrades the whole run inline, visibly.
-
-    Returns ``(chunk, final summary)`` — the summary of whichever
-    attempt actually produced the readable segment, so the EXPLAIN
-    shard row reports the true attempt number.
-    """
-    try:
-        return shm.read_result(summary["result_segment"]), summary
-    except shm.SegmentIntegrityError:
-        task = dict(tasks_by_index[summary["index"]])
-        task["attempt"] = summary.get("attempt", 0) + 1
-        fresh = shm.segment_name(
-            f"res{summary['index']}c{task['attempt']}"
-        )
-        task["result_segment"] = fresh
-        result_names.append(fresh)
-        containment["shard_retries"] = (
-            containment.get("shard_retries", 0) + 1
-        )
-        retry = pool.run_batch(
-            [task], token=token, segment_names=result_names
-        )[0]
-        return shm.read_result(retry["result_segment"]), retry
-
-
 def _run_shm(
-    entry: RegistryEntry,
-    backend: str,
     tasks: List[dict],
     x_cols: IntervalColumns,
     y_cols: Optional[IntervalColumns],
     workers: int,
-    worker_fault_plan: Optional[WorkerFaultPlan],
-    straggler_after: Optional[float],
 ) -> tuple:
     """The process transport: run the shard tasks through the warm
     pool; returns ``(one (shard row, summary, chunk) per shard,
@@ -426,7 +382,9 @@ def _run_shm(
     result segments — including the fresh names re-dispatches create,
     which the pool appends to ``result_names`` — are swept in the
     ``finally`` block, so neither a worker crash nor a STRICT re-raise
-    can leak ``/dev/shm`` entries.
+    can leak ``/dev/shm`` entries.  A result segment that fails its
+    checksum raises :class:`~repro.parallel.shm.SegmentIntegrityError`
+    out of here: the caller runs the join inline.
     """
     token = active_token()
     columns = [x_cols.ts, x_cols.te]
@@ -448,37 +406,18 @@ def _run_shm(
         if get_tracer().enabled:
             for task in tasks:
                 task["observe_trace"] = True
-        if worker_fault_plan is not None:
-            target = worker_fault_plan.target_shard(
-                f"{entry.operator.value}/{backend}", len(tasks)
-            )
-            if target is not None:
-                tasks[target]["worker_fault"] = (
-                    worker_fault_plan.task_fault()
-                )
         tasks_by_index = {task["index"]: task for task in tasks}
         pool = get_pool(min(workers, len(tasks)))
         summaries = pool.run_batch(
-            tasks,
-            token=token,
-            segment_names=result_names,
-            straggler_after=straggler_after,
+            tasks, token=token, segment_names=result_names
         )
-        containment = dict(pool.last_batch_stats)
         finished = []
         for summary in summaries:
-            chunk, summary = _read_result_with_retry(
-                pool,
-                summary,
-                tasks_by_index,
-                result_names,
-                token,
-                containment,
-            )
+            chunk = shm.read_result(summary["result_segment"])
             run = ShardRun.of(tasks_by_index[summary["index"]], summary)
             summary["clock_offset_ns"] = pool.clock_offsets.get(run.pid)
             finished.append((run, summary, chunk))
-        return finished, containment
+        return finished, dict(pool.last_batch_stats)
     finally:
         segment.close()
         for name in result_names:
@@ -533,8 +472,6 @@ def execute_parallel(
     workspace_budget: Optional[int] = None,
     report: Optional[ExecutionReport] = None,
     mode: str = "auto",
-    worker_fault_plan: Optional[WorkerFaultPlan] = None,
-    straggler_after: Optional[float] = None,
 ) -> ParallelOutcome:
     """Run one registry cell as ``shards`` time-domain shards.
 
@@ -546,12 +483,6 @@ def execute_parallel(
     (shared-memory runtime over the warm worker pool), ``"inline"``
     (sequential in-process), or ``"auto"`` (process when more than one
     worker is useful *and* the host has more than one CPU).
-
-    ``worker_fault_plan`` injects a seeded worker-level fault (kill,
-    stall, corrupt result) into one shard — the chaos harness's probe
-    of the containment machinery; ``straggler_after`` overrides the
-    speculation threshold in seconds (default: a fraction of the
-    governance deadline, or of the batch timeout when ungoverned).
 
     The ``REPRO_PARALLEL_MODE`` environment variable, when set to one
     of the valid modes, overrides ``mode`` — CI uses it to force the
@@ -614,22 +545,16 @@ def execute_parallel(
         if want_process and len(tasks) >= (2 if mode == "auto" else 1):
             try:
                 finished, containment = _run_shm(
-                    entry,
-                    backend,
-                    tasks,
-                    x_cols,
-                    y_cols,
-                    effective_workers,
-                    worker_fault_plan,
-                    straggler_after,
+                    tasks, x_cols, y_cols, effective_workers
                 )
             except ReproError:
                 raise
             except Exception as exc:
-                # Pool infrastructure failed (worker death, segment
-                # limits, spawn failure): parallelism is an
-                # optimisation, correctness falls back inline — but
-                # visibly (containment + span), never silently.
+                # Pool infrastructure failed (quorum loss, a result
+                # segment failing its checksum, segment limits, spawn
+                # failure): parallelism is an optimisation, correctness
+                # falls back inline — but visibly (containment + span),
+                # never silently.
                 containment = _note_pool_fallback(span, exc)
             else:
                 effective_mode = "process"
@@ -667,7 +592,6 @@ def execute_parallel(
             span.set(
                 shard_retries=containment.get("shard_retries", 0),
                 worker_deaths=containment.get("worker_deaths", 0),
-                speculations=containment.get("speculations", 0),
             )
 
     return ParallelOutcome(

@@ -28,11 +28,10 @@ Failure semantics — **shard-level containment**, not batch abort:
   identical index arrays) under a fresh result-segment name, and
   prunes the corpse from the process list.  The pool stays healthy;
   the next ``get_pool`` merely tops it back up;
-* **straggler speculation**: a shard silent past a fraction of the
-  batch's time allowance (the governance deadline when one is set,
-  the batch timeout otherwise) is speculatively re-dispatched once;
-  first summary per shard wins, the loser's segment is swept by the
-  deferred-cleanup list;
+* a *slow* shard is waited for: shards are deterministic, so a
+  re-dispatched slow shard would be exactly as slow.  The governance
+  deadline (checked every poll tick) and the batch timeout bound the
+  wait;
 * the pool is poisoned (and :class:`WorkerPoolError` raised, which the
   executor answers with a visible inline fallback) only when **quorum
   is lost** — fewer than half the target workers still alive — when a
@@ -41,9 +40,10 @@ Failure semantics — **shard-level containment**, not batch abort:
   past the batch timeout;
 * the parent owns every shared-memory segment name it put into a
   batch, so cleanup after any failure is the executor's
-  ``finally``-block sweep; segments that a speculation *loser* may
-  write after that sweep land on the pool's deferred-cleanup list and
-  are re-swept on the next batches and at shutdown.
+  ``finally``-block sweep; segments that a superseded attempt (a
+  queued first attempt of an orphan re-dispatch) may write after that
+  sweep land on the pool's deferred-cleanup list and are re-swept on
+  the next batches and at shutdown.
 """
 
 from __future__ import annotations
@@ -73,10 +73,7 @@ _POLL_SECONDS = 0.05
 #: worker it lands on must not consume the pool worker by worker —
 #: quorum loss usually trips first, this cap is the backstop.
 _MAX_SHARD_RETRIES = 2
-#: Fraction of the batch's time allowance after which a silent shard
-#: is speculatively re-dispatched.
-_STRAGGLER_FRACTION = 0.75
-#: Sweep attempts for deferred segment names (speculation losers may
+#: Sweep attempts for deferred segment names (a superseded attempt may
 #: write after the batch's own sweep; a few re-sweeps reap them).
 _DEFERRED_SWEEPS = 3
 #: Grace period after a worker death before unacked shards are treated
@@ -169,8 +166,6 @@ class _ShardState:
     attempt: int = 0
     pid: Optional[int] = None
     dispatched_at: float = 0.0
-    acked_at: Optional[float] = None
-    speculated: bool = False
     retries: int = 0
     #: Result-segment names created for re-dispatches (the original
     #: name stays owned by the caller's sweep list).
@@ -182,11 +177,7 @@ class WorkerPool:
     pair.  Grows on demand; never shrinks until shutdown (dead workers
     are pruned mid-batch and replaced by the next ``get_pool``)."""
 
-    def __init__(
-        self,
-        size: int,
-        straggler_fraction: float = _STRAGGLER_FRACTION,
-    ):
+    def __init__(self, size: int):
         import multiprocessing
 
         self._context = multiprocessing.get_context("spawn")
@@ -205,10 +196,9 @@ class WorkerPool:
         self._job_counter = 0
         self._spawn_counter = 0
         self._broken = False
-        self._straggler_fraction = straggler_fraction
         self._target_size = max(1, size)
-        #: name -> remaining sweep attempts for segments a speculation
-        #: loser may still write after the batch's own sweep.
+        #: name -> remaining sweep attempts for segments a superseded
+        #: attempt may still write after the batch's own sweep.
         self._deferred_segments: Dict[str, int] = {}
         #: Containment counters of the most recent batch (the executor
         #: copies them onto the ``parallel:`` span; batches serialise
@@ -293,17 +283,14 @@ class WorkerPool:
         tasks: List[dict],
         token: Optional["CancellationToken"] = None,
         segment_names: Optional[List[str]] = None,
-        straggler_after: Optional[float] = None,
     ) -> List[dict]:
         """Run one batch of shard tasks; returns the per-task summary
         dicts in shard-index order.
 
         ``token`` makes the collect loop a governance checkpoint (a
-        deadline or cancellation surfaces within one poll tick) and
-        sizes the straggler threshold; ``segment_names`` is the
-        caller's sweep list, which re-dispatches append their fresh
-        result-segment names to; ``straggler_after`` overrides the
-        deadline-fraction speculation threshold (seconds).
+        deadline or cancellation surfaces within one poll tick);
+        ``segment_names`` is the caller's sweep list, which
+        re-dispatches append their fresh result-segment names to.
 
         Re-raises the first (lowest shard index) worker
         :class:`~repro.errors.ReproError` with its original type after
@@ -320,11 +307,7 @@ class WorkerPool:
             job = self._job_counter
             now = time.monotonic()
             states: Dict[int, _ShardState] = {}
-            self.last_batch_stats = {
-                "shard_retries": 0,
-                "worker_deaths": 0,
-                "speculations": 0,
-            }
+            self.last_batch_stats = {"shard_retries": 0, "worker_deaths": 0}
             for task in tasks:
                 task["job"] = job
                 task.setdefault("attempt", 0)
@@ -340,16 +323,14 @@ class WorkerPool:
             for task in tasks:
                 self._tasks.put(task)
             try:
-                summaries = self._collect(
-                    job, states, token, segment_names, straggler_after
-                )
+                summaries = self._collect(job, states, token, segment_names)
             except BaseException:
                 self._defer_segments(states)
                 raise
             # Segments a superseded attempt may still write are deferred
             # for later sweeps — except the winners, which the caller is
-            # about to read (a nested batch, e.g. the corrupt-result
-            # retry, must not reap them first).
+            # about to read (the next batch's sweep must not reap them
+            # first).
             self._defer_segments(
                 states,
                 keep={s.get("result_segment") for s in summaries},
@@ -368,7 +349,6 @@ class WorkerPool:
         states: Dict[int, _ShardState],
         token: Optional["CancellationToken"],
         segment_names: Optional[List[str]],
-        straggler_after: Optional[float],
     ) -> List[dict]:
         summaries: Dict[int, dict] = {}
         errors: Dict[int, dict] = {}
@@ -376,14 +356,7 @@ class WorkerPool:
         acked_pids: set = set()
         orphan_deadline: Optional[float] = None
         death_time = 0.0
-        start = time.monotonic()
-        silence_deadline = start + _BATCH_TIMEOUT
-        if straggler_after is None:
-            if token is not None and token.deadline_at is not None:
-                allowance = max(token.deadline_at - start, _POLL_SECONDS)
-            else:
-                allowance = _BATCH_TIMEOUT
-            straggler_after = self._straggler_fraction * allowance
+        silence_deadline = time.monotonic() + _BATCH_TIMEOUT
         while len(summaries) + len(errors) < len(states):
             if token is not None:
                 # Governance checkpoint: a deadline or cancellation
@@ -419,9 +392,6 @@ class WorkerPool:
                         acked_pids,
                         death_time,
                     )
-                self._speculate(
-                    states, resolved, segment_names, now, straggler_after
-                )
                 if now > silence_deadline:
                     self._broken = True
                     raise WorkerPoolError(
@@ -433,7 +403,7 @@ class WorkerPool:
             if result.get("job") != job:
                 # Stale traffic from an abandoned batch: discard, and
                 # crucially do NOT refresh the liveness deadline — an
-                # abandoned batch's stragglers must not keep a hung
+                # abandoned batch's late shards must not keep a hung
                 # batch looking alive.
                 continue
             silence_deadline = time.monotonic() + _BATCH_TIMEOUT
@@ -442,7 +412,7 @@ class WorkerPool:
             if state is None:
                 continue
             if index in summaries or index in errors:
-                continue  # duplicate from a speculation loser
+                continue  # duplicate from a re-dispatched orphan
             if "error" in result:
                 # Deterministic shard failure (STRICT violation,
                 # corrupt page, governance breach): never retried —
@@ -492,7 +462,6 @@ class WorkerPool:
             state = states.get(ack.get("index"))
             if state is not None and ack.get("attempt") == state.attempt:
                 state.pid = pid
-                state.acked_at = time.monotonic()
 
     def _reap_dead(
         self,
@@ -590,38 +559,6 @@ class WorkerPool:
                     index, state, "worker-death", segment_names
                 )
 
-    def _speculate(
-        self,
-        states: Dict[int, _ShardState],
-        resolved,
-        segment_names: Optional[List[str]],
-        now: float,
-        straggler_after: float,
-    ) -> None:
-        """Re-dispatch shards silent past the straggler threshold —
-        at most once per shard, first summary wins."""
-        if straggler_after <= 0:
-            return
-        for index, state in states.items():
-            if index in resolved or state.speculated:
-                continue
-            started = (
-                state.acked_at
-                if state.acked_at is not None
-                else state.dispatched_at
-            )
-            if now - started >= straggler_after:
-                state.speculated = True
-                self.last_batch_stats["speculations"] = (
-                    self.last_batch_stats.get("speculations", 0) + 1
-                )
-                _pool_event(
-                    "straggler",
-                    index=index,
-                    silent_seconds=round(now - started, 3),
-                )
-                self._redispatch(index, state, "straggler", segment_names)
-
     def _redispatch(
         self,
         index: int,
@@ -643,10 +580,10 @@ class WorkerPool:
         task = dict(state.task)
         task["attempt"] = state.attempt
         if task.get("result_segment") is not None:
-            # Both the superseded name (a straggler may wake and write
-            # it after this batch's sweep) and the fresh one go on the
-            # deferred list; whichever attempt wins is excluded at
-            # batch end.
+            # Both the superseded name (a queued first attempt may
+            # still write it after this batch's sweep) and the fresh
+            # one go on the deferred list; whichever attempt wins is
+            # excluded at batch end.
             state.retry_segments.append(task["result_segment"])
             fresh = shm.segment_name(f"res{index}r{state.attempt}")
             task["result_segment"] = fresh
@@ -661,7 +598,6 @@ class WorkerPool:
         )
         state.task = task
         state.pid = None
-        state.acked_at = None
         state.dispatched_at = time.monotonic()
         self.last_batch_stats["shard_retries"] = (
             self.last_batch_stats.get("shard_retries", 0) + 1
@@ -669,10 +605,13 @@ class WorkerPool:
         self._tasks.put(task)
 
     def _sweep_deferred(self, final: bool = False) -> None:
-        """Reap segments that speculation losers may have written after
-        their batch's sweep; each name gets a few attempts (the loser
-        may not have written yet) and is then dropped — a worker that
-        never writes leaves nothing to reap."""
+        """Reap segments that a superseded attempt may have written after
+        its batch's sweep.  An orphan re-dispatch (:meth:`_reap_orphans`)
+        can leave the shard's first attempt queued behind busy workers,
+        and that attempt still runs and writes its segment late.  Each
+        name gets a few attempts (the attempt may not have written yet)
+        and is then dropped — a worker that never writes leaves nothing
+        to reap."""
         if not self._deferred_segments:
             return
         for name in list(self._deferred_segments):

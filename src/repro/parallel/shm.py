@@ -49,12 +49,12 @@ _HEADER_ITEMS = 6
 
 
 class SegmentIntegrityError(RuntimeError):
-    """A result segment's payload does not match its stored checksum —
-    a worker-side fault (torn write, memory corruption, the chaos
-    harness's corrupt-result fault).  Deliberately *not* a
-    :class:`~repro.errors.ReproError`: the shard is idempotent, so the
-    executor answers with a single re-dispatch, and only a repeat
-    failure degrades the run inline."""
+    """A result segment's payload does not match its stored checksum.
+    A worker writes its segment before it replies, so a torn write
+    means a dead worker; a summary whose segment still fails the check
+    means shared memory itself is not to be trusted.  Deliberately
+    *not* a :class:`~repro.errors.ReproError`: the executor treats it
+    as a pool failure and runs the join inline, visibly."""
 
 
 def segment_name(tag: str) -> str:
@@ -88,8 +88,8 @@ def destroy_segment(name: str) -> None:
         segment.close()
         # Parent-side sweep of a parent-owned name: destroy_segment
         # only ever runs in the creating process, reclaiming segments
-        # whose creator handle is long gone (deferred speculation
-        # losers), so this is creator-unlink in disguise.
+        # whose creator handle is long gone (deferred superseded
+        # attempts), so this is creator-unlink in disguise.
         segment.unlink()  # repro: noqa(REP007)
     except FileNotFoundError:  # pragma: no cover - unlink race
         pass
@@ -265,19 +265,3 @@ def read_result(name: str) -> Tuple[int, array, array, int, int]:
             (_HEADER_ITEMS + first_len + second_len) * _ITEM
         )
     return kind, first, second, x_base, y_base
-
-
-def corrupt_result(name: str) -> None:
-    """Chaos hook: deterministically tamper with a result segment's
-    stored checksum so the next :func:`read_result` raises
-    :class:`SegmentIntegrityError` — the simulated torn write the
-    worker-fault plan's ``corrupt-result`` kind injects."""
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        cast = segment.buf.cast("q")
-        try:
-            cast[_HEADER_ITEMS - 1] ^= 0x5A5A5A5A
-        finally:
-            cast.release()
-    finally:
-        segment.close()

@@ -46,39 +46,18 @@ _SHAPE_KINDS = {
 }
 
 
-def _fault_active(task: dict) -> Optional[dict]:
-    """The worker-fault spec for this attempt, or ``None``.
-
-    Faults are gated on the attempt number: a fault with
-    ``attempts=1`` fires on the first dispatch only, so the re-dispatch
-    deterministically heals — the property the containment differential
-    relies on (one crash costs one shard retry, not the batch).
-    """
-    fault = task.get("worker_fault")
-    if fault is None:
-        return None
-    if task.get("attempt", 0) >= fault.get("attempts", 1):
-        return None
-    return fault
-
-
 def run_task(task: dict) -> dict:
     """Execute one shard task; returns the queue-sized summary dict.
 
     Raises whatever the shard raises (STRICT semantics) — the pool loop
     is responsible for shipping exceptions back to the parent.
     """
-    if task.get("fault_exit"):
-        # Deterministic crash hook for the segment-lifecycle chaos
-        # tests: die before any result segment exists, on *every*
-        # attempt (the persistent poison-pill; the healing crash is the
-        # worker-fault plan's attempt-gated "kill").
-        os._exit(task.get("fault_exit_code", 2))
-    fault = _fault_active(task)
-    if fault is not None and fault.get("kind") == "kill":
-        os._exit(fault.get("exit_code", 3))
-    if fault is not None and fault.get("kind") == "stall":
-        time.sleep(fault.get("stall_seconds", 2.0))
+    if task.get("attempt", 0) < task.get("fault_exit", 0):
+        # Test hook for a worker death: die before any result segment
+        # exists, on every attempt below ``fault_exit``.  ``1`` heals on
+        # the re-dispatch; a value above the pool's retry cap is a
+        # poison pill.
+        os._exit(2)
     spans_before = span_creation_count()
     observe_trace = bool(task.get("observe_trace"))
     worker_tracer = (
@@ -102,8 +81,6 @@ def run_task(task: dict) -> dict:
         if observe_trace:
             set_tracer(prev_tracer)
     _attach_observability(task, summary, worker_tracer, spans_before)
-    if fault is not None and fault.get("kind") == "corrupt-result":
-        shm.corrupt_result(task["result_segment"])
     return summary
 
 

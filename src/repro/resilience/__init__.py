@@ -1,29 +1,26 @@
 """Resilient execution layer: graceful degradation from one-pass
-streams, and worker-level fault injection for the parallel runtime.
+streams.
 
-The submodules are layered so the core vocabulary (policies, reports,
-worker faults) has no dependency on the stream engine:
+The submodules are layered so the core vocabulary (policies, reports)
+has no dependency on the stream engine:
 
 * :mod:`.recovery` — :class:`RecoveryPolicy` ladder and the
   :class:`ExecutionReport`;
-* :mod:`.faults` — the seeded :class:`WorkerFaultPlan`;
 * :mod:`.executor` — the degradation ladder over registry entries
   (re-sort on order violations, spill-and-extra-passes on workspace
-  overflow);
-* :mod:`.harness` — the worker-containment sweep over Tables 1-3.
+  overflow).
 
 A corrupt page is not a rung of the ladder: its checksum fails and
 :class:`~repro.errors.PageCorruptionError` propagates under every
 policy.
 
-``executor`` and ``harness`` import the stream engine, which itself
-imports :mod:`.recovery`; they are therefore loaded lazily here to keep
-the import graph acyclic.
+``executor`` imports the stream engine, which itself imports
+:mod:`.recovery`; it is therefore loaded lazily here to keep the import
+graph acyclic.
 """
 
 from __future__ import annotations
 
-from .faults import WorkerFaultKind, WorkerFaultPlan
 from .recovery import ExecutionReport, FallbackEvent, RecoveryPolicy
 
 __all__ = [
@@ -31,10 +28,7 @@ __all__ = [
     "FallbackEvent",
     "RecoveryPolicy",
     "ResilientResult",
-    "WorkerFaultKind",
-    "WorkerFaultPlan",
     "execute_entry",
-    "worker_chaos_sweep",
 ]
 
 #: Names resolved lazily to avoid importing the stream engine (and its
@@ -42,7 +36,6 @@ __all__ = [
 _LAZY = {
     "ResilientResult": ".executor",
     "execute_entry": ".executor",
-    "worker_chaos_sweep": ".harness",
 }
 
 

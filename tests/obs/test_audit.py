@@ -259,6 +259,60 @@ class TestValidation:
         }
         assert validate_record(record) == []
 
+    def test_version_1_record_with_speculations_still_validates(self):
+        """Version-1 records written while the pool re-dispatched slow
+        shards carry that counter in ``containment``; the counter is
+        gone, and old logs stay valid and renderable."""
+        assert AUDIT_SCHEMA_VERSION == 1
+        shard = {
+            "attempt": 0,
+            "backend": "fused",
+            "degraded": False,
+            "eviction_checks": 1288,
+            "fallbacks": 0,
+            "kernel": "contain_join_ts_ts",
+            "operator": "contain-join",
+            "output_count": 1161,
+            "owned_hi": 300,
+            "owned_lo": 0,
+            "passes_x": 1,
+            "passes_y": 1,
+            "pid": 28895,
+            "residual_filtered": 0,
+            "shard": 0,
+            "wall_ms": 3.887,
+            "worker_spans_created": 0,
+            "x_tuples": 300,
+            "y_tuples": 311,
+        }
+        record = {
+            "backend": "fused",
+            "containment": {
+                "shard_retries": 0,
+                "speculations": 0,
+                "worker_deaths": 0,
+            },
+            "error": None,
+            "governance": None,
+            "plan_hash": "bf48eb2c516de0d8",
+            "query": (
+                "range of x is Faculty range of y is Faculty retrieve "
+                "(Outer = x.Name, Inner = y.Name) where x.ValidFrom < "
+                "y.ValidFrom and y.ValidTo < x.ValidTo"
+            ),
+            "query_id": "q0001-cf3bb56f5e70",
+            "registry_hash": "a77374006b81d5ab",
+            "rows": 2060,
+            "schema_version": 1,
+            "shards": [shard],
+            "status": "ok",
+            "stream_joins": None,
+            "trace": None,
+            "ts_unix": 1792201040.058,
+        }
+        assert validate_record(record) == []
+        assert "q0001-cf3bb56f5e70" in render_record(record)
+
 
 class TestAuditLog:
     def test_append_records_tail_round_trip(self, tmp_path):

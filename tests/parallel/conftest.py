@@ -7,6 +7,7 @@ import pytest
 from repro.columnar.relation import IntervalColumns
 from repro.model import sort_tuples
 from repro.model.tuples import TemporalTuple
+from repro.parallel import executor as executor_mod
 from repro.parallel import plan_ranges
 from repro.streams import TemporalOperator, TupleStream
 from repro.streams.registry import supported_entries
@@ -91,6 +92,20 @@ def serial_run(entry, xs, ys, backend):
         return entry.build(x_stream, backend=backend).run()
     y_stream = TupleStream.from_tuples(ys, order=entry.y_order, name="Y")
     return entry.build(x_stream, y_stream, backend=backend).run()
+
+
+def exit_on_shard(monkeypatch, index, attempts):
+    """Make shard ``index``'s worker exit on every dispatch attempt
+    below ``attempts``: ``1`` heals on the re-dispatch, a value above
+    the pool's retry cap is a poison pill."""
+    original = executor_mod._shm_tasks
+
+    def sabotaged(*args, **kwargs):
+        tasks = original(*args, **kwargs)
+        tasks[index]["fault_exit"] = attempts
+        return tasks
+
+    monkeypatch.setattr(executor_mod, "_shm_tasks", sabotaged)
 
 
 @pytest.fixture

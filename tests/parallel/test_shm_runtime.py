@@ -5,7 +5,8 @@ degradation must be visible (containment + span), never silent."""
 
 import os
 import threading
-import time
+from array import array
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -22,10 +23,12 @@ from repro.parallel import (
 )
 from repro.parallel import executor as executor_mod
 from repro.parallel import pool as pool_mod
-from repro.resilience import RecoveryPolicy, WorkerFaultKind, WorkerFaultPlan
+from repro.parallel import shm
+from repro.resilience import RecoveryPolicy
 from repro.streams import TemporalOperator, lookup
+from repro.streams.registry import supported_entries
 
-from .conftest import canon, make_tuples, serial_run
+from .conftest import canon, exit_on_shard, make_tuples, serial_run
 
 
 def contain_entry():
@@ -47,6 +50,10 @@ def shm_entries():
     except FileNotFoundError:
         return set()
     return {name for name in names if name.startswith("repro-")}
+
+
+#: Dispatch attempts that kill every worker a shard lands on.
+POISON = pool_mod._MAX_SHARD_RETRIES + 1
 
 
 class TestSegmentLifecycle:
@@ -92,14 +99,7 @@ class TestSegmentLifecycle:
         entry = contain_entry()
         xs, ys = inputs()
         expected = canon(serial_run(entry, xs, ys, "tuple"))
-        original = executor_mod._shm_tasks
-
-        def sabotaged(*args, **kwargs):
-            tasks = original(*args, **kwargs)
-            tasks[0]["fault_exit"] = True
-            return tasks
-
-        monkeypatch.setattr(executor_mod, "_shm_tasks", sabotaged)
+        exit_on_shard(monkeypatch, 0, POISON)
         before = shm_entries()
         tracer = Tracer("crash")
         previous = set_tracer(tracer)
@@ -135,7 +135,7 @@ class TestSegmentLifecycle:
             tasks = original(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 1:
-                tasks[0]["fault_exit"] = True
+                tasks[0]["fault_exit"] = POISON
             return tasks
 
         monkeypatch.setattr(executor_mod, "_shm_tasks", sabotage_first)
@@ -197,33 +197,24 @@ class TestWarmPool:
 
 
 class TestFaultContainment:
-    """Worker-level faults must be contained at shard granularity: one
-    dead worker costs one shard re-dispatch, never a pool rebuild or an
-    inline fallback."""
+    """A worker death is contained at shard granularity: it costs one
+    shard re-dispatch, never a pool rebuild or an inline fallback."""
 
-    def run_with_fault(self, plan, straggler_after=None, shards=3):
+    def run_process(self):
         entry = contain_entry()
         xs, ys = inputs()
         expected = canon(serial_run(entry, xs, ys, "tuple"))
         outcome = execute_parallel(
-            entry,
-            xs,
-            ys,
-            shards=shards,
-            workers=2,
-            mode="process",
-            worker_fault_plan=plan,
-            straggler_after=straggler_after,
+            entry, xs, ys, shards=3, workers=2, mode="process"
         )
         assert outcome.mode == "process"
         assert canon(outcome.results) == expected
         return outcome
 
-    def test_kill_heals_with_one_retry_and_no_rebuild(self):
+    def test_kill_heals_with_one_retry_and_no_rebuild(self, monkeypatch):
         rebuilds = pool_stats()["rebuilds"]
-        outcome = self.run_with_fault(
-            WorkerFaultPlan(seed=3, kind=WorkerFaultKind.KILL)
-        )
+        exit_on_shard(monkeypatch, 1, 1)
+        outcome = self.run_process()
         containment = outcome.containment
         assert containment["worker_deaths"] == 1
         assert containment["shard_retries"] == 1
@@ -232,59 +223,99 @@ class TestFaultContainment:
         assert pool_stats()["rebuilds"] == rebuilds
         assert pool_stats()["alive"]
 
-    def test_stall_triggers_speculation_not_death_handling(self):
-        plan = WorkerFaultPlan(
-            seed=11, kind=WorkerFaultKind.STALL, stall_seconds=1.0
-        )
-        # A replacement worker from an earlier test may still be
-        # importing (one warm worker can absorb a whole clean batch
-        # meanwhile), and a still-importing worker makes its shard look
-        # silent past the threshold.  Warm the pool and give the
-        # replacement time to finish importing before the faulted run.
-        entry = contain_entry()
+    def test_fault_gated_on_attempt_heals_deterministically(
+        self, monkeypatch
+    ):
+        """``fault_exit=1`` means the re-dispatched attempt runs clean:
+        every replay heals the same way, and the shard row names the
+        attempt that produced it."""
+        exit_on_shard(monkeypatch, 2, 1)
+        for _ in range(2):
+            outcome = self.run_process()
+            assert outcome.containment["shard_retries"] == 1
+            attempts = {run.index: run.attempt for run in outcome.shard_runs}
+            assert attempts == {0: 0, 1: 0, 2: 1}
+
+    #: One cell per result-segment kind.  The worker exits before the
+    #: shard body runs, so a cell matters to the death path only
+    #: through the kind of segment its re-dispatch writes.
+    KIND_CELLS = {
+        "semi": TemporalOperator.CONTAIN_SEMIJOIN,
+        "pairs": TemporalOperator.CONTAIN_JOIN,
+        "self": TemporalOperator.SELF_CONTAIN_SEMIJOIN,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CELLS))
+    def test_death_heals_for_each_result_kind(self, monkeypatch, kind):
+        entry = supported_entries(self.KIND_CELLS[kind])[0]
         xs, ys = inputs()
-        execute_parallel(entry, xs, ys, shards=2, workers=2, mode="process")
-        time.sleep(1.0)
-        # One shard per worker: a queued-but-healthy shard would also
-        # look silent past the threshold and be speculated.
-        outcome = self.run_with_fault(plan, straggler_after=0.2, shards=2)
-        containment = outcome.containment
-        assert containment["worker_deaths"] == 0
-        assert containment["speculations"] == 1
-        # Quiesce: the abandoned loser still holds its worker for the
-        # stall; don't let the next test's batch queue behind it.
-        time.sleep(plan.stall_seconds)
+        xs = sort_tuples(xs, entry.x_order)
+        ys = None if entry.y_order is None else sort_tuples(ys, entry.y_order)
 
-    def test_corrupt_result_is_reread_from_a_fresh_segment(self):
-        outcome = self.run_with_fault(
-            WorkerFaultPlan(seed=42, kind=WorkerFaultKind.CORRUPT_RESULT)
+        def run():
+            return execute_parallel(
+                entry, xs, ys, shards=3, workers=2,
+                backend="columnar", mode="process",
+            )
+
+        clean = run()
+        assert clean.mode == "process" and len(clean.shard_runs) >= 2
+        rebuilds = pool_stats()["rebuilds"]
+        exit_on_shard(monkeypatch, 0, 1)
+        healed = run()
+        assert healed.mode == "process"
+        assert list(healed.results) == list(clean.results)
+        assert healed.containment["worker_deaths"] == 1
+        assert healed.containment["shard_retries"] == 1
+        assert pool_stats()["rebuilds"] == rebuilds
+        ours = f"repro-{os.getpid()}-"
+        assert not {n for n in shm_entries() if n.startswith(ours)}
+
+
+class TestResultIntegrity:
+    """The result segment's crc32 is checked on every read; a segment
+    that fails it is a pool failure, answered by the inline run."""
+
+    def test_flipped_payload_byte_raises_and_unlinks(self):
+        name = shm.segment_name("crc")
+        shm.write_result(
+            name, shm.RESULT_PAIRS, array("q", [1, 2, 3]), array("q", [4])
         )
-        containment = outcome.containment
-        assert containment["worker_deaths"] == 0
-        assert containment["shard_retries"] == 1
-        # The shard row reports the attempt whose segment was read.
-        assert [run.attempt for run in outcome.shard_runs].count(1) == 1
+        segment = shared_memory.SharedMemory(name=name)
+        try:
+            # The first payload byte sits right after the header words.
+            segment.buf[shm._HEADER_ITEMS * shm._ITEM] ^= 0x01
+        finally:
+            segment.close()
+        with pytest.raises(shm.SegmentIntegrityError):
+            shm.read_result(name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
-    def test_fault_gated_on_attempt_heals_deterministically(self):
-        """attempts=1 means the re-dispatched attempt runs clean — the
-        property that makes the differential oracle hold."""
+    def test_integrity_failure_runs_the_join_inline(self, monkeypatch):
         entry = contain_entry()
         xs, ys = inputs()
         expected = canon(serial_run(entry, xs, ys, "tuple"))
-        plan = WorkerFaultPlan(seed=7, kind=WorkerFaultKind.KILL)
-        for _ in range(2):  # replays identically, heals identically
-            outcome = execute_parallel(
-                entry,
-                xs,
-                ys,
-                shards=3,
-                workers=2,
-                mode="process",
-                worker_fault_plan=plan,
-            )
-            assert outcome.mode == "process"
-            assert canon(outcome.results) == expected
-            assert outcome.containment["shard_retries"] == 1
+        original = shm.read_result
+        calls = {"n": 0}
+
+        def fails_once(name):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise shm.SegmentIntegrityError(f"{name} failed its checksum")
+            return original(name)
+
+        monkeypatch.setattr(shm, "read_result", fails_once)
+        before = shm_entries()
+        outcome = execute_parallel(
+            entry, xs, ys, shards=2, workers=2, mode="process"
+        )
+        assert outcome.mode == "inline"
+        assert canon(outcome.results) == expected
+        assert outcome.containment == {
+            "pool_fallback:SegmentIntegrityError": 1
+        }
+        assert shm_entries() == before
 
 
 class TestPoolLifecycle:

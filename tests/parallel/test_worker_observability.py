@@ -23,13 +23,13 @@ import pytest
 from repro.model import TS_ASC, sort_tuples
 from repro.obs import Tracer, set_tracer, to_chrome_trace
 from repro.parallel import execute_parallel
-from repro.resilience import WorkerFaultKind, WorkerFaultPlan
 from repro.streams import TemporalOperator, lookup
 
 from .conftest import (
     all_supported_cells,
     canon,
     cell_id,
+    exit_on_shard,
     make_tuples,
     sorted_inputs,
 )
@@ -223,33 +223,25 @@ class TestPoolEvents:
 
 
 class TestRedispatchObservability:
-    def test_killed_worker_leaves_attempt_one_trail(self):
+    def test_killed_worker_leaves_attempt_one_trail(self, monkeypatch):
         """A worker killed on first dispatch is re-dispatched; the audit
         trail — shard attempt, pool events, grafted span attributes —
         all agree that the surviving result is attempt 1."""
         entry = contain_entry()
         x, y = small_xy()
         xs, ys = sorted_inputs(entry, x, y)
-        plan = WorkerFaultPlan(seed=3, kind=WorkerFaultKind.KILL)
-        tracer = Tracer("chaos")
+        target = 1
+        exit_on_shard(monkeypatch, target, 1)
+        tracer = Tracer("worker-death")
         previous = set_tracer(tracer)
         try:
             outcome = execute_parallel(
-                entry,
-                xs,
-                ys,
-                shards=2,
-                workers=2,
-                mode="process",
-                worker_fault_plan=plan,
+                entry, xs, ys, shards=2, workers=2, mode="process"
             )
         finally:
             set_tracer(previous)
         if outcome.mode != "process":
             pytest.skip("pool unavailable; fell back to inline")
-        target = plan.target_shard(
-            f"{entry.operator.value}/tuple", len(outcome.shard_runs)
-        )
         victim = next(
             r for r in outcome.shard_runs if r.index == target
         )

@@ -19,7 +19,6 @@ PACKAGES = {m for m, path in MODULES.items() if path.name == "__init__.py"}
 
 #: Modules no entry point reaches that stay anyway, each with its reason.
 EXEMPT = {
-    "repro.resilience.harness": "worker-containment sweep; ROADMAP item 5 decides it",
     "repro.columnar.events": "tie-rank oracle that the fused-kernel tests replay",
 }
 
