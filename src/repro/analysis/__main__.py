@@ -39,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Paper-invariant static analysis: AST lint rules "
-            "(REP001, REP003-REP010, including the CFG-based lifecycle "
-            "rules), the symbolic Tables 1-3 plan checker, and the pool "
+            "(REP001, REP003-REP009, including the CFG-based segment "
+            "lifecycle rule), the symbolic Tables 1-3 plan checker, and the pool "
             "containment-protocol checker."
         ),
     )

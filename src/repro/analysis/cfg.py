@@ -1,10 +1,9 @@
 """Intraprocedural control-flow graphs for the flow-sensitive rules.
 
 The AST rules in :mod:`repro.analysis.rules` are syntactic: they look
-at one node at a time.  The concurrency/lifecycle invariants added by
-REP007-REP010 are *path* properties ("``close()`` is reached on every
-path out of this function, including the paths an exception takes"),
-so this module builds a small statement-granularity CFG per function
+at one node at a time.  The shm segment lifecycle REP007 checks is a
+*path* property ("``close()`` is reached on every path out of this
+function, including the paths an exception takes"), so this module builds a small statement-granularity CFG per function
 and runs all-paths ("must") and exists-a-path ("may") reachability
 over it.
 
@@ -18,11 +17,11 @@ Design points, deliberately modest:
   the exits".
 
 * **Exception edges are opt-in.**  With ``exception_edges=True``
-  (REP007's mode) every statement that *can raise* — one containing a
-  call or a subscript — gets an edge to the innermost enclosing
-  handler, or to the synthetic ``RAISE`` exit when none encloses it.
-  With ``exception_edges=False`` (REP010's mode) only explicit
-  control flow is modelled, giving "normal-completion" path
+  (REP007's ``close()`` check) every statement that *can raise* — one
+  containing a call or a subscript — gets an edge to the innermost
+  enclosing handler, or to the synthetic ``RAISE`` exit when none
+  encloses it.  With ``exception_edges=False`` (its ``unlink()``
+  check) only explicit control flow is modelled, giving "normal-completion" path
   semantics.  An explicit ``raise`` statement transfers control in
   both modes; the flag only governs *implicit* raises.
 

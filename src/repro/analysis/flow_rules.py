@@ -1,10 +1,9 @@
-"""Flow-sensitive rules REP007-REP010.
+"""Flow-sensitive rules REP007-REP009.
 
 These rules protect the *runtime* invariants PRs 6-8 introduced — shm
-segment ownership, governance checkpoints on hot loops, the
-containment protocol's exception discipline, and span
-provenance — the concurrency counterpart of the algebraic Tables 1-3
-checks.  They are built on :mod:`repro.analysis.cfg` rather than on
+segment ownership, governance checkpoints on hot loops, and the
+containment protocol's exception discipline — the concurrency
+counterpart of the algebraic Tables 1-3 checks.  They are built on :mod:`repro.analysis.cfg` rather than on
 single-node syntax because each one is a path property: "on every
 path out of this function, including the exceptional ones, X happened
 before the exit".
@@ -550,139 +549,5 @@ class GovernanceExceptHygiene(Rule):
     def _reraises(handler: ast.ExceptHandler) -> bool:
         for node in _local_walk(handler):
             if isinstance(node, ast.Raise) and node.exc is None:
-                return True
-        return False
-
-
-# ----------------------------------------------------------------------
-# REP010 — span construction and lifecycle
-# ----------------------------------------------------------------------
-_SPAN_MODULES = ("obs/trace.py", "obs/graft.py")
-
-
-@register_rule
-class SpanLifecyclePairing(Rule):
-    """REP010: grafted spans complete + register."""
-
-    id = "REP010"
-    title = "direct Span construction is confined and lifecycle-complete"
-    rationale = (
-        "PR 8's graft keeps worker observability truthful only if "
-        "every directly-built Span gets an end time and lands in "
-        "tracer.spans on every normal path; a half-built span "
-        "silently corrupts the grafted timeline."
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        in_span_module = any(module.is_file(s) for s in _SPAN_MODULES)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "Span"
-                and not in_span_module
-            ):
-                yield module.finding(
-                    self,
-                    node,
-                    "direct Span(...) construction outside obs/trace.py"
-                    "/obs/graft.py: use tracer.span(...) so the "
-                    "lifecycle is with-scoped",
-                )
-        if in_span_module:
-            yield from self._check_span_lifecycles(module)
-
-    def _check_span_lifecycles(
-        self, module: SourceModule
-    ) -> Iterator[Finding]:
-        for func in functions(module.tree):
-            bindings = [
-                (node, node.targets[0].id)
-                for node in _local_walk(func)
-                if isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id == "Span"
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ]
-            if not bindings:
-                continue
-            # Normal-completion semantics: a graft loop that dies with
-            # an exception aborts the whole graft; what must hold is
-            # that every *successful* pass finishes the span.
-            cfg = build_cfg(func, exception_edges=False)  # type: ignore[arg-type]
-            for stmt, var in bindings:
-                if self._escapes_ownership(func, var):
-                    continue
-                nid = cfg.id_of(stmt)
-                starts = cfg.normal.get(nid, set()) if nid is not None else set()
-                if not must_reach(
-                    cfg, starts, lambda s: self._assigns_end(s, var)
-                ):
-                    yield module.finding(
-                        self,
-                        stmt,
-                        f"span {var!r} built here may finish a normal "
-                        "path without an end_ns assignment — the trace "
-                        "would contain an unterminated span",
-                    )
-                if not must_reach(
-                    cfg, starts, lambda s: self._registers(s, var)
-                ):
-                    yield module.finding(
-                        self,
-                        stmt,
-                        f"span {var!r} built here may finish a normal "
-                        "path without being appended to tracer.spans — "
-                        "the span would be silently dropped",
-                    )
-
-    @staticmethod
-    def _escapes_ownership(func: ast.AST, var: str) -> bool:
-        """Returned/yielded spans are finished by the caller (the
-        with-scoped Tracer.span path)."""
-        for node in _local_walk(func):
-            if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and any(
-                    isinstance(n, ast.Name) and n.id == var
-                    for n in ast.walk(value)
-                ):
-                    return True
-        return False
-
-    @staticmethod
-    def _assigns_end(stmt: ast.stmt, var: str) -> bool:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == "end_ns"
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == var
-                    ):
-                        return True
-        return False
-
-    @staticmethod
-    def _registers(stmt: ast.stmt, var: str) -> bool:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "append"
-                and any(
-                    isinstance(arg, ast.Name) and arg.id == var
-                    for arg in node.args
-                )
-            ):
                 return True
         return False

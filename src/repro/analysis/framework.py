@@ -164,7 +164,7 @@ def register_rule(rule_cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> List[Rule]:
     """Instantiate every registered rule, in id order."""
     from . import rules as _builtin  # noqa: F401  (registers on import)
-    from . import flow_rules as _flow  # noqa: F401  (REP007-REP010)
+    from . import flow_rules as _flow  # noqa: F401  (REP007-REP009)
 
     return [
         _RULE_REGISTRY[rule_id]() for rule_id in sorted(_RULE_REGISTRY)

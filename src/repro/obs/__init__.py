@@ -8,11 +8,9 @@ at run time instead of only as post-hoc
 * :mod:`repro.obs.trace` — hierarchical spans (query -> plan ->
   operator -> pass -> page I/O) with monotonic timing, an always-cheap
   no-op default, and exporters for JSONL and the Chrome
-  ``chrome://tracing`` trace-event format;
-* :mod:`repro.obs.graft` — cross-process trace transport: workers
-  serialize their span forest into the result payload (bounded size)
-  and the parent grafts it under the matching ``shard:<i>`` span with
-  clock-calibrated, monotone timestamps;
+  ``chrome://tracing`` trace-event format (a process-mode shard is
+  one parent-side ``shard:<i>`` span timed by its shard row — workers
+  do not trace);
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE renderer over a
   recorded trace (imported lazily by the query runner and CLI; it sits
   *above* the engine layers and is therefore not re-exported here);
@@ -25,7 +23,6 @@ Everything is zero-dependency and deterministic-friendly: spans use
 sleeps or touches the network.
 """
 
-from .graft import GraftResult, graft_worker_trace, serialize_tracer
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -39,14 +36,11 @@ from .trace import (
 )
 
 __all__ = [
-    "GraftResult",
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "Tracer",
     "get_tracer",
-    "graft_worker_trace",
-    "serialize_tracer",
     "set_tracer",
     "span_creation_count",
     "to_chrome_trace",

@@ -18,8 +18,8 @@ the audit log, success or failure:
   counters (retries / worker deaths / pool fallbacks),
   and the governance spend summary when budgeted — all read off the
   result, so the same traced or untraced;
-* telemetry — a compact trace summary (span count, wall time, worker
-  pids) when the run was traced.
+* telemetry — a compact trace summary (span count, root count, wall
+  time) when the run was traced; the worker pids are on the shard rows.
 
 The schema is versioned (:data:`AUDIT_SCHEMA_VERSION`);
 :func:`validate_record` checks a parsed record against it and is wired
@@ -167,15 +167,11 @@ def _trace_summary(trace: Optional[object]) -> Optional[dict]:
     wall_ns = max((s.end_ns or 0) for s in spans) - min(
         s.start_ns for s in spans
     )
-    worker_pids = sorted(
-        {s.pid for s in spans if getattr(s, "pid", None) is not None}
-    )
     return {
         "name": getattr(trace, "name", None),
         "spans": len(spans),
         "roots": len(roots),
         "wall_ms": round(wall_ns / 1e6, 3),
-        "worker_pids": worker_pids,
     }
 
 
@@ -295,10 +291,12 @@ def render_record(record: dict) -> str:
         )
     trace = record.get("trace")
     if trace:
+        # The pids are the shard rows'; an older v1 record's
+        # ``trace.worker_pids`` is ignored.
+        pids = sorted({s["pid"] for s in shards if s.get("pid") is not None})
         lines.append(
             f"  trace: {trace.get('spans')} spans, "
-            f"{trace.get('wall_ms')}ms, "
-            f"workers={trace.get('worker_pids') or []}"
+            f"{trace.get('wall_ms')}ms, workers={pids}"
         )
     return "\n".join(lines)
 

@@ -37,7 +37,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 #: Process-wide count of real Span objects ever constructed.  The
 #: no-op-overhead test pins this: running instrumented code under the
@@ -61,8 +61,6 @@ class Span:
         "end_ns",
         "attributes",
         "events",
-        "pid",
-        "tid",
         "_tracer",
     )
 
@@ -85,12 +83,6 @@ class Span:
         self.end_ns: Optional[int] = None
         self.attributes = attributes
         self.events: List[dict] = []
-        #: Process/thread the span executed in.  ``None`` means "this
-        #: process" (filled with the real ids at export time); grafted
-        #: worker spans carry the worker's pid so the Chrome exporter
-        #: renders one track per worker process.
-        self.pid: Optional[int] = None
-        self.tid: Optional[int] = None
 
     # ------------------------------------------------------------------
     # annotation
@@ -351,33 +343,30 @@ def to_chrome_trace(tracer: Tracer) -> dict:
     Perfetto: complete (``ph: "X"``) events for spans, instant
     (``ph: "i"``) events for span events, timestamps in microseconds.
 
-    Every event carries the real process/thread id of the code that ran
-    it — the exporter's own pid/tid for parent-side spans, the worker's
-    pid for spans grafted across the process boundary (see
-    :mod:`repro.obs.graft`) — plus ``process_name`` / ``thread_name`` /
-    ``process_sort_index`` metadata events, so Perfetto renders one
-    track per worker process with the parent track sorted first.
+    Every span ran in (or, for a process-mode shard, was emitted by)
+    the exporting process, so every event carries the exporter's own
+    pid/tid, named by one ``process_name`` and one ``thread_name``
+    metadata event: the whole query is one track.
     """
-    own_pid = os.getpid()
-    own_tid = threading.get_native_id()
-    events: List[dict] = []
-    #: pid -> display label; the exporter's own process always sorts
-    #: first, worker tracks follow in pid order.
-    process_labels: Dict[int, str] = {own_pid: f"repro:{tracer.name}"}
-    thread_labels: Dict[Tuple[int, int], str] = {(own_pid, own_tid): "main"}
-
-    def ids_for(span: Span) -> Tuple[int, int]:
-        pid = span.pid if span.pid is not None else own_pid
-        tid = span.tid if span.tid is not None else own_tid
-        if pid not in process_labels:
-            label = span.attributes.get("worker")
-            process_labels[pid] = str(label) if label else f"worker:{pid}"
-        if (pid, tid) not in thread_labels:
-            thread_labels[(pid, tid)] = "worker" if pid != own_pid else "main"
-        return pid, tid
-
+    pid = os.getpid()
+    tid = threading.get_native_id()
+    events: List[dict] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": f"repro:{tracer.name}"},
+        },
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": "main"},
+        },
+    ]
     for span in tracer.spans:
-        pid, tid = ids_for(span)
         events.append(
             {
                 "name": span.name,
@@ -410,46 +399,13 @@ def to_chrome_trace(tracer: Tracer) -> dict:
                 "cat": "event",
                 "ph": "i",
                 "s": "g",
-                "pid": own_pid,
-                "tid": own_tid,
+                "pid": pid,
+                "tid": tid,
                 "ts": event["ts_ns"] / 1000.0,
                 "args": _jsonable(event["attributes"]),
             }
         )
-
-    metadata: List[dict] = []
-    for sort_index, pid in enumerate(
-        sorted(process_labels, key=lambda p: (p != own_pid, p))
-    ):
-        metadata.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": process_labels[pid]},
-            }
-        )
-        metadata.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"sort_index": sort_index},
-            }
-        )
-    for (pid, tid), label in sorted(thread_labels.items()):
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": label},
-            }
-        )
-    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def _jsonable(value: Any) -> Any:

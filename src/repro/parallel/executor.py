@@ -52,7 +52,6 @@ from ..columnar.relation import IntervalColumns
 from ..errors import ExecutionError, ReproError, StreamOrderError
 from ..governance.budget import active_token
 from ..model.tuples import TemporalTuple
-from ..obs.graft import graft_worker_trace
 from ..obs.trace import get_tracer
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..streams.metrics import ProcessorMetrics
@@ -102,7 +101,8 @@ class ShardRun:
     #: Worker process that ran the shard (``None`` inline).
     pid: Optional[int]
     #: Real Span objects the shard allocated in the worker — always
-    #: reported, so untraced runs can enforce that it stayed zero.
+    #: reported, so every run can check it stayed zero: a worker never
+    #: traces.
     worker_spans_created: int
 
     @classmethod
@@ -400,12 +400,6 @@ def _run_shm(
         if governance is not None:
             for task in tasks:
                 task["governance"] = governance
-        # The worker installs a per-task tracer only when asked, so
-        # untraced runs keep the worker-side zero-allocation guarantee
-        # (span_creation_count delta stays 0).
-        if get_tracer().enabled:
-            for task in tasks:
-                task["observe_trace"] = True
         tasks_by_index = {task["index"]: task for task in tasks}
         pool = get_pool(min(workers, len(tasks)))
         summaries = pool.run_batch(
@@ -415,7 +409,6 @@ def _run_shm(
         for summary in summaries:
             chunk = shm.read_result(summary["result_segment"])
             run = ShardRun.of(tasks_by_index[summary["index"]], summary)
-            summary["clock_offset_ns"] = pool.clock_offsets.get(run.pid)
             finished.append((run, summary, chunk))
         return finished, dict(pool.last_batch_stats)
     finally:
@@ -558,8 +551,8 @@ def execute_parallel(
                 containment = _note_pool_fallback(span, exc)
             else:
                 effective_mode = "process"
-                for run, summary, _chunk in finished:
-                    _emit_shard_span(tracer, run, summary, span)
+                for run, _summary, _chunk in finished:
+                    _emit_shard_span(tracer, run, span)
         if finished is None:
             finished = _run_inline(tracer, entry, tasks, x_cols, y_cols)
             effective_mode = "inline"
@@ -611,40 +604,23 @@ def execute_parallel(
 # ----------------------------------------------------------------------
 # process-mode shard spans
 # ----------------------------------------------------------------------
-def _emit_shard_span(tracer, run: ShardRun, summary: dict, parallel_span):
-    """Process-mode shards ran in a worker process; give each a summary
-    span in the parent trace, named and identified as an inline shard's
-    is, then graft the worker's own span tree (when the run carried
-    one) underneath it with clock-calibrated, monotone timestamps, and
-    backdate the summary span to cover the grafted window."""
+def _emit_shard_span(tracer, run: ShardRun, parallel_span) -> None:
+    """Process-mode shards ran in a worker process, which does not
+    trace; each gets one span in the parent trace, named and identified
+    as an inline shard's is and timed by its shard row: it ends when it
+    is emitted, after the batch, and lasts the row's ``wall_seconds``
+    (a duration, so the worker's clock origin does not matter), its
+    start clamped so it stays inside the ``parallel:`` span."""
     if not tracer.enabled:
         return
     with tracer.span(
         f"shard:{run.index}", shard=run.index, attempt=run.attempt, pid=run.pid
     ) as span:
-        pass  # a marker; stretched over the grafted window below
-    payload = summary.get("worker_trace")
-    if payload is None:
-        return
-    graft = graft_worker_trace(
-        tracer,
-        span,
-        payload,
-        offset_ns=summary.get("clock_offset_ns"),
-        window=(parallel_span.start_ns, span.end_ns),
-        attempt=run.attempt,
-        worker=f"worker:{run.pid}" if run.pid else None,
+        pass
+    span.start_ns = max(
+        parallel_span.start_ns,
+        span.end_ns - round(run.wall_seconds * 1e9),
     )
-    if graft.dropped_spans:
-        span.set(trace_dropped_spans=graft.dropped_spans)
-    if graft.clamped:
-        span.set(trace_clock_clamped=True)
-    if graft.start_ns is not None:
-        # The summary span was a zero-length marker created after the
-        # batch; stretch it over the grafted worker window so nesting
-        # is visible on the timeline (still inside the parallel span).
-        span.start_ns = min(span.start_ns, graft.start_ns)
-        span.end_ns = max(span.end_ns, graft.end_ns or span.end_ns)
 
 
 # Re-exported so tests can reference the range planner via the

@@ -135,11 +135,6 @@ def _worker_main(tasks, results, acks) -> None:
                 "index": task.get("index"),
                 "attempt": task.get("attempt", 0),
                 "pid": os.getpid(),
-                # Clock-calibration anchor: perf_counter_ns origins are
-                # per-process, so the parent pairs this worker-side
-                # sample with its own clock at drain time to estimate
-                # the worker->parent offset (see _drain_acks).
-                "anchor_ns": time.perf_counter_ns(),
             }
         )
         try:
@@ -204,12 +199,6 @@ class WorkerPool:
         #: copies them onto the ``parallel:`` span; batches serialise
         #: on the dispatch lock, so no extra locking is needed).
         self.last_batch_stats: Dict[str, int] = {}
-        #: pid -> calibrated worker->parent ``perf_counter_ns`` offset.
-        #: Each drained ack yields ``parent_now - worker_anchor``; the
-        #: estimate is inflated by the pipe delay, so the minimum seen
-        #: per pid is kept (the tightest upper bound).  Trace grafting
-        #: shifts worker timestamps by this offset.
-        self.clock_offsets: Dict[int, int] = {}
         self.grow(size)
 
     # ------------------------------------------------------------------
@@ -439,18 +428,9 @@ class WorkerPool:
         worker ever acked is readable here."""
         while not self._acks.empty():
             ack = self._acks.get()
-            # Calibrate regardless of job: the pid's clock offset does
-            # not depend on which batch the ack belongs to, and every
-            # extra sample can only tighten the minimum.
-            anchor = ack.get("anchor_ns")
-            pid = ack.get("pid")
-            if anchor is not None and pid is not None:
-                estimate = time.perf_counter_ns() - anchor
-                previous = self.clock_offsets.get(pid)
-                if previous is None or estimate < previous:
-                    self.clock_offsets[pid] = estimate
             if ack.get("job") != job:
                 continue
+            pid = ack.get("pid")
             _pool_event(
                 "ack",
                 job=job,

@@ -26,15 +26,13 @@ into a parent-assigned result segment.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from array import array
 from typing import Optional, Sequence
 
 from ..columnar.relation import IntervalColumns
 from ..governance.budget import QueryBudget, active_token, governed
-from ..obs.graft import DEFAULT_MAX_TRACE_BYTES, serialize_tracer
-from ..obs.trace import Tracer, set_tracer, span_creation_count
+from ..obs.trace import span_creation_count
 from ..resilience.executor import execute_entry, index_sides
 from ..streams.registry import RegistryEntry, lookup
 from . import shm
@@ -59,34 +57,10 @@ def run_task(task: dict) -> dict:
         # poison pill.
         os._exit(2)
     spans_before = span_creation_count()
-    observe_trace = bool(task.get("observe_trace"))
-    worker_tracer = (
-        Tracer(f"worker-{os.getpid()}") if observe_trace else None
-    )
-    # Pool workers are reused across queries, so the worker-local
-    # tracer MUST be restored in the finally — a leaked tracer would
-    # tax (and mis-attribute) every later untraced shard.
-    prev_tracer = set_tracer(worker_tracer) if observe_trace else None
-    try:
-        if worker_tracer is not None:
-            with worker_tracer.span(
-                f"worker:shard:{task['index']}",
-                shard=task["index"],
-                attempt=task.get("attempt", 0),
-            ):
-                summary = _run_governed(task)
-        else:
-            summary = _run_governed(task)
-    finally:
-        if observe_trace:
-            set_tracer(prev_tracer)
-    _attach_observability(task, summary, worker_tracer, spans_before)
-    return summary
-
-
-def _run_governed(task: dict) -> dict:
     gov = task.get("governance")
-    if gov is not None:
+    if gov is None:
+        summary = _run_shard_body(task)
+    else:
         # The parent ships its remaining deadline and workspace cap so
         # in-worker checkpoints (meter inserts, pass boundaries) fire
         # too; page/shm spend stays parent-accounted.
@@ -96,41 +70,12 @@ def _run_governed(task: dict) -> dict:
                 workspace_tuple_cap=gov.get("workspace_tuple_cap"),
             )
         ):
-            return _run_shard_body(task)
-    return _run_shard_body(task)
-
-
-def _attach_observability(
-    task: dict,
-    summary: dict,
-    tracer: Optional[Tracer],
-    spans_before: int,
-) -> None:
-    """Ship the shard's telemetry in the result summary.
-
-    ``worker_spans_created`` is a per-task *delta* (the module counter
-    is process-wide and workers are reused), always reported so the
-    parent can enforce the zero-allocation guarantee of untraced runs.
-    The trace payload is best-effort: a serialisation failure drops
-    the trace, never the shard result.
-    """
+            summary = _run_shard_body(task)
     summary["pid"] = os.getpid()
+    # A per-task delta (the counter is process-wide and workers are
+    # reused): a worker never traces, so the parent can check it is 0.
     summary["worker_spans_created"] = span_creation_count() - spans_before
-    if tracer is not None:
-        try:
-            summary["worker_trace"] = serialize_tracer(
-                tracer,
-                pid=os.getpid(),
-                tid=threading.get_native_id(),
-                max_bytes=task.get(
-                    "trace_max_bytes", DEFAULT_MAX_TRACE_BYTES
-                ),
-            )
-        # Telemetry attach is best-effort by contract: the shard's
-        # answer is already computed, and governance errors cannot
-        # originate in serialize_tracer (no charge points).
-        except Exception:  # repro: noqa(REP009)
-            summary["worker_trace"] = None
+    return summary
 
 
 def _run_shard_body(task: dict) -> dict:

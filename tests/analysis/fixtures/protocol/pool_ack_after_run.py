@@ -33,7 +33,6 @@ def _worker_main(tasks, results, acks):
                 "index": task.get("index"),
                 "attempt": task.get("attempt", 0),
                 "pid": os.getpid(),
-                "anchor_ns": 0,
             }
         )
         results.put(summary)

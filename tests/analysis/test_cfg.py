@@ -1,4 +1,4 @@
-"""The CFG engine behind REP007-REP010: shapes and reachability.
+"""The CFG engine behind REP007: shapes and reachability.
 
 Each test builds a tiny function, asks ``must_reach``/``may_reach``
 the same questions the flow rules ask, and pins the documented

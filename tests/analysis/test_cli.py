@@ -34,7 +34,7 @@ def test_exit_zero_on_clean_tree():
 def test_exit_one_on_fixture_corpus():
     code, output = _run(str(FIXTURES), "--root", str(FIXTURES))
     assert code == 1
-    assert "33 findings" in output and "(2 suppressed)" in output
+    assert "30 findings" in output and "(2 suppressed)" in output
 
 
 def test_exit_two_on_missing_path():
@@ -62,7 +62,7 @@ def test_json_report_to_stdout():
     assert code == 1
     payload = json.loads(output[output.index("{"):])
     assert payload["schema_version"] == 1
-    assert len(payload["findings"]) == 33
+    assert len(payload["findings"]) == 30
 
 
 def test_json_report_to_file(tmp_path):
@@ -74,7 +74,7 @@ def test_json_report_to_file(tmp_path):
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert {f["rule"] for f in payload["findings"]} == {
         "REP001", "REP003", "REP004", "REP005", "REP006", "REP007",
-        "REP008", "REP009", "REP010",
+        "REP008", "REP009",
     }
     assert validate_report(payload) == []
 
@@ -83,7 +83,7 @@ def test_list_rules_catalogue():
     code, output = _run("--list-rules")
     assert code == 0
     for rule_id in ("REP001", "REP003", "REP004", "REP005", "REP006",
-                    "REP007", "REP008", "REP009", "REP010"):
+                    "REP007", "REP008", "REP009"):
         assert rule_id in output
 
 

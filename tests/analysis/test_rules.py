@@ -50,9 +50,6 @@ EXPECTED = {
     ("REP008", "storage/heap_file.py", 14),
     ("REP009", "resilience/rep009_violation.py", 9),
     ("REP009", "resilience/rep009_violation.py", 17),
-    ("REP010", "obs/graft.py", 8),
-    ("REP010", "obs/graft.py", 15),
-    ("REP010", "obs/rep010_violation.py", 6),
 }
 
 #: Fixture files that must produce no findings at all.
@@ -68,7 +65,6 @@ CLEAN_FIXTURES = [
     "parallel/rep007_clean.py",
     "streams/rep008_clean.py",
     "resilience/rep009_clean.py",
-    "obs/rep010_clean.py",
 ]
 
 
@@ -82,7 +78,7 @@ def test_corpus_produces_exactly_the_expected_findings(corpus_report):
     # The two REP003 findings on line 16 collapse in a set; compare
     # multiset cardinality separately.
     assert got == EXPECTED
-    assert len(corpus_report.findings) == 33
+    assert len(corpus_report.findings) == 30
     assert not corpus_report.parse_errors
 
 

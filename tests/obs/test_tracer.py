@@ -214,45 +214,6 @@ class TestChromeTracks:
         }
         assert names[os.getpid()] == "repro:t"
 
-    def test_grafted_pid_gets_its_own_named_track(self):
-        import os
-
-        tracer = Tracer("t")
-        with tracer.span("shard:0"):
-            pass
-        # A span carrying a foreign pid/tid (the grafted-worker shape).
-        foreign = tracer.spans[0]
-        grafted = type(foreign)(
-            tracer, "worker:shard:0", tracer._next_id,
-            foreign.span_id, foreign.start_ns,
-            {"worker": "worker:9999"},
-        )
-        tracer._next_id += 1
-        grafted.end_ns = foreign.end_ns
-        grafted.pid = 9999
-        grafted.tid = 9999
-        tracer.spans.append(grafted)
-
-        doc = to_chrome_trace(tracer)
-        events = doc["traceEvents"]
-        worker_event = next(
-            e for e in events
-            if e.get("ph") == "X" and e["name"] == "worker:shard:0"
-        )
-        assert worker_event["pid"] == 9999
-        names = {
-            e["pid"]: e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert names[9999] == "worker:9999"
-        sort_index = {
-            e["pid"]: e["args"]["sort_index"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_sort_index"
-        }
-        assert sort_index[os.getpid()] < sort_index[9999]
-
     def test_every_pid_has_thread_metadata(self):
         tracer = Tracer("t")
         with tracer.span("a"):

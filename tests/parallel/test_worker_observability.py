@@ -1,27 +1,24 @@
-"""Distributed observability of the process-mode runtime.
+"""Observability of the process-mode runtime.
 
 Three properties, per the paper's "observability must be free of
 observable effect" discipline extended across the process boundary:
 
 * the traced-vs-untraced differential holds for process-mode parallel
-  execution on every supported registry cell — worker-side tracing
-  never changes the answer;
-* untraced runs allocate ZERO real spans in the workers (the no-op
-  tracer survives the pickle hop), while traced runs ship their span
-  forest back and the parent grafts it under the matching ``shard:<i>``
-  span with monotone, clock-calibrated, window-clamped timestamps and
-  distinct worker pids;
-* each grafted ``shard:<i>`` span names the shard row it times, attempt
-  for attempt and worker for worker, and the ``pool.*`` events on the
-  parallel span name the same workers.
+  execution on every supported registry cell — tracing never changes
+  the answer;
+* a worker never traces: traced or not, it allocates ZERO real spans
+  (the no-op tracer survives the pickle hop, and no worker tracer is
+  installed);
+* each process-mode shard is one parent-side ``shard:<i>`` span built
+  from its shard row — its shard, attempt and worker, timed by the
+  row's ``wall_seconds`` inside the ``parallel:`` span — and the
+  ``pool.*`` events on the parallel span name the same workers.
 """
-
-import json
 
 import pytest
 
 from repro.model import TS_ASC, sort_tuples
-from repro.obs import Tracer, set_tracer, to_chrome_trace
+from repro.obs import Tracer, set_tracer
 from repro.parallel import execute_parallel
 from repro.streams import TemporalOperator, lookup
 
@@ -76,16 +73,13 @@ def test_traced_process_run_is_byte_identical(entry):
         traced.metrics.workspace_high_water
         == plain.metrics.workspace_high_water
     )
-    if plain.mode == "process":
-        # The untraced half is the zero-overhead gate: the no-op tracer
-        # crossed the pipe and no real Span was ever allocated.
-        assert all(
-            run.worker_spans_created == 0 for run in plain.shard_runs
-        )
-    if traced.mode == "process":
-        assert all(
-            run.worker_spans_created > 0 for run in traced.shard_runs
-        )
+    # The zero-span gate, on both halves: the no-op tracer crossed the
+    # pipe, and a worker never installs a tracer of its own.
+    for outcome in (plain, traced):
+        if outcome.mode == "process":
+            assert all(
+                run.worker_spans_created == 0 for run in outcome.shard_runs
+            )
 
 
 def contain_entry():
@@ -103,97 +97,40 @@ def traced_contain_run(shards=4, workers=4, **kwargs):
     return outcome, tracer
 
 
-class TestGraftStructure:
-    def test_worker_spans_nest_under_shard_spans(self):
-        outcome, tracer = traced_contain_run()
-        if outcome.mode != "process":
-            pytest.skip("pool unavailable; fell back to inline")
-        shard_spans = {
-            int(s.name.split(":", 1)[1]): s
-            for s in tracer.spans
-            if s.name.startswith("shard:")
-        }
-        worker_roots = [
-            s for s in tracer.spans if s.name.startswith("worker:shard:")
-        ]
-        assert len(worker_roots) == len(outcome.shard_runs)
-        by_id = {s.span_id: s for s in tracer.spans}
-        for root in worker_roots:
-            parent = by_id[root.parent_id]
-            assert parent.name == f"shard:{root.attributes['shard']}"
-            # Monotone, clamped into the parent summary span's window.
-            assert parent.start_ns <= root.start_ns
-            assert root.end_ns <= parent.end_ns
-            assert root.end_ns >= root.start_ns
-            assert root.pid is not None
-            assert root.attributes["worker_pid"] == root.pid
-        # Grafted operator spans came along under the worker roots.
-        grafted_ops = [
-            s
-            for s in tracer.spans
-            if s.name.startswith("operator:") and s.pid is not None
-        ]
-        assert len(grafted_ops) == len(outcome.shard_runs)
-        assert len(shard_spans) == len(outcome.shard_runs)
-        # One shard body for every backend: a STRICT batch shard grafts
-        # the same attempt -> operator pair the tuple backend does.
-        for backend in ("tuple", "columnar", "fused"):
-            outcome, tracer = traced_contain_run(backend=backend)
-            by_id = {s.span_id: s for s in tracer.spans}
-            parents = [
-                by_id[s.parent_id].name
-                for s in tracer.spans
-                if s.name.startswith("operator:") and s.pid is not None
-            ]
-            assert parents == ["attempt"] * len(outcome.shard_runs)
-
-    def test_worker_pids_agree_between_spans_and_shard_table(self):
-        outcome, tracer = traced_contain_run(shards=4, workers=4)
-        if outcome.mode != "process":
-            pytest.skip("pool unavailable; fell back to inline")
-        pids = {s.pid for s in tracer.spans if s.pid is not None}
-        assert pids
-        assert {r.pid for r in outcome.shard_runs} == pids
-        # On tiny shards one warm worker can legally drain the whole
-        # queue before its siblings wake, so >=2 distinct pids is only
-        # guaranteed at real sizes — the CI multi-track gate enforces it
-        # there.
-
-    def test_chrome_trace_has_one_track_per_worker(self):
-        outcome, tracer = traced_contain_run(shards=4, workers=4)
-        if outcome.mode != "process":
-            pytest.skip("pool unavailable; fell back to inline")
-        doc = json.loads(json.dumps(to_chrome_trace(tracer)))
-        events = doc["traceEvents"]
-        worker_pids = {r.pid for r in outcome.shard_runs}
-        named = {
-            e["pid"]: e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        for pid in worker_pids:
-            assert named[pid] == f"worker:{pid}"
-        # Parent track sorts first.
-        own = next(p for p in named if p not in worker_pids)
-        sort_index = {
-            e["pid"]: e["args"]["sort_index"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "process_sort_index"
-        }
-        assert sort_index[own] < min(sort_index[p] for p in worker_pids)
-
-    def test_clock_offsets_and_shard_attrs(self):
+class TestShardSpans:
+    def test_shard_span_names_its_row(self):
         outcome, tracer = traced_contain_run()
         if outcome.mode != "process":
             pytest.skip("pool unavailable; fell back to inline")
         spans = [s for s in tracer.spans if s.name.startswith("shard:")]
         assert len(spans) == len(outcome.shard_runs)
         for span, run in zip(spans, outcome.shard_runs):
-            # What the graft needs, and no count: those are the row's.
+            # Which shard, which dispatch, which worker — and no count:
+            # those are the row's.
             assert span.attributes["shard"] == run.index
             assert span.attributes["attempt"] == run.attempt
             assert span.attributes["pid"] == run.pid
             assert "output_count" not in span.attributes
+
+    def test_shard_span_is_timed_by_its_row(self):
+        outcome, tracer = traced_contain_run(shards=4, workers=4)
+        if outcome.mode != "process":
+            pytest.skip("pool unavailable; fell back to inline")
+        assert len(outcome.shard_runs) == 4
+        (parallel,) = [
+            s for s in tracer.spans if s.name.startswith("parallel:")
+        ]
+        for run in outcome.shard_runs:
+            (span,) = tracer.find(f"shard:{run.index}")
+            assert span.parent_id == parallel.span_id
+            assert parallel.start_ns <= span.start_ns
+            assert span.end_ns <= parallel.end_ns
+            wall_ns = round(run.wall_seconds * 1e9)
+            if span.start_ns == parallel.start_ns:
+                # Clamped: the row's time did not fit the window.
+                assert span.duration_ns <= wall_ns
+            else:
+                assert span.duration_ns == wall_ns
 
 
 def pool_events(tracer, name):
@@ -225,7 +162,7 @@ class TestPoolEvents:
 class TestRedispatchObservability:
     def test_killed_worker_leaves_attempt_one_trail(self, monkeypatch):
         """A worker killed on first dispatch is re-dispatched; the audit
-        trail — shard attempt, pool events, grafted span attributes —
+        trail — shard attempt, pool events, shard span attributes —
         all agree that the surviving result is attempt 1."""
         entry = contain_entry()
         x, y = small_xy()
@@ -252,12 +189,7 @@ class TestRedispatchObservability:
             for event in pool_events(tracer, "redispatch")
         } >= {(target, victim.attempt)}
         assert pool_events(tracer, "reap")
-        # The grafted span of the surviving run carries the attempt.
-        roots = [
-            s
-            for s in tracer.spans
-            if s.name == f"worker:shard:{target}" and s.pid is not None
-        ]
-        assert roots
-        assert any(s.attributes.get("attempt") == victim.attempt
-                   for s in roots)
+        # The parent's span of the surviving run carries the attempt.
+        (span,) = tracer.find(f"shard:{target}")
+        assert span.attributes["attempt"] == victim.attempt
+        assert span.attributes["pid"] == victim.pid
