@@ -22,7 +22,14 @@ Note the two distinct notions of "overlap" used by the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Protocol
+from typing import (
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    TypeVar,
+)
 
 from ..errors import InvalidIntervalError
 from .time_domain import Timepoint, validate_timepoint
@@ -335,3 +342,51 @@ def lifespans_intersect(a: HasLifespan, b: HasLifespan) -> bool:
     (``a.TE == b.TS``) do NOT intersect under the half-open
     convention."""
     return a.valid_from < b.valid_to and b.valid_from < a.valid_to
+
+
+# -- disposal form -----------------------------------------------------
+class Disposal(NamedTuple):
+    """A sweep's garbage-collection criterion, declared as data: a held
+    state tuple is disposable once ``held.<held> <= buffer.<bound>``,
+    where ``buffer`` is the opposite stream's buffered tuple and
+    ``bound`` names that stream's sweep key.  Ties dispose: every
+    Section-4.2 criterion is ``<=`` (:func:`ends_by_start`,
+    :func:`starts_no_later`, :func:`ends_no_later`).  A processor
+    declares ``None`` where no criterion exists."""
+
+    held: str
+    bound: str
+
+
+def disposable_at(
+    held: HasLifespan, rule: Optional[Disposal], point: float
+) -> bool:
+    """Point form of ``rule``: ``held.<rule.held> <= point``, the
+    opposite sweep key at ``point`` (never, for ``rule=None``)."""
+    return rule is not None and getattr(held, rule.held) <= point
+
+
+def disposable(
+    held: HasLifespan, rule: Optional[Disposal], buffer: HasLifespan
+) -> bool:
+    """``rule`` for one held tuple against the opposite buffer."""
+    return rule is not None and disposable_at(
+        held, rule, getattr(buffer, rule.bound)
+    )
+
+
+LifespanT = TypeVar("LifespanT", bound=HasLifespan)
+
+
+def surviving(
+    items: List[LifespanT], rule: Disposal, buffer: HasLifespan
+) -> List[LifespanT]:
+    """Bulk form of :func:`disposable`: the ``items`` the rule keeps
+    against ``buffer``, in order, in one pass — the strict complement
+    ``held.<rule.held> > buffer.<rule.bound>``."""
+    point = getattr(buffer, rule.bound)
+    if rule.held == "valid_to":
+        return [t for t in items if t.valid_to > point]
+    if rule.held == "valid_from":
+        return [t for t in items if t.valid_from > point]
+    raise ValueError(f"{rule.held!r} is not an interval endpoint")

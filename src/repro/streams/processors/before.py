@@ -26,7 +26,12 @@ from typing import Iterator, Optional
 
 from ...errors import ProcessorStateError
 from ...model import sortorder as so
-from ...model.interval import ends_before, starts_after, starts_no_later
+from ...model.interval import (
+    Disposal,
+    ends_before,
+    ends_before_start,
+    starts_after,
+)
 from ...model.tuples import TemporalTuple
 from ..stream import TupleStream
 from .base import StreamProcessor, ts_key
@@ -54,22 +59,16 @@ class BeforeJoinSweep(SymmetricSweepJoin):
         self._require_order(x, (so.TS_ASC,), "X")
         self._require_order(y, (so.TS_ASC,), "Y")
 
-    def match(self, x_tuple: TemporalTuple, y_tuple: TemporalTuple) -> bool:
-        return before_predicate(x_tuple, y_tuple)
-
+    match = staticmethod(ends_before_start)
     x_sweep_key = staticmethod(ts_key)
     y_sweep_key = staticmethod(ts_key)
-
-    def x_disposable(self, state_tuple, y_buffer) -> bool:
-        # An ended X tuple matches every later-starting Y tuple: no
-        # criterion can ever retire it while Y still flows.
-        return False
-
-    def y_disposable(self, state_tuple, x_buffer) -> bool:
-        # A Y state tuple is useful only if a future X can end before
-        # its start; future X start at or after x_b.TS and span at
-        # least one timepoint.
-        return starts_no_later(state_tuple, x_buffer)
+    # An ended X tuple matches every later-starting Y tuple: no
+    # criterion can ever retire it while Y still flows.
+    x_disposal = None
+    # A Y state tuple is useful only if a future X can end before its
+    # start; future X start at or after x_b.TS and span at least one
+    # timepoint.
+    y_disposal = Disposal("valid_from", "valid_from")
 
 
 class BeforeJoinSortedInner(StreamProcessor):

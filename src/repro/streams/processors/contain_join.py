@@ -31,18 +31,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ...model import sortorder as so
-from ...model.interval import (
-    ends_by,
-    ends_by_start,
-    ends_no_later,
-    starts_by,
-    starts_no_later,
-)
-from ...model.tuples import TemporalTuple
-from ..policies import AdvancePolicy, LambdaPolicy
+from ...model.interval import Disposal, contains_lifespan
+from ..policies import AdvancePolicy
 from ..stream import TupleStream
 from .base import te_key, ts_key
-from .baseline import contain_predicate
 from .sweep import SymmetricSweepJoin
 
 
@@ -71,41 +63,11 @@ class ContainJoinTsTs(SymmetricSweepJoin):
         self._require_order(x, (so.TS_ASC,), "X")
         self._require_order(y, (so.TS_ASC,), "Y")
 
-    def match(self, x_tuple: TemporalTuple, y_tuple: TemporalTuple) -> bool:
-        return contain_predicate(x_tuple, y_tuple)
-
+    match = staticmethod(contains_lifespan)
     x_sweep_key = staticmethod(ts_key)
     y_sweep_key = staticmethod(ts_key)
-
-    def x_disposable(self, state_tuple, y_buffer) -> bool:
-        return ends_by_start(state_tuple, y_buffer)
-
-    def y_disposable(self, state_tuple, x_buffer) -> bool:
-        return starts_no_later(state_tuple, x_buffer)
-
-    @classmethod
-    def lambda_policy(
-        cls, inter_arrival_x: float, inter_arrival_y: float
-    ) -> LambdaPolicy:
-        """The paper's 1/lambda advancement heuristic instantiated for
-        this operator's disposal criteria."""
-        return LambdaPolicy(
-            inter_arrival_x,
-            inter_arrival_y,
-            ts_key,
-            ts_key,
-            # Advancing X moves x_b.TS forward; Y state tuples with
-            # ValidFrom at or below the expected next X start become
-            # disposable.
-            y_disposable_if_x_advances=(
-                lambda y_tup, next_x: starts_by(y_tup, next_x)
-            ),
-            # Advancing Y moves y_b.TS forward; X state tuples ending at
-            # or before the expected next Y start become disposable.
-            x_disposable_if_y_advances=(
-                lambda x_tup, next_y: ends_by(x_tup, next_y)
-            ),
-        )
+    x_disposal = Disposal("valid_to", "valid_from")
+    y_disposal = Disposal("valid_from", "valid_from")
 
 
 class ContainJoinTsTe(SymmetricSweepJoin):
@@ -132,31 +94,8 @@ class ContainJoinTsTe(SymmetricSweepJoin):
         self._require_order(x, (so.TS_ASC,), "X")
         self._require_order(y, (so.TE_ASC,), "Y")
 
-    def match(self, x_tuple: TemporalTuple, y_tuple: TemporalTuple) -> bool:
-        return contain_predicate(x_tuple, y_tuple)
-
+    match = staticmethod(contains_lifespan)
     x_sweep_key = staticmethod(ts_key)
     y_sweep_key = staticmethod(te_key)
-
-    def x_disposable(self, state_tuple, y_buffer) -> bool:
-        return ends_no_later(state_tuple, y_buffer)
-
-    def y_disposable(self, state_tuple, x_buffer) -> bool:
-        return starts_no_later(state_tuple, x_buffer)
-
-    @classmethod
-    def lambda_policy(
-        cls, inter_arrival_x: float, inter_arrival_y: float
-    ) -> LambdaPolicy:
-        return LambdaPolicy(
-            inter_arrival_x,
-            inter_arrival_y,
-            ts_key,
-            te_key,
-            y_disposable_if_x_advances=(
-                lambda y_tup, next_x: starts_by(y_tup, next_x)
-            ),
-            x_disposable_if_y_advances=(
-                lambda x_tup, next_y: ends_by(x_tup, next_y)
-            ),
-        )
+    x_disposal = Disposal("valid_to", "valid_to")
+    y_disposal = Disposal("valid_from", "valid_from")

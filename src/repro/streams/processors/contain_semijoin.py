@@ -26,7 +26,8 @@ from typing import Iterator
 from ...errors import ProcessorStateError
 from ...model import sortorder as so
 from ...model.interval import (
-    ends_by_start,
+    Disposal,
+    contains_lifespan,
     ends_strictly_before,
     starts_no_later,
     starts_strictly_before,
@@ -34,7 +35,6 @@ from ...model.interval import (
 from ...model.tuples import TemporalTuple
 from ..stream import TupleStream
 from .base import StreamProcessor
-from .baseline import contain_predicate
 
 
 class ContainSemijoinTsTe(StreamProcessor):
@@ -137,6 +137,7 @@ class ContainSemijoinTsTs(StreamProcessor):
     """
 
     operator = "contain-semijoin[TS^,TS^]"
+    x_disposal = Disposal("valid_to", "valid_from")
 
     def __init__(self, x: TupleStream, y: TupleStream) -> None:
         super().__init__(x, y)
@@ -162,20 +163,18 @@ class ContainSemijoinTsTs(StreamProcessor):
                 self.x_state.insert(x_buf)
                 self.x.advance()
             else:
-                matched = []
-                for candidate in self.x_state:
-                    self.note_comparison()
-                    if contain_predicate(candidate, y_buf):
-                        matched.append(candidate)
+                state = self.x_state.items
+                self.metrics.comparisons += len(state)
+                matched = [
+                    c for c in state if contains_lifespan(c, y_buf)
+                ]
                 for candidate in matched:
                     self.x_state.remove(candidate)
                     yield candidate
                 self.y.advance()
             y_buf = self.y.buffer
             if y_buf is not None:
-                self.x_state.evict_where(
-                    lambda t: ends_by_start(t, y_buf)
-                )
+                self.x_state.evict(self.x_disposal, y_buf)
 
 
 class ContainedSemijoinTsTs(StreamProcessor):
@@ -189,6 +188,7 @@ class ContainedSemijoinTsTs(StreamProcessor):
     """
 
     operator = "contained-semijoin[TS^,TS^]"
+    y_disposal = Disposal("valid_to", "valid_from")
 
     def __init__(self, x: TupleStream, y: TupleStream) -> None:
         super().__init__(x, y)
@@ -216,12 +216,10 @@ class ContainedSemijoinTsTs(StreamProcessor):
             # been consumed into the state (or safely evicted).
             for candidate in self.y_state:
                 self.note_comparison()
-                if contain_predicate(candidate, x_buf):
+                if contains_lifespan(candidate, x_buf):
                     yield x_buf
                     break
             self.x.advance()
             x_buf = self.x.buffer
             if x_buf is not None:
-                self.y_state.evict_where(
-                    lambda t: ends_by_start(t, x_buf)
-                )
+                self.y_state.evict(self.y_disposal, x_buf)

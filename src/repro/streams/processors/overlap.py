@@ -23,7 +23,11 @@ from typing import Iterator, Optional
 
 from ...errors import ProcessorStateError
 from ...model import sortorder as so
-from ...model.interval import ends_by_start
+from ...model.interval import (
+    Disposal,
+    ends_by_start,
+    lifespans_intersect,
+)
 from ...model.tuples import TemporalTuple
 from ..policies import AdvancePolicy
 from ..stream import TupleStream
@@ -53,17 +57,10 @@ class OverlapJoin(SymmetricSweepJoin):
         self._require_order(x, (so.TS_ASC,), "X")
         self._require_order(y, (so.TS_ASC,), "Y")
 
-    def match(self, x_tuple: TemporalTuple, y_tuple: TemporalTuple) -> bool:
-        return overlap_predicate(x_tuple, y_tuple)
-
+    match = staticmethod(lifespans_intersect)
     x_sweep_key = staticmethod(ts_key)
     y_sweep_key = staticmethod(ts_key)
-
-    def x_disposable(self, state_tuple, y_buffer) -> bool:
-        return ends_by_start(state_tuple, y_buffer)
-
-    def y_disposable(self, state_tuple, x_buffer) -> bool:
-        return ends_by_start(state_tuple, x_buffer)
+    x_disposal = y_disposal = Disposal("valid_to", "valid_from")
 
 
 class OverlapSemijoin(StreamProcessor):

@@ -30,8 +30,8 @@ from typing import Iterator
 from ...errors import ProcessorStateError
 from ...model import sortorder as so
 from ...model.interval import (
+    Disposal,
     contains_lifespan,
-    ends_by_start,
     ends_no_later,
     ends_strictly_before,
 )
@@ -144,6 +144,7 @@ class SelfContainSemijoin(StreamProcessor):
     """
 
     operator = "contain-semijoin[X,X][TS^]"
+    x_disposal = Disposal("valid_to", "valid_from")
 
     def __init__(self, x: TupleStream) -> None:
         super().__init__(x)
@@ -155,14 +156,10 @@ class SelfContainSemijoin(StreamProcessor):
             x_buf = self.x.advance()
             if x_buf is None:
                 return
-            self.state.evict_where(
-                lambda t: ends_by_start(t, x_buf)
-            )
-            matched = []
-            for candidate in self.state:
-                self.note_comparison()
-                if contains_lifespan(candidate, x_buf):
-                    matched.append(candidate)
+            self.state.evict(self.x_disposal, x_buf)
+            state = self.state.items
+            self.metrics.comparisons += len(state)
+            matched = [c for c in state if contains_lifespan(c, x_buf)]
             for candidate in matched:
                 self.state.remove(candidate)
                 yield candidate

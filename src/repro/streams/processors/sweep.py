@@ -27,8 +27,9 @@ import abc
 from typing import Iterator, Optional
 
 from ...errors import ProcessorStateError
+from ...model.interval import Disposal, disposable, disposable_at
 from ...model.tuples import TemporalTuple
-from ..policies import AdvancePolicy, MinKeyPolicy, X, Y
+from ..policies import AdvancePolicy, LambdaPolicy, MinKeyPolicy, X, Y
 from ..stream import TupleStream
 from .base import StreamProcessor
 
@@ -42,10 +43,14 @@ class SymmetricSweepJoin(StreamProcessor):
     * :meth:`x_sweep_key` / :meth:`y_sweep_key` — each stream's
       monotone sweep key (TS for ValidFrom-sorted streams, TE for
       ValidTo-sorted ones);
-    * :meth:`x_disposable` — when an X state tuple cannot match the
-      current Y buffer nor anything after it;
-    * :meth:`y_disposable` — symmetric, against the X buffer.
+    * :attr:`x_disposal` — the declared rule retiring an X state tuple
+      that can match neither the current Y buffer nor anything after it
+      (``None``: no such rule exists);
+    * :attr:`y_disposal` — symmetric, against the X buffer.
     """
+
+    x_disposal: Optional[Disposal]
+    y_disposal: Optional[Disposal]
 
     def __init__(
         self,
@@ -77,18 +82,39 @@ class SymmetricSweepJoin(StreamProcessor):
     def y_sweep_key(tup: TemporalTuple) -> int:
         """Monotone key of the Y stream."""
 
-    @abc.abstractmethod
     def x_disposable(
         self, state_tuple: TemporalTuple, y_buffer: TemporalTuple
     ) -> bool:
         """True when ``state_tuple`` (from X) can match neither
-        ``y_buffer`` nor any Y tuple after it."""
+        ``y_buffer`` nor any Y tuple after it: :attr:`x_disposal`."""
+        return disposable(state_tuple, self.x_disposal, y_buffer)
 
-    @abc.abstractmethod
     def y_disposable(
         self, state_tuple: TemporalTuple, x_buffer: TemporalTuple
     ) -> bool:
-        """Symmetric criterion for Y state tuples."""
+        """Symmetric criterion for Y state tuples: :attr:`y_disposal`."""
+        return disposable(state_tuple, self.y_disposal, x_buffer)
+
+    @classmethod
+    def lambda_policy(
+        cls, inter_arrival_x: float, inter_arrival_y: float
+    ) -> LambdaPolicy:
+        """The paper's 1/lambda advancement heuristic instantiated for
+        this operator's declared disposal rules: advancing one stream
+        moves its sweep key, which each rule's bound names, forward."""
+        x_rule, y_rule = cls.x_disposal, cls.y_disposal
+        return LambdaPolicy(
+            inter_arrival_x,
+            inter_arrival_y,
+            cls.x_sweep_key,
+            cls.y_sweep_key,
+            y_disposable_if_x_advances=(
+                lambda y_tup, next_x: disposable_at(y_tup, y_rule, next_x)
+            ),
+            x_disposable_if_y_advances=(
+                lambda x_tup, next_y: disposable_at(x_tup, x_rule, next_y)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # the sweep
@@ -96,6 +122,8 @@ class SymmetricSweepJoin(StreamProcessor):
     def _execute(self) -> Iterator[tuple[TemporalTuple, TemporalTuple]]:
         if self.y is None:
             raise ProcessorStateError(f"{self.operator} needs a Y stream")
+        match = self.match
+        metrics = self.metrics
         self.x.advance()
         self.y.advance()
         while True:
@@ -125,9 +153,12 @@ class SymmetricSweepJoin(StreamProcessor):
                     raise ProcessorStateError(
                         f"{self.operator}: policy chose X with no X buffer"
                     )
-                for candidate in self.y_state:
-                    self.note_comparison()
-                    if self.match(consumed, candidate):
+                # The join phase probes every state tuple: one charge
+                # per candidate, made once.
+                state = self.y_state.items
+                metrics.comparisons += len(state)
+                for candidate in state:
+                    if match(consumed, candidate):
                         yield (consumed, candidate)
                 # A consumed tuple joins future opposite tuples only if
                 # the opposite stream can still produce any.
@@ -140,9 +171,10 @@ class SymmetricSweepJoin(StreamProcessor):
                     raise ProcessorStateError(
                         f"{self.operator}: policy chose Y with no Y buffer"
                     )
-                for candidate in self.x_state:
-                    self.note_comparison()
-                    if self.match(candidate, consumed):
+                state = self.x_state.items
+                metrics.comparisons += len(state)
+                for candidate in state:
+                    if match(candidate, consumed):
                         yield (candidate, consumed)
                 if not self.x.exhausted:
                     self.y_state.insert(consumed)
@@ -156,15 +188,11 @@ class SymmetricSweepJoin(StreamProcessor):
             raise ProcessorStateError(f"{self.operator} needs a Y stream")
         y_buf = self.y.buffer
         if y_buf is not None:
-            self.x_state.evict_where(
-                lambda t: self.x_disposable(t, y_buf)
-            )
+            self.x_state.evict(self.x_disposal, y_buf)
         elif self.y.exhausted:
             self.x_state.clear()
         x_buf = self.x.buffer
         if x_buf is not None:
-            self.y_state.evict_where(
-                lambda t: self.y_disposable(t, x_buf)
-            )
+            self.y_state.evict(self.y_disposal, x_buf)
         elif self.x.exhausted:
             self.y_state.clear()

@@ -43,9 +43,4 @@ class UnboundedStateJoin(SymmetricSweepJoin):
 
     x_sweep_key = staticmethod(ts_key)
     y_sweep_key = staticmethod(ts_key)
-
-    def x_disposable(self, state_tuple, y_buffer) -> bool:
-        return False
-
-    def y_disposable(self, state_tuple, x_buffer) -> bool:
-        return False
+    x_disposal = y_disposal = None

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Generic,
     Iterator,
     List,
@@ -24,6 +23,7 @@ from typing import (
 )
 
 from ..errors import WorkspaceOverflowError, WorkspaceStateError
+from ..model.interval import Disposal, surviving
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..governance.budget import CancellationToken
@@ -90,7 +90,7 @@ class WorkspaceMeter:
 class Workspace(Generic[T]):
     """One state space of a stream processor.
 
-    Iteration yields the live state tuples; :meth:`evict_where` is the
+    Iteration yields the live state tuples; :meth:`evict` is the
     garbage-collection primitive of the paper's algorithms.
     """
 
@@ -135,10 +135,26 @@ class Workspace(Generic[T]):
             f"does not hold ({len(self._items)} state tuples present)"
         )
 
-    def evict_where(self, condition: Callable[[T], bool]) -> int:
-        """Garbage-collect every state tuple satisfying ``condition``,
-        returning how many were discarded."""
-        keep = [item for item in self._items if not condition(item)]
+    def evict(self, rule: Optional[Disposal], buffer) -> int:
+        """Garbage-collect, in one pass, every state tuple the declared
+        disposal ``rule`` retires against the opposite ``buffer``
+        (``None``: nothing ever is), returning how many were discarded."""
+        if rule is None:
+            return 0
+        return self._retain(surviving(self._items, rule, buffer))
+
+    def clear(self) -> int:
+        """Discard everything (used when the opposite stream is
+        exhausted and the state can no longer produce matches)."""
+        return self._retain([])
+
+    def replace(self, item: T) -> None:
+        """Swap the single state tuple — the operation of the
+        one-state-tuple self-semijoin algorithm (Section 4.2.3)."""
+        self._retain([])
+        self.insert(item)
+
+    def _retain(self, keep: List[T]) -> int:
         discarded = len(self._items) - len(keep)
         if discarded:
             self._items = keep
@@ -146,23 +162,17 @@ class Workspace(Generic[T]):
             self.meter.on_discard(discarded)
         return discarded
 
-    def clear(self) -> int:
-        """Discard everything (used when the opposite stream is
-        exhausted and the state can no longer produce matches)."""
-        return self.evict_where(lambda _item: True)
-
-    def replace(self, item: T) -> None:
-        """Swap the single state tuple — the operation of the
-        one-state-tuple self-semijoin algorithm (Section 4.2.3)."""
-        if self._items:
-            self.evict_where(lambda _item: True)
-        self.insert(item)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    @property
+    def items(self) -> List[T]:
+        """The live state tuples in insertion order: the store itself,
+        not a copy, so read it and never mutate it."""
+        return self._items
+
     def __iter__(self) -> Iterator[T]:
-        return iter(list(self._items))
+        return iter(self._items)
 
     def __len__(self) -> int:
         return len(self._items)

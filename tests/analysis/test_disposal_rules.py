@@ -1,0 +1,212 @@
+"""The tuple processors' declared disposal rules against the symbolic
+derivation of Tables 1-3, and against the per-tuple comparators the
+processors used before they declared them.
+
+A state-keeping processor declares each garbage-collection criterion
+as data, ``Disposal(held, bound)``: a held state tuple is disposable
+once ``held.<held> <= buffer.<bound>``.  ``analysis/tables.py`` derives
+the same criterion from the operator's match condition alone — the
+held tuple's endpoint that bounds the moving stream's sort key — so
+the two must name the same endpoints, cell by cell.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.allen.symbolic import Comparison, Endpoint, EndpointKind
+from repro.analysis.tables import (
+    CAND,
+    OPERATOR_SPECS,
+    TE_UP,
+    TS_UP,
+    WIT,
+    X,
+    Y,
+    _closure,
+    _gc_bound,
+)
+from repro.model import TE_ASC, TS_ASC, TemporalTuple
+from repro.model.interval import (
+    disposable,
+    disposable_at,
+    ends_by,
+    ends_by_start,
+    ends_no_later,
+    starts_by,
+    starts_no_later,
+    surviving,
+)
+from repro.streams import TemporalOperator, TupleStream
+from repro.streams import processors
+from repro.streams.processors import (
+    BeforeJoinSweep,
+    ContainedSemijoinTsTs,
+    ContainJoinTsTe,
+    ContainJoinTsTs,
+    ContainSemijoinTsTs,
+    OverlapJoin,
+    SelfContainSemijoin,
+    SymmetricSweepJoin,
+    UnboundedStateJoin,
+    contain_predicate,
+)
+
+_T = TemporalOperator
+
+#: (processor, declared side) -> the ``_gc_bound`` arguments of its
+#: ascending cell: operator, the moving stream's variable and sort key,
+#: the held tuple's variable.
+DERIVATIONS = {
+    (ContainJoinTsTs, "x_disposal"): (_T.CONTAIN_JOIN, Y, TS_UP, X),
+    (ContainJoinTsTs, "y_disposal"): (_T.CONTAIN_JOIN, X, TS_UP, Y),
+    (ContainJoinTsTe, "x_disposal"): (_T.CONTAIN_JOIN, Y, TE_UP, X),
+    (ContainJoinTsTe, "y_disposal"): (_T.CONTAIN_JOIN, X, TS_UP, Y),
+    (OverlapJoin, "x_disposal"): (_T.OVERLAP_JOIN, Y, TS_UP, X),
+    (OverlapJoin, "y_disposal"): (_T.OVERLAP_JOIN, X, TS_UP, Y),
+    (BeforeJoinSweep, "x_disposal"): (_T.BEFORE_JOIN, Y, TS_UP, X),
+    (BeforeJoinSweep, "y_disposal"): (_T.BEFORE_JOIN, X, TS_UP, Y),
+    (ContainSemijoinTsTs, "x_disposal"): (
+        _T.CONTAIN_SEMIJOIN, Y, TS_UP, X
+    ),
+    (ContainedSemijoinTsTs, "y_disposal"): (
+        _T.CONTAINED_SEMIJOIN, X, TS_UP, Y
+    ),
+    (SelfContainSemijoin, "x_disposal"): (
+        _T.SELF_CONTAIN_SEMIJOIN, WIT, TS_UP, CAND
+    ),
+}
+
+
+def never(_held, _buffer) -> bool:
+    return False
+
+
+#: (processor, declared side) -> the comparator the processor called
+#: per state tuple before it declared the rule.
+PARENT_COMPARATORS = {
+    (ContainJoinTsTs, "x_disposal"): ends_by_start,
+    (ContainJoinTsTs, "y_disposal"): starts_no_later,
+    (ContainJoinTsTe, "x_disposal"): ends_no_later,
+    (ContainJoinTsTe, "y_disposal"): starts_no_later,
+    (OverlapJoin, "x_disposal"): ends_by_start,
+    (OverlapJoin, "y_disposal"): ends_by_start,
+    (BeforeJoinSweep, "x_disposal"): never,
+    (BeforeJoinSweep, "y_disposal"): starts_no_later,
+    (UnboundedStateJoin, "x_disposal"): never,
+    (UnboundedStateJoin, "y_disposal"): never,
+    (ContainSemijoinTsTs, "x_disposal"): ends_by_start,
+    (ContainedSemijoinTsTs, "y_disposal"): ends_by_start,
+    (SelfContainSemijoin, "x_disposal"): ends_by_start,
+}
+
+_KIND = {"valid_from": EndpointKind.TS, "valid_to": EndpointKind.TE}
+
+
+def declaring_processors():
+    """Every exported processor class that declares a disposal rule."""
+    return {
+        (cls, side)
+        for cls in vars(processors).values()
+        if isinstance(cls, type)
+        for side in ("x_disposal", "y_disposal")
+        if side in {
+            name for klass in cls.__mro__ for name in vars(klass)
+        }
+    }
+
+
+def test_every_declared_rule_is_checked():
+    assert declaring_processors() == set(PARENT_COMPARATORS)
+    assert set(DERIVATIONS) == set(PARENT_COMPARATORS) - {
+        # Any predicate, no operator: the GC-free contrast of the '-'
+        # cells, whose two "never" rules are pinned below.
+        (UnboundedStateJoin, "x_disposal"),
+        (UnboundedStateJoin, "y_disposal"),
+    }
+
+
+@pytest.mark.parametrize(
+    "cls, side", sorted(DERIVATIONS, key=lambda k: (k[0].__name__, k[1]))
+)
+def test_declared_rule_is_the_derived_bound(cls, side):
+    operator, moving, key, held = DERIVATIONS[cls, side]
+    graph = _closure(OPERATOR_SPECS[operator].condition)
+    rule = getattr(cls, side)
+    expected = None
+    if rule is not None:
+        expected = str(
+            Comparison.le(
+                Endpoint(moving, _KIND[rule.bound]),
+                Endpoint(held, _KIND[rule.held]),
+            )
+        )
+    assert _gc_bound(graph, moving, key, held) == expected
+
+
+def test_unbounded_join_declares_no_rule():
+    assert UnboundedStateJoin.x_disposal is None
+    assert UnboundedStateJoin.y_disposal is None
+
+
+# ----------------------------------------------------------------------
+# the derived comparators are the parent's, ties included
+# ----------------------------------------------------------------------
+#: Endpoints on a five-point grid: starts and ends collide constantly.
+tie_heavy = st.builds(
+    lambda start, length: TemporalTuple("t", None, start, start + length),
+    st.integers(0, 4),
+    st.integers(1, 3),
+)
+
+
+def sweep_join(cls):
+    """An instance over empty streams, for the per-tuple methods."""
+    y_order = TE_ASC if cls is ContainJoinTsTe else TS_ASC
+    x, y = (
+        TupleStream.from_tuples([], order=order, name=name)
+        for order, name in ((TS_ASC, "X"), (y_order, "Y"))
+    )
+    if cls is UnboundedStateJoin:
+        return cls(x, y, contain_predicate)
+    return cls(x, y)
+
+
+@pytest.mark.parametrize(
+    "cls, side",
+    sorted(PARENT_COMPARATORS, key=lambda k: (k[0].__name__, k[1])),
+)
+@settings(max_examples=60, deadline=None)
+@given(held=st.lists(tie_heavy, max_size=12), buffer=tie_heavy)
+def test_derived_comparators_equal_the_parents(cls, side, held, buffer):
+    parent = PARENT_COMPARATORS[cls, side]
+    rule = getattr(cls, side)
+    expected = [parent(t, buffer) for t in held]
+    assert [disposable(t, rule, buffer) for t in held] == expected
+    if issubclass(cls, SymmetricSweepJoin):
+        join = sweep_join(cls)
+        method = join.x_disposable if side == "x_disposal" else (
+            join.y_disposable
+        )
+        assert [method(t, buffer) for t in held] == expected
+    if rule is not None:
+        assert surviving(held, rule, buffer) == [
+            t for t, dead in zip(held, expected) if not dead
+        ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(held=tie_heavy, point=st.integers(0, 8).map(lambda p: p / 2))
+def test_point_form_is_the_lambda_policys_comparator(held, point):
+    """``lambda_policy`` compares a held endpoint with an expected key:
+    ``starts_by`` for a held ValidFrom, ``ends_by`` for a ValidTo."""
+    for cls in (ContainJoinTsTs, ContainJoinTsTe):
+        assert disposable_at(held, cls.y_disposal, point) == starts_by(
+            held, point
+        )
+        assert disposable_at(held, cls.x_disposal, point) == ends_by(
+            held, point
+        )
+    assert not disposable_at(held, None, point)

@@ -1,9 +1,10 @@
 """Fused endpoint-event backend: the two-column slot store's ordering
-laws, both charges of every slot-store sweep frozen in golden tables,
-the whole int64 range against an independent implementation, the
-tie-rank order against the kernels' implicit merge, one kernel per cell
-in the cell table, lazy payload materialisation, endpoint-only column
-execution, and the slot-store bound declarations."""
+laws, both charges of every slot-store sweep and the tuple oracle's
+counts on the same fixtures frozen in golden tables, the whole int64
+range against an independent implementation, the tie-rank order
+against the kernels' implicit merge, one kernel per cell in the cell
+table, lazy payload materialisation, endpoint-only column execution,
+and the slot-store bound declarations."""
 
 from array import array
 from bisect import bisect_right
@@ -32,12 +33,25 @@ from repro.columnar.events import (
     pack_event,
 )
 from repro.errors import WorkspaceOverflowError
-from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
+from repro.model import (
+    TE_ASC,
+    TE_DESC,
+    TS_ASC,
+    TemporalTuple,
+    sort_tuples,
+)
 from repro.streams import (
     TemporalOperator,
     TupleStream,
     lookup,
     supported_entries,
+)
+from repro.streams.processors import (
+    BeforeJoinSweep,
+    ContainJoinTsTe,
+    ContainJoinTsTs,
+    UnboundedStateJoin,
+    contain_predicate,
 )
 from repro.streams.registry import _registry
 
@@ -400,6 +414,641 @@ SCAN_GOLDEN = {
 }
 
 
+def _tuple_cases():
+    """label -> (factory, x order, y order or ``None``) for every tuple
+    processor cell: each supported registry entry (a mirrored one as
+    ``mirror(<label>)``; the order-free Before-semijoin under its own
+    row's orders only), the Contain-join cells under their 1/lambda
+    policy, and the two sweeps no cell runs."""
+    cases = {}
+    for operator in TemporalOperator:
+        for entry in supported_entries(operator):
+            cell = entry.cell
+            orders = (entry.x_order, entry.y_order)
+            if entry.order_free and orders != (cell.x_order, cell.y_order):
+                continue
+            label = f"mirror({cell.label})" if entry.mirrored else cell.label
+            cases[label] = (entry.build, entry.x_order, entry.y_order)
+    for processor, y_order in (
+        (ContainJoinTsTs, TS_ASC), (ContainJoinTsTe, TE_ASC)
+    ):
+        cases[f"{processor.operator} lambda"] = (
+            lambda x, y, cls=processor: cls(
+                x, y, policy=cls.lambda_policy(3.0, 1.5)
+            ),
+            TS_ASC,
+            y_order,
+        )
+    cases[BeforeJoinSweep.operator] = (BeforeJoinSweep, TS_ASC, TS_ASC)
+    cases[UnboundedStateJoin.operator] = (
+        lambda x, y: UnboundedStateJoin(x, y, contain_predicate),
+        TS_ASC,
+        TE_ASC,
+    )
+    return cases
+
+
+TUPLE_CASES = _tuple_cases()
+
+
+def tuple_run(label, xs, ys):
+    """One tuple processor on spans (a tuple's surrogate is its span's
+    position in the fixture): ``(comparisons, inserted, discarded,
+    high water)``, the meter's Figure-5 trace and the output in
+    emission order — X surrogates, or X and Y surrogate columns."""
+    factory, x_order, y_order = TUPLE_CASES[label]
+    streams = [
+        TupleStream.from_tuples(
+            sort_tuples(
+                [
+                    TemporalTuple(row, row, ts, te)
+                    for row, (ts, te) in enumerate(spans)
+                ],
+                order,
+            ),
+            order=order,
+            name=role,
+        )
+        for spans, order, role in ((xs, x_order, "X"), (ys, y_order, "Y"))
+        if order is not None
+    ]
+    processor = factory(*streams)
+    processor.meter.enable_trace()
+    out = processor.run()
+    metrics = processor.metrics
+    workspace = metrics.workspace
+    counts = (
+        metrics.comparisons,
+        workspace.total_inserted,
+        workspace.total_discarded,
+        workspace.high_water,
+    )
+    if out and isinstance(out[0], tuple):
+        out = ([x.surrogate for x, _ in out], [y.surrogate for _, y in out])
+    else:
+        out = [x.surrogate for x in out]
+    return counts, processor.meter.trace, out
+
+
+#: (tuple processor label, fixture) -> (counts, Figure-5 trace, output)
+#: as :func:`tuple_run` reads them: the paper's own counts, frozen at the
+#: tuple-at-a-time sweep that probed and evicted one tuple per call.
+TUPLE_GOLDEN = {
+    ("contain-join[TS^,TS^]", "adversarial"): (
+        (60, 30, 30, 6),
+        [0, 1, 2, 1, 2, 1, 2, 3, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6, 4, 3, 4, 3,
+         4, 5, 6, 5, 6, 5, 4, 5, 6, 4, 3, 4, 5, 6, 5, 6, 5, 4, 5, 6, 4, 3, 4,
+         5, 4, 3, 4, 3, 2, 3, 2, 3, 1, 0],
+        (
+            [0, 0, 2, 0, 2, 0, 2, 0, 2, 4, 5, 6, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0,
+             2, 6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2],
+            [0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8,
+             8, 8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13],
+        ),
+    ),
+    ("contain-join[TS^,TS^]", "reversed"): (
+        (60, 29, 29, 7),
+        [0, 1, 2, 1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6,
+         5, 4, 5, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 6, 5, 6, 7, 4, 3, 4, 5, 6, 7,
+         6, 7, 6, 5, 6, 1, 0],
+        (
+            [0, 0, 2, 0, 2, 14, 0, 2, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 0, 2, 0, 2, 0, 2, 6, 5, 4],
+            [0, 13, 13, 12, 12, 12, 11, 11, 9, 9, 10, 10, 10, 8, 8, 8, 3, 3, 6,
+             6, 6, 7, 7, 7, 5, 5, 5, 1, 1, 2, 2, 4, 4, 4, 4, 4],
+        ),
+    ),
+    ("contain-join[TS^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-join[TS^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("contain-join[TS^,TE^]", "adversarial"): (
+        (52, 29, 29, 7),
+        [0, 1, 2, 1, 2, 3, 2, 3, 4, 5, 6, 7, 5, 4, 5, 4, 5, 4, 3, 4, 3, 4, 5,
+         6, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 4, 5, 4, 3, 4, 3, 4, 5, 4, 5, 4, 3,
+         4, 3, 4, 5, 3, 2, 3, 2, 1, 0],
+        (
+            [0, 2, 4, 5, 6, 0, 2, 0, 2, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0, 2, 0, 2,
+             6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2, 0],
+            [4, 4, 4, 4, 4, 1, 1, 2, 2, 5, 5, 5, 6, 6, 6, 7, 7, 7, 3, 3, 8, 8,
+             8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13, 0],
+        ),
+    ),
+    ("contain-join[TS^,TE^]", "reversed"): (
+        (46, 30, 30, 7),
+        [0, 1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 4, 3, 4, 3,
+         4, 3, 4, 3, 4, 5, 6, 7, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 6, 3, 2, 3, 2,
+         3, 2, 3, 2, 1, 2, 1, 2, 1, 0],
+        (
+            [0, 2, 0, 2, 14, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 5, 4, 0, 2, 0, 2, 0, 2, 0],
+            [13, 13, 12, 12, 12, 11, 11, 10, 10, 10, 8, 8, 8, 9, 9, 7, 7, 7, 5,
+             5, 5, 6, 6, 6, 4, 4, 4, 4, 4, 1, 1, 2, 2, 3, 3, 0],
+        ),
+    ),
+    ("contain-join[TS^,TE^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-join[TS^,TE^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-join[TS^,TE^])", "adversarial"): (
+        (46, 30, 30, 7),
+        [0, 1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 4, 3, 4, 3,
+         4, 3, 4, 3, 4, 5, 6, 7, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 6, 3, 2, 3, 2,
+         3, 2, 3, 2, 1, 2, 1, 2, 1, 0],
+        (
+            [0, 2, 0, 2, 14, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 5, 4, 0, 2, 0, 2, 0, 2, 0],
+            [13, 13, 12, 12, 12, 11, 11, 10, 10, 10, 8, 8, 8, 9, 9, 7, 7, 7, 5,
+             5, 5, 6, 6, 6, 4, 4, 4, 4, 4, 1, 1, 2, 2, 3, 3, 0],
+        ),
+    ),
+    ("mirror(contain-join[TS^,TE^])", "reversed"): (
+        (52, 29, 29, 7),
+        [0, 1, 2, 1, 2, 3, 2, 3, 4, 5, 6, 7, 5, 4, 5, 4, 5, 4, 3, 4, 3, 4, 5,
+         6, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 4, 5, 4, 3, 4, 3, 4, 5, 4, 5, 4, 3,
+         4, 3, 4, 5, 3, 2, 3, 2, 1, 0],
+        (
+            [0, 2, 4, 5, 6, 0, 2, 0, 2, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0, 2, 0, 2,
+             6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2, 0],
+            [4, 4, 4, 4, 4, 1, 1, 2, 2, 5, 5, 5, 6, 6, 6, 7, 7, 7, 3, 3, 8, 8,
+             8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13, 0],
+        ),
+    ),
+    ("mirror(contain-join[TS^,TE^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-join[TS^,TE^])", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-join[TS^,TS^])", "adversarial"): (
+        (60, 29, 29, 7),
+        [0, 1, 2, 1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6,
+         5, 4, 5, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 6, 5, 6, 7, 4, 3, 4, 5, 6, 7,
+         6, 7, 6, 5, 6, 1, 0],
+        (
+            [0, 0, 2, 0, 2, 14, 0, 2, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 0, 2, 0, 2, 0, 2, 6, 5, 4],
+            [0, 13, 13, 12, 12, 12, 11, 11, 9, 9, 10, 10, 10, 8, 8, 8, 3, 3, 6,
+             6, 6, 7, 7, 7, 5, 5, 5, 1, 1, 2, 2, 4, 4, 4, 4, 4],
+        ),
+    ),
+    ("mirror(contain-join[TS^,TS^])", "reversed"): (
+        (60, 30, 30, 6),
+        [0, 1, 2, 1, 2, 1, 2, 3, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6, 4, 3, 4, 3,
+         4, 5, 6, 5, 6, 5, 4, 5, 6, 4, 3, 4, 5, 6, 5, 6, 5, 4, 5, 6, 4, 3, 4,
+         5, 4, 3, 4, 3, 2, 3, 2, 3, 1, 0],
+        (
+            [0, 0, 2, 0, 2, 0, 2, 0, 2, 4, 5, 6, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0,
+             2, 6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2],
+            [0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8,
+             8, 8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13],
+        ),
+    ),
+    ("mirror(contain-join[TS^,TS^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-join[TS^,TS^])", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("contain-semijoin[TS^,TS^]", "adversarial"): (
+        (28, 16, 16, 4),
+        [0, 1, 0, 1, 0, 1, 2, 1, 2, 3, 4, 3, 2, 1, 0, 1, 0, 1, 2, 1, 2, 0, 1,
+         2, 1, 2, 1, 0, 1, 0, 1, 0],
+        [0, 2, 4, 5, 6, 12, 14],
+    ),
+    ("contain-semijoin[TS^,TS^]", "reversed"): (
+        (26, 15, 15, 3),
+        [0, 1, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1, 2, 3, 2, 1, 0, 1, 0, 1, 2, 3, 0,
+         1, 2, 3, 2, 1, 0],
+        [0, 2, 14, 12, 6, 5, 4],
+    ),
+    ("contain-semijoin[TS^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-semijoin[TS^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("contain-semijoin[TS^,TE^]", "adversarial"): (
+        (30, 0, 0, 0),
+        [0],
+        [0, 2, 4, 5, 6, 12, 14],
+    ),
+    ("contain-semijoin[TS^,TE^]", "reversed"): (
+        (29, 0, 0, 0),
+        [0],
+        [0, 2, 14, 12, 6, 5, 4],
+    ),
+    ("contain-semijoin[TS^,TE^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-semijoin[TS^,TE^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-semijoin[TS^,TE^])", "adversarial"): (
+        (29, 0, 0, 0),
+        [0],
+        [0, 2, 14, 12, 6, 5, 4],
+    ),
+    ("mirror(contain-semijoin[TS^,TE^])", "reversed"): (
+        (30, 0, 0, 0),
+        [0],
+        [0, 2, 4, 5, 6, 12, 14],
+    ),
+    ("mirror(contain-semijoin[TS^,TE^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-semijoin[TS^,TE^])", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-semijoin[TS^,TS^])", "adversarial"): (
+        (26, 15, 15, 3),
+        [0, 1, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1, 2, 3, 2, 1, 0, 1, 0, 1, 2, 3, 0,
+         1, 2, 3, 2, 1, 0],
+        [0, 2, 14, 12, 6, 5, 4],
+    ),
+    ("mirror(contain-semijoin[TS^,TS^])", "reversed"): (
+        (28, 16, 16, 4),
+        [0, 1, 0, 1, 0, 1, 2, 1, 2, 3, 4, 3, 2, 1, 0, 1, 0, 1, 2, 1, 2, 0, 1,
+         2, 1, 2, 1, 0, 1, 0, 1, 0],
+        [0, 2, 4, 5, 6, 12, 14],
+    ),
+    ("mirror(contain-semijoin[TS^,TS^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-semijoin[TS^,TS^])", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("contained-semijoin[TS^,TS^]", "adversarial"): (
+        (16, 14, 12, 5),
+        [0, 1, 2, 3, 4, 5, 2, 3, 4, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 1, 2],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("contained-semijoin[TS^,TS^]", "reversed"): (
+        (16, 14, 13, 4),
+        [0, 1, 2, 1, 2, 1, 2, 1, 2, 3, 4, 1, 2, 3, 4, 2, 3, 2, 1, 2, 3, 4, 1],
+        [2, 16, 14, 15, 12, 6, 13, 11, 9, 10, 8, 5, 4, 7, 3, 1],
+    ),
+    ("contained-semijoin[TS^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contained-semijoin[TS^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contained-semijoin[TE^,TS^])", "adversarial"): (
+        (17, 0, 0, 0),
+        [0],
+        [16, 15, 14, 13, 11, 12, 10, 8, 9, 7, 4, 5, 6, 3, 1, 2],
+    ),
+    ("mirror(contained-semijoin[TE^,TS^])", "reversed"): (
+        (17, 0, 0, 0),
+        [0],
+        [1, 3, 4, 7, 5, 8, 9, 10, 11, 6, 13, 12, 15, 14, 16, 2],
+    ),
+    ("mirror(contained-semijoin[TE^,TS^])", "empty-x"): (
+        (0, 0, 0, 0),
+        [0],
+        [],
+    ),
+    ("mirror(contained-semijoin[TE^,TS^])", "empty-y"): (
+        (0, 0, 0, 0),
+        [0],
+        [],
+    ),
+    ("contained-semijoin[TE^,TS^]", "adversarial"): (
+        (17, 0, 0, 0),
+        [0],
+        [1, 3, 4, 7, 5, 8, 9, 10, 11, 6, 13, 12, 15, 14, 16, 2],
+    ),
+    ("contained-semijoin[TE^,TS^]", "reversed"): (
+        (17, 0, 0, 0),
+        [0],
+        [16, 15, 14, 13, 11, 12, 10, 8, 9, 7, 4, 5, 6, 3, 1, 2],
+    ),
+    ("contained-semijoin[TE^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contained-semijoin[TE^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contained-semijoin[TS^,TS^])", "adversarial"): (
+        (16, 14, 13, 4),
+        [0, 1, 2, 1, 2, 1, 2, 1, 2, 3, 4, 1, 2, 3, 4, 2, 3, 2, 1, 2, 3, 4, 1],
+        [2, 16, 14, 15, 12, 6, 13, 11, 9, 10, 8, 5, 4, 7, 3, 1],
+    ),
+    ("mirror(contained-semijoin[TS^,TS^])", "reversed"): (
+        (16, 14, 12, 5),
+        [0, 1, 2, 3, 4, 5, 2, 3, 4, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 1, 2],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("mirror(contained-semijoin[TS^,TS^])", "empty-x"): (
+        (0, 0, 0, 0),
+        [0],
+        [],
+    ),
+    ("mirror(contained-semijoin[TS^,TS^])", "empty-y"): (
+        (0, 0, 0, 0),
+        [0],
+        [],
+    ),
+    ("overlap-join[TS^,TS^]", "adversarial"): (
+        (86, 30, 30, 10),
+        [0, 1, 2, 3, 2, 3, 4, 3, 4, 5, 6, 7, 8, 9, 10, 8, 7, 8, 7, 5, 6, 7, 8,
+         9, 8, 9, 6, 7, 5, 4, 5, 6, 7, 6, 7, 6, 7, 6, 7, 5, 4, 5, 6, 5, 4, 5,
+         4, 3, 4, 3, 4, 2, 0],
+        (
+            [0, 1, 2, 3, 4, 5, 6, 0, 2, 4, 5, 6, 0, 2, 4, 5, 6, 0, 2, 4, 5, 6,
+             0, 2, 4, 5, 6, 7, 7, 7, 7, 8, 8, 9, 9, 0, 2, 6, 8, 9, 0, 2, 6, 8,
+             9, 10, 10, 10, 10, 0, 2, 6, 9, 10, 11, 12, 0, 2, 6, 11, 12, 0, 2,
+             6, 11, 12, 13, 13, 0, 2, 6, 12, 13, 14, 0, 2, 12, 14, 0, 2, 14,
+             15, 0, 2, 16, 16],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
+             4, 4, 4, 4, 4, 0, 1, 2, 3, 0, 3, 0, 3, 5, 5, 5, 5, 5, 6, 6, 6, 6,
+             6, 0, 3, 5, 6, 7, 7, 7, 7, 7, 0, 0, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9,
+             0, 9, 10, 10, 10, 10, 10, 0, 11, 11, 11, 11, 12, 12, 12, 0, 13,
+             13, 0, 13],
+        ),
+    ),
+    ("overlap-join[TS^,TS^]", "reversed"): (
+        (86, 29, 29, 9),
+        [0, 1, 2, 3, 4, 5, 4, 3, 4, 5, 4, 5, 4, 5, 6, 5, 4, 5, 6, 7, 8, 7, 6,
+         7, 6, 7, 6, 4, 5, 6, 7, 8, 9, 8, 9, 8, 9, 6, 5, 6, 7, 8, 7, 8, 7, 8,
+         7, 6, 7, 2, 1, 0],
+        (
+            [0, 2, 0, 2, 16, 16, 14, 15, 0, 2, 14, 12, 0, 2, 14, 12, 6, 13, 0,
+             2, 12, 6, 13, 0, 2, 12, 6, 13, 0, 2, 12, 6, 11, 11, 11, 0, 2, 6,
+             9, 9, 10, 10, 0, 2, 6, 9, 10, 0, 2, 6, 9, 10, 8, 8, 8, 0, 2, 6, 9,
+             10, 8, 5, 5, 4, 4, 7, 7, 0, 2, 6, 5, 4, 7, 0, 2, 6, 5, 4, 7, 0, 2,
+             6, 5, 4, 3, 1],
+            [0, 0, 13, 13, 0, 13, 0, 0, 12, 12, 12, 0, 11, 11, 11, 11, 0, 0, 9,
+             9, 9, 9, 9, 10, 10, 10, 10, 10, 8, 8, 8, 8, 0, 9, 8, 3, 3, 3, 0,
+             3, 0, 3, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 0, 3, 6, 5, 5, 5, 5, 5, 5,
+             0, 3, 0, 3, 0, 3, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4,
+             4, 0, 0],
+        ),
+    ),
+    ("overlap-join[TS^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("overlap-join[TS^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(overlap-join[TS^,TS^])", "adversarial"): (
+        (86, 29, 29, 9),
+        [0, 1, 2, 3, 4, 5, 4, 3, 4, 5, 4, 5, 4, 5, 6, 5, 4, 5, 6, 7, 8, 7, 6,
+         7, 6, 7, 6, 4, 5, 6, 7, 8, 9, 8, 9, 8, 9, 6, 5, 6, 7, 8, 7, 8, 7, 8,
+         7, 6, 7, 2, 1, 0],
+        (
+            [0, 2, 0, 2, 16, 16, 14, 15, 0, 2, 14, 12, 0, 2, 14, 12, 6, 13, 0,
+             2, 12, 6, 13, 0, 2, 12, 6, 13, 0, 2, 12, 6, 11, 11, 11, 0, 2, 6,
+             9, 9, 10, 10, 0, 2, 6, 9, 10, 0, 2, 6, 9, 10, 8, 8, 8, 0, 2, 6, 9,
+             10, 8, 5, 5, 4, 4, 7, 7, 0, 2, 6, 5, 4, 7, 0, 2, 6, 5, 4, 7, 0, 2,
+             6, 5, 4, 3, 1],
+            [0, 0, 13, 13, 0, 13, 0, 0, 12, 12, 12, 0, 11, 11, 11, 11, 0, 0, 9,
+             9, 9, 9, 9, 10, 10, 10, 10, 10, 8, 8, 8, 8, 0, 9, 8, 3, 3, 3, 0,
+             3, 0, 3, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 0, 3, 6, 5, 5, 5, 5, 5, 5,
+             0, 3, 0, 3, 0, 3, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4,
+             4, 0, 0],
+        ),
+    ),
+    ("mirror(overlap-join[TS^,TS^])", "reversed"): (
+        (86, 30, 30, 10),
+        [0, 1, 2, 3, 2, 3, 4, 3, 4, 5, 6, 7, 8, 9, 10, 8, 7, 8, 7, 5, 6, 7, 8,
+         9, 8, 9, 6, 7, 5, 4, 5, 6, 7, 6, 7, 6, 7, 6, 7, 5, 4, 5, 6, 5, 4, 5,
+         4, 3, 4, 3, 4, 2, 0],
+        (
+            [0, 1, 2, 3, 4, 5, 6, 0, 2, 4, 5, 6, 0, 2, 4, 5, 6, 0, 2, 4, 5, 6,
+             0, 2, 4, 5, 6, 7, 7, 7, 7, 8, 8, 9, 9, 0, 2, 6, 8, 9, 0, 2, 6, 8,
+             9, 10, 10, 10, 10, 0, 2, 6, 9, 10, 11, 12, 0, 2, 6, 11, 12, 0, 2,
+             6, 11, 12, 13, 13, 0, 2, 6, 12, 13, 14, 0, 2, 12, 14, 0, 2, 14,
+             15, 0, 2, 16, 16],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
+             4, 4, 4, 4, 4, 0, 1, 2, 3, 0, 3, 0, 3, 5, 5, 5, 5, 5, 6, 6, 6, 6,
+             6, 0, 3, 5, 6, 7, 7, 7, 7, 7, 0, 0, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9,
+             0, 9, 10, 10, 10, 10, 10, 0, 11, 11, 11, 11, 12, 12, 12, 0, 13,
+             13, 0, 13],
+        ),
+    ),
+    ("mirror(overlap-join[TS^,TS^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(overlap-join[TS^,TS^])", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("overlap-semijoin[TS^,TS^]", "adversarial"): (
+        (17, 0, 0, 0),
+        [0],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("overlap-semijoin[TS^,TS^]", "reversed"): (
+        (17, 0, 0, 0),
+        [0],
+        [0, 2, 16, 14, 15, 12, 6, 13, 11, 9, 10, 8, 5, 4, 7, 3, 1],
+    ),
+    ("overlap-semijoin[TS^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("overlap-semijoin[TS^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("mirror(overlap-semijoin[TS^,TS^])", "adversarial"): (
+        (17, 0, 0, 0),
+        [0],
+        [0, 2, 16, 14, 15, 12, 6, 13, 11, 9, 10, 8, 5, 4, 7, 3, 1],
+    ),
+    ("mirror(overlap-semijoin[TS^,TS^])", "reversed"): (
+        (17, 0, 0, 0),
+        [0],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("mirror(overlap-semijoin[TS^,TS^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(overlap-semijoin[TS^,TS^])", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("before-semijoin", "adversarial"): (
+        (31, 0, 0, 0),
+        [0],
+        [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    ),
+    ("before-semijoin", "reversed"): (
+        (31, 0, 0, 0),
+        [0],
+        [16, 14, 15, 12, 13, 11, 9, 10, 8],
+    ),
+    ("before-semijoin", "empty-x"): ((14, 0, 0, 0), [0], []),
+    ("before-semijoin", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("contained-semijoin[X,X][TS^,TE^]", "adversarial"): (
+        (16, 1, 0, 1),
+        [0, 1],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("contained-semijoin[X,X][TS^,TE^]", "reversed"): (
+        (16, 1, 0, 1),
+        [0, 1],
+        [2, 16, 14, 15, 12, 13, 6, 11, 10, 9, 8, 5, 7, 4, 3, 1],
+    ),
+    ("contained-semijoin[X,X][TS^,TE^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contained-semijoin[X,X][TS^,TE^]", "empty-y"): (
+        (16, 1, 0, 1),
+        [0, 1],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("mirror(contained-semijoin[X,X][TS^,TE^])", "adversarial"): (
+        (16, 1, 0, 1),
+        [0, 1],
+        [2, 16, 14, 15, 12, 13, 6, 11, 10, 9, 8, 5, 7, 4, 3, 1],
+    ),
+    ("mirror(contained-semijoin[X,X][TS^,TE^])", "reversed"): (
+        (16, 1, 0, 1),
+        [0, 1],
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+    ),
+    ("mirror(contained-semijoin[X,X][TS^,TE^])", "empty-x"): (
+        (0, 0, 0, 0),
+        [0],
+        [],
+    ),
+    ("mirror(contained-semijoin[X,X][TS^,TE^])", "empty-y"): (
+        (16, 1, 0, 1),
+        [0, 1],
+        [2, 16, 14, 15, 12, 13, 6, 11, 10, 9, 8, 5, 7, 4, 3, 1],
+    ),
+    ("contain-semijoin[X,X][TS^]", "adversarial"): (
+        (16, 17, 16, 3),
+        [0, 1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 2, 1, 2, 0, 1, 2, 3, 0, 1, 2, 1, 0,
+         1, 0, 1, 0, 1, 0, 1],
+        [0, 2, 5, 6, 12, 14],
+    ),
+    ("contain-semijoin[X,X][TS^]", "reversed"): (
+        (14, 17, 15, 3),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 1, 2, 1, 0, 1, 0, 1, 2, 3, 0,
+         1, 2, 1, 2, 0, 1, 2],
+        [0, 2, 14, 12, 6, 5],
+    ),
+    ("contain-semijoin[X,X][TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-semijoin[X,X][TS^]", "empty-y"): (
+        (16, 17, 16, 3),
+        [0, 1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 2, 1, 2, 0, 1, 2, 3, 0, 1, 2, 1, 0,
+         1, 0, 1, 0, 1, 0, 1],
+        [0, 2, 5, 6, 12, 14],
+    ),
+    ("contain-semijoin[X,X][TSv,TEv]", "adversarial"): (
+        (16, 9, 8, 1),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+        [14, 12, 6, 5, 2, 0],
+    ),
+    ("contain-semijoin[X,X][TSv,TEv]", "reversed"): (
+        (16, 10, 9, 1),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+        [5, 6, 12, 14, 2, 0],
+    ),
+    ("contain-semijoin[X,X][TSv,TEv]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-semijoin[X,X][TSv,TEv]", "empty-y"): (
+        (16, 9, 8, 1),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+        [14, 12, 6, 5, 2, 0],
+    ),
+    ("mirror(contain-semijoin[X,X][TSv,TEv])", "adversarial"): (
+        (16, 10, 9, 1),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+        [5, 6, 12, 14, 2, 0],
+    ),
+    ("mirror(contain-semijoin[X,X][TSv,TEv])", "reversed"): (
+        (16, 9, 8, 1),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+        [14, 12, 6, 5, 2, 0],
+    ),
+    ("mirror(contain-semijoin[X,X][TSv,TEv])", "empty-x"): (
+        (0, 0, 0, 0),
+        [0],
+        [],
+    ),
+    ("mirror(contain-semijoin[X,X][TSv,TEv])", "empty-y"): (
+        (16, 10, 9, 1),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+        [5, 6, 12, 14, 2, 0],
+    ),
+    ("mirror(contain-semijoin[X,X][TS^])", "adversarial"): (
+        (14, 17, 15, 3),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 1, 2, 1, 0, 1, 0, 1, 2, 3, 0,
+         1, 2, 1, 2, 0, 1, 2],
+        [0, 2, 14, 12, 6, 5],
+    ),
+    ("mirror(contain-semijoin[X,X][TS^])", "reversed"): (
+        (16, 17, 16, 3),
+        [0, 1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 2, 1, 2, 0, 1, 2, 3, 0, 1, 2, 1, 0,
+         1, 0, 1, 0, 1, 0, 1],
+        [0, 2, 5, 6, 12, 14],
+    ),
+    ("mirror(contain-semijoin[X,X][TS^])", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("mirror(contain-semijoin[X,X][TS^])", "empty-y"): (
+        (14, 17, 15, 3),
+        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 1, 2, 1, 0, 1, 0, 1, 2, 3, 0,
+         1, 2, 1, 2, 0, 1, 2],
+        [0, 2, 14, 12, 6, 5],
+    ),
+    ("contain-join[TS^,TS^] lambda", "adversarial"): (
+        (58, 30, 30, 6),
+        [0, 1, 2, 1, 2, 1, 2, 3, 2, 3, 4, 5, 6, 5, 6, 5, 6, 5, 6, 4, 3, 4, 3,
+         4, 5, 6, 5, 6, 5, 4, 5, 6, 4, 3, 4, 5, 4, 5, 4, 3, 4, 5, 6, 4, 3, 4,
+         5, 4, 3, 4, 3, 2, 3, 2, 3, 1, 0],
+        (
+            [0, 0, 2, 0, 2, 0, 2, 0, 2, 4, 5, 6, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0,
+             2, 6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2],
+            [0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8,
+             8, 8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13],
+        ),
+    ),
+    ("contain-join[TS^,TS^] lambda", "reversed"): (
+        (59, 29, 29, 7),
+        [0, 1, 2, 1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6,
+         5, 4, 5, 4, 3, 4, 3, 4, 3, 4, 5, 6, 5, 6, 5, 6, 4, 3, 4, 3, 4, 5, 6,
+         7, 6, 7, 6, 5, 6, 1, 0],
+        (
+            [0, 0, 2, 0, 2, 14, 0, 2, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 0, 2, 0, 2, 0, 2, 6, 5, 4],
+            [0, 13, 13, 12, 12, 12, 11, 11, 9, 9, 10, 10, 10, 8, 8, 8, 3, 3, 6,
+             6, 6, 7, 7, 7, 5, 5, 5, 1, 1, 2, 2, 4, 4, 4, 4, 4],
+        ),
+    ),
+    ("contain-join[TS^,TS^] lambda", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-join[TS^,TS^] lambda", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("contain-join[TS^,TE^] lambda", "adversarial"): (
+        (50, 30, 30, 6),
+        [0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 5, 4, 5, 4, 3, 4, 3, 4, 3, 4,
+         5, 6, 4, 3, 4, 3, 4, 3, 4, 5, 4, 3, 4, 5, 4, 3, 4, 3, 4, 5, 4, 5, 4,
+         3, 4, 3, 4, 5, 3, 2, 3, 2, 1, 2, 1, 0],
+        (
+            [0, 2, 4, 5, 6, 0, 2, 0, 2, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0, 2, 0, 2,
+             6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2, 0],
+            [4, 4, 4, 4, 4, 1, 1, 2, 2, 5, 5, 5, 6, 6, 6, 7, 7, 7, 3, 3, 8, 8,
+             8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13, 0],
+        ),
+    ),
+    ("contain-join[TS^,TE^] lambda", "reversed"): (
+        (46, 30, 30, 6),
+        [0, 1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 5, 4, 3, 4, 5, 6, 5, 6, 4, 3, 4, 3,
+         4, 3, 4, 3, 4, 5, 6, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3,
+         2, 3, 2, 3, 2, 3, 2, 1, 2, 1, 2, 1, 0],
+        (
+            [0, 2, 0, 2, 14, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 5, 4, 0, 2, 0, 2, 0, 2, 0],
+            [13, 13, 12, 12, 12, 11, 11, 10, 10, 10, 8, 8, 8, 9, 9, 7, 7, 7, 5,
+             5, 5, 6, 6, 6, 4, 4, 4, 4, 4, 1, 1, 2, 2, 3, 3, 0],
+        ),
+    ),
+    ("contain-join[TS^,TE^] lambda", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("contain-join[TS^,TE^] lambda", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("before-join[TS^,TS^]", "adversarial"): (
+        (146, 30, 30, 17),
+        [0, 1, 2, 1, 2, 3, 4, 5, 6, 7, 8, 7, 8, 7, 8, 7, 8, 7, 8, 9, 10, 11,
+         10, 11, 10, 11, 12, 11, 12, 13, 14, 13, 14, 13, 14, 15, 14, 15, 16,
+         15, 16, 15, 16, 17, 1, 0],
+        (
+            [1, 3, 1, 3, 1, 3, 1, 3, 1, 3, 4, 5, 7, 1, 3, 4, 5, 7, 1, 3, 4, 5,
+             7, 1, 3, 4, 5, 7, 8, 9, 10, 1, 3, 4, 5, 7, 8, 9, 10, 1, 3, 4, 5,
+             7, 8, 9, 10, 11, 1, 3, 4, 5, 7, 8, 9, 10, 11, 1, 3, 4, 5, 6, 7, 8,
+             9, 10, 11, 13, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 7, 7,
+             7, 8, 8, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 9, 9, 10, 10, 10, 10,
+             10, 10, 10, 10, 10, 11, 11, 11, 11, 11, 11, 11, 11, 11, 12, 12,
+             12, 12, 12, 12, 12, 12, 12, 12, 12, 13, 13, 13, 13, 13, 13, 13,
+             13, 13, 13, 13, 13, 13, 13],
+        ),
+    ),
+    ("before-join[TS^,TS^]", "reversed"): (
+        (126, 29, 29, 16),
+        [0, 1, 2, 1, 2, 3, 2, 3, 4, 5, 6, 5, 6, 7, 6, 7, 8, 9, 8, 9, 8, 9, 8,
+         9, 10, 9, 10, 11, 12, 11, 12, 11, 12, 13, 12, 13, 14, 15, 16, 15, 16,
+         15, 16, 1, 0],
+        (
+            [16, 16, 15, 16, 15, 16, 15, 16, 14, 15, 13, 16, 14, 15, 13, 16,
+             14, 15, 12, 13, 11, 16, 14, 15, 12, 13, 11, 16, 14, 15, 12, 13,
+             11, 16, 14, 15, 12, 13, 11, 9, 10, 8, 16, 14, 15, 12, 13, 11, 9,
+             10, 8, 16, 14, 15, 12, 13, 11, 9, 10, 8],
+            [12, 11, 11, 9, 9, 10, 10, 8, 8, 8, 8, 3, 3, 3, 3, 6, 6, 6, 6, 6,
+             6, 7, 7, 7, 7, 7, 7, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+             2, 2, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+        ),
+    ),
+    ("before-join[TS^,TS^]", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("before-join[TS^,TS^]", "empty-y"): ((0, 0, 0, 0), [0], []),
+    ("unbounded-state-join", "adversarial"): (
+        (238, 30, 30, 30),
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+         20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 14, 0],
+        (
+            [0, 2, 4, 5, 6, 0, 2, 0, 2, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0, 2, 0, 2,
+             6, 0, 2, 0, 2, 12, 0, 2, 0, 2, 14, 0, 2, 0],
+            [4, 4, 4, 4, 4, 1, 1, 2, 2, 5, 5, 5, 6, 6, 6, 7, 7, 7, 3, 3, 8, 8,
+             8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 13, 13, 0],
+        ),
+    ),
+    ("unbounded-state-join", "reversed"): (
+        (238, 29, 29, 29),
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+         20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 14, 0],
+        (
+            [0, 2, 0, 2, 14, 0, 2, 0, 2, 12, 0, 2, 6, 0, 2, 0, 2, 6, 0, 2, 6,
+             0, 2, 6, 0, 2, 6, 5, 4, 0, 2, 0, 2, 0, 2, 0],
+            [13, 13, 12, 12, 12, 11, 11, 10, 10, 10, 8, 8, 8, 9, 9, 7, 7, 7, 5,
+             5, 5, 6, 6, 6, 4, 4, 4, 4, 4, 1, 1, 2, 2, 3, 3, 0],
+        ),
+    ),
+    ("unbounded-state-join", "empty-x"): ((0, 0, 0, 0), [0], []),
+    ("unbounded-state-join", "empty-y"): ((0, 0, 0, 0), [0], []),
+}
+
+
 class TestGoldenCounts:
     @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
     @pytest.mark.parametrize("name", STORING_KERNELS)
@@ -420,6 +1069,15 @@ class TestGoldenCounts:
         _, golden_trace, golden_out = GOLDEN[name, fixture]
         assert (counts, trace, out) == (
             SCAN_GOLDEN[name, fixture], golden_trace, golden_out
+        )
+
+    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
+    @pytest.mark.parametrize("label", TUPLE_CASES)
+    def test_tuple_processor_reproduces_the_golden_row(
+        self, label, fixture
+    ):
+        assert tuple_run(label, *GOLDEN_FIXTURES[fixture]) == (
+            TUPLE_GOLDEN[label, fixture]
         )
 
 

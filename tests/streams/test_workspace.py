@@ -4,7 +4,19 @@ import pytest
 
 from repro.errors import WorkspaceStateError
 from repro.model import TemporalTuple
+from repro.model.interval import Disposal
 from repro.streams import Workspace, WorkspaceMeter, WorkspaceReport
+
+#: The Section-4.2.1 X-side rule: held ``TE <= buffer.TS``.
+ENDED = Disposal("valid_to", "valid_from")
+
+
+def ending(end):
+    return TemporalTuple("s", end, end - 1, end)
+
+
+def starting(start):
+    return TemporalTuple("b", start, start, start + 1)
 
 
 class TestWorkspace:
@@ -18,20 +30,35 @@ class TestWorkspace:
 
     def test_high_water_tracks_peak(self):
         ws = Workspace()
-        for item in "abc":
-            ws.insert(item)
-        ws.evict_where(lambda i: i != "c")
-        ws.insert("d")
+        for end in (1, 2, 3):
+            ws.insert(ending(end))
+        ws.evict(ENDED, starting(2))
+        ws.insert(ending(4))
         assert len(ws) == 2
         assert ws.high_water == 3
 
-    def test_evict_where_counts(self):
+    def test_evict_counts(self):
         ws = Workspace()
-        for i in range(5):
-            ws.insert(i)
-        assert ws.evict_where(lambda i: i % 2 == 0) == 3
-        assert list(ws) == [1, 3]
+        for end in range(1, 6):
+            ws.insert(ending(end))
+        # Ties dispose: the tuple ending exactly at the buffer's start
+        # is over under the half-open convention.
+        assert ws.evict(ENDED, starting(3)) == 3
+        assert [t.valid_to for t in ws] == [4, 5]
         assert ws.total_discarded == 3
+
+    def test_evict_by_start(self):
+        ws = Workspace()
+        for start in range(4):
+            ws.insert(TemporalTuple("s", start, start, 10))
+        assert ws.evict(Disposal("valid_from", "valid_from"), starting(1)) == 2
+        assert [t.valid_from for t in ws] == [2, 3]
+
+    def test_never_rule_evicts_nothing(self):
+        ws = Workspace()
+        ws.insert(ending(1))
+        assert ws.evict(None, starting(5)) == 0
+        assert len(ws) == 1
 
     def test_remove_specific(self):
         ws = Workspace()
@@ -111,7 +138,7 @@ class TestWorkspaceMeter:
         a.insert(1)
         b.insert(2)
         b.insert(3)
-        a.evict_where(lambda _x: True)
+        a.clear()
         b.insert(4)
         # Peak was 3 (1 in a, 2 in b); after evicting a and adding to b
         # the current is 3 again but never exceeded 3.

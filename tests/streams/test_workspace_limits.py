@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import WorkspaceOverflowError
 from repro.model import TE_ASC, TS_ASC, TemporalTuple
+from repro.model.interval import Disposal
 from repro.streams import (
     ContainJoinTsTs,
     ContainSemijoinTsTe,
@@ -38,10 +39,11 @@ class TestWorkspaceLimit:
     def test_eviction_frees_budget(self):
         meter = WorkspaceMeter(limit=2)
         ws = Workspace(meter=meter)
-        ws.insert(1)
-        ws.insert(2)
-        ws.evict_where(lambda i: i == 1)
-        ws.insert(3)  # fits again
+        ws.insert(TemporalTuple("a", 1, 0, 1))
+        ws.insert(TemporalTuple("b", 2, 0, 2))
+        ended = Disposal("valid_to", "valid_from")
+        ws.evict(ended, TemporalTuple("y", 0, 1, 2))
+        ws.insert(TemporalTuple("c", 3, 0, 3))  # fits again
         assert len(ws) == 2
 
     def test_no_limit_by_default(self):
