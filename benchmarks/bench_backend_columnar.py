@@ -1,11 +1,11 @@
 """BENCH-BACKEND — tuple-at-a-time vs columnar vs fused sweep.
 
 Standalone (non-pytest) benchmark comparing the three physical backends
-on the paper's evaluation workloads: the Figure-5 Contain-join and the
-Figure-6 Contain-semijoin Poisson inputs (long X lifespans, short Y
-lifespans), plus the Table-2 Overlap operators and the Table-3
-single-scan self semijoin.  All backends run the same registry cell on
-the same pre-sorted relations; outputs are cross-checked, and every
+on every cell of Tables 1-3 (``repro.columnar.CELLS``), over the
+paper's Figure-5/6 Poisson inputs (long X lifespans, short Y
+lifespans; a varied-duration Z for the self semijoins).  All backends
+run the same registry cell on the same pre-sorted relations; outputs
+are cross-checked, and every
 row carries per-repeat ``timing_stats`` (all samples, best, mean,
 stdev) gathered after one untimed warm-up run per backend.
 
@@ -39,8 +39,8 @@ sys.path.insert(
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from common import peak_rss_bytes, run_profile  # noqa: E402
+from repro.columnar import CELLS  # noqa: E402
 from repro.columnar.fused import LazyPairs  # noqa: E402
-from repro.model import TE_ASC, TS_ASC, TS_TE_ASC  # noqa: E402
 from repro.streams import (  # noqa: E402
     BACKENDS,
     TemporalOperator,
@@ -51,17 +51,6 @@ from repro.workload import (  # noqa: E402
     PoissonWorkload,
     fixed_duration,
     uniform_duration,
-)
-
-#: (figure, operator, X order, Y order); a cell's label is its registry
-#: row's.  The first is the one the report also traces.
-CELLS = (
-    ("fig5", TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC),
-    ("fig5", TemporalOperator.CONTAIN_JOIN, TS_ASC, TE_ASC),
-    ("fig6", TemporalOperator.CONTAIN_SEMIJOIN, TS_ASC, TE_ASC),
-    ("tab2", TemporalOperator.OVERLAP_JOIN, TS_ASC, TS_ASC),
-    ("tab2", TemporalOperator.OVERLAP_SEMIJOIN, TS_ASC, TS_ASC),
-    ("tab3", TemporalOperator.SELF_CONTAINED_SEMIJOIN, TS_TE_ASC, None),
 )
 
 
@@ -75,6 +64,17 @@ def make_inputs(n):
         n, 0.7, uniform_duration(5, 45), name="Z"
     ).generate(3)
     return x, y, z
+
+
+def operands(cell, x, y, z):
+    """A cell's (X, Y) inputs: Z alone for a self semijoin, the short Y
+    lifespans as the contained side of a Contained-semijoin, else X
+    and Y."""
+    if cell.y_order is None:
+        return z, None
+    if cell.operator is TemporalOperator.CONTAINED_SEMIJOIN:
+        return y, x
+    return x, y
 
 
 def run_once(entry, x_rel, y_rel, backend):
@@ -107,12 +107,12 @@ def timing_stats(samples):
     }
 
 
-def measure_cell(figure, operator, x_order, y_order, x, y, repeats):
-    entry = lookup(operator, x_order, y_order)
-    label = entry.cell.label
-    x_rel = x.sorted_by(x_order)
-    y_rel = y.sorted_by(y_order) if y_order is not None else None
-    row = {"figure": figure, "cell": label, "n": len(x)}
+def measure_cell(cell, x, y, repeats):
+    entry = lookup(cell.operator, cell.x_order, cell.y_order)
+    label = cell.label
+    x_rel = x.sorted_by(cell.x_order)
+    y_rel = y.sorted_by(cell.y_order) if y is not None else None
+    row = {"operator": cell.operator.value, "cell": label, "n": len(x)}
     row["timing_stats"] = {}
     counts = {}
     for backend in BACKENDS:
@@ -162,10 +162,10 @@ def first_cell_rows(x, y):
     per backend, attached to the JSON report so perf numbers come with
     their passes/comparisons/state-high-water and backend/kernel
     provenance."""
-    _, operator, x_order, y_order = CELLS[0]
-    entry = lookup(operator, x_order, y_order)
-    x_rel = x.sorted_by(x_order)
-    y_rel = y.sorted_by(y_order)
+    cell = next(iter(CELLS.values()))
+    entry = lookup(cell.operator, cell.x_order, cell.y_order)
+    x_rel = x.sorted_by(cell.x_order)
+    y_rel = y.sorted_by(cell.y_order)
     return {
         backend: run_once(entry, x_rel, y_rel, backend)[2].to_dict()
         for backend in BACKENDS
@@ -199,11 +199,8 @@ def main(argv=None):
     results = []
     for n in sorted(args.sizes):
         x, y, z = make_inputs(n)
-        for figure, operator, x_order, y_order in CELLS:
-            left = z if y_order is None else x
-            row = measure_cell(
-                figure, operator, x_order, y_order, left, y, args.repeats
-            )
+        for cell in CELLS.values():
+            row = measure_cell(cell, *operands(cell, x, y, z), args.repeats)
             results.append(row)
             print(
                 f"n={n:>7d} {row['cell']:34s} "
@@ -222,8 +219,9 @@ def main(argv=None):
         "benchmark": "backend-columnar",
         "description": (
             "tuple-at-a-time vs columnar batch-sweep vs fused "
-            "endpoint-event sweep on the Figure-5/6 Poisson workloads "
-            "(X duration 40, Y duration 10, arrival rate 0.5)"
+            "endpoint-event sweep on every Tables 1-3 cell over the "
+            "Figure-5/6 Poisson workloads (X duration 40, Y duration "
+            "10, arrival rate 0.5)"
         ),
         "repeats": args.repeats,
         "warmup": 1,

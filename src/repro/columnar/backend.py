@@ -96,13 +96,10 @@ class Cell:
     """One admissible cell of Tables 1-3, in all its forms."""
 
     operator: TemporalOperator
-    #: The sort order each operand must declare (``None`` y_order: the
-    #: operator is unary); the time-reversed entry wants their mirrors.
-    x_order: so.SortOrder
-    y_order: Optional[so.SortOrder]
     #: Table 1's legend, ``streams.registry.STATE_CLASS_DESCRIPTIONS``.
     state_class: str
-    #: The tuple-at-a-time processor class (backend "tuple").
+    #: The tuple-at-a-time processor class (backend "tuple"); its
+    #: declared ``x_order``/``y_order`` and ``order_free`` are the row's.
     processor: type
     #: The sweep kernel per batch backend.
     columnar: Callable
@@ -111,8 +108,22 @@ class Cell:
     #: "one" or "active-intervals"); the symbolic plan checker diffs it
     #: against the Tables 1-3 derivation.
     slot_bound: str = "active-intervals"
-    #: True for the order-free Before-semijoin.
-    order_free: bool = False
+
+    @property
+    def x_order(self) -> so.SortOrder:
+        """The sort order X must declare; the time-reversed entry wants
+        its mirror."""
+        return self.processor.x_order
+
+    @property
+    def y_order(self) -> Optional[so.SortOrder]:
+        """Y's sort order (``None``: the operator is unary)."""
+        return self.processor.y_order
+
+    @property
+    def order_free(self) -> bool:
+        """True for the order-free Before-semijoin."""
+        return self.processor.order_free
 
     @property
     def label(self) -> str:
@@ -129,7 +140,6 @@ class Cell:
 
 
 _T = TemporalOperator
-_TS, _TE = so.TS_ASC, so.TE_ASC
 
 #: label -> cell.  Every row but the Overlap-join names one kernel in
 #: both batch columns; the six with ``slot_bound`` "zero"/"one" keep no
@@ -138,43 +148,40 @@ CELLS = {
     cell.label: cell
     for cell in (
         # Table 1 — Contain
-        Cell(_T.CONTAIN_JOIN, _TS, _TS, "a", ContainJoinTsTs,
+        Cell(_T.CONTAIN_JOIN, "a", ContainJoinTsTs,
              kernels.contain_join_ts_ts, kernels.contain_join_ts_ts),
-        Cell(_T.CONTAIN_JOIN, _TS, _TE, "b", ContainJoinTsTe,
+        Cell(_T.CONTAIN_JOIN, "b", ContainJoinTsTe,
              kernels.contain_join_ts_te, kernels.contain_join_ts_te),
-        Cell(_T.CONTAIN_SEMIJOIN, _TS, _TS, "c", ContainSemijoinTsTs,
+        Cell(_T.CONTAIN_SEMIJOIN, "c", ContainSemijoinTsTs,
              kernels.contain_semijoin_ts_ts, kernels.contain_semijoin_ts_ts),
-        Cell(_T.CONTAIN_SEMIJOIN, _TS, _TE, "d", ContainSemijoinTsTe,
+        Cell(_T.CONTAIN_SEMIJOIN, "d", ContainSemijoinTsTe,
              kernels.contain_semijoin_ts_te, kernels.contain_semijoin_ts_te,
              "zero"),
-        Cell(_T.CONTAINED_SEMIJOIN, _TS, _TS, "c", ContainedSemijoinTsTs,
+        Cell(_T.CONTAINED_SEMIJOIN, "c", ContainedSemijoinTsTs,
              kernels.contained_semijoin_ts_ts,
              kernels.contained_semijoin_ts_ts),
-        Cell(_T.CONTAINED_SEMIJOIN, _TE, _TS, "d", ContainedSemijoinTeTs,
+        Cell(_T.CONTAINED_SEMIJOIN, "d", ContainedSemijoinTeTs,
              kernels.contained_semijoin_te_ts,
              kernels.contained_semijoin_te_ts, "zero"),
         # Table 2 — Overlap
-        Cell(_T.OVERLAP_JOIN, _TS, _TS, "a", OverlapJoin,
+        Cell(_T.OVERLAP_JOIN, "a", OverlapJoin,
              kernels.overlap_join_ts_ts, fused.overlap_join_ts_ts),
-        Cell(_T.OVERLAP_SEMIJOIN, _TS, _TS, "b", OverlapSemijoin,
+        Cell(_T.OVERLAP_SEMIJOIN, "b", OverlapSemijoin,
              kernels.overlap_semijoin_ts_ts, kernels.overlap_semijoin_ts_ts,
              "zero"),
         # Section 4.2.4 — Before.  The semijoin is single-pass whatever
         # the orders; no sort order bounds the join's state, so it has
         # no row.
-        Cell(_T.BEFORE_SEMIJOIN, _TS, _TS, "d", BeforeSemijoin,
-             kernels.before_semijoin, kernels.before_semijoin,
-             "zero", order_free=True),
+        Cell(_T.BEFORE_SEMIJOIN, "d", BeforeSemijoin,
+             kernels.before_semijoin, kernels.before_semijoin, "zero"),
         # Table 3 — self semijoins
-        Cell(_T.SELF_CONTAINED_SEMIJOIN, so.TS_TE_ASC, None, "a1",
-             SelfContainedSemijoin,
+        Cell(_T.SELF_CONTAINED_SEMIJOIN, "a1", SelfContainedSemijoin,
              kernels.self_contained_semijoin_ts_te,
              kernels.self_contained_semijoin_ts_te, "one"),
-        Cell(_T.SELF_CONTAIN_SEMIJOIN, so.TS_TE_DESC, None, "a1",
-             SelfContainSemijoinDesc,
+        Cell(_T.SELF_CONTAIN_SEMIJOIN, "a1", SelfContainSemijoinDesc,
              kernels.self_contain_semijoin_ts_te_desc,
              kernels.self_contain_semijoin_ts_te_desc, "one"),
-        Cell(_T.SELF_CONTAIN_SEMIJOIN, _TS, None, "b1", SelfContainSemijoin,
+        Cell(_T.SELF_CONTAIN_SEMIJOIN, "b1", SelfContainSemijoin,
              kernels.self_contain_semijoin_ts,
              kernels.self_contain_semijoin_ts),
     )
@@ -214,25 +221,19 @@ class ColumnarProcessor(StreamProcessor):
         y: Optional[TupleStream] = None,
         mirrored: bool = False,
     ) -> None:
-        super().__init__(x, y)
         self.cell = cell
         #: Which physical backend runs the cell; audit records and
         #: EXPLAIN ANALYZE surface it per operator/shard.
         self.backend_name = backend
         self.mirrored = mirrored
         self.operator = f"{backend}-{cell.label}"
+        self.x_order, self.y_order = cell.x_order, cell.y_order
+        self.order_free = cell.order_free
         if mirrored:
             self.operator = f"mirror({self.operator})"
-        if cell.y_order is not None and y is None:
-            raise TypeError(f"{self.operator} is a binary operator")
-        if not cell.order_free:
-            for stream, order, role in (
-                (x, cell.x_order, "X"), (y, cell.y_order, "Y")
-            ):
-                if order is not None:
-                    if mirrored:
-                        order = order.mirrored()
-                    self._require_order(stream, (order,), role)
+            self.x_order = self.x_order.mirrored()
+            self.y_order = self.y_order and self.y_order.mirrored()
+        super().__init__(x, y)
         self.metrics.backend = backend
         self.metrics.kernel = cell.kernel(backend).__name__
 

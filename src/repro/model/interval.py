@@ -336,6 +336,13 @@ def contains_lifespan(a: HasLifespan, b: HasLifespan) -> bool:
     return a.valid_from < b.valid_from and b.valid_to < a.valid_to
 
 
+def within_lifespan(a: HasLifespan, b: HasLifespan) -> bool:
+    """``b.TS < a.TS and a.TE < b.TE`` — ``a`` lies strictly inside
+    ``b``: :func:`contains_lifespan` read from the contained side (the
+    Contained-semijoin condition)."""
+    return contains_lifespan(b, a)
+
+
 def lifespans_intersect(a: HasLifespan, b: HasLifespan) -> bool:
     """``a.TS < b.TE and b.TS < a.TE`` — the TQuel/Snodgrass *overlap*:
     the lifespans share at least one timepoint.  Meeting endpoints

@@ -42,6 +42,7 @@ from .self_semijoin import (
     SelfContainSemijoin,
     SelfContainSemijoinDesc,
 )
+from .semijoin import HeldSideSweep, RunningExtremum, TwoBufferMerge
 from .sweep import SymmetricSweepJoin
 from .unbounded import UnboundedStateJoin
 
@@ -62,17 +63,20 @@ __all__ = [
     "StartsJoin",
     "ContainedSemijoinTsTs",
     "GroupedAggregate",
+    "HeldSideSweep",
     "MirroredProcessor",
     "NestedLoopJoin",
     "NestedLoopSelfSemijoin",
     "NestedLoopSemijoin",
     "OverlapJoin",
     "OverlapSemijoin",
+    "RunningExtremum",
     "SelfContainSemijoin",
     "SelfContainSemijoinDesc",
     "SelfContainedSemijoin",
     "StreamProcessor",
     "SymmetricSweepJoin",
+    "TwoBufferMerge",
     "UnboundedStateJoin",
     "before_predicate",
     "conjoin",

@@ -3,19 +3,20 @@
 A stream processor (Section 4.1) consumes one or two sorted
 :class:`~repro.streams.stream.TupleStream` inputs, keeps local state in
 :class:`~repro.streams.workspace.Workspace` spaces, and emits an output
-stream.  Concrete operators implement :meth:`StreamProcessor._execute`
-as a generator; the base class wires up workspace metering, sort-order
-admission checks, and the :class:`~repro.streams.metrics.
+stream.  Concrete operators declare the sort order each operand must
+carry and implement :meth:`StreamProcessor._execute` as a generator;
+the base class wires up workspace metering, the sort-order admission
+checks of those declarations, and the :class:`~repro.streams.metrics.
 ProcessorMetrics` report.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from ...errors import ExecutionError, UnsupportedSortOrderError
-from ...model.sortorder import SortOrder, order_satisfies
+from ...model.sortorder import SortAttribute, SortOrder, order_satisfies
 from ...model.tuples import TemporalTuple
 from ...obs.trace import get_tracer
 from ..metrics import ProcessorMetrics
@@ -33,17 +34,35 @@ def te_key(tup: TemporalTuple) -> int:
     return tup.valid_to
 
 
+def sweep_key(order: SortOrder) -> Callable[[TemporalTuple], int]:
+    """The sweep key of a stream sorted by ``order``: its primary
+    endpoint."""
+    if order.primary.attribute is SortAttribute.VALID_FROM:
+        return ts_key
+    return te_key
+
+
 class StreamProcessor(abc.ABC):
     """Common machinery for unary and binary stream operators."""
 
     #: Human-readable operator name (set by subclasses).
     operator: str = "stream-processor"
+    #: The sort order each operand must declare — for a cell processor,
+    #: its row of Tables 1-3.  ``None`` admits any order; a declared
+    #: ``y_order`` makes the operator binary.
+    x_order: Optional[SortOrder] = None
+    y_order: Optional[SortOrder] = None
+    #: True when the algorithm works whatever the operands' orders
+    #: (Before-semijoin): the declared orders are then not checked.
+    order_free: bool = False
 
     def __init__(
         self,
         x: TupleStream,
         y: Optional[TupleStream] = None,
     ) -> None:
+        if self.y_order is not None and y is None:
+            raise TypeError(f"{self.operator} is a binary operator")
         self.x = x
         self.y = y
         self.meter = WorkspaceMeter()
@@ -52,26 +71,26 @@ class StreamProcessor(abc.ABC):
         )
         self._workspaces: list[Workspace] = []
         self._consumed = False
+        if not self.order_free:
+            for stream, order, role in (
+                (x, self.x_order, "X"), (y, self.y_order, "Y")
+            ):
+                if order is not None:
+                    self._require_order(stream, order, role)
 
     # ------------------------------------------------------------------
     # admission checks
     # ------------------------------------------------------------------
     def _require_order(
-        self,
-        stream: TupleStream,
-        acceptable: Sequence[SortOrder],
-        role: str,
+        self, stream: TupleStream, required: SortOrder, role: str
     ) -> None:
         """Reject streams whose declared order cannot support the
         algorithm — the executable form of the '-' cells in Tables 1-3."""
-        if any(
-            order_satisfies(stream.order, required) for required in acceptable
-        ):
+        if order_satisfies(stream.order, required):
             return
-        wanted = " or ".join(f"[{o}]" for o in acceptable)
         raise UnsupportedSortOrderError(
             f"{self.operator} requires the {role} stream sorted by "
-            f"{wanted}; stream {stream.name!r} declares "
+            f"[{required}]; stream {stream.name!r} declares "
             f"[{stream.order}]"
         )
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ...errors import ProcessorStateError
 from ...model import sortorder as so
 from ...model.interval import (
     Disposal,
@@ -33,8 +32,7 @@ from ...model.interval import (
     starts_after,
 )
 from ...model.tuples import TemporalTuple
-from ..stream import TupleStream
-from .base import StreamProcessor, ts_key
+from .base import StreamProcessor
 from .baseline import before_predicate
 from .sweep import SymmetricSweepJoin
 
@@ -53,15 +51,8 @@ class BeforeJoinSweep(SymmetricSweepJoin):
     """
 
     operator = "before-join[TS^,TS^]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(x, y)
-        self._require_order(x, (so.TS_ASC,), "X")
-        self._require_order(y, (so.TS_ASC,), "Y")
-
+    x_order, y_order = so.TS_ASC, so.TS_ASC
     match = staticmethod(ends_before_start)
-    x_sweep_key = staticmethod(ts_key)
-    y_sweep_key = staticmethod(ts_key)
     # An ended X tuple matches every later-starting Y tuple: no
     # criterion can ever retire it while Y still flows.
     x_disposal = None
@@ -83,14 +74,9 @@ class BeforeJoinSortedInner(StreamProcessor):
     """
 
     operator = "before-join[nested,TSv-inner]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(x, y)
-        self._require_order(y, (so.TS_DESC,), "Y")
+    y_order = so.TS_DESC
 
     def _execute(self) -> Iterator[tuple[TemporalTuple, TemporalTuple]]:
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
         while True:
             outer = self.x.advance()
             if outer is None:
@@ -117,13 +103,11 @@ class BeforeSemijoin(StreamProcessor):
     """
 
     operator = "before-semijoin"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(x, y)
+    #: The row's listing in Tables 1-3; no order is required.
+    x_order, y_order = so.TS_ASC, so.TS_ASC
+    order_free = True
 
     def _execute(self) -> Iterator[TemporalTuple]:
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
         latest_start: Optional[int] = None
         for y_tuple in self.y.drain():
             self.note_comparison()

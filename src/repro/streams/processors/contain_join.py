@@ -28,13 +28,8 @@ linear state growth empirically.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...model import sortorder as so
 from ...model.interval import Disposal, contains_lifespan
-from ..policies import AdvancePolicy
-from ..stream import TupleStream
-from .base import te_key, ts_key
 from .sweep import SymmetricSweepJoin
 
 
@@ -52,20 +47,8 @@ class ContainJoinTsTs(SymmetricSweepJoin):
     """
 
     operator = "contain-join[TS^,TS^]"
-
-    def __init__(
-        self,
-        x: TupleStream,
-        y: TupleStream,
-        policy: Optional[AdvancePolicy] = None,
-    ) -> None:
-        super().__init__(x, y, policy=policy)
-        self._require_order(x, (so.TS_ASC,), "X")
-        self._require_order(y, (so.TS_ASC,), "Y")
-
+    x_order, y_order = so.TS_ASC, so.TS_ASC
     match = staticmethod(contains_lifespan)
-    x_sweep_key = staticmethod(ts_key)
-    y_sweep_key = staticmethod(ts_key)
     x_disposal = Disposal("valid_to", "valid_from")
     y_disposal = Disposal("valid_from", "valid_from")
 
@@ -83,19 +66,7 @@ class ContainJoinTsTe(SymmetricSweepJoin):
     """
 
     operator = "contain-join[TS^,TE^]"
-
-    def __init__(
-        self,
-        x: TupleStream,
-        y: TupleStream,
-        policy: Optional[AdvancePolicy] = None,
-    ) -> None:
-        super().__init__(x, y, policy=policy)
-        self._require_order(x, (so.TS_ASC,), "X")
-        self._require_order(y, (so.TE_ASC,), "Y")
-
+    x_order, y_order = so.TS_ASC, so.TE_ASC
     match = staticmethod(contains_lifespan)
-    x_sweep_key = staticmethod(ts_key)
-    y_sweep_key = staticmethod(te_key)
     x_disposal = Disposal("valid_to", "valid_to")
     y_disposal = Disposal("valid_from", "valid_from")

@@ -28,46 +28,37 @@ usual workspace) and applying a residual predicate to each pair.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
-from ...errors import ProcessorStateError
 from ...model import sortorder as so
 from ...model.interval import ends_strictly_before, starts_strictly_before
 from ...model.tuples import TemporalTuple
 from ..stream import TupleStream
-from .base import StreamProcessor, te_key, ts_key
+from .base import StreamProcessor, sweep_key
 
 Residual = Callable[[TemporalTuple, TemporalTuple], bool]
 
 
 class EndpointMergeJoin(StreamProcessor):
-    """Sort-merge join on one endpoint per stream, with a residual
-    join condition evaluated over each same-key pair."""
+    """Sort-merge join on one endpoint per stream — each stream's sweep
+    key, the primary endpoint of its declared order — with a
+    ``residual`` join condition evaluated over each same-key pair."""
 
     operator = "endpoint-merge-join"
+    x_order: so.SortOrder
+    y_order: so.SortOrder
+    residual: Optional[Residual] = None
 
     def __init__(
-        self,
-        x: TupleStream,
-        y: TupleStream,
-        x_key: Callable[[TemporalTuple], int],
-        y_key: Callable[[TemporalTuple], int],
-        x_orders: Sequence[so.SortOrder],
-        y_orders: Sequence[so.SortOrder],
-        residual: Optional[Residual] = None,
+        self, x: TupleStream, y: Optional[TupleStream] = None
     ) -> None:
         super().__init__(x, y)
-        self._require_order(x, tuple(x_orders), "X")
-        self._require_order(y, tuple(y_orders), "Y")
-        self._x_key = x_key
-        self._y_key = y_key
-        self.residual = residual
+        self._x_key = sweep_key(self.x_order)
+        self._y_key = sweep_key(self.y_order)
         self.x_group = self.new_workspace("x-group")
         self.y_group = self.new_workspace("y-group")
 
     def _execute(self) -> Iterator[tuple[TemporalTuple, TemporalTuple]]:
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
         self.x.advance()
         self.y.advance()
         while self.x.buffer is not None and self.y.buffer is not None:
@@ -84,8 +75,6 @@ class EndpointMergeJoin(StreamProcessor):
     def _join_groups(
         self, key: int
     ) -> Iterator[tuple[TemporalTuple, TemporalTuple]]:
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
         while (
             self.x.buffer is not None and self._x_key(self.x.buffer) == key
         ):
@@ -111,17 +100,8 @@ class EqualJoin(EndpointMergeJoin):
     (ValidFrom^, ValidTo^) so equal-start groups are contiguous."""
 
     operator = "equal-join[TS^TE^,TS^TE^]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(
-            x,
-            y,
-            x_key=ts_key,
-            y_key=ts_key,
-            x_orders=(so.TS_TE_ASC,),
-            y_orders=(so.TS_TE_ASC,),
-            residual=lambda a, b: a.valid_to == b.valid_to,
-        )
+    x_order, y_order = so.TS_TE_ASC, so.TS_TE_ASC
+    residual = staticmethod(lambda a, b: a.valid_to == b.valid_to)
 
 
 class MeetsJoin(EndpointMergeJoin):
@@ -129,16 +109,7 @@ class MeetsJoin(EndpointMergeJoin):
     ValidFrom^."""
 
     operator = "meets-join[TE^,TS^]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(
-            x,
-            y,
-            x_key=te_key,
-            y_key=ts_key,
-            x_orders=(so.TE_ASC,),
-            y_orders=(so.TS_ASC,),
-        )
+    x_order, y_order = so.TE_ASC, so.TS_ASC
 
 
 class StartsJoin(EndpointMergeJoin):
@@ -146,17 +117,8 @@ class StartsJoin(EndpointMergeJoin):
     ValidFrom^, inequality filtered per pair."""
 
     operator = "starts-join[TS^,TS^]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(
-            x,
-            y,
-            x_key=ts_key,
-            y_key=ts_key,
-            x_orders=(so.TS_ASC,),
-            y_orders=(so.TS_ASC,),
-            residual=lambda a, b: ends_strictly_before(a, b),
-        )
+    x_order, y_order = so.TS_ASC, so.TS_ASC
+    residual = staticmethod(ends_strictly_before)
 
 
 class FinishesJoin(EndpointMergeJoin):
@@ -164,14 +126,5 @@ class FinishesJoin(EndpointMergeJoin):
     ValidTo^."""
 
     operator = "finishes-join[TE^,TE^]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(
-            x,
-            y,
-            x_key=te_key,
-            y_key=te_key,
-            x_orders=(so.TE_ASC,),
-            y_orders=(so.TE_ASC,),
-            residual=lambda a, b: starts_strictly_before(b, a),
-        )
+    x_order, y_order = so.TE_ASC, so.TE_ASC
+    residual = staticmethod(lambda a, b: starts_strictly_before(b, a))

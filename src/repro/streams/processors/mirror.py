@@ -9,10 +9,11 @@ therefore the mirror image of the upper half."
 We make that argument executable: reversing time maps the lifespan
 ``[TS, TE)`` to ``[-TE, -TS)`` and turns a ValidTo-descending stream
 into a ValidFrom-ascending one, while preserving containment and
-overlap (and swapping the operands of *before*).  A processor for a
-lower-half sort-order row is therefore obtained by mirroring the
-inputs, running the upper-half algorithm, and un-mirroring the outputs
-— no new garbage-collection analysis needed.
+overlap (and swapping the operands of *before*, which therefore has
+no mirrored cell).  A processor for a lower-half sort-order row is
+therefore obtained by mirroring the inputs, running the upper-half
+algorithm, and un-mirroring the outputs — no new garbage-collection
+analysis needed.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class MirroredProcessor:
     x, y:
         The original (lower-half-sorted) streams; ``y`` may be ``None``
         for unary operators.
-    swap_operands:
-        For operators that reversal transposes (Before): feed the
-        mirrored Y as the algorithm's X and vice versa, and swap each
-        output pair back.
     """
 
     operator = "mirrored"
@@ -81,29 +78,15 @@ class MirroredProcessor:
         factory: Callable[..., StreamProcessor],
         x: TupleStream,
         y: TupleStream | None = None,
-        swap_operands: bool = False,
     ) -> None:
-        self._original_x = x
-        self._original_y = y
-        mirrored_x = mirror_stream(x)
-        mirrored_y = mirror_stream(y) if y is not None else None
-        if swap_operands:
-            if mirrored_y is None:
-                raise ValueError("operand swap requires a binary operator")
-            mirrored_x, mirrored_y = mirrored_y, mirrored_x
-        self._swap = swap_operands
-        if mirrored_y is None:
-            self.inner = factory(mirrored_x)
-        else:
-            self.inner = factory(mirrored_x, mirrored_y)
+        mirrored = [mirror_stream(s) for s in (x, y) if s is not None]
+        self.inner = factory(*mirrored)
         self.operator = f"mirror({self.inner.operator})"
 
     def __iter__(self) -> Iterator[JoinOutput]:
         for item in self.inner:
             if isinstance(item, tuple):
                 left, right = item
-                if self._swap:
-                    left, right = right, left
                 yield (mirror_tuple(left), mirror_tuple(right))
             else:
                 yield mirror_tuple(item)

@@ -14,25 +14,14 @@ descending).  With that ordering:
 * :class:`OverlapSemijoin` needs no state at all beyond the two input
   buffers (state class (b)): because only existence is needed, the
   single buffered Y tuple with the largest unprocessed span decides
-  each X tuple.
+  each X tuple — a :class:`~.semijoin.TwoBufferMerge`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-from ...errors import ProcessorStateError
 from ...model import sortorder as so
-from ...model.interval import (
-    Disposal,
-    ends_by_start,
-    lifespans_intersect,
-)
-from ...model.tuples import TemporalTuple
-from ..policies import AdvancePolicy
-from ..stream import TupleStream
-from .base import StreamProcessor, ts_key
-from .baseline import overlap_predicate
+from ...model.interval import Disposal, ends_by_start, lifespans_intersect
+from .semijoin import TwoBufferMerge
 from .sweep import SymmetricSweepJoin
 
 
@@ -46,24 +35,12 @@ class OverlapJoin(SymmetricSweepJoin):
     """
 
     operator = "overlap-join[TS^,TS^]"
-
-    def __init__(
-        self,
-        x: TupleStream,
-        y: TupleStream,
-        policy: Optional[AdvancePolicy] = None,
-    ) -> None:
-        super().__init__(x, y, policy=policy)
-        self._require_order(x, (so.TS_ASC,), "X")
-        self._require_order(y, (so.TS_ASC,), "Y")
-
+    x_order, y_order = so.TS_ASC, so.TS_ASC
     match = staticmethod(lifespans_intersect)
-    x_sweep_key = staticmethod(ts_key)
-    y_sweep_key = staticmethod(ts_key)
     x_disposal = y_disposal = Disposal("valid_to", "valid_from")
 
 
-class OverlapSemijoin(StreamProcessor):
+class OverlapSemijoin(TwoBufferMerge):
     """Overlap-semijoin(X, Y) with both inputs on ValidFrom ascending:
     emit each X tuple whose lifespan intersects some Y lifespan.
 
@@ -78,33 +55,11 @@ class OverlapSemijoin(StreamProcessor):
     * otherwise ``y_b.TS >= x_b.TE``: no Y tuple overlaps ``x_b``
       (future Y tuples start even later), so ``x_b`` is dropped and X
       advances.
+
+    With no Y tuples left, no further X tuple can match.
     """
 
     operator = "overlap-semijoin[TS^,TS^]"
-
-    def __init__(self, x: TupleStream, y: TupleStream) -> None:
-        super().__init__(x, y)
-        self._require_order(x, (so.TS_ASC,), "X")
-        self._require_order(y, (so.TS_ASC,), "Y")
-
-    def _execute(self) -> Iterator[TemporalTuple]:
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
-        self.x.advance()
-        self.y.advance()
-        while True:
-            x_buf = self.x.buffer
-            if x_buf is None:
-                return
-            y_buf = self.y.buffer
-            if y_buf is None:
-                # No Y tuples remain; no further X tuple can match.
-                return
-            self.note_comparison()
-            if overlap_predicate(x_buf, y_buf):
-                yield x_buf
-                self.x.advance()
-            elif ends_by_start(y_buf, x_buf):
-                self.y.advance()
-            else:
-                self.x.advance()
+    x_order, y_order = so.TS_ASC, so.TS_ASC
+    match = staticmethod(lifespans_intersect)
+    y_advances = staticmethod(ends_by_start)

@@ -8,39 +8,38 @@ avoid this:
 * :class:`SelfContainedSemijoin` — with primary sort ValidFrom
   ascending and secondary ValidTo ascending, selecting the tuples whose
   lifespan is strictly contained in some *other* tuple's lifespan needs
-  exactly **one state tuple** plus the input buffer (Table 3, (a)).
-  This is the operator that answers the semantically optimised
-  Superstar query in one pass.
+  exactly **one state tuple** plus the input buffer (Table 3, (a)) —
+  a :class:`~.semijoin.RunningExtremum`.  This is the operator that
+  answers the semantically optimised Superstar query in one pass.
 
 * :class:`SelfContainSemijoinDesc` — the order-dual: with primary
   ValidFrom *descending* and secondary ValidTo descending, selecting
   the tuples that strictly contain some other tuple also needs one
-  state tuple (Table 3's second row).
+  state tuple (Table 3's second row), on the same driver.
 
 * :class:`SelfContainSemijoin` — Contain-semijoin(X, X) on ValidFrom
   ascending keeps a bounded candidate set: tuples still "open" at the
   sweep position that have not yet been proven containers
-  (Table 3, (b): a subset of the overlapping successors).
+  (Table 3, (b): a subset of the overlapping successors) — a
+  :class:`~.semijoin.HeldSideSweep` over one stream.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ...errors import ProcessorStateError
 from ...model import sortorder as so
 from ...model.interval import (
     Disposal,
+    HasLifespan,
     contains_lifespan,
     ends_no_later,
     ends_strictly_before,
+    within_lifespan,
 )
-from ...model.tuples import TemporalTuple
-from ..stream import TupleStream
-from .base import StreamProcessor
+from ..policies import X
+from .semijoin import HeldSideSweep, RunningExtremum
 
 
-class SelfContainedSemijoin(StreamProcessor):
+class SelfContainedSemijoin(RunningExtremum):
     """Contained-semijoin(X, X) in one scan with one state tuple.
 
     Invariant: the state tuple ``x_s`` has the maximum ValidTo among
@@ -55,39 +54,26 @@ class SelfContainedSemijoin(StreamProcessor):
       state;
     * otherwise ``x_s.TS < x_b.TS`` and ``x_b.TE < x_s.TE`` — ``x_b``
       is strictly inside ``x_s`` and is emitted; ``x_s`` stays.
+
+    By the secondary sort the first case is one of the second, so
+    ``x_s`` gives way exactly when it ends no later than ``x_b``.
     """
 
     operator = "contained-semijoin[X,X][TS^,TE^]"
-
-    def __init__(self, x: TupleStream) -> None:
-        super().__init__(x)
-        self._require_order(x, (so.TS_TE_ASC,), "X")
-        self.state = self.new_workspace("state")
-
-    def _execute(self) -> Iterator[TemporalTuple]:
-        first = self.x.advance()
-        if first is None:
-            return
-        self.state.insert(first)
-        while True:
-            x_buf = self.x.advance()
-            if x_buf is None:
-                return
-            x_s = self.state.peek()
-            if x_s is None:
-                raise ProcessorStateError(
-                    f"{self.operator}: state tuple vanished mid-scan"
-                )
-            self.note_comparison()
-            if x_s.valid_from == x_buf.valid_from:
-                self.state.replace(x_buf)
-            elif ends_no_later(x_s, x_buf):
-                self.state.replace(x_buf)
-            else:
-                yield x_buf
+    x_order = so.TS_TE_ASC
+    match = staticmethod(within_lifespan)
+    replaced_by = staticmethod(ends_no_later)
 
 
-class SelfContainSemijoinDesc(StreamProcessor):
+def _ends_later_or_starts_with(x_s: HasLifespan, x_b: HasLifespan) -> bool:
+    """The descending state gives way to ``x_b`` when ``x_b`` ends
+    strictly earlier, or starts with it: the secondary descending sort
+    then gives ``x_b.TE <= x_s.TE``, and with equal endpoints either
+    tuple serves equally."""
+    return ends_strictly_before(x_b, x_s) or x_b.valid_from == x_s.valid_from
+
+
+class SelfContainSemijoinDesc(RunningExtremum):
     """Contain-semijoin(X, X) in one scan with one state tuple, for
     input sorted ValidFrom *descending* with secondary ValidTo
     descending (the (a) entry of Table 3's second row).
@@ -99,38 +85,12 @@ class SelfContainSemijoinDesc(StreamProcessor):
     """
 
     operator = "contain-semijoin[X,X][TSv,TEv]"
-
-    def __init__(self, x: TupleStream) -> None:
-        super().__init__(x)
-        self._require_order(x, (so.TS_TE_DESC,), "X")
-        self.state = self.new_workspace("state")
-
-    def _execute(self) -> Iterator[TemporalTuple]:
-        first = self.x.advance()
-        if first is None:
-            return
-        self.state.insert(first)
-        while True:
-            x_buf = self.x.advance()
-            if x_buf is None:
-                return
-            x_s = self.state.peek()
-            if x_s is None:
-                raise ProcessorStateError(
-                    f"{self.operator}: state tuple vanished mid-scan"
-                )
-            self.note_comparison()
-            if contains_lifespan(x_buf, x_s):
-                yield x_buf
-            if ends_strictly_before(x_buf, x_s):
-                self.state.replace(x_buf)
-            elif x_buf.valid_from == x_s.valid_from:
-                # Secondary descending sort gives x_buf.TE <= x_s.TE;
-                # with equal endpoints either tuple serves equally.
-                self.state.replace(x_buf)
+    x_order = so.TS_TE_DESC
+    match = staticmethod(contains_lifespan)
+    replaced_by = staticmethod(_ends_later_or_starts_with)
 
 
-class SelfContainSemijoin(StreamProcessor):
+class SelfContainSemijoin(HeldSideSweep):
     """Contain-semijoin(X, X) on ValidFrom ascending — single scan with
     a bounded candidate workspace (Table 3, (b)).
 
@@ -144,23 +104,7 @@ class SelfContainSemijoin(StreamProcessor):
     """
 
     operator = "contain-semijoin[X,X][TS^]"
+    x_order = so.TS_ASC
+    match = staticmethod(contains_lifespan)
+    held = X
     x_disposal = Disposal("valid_to", "valid_from")
-
-    def __init__(self, x: TupleStream) -> None:
-        super().__init__(x)
-        self._require_order(x, (so.TS_ASC,), "X")
-        self.state = self.new_workspace("candidates")
-
-    def _execute(self) -> Iterator[TemporalTuple]:
-        while True:
-            x_buf = self.x.advance()
-            if x_buf is None:
-                return
-            self.state.evict(self.x_disposal, x_buf)
-            state = self.state.items
-            self.metrics.comparisons += len(state)
-            matched = [c for c in state if contains_lifespan(c, x_buf)]
-            for candidate in matched:
-                self.state.remove(candidate)
-                yield candidate
-            self.state.insert(x_buf)

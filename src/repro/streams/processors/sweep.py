@@ -27,11 +27,12 @@ import abc
 from typing import Iterator, Optional
 
 from ...errors import ProcessorStateError
-from ...model.interval import Disposal, disposable, disposable_at
+from ...model.interval import Disposal, disposable_at
+from ...model.sortorder import SortOrder
 from ...model.tuples import TemporalTuple
 from ..policies import AdvancePolicy, LambdaPolicy, MinKeyPolicy, X, Y
 from ..stream import TupleStream
-from .base import StreamProcessor
+from .base import StreamProcessor, sweep_key
 
 
 class SymmetricSweepJoin(StreamProcessor):
@@ -39,61 +40,37 @@ class SymmetricSweepJoin(StreamProcessor):
 
     Subclasses configure:
 
+    * :attr:`x_order` / :attr:`y_order` — each stream's sort order,
+      whose primary endpoint is its monotone sweep key (TS for
+      ValidFrom-sorted streams, TE for ValidTo-sorted ones);
     * :meth:`match` — the join condition;
-    * :meth:`x_sweep_key` / :meth:`y_sweep_key` — each stream's
-      monotone sweep key (TS for ValidFrom-sorted streams, TE for
-      ValidTo-sorted ones);
     * :attr:`x_disposal` — the declared rule retiring an X state tuple
       that can match neither the current Y buffer nor anything after it
       (``None``: no such rule exists);
     * :attr:`y_disposal` — symmetric, against the X buffer.
     """
 
+    x_order: SortOrder
+    y_order: SortOrder
     x_disposal: Optional[Disposal]
     y_disposal: Optional[Disposal]
 
     def __init__(
         self,
         x: TupleStream,
-        y: TupleStream,
+        y: Optional[TupleStream] = None,
         policy: Optional[AdvancePolicy] = None,
     ) -> None:
         super().__init__(x, y)
         self.policy = policy or MinKeyPolicy(
-            self.x_sweep_key, self.y_sweep_key
+            sweep_key(self.x_order), sweep_key(self.y_order)
         )
         self.x_state = self.new_workspace("x-state")
         self.y_state = self.new_workspace("y-state")
 
-    # ------------------------------------------------------------------
-    # subclass hooks
-    # ------------------------------------------------------------------
     @abc.abstractmethod
     def match(self, x_tuple: TemporalTuple, y_tuple: TemporalTuple) -> bool:
         """The join condition."""
-
-    @staticmethod
-    @abc.abstractmethod
-    def x_sweep_key(tup: TemporalTuple) -> int:
-        """Monotone key of the X stream."""
-
-    @staticmethod
-    @abc.abstractmethod
-    def y_sweep_key(tup: TemporalTuple) -> int:
-        """Monotone key of the Y stream."""
-
-    def x_disposable(
-        self, state_tuple: TemporalTuple, y_buffer: TemporalTuple
-    ) -> bool:
-        """True when ``state_tuple`` (from X) can match neither
-        ``y_buffer`` nor any Y tuple after it: :attr:`x_disposal`."""
-        return disposable(state_tuple, self.x_disposal, y_buffer)
-
-    def y_disposable(
-        self, state_tuple: TemporalTuple, x_buffer: TemporalTuple
-    ) -> bool:
-        """Symmetric criterion for Y state tuples: :attr:`y_disposal`."""
-        return disposable(state_tuple, self.y_disposal, x_buffer)
 
     @classmethod
     def lambda_policy(
@@ -106,8 +83,8 @@ class SymmetricSweepJoin(StreamProcessor):
         return LambdaPolicy(
             inter_arrival_x,
             inter_arrival_y,
-            cls.x_sweep_key,
-            cls.y_sweep_key,
+            sweep_key(cls.x_order),
+            sweep_key(cls.y_order),
             y_disposable_if_x_advances=(
                 lambda y_tup, next_x: disposable_at(y_tup, y_rule, next_x)
             ),
@@ -120,8 +97,6 @@ class SymmetricSweepJoin(StreamProcessor):
     # the sweep
     # ------------------------------------------------------------------
     def _execute(self) -> Iterator[tuple[TemporalTuple, TemporalTuple]]:
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
         match = self.match
         metrics = self.metrics
         self.x.advance()
@@ -184,8 +159,6 @@ class SymmetricSweepJoin(StreamProcessor):
 
     def _garbage_collect(self) -> None:
         """Step 3 of the Section-4.2.1 algorithm."""
-        if self.y is None:
-            raise ProcessorStateError(f"{self.operator} needs a Y stream")
         y_buf = self.y.buffer
         if y_buf is not None:
             self.x_state.evict(self.x_disposal, y_buf)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ...model import sortorder as so
 from ...model.tuples import TemporalTuple
 from ..stream import TupleStream
-from .base import ts_key
 from .sweep import SymmetricSweepJoin
 
 
@@ -28,6 +28,9 @@ class UnboundedStateJoin(SymmetricSweepJoin):
     """
 
     operator = "unbounded-state-join"
+    #: Only the sweep keys read these orders: any order is admitted.
+    x_order, y_order = so.TS_ASC, so.TS_ASC
+    order_free = True
 
     def __init__(
         self,
@@ -41,6 +44,4 @@ class UnboundedStateJoin(SymmetricSweepJoin):
     def match(self, x_tuple: TemporalTuple, y_tuple: TemporalTuple) -> bool:
         return self.predicate(x_tuple, y_tuple)
 
-    x_sweep_key = staticmethod(ts_key)
-    y_sweep_key = staticmethod(ts_key)
     x_disposal = y_disposal = None

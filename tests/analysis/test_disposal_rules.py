@@ -28,7 +28,8 @@ from repro.analysis.tables import (
     _closure,
     _gc_bound,
 )
-from repro.model import TE_ASC, TS_ASC, TemporalTuple
+from repro.columnar import CELLS
+from repro.model import TemporalTuple
 from repro.model.interval import (
     disposable,
     disposable_at,
@@ -39,7 +40,7 @@ from repro.model.interval import (
     starts_no_later,
     surviving,
 )
-from repro.streams import TemporalOperator, TupleStream
+from repro.streams import TemporalOperator
 from repro.streams import processors
 from repro.streams.processors import (
     BeforeJoinSweep,
@@ -47,11 +48,10 @@ from repro.streams.processors import (
     ContainJoinTsTe,
     ContainJoinTsTs,
     ContainSemijoinTsTs,
+    HeldSideSweep,
     OverlapJoin,
     SelfContainSemijoin,
-    SymmetricSweepJoin,
     UnboundedStateJoin,
-    contain_predicate,
 )
 
 _T = TemporalOperator
@@ -128,22 +128,57 @@ def test_every_declared_rule_is_checked():
     }
 
 
-@pytest.mark.parametrize(
-    "cls, side", sorted(DERIVATIONS, key=lambda k: (k[0].__name__, k[1]))
-)
-def test_declared_rule_is_the_derived_bound(cls, side):
+def _derived_and_declared(cls, side):
+    """``_gc_bound``'s criterion for the processor's cell and the rule
+    it declares, both as a bound string (``None``: no rule)."""
     operator, moving, key, held = DERIVATIONS[cls, side]
     graph = _closure(OPERATOR_SPECS[operator].condition)
     rule = getattr(cls, side)
-    expected = None
+    declared = None
     if rule is not None:
-        expected = str(
+        declared = str(
             Comparison.le(
                 Endpoint(moving, _KIND[rule.bound]),
                 Endpoint(held, _KIND[rule.held]),
             )
         )
-    assert _gc_bound(graph, moving, key, held) == expected
+    return _gc_bound(graph, moving, key, held), declared
+
+
+@pytest.mark.parametrize(
+    "cls, side", sorted(DERIVATIONS, key=lambda k: (k[0].__name__, k[1]))
+)
+def test_declared_rule_is_the_derived_bound(cls, side):
+    derived, declared = _derived_and_declared(cls, side)
+    assert derived == declared
+
+
+#: The stream whose sort key a held side's rule is bounded by.
+_MOVING_ORDER = {"x_disposal": "y_order", "y_disposal": "x_order"}
+
+
+@pytest.mark.parametrize("label", sorted(CELLS))
+def test_every_cell_row_declares_its_derived_rules_or_holds_nothing(label):
+    """A row whose processor holds state declares, per held side, the
+    rule ``_gc_bound`` derives for the row's operator and the moving
+    stream's order — a held-side sweep for its held side only.  A
+    two-buffer, running-extremum or order-free row declares no held
+    state, and its slot store is bounded by "zero" or "one"."""
+    cell = CELLS[label]
+    cls = cell.processor
+    sides = {side for klass, side in declaring_processors() if klass is cls}
+    if issubclass(cls, HeldSideSweep):
+        assert sides == {f"{cls.held}_disposal"}
+    if not sides:
+        assert cell.slot_bound in ("zero", "one")
+    for side in sides:
+        operator, _, key, _ = DERIVATIONS[cls, side]
+        moving = cell.x_order if cell.y_order is None else getattr(
+            cell, _MOVING_ORDER[side]
+        )
+        assert (operator, key) == (cell.operator, moving.primary)
+        derived, declared = _derived_and_declared(cls, side)
+        assert declared is not None and derived == declared
 
 
 def test_unbounded_join_declares_no_rule():
@@ -162,18 +197,6 @@ tie_heavy = st.builds(
 )
 
 
-def sweep_join(cls):
-    """An instance over empty streams, for the per-tuple methods."""
-    y_order = TE_ASC if cls is ContainJoinTsTe else TS_ASC
-    x, y = (
-        TupleStream.from_tuples([], order=order, name=name)
-        for order, name in ((TS_ASC, "X"), (y_order, "Y"))
-    )
-    if cls is UnboundedStateJoin:
-        return cls(x, y, contain_predicate)
-    return cls(x, y)
-
-
 @pytest.mark.parametrize(
     "cls, side",
     sorted(PARENT_COMPARATORS, key=lambda k: (k[0].__name__, k[1])),
@@ -185,12 +208,6 @@ def test_derived_comparators_equal_the_parents(cls, side, held, buffer):
     rule = getattr(cls, side)
     expected = [parent(t, buffer) for t in held]
     assert [disposable(t, rule, buffer) for t in held] == expected
-    if issubclass(cls, SymmetricSweepJoin):
-        join = sweep_join(cls)
-        method = join.x_disposable if side == "x_disposal" else (
-            join.y_disposable
-        )
-        assert [method(t, buffer) for t in held] == expected
     if rule is not None:
         assert surviving(held, rule, buffer) == [
             t for t, dead in zip(held, expected) if not dead

@@ -32,6 +32,7 @@ from repro.analysis.tables import (
 )
 from repro.model import sortorder as so
 from repro.streams import registry as registry_module
+from repro.streams.processors import ContainJoinTsTs
 from repro.streams.registry import TemporalOperator
 
 
@@ -116,8 +117,10 @@ def test_corrupted_state_class_is_caught():
 
 
 def test_corrupted_order_free_flag_is_caught():
+    # A row reads the flag off its tuple processor's declaration.
+    order_free = type("OrderFree", (ContainJoinTsTs,), {"order_free": True})
     problems = _problems_of_the_one_bad_cell(
-        _corrupt(CONTAIN_TS_TS, order_free=True)
+        _corrupt(CONTAIN_TS_TS, processor=order_free)
     )
     assert "registry order_free=True" in problems
 

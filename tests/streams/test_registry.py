@@ -14,6 +14,7 @@ from repro.model import (
 )
 from repro.obs.audit import registry_hash
 from repro.streams import (
+    BACKENDS,
     RegistryEntry,
     TemporalOperator,
     entries_for,
@@ -24,6 +25,25 @@ from repro.streams import (
 from .conftest import make_stream
 
 T = TemporalOperator
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "label", sorted(label for label, c in CELLS.items() if c.y_order)
+)
+def test_binary_cell_without_y_is_a_typed_error(label, backend):
+    """Built without a Y stream, a binary cell's processor refuses at
+    construction — read off its declared Y order — on every backend,
+    its time-reversed entry included."""
+    cell = CELLS[label]
+    orders = [(cell.x_order, cell.y_order)]
+    if not cell.order_free:
+        orders.append((cell.x_order.mirrored(), cell.y_order.mirrored()))
+    for x_order, y_order in orders:
+        entry = lookup(cell.operator, x_order, y_order)
+        x = make_stream([], x_order, "X")
+        with pytest.raises(TypeError, match="is a binary operator"):
+            entry.build(x, None, backend=backend)
 
 
 class TestTable1Shape:
