@@ -1,6 +1,7 @@
-"""BENCH-BACKEND — tuple-at-a-time vs columnar vs fused sweep.
+"""BENCH-BACKEND — tuple-at-a-time vs the batch sweep, under both of its
+labels (``columnar`` and ``fused``).
 
-Standalone (non-pytest) benchmark comparing the three physical backends
+Standalone (non-pytest) benchmark comparing the three backend labels
 on every cell of Tables 1-3 (``repro.columnar.CELLS``), over the
 paper's Figure-5/6 Poisson inputs (long X lifespans, short Y
 lifespans; a varied-duration Z for the self semijoins).  All backends
@@ -9,7 +10,7 @@ are cross-checked, and every
 row carries per-repeat ``timing_stats`` (all samples, best, mean,
 stdev) gathered after one untimed warm-up run per backend.
 
-For the join cells both batch backends produce their ``(xi, yj)``
+For the join cells both batch labels produce their ``(xi, yj)``
 index columns inside the timed kernel; only the payload pairs stay lazy
 (:class:`~repro.columnar.fused.LazyPairs`), and building them is
 measured separately as ``<backend>_expand_seconds`` — consumers that
@@ -21,9 +22,10 @@ Usage::
         --sizes 1000 10000 100000 --out /tmp/backend_columnar.json
 
 A kernel-level comparison, not a source of claims: it exits non-zero
-only when the backends disagree on a cell's output.  What a query pays
-end to end is measured by ``bench/run.py``, where the batch backends
-trade places by workload.
+only when the backends disagree on a cell's output, or when
+``columnar`` and ``fused`` — one path under two names — disagree on a
+cell's comparisons, eviction checks or high-water mark.  What a query
+pays end to end is measured by ``bench/run.py``.
 """
 
 import argparse
@@ -143,6 +145,13 @@ def measure_cell(cell, x, y, repeats):
             f"{label} n={len(x)}: backends disagree on output size "
             f"({counts})"
         )
+    for count in ("comparisons", "eviction_checks", "high_water"):
+        if row[f"columnar_{count}"] != row[f"fused_{count}"]:
+            raise AssertionError(
+                f"{label} n={len(x)}: columnar and fused disagree on "
+                f"{count} ({row[f'columnar_{count}']} vs "
+                f"{row[f'fused_{count}']})"
+            )
     row["output"] = counts["tuple"]
     row["speedup"] = round(
         row["tuple_seconds"] / max(row["columnar_seconds"], 1e-9), 2
@@ -218,8 +227,8 @@ def main(argv=None):
     report = {
         "benchmark": "backend-columnar",
         "description": (
-            "tuple-at-a-time vs columnar batch-sweep vs fused "
-            "endpoint-event sweep on every Tables 1-3 cell over the "
+            "tuple-at-a-time vs the batch sweep (labels columnar and "
+            "fused) on every Tables 1-3 cell over the "
             "Figure-5/6 Poisson workloads (X duration 40, Y duration "
             "10, arrival rate 0.5)"
         ),

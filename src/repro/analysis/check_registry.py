@@ -73,7 +73,7 @@ class CellReport:
     registry_supported: Optional[bool]
     registry_backends: Tuple[str, ...]
     problems: Tuple[str, ...]
-    #: Slot-store bound the fused backend must honour for this cell
+    #: Slot-store bound the batch kernel must honour for this cell
     #: (from :func:`~repro.analysis.tables.derive_fused_bound`) and the
     #: bound its cell row actually declares.
     fused_bound_expected: Optional[str] = None
@@ -238,11 +238,12 @@ def _check_cell(
         # -- backend discipline ------------------------------------------
         if entry.supported:
             row = entry.cell
-            forms = (row.processor, row.columnar, row.fused)
             missing = [
                 backend
-                for backend, form in zip(registry_module.BACKENDS, forms)
-                if not callable(form)
+                for backend in registry_module.BACKENDS
+                if not callable(
+                    row.processor if backend == "tuple" else row.kernel
+                )
             ]
             if missing:
                 problems.append(
@@ -255,7 +256,7 @@ def _check_cell(
                 "spill and the nested-loop alternative cannot evaluate it"
             )
 
-    # -- fused slot-store bound ------------------------------------------
+    # -- batch slot-store bound ------------------------------------------
     fused_expected = derive_fused_bound(operator, table.state_class)
     fused_declared: Optional[str] = None
     if entry is not None and entry.cell is not None:

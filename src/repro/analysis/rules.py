@@ -250,9 +250,7 @@ class WorkspaceMeterAccounting(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_workspace_call(module, node)
-        if module.is_file("columnar/kernels.py") or module.is_file(
-            "columnar/fused.py"
-        ):
+        if module.is_file("columnar/kernels.py"):
             yield from self._check_kernels(module)
 
     def _check_workspace_call(

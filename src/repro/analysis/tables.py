@@ -268,7 +268,7 @@ def expected_cell(
     return ExpectedCell("-", source="mixed")
 
 
-#: The fused backend's slot-store high-water vocabulary, coarsest
+#: The batch kernels' slot-store high-water vocabulary, coarsest
 #: first.  Each row of ``repro.columnar.backend.CELLS`` declares one
 #: of these as its ``slot_bound``; the plan checker certifies it against
 #: :func:`derive_fused_bound`.
@@ -278,10 +278,10 @@ FUSED_BOUNDS = ("zero", "one", "active-intervals")
 def derive_fused_bound(
     operator: TemporalOperator, state_class: str
 ) -> Optional[str]:
-    """The slot-store high-water bound a fused cell must declare,
+    """The slot-store high-water bound a cell's batch kernel must declare,
     derived from the Tables 1-3 state-class aggregates alone:
 
-    * inadmissible cells (``'-'``) have no fused kernel — ``None``;
+    * inadmissible cells (``'-'``) have no batch kernel — ``None``;
     * class (d) keeps buffers only, and the class-(b) *semijoins*
       retire each candidate at its first witness, so both run with an
       empty slot store — ``"zero"``;

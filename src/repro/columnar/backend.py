@@ -2,17 +2,16 @@
 
 :data:`CELLS` is the one place a cell of Tables 1-3 is written down:
 one row per admissible cell with its operator, the sort order each
-operand must declare, its state class, and its three physical forms —
+operand must declare, its state class, and its two physical forms —
 the tuple-at-a-time processor of :mod:`repro.streams.processors` (whose
-``operator`` string is the cell's label) and the kernel each batch
-backend runs: one :mod:`~repro.columnar.kernels` sweep for both, except
-the Overlap-join, whose columnar probe scan and
-:mod:`~repro.columnar.fused` slot store differ.  The 120-entry registry of
-:mod:`repro.streams.registry` — the rows, their time-reversal mirrors,
-the order-free Before-semijoin, '-' everywhere else — is derived from
-these rows.
+``operator`` string is the cell's label) and the one
+:mod:`~repro.columnar.kernels` sweep every batch run calls.  The
+120-entry registry of :mod:`repro.streams.registry` — the rows, their
+time-reversal mirrors, the order-free Before-semijoin, '-' everywhere
+else — is derived from these rows.
 
-:class:`ColumnarProcessor` runs any ``(cell, batch backend)`` pair as a
+:class:`ColumnarProcessor` runs a cell's kernel under either batch
+backend label (``columnar`` or ``fused``: one path, two names) as a
 drop-in physical alternative to the cell's tuple processor: same
 ``TupleStream`` operands, same admission checks (the '-' cells stay
 rejected), same output values, and the same
@@ -26,7 +25,7 @@ kernel over the endpoint columns.  The kernels' ``SweepStats`` are then
 folded into the processor's :class:`~repro.streams.workspace.
 WorkspaceMeter`, preserving high-water marks, insert/discard totals,
 the optional Figure-5 trace, and the optional workspace ``limit``; the
-comparison counts are the backend's own charge of the sweep.
+comparison counts are the kernel's probe-scan charge.
 
 A lower-half (mirrored) registry entry runs its upper-half cell on
 time-reversed *columns* — Section 4.2.1's symmetry, ``[TS, TE)`` to
@@ -65,7 +64,7 @@ from ..streams.processors.self_semijoin import (
 )
 from ..streams.registry import TemporalOperator
 from ..streams.stream import TupleStream
-from . import fused, kernels
+from . import kernels
 from .fused import LazyPairs
 from .kernels import SweepStats
 from .relation import IntervalColumns
@@ -101,10 +100,10 @@ class Cell:
     #: The tuple-at-a-time processor class (backend "tuple"); its
     #: declared ``x_order``/``y_order`` and ``order_free`` are the row's.
     processor: type
-    #: The sweep kernel per batch backend.
-    columnar: Callable
-    fused: Callable
-    #: Certified high-water bound of the fused slot store ("zero",
+    #: The batch sweep of :mod:`repro.columnar.kernels` (every batch
+    #: backend label runs it).
+    kernel: Callable
+    #: Certified high-water bound of the kernel's slot store ("zero",
     #: "one" or "active-intervals"); the symbolic plan checker diffs it
     #: against the Tables 1-3 derivation.
     slot_bound: str = "active-intervals"
@@ -135,54 +134,42 @@ class Cell:
     def shape(self) -> str:
         return self.operator.shape
 
-    def kernel(self, backend: str) -> Callable:
-        return self.fused if backend == "fused" else self.columnar
-
 
 _T = TemporalOperator
 
-#: label -> cell.  Every row but the Overlap-join names one kernel in
-#: both batch columns; the six with ``slot_bound`` "zero"/"one" keep no
-#: slot store.
+#: label -> cell.  The six rows with ``slot_bound`` "zero"/"one" keep
+#: no slot store.
 CELLS = {
     cell.label: cell
     for cell in (
         # Table 1 — Contain
         Cell(_T.CONTAIN_JOIN, "a", ContainJoinTsTs,
-             kernels.contain_join_ts_ts, kernels.contain_join_ts_ts),
+             kernels.contain_join_ts_ts),
         Cell(_T.CONTAIN_JOIN, "b", ContainJoinTsTe,
-             kernels.contain_join_ts_te, kernels.contain_join_ts_te),
+             kernels.contain_join_ts_te),
         Cell(_T.CONTAIN_SEMIJOIN, "c", ContainSemijoinTsTs,
-             kernels.contain_semijoin_ts_ts, kernels.contain_semijoin_ts_ts),
+             kernels.contain_semijoin_ts_ts),
         Cell(_T.CONTAIN_SEMIJOIN, "d", ContainSemijoinTsTe,
-             kernels.contain_semijoin_ts_te, kernels.contain_semijoin_ts_te,
-             "zero"),
+             kernels.contain_semijoin_ts_te, "zero"),
         Cell(_T.CONTAINED_SEMIJOIN, "c", ContainedSemijoinTsTs,
-             kernels.contained_semijoin_ts_ts,
              kernels.contained_semijoin_ts_ts),
         Cell(_T.CONTAINED_SEMIJOIN, "d", ContainedSemijoinTeTs,
-             kernels.contained_semijoin_te_ts,
              kernels.contained_semijoin_te_ts, "zero"),
         # Table 2 — Overlap
-        Cell(_T.OVERLAP_JOIN, "a", OverlapJoin,
-             kernels.overlap_join_ts_ts, fused.overlap_join_ts_ts),
+        Cell(_T.OVERLAP_JOIN, "a", OverlapJoin, kernels.overlap_join_ts_ts),
         Cell(_T.OVERLAP_SEMIJOIN, "b", OverlapSemijoin,
-             kernels.overlap_semijoin_ts_ts, kernels.overlap_semijoin_ts_ts,
-             "zero"),
+             kernels.overlap_semijoin_ts_ts, "zero"),
         # Section 4.2.4 — Before.  The semijoin is single-pass whatever
         # the orders; no sort order bounds the join's state, so it has
         # no row.
         Cell(_T.BEFORE_SEMIJOIN, "d", BeforeSemijoin,
-             kernels.before_semijoin, kernels.before_semijoin, "zero"),
+             kernels.before_semijoin, "zero"),
         # Table 3 — self semijoins
         Cell(_T.SELF_CONTAINED_SEMIJOIN, "a1", SelfContainedSemijoin,
-             kernels.self_contained_semijoin_ts_te,
              kernels.self_contained_semijoin_ts_te, "one"),
         Cell(_T.SELF_CONTAIN_SEMIJOIN, "a1", SelfContainSemijoinDesc,
-             kernels.self_contain_semijoin_ts_te_desc,
              kernels.self_contain_semijoin_ts_te_desc, "one"),
         Cell(_T.SELF_CONTAIN_SEMIJOIN, "b1", SelfContainSemijoin,
-             kernels.self_contain_semijoin_ts,
              kernels.self_contain_semijoin_ts),
     )
 }
@@ -209,7 +196,7 @@ def _reversed(columns: IntervalColumns) -> Tuple[array, array]:
 
 
 class ColumnarProcessor(StreamProcessor):
-    """One cell on one batch backend: drain operands into columns, run
+    """One cell on the batch backend: drain operands into columns, run
     the cell's kernel, emit payloads, and mirror the kernel's
     accounting into the meter."""
 
@@ -222,8 +209,9 @@ class ColumnarProcessor(StreamProcessor):
         mirrored: bool = False,
     ) -> None:
         self.cell = cell
-        #: Which physical backend runs the cell; audit records and
-        #: EXPLAIN ANALYZE surface it per operator/shard.
+        #: The batch backend label the plan named ("columnar" or
+        #: "fused"); audit records and EXPLAIN ANALYZE surface it per
+        #: operator/shard.
         self.backend_name = backend
         self.mirrored = mirrored
         self.operator = f"{backend}-{cell.label}"
@@ -235,7 +223,7 @@ class ColumnarProcessor(StreamProcessor):
             self.y_order = self.y_order and self.y_order.mirrored()
         super().__init__(x, y)
         self.metrics.backend = backend
-        self.metrics.kernel = cell.kernel(backend).__name__
+        self.metrics.kernel = cell.kernel.__name__
 
     # ------------------------------------------------------------------
     # materialisation
@@ -270,18 +258,9 @@ class ColumnarProcessor(StreamProcessor):
     def _absorb(self, stats: SweepStats) -> None:
         """Fold kernel accounting into the processor's meter/metrics.
         Kernels count their end-of-sweep residue as discarded, so the
-        meter's ``current`` legitimately stays zero.  The columnar
-        backend reports a slot-store sweep's probe-scan charge, the
-        fused backend its search charge."""
-        comparisons, checks = stats.comparisons, stats.eviction_checks
-        if (
-            self.backend_name == "columnar"
-            and stats.scan_comparisons is not None
-        ):
-            comparisons = stats.scan_comparisons
-            checks = stats.scan_eviction_checks
-        self.metrics.comparisons += comparisons
-        self.metrics.eviction_checks += checks
+        meter's ``current`` legitimately stays zero."""
+        self.metrics.comparisons += stats.comparisons
+        self.metrics.eviction_checks += stats.eviction_checks
         meter = self.meter
         meter.total_inserted += stats.inserted
         meter.total_discarded += stats.discarded
@@ -322,7 +301,7 @@ class ColumnarProcessor(StreamProcessor):
                     if self.mirrored
                     else (operand.ts, operand.te),
                 )
-        out, stats = self.cell.kernel(self.backend_name)(
+        out, stats = self.cell.kernel(
             *columns, limit=self.meter.limit, trace=self.meter.trace
         )
         self._absorb(stats)

@@ -1,8 +1,8 @@
-"""The merged endpoint-event ordering the fused sweep realises.
+"""The merged endpoint-event ordering the batch sweeps realise.
 
-The fused kernels in :mod:`repro.columnar.fused` run each Table-1/2/3
-cell as **one** endpoint-event sweep: both operands' ``(TS, TE)``
-columns are merged into a single event ordering.  This module states
+The slot-store kernels in :mod:`repro.columnar.kernels` run each
+Table-1/2/3 cell as **one** endpoint-event sweep: both operands'
+``(TS, TE)`` columns are merged into a single event ordering.  This module states
 that ordering explicitly — as packed, sortable event words — so the
 hypothesis tests in ``tests/columnar/test_fused.py`` can replay it with
 a naive active set and pin the kernels against it.  Nothing on the
@@ -95,7 +95,7 @@ def merged_schedule(
     probe_side: int = SIDE_Y,
 ) -> array:
     """Both operands' endpoint columns merged into the single event
-    ordering the fused sweep consumes.
+    ordering the batch sweep consumes.
 
     X contributes a ``RANK_START`` event at each ``ValidFrom`` and a
     ``RANK_EVICT`` event at each ``ValidTo``; the probe column (the

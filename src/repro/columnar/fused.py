@@ -1,35 +1,21 @@
-"""The fused endpoint-event backend's own kernel, and the join output
-of both batch backends.
+"""The join output of the batch backends, and the ``fused`` label's
+view of the kernels.
 
-The ``fused`` backend runs every cell's slot-store or two-pointer sweep
-of :mod:`repro.columnar.kernels` — the same functions the ``columnar``
-backend runs, re-exported below so that every kernel name a fused run
-reports resolves in this module — and reports the search charge of
-their :class:`~repro.columnar.kernels.SweepStats` (``bit_length`` of the
-store per binary search; the columnar backend reports the probe-scan
-charge of the same sweep).
+``fused`` is a second label for the batch backend: it runs the same
+:class:`~repro.columnar.backend.ColumnarProcessor`, the same
+:mod:`repro.columnar.kernels` sweep per cell and the same comparison
+charge as ``columnar``.  The kernels are re-exported below so that every
+kernel name a batch run reports resolves in this module too.
 
-Only the Overlap-join differs between the backends.  There every live
-entry is an output pair, so the columnar backend keeps its probe scan;
-the fused kernel below keeps one ValidTo-ordered slot store per side,
-evicts the disposal prefix by binary search and emits the whole
-surviving store as one run.
-
-:class:`LazyPairs` wraps a join kernel's ``(xi, yj)`` index columns on
-either backend and builds payload pairs only when something touches
-them.
+:class:`LazyPairs` wraps a join kernel's ``(xi, yj)`` index columns and
+builds payload pairs only when something touches them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import repeat
-from sys import maxsize
 from typing import List, Optional, Sequence, Tuple
 
 from .kernels import (  # noqa: F401 - the shared sweeps, re-exported
-    SweepStats,
-    _overflow,
     before_semijoin,
     contain_join_ts_te,
     contain_join_ts_ts,
@@ -37,6 +23,7 @@ from .kernels import (  # noqa: F401 - the shared sweeps, re-exported
     contain_semijoin_ts_ts,
     contained_semijoin_te_ts,
     contained_semijoin_ts_ts,
+    overlap_join_ts_ts,
     overlap_semijoin_ts_ts,
     self_contain_semijoin_ts,
     self_contain_semijoin_ts_te_desc,
@@ -48,8 +35,8 @@ IndexColumns = Tuple[List[int], List[int]]
 
 
 class LazyPairs(Sequence):
-    """The join output of both batch backends: a sequence of payload
-    pairs that materialises on first touch.
+    """The join output of a batch run: a sequence of payload pairs that
+    materialises on first touch.
 
     ``columns`` is what the kernel returned — its ``(xi, yj)`` index
     columns.  ``len()`` reads their length; indexing, iteration or
@@ -117,134 +104,3 @@ class LazyPairs(Sequence):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "materialized" if self._pairs is not None else "lazy"
         return f"LazyPairs(n={len(self)}, {state})"
-
-
-# ----------------------------------------------------------------------
-# Table 2 — Overlap
-# ----------------------------------------------------------------------
-def overlap_join_ts_ts(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    y_ts: Sequence[int],
-    y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[IndexColumns, SweepStats]:
-    """Overlap-join(X, Y), both on ValidFrom^ (class (a)), fused: one
-    ValidTo-ordered slot store per side.  Consuming an element evicts
-    the opposite store's disposal prefix (``TE <= p``) and then *every*
-    survivor overlaps it — the whole store is the run, no per-entry
-    probe at all.  The rest of an equal-ValidFrom group of one operand
-    meets the store exactly as its first element left it, so the run is
-    sorted once per group and re-emitted per member; the eviction
-    search that would find nothing is charged, not run."""
-    stats = SweepStats()
-    budget = maxsize if limit is None else limit
-    nx, ny = len(x_ts), len(y_ts)
-    x_ends: List[int] = []  # stored X: ValidTo, ascending
-    x_rows: List[int] = []  # stored X: column position, parallel
-    y_ends: List[int] = []  # stored Y, likewise
-    y_rows: List[int] = []
-    xi: List[int] = []
-    yj: List[int] = []
-    comparisons = eviction_checks = inserted = discarded = high = 0
-    i = j = 0
-    while True:
-        if i < nx and (j >= ny or x_ts[i] <= y_ts[j]):
-            p = x_ts[i]
-            k = bisect_right(y_ends, p)
-            eviction_checks += len(y_rows).bit_length()
-            if k:
-                del y_ends[:k]
-                del y_rows[:k]
-                discarded += k
-                if trace is not None:
-                    trace.append(len(x_rows) + len(y_rows))
-            m = len(y_rows)
-            comparisons += m  # every survivor is one matched pair
-            if m:
-                xi.extend(repeat(i, m))
-                yj.extend(sorted(y_rows))
-            run = None
-            while True:
-                if j < ny:  # an X tuple only joins future Y if any remain
-                    xte = x_te[i]
-                    at = bisect_right(x_ends, xte)
-                    x_ends.insert(at, xte)
-                    x_rows.insert(at, i)
-                    inserted += 1
-                    cur = len(x_rows) + m
-                    if cur > high:
-                        high = cur
-                        if high > budget:
-                            raise _overflow(budget)
-                    if trace is not None:
-                        trace.append(cur)
-                i += 1
-                if i == nx or x_ts[i] != p:
-                    break
-                # Next member of the tie group: no Y enters before every
-                # X at p is taken, so the Y store is as the eviction
-                # left it — the search that would find nothing is only
-                # charged, and the sorted run is the last m positions
-                # emitted.
-                if run is None:
-                    run = yj[len(yj) - m :]
-                    bits = m.bit_length()
-                eviction_checks += bits
-                if m:
-                    comparisons += m
-                    xi.extend(repeat(i, m))
-                    yj.extend(run)
-        elif j < ny:
-            p = y_ts[j]
-            k = bisect_right(x_ends, p)
-            eviction_checks += len(x_rows).bit_length()
-            if k:
-                del x_ends[:k]
-                del x_rows[:k]
-                discarded += k
-                if trace is not None:
-                    trace.append(len(x_rows) + len(y_rows))
-            m = len(x_rows)
-            comparisons += m
-            if m:
-                xi.extend(sorted(x_rows))
-                yj.extend(repeat(j, m))
-            run = None
-            while True:
-                if i < nx:
-                    yte = y_te[j]
-                    at = bisect_right(y_ends, yte)
-                    y_ends.insert(at, yte)
-                    y_rows.insert(at, j)
-                    inserted += 1
-                    cur = m + len(y_rows)
-                    if cur > high:
-                        high = cur
-                        if high > budget:
-                            raise _overflow(budget)
-                    if trace is not None:
-                        trace.append(cur)
-                j += 1
-                if j == ny or y_ts[j] != p:
-                    break
-                if run is None:
-                    run = xi[len(xi) - m :]
-                    bits = m.bit_length()
-                eviction_checks += bits
-                if m:
-                    comparisons += m
-                    xi.extend(run)
-                    yj.extend(repeat(j, m))
-        else:
-            break
-    discarded += len(x_rows) + len(y_rows)
-    if trace is not None and (x_rows or y_rows):
-        trace.append(0)
-    stats.comparisons = comparisons
-    stats.eviction_checks = eviction_checks
-    stats.inserted = inserted
-    stats.discarded = discarded
-    stats.high_water = high
-    return (xi, yj), stats

@@ -5,9 +5,9 @@ Each kernel is the batch counterpart of one stream processor from
 closed-open conventions of Section 4.2 — ``TS < TE``, disposal when
 ``ValidTo <= buffer.ValidFrom``), same single pass, but executed over
 whole sorted runs of ``(TS, TE)`` columns instead of advancing a
-one-tuple buffer through layers of Python objects.  Both batch
-backends run these functions; :mod:`repro.columnar.fused` re-exports
-them and adds its own Overlap-join.
+one-tuple buffer through layers of Python objects.  Every batch run of
+a cell calls its one function here, whichever batch backend label the
+plan carries; :mod:`repro.columnar.fused` re-exports them.
 
 The five Contain-family cells (Table 1 classes (a), (b), (c) and
 Table 3's (b1)) keep their active intervals in a **two-column slot
@@ -78,16 +78,11 @@ class SweepStats:
     the tests spent finding dead state.  Keeping the two apart is what
     lets the differential tests assert backend comparison parity.
 
-    A slot-store sweep charges that pair twice, both read off the store
-    sizes it computes anyway.  The *search* charge, in ``comparisons``
-    and ``eviction_checks``, is ``bit_length`` of the store per binary
-    search: what the ``fused`` backend reports.  The *probe-scan*
-    charge, in ``scan_comparisons`` and ``scan_eviction_checks``, is
-    what a linear scan of a lazily compacted active list visits: the
-    live entries after each eviction (held-back entries included) and
-    the entries evicted.  The ``columnar`` backend reports it.  A
-    kernel with one charge — no store, or an Overlap-join, which each
-    backend has its own of — leaves the probe-scan pair ``None``.
+    A slot-store sweep charges what a linear probe scan of a lazily
+    compacted active list would visit, read off the store sizes it
+    computes anyway: the live entries after each eviction (held-back
+    entries included) as comparisons, and each evicted entry as one
+    eviction check.
     """
 
     __slots__ = (
@@ -96,8 +91,6 @@ class SweepStats:
         "inserted",
         "discarded",
         "high_water",
-        "scan_comparisons",
-        "scan_eviction_checks",
     )
 
     def __init__(self) -> None:
@@ -106,8 +99,6 @@ class SweepStats:
         self.inserted = 0
         self.discarded = 0
         self.high_water = 0
-        self.scan_comparisons: Optional[int] = None
-        self.scan_eviction_checks: Optional[int] = None
 
 
 def _overflow(limit: int) -> WorkspaceOverflowError:
@@ -139,7 +130,7 @@ def contain_join_ts_ts(
     the probe's match set is exactly the store suffix with
     ``X.TE > y.TE`` — one binary search, emitted as one run.  Held-back
     entries still count toward the state high-water mark at admission
-    and as live entries of the probe-scan charge.
+    and as live entries of the comparison charge.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
@@ -150,8 +141,7 @@ def contain_join_ts_ts(
     held_ts = 0
     xi: List[int] = []
     yj: List[int] = []
-    comparisons = searched = scanned = eviction_checks = 0
-    inserted = discarded = high = 0
+    comparisons = inserted = discarded = high = 0
     i = 0
     for j in range(ny):
         yts = y_ts[j]
@@ -183,7 +173,6 @@ def contain_join_ts_ts(
                     trace.append(cur)
             i += 1
         k = bisect_right(ends, yts)
-        eviction_checks += len(rows).bit_length()
         if k:
             del ends[:k]
             del rows[:k]
@@ -191,22 +180,17 @@ def contain_join_ts_ts(
             if trace is not None:
                 trace.append(len(rows) + len(held))
         live = len(rows)
-        searched += live.bit_length()
-        scanned += live
-        if held:
-            scanned += len(held)
+        comparisons += live + len(held)
         cut = bisect_right(ends, y_te[j])
         m = live - cut
         if m:
             xi.extend(sorted(rows[cut:]))
             yj.extend(repeat(j, m))
-    stats.scan_eviction_checks = discarded  # so far, every one evicted
+    stats.eviction_checks = discarded  # so far, every one evicted
     discarded += len(rows) + len(held)
     if trace is not None and (rows or held):
         trace.append(0)
-    stats.comparisons = comparisons + searched
-    stats.scan_comparisons = comparisons + scanned
-    stats.eviction_checks = eviction_checks
+    stats.comparisons = comparisons
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
@@ -247,8 +231,7 @@ def contain_join_ts_te(
     end_rows: List[int] = []  # their positions, parallel to ends
     xi: List[int] = []
     yj: List[int] = []
-    comparisons = searched = scanned = eviction_checks = 0
-    inserted = discarded = high = 0
+    comparisons = inserted = discarded = high = 0
     i = 0
     for j in range(ny):
         yte = y_te[j]
@@ -271,33 +254,27 @@ def contain_join_ts_te(
                     trace.append(cur)
             i += 1
         k = bisect_right(ends, yte)
-        eviction_checks += len(rows).bit_length()
         if k:
             for row in end_rows[:k]:
                 at = bisect_left(rows, row)
                 del starts[at]
                 del rows[at]
-                eviction_checks += len(rows).bit_length()
             del ends[:k]
             del end_rows[:k]
             discarded += k
             if trace is not None:
                 trace.append(len(rows))
         # Every survivor ends after y.TE; starts before y.TS == match.
-        live = len(rows)
-        searched += live.bit_length()
-        scanned += live
+        comparisons += len(rows)
         cut = bisect_left(starts, y_ts[j])
         if cut:
             xi.extend(rows[:cut])
             yj.extend(repeat(j, cut))
-    stats.scan_eviction_checks = discarded  # so far, every one evicted
+    stats.eviction_checks = discarded  # so far, every one evicted
     discarded += len(rows)
     if trace is not None and rows:
         trace.append(0)
-    stats.comparisons = comparisons + searched
-    stats.scan_comparisons = comparisons + scanned
-    stats.eviction_checks = eviction_checks
+    stats.comparisons = comparisons
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
@@ -387,8 +364,7 @@ def contain_semijoin_ts_ts(
     held: List[int] = []  # admitted X rows starting at ``held_ts``
     held_ts = 0
     out: List[int] = []
-    comparisons = searched = scanned = eviction_checks = evicted = 0
-    inserted = high = 0
+    comparisons = evicted = inserted = high = 0
     i = 0
     for j in range(ny):
         yts = y_ts[j]
@@ -422,16 +398,12 @@ def contain_semijoin_ts_ts(
                     trace.append(cur)
             i += 1
         k = bisect_right(ends, yts)
-        eviction_checks += len(rows).bit_length()
         if k:
             del ends[:k]
             del rows[:k]
             evicted += k
         live = len(rows)
-        searched += live.bit_length()
-        scanned += live
-        if held:
-            scanned += len(held)
+        comparisons += live + len(held)
         cut = bisect_right(ends, y_te[j])
         m = live - cut
         if m:
@@ -442,10 +414,8 @@ def contain_semijoin_ts_ts(
             trace.append(len(rows) + len(held))
     if trace is not None and (rows or held):
         trace.append(0)
-    stats.comparisons = comparisons + searched
-    stats.scan_comparisons = comparisons + scanned
-    stats.eviction_checks = eviction_checks
-    stats.scan_eviction_checks = evicted
+    stats.comparisons = comparisons
+    stats.eviction_checks = evicted
     stats.inserted = inserted
     # Evicted, retired one per emitted row, or left when the sweep ended.
     stats.discarded = evicted + len(out) + len(rows) + len(held)
@@ -467,16 +437,15 @@ def contained_semijoin_ts_ts(
     only its ValidTo column — no stored row is ever emitted.  Every
     stored Y starts strictly before the consumed X (strict admission),
     so X is contained in *some* stored Y iff the store's maximum
-    ValidTo exceeds ``X.TE``: an O(1) test against the last slot, which
-    the search charge counts as one comparison per X."""
+    ValidTo exceeds ``X.TE``: an O(1) test against the last slot, charged
+    as the live entries a probe scan would have visited."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx, ny = len(x_ts), len(y_ts)
     ends: List[int] = []  # stored Y: ValidTo, ascending
     out: List[int] = []
     append = out.append
-    comparisons = scanned = eviction_checks = inserted = discarded = 0
-    high = 0
+    comparisons = inserted = discarded = high = 0
     j = 0
     for i in range(nx):
         xts = x_ts[i]
@@ -495,22 +464,19 @@ def contained_semijoin_ts_ts(
                     trace.append(cur)
             j += 1
         k = bisect_right(ends, xts)
-        eviction_checks += len(ends).bit_length()
         if k:
             del ends[:k]
             discarded += k
             if trace is not None:
                 trace.append(len(ends))
-        scanned += len(ends)
+        comparisons += len(ends)
         if ends and ends[-1] > x_te[i]:
             append(i)
-    stats.scan_eviction_checks = discarded  # so far, every one evicted
+    stats.eviction_checks = discarded  # so far, every one evicted
     discarded += len(ends)
     if trace is not None and ends:
         trace.append(0)
-    stats.comparisons = comparisons + nx
-    stats.scan_comparisons = comparisons + scanned
-    stats.eviction_checks = eviction_checks
+    stats.comparisons = comparisons
     stats.inserted = inserted
     stats.discarded = discarded
     stats.high_water = high
@@ -799,35 +765,32 @@ def self_contain_semijoin_ts(
     the candidates it proves to be containers form the store suffix
     with ``TE > te`` — minus same-start peers, which the closed-open tie
     law keeps unmatched (``RANK_START`` last: an equal-time start never
-    strictly contains).  The search charge counts one test per suffix
-    entry; the probe-scan charge has already counted them as live."""
+    strictly contains).  The suffix entries are already charged as live
+    entries, so their same-start test costs nothing extra."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit
     nx = len(x_ts)
     ends: List[int] = []  # stored X: ValidTo, ascending
     rows: List[int] = []  # stored X: column position, parallel to ends
     out: List[int] = []
-    comparisons = scanned = eviction_checks = evicted = inserted = high = 0
+    comparisons = evicted = inserted = high = 0
     for i in range(nx):
         ts = x_ts[i]
         te = x_te[i]
         k = bisect_right(ends, ts)
-        eviction_checks += len(rows).bit_length()
         dropped = k
         if k:
             del ends[:k]
             del rows[:k]
             evicted += k
         live = len(rows)
-        comparisons += live.bit_length()
-        scanned += live
+        comparisons += live
         cut = bisect_right(ends, te)
         if cut < live:
             matched: List[int] = []
             keep_ends: List[int] = []
             keep_rows: List[int] = []
             for end, row in zip(ends[cut:], rows[cut:]):
-                comparisons += 1
                 if x_ts[row] < ts:
                     matched.append(row)  # proven container: retire
                 else:
@@ -854,9 +817,7 @@ def self_contain_semijoin_ts(
     if trace is not None and rows:
         trace.append(0)
     stats.comparisons = comparisons
-    stats.scan_comparisons = scanned
-    stats.eviction_checks = eviction_checks
-    stats.scan_eviction_checks = evicted
+    stats.eviction_checks = evicted
     stats.inserted = inserted
     # Evicted, retired one per emitted row, or left when the sweep ended.
     stats.discarded = evicted + len(out) + len(rows)

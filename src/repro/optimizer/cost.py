@@ -50,45 +50,20 @@ class CostModel:
     parallel_tuple_ship: float = 0.0002
     #: Largest shard count the cost model will consider.
     max_parallel_workers: int = 8
-    #: Per-tuple CPU price of the columnar batch sweep relative to
-    #: tuple-at-a-time, *before* its active-list scan and its output.
-    #: The five batch constants price one tuple-backend tuple at 8 us
-    #: and are fitted to kernel timings of the tree that gave the fused
-    #: kernels their two-column slot store (PR 18, parent a0c234f;
-    #: Fig-5 generator, 12 000 tuples, seeds 1/2, kernels alone, best
-    #: of 21-31 interleaved).  Columnar: 0.35 us/tuple + 0.013 us per
-    #: tuple per modelled live interval + 0.028 us per output pair (two
-    #: Python-level appends).  Fused: 0.45 us/tuple at any depth (bisect
-    #: probes) + 0.53 us per emitted run + 0.012-0.027 us per pair,
-    #: i.e. 0.05 us per pair at the ~14 pairs a run carries there.  The
-    #: two per-tuple prices are PR 14's scale, ~0.3 us above both
-    #: measurements, so the difference that decides between the
-    #: backends is the measured one: without output fused overtakes
-    #: columnar at 6-7 live intervals (at ~35 before PR 18, whose
-    #: kernels stopped paying three Python calls per probe to pack
-    #: keys; ``fused_cpu_factor`` moved 0.1 -> 0.09 with it).  The
-    #: traced benchmark run of the same tree (``bench/run.py --trace
-    #: 1``, seed 1990) reads ``columnar.kernel_s`` / ``fused.kernel_s``
-    #: 13.9 / 11.4 ms on ``fig5_contain`` (modelled 16.0 / 13.0), 95 /
-    #: 5.0 ms on ``deep_state`` (89 / 3.6) and 10.0 / 11.3 ms on
-    #: ``tie_overlap`` (16.9 / 18.2: the overlap output is over-
-    #: estimated 2.7x there, on both backends alike).
-    columnar_cpu_factor: float = 0.08
-    #: Per-tuple CPU price of the fused endpoint-event sweep, *before*
-    #: its output.
-    fused_cpu_factor: float = 0.09
-    #: Columnar's extra per tuple and per expected live interval, fitted
-    #: when every columnar probe scanned its active list linearly.  Only
-    #: the Overlap-join still does: the Contain-family cells run the
-    #: fused slot-store sweep on both backends, so this over-prices
-    #: columnar there.  Kept as fitted so that no plan moves; the refit
-    #: belongs to the least-squares fit of the cost constants.
-    COLUMNAR_SCAN_FACTOR: ClassVar[float] = 0.0015
-    #: What each batch kernel pays per expected output pair to emit its
-    #: index columns: columnar two appends per pair; fused a slice, a
-    #: sort and two extends per run, spread over the run's pairs.
-    COLUMNAR_PAIR_FACTOR: ClassVar[float] = 0.0035
-    FUSED_PAIR_FACTOR: ClassVar[float] = 0.006
+    #: Per-tuple CPU price of the batch sweep relative to
+    #: tuple-at-a-time (8 us a tuple), *before* its output; every batch
+    #: backend label runs the same kernel, so it has one price.  Fitted
+    #: to the slot-store kernels as the change on top of commit a0c234f
+    #: introduced them (Fig-5 generator, 12 000 tuples, kernels alone):
+    #: 0.45 us/tuple at any depth (bisect probes), plus ~0.3 us of
+    #: per-tuple scale carried over from the earlier fit.  The refit
+    #: against today's kernels belongs to the least-squares fit of the
+    #: cost constants.
+    batch_cpu_factor: float = 0.09
+    #: What the batch kernel pays per expected output pair to emit its
+    #: index columns: a slice, a sort and two extends per run, spread
+    #: over the run's pairs.
+    BATCH_PAIR_FACTOR: ClassVar[float] = 0.006
 
     # ------------------------------------------------------------------
     # building blocks
@@ -133,25 +108,17 @@ class CostModel:
     def sweep_cpu_cost(
         self,
         tuples: int,
-        expected_workspace: float,
         backend: str = "tuple",
         expected_output: float = 0.0,
     ) -> float:
         """CPU price of sweeping ``tuples`` input tuples on one
-        execution backend (page I/O is backend-independent).  The two
-        batch backends differ in what grows with the data: columnar
-        scans the expected workspace per tuple, and each emits an
-        expected output pair at its own price."""
+        execution backend (page I/O is backend-independent).  The batch
+        sweep pays a fraction of the tuple price per tuple plus a price
+        per expected output pair."""
         per_tuple, per_pair = 1.0, 0.0
-        if backend == "columnar":
-            per_tuple = (
-                self.columnar_cpu_factor
-                + self.COLUMNAR_SCAN_FACTOR * expected_workspace
-            )
-            per_pair = self.COLUMNAR_PAIR_FACTOR
-        elif backend == "fused":
-            per_tuple = self.fused_cpu_factor
-            per_pair = self.FUSED_PAIR_FACTOR
+        if backend != "tuple":
+            per_tuple = self.batch_cpu_factor
+            per_pair = self.BATCH_PAIR_FACTOR
         return (
             tuples * per_tuple + expected_output * per_pair
         ) * self.tuple_cpu
@@ -171,10 +138,7 @@ class CostModel:
             self.pages(x_tuples) * self.page_read
             + self.pages(y_tuples) * self.page_read
             + self.sweep_cpu_cost(
-                x_tuples + y_tuples,
-                expected_workspace,
-                backend,
-                expected_output,
+                x_tuples + y_tuples, backend, expected_output
             )
             + expected_workspace * self.workspace_tuple
         )

@@ -33,7 +33,7 @@ relation's, summarised per query and sorted by filtering the relation's
 kept view.  Any other columns (a pruned endpoint, a join below the
 join) are validated in bulk and sorted per query.  The sort (an
 argsort, skipped when the columns are already in order) and the batch
-backends' drain read the columns too, so a columnar or fused join
+backend's drain read the columns too, so a batch-backend join
 builds no :class:`~repro.model.tuples.TemporalTuple` at all; a
 consumer that is
 tuple-at-a-time by nature (tuple backend, nested-loop winner, a

@@ -43,6 +43,7 @@ from ..streams.processors.baseline import (
 )
 from ..streams.registry import (
     BACKENDS,
+    RANKED_BACKENDS,
     RegistryEntry,
     TemporalOperator,
     supported_entries,
@@ -171,9 +172,9 @@ class TemporalJoinPlanner:
         self.cost_model = CostModel()
         self.use_histograms = use_histograms
         #: Physical backend stream plans execute on ("tuple",
-        #: "columnar", or "fused").  "auto" enumerates a costed
-        #: alternative per backend and lets the cost model pick — the
-        #: backend-choice row of the plan.
+        #: "columnar", or its second name "fused").  "auto" enumerates a
+        #: costed alternative per :data:`RANKED_BACKENDS` entry and lets
+        #: the cost model pick — the backend-choice row of the plan.
         self.backend = backend
         #: Maximum shard count for time-domain-partitioned plans; the
         #: cost model may pick fewer (or fall back to serial) per
@@ -216,7 +217,7 @@ class TemporalJoinPlanner:
         output = expected_output_for(operator, x_stats, y_stats)
         out: list[Alternative] = []
         planner_backends = (
-            BACKENDS if self.backend == "auto" else (self.backend,)
+            RANKED_BACKENDS if self.backend == "auto" else (self.backend,)
         )
         order_free_seen: set[str] = set()
         for entry in supported_entries(operator):

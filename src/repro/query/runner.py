@@ -87,8 +87,8 @@ def run_query(
     streams:
         Execute recognised temporal joins with the stream engine via
         the cost-based planner (hybrid execution, ``backend="auto"``:
-        the cheapest of the tuple, columnar and fused forms of the
-        chosen cell); the stream joins taken are listed on the result.
+        the cheaper of the tuple and batch forms of the chosen cell);
+        the stream joins taken are listed on the result.
     recovery:
         The :class:`~repro.resilience.recovery.RecoveryPolicy` applied
         to the stream joins (only meaningful with ``streams=True``;

@@ -42,9 +42,9 @@ class ProcessorMetrics:
     #: eviction overhead of the batch backends); kept out of
     #: ``comparisons`` so the column stays comparable across backends.
     eviction_checks: int = 0
-    #: Which physical backend executed the operator ("tuple",
-    #: "columnar", or "fused") — audit records distinguish executions
-    #: per shard by this.
+    #: Which backend label executed the operator ("tuple", "columnar",
+    #: or its second name "fused") — audit records distinguish
+    #: executions per shard by this.
     backend: str = "tuple"
     #: Name of the batch kernel that ran, if any (``None`` on the
     #: tuple-at-a-time backend).

@@ -99,11 +99,14 @@ STATE_CLASS_DESCRIPTIONS = {
 #: The physical execution backends a table cell may offer.  "tuple" is
 #: the paper-faithful one-buffer stream processor; "columnar" is the
 #: batch-sweep backend of :mod:`repro.columnar` (same semantics and
-#: workspace accounting, different physical execution); "fused" is the
-#: endpoint-event sweep backend of :mod:`repro.columnar.fused` (one
-#: merged sweep per query, disposal-keyed slot store, lazy join
-#: materialisation).
+#: workspace accounting, one kernel sweep over endpoint columns, lazy
+#: join materialisation).  "fused" is a second name for the same batch
+#: path: same processor, kernel, counts and price.
 BACKENDS = ("tuple", "columnar", "fused")
+
+#: The backends that are different physical paths — one per distinct
+#: execution — which is what ``backend="auto"`` ranks.
+RANKED_BACKENDS = ("tuple", "columnar")
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,8 @@ class RegistryEntry:
 
     @property
     def backends(self) -> tuple[str, ...]:
-        """The physical backends this cell can execute on: a row
-        carries all three forms."""
+        """The backend labels this cell can execute on: a row carries
+        the tuple processor and the batch kernel."""
         return BACKENDS if self.cell is not None else ()
 
     @property

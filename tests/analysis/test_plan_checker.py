@@ -134,7 +134,7 @@ def test_unsupported_admissible_cell_is_caught():
 
 def test_missing_backend_is_caught():
     problems = _problems_of_the_one_bad_cell(
-        _corrupt(CONTAIN_TS_TS, columnar=None, fused=None)
+        _corrupt(CONTAIN_TS_TS, kernel=None)
     )
     assert "lacks backend(s): ['columnar', 'fused']" in problems
 

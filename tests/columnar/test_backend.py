@@ -20,7 +20,13 @@ from repro.model import (
 )
 from repro.optimizer.planner import TemporalJoinPlanner
 from repro.resilience.recovery import RecoveryPolicy
-from repro.streams import BACKENDS, TemporalOperator, TupleStream, lookup
+from repro.streams import (
+    BACKENDS,
+    RANKED_BACKENDS,
+    TemporalOperator,
+    TupleStream,
+    lookup,
+)
 from repro.streams.registry import supported_entries
 
 
@@ -231,10 +237,11 @@ class TestPlannerBackend:
         ],
     )
     def test_fused_and_auto_take_any_int64_endpoints(self, base, order):
-        """Nothing is packed into the fused slot store, so ``auto``
-        offers every cell on fused wherever the endpoints sit, and the
-        cell (``order`` ValidFrom^) and its mirror (ValidTov, which
-        sweeps the negated endpoints) run them to columnar's rows."""
+        """Nothing is packed into the batch kernels' slot store, so
+        ``auto`` offers every cell on the batch backend wherever the
+        endpoints sit, and the cell (``order`` ValidFrom^) and its mirror
+        (ValidTov, which sweeps the negated endpoints) run them to the
+        same rows under either batch label."""
 
         def relation(name, rows):
             return TemporalRelation(
@@ -256,7 +263,7 @@ class TestPlannerBackend:
         ):
             if alt.kind == "stream":
                 offered[alt.entry.mirrored].add(alt.backend)
-        assert offered[False] == offered[True] == set(BACKENDS)
+        assert offered[False] == offered[True] == set(RANKED_BACKENDS)
         rows = {}
         for backend in ("columnar", "fused", "auto"):
             results, profile = TemporalJoinPlanner(backend=backend).execute(
@@ -265,7 +272,7 @@ class TestPlannerBackend:
             assert profile.chosen.kind == "stream"
             assert profile.chosen.entry.mirrored is (order is TE_DESC)
             rows[backend] = [(a.value, b.value) for a, b in results]
-        assert profile.chosen.backend == "fused"  # auto's pick
+        assert profile.chosen.backend == "columnar"  # auto's pick
         assert rows["fused"] == rows["auto"] == rows["columnar"]
         assert sorted(rows["fused"]) == [
             (i, k)

@@ -1,10 +1,10 @@
-"""Fused endpoint-event backend: the two-column slot store's ordering
-laws, both charges of every slot-store sweep and the tuple oracle's
-counts on the same fixtures frozen in golden tables, the whole int64
-range against an independent implementation, the tie-rank order
-against the kernels' implicit merge, one kernel per cell in the cell
-table, lazy payload materialisation, endpoint-only column execution,
-and the slot-store bound declarations."""
+"""The batch kernels' endpoint-event sweep: the two-column slot store's
+ordering laws, every slot-store sweep's counts and the tuple oracle's
+on the same fixtures frozen in golden tables, the whole int64 range
+against an independent implementation, the tie-rank order against the
+kernels' implicit merge, one kernel per cell in the cell table, lazy
+payload materialisation, endpoint-only column execution, and the
+slot-store bound declarations."""
 
 from array import array
 from bisect import bisect_right
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.tables import FUSED_BOUNDS, derive_fused_bound
-from repro.columnar import ColumnarProcessor, fused, kernels
+from repro.columnar import ColumnarProcessor, SweepStats, fused, kernels
 from repro.columnar.backend import CELLS, LazyPairs
 from repro.columnar.events import (
     IDX_MASK,
@@ -104,26 +104,16 @@ STORING_KERNELS = {
 }
 
 
-#: The two ``SweepStats`` charges: the search charge the fused backend
-#: reports and the probe-scan charge the columnar backend reports.
-CHARGES = {
-    "search": ("comparisons", "eviction_checks"),
-    "scan": ("scan_comparisons", "scan_eviction_checks"),
-}
-
-
-def sweep(module, name, xs, ys, charge="search"):
-    """One storing kernel of ``module`` on spans: ``(output, five
-    SweepStats counts — comparisons and eviction checks of ``charge``,
-    inserted, discarded, high water — and the trace)``."""
+def sweep(name, xs, ys):
+    """One storing kernel on spans: ``(output, the five SweepStats
+    counts, the trace)``."""
     x_order, y_order = STORING_KERNELS[name]
     columns = list(x_order(xs))
     if y_order is not None:
         columns += y_order(ys)
     trace = []
-    out, stats = getattr(module, name)(*columns, trace=trace)
-    fields = CHARGES[charge] + ("inserted", "discarded", "high_water")
-    counts = tuple(getattr(stats, field) for field in fields)
+    out, stats = getattr(kernels, name)(*columns, trace=trace)
+    counts = tuple(getattr(stats, field) for field in SweepStats.__slots__)
     return out, counts, trace
 
 
@@ -131,7 +121,7 @@ def tuple_positions(name, xs, ys):
     """The tuple processor of ``name``'s cell on the columns
     :func:`sweep` hands the kernel, its output as column positions:
     an implementation that shares no code with the batch kernels."""
-    (cell,) = [c for c in CELLS.values() if c.fused.__name__ == name]
+    (cell,) = [c for c in CELLS.values() if c.kernel.__name__ == name]
     x_order, y_order = STORING_KERNELS[name]
     entry = lookup(cell.operator, cell.x_order, cell.y_order)
     streams = [
@@ -230,13 +220,18 @@ GOLDEN_FIXTURES = {
     "empty-y": (GOLDEN_X, []),
 }
 
-#: (kernel, fixture) -> (SweepStats counts, Figure-5 trace, output), as
-#: the packed-key kernels of PR 17 (a0c234f) produced them: what "no
-#: pinned count moving" means between commits, where the benchmark only
-#: checks that counts repeat between rounds.
+#: (kernel, fixture) -> (SweepStats counts, Figure-5 trace, output): what
+#: "no pinned count moving" means between commits, where the benchmark
+#: only checks that counts repeat between rounds.  Traces and outputs
+#: are as the packed-key kernels of commit a0c234f produced them.  The
+#: counts are the probe-scan charge: the Contain family's as the
+#: columnar probe-scan kernels (active lists compacted by the scan)
+#: produced them before that family shared one slot-store sweep; the
+#: Overlap-join's as its probe scan charges them, which the deleted
+#: slot-store Overlap-join matched in everything but eviction checks.
 GOLDEN = {
     ("contain_join_ts_ts", "adversarial"): (
-        (46, 34, 12, 12, 7),
+        (76, 10, 12, 12, 7),
         [1, 2, 3, 4, 5, 6, 7, 5, 6, 5, 6, 7, 5, 6, 5, 6, 4, 3, 2, 0],
         (
             [0, 0, 2, 0, 2, 0, 2, 0, 2, 4, 5, 6, 0, 2, 6, 0, 2, 6, 0, 2, 6,
@@ -246,7 +241,7 @@ GOLDEN = {
         ),
     ),
     ("contain_join_ts_ts", "reversed"): (
-        (47, 34, 12, 12, 9),
+        (75, 7, 12, 12, 9),
         [1, 2, 3, 4, 5, 6, 5, 4, 3, 4, 5, 6, 7, 8, 9, 6, 5, 0],
         (
             [0, 0, 1, 0, 1, 3, 0, 1, 0, 1, 5, 0, 1, 0, 1, 7, 0, 1, 0, 1, 7,
@@ -262,7 +257,7 @@ GOLDEN = {
         (0, 0, 0, 0, 0), [], ([], []),
     ),
     ("contain_join_ts_te", "adversarial"): (
-        (53, 67, 12, 12, 6),
+        (69, 11, 12, 12, 6),
         [1, 2, 3, 4, 5, 6, 4, 5, 6, 5, 3, 4, 5, 4, 5, 4, 3, 4, 2, 1, 0],
         (
             [0, 2, 4, 5, 6, 0, 2, 0, 2, 0, 2, 6, 0, 2, 6, 0, 2, 6, 0, 2, 0,
@@ -272,7 +267,7 @@ GOLDEN = {
         ),
     ),
     ("contain_join_ts_te", "reversed"): (
-        (49, 60, 11, 11, 6),
+        (63, 10, 11, 11, 6),
         [1, 2, 3, 4, 5, 6, 5, 3, 4, 5, 6, 3, 4, 5, 2, 1, 0],
         (
             [0, 1, 0, 1, 3, 0, 1, 0, 1, 5, 0, 1, 0, 1, 7, 0, 1, 7, 0, 1, 7,
@@ -288,12 +283,12 @@ GOLDEN = {
         (0, 0, 0, 0, 0), [], ([], []),
     ),
     ("contain_semijoin_ts_ts", "adversarial"): (
-        (25, 12, 12, 12, 4),
+        (44, 5, 12, 12, 4),
         [1, 0, 1, 2, 3, 4, 3, 0, 1, 2, 3, 2, 3, 4, 2, 3, 1, 2, 1, 0],
         [0, 2, 4, 5, 6, 12, 14],
     ),
     ("contain_semijoin_ts_ts", "reversed"): (
-        (26, 14, 12, 12, 6),
+        (40, 5, 12, 12, 6),
         [1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 0, 1, 2, 3, 4, 5, 6, 3, 0],
         [0, 1, 3, 5, 7, 12, 14],
     ),
@@ -304,12 +299,12 @@ GOLDEN = {
         (0, 0, 0, 0, 0), [], [],
     ),
     ("contained_semijoin_ts_ts", "adversarial"): (
-        (31, 28, 8, 8, 4),
+        (40, 6, 8, 8, 4),
         [1, 2, 3, 4, 2, 3, 4, 1, 2, 1, 2, 0],
         [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
     ),
     ("contained_semijoin_ts_ts", "reversed"): (
-        (31, 27, 6, 6, 4),
+        (40, 5, 6, 6, 4),
         [1, 2, 1, 2, 3, 4, 2, 3, 2, 1, 0],
         [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
     ),
@@ -317,10 +312,10 @@ GOLDEN = {
         (0, 0, 0, 0, 0), [], [],
     ),
     ("contained_semijoin_ts_ts", "empty-y"): (
-        (17, 0, 0, 0, 0), [], [],
+        (0, 0, 0, 0, 0), [], [],
     ),
     ("overlap_join_ts_ts", "adversarial"): (
-        (86, 70, 30, 30, 10),
+        (86, 26, 30, 30, 10),
         [1, 2, 3, 4, 5, 6, 7, 8, 6, 7, 8, 9, 10, 9, 10, 8, 9, 10, 7, 8, 9,
          10, 9, 10, 6, 7, 8, 6, 7, 8, 7, 8, 7, 8, 6, 7, 5, 6, 5, 6, 4, 5, 3,
          4, 0],
@@ -338,7 +333,7 @@ GOLDEN = {
         ),
     ),
     ("overlap_join_ts_ts", "reversed"): (
-        (86, 73, 29, 29, 11),
+        (86, 23, 29, 29, 11),
         [1, 2, 3, 4, 5, 4, 5, 6, 4, 5, 4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 7,
          8, 6, 7, 5, 6, 7, 8, 9, 8, 9, 10, 8, 9, 10, 11, 8, 9, 10, 9, 10, 6,
          0],
@@ -362,13 +357,13 @@ GOLDEN = {
         (0, 0, 0, 0, 0), [], ([], []),
     ),
     ("self_contain_semijoin_ts", "adversarial"): (
-        (21, 24, 17, 17, 3),
+        (16, 10, 17, 17, 3),
         [1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 0,
          1, 0, 1, 0, 1, 0],
         [0, 2, 5, 6, 12, 14],
     ),
     ("self_contain_semijoin_ts", "reversed"): (
-        (18, 20, 17, 17, 3),
+        (12, 9, 17, 17, 3),
         [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 3, 0, 1,
          0, 1, 2, 0, 1, 2, 0],
         [0, 1, 3, 5, 7, 12],
@@ -377,40 +372,11 @@ GOLDEN = {
         (0, 0, 0, 0, 0), [], [],
     ),
     ("self_contain_semijoin_ts", "empty-y"): (
-        (21, 24, 17, 17, 3),
+        (16, 10, 17, 17, 3),
         [1, 0, 1, 2, 1, 2, 0, 1, 2, 3, 1, 2, 0, 1, 2, 3, 0, 1, 2, 0, 1, 0,
          1, 0, 1, 0, 1, 0],
         [0, 2, 5, 6, 12, 14],
     ),
-}
-
-
-#: (kernel, fixture) -> SweepStats counts of the probe-scan charge, as
-#: the columnar probe-scan kernels (active lists compacted by the scan)
-#: produced them before the Contain family shared one slot-store sweep.
-#: Their trace and output were GOLDEN's row for the same key, to the
-#: element, so only the counts are kept here.
-SCAN_GOLDEN = {
-    ("contain_join_ts_ts", "adversarial"): (76, 10, 12, 12, 7),
-    ("contain_join_ts_ts", "reversed"): (75, 7, 12, 12, 9),
-    ("contain_join_ts_ts", "empty-x"): (0, 0, 0, 0, 0),
-    ("contain_join_ts_ts", "empty-y"): (0, 0, 0, 0, 0),
-    ("contain_join_ts_te", "adversarial"): (69, 11, 12, 12, 6),
-    ("contain_join_ts_te", "reversed"): (63, 10, 11, 11, 6),
-    ("contain_join_ts_te", "empty-x"): (0, 0, 0, 0, 0),
-    ("contain_join_ts_te", "empty-y"): (0, 0, 0, 0, 0),
-    ("contain_semijoin_ts_ts", "adversarial"): (44, 5, 12, 12, 4),
-    ("contain_semijoin_ts_ts", "reversed"): (40, 5, 12, 12, 6),
-    ("contain_semijoin_ts_ts", "empty-x"): (0, 0, 0, 0, 0),
-    ("contain_semijoin_ts_ts", "empty-y"): (0, 0, 0, 0, 0),
-    ("contained_semijoin_ts_ts", "adversarial"): (40, 6, 8, 8, 4),
-    ("contained_semijoin_ts_ts", "reversed"): (40, 5, 6, 6, 4),
-    ("contained_semijoin_ts_ts", "empty-x"): (0, 0, 0, 0, 0),
-    ("contained_semijoin_ts_ts", "empty-y"): (0, 0, 0, 0, 0),
-    ("self_contain_semijoin_ts", "adversarial"): (16, 10, 17, 17, 3),
-    ("self_contain_semijoin_ts", "reversed"): (12, 9, 17, 17, 3),
-    ("self_contain_semijoin_ts", "empty-x"): (0, 0, 0, 0, 0),
-    ("self_contain_semijoin_ts", "empty-y"): (16, 10, 17, 17, 3),
 }
 
 
@@ -1053,23 +1019,8 @@ class TestGoldenCounts:
     @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
     @pytest.mark.parametrize("name", STORING_KERNELS)
     def test_kernel_reproduces_the_golden_row(self, name, fixture):
-        out, counts, trace = sweep(fused, name, *GOLDEN_FIXTURES[fixture])
+        out, counts, trace = sweep(name, *GOLDEN_FIXTURES[fixture])
         assert (counts, trace, out) == GOLDEN[name, fixture]
-
-    @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
-    @pytest.mark.parametrize(
-        "name", sorted({name for name, _ in SCAN_GOLDEN})
-    )
-    def test_probe_scan_charge_reproduces_the_columnar_row(
-        self, name, fixture
-    ):
-        out, counts, trace = sweep(
-            kernels, name, *GOLDEN_FIXTURES[fixture], charge="scan"
-        )
-        _, golden_trace, golden_out = GOLDEN[name, fixture]
-        assert (counts, trace, out) == (
-            SCAN_GOLDEN[name, fixture], golden_trace, golden_out
-        )
 
     @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
     @pytest.mark.parametrize("label", TUPLE_CASES)
@@ -1128,20 +1079,13 @@ class TestPackingLimit:
     to be refused before the sweep (and, before that, died mid-sweep
     with a raw ``OverflowError``).  Nothing is packed now: the whole
     +-2**62 range, as given and under time reversal, runs and agrees
-    with an independent implementation: the columnar twin for the
-    Overlap-join, the tuple processor for the kernels both batch
-    backends share."""
+    with an independent implementation: the tuple processor."""
 
     @staticmethod
     def agree(name, xs, ys):
         for spans_x, spans_y in ((xs, ys), (mirrored(xs), mirrored(ys))):
-            out, counts, _ = sweep(fused, name, spans_x, spans_y)
-            if name != "overlap_join_ts_ts":
-                assert out == tuple_positions(name, spans_x, spans_y)
-                continue
-            expected, twin, _ = sweep(kernels, name, spans_x, spans_y)
-            assert out == expected
-            assert counts[2:] == twin[2:]  # inserted, discarded, high water
+            out, _, _ = sweep(name, spans_x, spans_y)
+            assert out == tuple_positions(name, spans_x, spans_y)
 
     @pytest.mark.parametrize(
         "name, stored",
@@ -1190,25 +1134,32 @@ class TestPackingLimit:
 
 
 class TestOneKernelPerCell:
-    """Both batch backends run one sweep per cell; only the
-    Overlap-join keeps a kernel of each kind."""
+    """Every batch run of a cell calls its one kernel, whichever batch
+    label the plan carries."""
 
-    def test_only_the_overlap_join_has_two_kernels(self):
+    def test_every_row_names_one_kernel(self):
+        """The row's kernel resolves by name in :mod:`kernels` and in
+        :mod:`fused` alike."""
         for label, cell in CELLS.items():
-            if cell.operator is TemporalOperator.OVERLAP_JOIN:
-                assert cell.columnar is not cell.fused
-            else:
-                assert cell.columnar is cell.fused, label
+            name = cell.kernel.__name__
+            assert getattr(kernels, name) is cell.kernel, label
+            assert getattr(fused, name) is cell.kernel, label
 
     def test_every_reported_kernel_name_resolves(self):
         """What a processor reports as ``metrics.kernel`` is looked up
-        by name in its backend's module (the benchmark's replay does),
-        and every name exists in both."""
+        by name in its backend's module (the benchmark's replay does):
+        the row's one kernel, on both batch labels."""
         for cell in CELLS.values():
-            assert getattr(kernels, cell.columnar.__name__) is cell.columnar
-            assert getattr(fused, cell.fused.__name__) is cell.fused
-            assert hasattr(fused, cell.columnar.__name__)
-            assert hasattr(kernels, cell.fused.__name__)
+            streams = [
+                TupleStream.from_tuples([], order=order, name=role)
+                for order, role in ((cell.x_order, "X"), (cell.y_order, "Y"))
+                if order is not None
+            ]
+            for backend, module in (("columnar", kernels), ("fused", fused)):
+                reported = ColumnarProcessor(
+                    cell, backend, *streams
+                ).metrics.kernel
+                assert getattr(module, reported) is cell.kernel
 
 
 class TestEventSchedule:
@@ -1245,13 +1196,13 @@ class TestEventSchedule:
     @given(interval_columns, interval_columns)
     @settings(max_examples=60)
     def test_kernel_realises_schedule_order(self, xcols, ycols):
-        """The fused contain-join's implicit merge (two pointers plus
+        """The contain-join kernel's implicit merge (two pointers plus
         the equal-timestamp holdback) produces exactly the pairs the
         explicit merged schedule mandates: replaying the schedule with
         a naive active set gives the same output multiset."""
         x_ts, x_te = xcols
         y_ts, y_te = ycols
-        (xi, yj), _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        (xi, yj), _ = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         got = sorted(zip(xi, yj))
 
         # Replay the explicit schedule: starts admit, evicts remove,
@@ -1278,7 +1229,7 @@ class TestLazyPairs:
         x_te = [t + 10 for t in x_ts]
         y_ts = [t + 1 for t in x_ts]
         y_te = [t + 2 for t in y_ts]
-        columns, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        columns, _ = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         xp = [f"x{i}" for i in range(n)]
         yp = [f"y{j}" for j in range(n)]
         return columns, xp, yp
@@ -1305,7 +1256,7 @@ class TestLazyPairs:
         building a single payload pair."""
         x_ts, x_te = xcols
         y_ts, y_te = ycols
-        columns, _ = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        columns, _ = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         lazy = LazyPairs(columns, [None] * len(x_ts), [None] * len(y_ts))
         xs, ys = (list(zip(*side)) for side in (xcols, ycols))
         (exi, _) = tuple_positions("contain_join_ts_ts", xs, ys)
@@ -1320,8 +1271,8 @@ class TestLazyPairs:
         assert lazy.materialized is True
 
     def test_index_columns_expand_the_runs_once(self):
-        """The runs expand once, inside the kernel: on both batch
-        backends ``index_columns()`` hands back the kernel's own two
+        """The runs expand once, inside the kernel: on either batch
+        label ``index_columns()`` hands back the kernel's own two
         lists — no copy, no conversion, however often it is asked —
         and a later ``list()`` gathers payloads through them."""
         cell = CELLS["contain-join[TS^,TS^]"]
@@ -1331,11 +1282,11 @@ class TestLazyPairs:
             returned = []
 
             def spy(*columns, **options):
-                returned.append(cell.kernel(backend)(*columns, **options))
+                returned.append(cell.kernel(*columns, **options))
                 return returned[0]
 
             lazy = ColumnarProcessor(
-                replace(cell, columnar=spy, fused=spy),
+                replace(cell, kernel=spy),
                 backend,
                 TupleStream.from_tuples(xs, order=TS_ASC, name="X"),
                 TupleStream.from_tuples(ys, order=TS_ASC, name="Y"),
@@ -1360,7 +1311,7 @@ class TestLazyPairs:
 
 
 class TestEndpointOnlyExecution:
-    """Fused kernels run on bare endpoint columns (the shared-memory
+    """The kernels run on bare endpoint columns (the shared-memory
     worker shape: no payload objects at all)."""
 
     def test_join_kernel_on_arrays(self):
@@ -1368,7 +1319,7 @@ class TestEndpointOnlyExecution:
         x_te = array("q", [10, 6, 12])
         y_ts = array("q", [1, 3, 6, 11])
         y_te = array("q", [4, 6, 11, 12])
-        (xi, yj), stats = fused.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
+        (xi, yj), stats = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
         assert list(zip(xi, yj)) == [(0, 0), (0, 1), (2, 2)]
         assert stats.inserted == stats.discarded
         assert stats.high_water >= 1
@@ -1378,7 +1329,7 @@ class TestEndpointOnlyExecution:
         x_te = array("q", [10, 6, 12])
         y_ts = array("q", [1, 3, 6])
         y_te = array("q", [4, 6, 11])
-        out, stats = fused.contain_semijoin_ts_ts(x_ts, x_te, y_ts, y_te)
+        out, stats = kernels.contain_semijoin_ts_ts(x_ts, x_te, y_ts, y_te)
         assert out == [0, 2]
         assert stats.eviction_checks >= 0
 
@@ -1386,7 +1337,7 @@ class TestEndpointOnlyExecution:
         x_ts = [0, 1, 2]
         x_te = [100, 100, 100]
         with pytest.raises(WorkspaceOverflowError):
-            fused.contain_join_ts_ts(x_ts, x_te, [50], [60], limit=2)
+            kernels.contain_join_ts_ts(x_ts, x_te, [50], [60], limit=2)
 
 
 class TestSlotBounds:

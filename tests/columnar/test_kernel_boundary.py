@@ -22,7 +22,6 @@ from repro.streams import TemporalOperator, TupleStream, lookup
 FORMS = ("array", "list", "shared-memory")
 SWEEP_COUNTS = (
     "comparisons", "eviction_checks", "inserted", "discarded", "high_water",
-    "scan_comparisons", "scan_eviction_checks",
 )
 
 
@@ -60,8 +59,8 @@ def stored_as(form, rows):
 
 
 def spied(cell, seen):
-    """``cell`` with both batch kernels recording what they were handed
-    and the ``SweepStats`` they returned."""
+    """``cell`` with its batch kernel recording what it was handed and
+    the ``SweepStats`` it returned."""
 
     def spy(kernel):
         @wraps(kernel)
@@ -77,7 +76,7 @@ def spied(cell, seen):
 
         return run
 
-    return replace(cell, columnar=spy(cell.columnar), fused=spy(cell.fused))
+    return replace(cell, kernel=spy(cell.kernel))
 
 
 @contextmanager
@@ -99,7 +98,7 @@ def streams_over(form, operands):
         ]
 
 
-def run_cell(cell, backend, mirrored, form):
+def run_cell(cell, mirrored, form):
     """Everything observable about one run of ``cell`` on operands
     whose columns are stored in ``form``."""
     operands = []
@@ -112,7 +111,7 @@ def run_cell(cell, backend, mirrored, form):
     seen = []
     with streams_over(form, operands) as streams:
         processor = ColumnarProcessor(
-            spied(cell, seen), backend, *streams, mirrored=mirrored
+            spied(cell, seen), "columnar", *streams, mirrored=mirrored
         )
         processor.meter.enable_trace()
         out = list(processor.run())
@@ -126,7 +125,6 @@ def run_cell(cell, backend, mirrored, form):
     }
 
 
-@pytest.mark.parametrize("backend", ("columnar", "fused"))
 @pytest.mark.parametrize(
     "label,mirrored",
     [
@@ -137,10 +135,10 @@ def run_cell(cell, backend, mirrored, form):
     ],
 )
 def test_a_cell_reads_lists_whatever_its_operands_are_stored_as(
-    label, mirrored, backend
+    label, mirrored
 ):
     cell = CELLS[label]
-    runs = {form: run_cell(cell, backend, mirrored, form) for form in FORMS}
+    runs = {form: run_cell(cell, mirrored, form) for form in FORMS}
     columns = 2 if cell.y_order is None else 4
     for form, run in runs.items():
         assert run["handed"] == [list] * columns, form
@@ -149,12 +147,9 @@ def test_a_cell_reads_lists_whatever_its_operands_are_stored_as(
     assert reference["out"], "the operands were meant to match"
     stats = reference["sweep_stats"]
     assert max(reference["trace"]) == stats["high_water"]
-    # Each backend reports its own charge of the sweep: columnar the
-    # probe-scan one, wherever the kernel keeps a slot store.
-    scan = backend == "columnar" and stats["scan_comparisons"] is not None
-    prefix = "scan_" if scan else ""
+    # The processor reports the kernel's one charge of the sweep.
     for count in ("comparisons", "eviction_checks"):
-        assert reference["metrics"][count] == stats[prefix + count]
+        assert reference["metrics"][count] == stats[count]
 
 
 @pytest.mark.parametrize("form", FORMS)

@@ -1,15 +1,13 @@
-"""A tie group is swept once: the Overlap-join kernels let the rest of
+"""A tie group is swept once: the Overlap-join kernel lets the rest of
 an equal-ValidFrom group of one operand reuse the opposite state its
 first element left behind.  Nothing observable may change — pairs and
 their order, the five ``SweepStats`` counts, the Figure-5 trace and the
-insertion at which a workspace limit raises are the pre-change kernels'
+insertion at which a workspace limit raises are the pre-change kernel's
 (kept below as the reference) — only how often the state is visited."""
 
 import importlib.util
 import sys
-from bisect import bisect_right
 from collections import Counter
-from itertools import repeat
 from pathlib import Path
 from sys import maxsize
 
@@ -18,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import optimize
-from repro.columnar import fused, kernels
+from repro.columnar import kernels
 from repro.columnar.kernels import SweepStats, _overflow
 from repro.errors import WorkspaceOverflowError
 from repro.optimizer import TemporalJoinPlanner, execute_hybrid
@@ -114,95 +112,6 @@ def reference_columnar(x_ts, x_te, y_ts, y_te, limit=None, trace=None):
     return (out_x, out_y), stats
 
 
-def reference_fused(x_ts, x_te, y_ts, y_te, limit=None, trace=None):
-    """``fused.overlap_join_ts_ts`` as it stood before tie groups: every
-    element searches the disposal prefix and re-sorts the whole store."""
-    stats = SweepStats()
-    budget = maxsize if limit is None else limit
-    nx, ny = len(x_ts), len(y_ts)
-    x_ends = []  # stored X: ValidTo, ascending
-    x_rows = []  # stored X: column position, parallel
-    y_ends = []  # stored Y, likewise
-    y_rows = []
-    xi = []
-    yj = []
-    comparisons = eviction_checks = inserted = discarded = high = 0
-    i = j = 0
-    while True:
-        if i < nx and (j >= ny or x_ts[i] <= y_ts[j]):
-            k = bisect_right(y_ends, x_ts[i])
-            eviction_checks += len(y_rows).bit_length()
-            if k:
-                del y_ends[:k]
-                del y_rows[:k]
-                discarded += k
-                if trace is not None:
-                    trace.append(len(x_rows) + len(y_rows))
-            m = len(y_rows)
-            comparisons += m  # every survivor is one matched pair
-            if m:
-                xi.extend(repeat(i, m))
-                yj.extend(sorted(y_rows))
-            if j < ny:  # an X tuple only joins future Y if any remain
-                xte = x_te[i]
-                at = bisect_right(x_ends, xte)
-                x_ends.insert(at, xte)
-                x_rows.insert(at, i)
-                inserted += 1
-                cur = len(x_rows) + len(y_rows)
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            i += 1
-        elif j < ny:
-            k = bisect_right(x_ends, y_ts[j])
-            eviction_checks += len(x_rows).bit_length()
-            if k:
-                del x_ends[:k]
-                del x_rows[:k]
-                discarded += k
-                if trace is not None:
-                    trace.append(len(x_rows) + len(y_rows))
-            m = len(x_rows)
-            comparisons += m
-            if m:
-                xi.extend(sorted(x_rows))
-                yj.extend(repeat(j, m))
-            if i < nx:
-                yte = y_te[j]
-                at = bisect_right(y_ends, yte)
-                y_ends.insert(at, yte)
-                y_rows.insert(at, j)
-                inserted += 1
-                cur = len(x_rows) + len(y_rows)
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            j += 1
-        else:
-            break
-    discarded += len(x_rows) + len(y_rows)
-    if trace is not None and (x_rows or y_rows):
-        trace.append(0)
-    stats.comparisons = comparisons
-    stats.eviction_checks = eviction_checks
-    stats.inserted = inserted
-    stats.discarded = discarded
-    stats.high_water = high
-    return (xi, yj), stats
-
-
-BACKENDS = {
-    "columnar": (kernels.overlap_join_ts_ts, reference_columnar),
-    "fused": (fused.overlap_join_ts_ts, reference_fused),
-}
-
 
 def observed(kernel, operands, limit=None):
     """Everything a caller can see of one sweep, the trace included —
@@ -217,15 +126,15 @@ def observed(kernel, operands, limit=None):
 
 
 def assert_matches_reference(operands):
-    for name, (kernel, reference) in BACKENDS.items():
-        expected = observed(reference, operands)
-        assert observed(kernel, operands) == expected, name
-        high_water = expected[1]["high_water"]
-        if high_water:
-            breached = observed(reference, operands, high_water - 1)
-            assert breached[0] == "overflow"
-            assert observed(kernel, operands, high_water - 1) == breached, name
-        assert observed(kernel, operands, high_water) == expected, name
+    kernel, reference = kernels.overlap_join_ts_ts, reference_columnar
+    expected = observed(reference, operands)
+    assert observed(kernel, operands) == expected
+    high_water = expected[1]["high_water"]
+    if high_water:
+        breached = observed(reference, operands, high_water - 1)
+        assert breached[0] == "overflow"
+        assert observed(kernel, operands, high_water - 1) == breached
+    assert observed(kernel, operands, high_water) == expected
 
 
 def columns(spans):
@@ -290,9 +199,8 @@ class TestKernelsAgainstTheParent:
         group = [(5, 1), (5, 4), (5, 4), (5, 8)]
         sides = (group, early) if late == "x" else (early, group)
         assert_matches_reference(operands(*sides))
-        for kernel, _ in BACKENDS.values():
-            _, counts, _ = observed(kernel, operands(*sides))
-            assert counts["inserted"] == len(early)
+        _, counts, _ = observed(kernels.overlap_join_ts_ts, operands(*sides))
+        assert counts["inserted"] == len(early)
 
     @pytest.mark.parametrize(
         "x_spans, y_spans",
@@ -376,14 +284,6 @@ class TestTheStateIsVisitedOncePerGroup:
         steps = len(x_ts) + len(y_ts)
         groups = len(set(x_ts)) + len(set(y_ts))
         assert (steps - groups) / steps > 0.8
-
-    def test_fused_sorts_a_store_once_per_group(self, tie_operands):
-        x_ts, _, y_ts, _ = tie_operands
-        groups = len(set(x_ts)) + len(set(y_ts))
-        ((xi, _), _), calls = c_calls(fused.overlap_join_ts_ts, *tie_operands)
-        assert xi and calls["sorted"] <= groups
-        _, before = c_calls(reference_fused, *tie_operands)
-        assert before["sorted"] > groups
 
     def test_columnar_appends_less_than_once_per_pair(self, tie_operands):
         ((xi, _), _), calls = c_calls(

@@ -11,7 +11,7 @@ from repro.model import TemporalTuple, sort_tuples
 from repro.obs import Tracer
 from repro.obs.trace import set_tracer
 from repro.streams import (
-    BACKENDS,
+    RANKED_BACKENDS,
     TemporalOperator,
     TupleStream,
     supported_entries,
@@ -85,7 +85,7 @@ def run_cell(entry, backend, xs, ys, traced):
 def all_cells():
     for operator in BINARY_OPERATORS + SELF_OPERATORS:
         for entry in supported_entries(operator):
-            for backend in BACKENDS:
+            for backend in RANKED_BACKENDS:
                 yield pytest.param(
                     entry,
                     backend,

@@ -8,7 +8,7 @@ from repro.model import TE_ASC, TE_DESC, TS_ASC
 from repro.optimizer import CostModel, TemporalJoinPlanner, expected_workspace_for
 from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
-from repro.streams import TemporalOperator, contain_predicate
+from repro.streams import RANKED_BACKENDS, TemporalOperator, contain_predicate
 from repro.workload import PoissonWorkload, fixed_duration
 
 
@@ -289,7 +289,7 @@ class TestWorkspaceBudgetFallback:
         if profile.chosen.entry.state_class == "d":
             assert profile.metrics.workspace_high_water == 0
 
-    @pytest.mark.parametrize("backend", ("tuple", "columnar", "fused"))
+    @pytest.mark.parametrize("backend", RANKED_BACKENDS)
     @pytest.mark.parametrize("order", (TS_ASC, TE_DESC), ids=("upper", "mirrored"))
     def test_mirrored_cell_honours_the_budget_like_its_twin(self, order, backend):
         """TEv/TEv is the lower-half twin of TS^/TS^: the same state,

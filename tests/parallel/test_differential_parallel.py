@@ -11,7 +11,7 @@ from repro.governance import QueryBudget, governed
 from repro.resilience import ExecutionReport, RecoveryPolicy
 from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
-from repro.streams import TemporalOperator, lookup
+from repro.streams import RANKED_BACKENDS, TemporalOperator, lookup
 
 from .conftest import (
     all_supported_cells,
@@ -69,7 +69,7 @@ def test_mirrored_strict_shard_takes_the_kernel_fast_path(
         entry, xs, ys, shards=3, backend=backend, mode="inline"
     )
     assert outcome.plan.effective_shards > 1
-    assert outcome.metrics.kernel == entry.cell.kernel(backend).__name__
+    assert outcome.metrics.kernel == entry.cell.kernel.__name__
     assert canon(outcome.results) == expected
     assert built == []
 
@@ -100,7 +100,7 @@ def test_clean_degrade_shard_builds_no_tuple(
         mode="inline",
     )
     assert outcome.plan.effective_shards > 1
-    assert outcome.metrics.kernel == entry.cell.kernel(backend).__name__
+    assert outcome.metrics.kernel == entry.cell.kernel.__name__
     assert (outcome.metrics.passes_x, outcome.metrics.passes_y) == (1, 1)
     assert not outcome.degraded
     assert canon(outcome.results) == expected
@@ -114,7 +114,7 @@ ORDERED_CELLS = [
 
 
 @pytest.mark.parametrize("entry", ORDERED_CELLS, ids=cell_id)
-@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+@pytest.mark.parametrize("backend", RANKED_BACKENDS)
 @pytest.mark.parametrize("mode", ["inline", "process"])
 @pytest.mark.parametrize("side", ["X", "Y"])
 @pytest.mark.parametrize("swap", ["far", "cut-straddling"])
@@ -240,7 +240,7 @@ class TestProcessModeDifferential:
     for every cell on every backend."""
 
     @pytest.mark.parametrize("entry", CELLS, ids=cell_id)
-    @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+    @pytest.mark.parametrize("backend", RANKED_BACKENDS)
     @pytest.mark.parametrize("shards", [2, 4])
     def test_process_matches_inline(
         self, entry, backend, shards, small_inputs

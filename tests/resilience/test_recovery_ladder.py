@@ -17,7 +17,7 @@ from repro.streams.processors.baseline import (
     contain_predicate,
     overlap_predicate,
 )
-from repro.streams.registry import TemporalOperator, lookup
+from repro.streams.registry import RANKED_BACKENDS, TemporalOperator, lookup
 
 #: Tie-heavy lifespans: a tiny endpoint domain with few durations, so
 #: equal TS/TE values dominate.
@@ -129,7 +129,7 @@ class TestStrict:
         assert report.order_violations == 1
 
 
-@pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+@pytest.mark.parametrize("backend", RANKED_BACKENDS)
 @pytest.mark.parametrize(
     "policy", [RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE]
 )

@@ -23,6 +23,7 @@ import pytest
 from repro.columnar.fused import LazyPairs
 from repro.model import TS_ASC, TemporalTuple, sort_tuples
 from repro.streams import (
+    RANKED_BACKENDS,
     NestedLoopJoin,
     NestedLoopSelfSemijoin,
     NestedLoopSemijoin,
@@ -109,7 +110,7 @@ def state_bound(state_class, xs, ys):
 def binary_cases():
     for operator, (predicate, kind) in BINARY_OPERATORS.items():
         for entry in supported_entries(operator):
-            for backend in entry.backends:
+            for backend in RANKED_BACKENDS:
                 for seed in SEEDS:
                     yield pytest.param(
                         entry,
@@ -168,7 +169,7 @@ def test_binary_cell_differential(entry, predicate, kind, backend, seed):
 def self_cases():
     for operator, predicate in SELF_OPERATORS.items():
         for entry in supported_entries(operator):
-            for backend in entry.backends:
+            for backend in RANKED_BACKENDS:
                 for seed in SEEDS:
                     yield pytest.param(
                         entry,
@@ -228,6 +229,7 @@ def three_way_cases():
 
 
 def _run_on(entry, backend, xs, ys):
+    """``(output, metrics, Figure-5 trace)`` of one run."""
     if ys is None:
         processor = entry.build(
             make_stream(xs, entry.x_order, "X"), backend=backend
@@ -238,15 +240,16 @@ def _run_on(entry, backend, xs, ys):
             make_stream(ys, entry.y_order, "Y"),
             backend=backend,
         )
-    return processor.run(), processor.metrics
+    processor.meter.enable_trace()
+    return processor.run(), processor.metrics, processor.meter.trace
 
 
 @pytest.mark.parametrize("entry, seed", three_way_cases())
 def test_three_way_backends_byte_identical(entry, seed):
     """tuple vs columnar vs fused on every registry cell: identical
-    output *sequences* (values and emission order), equal slot-store
-    high-water marks between the two batch backends, and comparison
-    accounting within the stated drift bound.
+    output *sequences* (values and emission order), ``fused`` the same
+    run as ``columnar`` in every count, and comparison accounting within
+    the stated drift bound.
 
     The comparison-parity law (the accounting-drift fix): the tuple
     backend GCs its state before probing, so its ``comparisons`` count
@@ -259,9 +262,6 @@ def test_three_way_backends_byte_identical(entry, seed):
     one exception is the contained-semijoin class-(c) cells, where the
     tuple processor breaks at the first witness while the batch sweep
     probes a snapshot — there the law is one-sided (tuple <= columnar).
-    The fused backend replaces probe scans by binary searches, charging
-    ``bit_length(store)`` per search, so its count is bounded by the
-    columnar count plus one extra unit per consumed element.
     """
     rng = random.Random(seed)
     xs = tie_heavy_workload(rng, rng.randrange(5, 40))
@@ -271,9 +271,9 @@ def test_three_way_backends_byte_identical(entry, seed):
         else None
     )
     nx, ny = len(xs), len(ys or [])
-    t_out, t_m = _run_on(entry, "tuple", xs, ys)
-    c_out, c_m = _run_on(entry, "columnar", xs, ys)
-    f_out, f_m = _run_on(entry, "fused", xs, ys)
+    t_out, t_m, _ = _run_on(entry, "tuple", xs, ys)
+    c_out, c_m, c_trace = _run_on(entry, "columnar", xs, ys)
+    f_out, f_m, f_trace = _run_on(entry, "fused", xs, ys)
     kind = BINARY_OPERATORS.get(entry.operator, (None, None))[1]
     if kind == "join":
         # Both batch backends hand back the one lazy join output on
@@ -287,15 +287,17 @@ def test_three_way_backends_byte_identical(entry, seed):
     assert isinstance(t_out, list)
     assert list(c_out) == t_out  # element for element, in order
     assert list(f_out) == t_out
-    # The two batch backends account state identically: lazy disposal
-    # at the same sweep positions, so the same high-water mark.
-    assert f_m.workspace.high_water == c_m.workspace.high_water
-    # Comparison parity within the stated bound.
-    if entry.operator is TemporalOperator.CONTAINED_SEMIJOIN:
-        assert t_m.comparisons <= c_m.comparisons
-    else:
-        assert 0 <= c_m.comparisons - t_m.comparisons <= nx + ny
-    assert f_m.comparisons <= c_m.comparisons + nx + ny
+    # One path under two names: the fused run is the columnar run in
+    # comparisons, eviction checks, inserted, discarded, high water and
+    # the Figure-5 trace; only the backend label differs.
+    assert f_trace == c_trace
+    assert {**f_m.to_dict(), "backend": "columnar"} == c_m.to_dict()
+    # Comparison parity within the stated bound, on both labels.
+    for batch in (c_m, f_m):
+        if entry.operator is TemporalOperator.CONTAINED_SEMIJOIN:
+            assert t_m.comparisons <= batch.comparisons
+        else:
+            assert 0 <= batch.comparisons - t_m.comparisons <= nx + ny
     # The eager backend never rediscovers dead entries.
     assert t_m.eviction_checks == 0
     # Audit-record provenance: each run names its backend and kernel.
