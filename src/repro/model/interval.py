@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Callable,
+    Dict,
     Iterator,
     List,
     NamedTuple,
@@ -33,6 +35,19 @@ from typing import (
 
 from ..errors import InvalidIntervalError
 from .time_domain import Timepoint, validate_timepoint
+
+
+def check_lifespan(start: Timepoint, end: Timepoint) -> None:
+    """The intra-tuple integrity constraint, the one definition of it:
+    both endpoints are :func:`~repro.model.time_domain.validate_timepoint`
+    timepoints (``TypeError`` otherwise) and ``start < end``
+    (:class:`~repro.errors.InvalidIntervalError` otherwise)."""
+    validate_timepoint(start, "start")
+    validate_timepoint(end, "end")
+    if not start < end:
+        raise InvalidIntervalError(
+            f"interval requires start < end, got [{start}, {end})"
+        )
 
 
 class HasLifespan(Protocol):
@@ -60,12 +75,7 @@ class Interval:
     end: Timepoint
 
     def __post_init__(self) -> None:
-        validate_timepoint(self.start, "start")
-        validate_timepoint(self.end, "end")
-        if not self.start < self.end:
-            raise InvalidIntervalError(
-                f"interval requires start < end, got [{self.start}, {self.end})"
-            )
+        check_lifespan(self.start, self.end)
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -294,6 +304,12 @@ def lifespan_key(t: HasLifespan) -> tuple:
 
 
 # -- lifespan form -----------------------------------------------------
+# Each comparator a sweep probes its state with is followed by its two
+# bulk forms, one specialised comprehension each (``within_lifespan``'s
+# read ``contains_lifespan``'s from the other side); see ``BULK_FORMS``.
+LifespanT = TypeVar("LifespanT", bound=HasLifespan)
+
+
 def starts_no_later(a: HasLifespan, b: HasLifespan) -> bool:
     """``a.TS <= b.TS`` — ``a`` starts no later than ``b``; ties count.
     The Section-4.2.1 disposal test "every future Y starts at or after
@@ -329,11 +345,43 @@ def ends_before_start(a: HasLifespan, b: HasLifespan) -> bool:
     return a.valid_to < b.valid_from
 
 
+def ends_before_start_held_first(
+    items: List[LifespanT], b: HasLifespan
+) -> List[LifespanT]:
+    """``[a for a in items if ends_before_start(a, b)]``."""
+    ts = b.valid_from
+    return [a for a in items if a.valid_to < ts]
+
+
+def ends_before_start_held_second(
+    a: HasLifespan, items: List[LifespanT]
+) -> List[LifespanT]:
+    """``[c for c in items if ends_before_start(a, c)]``."""
+    te = a.valid_to
+    return [c for c in items if te < c.valid_from]
+
+
 def contains_lifespan(a: HasLifespan, b: HasLifespan) -> bool:
     """``a.TS < b.TS and b.TE < a.TE`` — ``a`` strictly contains ``b``
     (the Contain-join condition of Section 4.2.1; both inequalities
     strict, so sharing either endpoint is not containment)."""
     return a.valid_from < b.valid_from and b.valid_to < a.valid_to
+
+
+def contains_lifespan_held_first(
+    items: List[LifespanT], b: HasLifespan
+) -> List[LifespanT]:
+    """``[a for a in items if contains_lifespan(a, b)]``."""
+    ts, te = b.valid_from, b.valid_to
+    return [a for a in items if a.valid_from < ts and te < a.valid_to]
+
+
+def contains_lifespan_held_second(
+    a: HasLifespan, items: List[LifespanT]
+) -> List[LifespanT]:
+    """``[c for c in items if contains_lifespan(a, c)]``."""
+    ts, te = a.valid_from, a.valid_to
+    return [c for c in items if ts < c.valid_from and c.valid_to < te]
 
 
 def within_lifespan(a: HasLifespan, b: HasLifespan) -> bool:
@@ -343,12 +391,90 @@ def within_lifespan(a: HasLifespan, b: HasLifespan) -> bool:
     return contains_lifespan(b, a)
 
 
+def within_lifespan_held_first(
+    items: List[LifespanT], b: HasLifespan
+) -> List[LifespanT]:
+    """``[a for a in items if within_lifespan(a, b)]``: the held
+    tuples ``b`` contains."""
+    return contains_lifespan_held_second(b, items)
+
+
+def within_lifespan_held_second(
+    a: HasLifespan, items: List[LifespanT]
+) -> List[LifespanT]:
+    """``[c for c in items if within_lifespan(a, c)]``: the held
+    tuples that contain ``a``."""
+    return contains_lifespan_held_first(items, a)
+
+
 def lifespans_intersect(a: HasLifespan, b: HasLifespan) -> bool:
     """``a.TS < b.TE and b.TS < a.TE`` — the TQuel/Snodgrass *overlap*:
     the lifespans share at least one timepoint.  Meeting endpoints
     (``a.TE == b.TS``) do NOT intersect under the half-open
     convention."""
     return a.valid_from < b.valid_to and b.valid_from < a.valid_to
+
+
+def lifespans_intersect_held_first(
+    items: List[LifespanT], b: HasLifespan
+) -> List[LifespanT]:
+    """``[a for a in items if lifespans_intersect(a, b)]``."""
+    ts, te = b.valid_from, b.valid_to
+    return [a for a in items if a.valid_from < te and ts < a.valid_to]
+
+
+def lifespans_intersect_held_second(
+    a: HasLifespan, items: List[LifespanT]
+) -> List[LifespanT]:
+    """``[c for c in items if lifespans_intersect(a, c)]``."""
+    ts, te = a.valid_from, a.valid_to
+    return [c for c in items if ts < c.valid_to and c.valid_from < te]
+
+
+# -- bulk form ---------------------------------------------------------
+Comparator = Callable[[HasLifespan, HasLifespan], bool]
+
+
+class BulkForms(NamedTuple):
+    """A lifespan comparator ``match`` applied to a whole state list
+    at once, keeping the list's order.  A sweep probes its state with
+    these: the state tuple is ``match``'s first argument where the
+    state holds X tuples, its second where it holds Y tuples."""
+
+    #: ``held_first(items, b) == [a for a in items if match(a, b)]``
+    held_first: Callable[[List[LifespanT], HasLifespan], List[LifespanT]]
+    #: ``held_second(a, items) == [c for c in items if match(a, c)]``
+    held_second: Callable[[HasLifespan, List[LifespanT]], List[LifespanT]]
+
+
+#: Each lifespan-form comparator a sweep declares as its ``match``,
+#: with the bulk forms written beside it above.
+BULK_FORMS: Dict[Comparator, BulkForms] = {
+    contains_lifespan: BulkForms(
+        contains_lifespan_held_first, contains_lifespan_held_second
+    ),
+    within_lifespan: BulkForms(
+        within_lifespan_held_first, within_lifespan_held_second
+    ),
+    lifespans_intersect: BulkForms(
+        lifespans_intersect_held_first, lifespans_intersect_held_second
+    ),
+    ends_before_start: BulkForms(
+        ends_before_start_held_first, ends_before_start_held_second
+    ),
+}
+
+
+def bulk_forms(match: Comparator) -> BulkForms:
+    """``match``'s registered bulk forms; for any other predicate (an
+    ad-hoc join condition), the generic comprehensions over it."""
+    forms = BULK_FORMS.get(match)
+    if forms is not None:
+        return forms
+    return BulkForms(
+        lambda items, b: [a for a in items if match(a, b)],
+        lambda a, items: [c for c in items if match(a, c)],
+    )
 
 
 # -- disposal form -----------------------------------------------------
@@ -380,9 +506,6 @@ def disposable(
     return rule is not None and disposable_at(
         held, rule, getattr(buffer, rule.bound)
     )
-
-
-LifespanT = TypeVar("LifespanT", bound=HasLifespan)
 
 
 def surviving(

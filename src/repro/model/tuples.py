@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import SchemaError
-from .interval import Interval, covers_point
+from .interval import Interval, check_lifespan, covers_point
 from .time_domain import Timepoint
 
 #: Canonical names of the two timestamp attributes, with the short
@@ -41,8 +41,9 @@ class TemporalTuple:
         The time-varying attribute value (``V``), e.g. a rank.
     valid_from, valid_to:
         The half-open lifespan ``[ValidFrom, ValidTo)``.  The intra-tuple
-        integrity constraint ``ValidFrom < ValidTo`` is enforced via the
-        :class:`~repro.model.interval.Interval` constructor.
+        integrity constraint ``ValidFrom < ValidTo`` is enforced by
+        :func:`~repro.model.interval.check_lifespan`, exactly as for an
+        :class:`~repro.model.interval.Interval`.
     """
 
     surrogate: Hashable
@@ -51,9 +52,7 @@ class TemporalTuple:
     valid_to: Timepoint
 
     def __post_init__(self) -> None:
-        # Delegates the ValidFrom < ValidTo check (raises
-        # InvalidIntervalError on violation).
-        Interval(self.valid_from, self.valid_to)
+        check_lifespan(self.valid_from, self.valid_to)
 
     @property
     def interval(self) -> Interval:

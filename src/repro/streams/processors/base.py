@@ -13,6 +13,7 @@ ProcessorMetrics` report.
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
 from ...errors import ExecutionError, UnsupportedSortOrderError
@@ -113,7 +114,11 @@ class StreamProcessor(abc.ABC):
     def _execute(self) -> Iterator:
         """The operator body; yields output tuples/pairs."""
 
-    def __iter__(self) -> Iterator:
+    @contextmanager
+    def _executing(self) -> Iterator[None]:
+        """One execution: refused when the processor already ran, under
+        the ``operator:`` span, metrics finalised when the body
+        completes."""
         if self._consumed:
             raise ExecutionError(
                 f"{self.operator} has already been executed; stream "
@@ -121,14 +126,26 @@ class StreamProcessor(abc.ABC):
             )
         self._consumed = True
         with get_tracer().span(f"operator:{self.operator}"):
+            yield
+            self._finalise_metrics()
+
+    def __iter__(self) -> Iterator:
+        with self._executing():
             for item in self._execute():
                 self.metrics.output_count += 1
                 yield item
-            self._finalise_metrics()
 
     def run(self) -> list:
-        """Execute to completion and return the materialised output."""
-        return list(self)
+        """Execute to completion and return the materialised output.
+        Should the body raise, ``output_count`` still counts the items
+        it emitted first."""
+        out: list = []
+        with self._executing():
+            try:
+                out.extend(self._execute())
+            finally:
+                self.metrics.output_count += len(out)
+        return out
 
     def _finalise_metrics(self) -> None:
         self.metrics.tuples_read_x = self.x.tuples_read

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from ...model.interval import Disposal
+from ...model.interval import Disposal, bulk_forms
 from ...model.tuples import TemporalTuple
 from ..policies import X
 from ..stream import TupleStream
@@ -103,6 +103,7 @@ class HeldSideSweep(StreamProcessor):
             probe = held
         rule: Disposal = self.x_disposal if held_x else self.y_disposal
         state, match, metrics = self.state, self.match, self.metrics
+        held_first = bulk_forms(match).held_first
         held.advance()
         if probe is not held:
             probe.advance()
@@ -123,9 +124,7 @@ class HeldSideSweep(StreamProcessor):
                 if held_x:
                     candidates = state.items
                     metrics.comparisons += len(candidates)
-                    for candidate in [
-                        c for c in candidates if match(c, probe_b)
-                    ]:
+                    for candidate in held_first(candidates, probe_b):
                         state.remove(candidate)
                         yield candidate
                 else:

@@ -27,7 +27,7 @@ import abc
 from typing import Iterator, Optional
 
 from ...errors import ProcessorStateError
-from ...model.interval import Disposal, disposable_at
+from ...model.interval import Disposal, bulk_forms, disposable_at
 from ...model.sortorder import SortOrder
 from ...model.tuples import TemporalTuple
 from ..policies import AdvancePolicy, LambdaPolicy, MinKeyPolicy, X, Y
@@ -97,7 +97,9 @@ class SymmetricSweepJoin(StreamProcessor):
     # the sweep
     # ------------------------------------------------------------------
     def _execute(self) -> Iterator[tuple[TemporalTuple, TemporalTuple]]:
-        match = self.match
+        # The probe filters a whole state list through ``match``'s bulk
+        # forms: X state tuples are its first argument, Y its second.
+        x_held, y_held = bulk_forms(self.match)
         metrics = self.metrics
         self.x.advance()
         self.y.advance()
@@ -129,12 +131,11 @@ class SymmetricSweepJoin(StreamProcessor):
                         f"{self.operator}: policy chose X with no X buffer"
                     )
                 # The join phase probes every state tuple: one charge
-                # per candidate, made once.
+                # per candidate, made once; pairs leave in state order.
                 state = self.y_state.items
                 metrics.comparisons += len(state)
-                for candidate in state:
-                    if match(consumed, candidate):
-                        yield (consumed, candidate)
+                for candidate in y_held(consumed, state):
+                    yield (consumed, candidate)
                 # A consumed tuple joins future opposite tuples only if
                 # the opposite stream can still produce any.
                 if not self.y.exhausted:
@@ -148,24 +149,34 @@ class SymmetricSweepJoin(StreamProcessor):
                     )
                 state = self.x_state.items
                 metrics.comparisons += len(state)
-                for candidate in state:
-                    if match(candidate, consumed):
-                        yield (candidate, consumed)
+                for candidate in x_held(state, consumed):
+                    yield (candidate, consumed)
                 if not self.x.exhausted:
                     self.y_state.insert(consumed)
                 self.y.advance()
 
-            self._garbage_collect()
+            self._garbage_collect(side)
 
-    def _garbage_collect(self) -> None:
-        """Step 3 of the Section-4.2.1 algorithm."""
+    def _garbage_collect(self, consumed: str) -> None:
+        """Step 3 of the Section-4.2.1 algorithm, after consuming from
+        side ``consumed``.  Each state is disposed of against the
+        opposite buffer.  The consumed side's opposite buffer has not
+        moved since the last pass left only survivors against it, so of
+        that state only the tuple just inserted needs the check; the
+        other state, whose bound did move, gets the full pass."""
         y_buf = self.y.buffer
         if y_buf is not None:
-            self.x_state.evict(self.x_disposal, y_buf)
+            if consumed == X:
+                self.x_state.evict_newest(self.x_disposal, y_buf)
+            else:
+                self.x_state.evict(self.x_disposal, y_buf)
         elif self.y.exhausted:
             self.x_state.clear()
         x_buf = self.x.buffer
         if x_buf is not None:
-            self.y_state.evict(self.y_disposal, x_buf)
+            if consumed == Y:
+                self.y_state.evict_newest(self.y_disposal, x_buf)
+            else:
+                self.y_state.evict(self.y_disposal, x_buf)
         elif self.x.exhausted:
             self.y_state.clear()

@@ -23,7 +23,7 @@ from typing import (
 )
 
 from ..errors import WorkspaceOverflowError, WorkspaceStateError
-from ..model.interval import Disposal, surviving
+from ..model.interval import Disposal, disposable, surviving
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..governance.budget import CancellationToken
@@ -142,6 +142,18 @@ class Workspace(Generic[T]):
         if rule is None:
             return 0
         return self._retain(surviving(self._items, rule, buffer))
+
+    def evict_newest(self, rule: Optional[Disposal], buffer) -> int:
+        """:meth:`evict` for a state whose older tuples all survived
+        ``rule`` against this same ``buffer``: only the most recent
+        insert is checked, and discarded when the rule retires it."""
+        items = self._items
+        if not items or not disposable(items[-1], rule, buffer):
+            return 0
+        items.pop()
+        self.total_discarded += 1
+        self.meter.on_discard()
+        return 1
 
     def clear(self) -> int:
         """Discard everything (used when the opposite stream is

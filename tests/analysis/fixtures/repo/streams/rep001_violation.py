@@ -27,3 +27,7 @@ def sort_copy(items):
 
 def pick_latest(items):
     return max(items, key=lambda t: t.valid_to)
+
+
+def restated_probe(state, ts):
+    return [c for c in state if c.valid_from < ts]

@@ -34,7 +34,7 @@ def test_exit_zero_on_clean_tree():
 def test_exit_one_on_fixture_corpus():
     code, output = _run(str(FIXTURES), "--root", str(FIXTURES))
     assert code == 1
-    assert "30 findings" in output and "(2 suppressed)" in output
+    assert "31 findings" in output and "(2 suppressed)" in output
 
 
 def test_exit_two_on_missing_path():
@@ -62,7 +62,7 @@ def test_json_report_to_stdout():
     assert code == 1
     payload = json.loads(output[output.index("{"):])
     assert payload["schema_version"] == 1
-    assert len(payload["findings"]) == 30
+    assert len(payload["findings"]) == 31
 
 
 def test_json_report_to_file(tmp_path):

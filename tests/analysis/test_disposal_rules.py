@@ -31,11 +31,14 @@ from repro.analysis.tables import (
 from repro.columnar import CELLS
 from repro.model import TemporalTuple
 from repro.model.interval import (
+    BULK_FORMS,
+    bulk_forms,
     disposable,
     disposable_at,
     ends_by,
     ends_by_start,
     ends_no_later,
+    lifespans_intersect,
     starts_by,
     starts_no_later,
     surviving,
@@ -51,6 +54,7 @@ from repro.streams.processors import (
     HeldSideSweep,
     OverlapJoin,
     SelfContainSemijoin,
+    SymmetricSweepJoin,
     UnboundedStateJoin,
 )
 
@@ -227,3 +231,65 @@ def test_point_form_is_the_lambda_policys_comparator(held, point):
             held, point
         )
     assert not disposable_at(held, None, point)
+
+
+# ----------------------------------------------------------------------
+# the probe's bulk forms are their comparators, ties included
+# ----------------------------------------------------------------------
+def _probing_processors():
+    """Every exported sweep that probes its state with ``match``."""
+    return sorted(
+        (
+            cls
+            for cls in vars(processors).values()
+            if isinstance(cls, type)
+            and issubclass(cls, (SymmetricSweepJoin, HeldSideSweep))
+            and cls not in (SymmetricSweepJoin, HeldSideSweep)
+        ),
+        key=lambda cls: cls.__name__,
+    )
+
+
+def test_every_declared_match_has_registered_bulk_forms():
+    """A sweep's ``match`` resolves to the bulk forms written beside it
+    in ``model/interval.py``; the ad-hoc predicate of the GC-free join
+    is the one that takes the generic comprehensions."""
+    unregistered = {
+        cls for cls in _probing_processors() if cls.match not in BULK_FORMS
+    }
+    assert unregistered == {UnboundedStateJoin}
+    for cls in _probing_processors():
+        if cls is not UnboundedStateJoin:
+            assert bulk_forms(cls.match) is BULK_FORMS[cls.match]
+
+
+def unregistered_overlap(a, b) -> bool:
+    """An ad-hoc predicate: it takes :func:`bulk_forms`' fallback."""
+    return lifespans_intersect(a, b)
+
+
+@pytest.mark.parametrize(
+    "match",
+    [*BULK_FORMS, unregistered_overlap],
+    ids=lambda match: match.__name__,
+)
+@settings(max_examples=80, deadline=None)
+@given(
+    items=st.one_of(
+        st.just([]),
+        st.lists(tie_heavy, max_size=1),
+        st.lists(tie_heavy, max_size=12),
+    ),
+    other=tie_heavy,
+)
+def test_bulk_forms_equal_filtering_by_their_comparator(match, items, other):
+    """Element for element and in order: each bulk form keeps exactly
+    what its pointwise comparator keeps, the state tuple as ``match``'s
+    first argument (``held_first``) or its second (``held_second``)."""
+    held_first, held_second = bulk_forms(match)
+    expected_first = [a for a in items if match(a, other)]
+    expected_second = [c for c in items if match(other, c)]
+    got_first = held_first(items, other)
+    got_second = held_second(other, items)
+    assert [id(a) for a in got_first] == [id(a) for a in expected_first]
+    assert [id(c) for c in got_second] == [id(c) for c in expected_second]

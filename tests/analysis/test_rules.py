@@ -27,6 +27,7 @@ EXPECTED = {
     ("REP001", "streams/rep001_violation.py", 21),
     ("REP001", "streams/rep001_violation.py", 25),
     ("REP001", "streams/rep001_violation.py", 29),
+    ("REP001", "streams/rep001_violation.py", 33),
     ("REP001", "streams/rep_suppressed.py", 14),
     ("REP003", "parallel/rep003_violation.py", 7),
     ("REP003", "parallel/rep003_violation.py", 8),
@@ -78,7 +79,7 @@ def test_corpus_produces_exactly_the_expected_findings(corpus_report):
     # The two REP003 findings on line 16 collapse in a set; compare
     # multiset cardinality separately.
     assert got == EXPECTED
-    assert len(corpus_report.findings) == 30
+    assert len(corpus_report.findings) == 31
     assert not corpus_report.parse_errors
 
 

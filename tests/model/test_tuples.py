@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar import IntervalColumns
 from repro.errors import InvalidIntervalError, SchemaError
 from repro.model import Interval, TemporalSchema, TemporalTuple
 
@@ -28,6 +29,25 @@ class TestTemporalTuple:
             TemporalTuple("Smith", "Assistant", 20, 10)
         with pytest.raises(InvalidIntervalError):
             TemporalTuple("Smith", "Assistant", 20, 20)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(True, 5), (0, False), ("1", 5), (0, "9"), (1.0, 5), (0, 4.5),
+         (3, 3), (7, 2)],
+    )
+    def test_constraint_is_the_intervals(self, start, end):
+        """Every constructor of a lifespan refuses a bad one with the
+        same exception type and message."""
+        raised = []
+        for build in (
+            lambda: Interval(start, end),
+            lambda: TemporalTuple("S", "V", start, end),
+            lambda: IntervalColumns([start], [end], [0], None).tuples,
+        ):
+            with pytest.raises((TypeError, InvalidIntervalError)) as info:
+                build()
+            raised.append((type(info.value), str(info.value)))
+        assert len(set(raised)) == 1
 
     def test_interval_property(self, smith):
         assert smith.interval == Interval(10, 20)

@@ -12,6 +12,8 @@ from repro.streams import (
     contain_predicate,
 )
 
+from repro.streams.processors import StreamProcessor
+
 from .conftest import make_stream, pair_values, tuple_lists
 
 
@@ -153,3 +155,18 @@ class TestProcessorLifecycle:
         join = ContainJoinTsTs(make_stream(xs, TS_ASC), make_stream(ys, TS_ASC))
         out = join.run()
         assert join.metrics.output_count == len(out)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("drain", ["run", "iterate"])
+    def test_a_raise_mid_run_keeps_the_emitted_count(self, k, drain):
+        class RaisesAfterK(StreamProcessor):
+            operator = "raises-after-k"
+
+            def _execute(self):
+                yield from range(k)
+                raise RuntimeError("boom")
+
+        processor = RaisesAfterK(make_stream([], TS_ASC))
+        with pytest.raises(RuntimeError, match="boom"):
+            processor.run() if drain == "run" else list(processor)
+        assert processor.metrics.output_count == k
