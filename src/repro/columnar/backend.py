@@ -46,7 +46,6 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 from ..errors import ExecutionError, StreamOrderError
 from ..governance.budget import active_token
 from ..model import sortorder as so
-from ..obs.trace import get_tracer
 from ..streams.processors.base import StreamProcessor
 from ..streams.processors.before import BeforeSemijoin
 from ..streams.processors.contain_join import ContainJoinTsTe, ContainJoinTsTs
@@ -320,15 +319,8 @@ class ColumnarProcessor(StreamProcessor):
         """Batch fast path: one kernel call, no per-item generator
         frames.  Semantics match ``list(self)`` exactly (single use,
         output counting, metric finalisation)."""
-        if self._consumed:
-            raise ExecutionError(
-                f"{self.operator} has already been executed; stream "
-                "processors are single-use"
-            )
-        self._consumed = True
-        with get_tracer().span(f"operator:{self.operator}"):
+        with self._executing():
             with cyclic_gc_paused():
                 out = self._materialise()
             self.metrics.output_count = len(out)
-            self._finalise_metrics()
         return out

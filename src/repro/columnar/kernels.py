@@ -26,14 +26,26 @@ endpoints and a parallel list of their column positions.
   positions a lazily compacted active list would drop them;
 * **probe** is one binary search: because the merge admits an interval
   only once the sweep has strictly passed its start (the
-  ``RANK_START``-last tie law of :mod:`repro.columnar.events`, realised
-  as the equal-timestamp holdback), every stored entry already
-  satisfies the start-side match condition, and the end-side condition
-  selects a contiguous *run* of the store;
+  equal-timestamp holdback), every stored entry already satisfies the
+  start-side match condition, and the end-side condition selects a
+  contiguous *run* of the store;
 * **emit** is a read of that run: the join kernels extend their
   ``(xi, yj)`` index columns with the run's positions (sorted back into
   position order) against the probe repeated — one C-level step per
   run, none per pair.
+
+The tie law at a shared timestamp ``t`` is the one the strict
+comparators of :mod:`repro.model.interval` state for ``[ValidFrom,
+ValidTo)``: an interval ending at ``t`` is already dead for a probe at
+``t`` (the ranged evict runs before the probe), and an interval
+starting at ``t`` does not strictly contain it (the holdback admits it
+after the probe).  The tuple oracle, the nested-loop baselines and the
+golden counts in the tests check the kernels against it.
+
+Table 1's class (c) is class (a) with matched tuples emitted and
+retired immediately, so ``contain_join_ts_ts`` and
+``contain_semijoin_ts_ts`` run one sweep, :func:`_held_x_sweep`, whose
+only parameter is that emit rule.
 
 The Overlap-join keeps the probe scan of Piatov et al.
 (arXiv:2008.12665) — a gapless active list per side, lazily evicted by
@@ -108,29 +120,39 @@ def _overflow(limit: int) -> WorkspaceOverflowError:
 
 
 # ----------------------------------------------------------------------
-# Contain-join (Table 1 rows (a) and (b))
+# Contain-join / Contain-semijoin, both on ValidFrom^ (Table 1 (a), (c))
 # ----------------------------------------------------------------------
-def contain_join_ts_ts(
+def _held_x_sweep(
     x_ts: Sequence[int],
     x_te: Sequence[int],
     y_ts: Sequence[int],
     y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[Tuple[List[int], List[int]], SweepStats]:
-    """Contain-join(X, Y), both operands sorted ValidFrom ascending.
+    limit: Optional[int],
+    trace: Optional[List[int]],
+    retire: bool,
+) -> Tuple[List[int], List[int], SweepStats]:
+    """The held-X sweep of Table 1's classes (a) and (c): X and Y both
+    sorted ValidFrom ascending, X tuples waiting in the slot store.
 
     A matching pair has ``x.TS < y.TS``, so the containing X tuple is
     always swept first: one slot store of open X intervals in ValidTo
-    order (the class-(a) disposal endpoint) suffices, probed once per
-    Y element.  X entries die when ``X.TE <= y.TS`` (the Section-4.2.1
-    disposal rule).  X starts sharing a probe's timestamp are held back
-    until the sweep strictly passes them (``RANK_START`` last), so
-    every stored entry satisfies ``X.TS < y.TS`` by construction and
-    the probe's match set is exactly the store suffix with
-    ``X.TE > y.TE`` — one binary search, emitted as one run.  Held-back
-    entries still count toward the state high-water mark at admission
-    and as live entries of the comparison charge.
+    order (the disposal endpoint) suffices, probed once per Y element.
+    X entries die when ``X.TE <= y.TS`` (the Section-4.2.1 disposal
+    rule).  X starts sharing a probe's timestamp are held back until
+    the sweep strictly passes them (an equal-time start never strictly
+    contains), so every stored entry satisfies ``X.TS < y.TS`` by
+    construction and the probe's match set is exactly the store suffix
+    with ``X.TE > y.TE`` — one binary search, emitted as one run.
+    Held-back entries still count toward the state high-water mark at
+    admission and as live entries of the comparison charge.
+
+    ``retire`` is the one difference Table 1 states between the
+    classes: the join (a) keeps the matched run and pairs it with
+    ``y``; the semijoin (c) emits the run and retires it with one
+    ranged delete, since a proven X needs no second witness.  Returns
+    the X positions emitted, the Y position of each (empty when
+    retiring) and the stats; ``discarded`` counts entries evicted,
+    retired, and left when the sweep ended.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
@@ -141,9 +163,11 @@ def contain_join_ts_ts(
     held_ts = 0
     xi: List[int] = []
     yj: List[int] = []
-    comparisons = inserted = discarded = high = 0
+    comparisons = evicted = retired = inserted = high = 0
     i = 0
     for j in range(ny):
+        if i >= nx and not rows and not held:
+            break  # X spent and nothing stored: no later probe matches
         yts = y_ts[j]
         if held and held_ts < yts:
             for row in held:
@@ -176,27 +200,68 @@ def contain_join_ts_ts(
         if k:
             del ends[:k]
             del rows[:k]
-            discarded += k
-            if trace is not None:
-                trace.append(len(rows) + len(held))
+            evicted += k
         live = len(rows)
         comparisons += live + len(held)
         cut = bisect_right(ends, y_te[j])
         m = live - cut
         if m:
             xi.extend(sorted(rows[cut:]))
-            yj.extend(repeat(j, m))
-    stats.eviction_checks = discarded  # so far, every one evicted
-    discarded += len(rows) + len(held)
-    if trace is not None and (rows or held):
+            if retire:
+                del ends[cut:]
+                del rows[cut:]
+                retired += m
+            else:
+                yj.extend(repeat(j, m))
+        if trace is not None and (k or (retire and m)):
+            trace.append(len(rows) + len(held))
+    residue = len(rows) + len(held)
+    if trace is not None and residue:
         trace.append(0)
     stats.comparisons = comparisons
+    stats.eviction_checks = evicted
     stats.inserted = inserted
-    stats.discarded = discarded
+    stats.discarded = evicted + retired + residue
     stats.high_water = high
+    return xi, yj, stats
+
+
+def contain_join_ts_ts(
+    x_ts: Sequence[int],
+    x_te: Sequence[int],
+    y_ts: Sequence[int],
+    y_te: Sequence[int],
+    limit: Optional[int] = None,
+    trace: Optional[List[int]] = None,
+) -> Tuple[Tuple[List[int], List[int]], SweepStats]:
+    """Contain-join(X, Y), both operands sorted ValidFrom ascending
+    (class (a)): the held-X sweep keeping every matched run."""
+    xi, yj, stats = _held_x_sweep(
+        x_ts, x_te, y_ts, y_te, limit, trace, retire=False
+    )
     return (xi, yj), stats
 
 
+def contain_semijoin_ts_ts(
+    x_ts: Sequence[int],
+    x_te: Sequence[int],
+    y_ts: Sequence[int],
+    y_te: Sequence[int],
+    limit: Optional[int] = None,
+    trace: Optional[List[int]] = None,
+) -> Tuple[List[int], SweepStats]:
+    """Contain-semijoin(X, Y), both on ValidFrom^ (class (c)): the
+    held-X sweep retiring every matched run, so X candidates wait only
+    until a witness arrives or ``X.TE <= y.TS`` proves none ever will."""
+    out, _, stats = _held_x_sweep(
+        x_ts, x_te, y_ts, y_te, limit, trace, retire=True
+    )
+    return out, stats
+
+
+# ----------------------------------------------------------------------
+# Contain-join (Table 1 row (b))
+# ----------------------------------------------------------------------
 def contain_join_ts_te(
     x_ts: Sequence[int],
     x_te: Sequence[int],
@@ -339,87 +404,6 @@ def contained_semijoin_te_ts(
         else:
             j += 1  # a later y, ending later, may still contain x
     stats.comparisons = comparisons
-    return out, stats
-
-
-def contain_semijoin_ts_ts(
-    x_ts: Sequence[int],
-    x_te: Sequence[int],
-    y_ts: Sequence[int],
-    y_te: Sequence[int],
-    limit: Optional[int] = None,
-    trace: Optional[List[int]] = None,
-) -> Tuple[List[int], SweepStats]:
-    """Contain-semijoin(X, Y), both on ValidFrom^ (class (c)): X
-    candidates wait in the slot store until a witness arrives or
-    ``X.TE <= y.TS`` proves none ever will.  The probe's match set is a
-    store suffix (as in the join), emitted *and retired* with one
-    ranged delete — matched candidates leave immediately, keeping the
-    class-(c) subset property."""
-    stats = SweepStats()
-    budget = maxsize if limit is None else limit
-    nx, ny = len(x_ts), len(y_ts)
-    ends: List[int] = []  # stored X: ValidTo, ascending
-    rows: List[int] = []  # stored X: column position, parallel to ends
-    held: List[int] = []  # admitted X rows starting at ``held_ts``
-    held_ts = 0
-    out: List[int] = []
-    comparisons = evicted = inserted = high = 0
-    i = 0
-    for j in range(ny):
-        yts = y_ts[j]
-        if i >= nx and not rows and not held:
-            break
-        if held and held_ts < yts:
-            for row in held:
-                xte = x_te[row]
-                at = bisect_right(ends, xte)
-                ends.insert(at, xte)
-                rows.insert(at, row)
-            del held[:]
-        while i < nx and x_ts[i] <= yts:
-            comparisons += 1
-            xte = x_te[i]
-            if xte > yts:  # dead-on-arrival otherwise
-                if x_ts[i] == yts:
-                    held.append(i)
-                    held_ts = yts
-                else:
-                    at = bisect_right(ends, xte)
-                    ends.insert(at, xte)
-                    rows.insert(at, i)
-                inserted += 1
-                cur = len(rows) + len(held)
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
-            i += 1
-        k = bisect_right(ends, yts)
-        if k:
-            del ends[:k]
-            del rows[:k]
-            evicted += k
-        live = len(rows)
-        comparisons += live + len(held)
-        cut = bisect_right(ends, y_te[j])
-        m = live - cut
-        if m:
-            out.extend(sorted(rows[cut:]))
-            del ends[cut:]  # matched: emit and retire immediately
-            del rows[cut:]
-        if trace is not None and (k or m):
-            trace.append(len(rows) + len(held))
-    if trace is not None and (rows or held):
-        trace.append(0)
-    stats.comparisons = comparisons
-    stats.eviction_checks = evicted
-    stats.inserted = inserted
-    # Evicted, retired one per emitted row, or left when the sweep ended.
-    stats.discarded = evicted + len(out) + len(rows) + len(held)
-    stats.high_water = high
     return out, stats
 
 
@@ -764,8 +748,8 @@ def self_contain_semijoin_ts(
     store.  Each element evicts the disposal prefix (``TE <= ts``), then
     the candidates it proves to be containers form the store suffix
     with ``TE > te`` — minus same-start peers, which the closed-open tie
-    law keeps unmatched (``RANK_START`` last: an equal-time start never
-    strictly contains).  The suffix entries are already charged as live
+    law keeps unmatched (an equal-time start never strictly contains).
+    The suffix entries are already charged as live
     entries, so their same-start test costs nothing extra."""
     stats = SweepStats()
     budget = maxsize if limit is None else limit

@@ -1,10 +1,9 @@
 """The batch kernels' endpoint-event sweep: the two-column slot store's
 ordering laws, every slot-store sweep's counts and the tuple oracle's
 on the same fixtures frozen in golden tables, the whole int64 range
-against an independent implementation, the tie-rank order against the
-kernels' implicit merge, one kernel per cell in the cell table, lazy
-payload materialisation, endpoint-only column execution, and the
-slot-store bound declarations."""
+against an independent implementation, one kernel per cell in the
+cell table, lazy payload materialisation, endpoint-only column
+execution, and the slot-store bound declarations."""
 
 from array import array
 from bisect import bisect_right
@@ -17,21 +16,6 @@ from hypothesis import strategies as st
 from repro.analysis.tables import FUSED_BOUNDS, derive_fused_bound
 from repro.columnar import ColumnarProcessor, SweepStats, fused, kernels
 from repro.columnar.backend import CELLS, LazyPairs
-from repro.columnar.events import (
-    IDX_MASK,
-    RANK_EVICT,
-    RANK_PROBE,
-    RANK_START,
-    SIDE_X,
-    SIDE_Y,
-    check_capacity,
-    event_index,
-    event_rank,
-    event_side,
-    event_time,
-    merged_schedule,
-    pack_event,
-)
 from repro.errors import WorkspaceOverflowError
 from repro.model import (
     TE_ASC,
@@ -58,7 +42,6 @@ from repro.streams.registry import _registry
 #: Endpoints cover negatives: the time-reversal mirrors feed negated
 #: columns through the same kernels.
 times = st.integers(min_value=-(10**6), max_value=10**6)
-indexes = st.integers(min_value=0, max_value=IDX_MASK)
 
 #: Random interval workloads as parallel sorted endpoint columns.
 interval_columns = st.lists(
@@ -189,11 +172,6 @@ class TestEntryKeys:
             row for row, end in enumerate(endpoints) if end <= t
         ]
         assert all(end > t for end in ends[k:])
-
-    def test_capacity_guard(self):
-        check_capacity(IDX_MASK)
-        with pytest.raises(ValueError):
-            check_capacity(IDX_MASK + 1)
 
 
 # ----------------------------------------------------------------------
@@ -1160,67 +1138,6 @@ class TestOneKernelPerCell:
                     cell, backend, *streams
                 ).metrics.kernel
                 assert getattr(module, reported) is cell.kernel
-
-
-class TestEventSchedule:
-    @given(times, st.sampled_from([RANK_EVICT, RANK_PROBE, RANK_START]),
-           st.sampled_from([SIDE_X, SIDE_Y]), indexes)
-    def test_event_roundtrip(self, t, rank, side, i):
-        e = pack_event(t, rank, side, i)
-        assert event_time(e) == t
-        assert event_rank(e) == rank
-        assert event_side(e) == side
-        assert event_index(e) == i
-
-    @given(interval_columns, st.lists(times, max_size=40))
-    def test_tie_rank_law(self, xcols, probes):
-        """At any shared timestamp the merged schedule fires evictions
-        first, the probe second, and starts last — the closed-open
-        disposal order of Section 4.2."""
-        x_ts, x_te = xcols
-        schedule = merged_schedule(x_ts, x_te, sorted(probes))
-        decoded = [
-            (event_time(e), event_rank(e), event_side(e), event_index(e))
-            for e in schedule
-        ]
-        assert decoded == sorted(decoded)
-        assert len(decoded) == 2 * len(x_ts) + len(probes)
-        # Rank semantics: every start/evict event carries its column's
-        # actual endpoint.
-        for t, rank, side, i in decoded:
-            if rank == RANK_START:
-                assert (side, t) == (SIDE_X, x_ts[i])
-            elif rank == RANK_EVICT:
-                assert (side, t) == (SIDE_X, x_te[i])
-
-    @given(interval_columns, interval_columns)
-    @settings(max_examples=60)
-    def test_kernel_realises_schedule_order(self, xcols, ycols):
-        """The contain-join kernel's implicit merge (two pointers plus
-        the equal-timestamp holdback) produces exactly the pairs the
-        explicit merged schedule mandates: replaying the schedule with
-        a naive active set gives the same output multiset."""
-        x_ts, x_te = xcols
-        y_ts, y_te = ycols
-        (xi, yj), _ = kernels.contain_join_ts_ts(x_ts, x_te, y_ts, y_te)
-        got = sorted(zip(xi, yj))
-
-        # Replay the explicit schedule: starts admit, evicts remove,
-        # probes match the *current* active set against Y.TE.
-        schedule = merged_schedule(x_ts, x_te, y_ts)
-        active = set()
-        expected = []
-        for e in schedule:
-            rank, idx = event_rank(e), event_index(e)
-            if rank == RANK_START:
-                active.add(idx)
-            elif rank == RANK_EVICT:
-                active.discard(idx)
-            else:
-                for x in active:
-                    if x_te[x] > y_te[idx]:
-                        expected.append((x, idx))
-        assert got == sorted(expected)
 
 
 class TestLazyPairs:

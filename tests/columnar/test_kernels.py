@@ -2,9 +2,20 @@
 accounting, the workspace budget, and the Figure-5 trace."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.columnar import kernels
 from repro.errors import WorkspaceOverflowError
+
+#: Spans on a small grid, so equal starts and shared endpoints are
+#: common: ``(ts, te)`` with ``ts < te``.
+spans = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(1, 15)).map(
+        lambda span: (span[0], span[0] + span[1])
+    ),
+    max_size=40,
+)
 
 
 def cols(spans):
@@ -53,6 +64,22 @@ class TestContainJoinTsTs:
         assert trace[0] == 0
         assert max(trace) == 2  # both X open at sweep position 2
         assert trace[-1] == 0  # everything retired by the end
+
+
+class TestContainSemijoinTsTs:
+    @given(spans, spans)
+    def test_emits_the_joins_distinct_x(self, xs, ys):
+        """Table 1: class (c) is class (a) with matched tuples emitted
+        and retired at once.  On the same columns the semijoin emits
+        exactly the join's distinct X positions, inserts the same X
+        tuples, and never holds more state than the join."""
+        columns = (*cols(sorted(xs)), *cols(sorted(ys)))
+        (xi, _), join = kernels.contain_join_ts_ts(*columns)
+        out, semi = kernels.contain_semijoin_ts_ts(*columns)
+        assert sorted(out) == sorted(set(xi))
+        assert len(out) == len(set(out))
+        assert semi.inserted == join.inserted
+        assert semi.high_water <= join.high_water
 
 
 class TestContainJoinTsTe:

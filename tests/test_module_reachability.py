@@ -17,11 +17,6 @@ MODULES = {
 }
 PACKAGES = {m for m, path in MODULES.items() if path.name == "__init__.py"}
 
-#: Modules no entry point reaches that stay anyway, each with its reason.
-EXEMPT = {
-    "repro.columnar.events": "tie-rank oracle that the fused-kernel tests replay",
-}
-
 
 def _imports(node: ast.AST, package: str):
     """Yield ``(target, names)`` per import under ``node``, resolved."""
@@ -72,7 +67,5 @@ def _reached() -> set[str]:
 
 
 def test_every_module_is_reached_from_an_entry_point():
-    reached = _reached()
-    assert set(EXEMPT) <= MODULES.keys() - reached, "stale exemption"
-    unreached = sorted(MODULES.keys() - PACKAGES - reached - set(EXEMPT))
+    unreached = sorted(MODULES.keys() - PACKAGES - _reached())
     assert not unreached, f"no entry point reaches {unreached}"
