@@ -2,10 +2,10 @@
 
 Exit codes (CI contract):
 
-* 0 — clean (no findings; with ``--check-plan``/``--check-protocol``,
-  all invariants hold; with ``--strict-noqa``, no unused suppressions)
-* 1 — findings / plan mismatches / protocol violations / unused
-  suppressions under ``--strict-noqa``
+* 0 — clean (no findings; with ``--check-plan``, all invariants hold;
+  with ``--strict-noqa``, no unused suppressions)
+* 1 — findings / plan mismatches / unused suppressions under
+  ``--strict-noqa``
 * 2 — usage or internal error
 
 Examples::
@@ -15,7 +15,6 @@ Examples::
     python -m repro.analysis --select REP001,REP006 src/
     python -m repro.analysis --list-rules
     python -m repro.analysis --check-plan        # Tables 1-3 theorem check
-    python -m repro.analysis --check-protocol    # pool containment protocol
     python -m repro.analysis src/ --strict-noqa  # fail on dead noqa comments
 """
 
@@ -40,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Paper-invariant static analysis: AST lint rules "
             "(REP001, REP003-REP009, including the CFG-based segment "
-            "lifecycle rule), the symbolic Tables 1-3 plan checker, and the pool "
-            "containment-protocol checker."
+            "lifecycle rule) and the symbolic Tables 1-3 plan checker."
         ),
     )
     parser.add_argument(
@@ -70,15 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run the symbolic Tables 1-3 registry check instead of "
             "(or before) linting"
-        ),
-    )
-    parser.add_argument(
-        "--check-protocol",
-        action="store_true",
-        help=(
-            "extract the pool dispatch/ack/reap/redispatch protocol "
-            "from parallel/pool.py and verify its containment "
-            "invariants"
         ),
     )
     parser.add_argument(
@@ -115,16 +104,6 @@ def _run_plan_check(json_target: Optional[str], out) -> int:
     return 0 if report.ok else 1
 
 
-def _run_protocol_check(json_target: Optional[str], out) -> int:
-    from .check_protocol import check_protocol
-
-    report = check_protocol()
-    print(report.render_human(), file=out)
-    if json_target:
-        _emit_json(report.to_json(), json_target, out)
-    return 0 if report.ok else 1
-
-
 def _emit_json(payload: str, target: str, out) -> None:
     if target == "-":
         print(payload, file=out)
@@ -144,20 +123,11 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
             file=sys.stderr,
         )
         return 2
-    lints = bool(args.paths) or not (args.check_plan or args.check_protocol)
-    check_statuses: List[int] = []
-    for enabled, runner in (
-        (args.check_plan, _run_plan_check),
-        (args.check_protocol, _run_protocol_check),
-    ):
-        if enabled:
-            check_statuses.append(
-                runner(args.json if not lints else None, out)
-            )
-    if check_statuses and max(check_statuses) != 0:
-        return max(check_statuses)
-    if not lints:
-        return 0
+    lints = bool(args.paths) or not args.check_plan
+    if args.check_plan:
+        status = _run_plan_check(args.json if not lints else None, out)
+        if status != 0 or not lints:
+            return status
     paths = [Path(p) for p in (args.paths or ["src"])]
     missing = [p for p in paths if not p.exists()]
     if missing:

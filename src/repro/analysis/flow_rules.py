@@ -2,7 +2,7 @@
 
 These rules protect the *runtime* invariants PRs 6-8 introduced — shm
 segment ownership, governance checkpoints on hot loops, and the
-containment protocol's exception discipline — the concurrency
+exception discipline of the pool and ladder paths — the concurrency
 counterpart of the algebraic Tables 1-3 checks.  They are built on :mod:`repro.analysis.cfg` rather than on
 single-node syntax because each one is a path property: "on every
 path out of this function, including the exceptional ones, X happened
@@ -347,7 +347,7 @@ _GOVERNED_FUNCTIONS: Sequence[Tuple[str, Tuple[str, ...]]] = (
     ("streams/stream.py", ("_open", "note_batch_pass")),
     ("streams/workspace.py", ("on_insert",)),
     ("columnar/backend.py", ("_absorb", "_materialise")),
-    ("parallel/pool.py", ("_collect",)),
+    ("parallel/pool.py", ("_completed",)),
     ("parallel/worker.py", ("run_shard",)),
     ("parallel/shm.py", ("write_result", "read_result")),
 )

@@ -175,10 +175,6 @@ class Interval:
         equal, starts, finishes, during, overlaps and their inverses."""
         return self.start < other.end and other.start < self.end
 
-    def is_disjoint(self, other: "Interval") -> bool:
-        """True when the intervals share no timepoint."""
-        return not self.intersects(other)
-
     def is_adjacent(self, other: "Interval") -> bool:
         """True when one interval meets the other (no gap, no overlap)."""
         return self.meets(other) or other.meets(self)
@@ -258,11 +254,6 @@ def starts_after(t: HasLifespan, point: float) -> bool:
     return t.valid_from > point
 
 
-def starts_at_or_after(t: HasLifespan, point: float) -> bool:
-    """``t.ValidFrom >= point``."""
-    return t.valid_from >= point
-
-
 def ends_by(t: HasLifespan, point: float) -> bool:
     """``t.ValidTo <= point`` — the half-open lifespan is over at
     ``point`` (a tuple ending exactly at the sweep position is dead)."""
@@ -277,11 +268,6 @@ def ends_before(t: HasLifespan, point: float) -> bool:
 def ends_after(t: HasLifespan, point: float) -> bool:
     """``t.ValidTo > point`` — still live strictly past ``point``."""
     return t.valid_to > point
-
-
-def ends_at_or_after(t: HasLifespan, point: float) -> bool:
-    """``t.ValidTo >= point``."""
-    return t.valid_to >= point
 
 
 def covers_point(t: HasLifespan, point: float) -> bool:

@@ -22,13 +22,7 @@ from .executor import (
     ShardRun,
     execute_parallel,
 )
-from .pool import (
-    WorkerPool,
-    WorkerPoolError,
-    pool_stats,
-    shutdown_pool,
-    warm_pool,
-)
+from .pool import WorkerPoolError, pool_stats, shutdown_pool, warm_pool
 from .shards import RangePlan, ShardRange, plan_ranges, slice_bounds
 
 __all__ = [
@@ -38,7 +32,6 @@ __all__ = [
     "RangePlan",
     "ShardRange",
     "ShardRun",
-    "WorkerPool",
     "WorkerPoolError",
     "execute_parallel",
     "plan_ranges",

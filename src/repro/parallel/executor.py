@@ -57,7 +57,7 @@ from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import RegistryEntry
 from . import shm
-from .pool import get_pool
+from .pool import run_batch
 from .shards import RangePlan, ShardRange, plan_ranges
 from .worker import run_shard
 
@@ -96,7 +96,7 @@ class ShardRun:
     residual_filtered: int
     #: Dispatch attempt that produced this row: 0 on the first dispatch
     #: (and for inline shards, which run in-process exactly once), >0
-    #: when the shard was re-dispatched after a worker death.
+    #: when the shard was re-run after a worker death.
     attempt: int
     #: Worker process that ran the shard (``None`` inline).
     pid: Optional[int]
@@ -379,7 +379,7 @@ def _run_shm(
     containment stats)``.
 
     The parent owns every segment name it hands out: operands and all
-    result segments — including the fresh names re-dispatches create,
+    result segments — including the fresh names re-runs create,
     which the pool appends to ``result_names`` — are swept in the
     ``finally`` block, so neither a worker crash nor a STRICT re-raise
     can leak ``/dev/shm`` entries.  A result segment that fails its
@@ -401,16 +401,15 @@ def _run_shm(
             for task in tasks:
                 task["governance"] = governance
         tasks_by_index = {task["index"]: task for task in tasks}
-        pool = get_pool(min(workers, len(tasks)))
-        summaries = pool.run_batch(
-            tasks, token=token, segment_names=result_names
+        summaries, containment = run_batch(
+            tasks, min(workers, len(tasks)), result_names, token
         )
         finished = []
         for summary in summaries:
             chunk = shm.read_result(summary["result_segment"])
             run = ShardRun.of(tasks_by_index[summary["index"]], summary)
             finished.append((run, summary, chunk))
-        return finished, dict(pool.last_batch_stats)
+        return finished, containment
     finally:
         segment.close()
         for name in result_names:
@@ -543,7 +542,7 @@ def execute_parallel(
             except ReproError:
                 raise
             except Exception as exc:
-                # Pool infrastructure failed (quorum loss, a result
+                # Pool infrastructure failed (retries spent, a result
                 # segment failing its checksum, segment limits, spawn
                 # failure): parallelism is an optimisation, correctness
                 # falls back inline — but visibly (containment + span),

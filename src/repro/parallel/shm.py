@@ -84,12 +84,20 @@ def destroy_segment(name: str) -> None:
         segment = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
         return
+    except ValueError:
+        # A worker killed between creating its segment and sizing it
+        # (a broken pool terminates every worker) leaves an empty one,
+        # which cannot be mapped, so it is unlinked by name.
+        import _posixshmem
+
+        _posixshmem.shm_unlink(f"/{name}")
+        return
     try:
         segment.close()
         # Parent-side sweep of a parent-owned name: destroy_segment
-        # only ever runs in the creating process, reclaiming segments
-        # whose creator handle is long gone (deferred superseded
-        # attempts), so this is creator-unlink in disguise.
+        # only ever runs in the parent, reclaiming the result segments
+        # it assigned (a worker that died or was killed mid-write left
+        # no handle), so this is creator-unlink in disguise.
         segment.unlink()  # repro: noqa(REP007)
     except FileNotFoundError:  # pragma: no cover - unlink race
         pass

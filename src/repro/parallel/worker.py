@@ -47,13 +47,13 @@ _SHAPE_KINDS = {
 def run_task(task: dict) -> dict:
     """Execute one shard task; returns the queue-sized summary dict.
 
-    Raises whatever the shard raises (STRICT semantics) — the pool loop
-    is responsible for shipping exceptions back to the parent.
+    Raises whatever the shard raises (STRICT semantics) — the process
+    pool ships the exception back to the parent.
     """
     if task.get("attempt", 0) < task.get("fault_exit", 0):
         # Test hook for a worker death: die before any result segment
         # exists, on every attempt below ``fault_exit``.  ``1`` heals on
-        # the re-dispatch; a value above the pool's retry cap is a
+        # the re-run; a value above the pool's retry cap is a
         # poison pill.
         os._exit(2)
     spans_before = span_creation_count()
@@ -93,7 +93,6 @@ def _run_shard_body(task: dict) -> dict:
         summary, chunk = run_shard(task, entry, x_ts, x_te, y_ts, y_te)
         shm.write_result(task["result_segment"], *chunk)
     summary["wall_seconds"] = time.perf_counter() - started
-    summary["job"] = task["job"]
     summary["index"] = task["index"]
     summary["attempt"] = task.get("attempt", 0)
     summary["result_segment"] = task["result_segment"]

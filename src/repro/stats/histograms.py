@@ -72,11 +72,6 @@ class TemporalHistogram:
         profile = self.open_tuples_profile()
         return max(profile) if profile else 0.0
 
-    def arrival_rate_profile(self) -> list[float]:
-        """Tuples starting per unit time, per bucket."""
-        if self.width == 0:
-            return [0.0] * self.buckets
-        return [s / self.width for s in self.starts]
 
 
 def build_histogram(

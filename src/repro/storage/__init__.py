@@ -4,11 +4,10 @@ disk accesses and passes over streams."""
 
 from .external_sort import ExternalSortResult, external_sort
 from .heap_file import HeapFile
-from .iostats import CostWeights, IOStats
+from .iostats import IOStats
 from .page import DEFAULT_PAGE_CAPACITY, Page
 
 __all__ = [
-    "CostWeights",
     "DEFAULT_PAGE_CAPACITY",
     "ExternalSortResult",
     "HeapFile",

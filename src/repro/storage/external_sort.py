@@ -54,9 +54,7 @@ def external_sort(
     memory_pages: int = 8,
     fan_in: Optional[int] = None,
     stats: Optional[IOStats] = None,
-    run_namer: Optional[Callable[[int], str]] = None,
     presort_check: bool = True,
-    run_sort_workers: int = 1,
 ) -> ExternalSortResult:
     """Sort ``source`` by ``order`` using bounded memory.
 
@@ -82,12 +80,6 @@ def external_sort(
         preserving subsequences of sorted relations).  The check aborts
         at the first out-of-order pair, so an unsorted input pays only
         a prefix re-read.
-    run_sort_workers:
-        Sort initial runs in parallel with this many forked workers
-        (CPU parallelism for pass 0; merging stays serial).  Raises the
-        transient memory bound to ``run_sort_workers`` buffered runs —
-        the coordinator holds one batch of unsorted chunks while the
-        pool sorts it.  Any pool failure falls back to inline sorting.
     """
     if memory_pages < 2:
         raise StorageError("external sort needs at least two memory pages")
@@ -102,7 +94,6 @@ def external_sort(
             return skipped
 
     run_capacity = memory_pages * source.page_capacity
-    naming = run_namer or (lambda i: f"{source.name}.run{i}")
     run_counter = count()
 
     tracer = get_tracer()
@@ -114,38 +105,20 @@ def external_sort(
         # --------------------------------------------------------------
         runs: list[HeapFile] = []
         buffer: list[TemporalTuple] = []
-        pending_chunks: list[list[TemporalTuple]] = []
         spilled_tuples = 0
 
-        def write_run(sorted_records: list[TemporalTuple]) -> None:
+        def flush_run() -> None:
             nonlocal spilled_tuples
+            if not buffer:
+                return
             run = HeapFile(
-                naming(next(run_counter)),
+                f"{source.name}.run{next(run_counter)}",
                 page_capacity=source.page_capacity,
                 stats=accounting,
             )
-            run.extend(sorted_records)
+            run.extend(sort_tuples(buffer, order))
             runs.append(run)
-            spilled_tuples += len(sorted_records)
-
-        def drain_pending() -> None:
-            if not pending_chunks:
-                return
-            for chunk in _sort_chunks(
-                pending_chunks, order, run_sort_workers
-            ):
-                write_run(chunk)
-            pending_chunks.clear()
-
-        def flush_run() -> None:
-            if not buffer:
-                return
-            if run_sort_workers > 1:
-                pending_chunks.append(list(buffer))
-                if len(pending_chunks) >= run_sort_workers:
-                    drain_pending()
-            else:
-                write_run(sort_tuples(buffer, order))
+            spilled_tuples += len(buffer)
             buffer.clear()
 
         for record in source.scan(stats=accounting):
@@ -153,7 +126,6 @@ def external_sort(
             if len(buffer) >= run_capacity:
                 flush_run()
         flush_run()
-        drain_pending()
         runs_generated = len(runs)
 
         if not runs:
@@ -177,7 +149,7 @@ def external_sort(
                         next_runs.append(group[0])
                         continue
                     merged = HeapFile(
-                        naming(next(run_counter)),
+                        f"{source.name}.run{next(run_counter)}",
                         page_capacity=source.page_capacity,
                         stats=accounting,
                     )
@@ -197,42 +169,8 @@ def external_sort(
                 merge_passes=result.merge_passes,
                 total_passes=result.total_passes,
                 spilled_tuples=spilled_tuples,
-                run_sort_workers=run_sort_workers,
             )
         return result
-
-
-#: Fork-inherited state for parallel run sorting (set only while a
-#: pool is alive; workers read it copy-on-write instead of having the
-#: sort order pickled per task).
-_RUN_SORT_ORDER: Optional[SortOrder] = None
-
-
-def _run_sort_worker(chunk: list[TemporalTuple]) -> list[TemporalTuple]:
-    return sort_tuples(chunk, _RUN_SORT_ORDER)
-
-
-def _sort_chunks(
-    chunks: list[list[TemporalTuple]], order: SortOrder, workers: int
-) -> list[list[TemporalTuple]]:
-    """Sort run chunks, forking a pool when it can actually help;
-    falls back to inline sorting on any pool failure."""
-    global _RUN_SORT_ORDER
-    if workers > 1 and len(chunks) > 1:
-        import multiprocessing
-
-        _RUN_SORT_ORDER = order
-        try:
-            context = multiprocessing.get_context("fork")
-            with context.Pool(
-                processes=min(workers, len(chunks))
-            ) as pool:
-                return pool.map(_run_sort_worker, chunks)
-        except Exception:
-            pass
-        finally:
-            _RUN_SORT_ORDER = None
-    return [sort_tuples(chunk, order) for chunk in chunks]
 
 
 def _presorted_result(

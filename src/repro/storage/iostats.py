@@ -68,21 +68,3 @@ class IOStats:
         self.tuple_reads = 0
         self.tuple_writes = 0
         self.scans_started = 0
-
-
-@dataclass
-class CostWeights:
-    """Relative weights turning counters into a scalar cost, used by the
-    optimizer's cost model."""
-
-    page_read: float = 1.0
-    page_write: float = 1.0
-    tuple_cpu: float = 0.001
-    workspace_tuple: float = 0.01
-
-    def io_cost(self, stats: IOStats) -> float:
-        return (
-            stats.page_reads * self.page_read
-            + stats.page_writes * self.page_write
-            + (stats.tuple_reads + stats.tuple_writes) * self.tuple_cpu
-        )

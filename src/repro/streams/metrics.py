@@ -61,10 +61,6 @@ class ProcessorMetrics:
     resilience: Optional[dict] = None
 
     @property
-    def total_tuples_read(self) -> int:
-        return self.tuples_read_x + self.tuples_read_y
-
-    @property
     def workspace_high_water(self) -> int:
         """Peak number of state tuples held at once (buffers excluded)."""
         return self.workspace.high_water

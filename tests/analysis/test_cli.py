@@ -107,27 +107,6 @@ def test_parse_error_exits_two(tmp_path):
     assert "PARSE ERROR" in output
 
 
-def test_check_protocol_alone_exits_zero():
-    code, output = _run("--check-protocol")
-    assert code == 0
-    assert "protocol check OK" in output
-    assert "7/7 guards present" in output
-
-
-def test_check_protocol_combined_with_lint():
-    code, output = _run("--check-protocol", str(REPO_SRC))
-    assert code == 0
-    assert "protocol check OK" in output and "0 findings" in output
-
-
-def test_both_checks_run_when_combined():
-    # Regression: with two --check-* flags and no lint paths, both
-    # checks must execute (neither short-circuits the other).
-    code, output = _run("--check-plan", "--check-protocol")
-    assert code == 0
-    assert "plan check OK" in output and "protocol check OK" in output
-
-
 def test_strict_noqa_fails_on_dead_suppression(tmp_path):
     stale = tmp_path / "stale.py"
     stale.write_text(

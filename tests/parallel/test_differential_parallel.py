@@ -25,7 +25,7 @@ from .conftest import (
 CELLS = all_supported_cells()
 
 #: Worker/shard count for process-mode checks; the CI parallel job pins
-#: this to 2 so the differential runs with a real fork pool.
+#: this to 2 so the differential runs on a real spawn worker pool.
 WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 
 

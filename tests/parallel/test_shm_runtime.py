@@ -4,19 +4,23 @@ persist across queries and survive concurrent dispatch, and pool
 degradation must be visible (containment + span), never silent."""
 
 import os
+import pathlib
+import random
+import subprocess
+import sys
 import threading
 from array import array
 from multiprocessing import shared_memory
 
 import pytest
 
-from repro.errors import WorkspaceOverflowError
+from repro.columnar.relation import IntervalColumns
+from repro.errors import DeadlineExceededError, WorkspaceOverflowError
+from repro.governance import QueryBudget, governed
 from repro.model import TS_ASC, sort_tuples
 from repro.obs.trace import Tracer, set_tracer
 from repro.parallel import (
     LazyResults,
-    WorkerPool,
-    WorkerPoolError,
     execute_parallel,
     pool_stats,
     shutdown_pool,
@@ -197,48 +201,58 @@ class TestWarmPool:
 
 
 class TestFaultContainment:
-    """A worker death is contained at shard granularity: it costs one
-    shard re-dispatch, never a pool rebuild or an inline fallback."""
+    """A worker death breaks the pool: the batch waits for its
+    teardown, rebuilds it once and re-runs every shard still unfinished
+    under the next attempt — same rows, no inline fallback, no leaked
+    segment."""
 
-    def run_process(self):
+    def run_process(self, entry, xs, ys, **kwargs):
+        outcome = execute_parallel(
+            entry, xs, ys, shards=3, workers=2, mode="process", **kwargs
+        )
+        assert outcome.mode == "process"
+        return outcome
+
+    def assert_healed(self, outcome, killed, rebuilds):
+        assert outcome.containment["worker_deaths"] == 1
+        assert outcome.containment["shard_retries"] >= 1
+        attempts = {run.index: run.attempt for run in outcome.shard_runs}
+        assert attempts[killed] == 1
+        assert pool_stats()["rebuilds"] == rebuilds + 1
+        ours = f"repro-{os.getpid()}-"
+        assert not {n for n in shm_entries() if n.startswith(ours)}
+
+    def test_kill_heals_with_one_rebuild(self, monkeypatch):
         entry = contain_entry()
         xs, ys = inputs()
         expected = canon(serial_run(entry, xs, ys, "tuple"))
-        outcome = execute_parallel(
-            entry, xs, ys, shards=3, workers=2, mode="process"
-        )
-        assert outcome.mode == "process"
-        assert canon(outcome.results) == expected
-        return outcome
-
-    def test_kill_heals_with_one_retry_and_no_rebuild(self, monkeypatch):
         rebuilds = pool_stats()["rebuilds"]
         exit_on_shard(monkeypatch, 1, 1)
-        outcome = self.run_process()
-        containment = outcome.containment
-        assert containment["worker_deaths"] == 1
-        assert containment["shard_retries"] == 1
-        # Contained crash: the pool stays healthy (topped up, not
-        # rebuilt) and the next query runs through it.
-        assert pool_stats()["rebuilds"] == rebuilds
+        outcome = self.run_process(entry, xs, ys)
+        assert canon(outcome.results) == expected
+        self.assert_healed(outcome, 1, rebuilds)
+        # The rebuilt pool stays up for the next query.
         assert pool_stats()["alive"]
 
     def test_fault_gated_on_attempt_heals_deterministically(
         self, monkeypatch
     ):
-        """``fault_exit=1`` means the re-dispatched attempt runs clean:
-        every replay heals the same way, and the shard row names the
+        """``fault_exit=1`` means the re-run attempt runs clean: every
+        replay heals the same way, and the killed shard's row names the
         attempt that produced it."""
+        entry = contain_entry()
+        xs, ys = inputs()
+        expected = canon(serial_run(entry, xs, ys, "tuple"))
         exit_on_shard(monkeypatch, 2, 1)
         for _ in range(2):
-            outcome = self.run_process()
-            assert outcome.containment["shard_retries"] == 1
-            attempts = {run.index: run.attempt for run in outcome.shard_runs}
-            assert attempts == {0: 0, 1: 0, 2: 1}
+            rebuilds = pool_stats()["rebuilds"]
+            outcome = self.run_process(entry, xs, ys)
+            assert canon(outcome.results) == expected
+            self.assert_healed(outcome, 2, rebuilds)
 
     #: One cell per result-segment kind.  The worker exits before the
     #: shard body runs, so a cell matters to the death path only
-    #: through the kind of segment its re-dispatch writes.
+    #: through the kind of segment its re-run writes.
     KIND_CELLS = {
         "semi": TemporalOperator.CONTAIN_SEMIJOIN,
         "pairs": TemporalOperator.CONTAIN_JOIN,
@@ -251,25 +265,30 @@ class TestFaultContainment:
         xs, ys = inputs()
         xs = sort_tuples(xs, entry.x_order)
         ys = None if entry.y_order is None else sort_tuples(ys, entry.y_order)
-
-        def run():
-            return execute_parallel(
-                entry, xs, ys, shards=3, workers=2,
-                backend="columnar", mode="process",
-            )
-
-        clean = run()
-        assert clean.mode == "process" and len(clean.shard_runs) >= 2
+        clean = self.run_process(entry, xs, ys, backend="columnar")
+        assert len(clean.shard_runs) >= 2
         rebuilds = pool_stats()["rebuilds"]
         exit_on_shard(monkeypatch, 0, 1)
-        healed = run()
-        assert healed.mode == "process"
+        healed = self.run_process(entry, xs, ys, backend="columnar")
         assert list(healed.results) == list(clean.results)
-        assert healed.containment["worker_deaths"] == 1
-        assert healed.containment["shard_retries"] == 1
-        assert pool_stats()["rebuilds"] == rebuilds
-        ours = f"repro-{os.getpid()}-"
-        assert not {n for n in shm_entries() if n.startswith(ours)}
+        self.assert_healed(healed, 0, rebuilds)
+
+
+class TestEmptySegment:
+    def test_sweep_unlinks_a_segment_its_worker_never_sized(self):
+        """A broken pool terminates every worker, one possibly between
+        creating its result segment and sizing it: the sweep must still
+        unlink the empty segment, which cannot be mapped."""
+        import _posixshmem
+
+        name = shm.segment_name("empty")
+        fd = _posixshmem.shm_open(
+            f"/{name}", os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600
+        )
+        os.close(fd)
+        shm.destroy_segment(name)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 class TestResultIntegrity:
@@ -319,13 +338,6 @@ class TestResultIntegrity:
 
 
 class TestPoolLifecycle:
-    def test_worker_pool_double_shutdown_is_idempotent(self):
-        pool = WorkerPool(2)
-        assert pool.healthy
-        pool.shutdown()
-        assert not pool.healthy
-        pool.shutdown()  # second call must be a no-op, not an error
-
     def test_shutdown_pool_twice_and_after_manual_teardown(self):
         """The atexit hook may fire after a test (or the CLI) already
         shut the shared pool down manually; both orders must be safe."""
@@ -340,26 +352,103 @@ class TestPoolLifecycle:
         shutdown_pool()  # idempotent
         assert pool_stats() == stopped
 
-    def test_get_pool_rebuilds_poisoned_pool_under_old_reference(self):
-        """Code holding a reference to the poisoned pool must not
-        resurrect it: get_pool hands out a fresh pool, the old object
-        stays dead, and a batch on the stale reference fails fast."""
-        old = pool_mod.get_pool(2)
-        old._broken = True  # what quorum loss / a hung batch does
-        rebuilds = pool_stats()["rebuilds"]
-        fresh = pool_mod.get_pool(2)
-        assert fresh is not old
-        assert fresh.healthy and not old.healthy
-        assert pool_stats()["rebuilds"] == rebuilds + 1
-        with pytest.raises(WorkerPoolError):
-            old.run_batch([{"index": 0}])
-        # The fresh pool serves queries normally.
+
+#: A process-mode run as a script of its own: spawn workers re-import
+#: ``__main__``, so the run sits under the main guard.
+EXIT_SCRIPT = """
+import os
+
+from repro.model import TS_ASC, sort_tuples
+from repro.parallel import execute_parallel
+from repro.streams import TemporalOperator, lookup
+from repro.workload import FacultyWorkload
+
+if __name__ == "__main__":
+    faculty = sort_tuples(
+        FacultyWorkload(faculty_count=60).generate(seed=3).tuples, TS_ASC
+    )
+    entry = lookup(TemporalOperator.CONTAIN_JOIN, TS_ASC, TS_ASC)
+    outcome = execute_parallel(
+        entry, faculty, faculty, shards=2, workers=2, mode="process"
+    )
+    print(os.getpid(), outcome.mode)
+"""
+
+
+def sorted_columns(n, seed):
+    """``n`` TS-ordered endpoint rows held as columns, payload the row
+    position: big operands at the price of two arrays."""
+    rng = random.Random(seed)
+    ts = array("q", sorted(rng.randrange(0, 4 * n) for _ in range(n)))
+    te = array("q", (start + rng.randint(1, 400) for start in ts))
+    return IntervalColumns(ts, te, range(n), TS_ASC)
+
+
+def run_script(source, tmp_path):
+    script = tmp_path / "probe.py"
+    script.write_text(source, encoding="utf-8")
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+class TestProcessBoundaries:
+    """The pool's edges: interpreter exit, a deadline mid-batch, and a
+    serial query that must never import it."""
+
+    def test_a_process_mode_script_exits_clean(self, tmp_path):
+        result = run_script(EXIT_SCRIPT, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        pid, mode = result.stdout.split()
+        assert mode == "process"
+        assert not {
+            n for n in shm_entries() if n.startswith(f"repro-{pid}-")
+        }
+
+    def test_deadline_inside_a_process_batch_sweeps(self):
+        """The batch outlives its deadline: the poll loop's checkpoint
+        (or the worker's own) raises, no segment survives, and the next
+        query runs in process mode again.  8 000 rows a side plan well
+        inside the deadline; their tuple-backend shards do not."""
         entry = contain_entry()
         xs, ys = inputs()
-        outcome = execute_parallel(
-            entry, xs, ys, shards=2, workers=2, mode="process"
+        warm = execute_parallel(entry, xs, ys, shards=2, mode="process")
+        assert warm.mode == "process"
+        x_cols, y_cols = sorted_columns(8000, 1), sorted_columns(8000, 2)
+        with pytest.raises(DeadlineExceededError):
+            with governed(QueryBudget(deadline_seconds=0.05)):
+                execute_parallel(
+                    entry, x_cols, y_cols, shards=2, mode="process"
+                )
+        ours = f"repro-{os.getpid()}-"
+        assert not {n for n in shm_entries() if n.startswith(ours)}
+        again = execute_parallel(entry, xs, ys, shards=2, mode="process")
+        assert again.mode == "process"
+
+    def test_a_serial_query_never_imports_the_process_pool(self, tmp_path):
+        result = run_script(
+            """
+import sys
+
+from repro.cli import PARALLEL_DEFAULT_QUEL
+from repro.query import run_query
+from repro.workload import FacultyWorkload
+
+faculty = FacultyWorkload(faculty_count=50).generate(seed=7)
+run_query(PARALLEL_DEFAULT_QUEL, {"Faculty": faculty}, streams=True)
+print("concurrent.futures.process" in sys.modules)
+""",
+            tmp_path,
         )
-        assert outcome.mode == "process"
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
 
 
 class TestLazyResults:

@@ -154,24 +154,3 @@ class TestPresortedSkip:
         assert not result.skipped_presorted
         assert result.runs_generated > 0
         assert result.output is not f
-
-
-class TestParallelRunGeneration:
-    def test_worker_output_identical_to_inline(self):
-        data = random_tuples(200, seed=11)
-        inline = external_sort(
-            load(data), TS_TE_ASC, memory_pages=3
-        )
-        forked = external_sort(
-            load(data), TS_TE_ASC, memory_pages=3, run_sort_workers=4
-        )
-        assert forked.output.records() == inline.output.records()
-        assert forked.runs_generated == inline.runs_generated
-        assert TS_TE_ASC.is_sorted(forked.output.records())
-
-    def test_single_worker_is_default_path(self):
-        data = random_tuples(50, seed=12)
-        result = external_sort(
-            load(data), TS_ASC, memory_pages=3, run_sort_workers=1
-        )
-        assert TS_ASC.is_sorted(result.output.records())
