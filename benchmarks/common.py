@@ -1,19 +1,10 @@
-"""Shared helpers for the benchmark harness (imported by the bench
-modules; fixtures live in conftest.py)."""
+"""Shared helpers of the standalone timing scripts
+(``bench_backend_columnar.py`` and ``bench_parallel.py``)."""
 
 import resource
 import statistics
 import sys
 import time
-
-from repro.model import sort_tuples
-from repro.streams import TupleStream
-
-
-def make_stream(tuples, order, name="stream"):
-    return TupleStream.from_tuples(
-        sort_tuples(tuples, order), order=order, name=name
-    )
 
 
 def peak_rss_bytes():
@@ -52,13 +43,3 @@ def timing_stats(samples):
         "max": values[-1],
         "samples": values,
     }
-
-
-def print_table(title, header, rows):
-    """Uniform table rendering for benchmark output."""
-    print()
-    print(title)
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        print(row)

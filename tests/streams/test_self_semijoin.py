@@ -41,7 +41,8 @@ def contain_oracle(xs):
 
 class TestSelfContainedSemijoin:
     def test_figure7_trace(self):
-        """The paper's worked example: x1..x4 with x4 inside x3."""
+        """The paper's worked example: x1, x2, x3 each become the state
+        tuple in turn; x4 (inside x3) is output; x3 stays."""
         xs = [
             TemporalTuple("x1", "x1", 0, 4),
             TemporalTuple("x2", "x2", 2, 8),
@@ -51,6 +52,8 @@ class TestSelfContainedSemijoin:
         semi = SelfContainedSemijoin(make_stream(xs, TS_TE_ASC))
         out = semi.run()
         assert values(out) == ["x4"]
+        assert semi.metrics.workspace_high_water == 1
+        assert semi.state.peek().value == "x3"  # the final state tuple
 
     def test_one_state_tuple_and_single_scan(self, random_tuples):
         """Table 3 (a): the workspace is one state tuple plus the input
