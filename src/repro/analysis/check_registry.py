@@ -29,7 +29,7 @@ cell:
 
 The checker accepts an injected registry mapping so tests can corrupt
 one cell and prove the mismatch is caught.  Exit contract (via
-``python -m repro.analysis --check-plan``): 0 all cells agree, 1
+``python -m repro.analysis``): 0 all cells agree, 1
 otherwise, with a per-cell diff on stdout.
 """
 

@@ -226,8 +226,9 @@ class Interval:
 # before).  PR 1's tie-semantics audit fixed several kernels that had
 # the wrong strictness at exactly these boundaries.  To keep that from
 # drifting back in, every comparison of interval endpoints outside this
-# module must go through the named comparators below — rule REP001 of
-# ``repro.analysis`` enforces it.
+# module must go through the named comparators below — the
+# ``raw_endpoint_ordering`` check of ``tests/analysis/test_source_rules.py``
+# enforces it.
 #
 # Two families:
 #

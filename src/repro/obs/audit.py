@@ -71,7 +71,7 @@ def _next_query_id(source: str) -> str:
         # Audit ids are the sanctioned wall-clock exemption: they must
         # be globally unique across restarts, which monotonic time
         # (process-relative) cannot provide.
-        f"{os.getpid()}:{_SEQUENCE}:{time.time_ns()}:{source}".encode()  # repro: noqa(REP003)
+        f"{os.getpid()}:{_SEQUENCE}:{time.time_ns()}:{source}".encode()
     ).hexdigest()[:12]
     return f"q{_SEQUENCE:04d}-{digest}"
 
@@ -139,7 +139,7 @@ def build_record(
         # Audit-record timestamps are *meant* to be wall-clock (they
         # anchor the record to operator time for forensics), the one
         # sanctioned exemption to the monotonic-only rule.
-        "ts_unix": round(time.time(), 3),  # repro: noqa(REP003)
+        "ts_unix": round(time.time(), 3),
         "status": "error" if error is not None else "ok",
         "query": normalize_query(source),
         "registry_hash": registry_hash(),

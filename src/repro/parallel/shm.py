@@ -12,7 +12,7 @@ unlink every segment it handed out even when a worker crashed before
 producing anything.
 
 Naming is deterministic (``repro-<pid>-<counter>-<tag>``) so replays
-and the REP003 no-ambient-randomness rule hold; collisions with stale
+hold and no ambient randomness is needed; collisions with stale
 segments from a dead process are resolved by advancing the counter.
 
 CPython < 3.13 registers *every* ``SharedMemory`` — attached ones
@@ -98,7 +98,7 @@ def destroy_segment(name: str) -> None:
         # only ever runs in the parent, reclaiming the result segments
         # it assigned (a worker that died or was killed mid-write left
         # no handle), so this is creator-unlink in disguise.
-        segment.unlink()  # repro: noqa(REP007)
+        segment.unlink()
     except FileNotFoundError:  # pragma: no cover - unlink race
         pass
 
@@ -203,7 +203,7 @@ def write_result(
     # No unlink here by design: the segment name is parent-assigned
     # and the parent reaps it (read_result) or sweeps it after a
     # crash — the worker unlinking would race the parent's read.
-    segment = shared_memory.SharedMemory(name=name, create=True, size=size)  # repro: noqa(REP007)
+    segment = shared_memory.SharedMemory(name=name, create=True, size=size)
     try:
         crc = 0
         for column in (first, second):
@@ -255,7 +255,7 @@ def read_result(name: str) -> Tuple[int, array, array, int, int]:
         # read_result runs in the parent, reclaiming the name the
         # parent itself assigned at dispatch time: the attach-never-
         # unlinks rule is about *worker*-side attaches.
-        segment.unlink()  # repro: noqa(REP007)
+        segment.unlink()
     except FileNotFoundError:  # pragma: no cover - unlink race
         pass
     crc = 0

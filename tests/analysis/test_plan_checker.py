@@ -3,7 +3,7 @@
 The load-bearing properties:
 
 * on the real tree all 120 cells agree (the acceptance criterion for
-  ``--check-plan``);
+  ``python -m repro.analysis``);
 * the derivation is *independent* — it reproduces the tables from the
   operators' match conditions, so a deliberately corrupted registry
   cell (or a corrupted-looking disagreement of any kind) is caught;
