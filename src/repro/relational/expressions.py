@@ -8,20 +8,26 @@ expression text, and the whole tree becomes one ``eval``'d lambda with
 no closure per node — important because the nested-loop baselines
 evaluate predicates O(n^2) times in benchmarks.  The paper compares
 strategies by how many evaluations they perform; this only keeps the
-cost of one evaluation small.
+cost of one evaluation small.  The nested-loop join's inner loop goes
+one step further: a ``for l0, l1, in ((left[3], left[6],),)`` clause
+reads each outer-row attribute the predicate uses once per outer row,
+ahead of the loop over the inner rows, which read theirs once per
+pair.
 
 The generated text holds tuple subscripts with integer positions, the
-six comparison tokens of ``_TOKENS``, ``and`` / ``or`` / ``not``,
-``True`` / ``False``, parentheses and the names of bound constants.  A
-literal's value is bound in the lambda's namespace, never written into
-the text, and the namespace has no builtins.
+local names ``l0``, ``l1``, ... those outer-row subscripts are bound to
+and the one clause binding them, the six comparison tokens of
+``_TOKENS``, ``and`` / ``or`` / ``not``, ``True`` / ``False``,
+parentheses and the names of bound constants.  A literal's value is
+bound in the lambda's namespace, never written into the text, and the
+namespace has no builtins.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .schema import Row, RowSchema
 
@@ -243,16 +249,22 @@ def _row_locator(schema: RowSchema) -> Locate:
     return lambda name: f"row[{schema.index_of(name)}]"
 
 
-def _pair_locator(left: RowSchema, right: RowSchema) -> Locate:
+def _pair_locator(
+    left: RowSchema,
+    right: RowSchema,
+    hoisted: Optional[dict[int, str]] = None,
+) -> Locate:
     """Reads of a join's two rows; an attribute on both sides is the
-    concatenated schema's duplicate error."""
+    concatenated schema's duplicate error.  A left position that
+    ``hoisted`` names reads as that local name instead."""
     combined = left.concat(right)
     width = len(left)
+    names = hoisted or {}
 
     def locate(name: str) -> str:
         index = combined.index_of(name)
         if index < width:
-            return f"left[{index}]"
+            return names.get(index, f"left[{index}]")
         return f"right[{index - width}]"
 
     return locate
@@ -279,11 +291,27 @@ def compile_join_loop(
     predicate: Predicate, left: RowSchema, right: RowSchema
 ) -> Callable[[Row, Sequence[Row]], list[Row]]:
     """One inner loop of a nested-loop join: ``lambda left, rights:``
-    the concatenated rows of the pairs that satisfy ``predicate``."""
-    template = (
-        "lambda left, rights: [left + right for right in rights if {}]"
+    the concatenated rows of the pairs that satisfy ``predicate``.
+
+    Each left attribute the predicate reads is bound once per call, by
+    one ``for l0, l1, in ((left[3], left[6],),)`` clause ahead of the
+    loop over the right rows, and the predicate reads it as that local;
+    a predicate that reads no left attribute gets no clause."""
+    positions = sorted(
+        left.index_of(name) for name in predicate.attributes() if name in left
     )
-    return _generate(template, _pair_locator(left, right), predicate)
+    hoisted = {index: f"l{number}" for number, index in enumerate(positions)}
+    hoist = ""
+    if hoisted:
+        names = ", ".join(hoisted.values())
+        reads = ", ".join(f"left[{index}]" for index in hoisted)
+        hoist = f"for {names}, in (({reads},),) "
+    template = (
+        "lambda left, rights: [left + right "
+        + hoist
+        + "for right in rights if {}]"
+    )
+    return _generate(template, _pair_locator(left, right, hoisted), predicate)
 
 
 def eq(left: str, right: Any) -> Compare:

@@ -5,9 +5,14 @@ equi-join using a conventional approach such as nested-loop join, merge
 join or hash join.  The second join operation, a so-called less-than
 join, is a Cartesian product followed by a selection" — all four shapes
 are here, instrumented so plans can be compared by comparisons and
-materialised rows.  Predicates run in their two-row compiled form
-(:func:`~repro.relational.expressions.compile_pair`), so only a pair
-that passes is concatenated; every count is still one per pair.
+materialised rows.  The nested-loop join runs one generated inner
+loop per outer row
+(:func:`~repro.relational.expressions.compile_join_loop`) that reads
+the outer row's attributes once and the right rows' per pair; the
+semijoin and the hash and merge joins run a predicate in its two-row
+form (:func:`~repro.relational.expressions.compile_pair`).  Only a
+pair that passes is concatenated, and every count is still one per
+pair.
 """
 
 from __future__ import annotations

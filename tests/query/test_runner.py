@@ -1,10 +1,12 @@
 """Tests for the run_query convenience façade."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ParseError, TranslationError
 from repro.query import run_query
-from repro.superstar import SUPERSTAR_QUEL
+from repro.superstar import SUPERSTAR_QUEL, conventional_superstar
 from repro.workload import FacultyWorkload, figure1_relation
 
 CATALOG = {"Faculty": figure1_relation()}
@@ -66,3 +68,55 @@ class TestRunQuery:
         plain = run_query(SUPERSTAR_QUEL, catalog)
         semantic = run_query(SUPERSTAR_QUEL, catalog, semantic=True)
         assert set(plain.rows) == set(semantic.rows)
+
+
+class TestFrontDoorConventionalCounts:
+    """Superstar through ``run_query`` with the semantic optimizer runs
+    the paper's Section-3 plan — rank selections, a hash equi-join and
+    a nested-loop less-than join — and no stream join."""
+
+    FACULTY = FacultyWorkload(
+        faculty_count=40, hire_window=400, continuous=True, full_fraction=0.6
+    ).generate(5)
+
+    def run(self, streams):
+        catalog = {"Faculty": self.FACULTY}
+        return run_query(
+            SUPERSTAR_QUEL, catalog, semantic=True, streams=streams
+        )
+
+    def test_counts_are_derived_from_the_relation(self):
+        result = self.run(streams=True)
+        faculty = self.FACULTY
+        ranks = Counter(t.value for t in faculty)
+        names = {
+            rank: Counter(t.surrogate for t in faculty if t.value == rank)
+            for rank in ("Assistant", "Full")
+        }
+        # f1.Name = f2.Name: one hash candidate per same-name pair, and
+        # no residual, so each candidate is an Assistant-Full row.
+        pairs = sum(
+            count * names["Full"][name]
+            for name, count in names["Assistant"].items()
+        )
+        stats = result.stats
+        assert result.stream_joins == []
+        assert stats.scans_started == 3
+        assert stats.rows_scanned == 3 * len(faculty)
+        # The hash build side (Full) and the nested loop's inner side
+        # (Associate) are materialised once each.
+        assert stats.rows_materialized == ranks["Full"] + ranks["Associate"]
+        # One selection per scanned row, one comparison per hash
+        # candidate, one per Assistant-Full x Associate pair.
+        assert stats.comparisons == (
+            3 * len(faculty) + pairs + pairs * ranks["Associate"]
+        )
+
+    def test_rows_agree_with_the_other_conventional_paths(self):
+        result = self.run(streams=True)
+        assert result.rows
+        assert Counter(result.rows) == Counter(self.run(streams=False).rows)
+        # conventional_superstar keeps its rows as a set.
+        conventional = conventional_superstar(self.FACULTY)
+        assert set(result.rows) == conventional.rows
+        assert conventional.comparisons == result.stats.comparisons

@@ -20,6 +20,7 @@ from repro.relational import (
     Literal,
     MergeEquiJoin,
     Not,
+    Operator,
     Or,
     Project,
     RowSchema,
@@ -98,24 +99,34 @@ predicates = st.recursive(
     max_leaves=8,
 )
 rows = st.tuples(values, values, values, values)
+sides = st.tuples(values, values)
 
 
 class TestDifferential:
     @settings(max_examples=400, deadline=None)
-    @given(predicates, rows)
-    def test_three_forms_agree_with_the_tree_walk(self, predicate, row):
-        left, right = row[:2], row[2:]
-        expected = outcome(lambda: walk(predicate, row))
+    @given(predicates, sides, st.lists(sides, min_size=2, max_size=3))
+    def test_three_forms_agree_with_the_tree_walk(
+        self, predicate, left, rights
+    ):
         by_row = predicate.compile_against(BOTH)
         by_pair = compile_pair(predicate, LEFT, RIGHT)
         by_loop = compile_join_loop(predicate, LEFT, RIGHT)
-        assert outcome(lambda: by_row(row)) == expected
-        assert outcome(lambda: by_pair(left, right)) == expected
-        looped = outcome(lambda: by_loop(left, [right]))
-        if expected[0] == "value":
-            assert looped == ("value", [row] if expected[1] else [])
-        else:
-            assert looped == expected
+        expected = []
+        for right in rights:
+            row = left + right
+            expected.append(outcome(lambda: walk(predicate, row)))
+            assert outcome(lambda: by_row(row)) == expected[-1]
+            assert outcome(lambda: by_pair(left, right)) == expected[-1]
+        # The loop runs the rights in order, reusing the hoisted
+        # left values: the first error is theirs, type and message.
+        errors = [e for e in expected if e[0] != "value"]
+        passing = [
+            left + right
+            for right, (kind, value) in zip(rights, expected)
+            if value
+        ]
+        looped = outcome(lambda: by_loop(left, rights))
+        assert looped == (errors[0] if errors else ("value", passing))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(operands, max_size=4), rows)
@@ -303,6 +314,96 @@ class TestCounts:
         assert result.comparisons == 15_600
         assert result.faculty_scans == 3
         assert result.details == {"rows_materialized": 240}
+
+
+class CountedRow(tuple):
+    """A row that counts its subscripts."""
+
+    def __new__(cls, values):
+        row = super().__new__(cls, values)
+        row.reads = 0
+        return row
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+class CountedInt(int):
+    """A value that counts the ``<`` comparisons it is asked for."""
+
+    asked = 0
+
+    def __lt__(self, other):
+        CountedInt.asked += 1
+        return int.__lt__(self, other)
+
+
+class Rows(Operator):
+    """The given row objects as they are (a ``Table`` copies rows to
+    plain tuples)."""
+
+    def __init__(self, schema, rows, stats):
+        super().__init__(schema, stats)
+        self.rows = rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
+class TestHoisting:
+    """The join loop reads each left attribute once per outer row; the
+    right side is still evaluated once per pair."""
+
+    # Reads b twice and a once, in that order.
+    PREDICATE = And(
+        (
+            Compare(Attr("d"), ">", Attr("b")),
+            Compare(Attr("a"), "!=", Attr("c")),
+            Compare(Attr("b"), ">=", Literal(0)),
+        )
+    )
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 40])
+    def test_each_left_attribute_is_read_once_per_outer_row(self, m):
+        lefts = [CountedRow((i % 4, i)) for i in range(6)]
+        rights = [(j % 3, j) for j in range(m)]
+        stats = EngineStats()
+        join = ThetaNestedLoopJoin(
+            Rows(LEFT, lefts, stats),
+            Rows(RIGHT, rights, stats),
+            self.PREDICATE,
+        )
+        out = join.run()
+        assert [row.reads for row in lefts] == [2] * len(lefts)
+        assert out == [
+            left + right
+            for left in lefts
+            for right in rights
+            if walk(self.PREDICATE, left + right)
+        ]
+
+    def test_first_conjunct_is_evaluated_once_per_pair(self):
+        n, m = 9, 13
+        lefts = [(i % 4, i) for i in range(n)]
+        rights = [(j % 3, CountedInt(j)) for j in range(m)]
+        stats = EngineStats()
+        less = Compare(Attr("d"), "<", Attr("b"))
+        join = ThetaNestedLoopJoin(
+            Rows(LEFT, lefts, stats),
+            Rows(RIGHT, rights, stats),
+            And((less, Compare(Attr("a"), "=", Attr("c")))),
+        )
+        CountedInt.asked = 0
+        out = join.run()
+        assert CountedInt.asked == n * m
+        assert stats.comparisons == n * m
+        assert out == [
+            left + right
+            for left in lefts
+            for right in rights
+            if right[1] < left[1] and left[0] == right[0]
+        ]
 
 
 def python_calls(n, m):
