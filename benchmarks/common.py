@@ -1,5 +1,4 @@
-"""Shared helpers of the standalone timing scripts
-(``bench_backend_columnar.py`` and ``bench_parallel.py``)."""
+"""Helpers of the standalone timing script ``bench_parallel.py``."""
 
 import resource
 import statistics

@@ -50,19 +50,18 @@ class CostModel:
     parallel_tuple_ship: float = 0.0002
     #: Largest shard count the cost model will consider.
     max_parallel_workers: int = 8
-    #: Per-tuple CPU price of the batch sweep relative to
-    #: tuple-at-a-time (8 us a tuple), *before* its output; every batch
-    #: backend label runs the same kernel, so it has one price.  Fitted
-    #: to the slot-store kernels as the change on top of commit a0c234f
-    #: introduced them (Fig-5 generator, 12 000 tuples, kernels alone):
-    #: 0.45 us/tuple at any depth (bisect probes), plus ~0.3 us of
-    #: per-tuple scale carried over from the earlier fit.  The refit
-    #: against today's kernels belongs to the least-squares fit of the
-    #: cost constants.
-    batch_cpu_factor: float = 0.09
-    #: What the batch kernel pays per expected output pair to emit its
-    #: index columns: a slice, a sort and two extends per run, spread
-    #: over the run's pairs.
+    #: Per-tuple CPU price of the sweep relative to ``tuple_cpu``
+    #: (8 us a tuple), *before* its output.  Fitted to the slot-store
+    #: batch kernels as the change on top of commit a0c234f introduced
+    #: them (Fig-5 generator, 12 000 tuples, kernels alone): 0.45
+    #: us/tuple at any depth (bisect probes), plus ~0.3 us of per-tuple
+    #: scale carried over from the earlier fit.  The refit against
+    #: today's kernels belongs to the least-squares fit of the cost
+    #: constants.
+    BATCH_CPU_FACTOR: ClassVar[float] = 0.09
+    #: What the sweep pays per expected output pair to emit its index
+    #: columns: a slice, a sort and two extends per run, spread over
+    #: the run's pairs.
     BATCH_PAIR_FACTOR: ClassVar[float] = 0.006
 
     # ------------------------------------------------------------------
@@ -106,21 +105,15 @@ class CostModel:
         )
 
     def sweep_cpu_cost(
-        self,
-        tuples: int,
-        backend: str = "tuple",
-        expected_output: float = 0.0,
+        self, tuples: int, expected_output: float = 0.0
     ) -> float:
-        """CPU price of sweeping ``tuples`` input tuples on one
-        execution backend (page I/O is backend-independent).  The batch
-        sweep pays a fraction of the tuple price per tuple plus a price
-        per expected output pair."""
-        per_tuple, per_pair = 1.0, 0.0
-        if backend != "tuple":
-            per_tuple = self.batch_cpu_factor
-            per_pair = self.BATCH_PAIR_FACTOR
+        """CPU price of sweeping ``tuples`` input tuples: a fraction of
+        the tuple price per tuple plus a price per expected output
+        pair.  The same for every cell of one operator, so it never
+        decides which cell wins; page I/O, sorts and workspace do."""
         return (
-            tuples * per_tuple + expected_output * per_pair
+            tuples * self.BATCH_CPU_FACTOR
+            + expected_output * self.BATCH_PAIR_FACTOR
         ) * self.tuple_cpu
 
     def stream_pass_cost(
@@ -128,18 +121,14 @@ class CostModel:
         x_tuples: int,
         y_tuples: int,
         expected_workspace: float,
-        backend: str = "tuple",
         expected_output: float = 0.0,
     ) -> float:
         """One synchronized pass of both streams with the given
-        expected state size and join output, on the given physical
-        backend."""
+        expected state size and join output."""
         return (
             self.pages(x_tuples) * self.page_read
             + self.pages(y_tuples) * self.page_read
-            + self.sweep_cpu_cost(
-                x_tuples + y_tuples, backend, expected_output
-            )
+            + self.sweep_cpu_cost(x_tuples + y_tuples, expected_output)
             + expected_workspace * self.workspace_tuple
         )
 
@@ -150,11 +139,9 @@ class CostModel:
         expected_workspace: float,
         workers: int,
         replicated: float = 0.0,
-        backend: str = "tuple",
         expected_output: float = 0.0,
     ) -> float:
-        """One time-domain-partitioned pass with ``workers`` shards on
-        the given physical backend.
+        """One time-domain-partitioned pass with ``workers`` shards.
 
         Each shard sweeps ``1/workers`` of X plus its replicated share
         of Y and emits ``1/workers`` of the output; the expected
@@ -170,7 +157,6 @@ class CostModel:
                 x_tuples,
                 y_tuples,
                 expected_workspace,
-                backend=backend,
                 expected_output=expected_output,
             )
         shipped_y = y_tuples + replicated
@@ -178,7 +164,6 @@ class CostModel:
             math.ceil(x_tuples / workers),
             math.ceil(shipped_y / workers),
             expected_workspace,
-            backend=backend,
             expected_output=expected_output / workers,
         )
         coordination = (
@@ -212,11 +197,9 @@ def choose_shard_count(
     expected_workspace: float,
     max_workers: int,
     available_cpus: Optional[int] = None,
-    backend: str = "tuple",
     expected_output: float = 0.0,
 ) -> int:
-    """The cheapest shard count in [1, max_workers] under the model,
-    for a sweep on the given physical backend.
+    """The cheapest shard count in [1, max_workers] under the model.
 
     Returns 1 when no parallel configuration beats the serial pass —
     the parallel-vs-serial decision the planner exposes.
@@ -237,7 +220,6 @@ def choose_shard_count(
         x_stats.cardinality,
         y_stats.cardinality,
         expected_workspace,
-        backend=backend,
         expected_output=expected_output,
     )
     for workers in range(2, ceiling + 1):
@@ -247,7 +229,6 @@ def choose_shard_count(
             expected_workspace,
             workers,
             replicated=(workers - 1) * per_cut,
-            backend=backend,
             expected_output=expected_output,
         )
         if cost < best_cost:

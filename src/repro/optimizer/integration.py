@@ -266,9 +266,7 @@ def execute_hybrid(
     execution = HybridExecution(
         rows=[], schema=plan.schema(), stats=stats
     )
-    chooser = planner or TemporalJoinPlanner(
-        backend="auto", parallelism=parallelism
-    )
+    chooser = planner or TemporalJoinPlanner(parallelism=parallelism)
     joins: list[_StreamJoin] = []
     operator = _build(plan, catalog, stats, chooser, joins, recovery)
     execution.rows = operator.run()

@@ -43,12 +43,17 @@ from ..streams.processors.baseline import (
 )
 from ..streams.registry import (
     BACKENDS,
-    RANKED_BACKENDS,
     RegistryEntry,
     TemporalOperator,
     supported_entries,
 )
-from .cost import CostModel, expected_output_for, expected_workspace_for
+from .cost import (
+    CostModel,
+    choose_shard_count,
+    expected_output_for,
+    expected_replication_per_cut,
+    expected_workspace_for,
+)
 
 #: What the planner plans over and runs on.
 Operand = Union[TemporalRelation, IntervalColumns]
@@ -87,8 +92,9 @@ class Alternative:
     cost_breakdown: dict
     #: Shard count for "parallel-stream" alternatives (1 otherwise).
     workers: int = 1
-    #: Physical backend this alternative executes on.
-    backend: str = "tuple"
+    #: Physical backend this alternative executes on; ``None`` for the
+    #: nested loop, which runs no registry cell.
+    backend: Optional[str] = "columnar"
 
     def as_dict(self) -> dict:
         """The alternative as the audit record lists it, its estimates
@@ -159,7 +165,7 @@ class TemporalJoinPlanner:
     def __init__(
         self,
         use_histograms: bool = False,
-        backend: str = "tuple",
+        backend: str = "columnar",
         parallelism: Optional[int] = None,
         parallel_mode: str = "auto",
         workspace_budget: Optional[int] = None,
@@ -171,11 +177,11 @@ class TemporalJoinPlanner:
             )
         self.cost_model = CostModel()
         self.use_histograms = use_histograms
-        #: Physical backend stream plans execute on ("tuple",
-        #: "columnar", or its second name "fused").  "auto" enumerates a
-        #: costed alternative per :data:`RANKED_BACKENDS` entry and lets
-        #: the cost model pick — the backend-choice row of the plan.
-        self.backend = backend
+        #: Physical backend stream plans execute on: the batch backend
+        #: ("columnar", or its second name "fused"), or "tuple", the
+        #: one-buffer processors kept as the oracle.  The cost model
+        #: ranks cells, not backends, so "auto" names the batch backend.
+        self.backend = "columnar" if backend == "auto" else backend
         #: Maximum shard count for time-domain-partitioned plans; the
         #: cost model may pick fewer (or fall back to serial) per
         #: instance.  ``None``/1 disables parallel alternatives.  It is
@@ -216,120 +222,101 @@ class TemporalJoinPlanner:
             )
         output = expected_output_for(operator, x_stats, y_stats)
         out: list[Alternative] = []
-        planner_backends = (
-            RANKED_BACKENDS if self.backend == "auto" else (self.backend,)
-        )
-        order_free_seen: set[str] = set()
+        order_free_seen = False
         for entry in supported_entries(operator):
-            for backend in planner_backends:
-                if entry.order_free:
-                    # One alternative per backend suffices: the
-                    # algorithm ignores sort orders entirely.
-                    if backend in order_free_seen:
-                        continue
-                    order_free_seen.add(backend)
-                    sort_x = sort_y = False
-                else:
-                    sort_x = not order_satisfies(
-                        x_relation.order, entry.x_order
-                    )
-                    sort_y = (
-                        entry.y_order is not None
-                        and not order_satisfies(
-                            y_relation.order, entry.y_order
-                        )
-                    )
-                sort_cost = 0.0
-                if sort_x:
-                    sort_cost += model.sort_cost(x_stats.cardinality)
-                if sort_y:
-                    sort_cost += model.sort_cost(y_stats.cardinality)
-                workspace = expected_workspace_for(
-                    entry.state_class, x_stats, y_stats
+            if entry.order_free:
+                # One alternative suffices: the algorithm ignores sort
+                # orders entirely.
+                if order_free_seen:
+                    continue
+                order_free_seen = True
+                sort_x = sort_y = False
+            else:
+                sort_x = not order_satisfies(
+                    x_relation.order, entry.x_order
                 )
-                if histogram_peak is not None and entry.state_class in (
-                    "a",
-                    "b",
-                    "c",
-                ):
-                    workspace = histogram_peak
-                    if entry.state_class == "c":
-                        workspace /= 2.0
-                pass_cost = model.stream_pass_cost(
-                    x_stats.cardinality,
-                    y_stats.cardinality,
+                sort_y = entry.y_order is not None and not order_satisfies(
+                    y_relation.order, entry.y_order
+                )
+            sort_cost = 0.0
+            if sort_x:
+                sort_cost += model.sort_cost(x_stats.cardinality)
+            if sort_y:
+                sort_cost += model.sort_cost(y_stats.cardinality)
+            workspace = expected_workspace_for(
+                entry.state_class, x_stats, y_stats
+            )
+            if histogram_peak is not None and entry.state_class in (
+                "a",
+                "b",
+                "c",
+            ):
+                workspace = histogram_peak
+                if entry.state_class == "c":
+                    workspace /= 2.0
+            pass_cost = model.stream_pass_cost(
+                x_stats.cardinality,
+                y_stats.cardinality,
+                workspace,
+                expected_output=output,
+            )
+            out.append(
+                Alternative(
+                    kind="stream",
+                    entry=entry,
+                    sort_x=sort_x,
+                    sort_y=sort_y,
+                    estimated_cost=sort_cost + pass_cost,
+                    cost_breakdown={
+                        "sort": sort_cost,
+                        "pass": pass_cost,
+                        "expected_workspace": workspace,
+                        "expected_output": output,
+                    },
+                    backend=self.backend,
+                )
+            )
+            if self.parallelism and self.parallelism > 1:
+                workers = choose_shard_count(
+                    model,
+                    x_stats,
+                    y_stats,
                     workspace,
-                    backend=backend,
+                    self.parallelism,
+                    available_cpus=self.parallelism,
                     expected_output=output,
                 )
-                out.append(
-                    Alternative(
-                        kind="stream",
-                        entry=entry,
-                        sort_x=sort_x,
-                        sort_y=sort_y,
-                        estimated_cost=sort_cost + pass_cost,
-                        cost_breakdown={
-                            "sort": sort_cost,
-                            "pass": pass_cost,
-                            "expected_workspace": workspace,
-                            "expected_output": output,
-                            "backend": backend,
-                        },
-                        backend=backend,
+                if workers > 1:
+                    replicated = (workers - 1) * expected_replication_per_cut(
+                        x_stats, y_stats
                     )
-                )
-                if self.parallelism and self.parallelism > 1:
-                    from .cost import (
-                        choose_shard_count,
-                        expected_replication_per_cut,
-                    )
-
-                    workers = choose_shard_count(
-                        model,
-                        x_stats,
-                        y_stats,
+                    parallel_pass = model.parallel_stream_cost(
+                        x_stats.cardinality,
+                        y_stats.cardinality,
                         workspace,
-                        self.parallelism,
-                        available_cpus=self.parallelism,
-                        backend=backend,
+                        workers,
+                        replicated=replicated,
                         expected_output=output,
                     )
-                    if workers > 1:
-                        per_cut = expected_replication_per_cut(
-                            x_stats, y_stats
+                    out.append(
+                        Alternative(
+                            kind="parallel-stream",
+                            entry=entry,
+                            sort_x=sort_x,
+                            sort_y=sort_y,
+                            estimated_cost=sort_cost + parallel_pass,
+                            cost_breakdown={
+                                "sort": sort_cost,
+                                "pass": parallel_pass,
+                                "expected_workspace": workspace,
+                                "expected_output": output,
+                                "workers": workers,
+                                "expected_replication": replicated,
+                            },
+                            workers=workers,
+                            backend=self.backend,
                         )
-                        parallel_pass = model.parallel_stream_cost(
-                            x_stats.cardinality,
-                            y_stats.cardinality,
-                            workspace,
-                            workers,
-                            replicated=(workers - 1) * per_cut,
-                            backend=backend,
-                            expected_output=output,
-                        )
-                        out.append(
-                            Alternative(
-                                kind="parallel-stream",
-                                entry=entry,
-                                sort_x=sort_x,
-                                sort_y=sort_y,
-                                estimated_cost=sort_cost + parallel_pass,
-                                cost_breakdown={
-                                    "sort": sort_cost,
-                                    "pass": parallel_pass,
-                                    "expected_workspace": workspace,
-                                    "expected_output": output,
-                                    "workers": workers,
-                                    "expected_replication": (
-                                        (workers - 1) * per_cut
-                                    ),
-                                    "backend": backend,
-                                },
-                                workers=workers,
-                                backend=backend,
-                            )
-                        )
+                    )
         nested = model.nested_loop_cost(
             x_stats.cardinality, y_stats.cardinality
         )
@@ -341,6 +328,7 @@ class TemporalJoinPlanner:
                 sort_y=False,
                 estimated_cost=nested,
                 cost_breakdown={"nested_loop": nested},
+                backend=None,
             )
         )
         out.sort(key=lambda alt: alt.estimated_cost)

@@ -459,7 +459,7 @@ def execute_parallel(
     y_tuples: Union[Iterable[TemporalTuple], IntervalColumns, None] = None,
     shards: int = 2,
     workers: Optional[int] = None,
-    backend: str = "tuple",
+    backend: str = "columnar",
     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
     workspace_budget: Optional[int] = None,
     report: Optional[ExecutionReport] = None,

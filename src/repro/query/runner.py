@@ -86,9 +86,9 @@ def run_query(
         resulting report is attached to the result.
     streams:
         Execute recognised temporal joins with the stream engine via
-        the cost-based planner (hybrid execution, ``backend="auto"``:
-        the cheaper of the tuple and batch forms of the chosen cell);
-        the stream joins taken are listed on the result.
+        the cost-based planner (hybrid execution on the batch
+        backend: the planner picks the cell, its sorts and its shard
+        count); the stream joins taken are listed on the result.
     recovery:
         The :class:`~repro.resilience.recovery.RecoveryPolicy` applied
         to the stream joins (only meaningful with ``streams=True``;

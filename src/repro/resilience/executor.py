@@ -176,7 +176,7 @@ def execute_entry(
     entry: RegistryEntry,
     x_tuples: Operand,
     y_tuples: Optional[Operand] = None,
-    backend: str = "tuple",
+    backend: str = "columnar",
     policy: RecoveryPolicy = RecoveryPolicy.STRICT,
     workspace_budget: Optional[int] = None,
     report: Optional[ExecutionReport] = None,

@@ -11,7 +11,6 @@ from .processors import *  # noqa: F401,F403 - curated re-export
 from .processors import __all__ as _processors_all
 from .registry import (
     BACKENDS,
-    RANKED_BACKENDS,
     STATE_CLASS_DESCRIPTIONS,
     RegistryEntry,
     TemporalOperator,
@@ -28,7 +27,6 @@ __all__ = [
     "LambdaPolicy",
     "MinKeyPolicy",
     "ProcessorMetrics",
-    "RANKED_BACKENDS",
     "RegistryEntry",
     "STATE_CLASS_DESCRIPTIONS",
     "TemporalOperator",

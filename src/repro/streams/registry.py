@@ -96,17 +96,13 @@ STATE_CLASS_DESCRIPTIONS = {
 }
 
 
-#: The physical execution backends a table cell may offer.  "tuple" is
-#: the paper-faithful one-buffer stream processor; "columnar" is the
-#: batch-sweep backend of :mod:`repro.columnar` (same semantics and
-#: workspace accounting, one kernel sweep over endpoint columns, lazy
-#: join materialisation).  "fused" is a second name for the same batch
-#: path: same processor, kernel, counts and price.
+#: The physical execution backends a table cell may offer.  "columnar"
+#: is the batch-sweep backend of :mod:`repro.columnar` (one kernel
+#: sweep over endpoint columns, lazy join materialisation) and what the
+#: planner runs by default; "fused" is a second name for the same batch
+#: path.  "tuple" is the paper-faithful one-buffer stream processor,
+#: kept as the oracle the batch path must equal in rows and counts.
 BACKENDS = ("tuple", "columnar", "fused")
-
-#: The backends that are different physical paths — one per distinct
-#: execution — which is what ``backend="auto"`` ranks.
-RANKED_BACKENDS = ("tuple", "columnar")
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,20 @@ metrics for each:
    themselves (Figure 8(b)), answered by the **single-scan,
    one-state-tuple self-semijoin** of Section 4.2.3.
 
-All three return the same :class:`Stars` rows, verified by tests and
-benchmarks.  The semantic strategy additionally *derives* its own
-applicability from the declared constraints via
-:func:`repro.semantic.semantically_optimize` — see
-:func:`semantic_transformation_applies`.
+The conventional and stream strategies return the same :class:`Stars`
+rows with the same multiplicities (one row per witnessing ``f3``, as
+the Quel query's bag semantics gives); the semantic one returns the
+same rows once each.  :func:`all_strategies` verifies both.  The
+semantic strategy additionally *derives* its own applicability from
+the declared constraints via :func:`repro.semantic.semantically_optimize`
+— see :func:`semantic_transformation_applies`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from ..algebra import compile_plan, optimize
 from ..model.constraints import ContinuousLifespan, FirstValue
@@ -71,7 +74,9 @@ class StrategyResult:
     """Stars rows plus the execution profile of one strategy."""
 
     strategy: str
-    rows: FrozenSet[StarRow]
+    #: The Stars rows as a multiset: row -> how many (f1, f2, f3)
+    #: bindings derive it.  ``len(rows)`` counts distinct superstars.
+    rows: "Counter[StarRow]"
     #: Scans of the Faculty relation (logical references that touched
     #: every tuple).
     faculty_scans: int
@@ -96,7 +101,7 @@ def conventional_superstar(
     if use_rewrites:
         plan = optimize(plan)
     stats = EngineStats()
-    rows = frozenset(compile_plan(plan, catalog, stats).run())
+    rows = Counter(compile_plan(plan, catalog, stats).run())
     return StrategyResult(
         strategy="conventional" if use_rewrites else "conventional-raw",
         rows=rows,
@@ -132,15 +137,15 @@ def stream_superstar(faculty: TemporalRelation) -> StrategyResult:
     by_witness: dict = {}
     for f1, f3 in assistant_witnesses:
         by_witness.setdefault(f3, {}).setdefault(f1.surrogate, []).append(f1)
-    rows = set()
+    rows: Counter = Counter()
     comparisons = join_a.metrics.comparisons + join_b.metrics.comparisons
     for f2, f3 in full_witnesses:
         comparisons += 1
         for f1 in by_witness.get(f3, {}).get(f2.surrogate, ()):
-            rows.add((f1.surrogate, f1.valid_from, f2.valid_to))
+            rows[(f1.surrogate, f1.valid_from, f2.valid_to)] += 1
     return StrategyResult(
         strategy="stream-overlap",
-        rows=frozenset(rows),
+        rows=rows,
         faculty_scans=3,  # one selection scan per rank
         comparisons=comparisons,
         workspace_high_water=max(
@@ -189,6 +194,8 @@ def semantic_superstar(faculty: TemporalRelation) -> StrategyResult:
     The scan simultaneously extracts the associate tuples (the
     semijoin operand) and, per faculty member, the assistant-period
     start and full-period end needed to rebuild the Stars projection.
+    A semijoin asks whether a witness exists, not how many there are,
+    so each superstar comes out once.
     """
     associate_order = SortOrder.by_ts(secondary_te=True)
     associates = []
@@ -211,10 +218,12 @@ def semantic_superstar(faculty: TemporalRelation) -> StrategyResult:
     )
     semijoin = SelfContainedSemijoin(stream)
     stars = semijoin.run()
-    rows = frozenset(
-        (t.surrogate, career_start[t.surrogate], career_end[t.surrogate])
-        for t in stars
-        if t.surrogate in career_start and t.surrogate in career_end
+    rows = Counter(
+        {
+            (t.surrogate, career_start[t.surrogate], career_end[t.surrogate])
+            for t in stars
+            if t.surrogate in career_start and t.surrogate in career_end
+        }
     )
     return StrategyResult(
         strategy="semantic-self-semijoin",
@@ -262,18 +271,31 @@ def planned_superstar(faculty: TemporalRelation) -> StrategyResult:
 
 def all_strategies(faculty: TemporalRelation) -> list[StrategyResult]:
     """Run every applicable strategy (the semantic one only when its
-    assumptions hold) and verify they agree before returning."""
+    assumptions hold) and verify they agree before returning.
+
+    The conventional and stream strategies evaluate the Quel query as
+    written, one row per (f1, f2, f3) binding, so they must agree as
+    multisets.  The semantic strategy's single-scan self semijoin
+    answers the duplicate-free reading — does a witness exist — so it
+    is compared on the distinct rows only.  The two readings are the
+    multiset and set answers of one snapshot query (the distinction of
+    snapshot multiset semantics, Dignös et al., arXiv 1902.04938); they
+    differ whenever a promotion has more than one associate witness."""
     results = [
         conventional_superstar(faculty),
         stream_superstar(faculty),
     ]
     if semantic_assumptions_hold(faculty):
         results.append(semantic_superstar(faculty))
-    reference = results[0].rows
+    reference = results[0]
     for result in results[1:]:
-        if result.rows != reference:
+        if result.strategy == "semantic-self-semijoin":
+            agree = result.rows.keys() == reference.rows.keys()
+        else:
+            agree = result.rows == reference.rows
+        if not agree:
             raise AssertionError(
                 f"strategy {result.strategy!r} disagrees with "
-                f"{results[0].strategy!r}"
+                f"{reference.strategy!r}"
             )
     return results

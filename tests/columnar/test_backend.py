@@ -22,7 +22,6 @@ from repro.optimizer.planner import TemporalJoinPlanner
 from repro.resilience.recovery import RecoveryPolicy
 from repro.streams import (
     BACKENDS,
-    RANKED_BACKENDS,
     TemporalOperator,
     TupleStream,
     lookup,
@@ -263,7 +262,7 @@ class TestPlannerBackend:
         ):
             if alt.kind == "stream":
                 offered[alt.entry.mirrored].add(alt.backend)
-        assert offered[False] == offered[True] == set(RANKED_BACKENDS)
+        assert offered[False] == offered[True] == {"columnar"}
         rows = {}
         for backend in ("columnar", "fused", "auto"):
             results, profile = TemporalJoinPlanner(backend=backend).execute(

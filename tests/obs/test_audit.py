@@ -79,9 +79,20 @@ class TestRecordConstruction:
         record = build_record(DURING_QUERY, result=result)
         joins = record["stream_joins"]
         assert joins and joins[0]["output_rows"] == len(result.rows)
-        # The front door plans on ``auto``; the record names what ran.
+        # The front door plans on the batch backend; the record names
+        # what ran.
         assert record["backend"] == result.stream_joins[0].metrics.backend
-        assert record["backend"] in ("columnar", "fused")
+        assert record["backend"] == "columnar"
+
+    def test_nested_loop_alternative_names_no_backend(self):
+        """The nested loop runs no registry cell, so its ranked row
+        carries no backend; every stream row carries the one that
+        would run it."""
+        result = run_query(DURING_QUERY, catalog(), streams=True)
+        record = build_record(DURING_QUERY, result=result)
+        ranked = record["stream_joins"][0]["alternatives"]
+        backends = {row["kind"]: row["backend"] for row in ranked}
+        assert backends == {"nested-loop": None, "stream": "columnar"}
 
     def test_backend_is_none_without_a_stream_join(self):
         result = run_query(DURING_QUERY, catalog())

@@ -11,11 +11,12 @@ from repro.model import TemporalTuple, sort_tuples
 from repro.obs import Tracer
 from repro.obs.trace import set_tracer
 from repro.streams import (
-    RANKED_BACKENDS,
     TemporalOperator,
     TupleStream,
     supported_entries,
 )
+
+from tests.backends import PHYSICAL_BACKENDS
 
 BINARY_OPERATORS = (
     TemporalOperator.CONTAIN_JOIN,
@@ -85,7 +86,7 @@ def run_cell(entry, backend, xs, ys, traced):
 def all_cells():
     for operator in BINARY_OPERATORS + SELF_OPERATORS:
         for entry in supported_entries(operator):
-            for backend in RANKED_BACKENDS:
+            for backend in PHYSICAL_BACKENDS:
                 yield pytest.param(
                     entry,
                     backend,

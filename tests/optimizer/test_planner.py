@@ -1,15 +1,25 @@
 """Tests for cost-based temporal join planning."""
 
+import random
+
 import pytest
 
 from repro.errors import BudgetExceededError, WorkspaceOverflowError
 from repro.governance import QueryBudget, governed
-from repro.model import TE_ASC, TE_DESC, TS_ASC
+from repro.model import TE_ASC, TE_DESC, TS_ASC, TemporalRelation
 from repro.optimizer import CostModel, TemporalJoinPlanner, expected_workspace_for
+from repro.optimizer.planner import Alternative
 from repro.resilience.recovery import RecoveryPolicy
 from repro.stats import collect_statistics
-from repro.streams import RANKED_BACKENDS, TemporalOperator, contain_predicate
+from repro.streams import (
+    BACKENDS,
+    TemporalOperator,
+    contain_predicate,
+    supported_entries,
+)
 from repro.workload import PoissonWorkload, fixed_duration
+
+from tests.backends import PHYSICAL_BACKENDS
 
 
 def make_relation(n, rate=0.5, duration=20, name="R", seed=1):
@@ -21,6 +31,81 @@ def make_relation(n, rate=0.5, duration=20, name="R", seed=1):
 @pytest.fixture
 def planner():
     return TemporalJoinPlanner()
+
+
+def shuffled(relation, seed):
+    """The relation's tuples in random order, with no declared order."""
+    tuples = list(relation.tuples)
+    random.Random(seed).shuffle(tuples)
+    return TemporalRelation(relation.schema, tuples)
+
+
+class TestBackendBlindPlanning:
+    """The cost model prices cells, not backends: the backend a planner
+    runs on changes neither which cell wins nor any price."""
+
+    @pytest.mark.parametrize(
+        "operator", list(TemporalOperator), ids=lambda op: op.value
+    )
+    @pytest.mark.parametrize("inputs", ("sorted", "shuffled"))
+    def test_the_backend_never_changes_a_plan(self, operator, inputs):
+        x = make_relation(3000, name="X", seed=1)
+        y = make_relation(3000, duration=8, name="Y", seed=2)
+        if inputs == "sorted":
+            x, y = x.sorted_by(TS_ASC), y.sorted_by(TS_ASC)
+        else:
+            x, y = shuffled(x, 1), shuffled(y, 2)
+        if operator.shape == "self":
+            y = x
+        plans = {}
+        for backend in BACKENDS + ("auto",):
+            planner = TemporalJoinPlanner(backend=backend, parallelism=4)
+            plans[backend] = [
+                (a.kind, a.entry, a.sort_x, a.sort_y, a.workers)
+                + (a.estimated_cost,)
+                for a in planner.alternatives(operator, x, y)
+            ]
+        kinds = {kind for kind, *_ in plans["tuple"]}
+        if supported_entries(operator):
+            assert kinds == {"stream", "parallel-stream", "nested-loop"}
+        else:
+            assert kinds == {"nested-loop"}
+        for backend, plan in plans.items():
+            assert plan == plans["tuple"], backend
+
+    @pytest.mark.parametrize("backend", (None, "auto"))
+    def test_the_default_and_auto_plan_on_the_batch_backend(self, backend):
+        planner = (
+            TemporalJoinPlanner()
+            if backend is None
+            else TemporalJoinPlanner(backend=backend)
+        )
+        assert planner.backend == "columnar"
+        x = make_relation(500, name="X", seed=1)
+        y = make_relation(500, name="Y", seed=2)
+        ranked = planner.alternatives(TemporalOperator.CONTAIN_JOIN, x, y)
+        assert {a.backend for a in ranked if a.kind != "nested-loop"} == {
+            "columnar"
+        }
+
+    def test_the_nested_loop_names_no_backend(self):
+        x = make_relation(50, name="X", seed=1)
+        y = make_relation(50, name="Y", seed=2)
+        ranked = TemporalJoinPlanner(backend="tuple").alternatives(
+            TemporalOperator.OVERLAP_JOIN, x, y
+        )
+        (nested,) = [a for a in ranked if a.kind == "nested-loop"]
+        assert nested.backend is None
+        assert nested.as_dict()["backend"] is None
+        assert nested.describe().startswith("nested-loop (cost ")
+        assert Alternative(
+            kind="stream",
+            entry=None,
+            sort_x=False,
+            sort_y=False,
+            estimated_cost=0.0,
+            cost_breakdown={},
+        ).as_dict()["backend"] == "columnar"
 
 
 class TestCostModel:
@@ -289,7 +374,7 @@ class TestWorkspaceBudgetFallback:
         if profile.chosen.entry.state_class == "d":
             assert profile.metrics.workspace_high_water == 0
 
-    @pytest.mark.parametrize("backend", RANKED_BACKENDS)
+    @pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
     @pytest.mark.parametrize("order", (TS_ASC, TE_DESC), ids=("upper", "mirrored"))
     def test_mirrored_cell_honours_the_budget_like_its_twin(self, order, backend):
         """TEv/TEv is the lower-half twin of TS^/TS^: the same state,

@@ -34,7 +34,10 @@ def test_fig8_shape(faculty_strong):
     stream = stream_superstar(faculty_strong)
     semantic = semantic_superstar(faculty_strong)
 
-    assert conventional.rows == stream.rows == semantic.rows
+    # The two Quel evaluations agree as bags; the semijoin names each
+    # superstar once.
+    assert conventional.rows == stream.rows
+    assert semantic.rows.keys() == conventional.rows.keys()
     assert semantic.comparisons < stream.comparisons < conventional.comparisons
     assert conventional.faculty_scans == 3
     assert semantic.faculty_scans == 1
@@ -66,7 +69,7 @@ def test_fig8_scaling_series(faculty_count):
     ).generate(seed=faculty_count)
     conventional = conventional_superstar(faculty)
     semantic = semantic_superstar(faculty)
-    assert conventional.rows == semantic.rows
+    assert conventional.rows.keys() == semantic.rows.keys()
     advantage = conventional.comparisons / max(1, semantic.comparisons)
     print(
         f"\n|faculty|={faculty_count:4d}: conventional "

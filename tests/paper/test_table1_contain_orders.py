@@ -17,13 +17,14 @@ import pytest
 
 from repro.model import TE_ASC, TE_DESC, TS_ASC, TS_DESC
 from repro.streams import (
-    RANKED_BACKENDS,
     TemporalOperator,
     TupleStream,
     UnboundedStateJoin,
     contain_predicate,
     lookup,
 )
+
+from tests.backends import PHYSICAL_BACKENDS
 
 from .conftest import print_table
 
@@ -59,7 +60,7 @@ def run_cell(operator, x_order, y_order, x, y, backend="tuple"):
     return entry.state_class, processor.metrics.workspace_high_water
 
 
-@pytest.fixture(scope="module", params=RANKED_BACKENDS)
+@pytest.fixture(scope="module", params=PHYSICAL_BACKENDS)
 def backend(request):
     return request.param
 

@@ -16,7 +16,6 @@ import pytest
 from repro.model import TE_ASC, TE_DESC, TS_ASC, TS_DESC
 from repro.stats import collect_statistics, estimate_overlap_join_workspace
 from repro.streams import (
-    RANKED_BACKENDS,
     NestedLoopJoin,
     NestedLoopSemijoin,
     TemporalOperator,
@@ -26,6 +25,8 @@ from repro.streams import (
 )
 
 from ..streams.conftest import make_stream, pair_values, values
+from tests.backends import PHYSICAL_BACKENDS
+
 from .conftest import print_table
 
 
@@ -99,7 +100,7 @@ def references(poisson_pair):
     return pair_values(join), values(semijoin)
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 def test_table2_correctness(poisson_pair, references, backend):
     x, y = poisson_pair
     join_reference, semi_reference = references
@@ -120,7 +121,7 @@ def test_table2_correctness(poisson_pair, references, backend):
     assert semi_metrics.total_footprint == 2
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 def test_table2_mirror_execution(poisson_pair, backend):
     """The ValidTo-descending mirror row actually executes and agrees."""
     x, y = poisson_pair

@@ -23,7 +23,6 @@ from repro.model import (
     SortOrder,
 )
 from repro.streams import (
-    RANKED_BACKENDS,
     ContainedSemijoinTeTs,
     NestedLoopSelfSemijoin,
     TemporalOperator,
@@ -31,6 +30,8 @@ from repro.streams import (
     lookup,
 )
 from repro.workload import PoissonWorkload, fixed_duration
+
+from tests.backends import PHYSICAL_BACKENDS
 
 from ..streams.conftest import make_stream, values
 from .conftest import print_table
@@ -60,7 +61,7 @@ def run_self_contained(relation, backend="tuple"):
     )
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 def test_table3_self_contained(backend):
     relation = big_stream()
     _out, metrics = run_self_contained(relation, backend)
@@ -69,7 +70,7 @@ def test_table3_self_contained(backend):
     assert metrics.buffers == 1
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 def test_table3_self_contain_asc(backend):
     relation = big_stream()
     _out, metrics = run_self(
@@ -79,7 +80,7 @@ def test_table3_self_contain_asc(backend):
     assert metrics.workspace_high_water < len(relation) / 10
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 def test_table3_self_contain_desc(backend):
     relation = big_stream()
     _out, metrics = run_self(

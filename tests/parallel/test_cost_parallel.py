@@ -8,7 +8,7 @@ from repro.optimizer.cost import (
     expected_replication_per_cut,
 )
 from repro.stats import collect_statistics
-from repro.streams import RANKED_BACKENDS, TemporalOperator
+from repro.streams import TemporalOperator
 from repro.workload import PoissonWorkload, fixed_duration
 
 
@@ -66,24 +66,9 @@ class TestChooseShardCount:
 
     def test_workers_1_cost_equals_serial_pass(self):
         model = CostModel()
-        for backend in ("tuple", "columnar", "fused"):
-            assert model.parallel_stream_cost(
-                1000, 1000, 30.0, workers=1, backend=backend
-            ) == model.stream_pass_cost(
-                1000, 1000, 30.0, backend=backend
-            )
-
-    def test_parallel_cost_carries_the_backend_discount(self):
-        # Page I/O and coordination are backend-independent; per-tuple
-        # CPU is not, so the batch sweep must undercut the tuple one.
-        model = CostModel()
-        costs = {
-            backend: model.parallel_stream_cost(
-                4000, 4000, 30.0, workers=4, backend=backend
-            )
-            for backend in RANKED_BACKENDS
-        }
-        assert costs["columnar"] < costs["tuple"]
+        assert model.parallel_stream_cost(
+            1000, 1000, 30.0, workers=1
+        ) == model.stream_pass_cost(1000, 1000, 30.0)
 
     def test_replication_grows_with_interval_length(self):
         short_x = collect_statistics(
@@ -116,24 +101,6 @@ class TestPlannerParallelAlternative:
         assert parallel.describe().startswith(
             f"parallel[{parallel.workers}]-stream"
         )
-
-    def test_auto_backend_parallel_alternatives_do_not_tie(self):
-        """The regression: with no backend term the tuple and batch
-        parallel alternatives of a cell cost the same, and the stable
-        sort kept tuple."""
-        planner = TemporalJoinPlanner(backend="auto", parallelism=4)
-        x = make_relation(3000, name="X", seed=1)
-        y = make_relation(3000, name="Y", seed=2)
-        ranked = planner.alternatives(
-            TemporalOperator.CONTAIN_JOIN, x, y
-        )
-        cheapest = {}
-        for alt in ranked:
-            if alt.kind == "parallel-stream":
-                cheapest.setdefault(alt.backend, alt.estimated_cost)
-        assert set(cheapest) == set(RANKED_BACKENDS)
-        assert cheapest["columnar"] < cheapest["tuple"]
-        assert ranked[0].backend != "tuple"
 
     def test_no_parallelism_means_no_parallel_alternatives(self):
         planner = TemporalJoinPlanner()

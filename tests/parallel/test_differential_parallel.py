@@ -11,7 +11,9 @@ from repro.governance import QueryBudget, governed
 from repro.resilience import ExecutionReport, RecoveryPolicy
 from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
-from repro.streams import RANKED_BACKENDS, TemporalOperator, lookup
+from repro.streams import TemporalOperator, lookup
+
+from tests.backends import PHYSICAL_BACKENDS
 
 from .conftest import (
     all_supported_cells,
@@ -114,7 +116,7 @@ ORDERED_CELLS = [
 
 
 @pytest.mark.parametrize("entry", ORDERED_CELLS, ids=cell_id)
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 @pytest.mark.parametrize("mode", ["inline", "process"])
 @pytest.mark.parametrize("side", ["X", "Y"])
 @pytest.mark.parametrize("swap", ["far", "cut-straddling"])
@@ -240,7 +242,7 @@ class TestProcessModeDifferential:
     for every cell on every backend."""
 
     @pytest.mark.parametrize("entry", CELLS, ids=cell_id)
-    @pytest.mark.parametrize("backend", RANKED_BACKENDS)
+    @pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
     @pytest.mark.parametrize("shards", [2, 4])
     def test_process_matches_inline(
         self, entry, backend, shards, small_inputs

@@ -29,8 +29,10 @@ from repro.parallel import executor as executor_mod
 from repro.parallel import pool as pool_mod
 from repro.parallel import shm
 from repro.resilience import RecoveryPolicy
-from repro.streams import RANKED_BACKENDS, TemporalOperator, lookup
+from repro.streams import TemporalOperator, lookup
 from repro.streams.registry import supported_entries
+
+from tests.backends import PHYSICAL_BACKENDS
 
 from .conftest import canon, exit_on_shard, make_tuples, serial_run
 
@@ -476,7 +478,7 @@ class TestLazyResults:
         left, right = results[0]
         assert left in xs and right in ys
 
-    @pytest.mark.parametrize("backend", RANKED_BACKENDS)
+    @pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
     def test_index_columns_are_global_positions_in_chunk_order(
         self, backend
     ):

@@ -17,7 +17,9 @@ from repro.streams.processors.baseline import (
     contain_predicate,
     overlap_predicate,
 )
-from repro.streams.registry import RANKED_BACKENDS, TemporalOperator, lookup
+from repro.streams.registry import TemporalOperator, lookup
+
+from tests.backends import PHYSICAL_BACKENDS
 
 #: Tie-heavy lifespans: a tiny endpoint domain with few durations, so
 #: equal TS/TE values dominate.
@@ -129,7 +131,7 @@ class TestStrict:
         assert report.order_violations == 1
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 @pytest.mark.parametrize(
     "policy", [RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE]
 )

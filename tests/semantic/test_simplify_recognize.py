@@ -32,8 +32,10 @@ from repro.semantic import (
     recognize_allen,
     recognize_derived_containment,
 )
-from repro.streams import RANKED_BACKENDS, TemporalOperator
+from repro.streams import TemporalOperator
 from repro.workload import PoissonWorkload, fixed_duration
+
+from tests.backends import PHYSICAL_BACKENDS
 
 
 def ts(v):
@@ -483,7 +485,7 @@ def quel_catalog():
     return {"X": x, "Y": y}
 
 
-@pytest.mark.parametrize("backend", RANKED_BACKENDS)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
 @pytest.mark.parametrize("keyword", sorted(TEMPORAL_OPERATORS))
 def test_three_spellings_of_a_keyword_are_one_stream_join(
     keyword, backend, quel_catalog

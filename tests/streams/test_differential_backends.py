@@ -23,7 +23,6 @@ import pytest
 from repro.columnar.fused import LazyPairs
 from repro.model import TS_ASC, TemporalTuple, sort_tuples
 from repro.streams import (
-    RANKED_BACKENDS,
     NestedLoopJoin,
     NestedLoopSelfSemijoin,
     NestedLoopSemijoin,
@@ -34,6 +33,8 @@ from repro.streams import (
     overlap_predicate,
     supported_entries,
 )
+
+from tests.backends import PHYSICAL_BACKENDS
 
 from .conftest import make_stream, pair_values, values
 
@@ -110,7 +111,7 @@ def state_bound(state_class, xs, ys):
 def binary_cases():
     for operator, (predicate, kind) in BINARY_OPERATORS.items():
         for entry in supported_entries(operator):
-            for backend in RANKED_BACKENDS:
+            for backend in PHYSICAL_BACKENDS:
                 for seed in SEEDS:
                     yield pytest.param(
                         entry,
@@ -169,7 +170,7 @@ def test_binary_cell_differential(entry, predicate, kind, backend, seed):
 def self_cases():
     for operator, predicate in SELF_OPERATORS.items():
         for entry in supported_entries(operator):
-            for backend in RANKED_BACKENDS:
+            for backend in PHYSICAL_BACKENDS:
                 for seed in SEEDS:
                     yield pytest.param(
                         entry,

@@ -1,10 +1,14 @@
 """Tests for the three end-to-end Superstar strategies."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.query import run_query
 from repro.superstar import (
+    SUPERSTAR_QUEL,
     all_strategies,
     conventional_superstar,
     semantic_assumptions_hold,
@@ -28,11 +32,11 @@ class TestFigure1:
     def test_smith_is_the_star(self):
         rel = figure1_relation()
         result = conventional_superstar(rel)
-        assert result.rows == {("Smith", 0, 30)}
+        assert result.rows == Counter({("Smith", 0, 30): 1})
 
     def test_stream_strategy_agrees(self):
         rel = figure1_relation()
-        assert stream_superstar(rel).rows == {("Smith", 0, 30)}
+        assert stream_superstar(rel).rows == Counter({("Smith", 0, 30): 1})
 
     def test_semantic_assumptions_fail_for_kim(self):
         # Kim stops at Associate, so careers do not all reach Full.
@@ -43,8 +47,51 @@ class TestAgreement:
     def test_all_strategies_agree(self, strong_faculty):
         results = all_strategies(strong_faculty)
         assert len(results) == 3
-        rows = {r.strategy: r.rows for r in results}
-        assert len(set(map(frozenset, rows.values()))) == 1
+        conventional, stream, semantic = (r.rows for r in results)
+        assert conventional == stream
+        assert semantic.keys() == conventional.keys()
+        assert set(semantic.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "seed, bag_rows", [(1, 23), (3, 20), (7, 32), (11, 24)]
+    )
+    def test_bag_strategies_keep_the_query_multiplicity(self, seed, bag_rows):
+        """A promotion with several associate witnesses is one Quel row
+        per witness: the conventional and stream strategies keep every
+        one of them, the semantic self semijoin answers each superstar
+        once, and all_strategies accepts both readings."""
+        faculty = FacultyWorkload(
+            40, hire_window=400, full_fraction=1.0
+        ).generate(seed)
+        query = Counter(
+            run_query(SUPERSTAR_QUEL, {"Faculty": faculty}, semantic=True).rows
+        )
+        assert sum(query.values()) == bag_rows
+        assert len(query) < bag_rows  # some superstar has two witnesses
+        conventional, stream, semantic = all_strategies(faculty)
+        assert conventional.rows == stream.rows == query
+        assert semantic.rows == Counter(query.keys())
+
+    def test_disagreeing_multiplicity_is_caught(self, monkeypatch):
+        """all_strategies compares the bag strategies as multisets: the
+        same distinct rows with one witness dropped is a disagreement."""
+        import repro.superstar.queries as queries
+
+        faculty = FacultyWorkload(
+            40, hire_window=400, full_fraction=1.0
+        ).generate(3)
+        genuine = queries.stream_superstar
+
+        def drops_a_witness(relation):
+            result = genuine(relation)
+            row, count = max(result.rows.items(), key=lambda item: item[1])
+            assert count > 1
+            result.rows[row] -= 1
+            return result
+
+        monkeypatch.setattr(queries, "stream_superstar", drops_a_witness)
+        with pytest.raises(AssertionError, match="stream-overlap"):
+            all_strategies(faculty)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -142,14 +189,14 @@ class TestEdgeCases:
             faculty_count=0, continuous=True, full_fraction=1.0
         ).generate(0)
         results = all_strategies(rel)
-        assert all(r.rows == frozenset() for r in results)
+        assert all(not r.rows for r in results)
 
     def test_single_member_no_witness(self):
         rel = FacultyWorkload(
             faculty_count=1, continuous=True, full_fraction=1.0
         ).generate(0)
         results = all_strategies(rel)
-        assert all(r.rows == frozenset() for r in results)
+        assert all(not r.rows for r in results)
 
 
 class TestPlannedStrategy:
@@ -159,7 +206,8 @@ class TestPlannedStrategy:
         result = planned_superstar(strong_faculty)
         assert result.strategy == "semantic-self-semijoin"
         assert result.details["planned"]
-        assert result.rows == conventional_superstar(strong_faculty).rows
+        conventional = conventional_superstar(strong_faculty)
+        assert result.rows.keys() == conventional.rows.keys()
 
     def test_falls_back_without_constraints(self):
         from repro.model import TemporalRelation
