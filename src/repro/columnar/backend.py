@@ -29,9 +29,9 @@ comparison counts are the kernel's probe-scan charge.
 
 A lower-half (mirrored) registry entry runs its upper-half cell on
 time-reversed *columns* — Section 4.2.1's symmetry, ``[TS, TE)`` to
-``[-TE, -TS)`` — after the drain and order check of the original
-streams: row positions do not move, so index columns and payloads are
-used as they are.
+``[-TE, -TS)`` — after the drain (and, for a verifying stream, the
+order check) of the original streams: row positions do not move, so
+index columns and payloads are used as they are.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from ..errors import ExecutionError, StreamOrderError
+from ..errors import ExecutionError
 from ..governance.budget import active_token
 from ..model import sortorder as so
 from ..streams.processors.base import StreamProcessor
@@ -231,7 +231,10 @@ class ColumnarProcessor(StreamProcessor):
         """One batch pass over a stream, charged to its counters exactly
         like cursor reads (reading below the single-buffer cursor,
         straight from the source factory).  A stream born as columns
-        hands them over as they are."""
+        hands them over as they are.  A verifying stream's columns are
+        checked in one C-level pass; the executor's streams verify
+        nothing, their operands having been checked before the cell
+        ran (:func:`repro.resilience.executor.verify_orders`)."""
         columns = stream.columns
         if columns is None:
             columns = IntervalColumns.from_tuples(
@@ -242,16 +245,7 @@ class ColumnarProcessor(StreamProcessor):
             )
         stream.note_batch_pass(len(columns))
         if stream.verify_order:
-            try:
-                columns.verify_order()
-            except StreamOrderError as error:
-                # Tag the offending operand so the resilient executor
-                # can re-sort just that side, as the cursor path does.
-                error.stream_name = stream.name
-                if stream.report is not None:
-                    stream.report.note_order_violation()
-                    error.reported = True
-                raise
+            columns.verify_order()
         return columns
 
     def _absorb(self, stats: SweepStats) -> None:

@@ -77,7 +77,14 @@ class ExecutionError(ReproError):
 
 class StreamOrderError(ExecutionError):
     """Raised when a stream's tuples are observed to violate the sort
-    order the stream declared."""
+    order the stream declared.  ``stream_name`` names the offending
+    stream, or the operand side (``"X"``/``"Y"``) when the executor's
+    up-front check found it; ``None`` when columns were checked
+    directly."""
+
+    def __init__(self, message: str, stream_name: str | None = None) -> None:
+        super().__init__(message)
+        self.stream_name = stream_name
 
 
 class StreamStateError(ExecutionError):

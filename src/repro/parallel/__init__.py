@@ -22,7 +22,7 @@ from .executor import (
     ShardRun,
     execute_parallel,
 )
-from .pool import WorkerPoolError, pool_stats, shutdown_pool, warm_pool
+from .pool import WorkerPoolError, pool_stats, shutdown_pool
 from .shards import RangePlan, ShardRange, plan_ranges, slice_bounds
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "pool_stats",
     "shutdown_pool",
     "slice_bounds",
-    "warm_pool",
 ]

@@ -23,8 +23,12 @@ side only when touched.  The two modes differ only in transport:
   parent's columns: deterministic, traced in place, and the fallback
   whenever the worker pool is unavailable.
 
-Resilience composes per shard: each shard runs under the caller's
-policy, so a shard raises or degrades on its own — siblings never see
+Sort orders are checked once, on the whole operands before they are
+cut, by the serial executor's own check
+(:func:`~repro.resilience.executor.verify_orders`): STRICT raises,
+DEGRADE re-sorts the operand, and the report reads as a serial run's.
+Workspace overflows are per shard: each shard runs under the caller's
+policy, so a shard raises or spills on its own — siblings never see
 it.  Shard reports are merged into one
 :class:`~repro.resilience.recovery.ExecutionReport`; each shard's row
 is a :class:`ShardRun`, and its time a ``shard:<i>`` span.
@@ -46,13 +50,14 @@ import time
 from array import array
 from collections import abc
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..columnar.relation import IntervalColumns
-from ..errors import ExecutionError, ReproError, StreamOrderError
+from ..errors import ExecutionError, ReproError
 from ..governance.budget import active_token
 from ..model.tuples import TemporalTuple
 from ..obs.trace import get_tracer
+from ..resilience.executor import Operand, verify_orders
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import RegistryEntry
@@ -417,29 +422,13 @@ def _run_shm(
 
 
 def _as_columns(operand, order, name: str) -> IntervalColumns:
-    """An operand already held as columns is sharded as it is; tuples
-    are columnised, trusted to be in ``order``."""
+    """An operand already held as columns is sharded as it is; tuples,
+    checked to be in ``order``, are columnised as they are."""
     if isinstance(operand, IntervalColumns):
         return operand
     return IntervalColumns.from_tuples(
         operand, order=order, presorted=True, name=name
     )
-
-
-def _verify_order(
-    columns: IntervalColumns, order, name: str, report: ExecutionReport
-) -> None:
-    """STRICT's order check over a whole operand, before it is cut: a
-    violation straddling a shard boundary is in order within both
-    slices, so no shard could see it."""
-    try:
-        IntervalColumns.from_views(
-            columns.ts, columns.te, order, name
-        ).verify_order()
-    except StreamOrderError as error:
-        error.stream_name = name
-        report.note_order_violation()
-        raise
 
 
 def _note_pool_fallback(span, exc: Exception) -> dict:
@@ -455,8 +444,8 @@ def _note_pool_fallback(span, exc: Exception) -> dict:
 # ----------------------------------------------------------------------
 def execute_parallel(
     entry: RegistryEntry,
-    x_tuples: Union[Iterable[TemporalTuple], IntervalColumns],
-    y_tuples: Union[Iterable[TemporalTuple], IntervalColumns, None] = None,
+    x_tuples: Operand,
+    y_tuples: Optional[Operand] = None,
     shards: int = 2,
     workers: Optional[int] = None,
     backend: str = "columnar",
@@ -467,8 +456,10 @@ def execute_parallel(
 ) -> ParallelOutcome:
     """Run one registry cell as ``shards`` time-domain shards.
 
-    Inputs must be in the entry's declared orders (same contract as
-    ``execute_entry``); an operand may also arrive as the
+    Operands are claimed to be in the entry's declared orders and held
+    to them as ``execute_entry`` holds its own, by
+    :func:`~repro.resilience.executor.verify_orders` under either
+    policy; an operand may also arrive as the
     :class:`~repro.columnar.relation.IntervalColumns` this function
     would otherwise build from it.  ``workers`` caps the pool size
     (default: one worker per shard); ``mode`` picks ``"process"``
@@ -503,12 +494,14 @@ def execute_parallel(
         policy=policy.value,
         requested_shards=shards,
     ) as span:
-        x_cols = _as_columns(x_tuples, entry.x_order, "X")
-        y_cols = None if unary else _as_columns(y_tuples, entry.y_order, "Y")
-        if policy is RecoveryPolicy.STRICT and not entry.order_free:
-            _verify_order(x_cols, entry.x_order, "X", report)
-            if y_cols is not None:
-                _verify_order(y_cols, entry.y_order, "Y", report)
+        # The serial executor's check, on whole operands before they
+        # are cut: a misorder straddling a cut is in order within both
+        # slices, so no shard could see it.
+        x_operand, y_operand = verify_orders(
+            entry, x_tuples, None if unary else y_tuples, policy, report
+        )
+        x_cols = _as_columns(x_operand, entry.x_order, "X")
+        y_cols = None if unary else _as_columns(y_operand, entry.y_order, "Y")
         plan = plan_ranges(
             entry,
             x_cols.ts,

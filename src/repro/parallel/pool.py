@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import atexit
 import importlib
-import os
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -211,10 +210,3 @@ def pool_stats() -> Dict[str, object]:
             "rebuilds": _REBUILDS,
         }
 
-
-def warm_pool(workers: int) -> List[int]:
-    """Spawn ``workers`` processes and wait until they have imported
-    the runtime; returns the pool's pids."""
-    for future in _submit(workers, os.getpid, [()] * workers)[1]:
-        future.result()
-    return pool_stats()["pids"]

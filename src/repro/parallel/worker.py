@@ -8,9 +8,11 @@ shard-local row position and runs them through
 :func:`~repro.resilience.executor.execute_entry`, the body every serial
 plan runs too: a batch backend sweeps the buffers as they are (a
 mirrored cell their negations), so a clean shard costs the kernel plus
-zero object traffic, and the STRICT/DEGRADE ladder applies per shard;
-only a rung that is tuple-at-a-time by nature builds the shard's tuples
-(surrogate = position, no payloads).
+zero object traffic, and a workspace overflow raises or spills per
+shard (sort orders were checked on the whole operands before the cut,
+so a shard's own check finds nothing); only the spill, tuple-at-a-time
+by nature, builds the shard's tuples (surrogate = position, no
+payloads).
 
 The result is a ``(kind, first, second, x_base, y_base)`` chunk of
 ``array('q')`` shard-local index columns; the parent adds the bases and

@@ -5,26 +5,30 @@ under a :class:`~repro.resilience.recovery.RecoveryPolicy`.  The
 planner's serial plans and every parallel shard go through it, so the
 two assumptions the paper's single-pass algorithms rest on — the
 operand is in its declared order, the state fits the workspace — are
-enforced in exactly one place:
+enforced in one place each.  :func:`verify_orders` checks every
+operand's order once, before the cell runs (the parallel executor
+calls it too, before it cuts the operands into shards); the cell then
+runs once, and an overflow is answered where it happens:
 
 * ``STRICT`` — any violated assumption raises its original exception
   type (order violations as :class:`~repro.errors.StreamOrderError`,
-  budget breaches as :class:`~repro.errors.WorkspaceOverflowError`);
+  naming the side, budget breaches as
+  :class:`~repro.errors.WorkspaceOverflowError`);
 * ``DEGRADE`` — the paper's Section-4.1 trade-off triangle, exercised
-  live: an order violation buys a re-sort
+  live: an out-of-order operand is re-sorted before the cell runs
   (:func:`~repro.storage.external_sort.external_sort` passes are added
-  to the report) and an operator restart; a workspace overflow spills
-  both operands to heap files and finishes with a block nested-loop
-  whose block size *is* the workspace budget — trading the violated
-  memory bound for extra passes, never for a wrong answer.
+  to the report); a workspace overflow spills both operands to heap
+  files and finishes with a block nested-loop whose block size *is*
+  the workspace budget — trading the violated memory bound for extra
+  passes, never for a wrong answer.
 
 Operands are taken as they already exist — endpoint columns, a
-relation, or a tuple sequence (:func:`stream_over`).  A batch backend
-reads columns as they are, so a clean run builds no
-:class:`~repro.model.tuples.TemporalTuple`; the rungs that are
-tuple-at-a-time by nature (the external re-sort, the spill) make a
-column operand build its tuples, once, when they are reached.  A
-corrupt page on a re-sort or spill file raises
+relation, or a tuple sequence (:func:`stream_over`).  Columns check
+their order in one C-level pass and a batch backend reads them as they
+are, so a clean run builds no :class:`~repro.model.tuples.TemporalTuple`;
+the rungs that are tuple-at-a-time by nature (the external re-sort, the
+spill) make a column operand build its tuples, once, when they are
+reached.  A corrupt page on a re-sort or spill file raises
 :class:`~repro.errors.PageCorruptionError` under every policy.
 """
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -62,10 +67,6 @@ Predicate = Callable[[TemporalTuple, TemporalTuple], bool]
 #: order; a bare tuple sequence is claimed to be in the entry's.
 Operand = Union[IntervalColumns, TemporalRelation, Sequence[TemporalTuple]]
 
-#: Spill block size when the overflow came from a meter limit the
-#: caller set directly rather than through ``workspace_budget``.
-_DEFAULT_SPILL_BLOCK = 64
-
 #: Memory pages DEGRADE's external re-sort merges with.
 _SORT_MEMORY_PAGES = 8
 
@@ -94,7 +95,7 @@ def stream_over(
 ) -> TupleStream:
     """A stream over one operand as it already exists.  ``order`` is
     what a bare tuple sequence is claimed to be sorted by; ``options``
-    are the stream constructors' shared ``verify_order``/``report``."""
+    are the stream constructors' shared ``verify_order``."""
     if isinstance(operand, IntervalColumns):
         return TupleStream.from_columns(operand, name, **options)
     if isinstance(operand, TemporalRelation):
@@ -157,19 +158,78 @@ def _order_of(payload: Optional[Sequence]) -> Optional[Sequence[int]]:
     return _positions(payload)
 
 
-def _exhaust(stream: Optional[TupleStream]) -> None:
-    """Finish the stream's scan so tail tuples get order checked too.
+def verify_orders(
+    entry: RegistryEntry,
+    x_operand: Operand,
+    y_operand: Optional[Operand],
+    policy: RecoveryPolicy,
+    report: ExecutionReport,
+) -> Tuple[Operand, Optional[Operand]]:
+    """The one order check of both executors: each operand against the
+    order the entry declares for it, once, before anything runs.
+    Returns the operands to run on.
 
-    One-pass operators may stop reading early (e.g. once the other
-    operand is exhausted), which would let a violation in the unread
-    tail go unnoticed: the run would return a wrong answer instead of
-    raising (STRICT) or re-sorting (DEGRADE).  This completes the
-    *same* scan; it is not an extra pass.
+    A violation is noted on ``report``.  STRICT raises it as a
+    :class:`~repro.errors.StreamOrderError` naming the side (``"X"`` or
+    ``"Y"``); DEGRADE re-sorts that operand once with
+    :func:`~repro.storage.external_sort.external_sort` and runs on the
+    result.  An order-free cell reads its operands in any order, so
+    nothing is checked.  The check reads no stream, so it adds no pass.
     """
-    if stream is None:
-        return
-    for _ in stream.drain():
-        pass
+    if entry.order_free:
+        return x_operand, y_operand
+    x_operand = _in_order(x_operand, entry.x_order, "X", policy, report)
+    if y_operand is not None:
+        y_operand = _in_order(y_operand, entry.y_order, "Y", policy, report)
+    return x_operand, y_operand
+
+
+def _in_order(
+    operand: Operand,
+    order: SortOrder,
+    side: str,
+    policy: RecoveryPolicy,
+    report: ExecutionReport,
+) -> Operand:
+    """One operand in its declared order: as it is, or (DEGRADE)
+    re-sorted; a re-sorted operand that still fails raises."""
+    violation = _order_violation(operand, order)
+    if violation is None:
+        return operand
+    report.note_order_violation()
+    if policy is RecoveryPolicy.DEGRADE:
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event("recovery.re-sort", side=side)
+        operand = _resort(_tuples_of(operand), order, side, report)
+        violation = _order_violation(operand, order)
+        if violation is None:
+            return operand
+    raise StreamOrderError(f"operand {side}: {violation}", stream_name=side)
+
+
+def _order_violation(operand: Operand, order: SortOrder) -> Optional[str]:
+    """What breaks the operand's declared order, or ``None``.  Columns
+    check their own declaration in one C-level pass, memoised on their
+    relation's kept view; a relation, or a bare tuple sequence claimed
+    to be in ``order``, gets one tuple-level pass."""
+    if isinstance(operand, IntervalColumns):
+        try:
+            operand.verify_order()
+        except StreamOrderError as error:
+            return str(error)
+        return None
+    if isinstance(operand, TemporalRelation):
+        operand, order = operand.tuples, operand.order
+        if order is None:
+            return None
+    for previous, current in zip(operand, islice(operand, 1, None)):
+        if not order.check(previous, current):
+            return (
+                f"declared order [{order}] but holds {previous} "
+                f"before {current}"
+            )
+    return None
 
 
 def execute_entry(
@@ -183,9 +243,9 @@ def execute_entry(
 ) -> ResilientResult:
     """Run one registry cell with the chosen recovery policy.
 
-    Operands are already in — or claimed to be in — the entry's
-    declared orders (an order-free cell reads them in any order, so its
-    streams verify none).
+    Operands are claimed to be in the entry's declared orders;
+    :func:`verify_orders` holds them to it before the cell runs, so the
+    cell runs once, on streams that verify nothing.
     """
     report = report if report is not None else ExecutionReport()
     unary = entry.y_order is None
@@ -194,92 +254,53 @@ def execute_entry(
             f"{entry.operator.value} is a binary operator; "
             "y_tuples is required"
         )
-    x_operand, y_operand = x_tuples, None if unary else y_tuples
-    options = dict(verify_order=not entry.order_free, report=report)
-
-    resorted: set = set()
-    tracer = get_tracer()
-    # At most one re-sort per operand, then one spill: four attempts
-    # cover every legal degradation path; a fifth means a logic error.
-    for _attempt in range(4):
-        x_stream = stream_over(x_operand, "X", entry.x_order, **options)
-        y_stream = (
-            None
-            if unary
-            else stream_over(y_operand, "Y", entry.y_order, **options)
-        )
-        processor = entry.build(x_stream, y_stream, backend=backend)
-        processor.meter.limit = workspace_budget
-        # Governance rides the metered insert path.  Its errors are
-        # terminal on every rung: the except clauses below catch only
-        # the two recoverable stream errors, so a deadline,
-        # cancellation, or budget breach propagates out of the ladder
-        # with its original type — never re-sorted or spilled.
-        processor.meter.token = active_token()
-        try:
-            with tracer.span(
-                "attempt",
-                number=_attempt + 1,
-                operator=entry.operator.value,
-                backend=backend,
-                policy=policy.value,
-            ):
-                results = processor.run()
-                _exhaust(x_stream)
-                _exhaust(y_stream)
-        except StreamOrderError as error:
-            if not getattr(error, "reported", False):
-                report.note_order_violation()
-            if policy is not RecoveryPolicy.DEGRADE:
-                raise
-            side = getattr(error, "stream_name", None)
-            if tracer.enabled:
-                tracer.event(
-                    "recovery.re-sort",
-                    operator=entry.operator.value,
-                    side=side or "both",
-                )
-            if side is None or "X" in side:
-                if "X" in resorted:
-                    raise  # re-sorted input violated again: not ours
-                resorted.add("X")
-                x_operand = _resort(
-                    _tuples_of(x_operand), entry.x_order, "X", report
-                )
-            if not unary and (side is None or "Y" in side):
-                if "Y" in resorted and side is not None:
-                    raise
-                if "Y" not in resorted:
-                    resorted.add("Y")
-                    y_operand = _resort(
-                        _tuples_of(y_operand), entry.y_order, "Y", report
-                    )
-            continue
-        except WorkspaceOverflowError:
-            report.note_workspace_overflow()
-            if policy is not RecoveryPolicy.DEGRADE:
-                raise
-            if tracer.enabled:
-                tracer.event(
-                    "recovery.spill",
-                    operator=entry.operator.value,
-                    budget=workspace_budget,
-                )
-            results = _finish_by_spill(
-                entry,
-                _tuples_of(x_operand),
-                None if unary else _tuples_of(y_operand),
-                workspace_budget,
-                report,
-            )
-            processor._finalise_metrics()
-        metrics = processor.metrics
-        metrics.resilience = report.as_dict()
-        return ResilientResult(results, report, metrics, policy, backend)
-    raise ExecutionError(
-        f"{entry.operator.value} kept violating assumptions after "
-        "re-sorting both operands — degradation cannot converge"
+    x_operand, y_operand = verify_orders(
+        entry, x_tuples, None if unary else y_tuples, policy, report
     )
+    x_stream = stream_over(x_operand, "X", entry.x_order, verify_order=False)
+    y_stream = (
+        None
+        if unary
+        else stream_over(y_operand, "Y", entry.y_order, verify_order=False)
+    )
+    processor = entry.build(x_stream, y_stream, backend=backend)
+    processor.meter.limit = workspace_budget
+    # Governance rides the metered insert path.  Its errors are
+    # terminal: the except clause below catches only a workspace
+    # overflow, so a deadline, cancellation, or budget breach propagates
+    # with its original type — never spilled.
+    processor.meter.token = active_token()
+    tracer = get_tracer()
+    try:
+        with tracer.span(
+            "attempt",
+            number=1,
+            operator=entry.operator.value,
+            backend=backend,
+            policy=policy.value,
+        ):
+            results = processor.run()
+    except WorkspaceOverflowError:
+        report.note_workspace_overflow()
+        if policy is not RecoveryPolicy.DEGRADE:
+            raise
+        if tracer.enabled:
+            tracer.event(
+                "recovery.spill",
+                operator=entry.operator.value,
+                budget=workspace_budget,
+            )
+        results = _finish_by_spill(
+            entry,
+            _tuples_of(x_operand),
+            None if unary else _tuples_of(y_operand),
+            workspace_budget,
+            report,
+        )
+        processor._finalise_metrics()
+    metrics = processor.metrics
+    metrics.resilience = report.as_dict()
+    return ResilientResult(results, report, metrics, policy, backend)
 
 
 def _resort(
@@ -309,7 +330,7 @@ def _finish_by_spill(
     entry: RegistryEntry,
     x_records: Sequence[TemporalTuple],
     y_records: Optional[Sequence[TemporalTuple]],
-    workspace_budget: Optional[int],
+    workspace_budget: int,
     report: ExecutionReport,
 ) -> list:
     """DEGRADE's answer to a workspace overflow: spill the operands to
@@ -319,7 +340,9 @@ def _finish_by_spill(
     """
     predicate = PREDICATES[entry.operator]
     shape = entry.operator.shape
-    block = max(1, workspace_budget or _DEFAULT_SPILL_BLOCK)
+    # The block is the budget; at a budget of 0 its first insert
+    # overflows the meter, typed, before any fallback is recorded.
+    block = max(1, workspace_budget)
 
     x_spill = HeapFile(f"spill.{entry.operator.value}.X")
     x_spill.extend(x_records)

@@ -7,9 +7,9 @@ more passes.  The :class:`RecoveryPolicy` ladder makes that explicit:
 
 * ``STRICT`` — the seed behaviour: any violated assumption (out-of-order
   tuple, workspace over budget) raises its original exception type;
-* ``DEGRADE`` — order violations trigger a re-sort (and an operator
-  restart), workspace overflows spill to heap files and finish in extra
-  passes; both are recorded as added passes / taken fallbacks.
+* ``DEGRADE`` — an out-of-order operand is re-sorted before the
+  operator runs, a workspace overflow spills to heap files and finishes
+  in extra passes; both are recorded as added passes / taken fallbacks.
 
 Either policy returns the exact answer or raises; neither drops a
 tuple.  Neither answers a corrupt page: its checksum fails and
@@ -48,9 +48,8 @@ class ExecutionReport:
     """Everything the resilient execution layer did behind the caller's
     back: degradations taken, passes added, violations observed.
 
-    One report may be threaded through several components (streams,
-    the executor) of one operator run; the counters are cumulative.
-    Reports of separate runs (the shards of a sharded run, the stream
+    One report records one operator run (its order check, its run, its
+    spill); the counters are cumulative.  Reports of separate runs (the shards of a sharded run, the stream
     joins of a query) are kept apart and combined with :meth:`absorb`.
     """
 

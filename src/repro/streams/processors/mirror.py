@@ -53,7 +53,6 @@ def mirror_stream(stream: TupleStream) -> TupleStream:
         order=stream.order.mirrored() if stream.order else None,
         name=f"mirror({stream.name})",
         verify_order=stream.verify_order,
-        report=stream.report,
     )
     return mirrored
 

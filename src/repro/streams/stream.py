@@ -6,7 +6,8 @@ A stream is "an ordered sequence of data objects".  A
 * a declared :class:`~repro.model.sortorder.SortOrder` (optionally
   verified on the fly — a violated declaration raises
   :class:`~repro.errors.StreamOrderError` instead of silently producing
-  wrong join results),
+  wrong join results; the resilient executor checks its operands once,
+  up front, and builds streams that do not),
 * a single input buffer (the paper's ``x_b``), reflecting the
   stream-processing rule that a computation "has access only to one
   element at a time and only in the specified ordering",
@@ -24,7 +25,6 @@ from ..model.relation import TemporalRelation
 from ..model.sortorder import SortOrder
 from ..model.tuples import TemporalTuple
 from ..obs.trace import get_tracer
-from ..resilience.recovery import ExecutionReport
 from ..storage.heap_file import HeapFile
 from ..storage.iostats import IOStats
 
@@ -32,10 +32,11 @@ from ..storage.iostats import IOStats
 class TupleStream:
     """A one-buffer, forward-only cursor over sorted temporal tuples.
 
-    A tuple that violates the declared order raises
-    :class:`~repro.errors.StreamOrderError`, noted on ``report`` when
-    one is given; answering it (DEGRADE's re-sort) is the executor's
-    job — see :mod:`repro.resilience.executor`.
+    With ``verify_order``, a tuple read out of the declared order
+    raises :class:`~repro.errors.StreamOrderError` naming the stream.
+    The executor checks its operands before it builds their streams
+    (:func:`repro.resilience.executor.verify_orders`), so its streams
+    verify nothing; the per-read check is for streams used directly.
     """
 
     def __init__(
@@ -44,13 +45,11 @@ class TupleStream:
         order: Optional[SortOrder] = None,
         name: str = "stream",
         verify_order: bool = True,
-        report: Optional[ExecutionReport] = None,
     ) -> None:
         self._source_factory = source_factory
         self.order = order
         self.name = name
         self.verify_order = verify_order and order is not None
-        self.report = report
         self.tuples_read = 0
         self.passes = 0
         #: ``tuples_read`` snapshot taken when each pass opened; the
@@ -76,7 +75,6 @@ class TupleStream:
         relation: TemporalRelation,
         name: Optional[str] = None,
         verify_order: bool = True,
-        report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream over a relation, inheriting its declared order."""
         return cls(
@@ -84,7 +82,6 @@ class TupleStream:
             order=relation.order,
             name=name or relation.schema.relation_name,
             verify_order=verify_order,
-            report=report,
         )
 
     @classmethod
@@ -93,7 +90,6 @@ class TupleStream:
         columns,
         name: str,
         verify_order: bool = True,
-        report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream over an operand born as endpoint columns (an
         :class:`~repro.columnar.relation.IntervalColumns`), inheriting
@@ -105,7 +101,6 @@ class TupleStream:
             order=columns.order,
             name=name,
             verify_order=verify_order,
-            report=report,
         )
         stream.columns = columns
         return stream
@@ -117,7 +112,6 @@ class TupleStream:
         order: Optional[SortOrder] = None,
         name: str = "stream",
         verify_order: bool = True,
-        report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream over an in-memory (restartable) tuple sequence."""
         materialised = tuple(tuples)
@@ -126,7 +120,6 @@ class TupleStream:
             order=order,
             name=name,
             verify_order=verify_order,
-            report=report,
         )
 
     @classmethod
@@ -137,7 +130,6 @@ class TupleStream:
         name: Optional[str] = None,
         stats: Optional[IOStats] = None,
         verify_order: bool = True,
-        report: Optional[ExecutionReport] = None,
     ) -> "TupleStream":
         """A stream backed by a simulated disk file; every restart is a
         fresh scan charged to the file's I/O stats."""
@@ -146,7 +138,6 @@ class TupleStream:
             order=order,
             name=name or heap_file.name,
             verify_order=verify_order,
-            report=report,
         )
 
     # ------------------------------------------------------------------
@@ -168,8 +159,9 @@ class TupleStream:
     def pass_reads(self) -> list:
         """Tuples read by each pass separately (one entry per pass, in
         order).  ``restart()`` resets order verification but never the
-        counters, so without this breakdown a DEGRADE re-sort run would
-        report one aggregated total instead of per-pass counts."""
+        counters, so without this breakdown a rewinding consumer (a
+        nested loop's inner) would report one aggregated total instead
+        of per-pass counts."""
         bases = self._pass_bases
         return [
             (bases[i + 1] if i + 1 < len(bases) else self.tuples_read)
@@ -212,17 +204,11 @@ class TupleStream:
             and self.order is not None
             and not self.order.check(previous, nxt)
         ):
-            error = StreamOrderError(
+            raise StreamOrderError(
                 f"stream {self.name!r} declared order [{self.order}] "
-                f"but produced {previous} before {nxt}"
+                f"but produced {previous} before {nxt}",
+                stream_name=self.name,
             )
-            # Let the resilient executor target the offending side
-            # (and avoid double-counting the violation).
-            error.stream_name = self.name
-            if self.report is not None:
-                self.report.note_order_violation()
-                error.reported = True
-            raise error
         self._previous = previous
         self._buffer = nxt
         return nxt

@@ -28,7 +28,8 @@ metrics for each:
 The conventional and stream strategies return the same :class:`Stars`
 rows with the same multiplicities (one row per witnessing ``f3``, as
 the Quel query's bag semantics gives); the semantic one returns the
-same rows once each.  :func:`all_strategies` verifies both.  The
+same rows once each, and so does :func:`planned_superstar` whichever
+strategy it picks.  :func:`all_strategies` verifies both.  The
 semantic strategy additionally *derives* its own applicability from
 the declared constraints via :func:`repro.semantic.semantically_optimize`
 — see :func:`semantic_transformation_applies`.
@@ -238,6 +239,12 @@ def semantic_superstar(faculty: TemporalRelation) -> StrategyResult:
 def planned_superstar(faculty: TemporalRelation) -> StrategyResult:
     """Let the optimizer pipeline choose the strategy.
 
+    Whichever strategy runs, each superstar comes out once: the
+    semantic self semijoin asks whether a witness exists and cannot
+    count witnesses, so the bag strategies' rows are reduced to their
+    distinct rows too, and one query's answer does not depend on the
+    declared constraints.
+
     The decision procedure the paper implies:
 
     1. run the semantic optimizer on the rewritten plan; if it proves
@@ -265,6 +272,7 @@ def planned_superstar(faculty: TemporalRelation) -> StrategyResult:
             chosen = stream_superstar(faculty)
         else:
             chosen = conventional_superstar(faculty)
+    chosen.rows = Counter(chosen.rows.keys())
     chosen.details["planned"] = True
     return chosen
 

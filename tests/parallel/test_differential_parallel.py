@@ -11,6 +11,7 @@ from repro.governance import QueryBudget, governed
 from repro.resilience import ExecutionReport, RecoveryPolicy
 from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
+from repro.resilience.executor import execute_entry
 from repro.streams import TemporalOperator, lookup
 
 from tests.backends import PHYSICAL_BACKENDS
@@ -115,17 +116,9 @@ ORDERED_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("entry", ORDERED_CELLS, ids=cell_id)
-@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
-@pytest.mark.parametrize("mode", ["inline", "process"])
-@pytest.mark.parametrize("side", ["X", "Y"])
-@pytest.mark.parametrize("swap", ["far", "cut-straddling"])
-def test_strict_sees_an_order_violation_wherever_it_sits(
-    swap, side, mode, backend, entry
-):
-    """Serial STRICT raises on any out-of-order pair; so must every
-    sharded run — including a swap straddling the X cut, which is in
-    order within both slices and so invisible to every shard."""
+def swapped_inputs(entry, side, swap):
+    """Sorted operands with one adjacent-or-far pair of ``side``
+    swapped: far from any cut, or straddling the first shard's cut."""
     xs, ys = sorted_inputs(
         entry,
         [TemporalTuple(f"x{i}", i, 3 * i, 3 * i + 40) for i in range(400)],
@@ -139,6 +132,21 @@ def test_strict_sees_an_order_violation_wherever_it_sits(
         b = first.owned_hi if side == "X" else first.y_hi
         a = b - 1
     operand[a], operand[b] = operand[b], operand[a]
+    return xs, ys
+
+
+@pytest.mark.parametrize("entry", ORDERED_CELLS, ids=cell_id)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
+@pytest.mark.parametrize("mode", ["inline", "process"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+@pytest.mark.parametrize("swap", ["far", "cut-straddling"])
+def test_strict_sees_an_order_violation_wherever_it_sits(
+    swap, side, mode, backend, entry
+):
+    """Serial STRICT raises on any out-of-order pair; so must every
+    sharded run — including a swap straddling the X cut, which is in
+    order within both slices and so invisible to every shard."""
+    xs, ys = swapped_inputs(entry, side, swap)
     with pytest.raises(StreamOrderError):
         serial_run(entry, xs, ys, backend)
     report = ExecutionReport()
@@ -155,6 +163,40 @@ def test_strict_sees_an_order_violation_wherever_it_sits(
         )
     assert err.value.stream_name == side
     assert report.order_violations == 1
+
+
+@pytest.mark.parametrize("entry", ORDERED_CELLS, ids=cell_id)
+@pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
+@pytest.mark.parametrize("mode", ["inline", "process"])
+@pytest.mark.parametrize("side", ["X", "Y"])
+@pytest.mark.parametrize("swap", ["far", "cut-straddling"])
+def test_degrade_reports_an_order_violation_as_serial_does(
+    swap, side, mode, backend, entry
+):
+    """DEGRADE's twin: a sharded run notes the violation once and
+    re-sorts the operand once, wherever the swap sits, exactly as the
+    serial run does — the order is checked on the whole operand before
+    it is cut, not by the shards."""
+    xs, ys = swapped_inputs(entry, side, swap)
+    serial = execute_entry(
+        entry, xs, ys, backend=backend, policy=RecoveryPolicy.DEGRADE
+    )
+    report = ExecutionReport()
+    outcome = execute_parallel(
+        entry,
+        xs,
+        ys,
+        shards=2,
+        workers=WORKERS,
+        backend=backend,
+        policy=RecoveryPolicy.DEGRADE,
+        mode=mode,
+        report=report,
+    )
+    assert report.order_violations == 1
+    assert [f.kind for f in report.fallbacks] == ["re-sort"]
+    assert report.passes_added == serial.report.passes_added
+    assert canon(outcome.results) == canon(serial.results)
 
 
 @pytest.mark.parametrize("backend", ["columnar", "fused"])

@@ -112,9 +112,9 @@ class TestStrict:
     @pytest.mark.parametrize("side", ["X", "Y"])
     def test_violation_in_unread_tail_raises(self, side, backend):
         """The tuple processor stops reading once the other operand is
-        exhausted; the executor still finishes the scan, so a misorder
-        in the unread tail raises instead of dropping the rows it would
-        have joined.  The batch backends read their operands whole."""
+        exhausted; the executor checks each operand whole before the
+        cell runs, so a misorder in the unread tail raises instead of
+        dropping the rows it would have joined."""
         xs = [TemporalTuple("a", 0, 0, 10)]
         ys = [TemporalTuple("y", 0, 5, 6)]
         tail = [TemporalTuple("b", 1, 20, 30), TemporalTuple("c", 2, 1, 9)]
@@ -136,9 +136,9 @@ class TestStrict:
     "policy", [RecoveryPolicy.STRICT, RecoveryPolicy.DEGRADE]
 )
 def test_clean_run_scans_each_operand_once(policy, backend, monkeypatch):
-    """Finishing the scan after the operator (``_exhaust``) completes
-    the *same* pass: a batch drain already read the whole operand, so
-    there is nothing left to re-read tuple by tuple."""
+    """The executor checks each operand's order before the cell runs,
+    without reading its stream: the run reads each operand once, in
+    one pass, on every backend."""
     streams = []
     stream_over = executor.stream_over
 
@@ -246,6 +246,25 @@ class TestDegradeFixed:
         assert [e.kind for e in report.fallbacks] == ["spill"]
         # 8 outer tuples in blocks of 2: one spill pass + 3 extra scans.
         assert report.passes_added == 4
+
+    @pytest.mark.parametrize("backend", ["tuple", "columnar"])
+    def test_zero_budget_overflows_the_spill_too(self, backend):
+        """The spill's block is the budget: at 0 its first resident
+        tuple overflows again, so DEGRADE raises the typed error with
+        the overflow noted once and no fallback recorded."""
+        report = ExecutionReport()
+        with pytest.raises(WorkspaceOverflowError):
+            execute_entry(
+                CONTAIN_TS_TS,
+                sort_tuples(DENSE_X, TS_ASC),
+                sort_tuples(DENSE_Y, TS_ASC),
+                backend=backend,
+                policy=RecoveryPolicy.DEGRADE,
+                workspace_budget=0,
+                report=report,
+            )
+        assert report.workspace_overflows == 1
+        assert report.fallbacks == []
 
     def test_resort_then_spill_compose(self):
         ys = sort_tuples(DENSE_Y, TS_ASC)

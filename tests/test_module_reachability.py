@@ -1,7 +1,7 @@
 """Every module under ``src/repro`` is reached from an entry point:
 :mod:`repro.cli`, a ``__main__`` module, or a ``repro`` module that
-``bench/*.py``, ``benchmarks/*.py`` or ``tests/paper/*.py`` (the
-paper's table and figure checks) imports.  ``from repro.pkg import
+``bench/*.py`` or ``tests/paper/*.py`` (the paper's table and figure
+checks) imports.  ``from repro.pkg import
 name`` is followed through ``pkg/__init__.py`` to the submodule that
 defines ``name``; a package ``__init__`` adds no edges of its own, so a
 re-export alone keeps nothing alive.
@@ -57,7 +57,6 @@ def _reached() -> set[str]:
     todo = {"repro.cli"} | {m for m in MODULES if m.endswith(".__main__")}
     for script in [
         *ROOT.glob("bench/*.py"),
-        *ROOT.glob("benchmarks/*.py"),
         *ROOT.glob("tests/paper/*.py"),
     ]:
         for target, names in _imports(ast.parse(script.read_text()), ""):
