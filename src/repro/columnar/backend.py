@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
+from ..columns import gather
 from ..errors import ExecutionError
 from ..governance.budget import active_token
 from ..model import sortorder as so
@@ -303,8 +304,7 @@ class ColumnarProcessor(StreamProcessor):
             # touches them (``len()``, metrics, EXPLAIN and the hybrid
             # executor's index-column read do not).
             return LazyPairs(out, x_cols.payload, y_cols.payload)
-        payload = x_cols.payload
-        return [payload[i] for i in out]
+        return list(gather(x_cols.payload, out))
 
     def _execute(self) -> Iterator:
         yield from self._materialise()

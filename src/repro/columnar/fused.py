@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..columns import gather
 from .kernels import (  # noqa: F401 - the shared sweeps, re-exported
     before_semijoin,
     contain_join_ts_te,
@@ -75,10 +76,7 @@ class LazyPairs(Sequence):
         if pairs is None:
             xi, yj = self._columns
             pairs = list(
-                zip(
-                    map(self.x_payload.__getitem__, xi),
-                    map(self.y_payload.__getitem__, yj),
-                )
+                zip(gather(self.x_payload, xi), gather(self.y_payload, yj))
             )
             self._pairs = pairs
         return pairs

@@ -30,9 +30,11 @@ endpoints and a parallel list of their column positions.
   start-side match condition, and the end-side condition selects a
   contiguous *run* of the store;
 * **emit** is a read of that run: the join kernels extend their
-  ``(xi, yj)`` index columns with the run's positions (sorted back into
-  position order) against the probe repeated — one C-level step per
-  run, none per pair.
+  ``(xi, yj)`` index columns with the run's positions (copied once and
+  sorted in place back into position order) against the probe
+  repeated — one C-level step per run, none per pair.  The payloads
+  those positions name are gathered later, eager, one call per column
+  (:func:`repro.columns.gather`).
 
 The tie law at a shared timestamp ``t`` is the one the strict
 comparators of :mod:`repro.model.interval` state for ``[ValidFrom,
@@ -61,7 +63,7 @@ precisely from keeping the per-element work to a few integer ops.
 Every kernel returns ``(output, SweepStats)`` where the output holds
 positional indexes into the operand columns — semijoins emit one index
 list, joins emit a *pair of parallel index columns* ``(xi, yj)`` so the
-backend can materialise payload pairs with two gathers and one C-level
+backend can materialise payload pairs with two C-level gathers and one
 ``zip`` instead of a per-pair Python loop — and the stats carry the
 same accounting the tuple backend reports through
 :class:`~repro.streams.workspace.WorkspaceMeter`: comparisons, state
@@ -156,7 +158,7 @@ def _held_x_sweep(
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
-    nx, ny = len(x_ts), len(y_ts)
+    nx = len(x_ts)
     ends: List[int] = []  # stored X: ValidTo, ascending
     rows: List[int] = []  # stored X: column position, parallel to ends
     held: List[int] = []  # admitted X rows starting at ``held_ts``
@@ -165,10 +167,9 @@ def _held_x_sweep(
     yj: List[int] = []
     comparisons = evicted = retired = inserted = high = 0
     i = 0
-    for j in range(ny):
+    for j, yts in enumerate(y_ts):
         if i >= nx and not rows and not held:
             break  # X spent and nothing stored: no later probe matches
-        yts = y_ts[j]
         if held and held_ts < yts:
             for row in held:
                 xte = x_te[row]
@@ -176,11 +177,12 @@ def _held_x_sweep(
                 ends.insert(at, xte)
                 rows.insert(at, row)
             del held[:]
-        while i < nx and x_ts[i] <= yts:
-            comparisons += 1
+        # One admission comparison per X row consumed: ``i`` of them,
+        # charged once after the sweep.
+        while i < nx and (xts := x_ts[i]) <= yts:
             xte = x_te[i]
             if xte > yts:  # skip dead-on-arrival entries
-                if x_ts[i] == yts:
+                if xts == yts:
                     held.append(i)
                     held_ts = yts
                 else:
@@ -206,19 +208,21 @@ def _held_x_sweep(
         cut = bisect_right(ends, y_te[j])
         m = live - cut
         if m:
-            xi.extend(sorted(rows[cut:]))
+            run = rows[cut:]
+            run.sort()
+            xi += run
             if retire:
                 del ends[cut:]
                 del rows[cut:]
                 retired += m
             else:
-                yj.extend(repeat(j, m))
+                yj += [j] * m
         if trace is not None and (k or (retire and m)):
             trace.append(len(rows) + len(held))
     residue = len(rows) + len(held)
     if trace is not None and residue:
         trace.append(0)
-    stats.comparisons = comparisons
+    stats.comparisons = comparisons + i
     stats.eviction_checks = evicted
     stats.inserted = inserted
     stats.discarded = evicted + retired + residue

@@ -32,6 +32,7 @@ from itertools import compress, islice
 from operator import ge, le, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ..columns import gather
 from ..errors import StreamOrderError
 from ..model.sortorder import Direction, SortAttribute, SortOrder, sort_tuples
 from ..model.tuples import TemporalTuple
@@ -64,7 +65,7 @@ class IntervalColumns:
     Endpoint columns are any int64 buffer the kernels can index — an
     ``array('q')``, or a ``memoryview`` cast to ``'q'`` over a
     ``multiprocessing.shared_memory`` segment (the zero-copy shard
-    runtime maps published columns read-only this way), or a list of
+    runtime maps published columns read-only this way), or a tuple of
     ints (a selection's, gathered per query from a relation's validated
     columns).
     ``payload`` may be ``None`` for endpoint-only views: kernels return
@@ -150,25 +151,32 @@ class IntervalColumns:
 
     @property
     def tuples(self) -> Sequence[TemporalTuple]:
-        """An operand born as columns (payload = row positions) as
-        :class:`TemporalTuple` values, for consumers that are
-        tuple-at-a-time by nature (cursors, nested loops, the recovery
-        ladder's re-sort and spill): one validated tuple per position,
-        its surrogate the payload entry, no value — built on first use
-        and kept."""
+        """These columns as :class:`TemporalTuple` values, for
+        consumers that are tuple-at-a-time by nature (cursors, nested
+        loops, the recovery ladder's re-sort and spill).  An operand
+        born as tuples (:meth:`from_tuples`) answers with its payload
+        itself; one born as columns (payload = row positions) builds
+        one validated tuple per position, its surrogate the payload
+        entry, no value — on first use, and kept."""
         if self._tuples is None:
-            self._tuples = [
-                TemporalTuple(position, None, start, end)
-                for position, start, end in zip(
-                    self.payload, self.ts, self.te
-                )
-            ]
+            payload = self.payload
+            if len(payload) and isinstance(payload[0], TemporalTuple):
+                self._tuples = payload
+            else:
+                self._tuples = [
+                    TemporalTuple(position, None, start, end)
+                    for position, start, end in zip(
+                        payload, self.ts, self.te
+                    )
+                ]
         return self._tuples
 
     @property
     def tuples_built(self) -> int:
-        """How many tuples :attr:`tuples` has constructed so far."""
-        return 0 if self._tuples is None else len(self._tuples)
+        """How many tuples :attr:`tuples` has constructed so far (none
+        for an operand born as tuples)."""
+        tuples = self._tuples
+        return 0 if tuples is None or tuples is self.payload else len(tuples)
 
     def _key_columns(self, order: SortOrder) -> Optional[list]:
         """``(column, descending)`` per sort key, or ``None`` when the
@@ -222,9 +230,9 @@ class IntervalColumns:
                     permutation.sort(
                         key=column.__getitem__, reverse=descending
                     )
-                ts = array("q", map(ts.__getitem__, permutation))
-                te = array("q", map(te.__getitem__, permutation))
-                payload = list(map(payload.__getitem__, permutation))
+                ts = array("q", gather(ts, permutation))
+                te = array("q", gather(te, permutation))
+                payload = list(gather(payload, permutation))
             view = SortedView(ts, te, payload, {})
             if kept is not None:
                 kept[order] = view
@@ -245,7 +253,7 @@ class IntervalColumns:
             selected = [False] * len(view)
             for position in self.payload:
                 selected[position] = True
-            keep = list(map(selected.__getitem__, permutation))
+            keep = gather(selected, permutation)
             ts, te, payload = (
                 list(compress(column, keep))
                 for column in (view.ts, view.te, permutation)

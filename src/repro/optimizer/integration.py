@@ -48,12 +48,14 @@ directly (``index_columns()`` on the lazy join output — no payload pair
 is ever built); the tuple backend, a nested-loop winner and the spill
 return pairs, whose surrogates are the indexes
 (:func:`~repro.resilience.executor.index_sides` decodes either).  Rows
-are assembled late, by one gather (:func:`_gathered`) from the
-children's columns: the projection directly above the join (every Quel
-``retrieve`` produces one) asks for only the columns it keeps, any
-other parent for all of them, and a stream join above takes the
-gathered columns unzipped.  Either way each output pair maps back to
-its original rows losslessly — duplicates included.
+are assembled late, from the children's columns gathered eagerly, one
+call per column (:func:`_gathered`, one C-level
+:func:`~repro.columns.gather` each), then zipped: the projection
+directly above the join (every Quel ``retrieve`` produces one) asks
+for only the columns it keeps, any other parent for all of them, and a
+stream join above takes the gathered columns unzipped.  Either way
+each output pair maps back to its original rows losslessly —
+duplicates included.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from ..algebra.physical import Catalog, build_node, compile_plan
 from ..allen.relations import AllenRelation
 from ..allen.symbolic import Comparison, Conjunction, Endpoint, EndpointKind
 from ..columnar.relation import IntervalColumns
+from ..columns import gather
 from ..errors import ExecutionError, PlanningError
 from ..model.interval import Interval
 from ..model.relation import TemporalRelation
@@ -342,10 +345,10 @@ class _StreamJoin(BinaryOperator):
                     (left, *left_side), (right, *right_side), positions
                 )
                 if not rows:
-                    out = Batch(list(map(list, gathered)), len(left_side[1]))
+                    out = Batch(gathered, len(left_side[1]))
                 elif tracer.enabled:
-                    # C-level iterators: run them to completion here, so
-                    # the span times the work and not its creation.
+                    # The zip is lazy: run it to completion here, so the
+                    # span times the work and not its creation.
                     out = iter(list(zip(*gathered)))
                 else:
                     out = zip(*gathered)
@@ -472,7 +475,7 @@ def _operand(
         # Gathered from the relation's lists, not its arrays: no int is
         # boxed.
         starts, ends = (
-            None if column is None else list(map(column.__getitem__, rows))
+            None if column is None else gather(column, rows)
             for column in (starts, ends)
         )
     if whole is not None:
@@ -554,33 +557,33 @@ def _validated(starts: Sequence, ends: Sequence) -> tuple[array, array]:
 
 
 def _gathered(left_side, right_side, positions: Sequence[int]) -> list:
-    """Index-pair relation -> one lazy column per entry of
-    ``positions`` (of the concatenated schema).  A side is ``(batch,
-    order, index)``: each column asked for is put in the kernel's order
-    once (|side| work, none when nothing moved the rows: ``order`` is
-    ``None``) and kept beside ``order`` when that is one of its
-    relation's kept permutations, then looked up per output pair."""
+    """Index-pair relation -> one gathered column per entry of
+    ``positions`` (of the concatenated schema), eager, one call per
+    column.  A side is ``(batch, order, index)``: each column asked for
+    is put in the kernel's order once (|side| work, none when nothing
+    moved the rows: ``order`` is ``None``) and kept beside ``order``
+    when that is one of its relation's kept permutations, then read at
+    every output pair's ``index`` entry by one :func:`gather`.  A
+    position asked for twice shares its column."""
     columns = left_side[0].columns + right_side[0].columns
-    ordered: dict[int, Sequence] = {}
-    lookups = []
+    gathered: dict[int, tuple] = {}
     for position in positions:
+        if position in gathered:
+            continue
         in_left = position < len(left_side[0].columns)
         batch, order, index = left_side if in_left else right_side
-        column = ordered.get(position)
-        if column is None:
-            column = columns[position]
-            if order is not None:
-                relation = batch.relation
-                views = () if relation is None else relation.orders.values()
-                kept = next(
-                    (v.gathered for v in views if v.permutation is order), {}
-                )
-                if id(column) not in kept:
-                    kept[id(column)] = list(map(column.__getitem__, order))
-                column = kept[id(column)]
-            ordered[position] = column
-        lookups.append(map(column.__getitem__, index))
-    return lookups
+        column = columns[position]
+        if order is not None:
+            relation = batch.relation
+            views = () if relation is None else relation.orders.values()
+            kept = next(
+                (v.gathered for v in views if v.permutation is order), {}
+            )
+            if id(column) not in kept:
+                kept[id(column)] = list(gather(column, order))
+            column = kept[id(column)]
+        gathered[position] = gather(column, index)
+    return [gathered[position] for position in positions]
 
 
 def _variable_of_schema(schema: RowSchema, related: set[str]) -> str:

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..columnar.relation import IntervalColumns
+from ..columns import gather
 from ..errors import ExecutionError, ReproError
 from ..governance.budget import active_token
 from ..model.tuples import TemporalTuple
@@ -331,13 +332,13 @@ class LazyResults(abc.Sequence):
     def _materialised(self) -> list:
         if self._cache is None:
             xi, yj = self.index_columns()
-            out = map(self.x_payload.__getitem__, xi)
+            out = gather(self.x_payload, xi)
             if yj:
                 if self.y_payload is None:
                     raise ExecutionError(
                         "pair results require Y originals"
                     )
-                out = zip(out, map(self.y_payload.__getitem__, yj))
+                out = zip(out, gather(self.y_payload, yj))
             self._cache = list(out)
         return self._cache
 

@@ -33,6 +33,7 @@ from array import array
 from typing import Optional, Sequence
 
 from ..columnar.relation import IntervalColumns
+from ..columns import gather
 from ..governance.budget import QueryBudget, active_token, governed
 from ..obs.trace import span_creation_count
 from ..resilience.executor import execute_entry, index_sides
@@ -171,5 +172,5 @@ def _local_positions(
     """One side of the decoded output as shard-local positions: the
     kernel's index column as it is unless a rung moved the rows."""
     if rows is not None:
-        index = map(rows.__getitem__, index)
+        index = gather(rows, index)
     return array("q", index)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from ...columns import gather
 from ...model.relation import TemporalRelation
 from ..schema import Row, RowSchema
 
@@ -61,10 +62,7 @@ class Batch(NamedTuple):
         """The output columns themselves, ``length`` long each."""
         if self.selection is None:
             return self.columns
-        return [
-            list(map(column.__getitem__, self.selection))
-            for column in self.columns
-        ]
+        return [gather(column, self.selection) for column in self.columns]
 
 
 class Operator(abc.ABC):

@@ -243,6 +243,25 @@ def swallowed_governance(path: str, nodes: Nodes) -> Iterator[str]:
 
 
 # ----------------------------------------------------------------------
+# One way to gather: a column read at many positions goes through
+# repro.columns.gather
+# ----------------------------------------------------------------------
+# ``gather`` is one C-level ``itemgetter`` call and answers 0 and 1
+# positions itself; a ``map(column.__getitem__, index)`` is a second
+# spelling of the same read, lazy, one iterator step per entry.
+def lazy_gather(path: str, nodes: Nodes) -> Iterator[str]:
+    if path == "columns.py":
+        return
+    for scope, node in nodes:
+        if (
+            _callee(node) == "map"
+            and node.args
+            and _attr(node.args[0]) == "__getitem__"
+        ):
+            yield scope
+
+
+# ----------------------------------------------------------------------
 # the rules against the real tree and against their snippets
 # ----------------------------------------------------------------------
 ALLOWED = {
@@ -256,6 +275,7 @@ ALLOWED = {
     bare_assert: [],
     ungoverned: [],
     swallowed_governance: [],
+    lazy_gather: [],
 }
 
 #: (rule, path the snippet pretends to live at, snippet, findings).
@@ -312,6 +332,15 @@ VIOLATIONS = [
             except Exception:
                 return fallback()
     """, ["attempt"]),
+    (lazy_gather, "optimizer/x.py", """
+        def lookups(column, index):
+            return list(map(column.__getitem__, index))
+    """, ["lookups"]),
+    (lazy_gather, "columnar/x.py", """
+        class View:
+            def rows(self, order):
+                return zip(map(self.ts.__getitem__, order), order)
+    """, ["View.rows"]),
     (swallowed_governance, "parallel/x.py", """
         class Pool:
             def dispatch(self, run):

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.algebra import LDistinct, LJoin, LProject, LSelect, optimize
+from repro.algebra.physical import compile_plan
 from repro.errors import BudgetExceededError
 from repro.governance import QueryBudget, governed
 from repro.model import TemporalRelation, TemporalSchema, TemporalTuple
@@ -254,3 +255,131 @@ def test_bridge_spans_sit_under_the_stream_join():
         "columns_gathered": 3,
         "rows": len(result.rows),
     }
+
+
+# ----------------------------------------------------------------------
+# 0 and 1 output rows through each consumer of the join's gather
+# ----------------------------------------------------------------------
+def spans(name, *rows):
+    """A relation of ``(Seq, ValidFrom, ValidTo)`` rows."""
+    return relation(
+        name, [TemporalTuple(f"{name}{i}", *row) for i, row in enumerate(rows)]
+    )
+
+
+#: ``a during b`` emitting no row and exactly one, each side non-empty.
+FEW_ROWS = {
+    "no-row": {
+        "X": spans("X", (1, 5, 8), (2, 30, 40)),
+        "Y": spans("Y", (9, 10, 20)),
+    },
+    "one-row": {
+        "X": spans("X", (1, 30, 40), (2, 5, 8)),
+        "Y": spans("Y", (9, 0, 20)),
+    },
+}
+NARROWED = {
+    "one-position": RANGES + "retrieve (B = b.Seq) where a during b",
+    "three-positions": RANGES
+    + "retrieve (A = a.Seq, B = b.Seq, T = b.ValidTo) where a during b",
+}
+
+
+@pytest.mark.parametrize("backend", ("tuple", "columnar"))
+@pytest.mark.parametrize("cat", FEW_ROWS)
+@pytest.mark.parametrize("query", NARROWED)
+def test_few_rows_narrowed(query, cat, backend):
+    executed = check(NARROWED[query], FEW_ROWS[cat], backend, "serial")
+    assert len(executed.rows) == (cat == "one-row")
+    (info,) = executed.stream_joins
+    assert info.output_rows == len(executed.rows)
+
+
+@pytest.mark.parametrize("backend", ("tuple", "columnar"))
+@pytest.mark.parametrize("cat", FEW_ROWS)
+def test_few_rows_iterated(cat, backend):
+    """The join at the root of the plan: its parent iterates rows."""
+    cat = FEW_ROWS[cat]
+    join = plan_for(NARROWED["three-positions"], cat).child
+    assert isinstance(join, LJoin)
+    executed = execute_hybrid(
+        join, cat, planner=TemporalJoinPlanner(backend=backend)
+    )
+    assert len(executed.stream_joins) == 1
+    oracle = compile_plan(join, cat).run()
+    assert len(oracle) <= 1
+    assert Counter(executed.rows) == Counter(oracle)
+
+
+THREE = (
+    "range of a is X range of b is Y range of c is Z "
+    "retrieve (A = a.Seq, C = c.Seq) where (a during b) and (c during a)"
+)
+#: The inner join's rows and the outer join's, whichever pair of
+#: variables the plan joins first: (a during b) and (c during a) agree.
+NESTED = {
+    "inner-none": (
+        {
+            "X": spans("X", (1, 5, 8)),
+            "Y": spans("Y", (9, 10, 20)),
+            "Z": spans("Z", (7, 50, 60)),
+        },
+        0,
+        0,
+    ),
+    "inner-one-outer-none": (
+        {
+            "X": spans("X", (1, 5, 8), (2, 30, 40)),
+            "Y": spans("Y", (9, 0, 20)),
+            "Z": spans("Z", (7, 31, 32)),
+        },
+        1,
+        0,
+    ),
+    "inner-one-outer-one": (
+        {
+            "X": spans("X", (1, 5, 8), (2, 30, 40)),
+            "Y": spans("Y", (9, 0, 20)),
+            "Z": spans("Z", (7, 6, 7), (8, 50, 60)),
+        },
+        1,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ("tuple", "columnar"))
+@pytest.mark.parametrize("case", NESTED)
+def test_few_rows_batched_into_a_second_stream_join(case, backend):
+    """The inner join answers ``batch()``: its gathered columns are the
+    outer join's operand."""
+    cat, inner_rows, outer_rows = NESTED[case]
+    executed = execute_hybrid(
+        plan_for(THREE, cat), cat, planner=TemporalJoinPlanner(backend=backend)
+    )
+    assert [j.output_rows for j in executed.stream_joins] == [
+        inner_rows,
+        outer_rows,
+    ]
+    oracle = run_query(THREE, cat, streams=False).rows
+    assert Counter(executed.rows) == Counter(oracle)
+    assert len(executed.rows) == outer_rows
+
+
+@pytest.mark.parametrize("backend", ("tuple", "columnar"))
+@pytest.mark.parametrize("kept, rows", [(2, 1), (3, 0)])
+def test_a_selection_that_keeps_one_row(kept, rows, backend):
+    """One row of an unsorted relation survives the selection below
+    the join; it matches or it does not."""
+    cat = {
+        "X": spans("X", (1, 6, 7), (2, 5, 8), (3, 25, 28), (4, 1, 9)),
+        "Y": spans("Y", (9, 0, 20)),
+    }
+    text = RANGES + (
+        f"retrieve (A = a.Seq, B = b.Seq) where a.Seq = {kept} "
+        "and (a during b)"
+    )
+    executed = check(text, cat, backend, "serial")
+    assert len(executed.rows) == rows
+    (info,) = executed.stream_joins
+    assert info.output_rows == rows

@@ -427,7 +427,12 @@ class TestProcessBoundaries:
         with pytest.raises(DeadlineExceededError):
             with governed(QueryBudget(deadline_seconds=0.05)):
                 execute_parallel(
-                    entry, x_cols, y_cols, shards=2, mode="process"
+                    entry,
+                    x_cols,
+                    y_cols,
+                    shards=2,
+                    backend="tuple",
+                    mode="process",
                 )
         ours = f"repro-{os.getpid()}-"
         assert not {n for n in shm_entries() if n.startswith(ours)}

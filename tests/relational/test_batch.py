@@ -148,7 +148,7 @@ def test_a_batch_remembers_its_relation_until_a_row_is_touched():
         assert batch.relation is relation
         assert batch.selection == [0, 2, 4] and batch.length == 3
         assert batch.columns[0] is relation.columns()[0]
-        assert batch.materialised()[0] == [0, 2, 4]
+        assert batch.materialised()[0] == (0, 2, 4)
     for touched in (Project(scan(), [("k", Literal(7))]), Distinct(scan())):
         assert touched.batch().relation is None
     # A row consumer of the same relation sees rows, built on demand.

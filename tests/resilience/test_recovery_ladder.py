@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import IntervalColumns
 from repro.errors import StreamOrderError, WorkspaceOverflowError
 from repro.model import TemporalTuple, sort_tuples
 from repro.model.sortorder import TE_DESC, TS_ASC
@@ -246,6 +247,35 @@ class TestDegradeFixed:
         assert [e.kind for e in report.fallbacks] == ["spill"]
         # 8 outer tuples in blocks of 2: one spill pass + 3 extra scans.
         assert report.passes_added == 4
+
+    @pytest.mark.parametrize("backend", PHYSICAL_BACKENDS)
+    def test_spill_over_columns_born_as_tuples_returns_those_tuples(
+        self, backend
+    ):
+        """Columns built by ``IntervalColumns.from_tuples`` hand the
+        spill the caller's own tuples, as the clean run returns them —
+        not new tuples wrapping each one as a surrogate."""
+        xs = sort_tuples(DENSE_X[:3], TS_ASC)
+        ys = sort_tuples(DENSE_Y[:3], TS_ASC)
+        report = ExecutionReport()
+        operands = [
+            IntervalColumns.from_tuples(side, TS_ASC) for side in (xs, ys)
+        ]
+        outcome = execute_entry(
+            CONTAIN_TS_TS,
+            *operands,
+            backend=backend,
+            policy=RecoveryPolicy.DEGRADE,
+            workspace_budget=1,
+            report=report,
+        )
+        assert [e.kind for e in report.fallbacks] == ["spill"]
+        expected = join_oracle(xs, ys, contain_predicate)
+        assert len(expected) == 9
+        assert canon(outcome.results) == canon(expected)
+        clean = execute_entry(CONTAIN_TS_TS, *operands, backend=backend)
+        assert canon(clean.results) == canon(expected)
+        assert sum(side.tuples_built for side in operands) == 0
 
     @pytest.mark.parametrize("backend", ["tuple", "columnar"])
     def test_zero_budget_overflows_the_spill_too(self, backend):
