@@ -77,7 +77,6 @@ eviction batch, exactly like the meter's Figure-5 trace.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import repeat
 from sys import maxsize
 from typing import List, Optional, Sequence, Tuple
 
@@ -338,7 +337,7 @@ def contain_join_ts_te(
         cut = bisect_left(starts, y_ts[j])
         if cut:
             xi.extend(rows[:cut])
-            yj.extend(repeat(j, cut))
+            yj += [j] * cut
     stats.eviction_checks = discarded  # so far, every one evicted
     discarded += len(rows)
     if trace is not None and rows:
@@ -551,7 +550,7 @@ def overlap_join_ts_ts(
                 if w:
                     if run is None:
                         run = out_y[-w:]
-                    extend_x(repeat(i, w))
+                    extend_x([i] * w)
                     extend_y(run)
                     comparisons += w
         elif j < ny:
@@ -592,7 +591,7 @@ def overlap_join_ts_ts(
                     if run is None:
                         run = out_x[-w:]
                     extend_x(run)
-                    extend_y(repeat(j, w))
+                    extend_y([j] * w)
                     comparisons += w
         else:
             break

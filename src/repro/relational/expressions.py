@@ -12,11 +12,16 @@ cost of one evaluation small.  The nested-loop join's inner loop goes
 one step further: a ``for l0, l1, in ((left[3], left[6],),)`` clause
 reads each outer-row attribute the predicate uses once per outer row,
 ahead of the loop over the inner rows, which read theirs once per
-pair.
+pair.  A selection over columns builds no row at all: its filter is
+one comprehension over ``(row position, value, value, ...)`` entries,
+``[row for row, v0, v1, in entries if ...]``, holding only the
+attributes the predicate reads.
 
 The generated text holds tuple subscripts with integer positions, the
 local names ``l0``, ``l1``, ... those outer-row subscripts are bound to
-and the one clause binding them, the six comparison tokens of
+and the one clause binding them, the local names ``row``, ``v0``,
+``v1``, ... of a filter's entries and its one ``for row, v0, in
+entries`` clause, the six comparison tokens of
 ``_TOKENS``, ``and`` / ``or`` / ``not``, ``True`` / ``False``,
 parentheses and the names of bound constants.  A literal's value is
 bound in the lambda's namespace, never written into the text, and the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .schema import Row, RowSchema
 
@@ -312,6 +317,26 @@ def compile_join_loop(
         + "for right in rights if {}]"
     )
     return _generate(template, _pair_locator(left, right, hoisted), predicate)
+
+
+def compile_row_filter(
+    predicate: Predicate, schema: RowSchema
+) -> tuple[tuple[int, ...], Callable[[Iterable[tuple]], list]]:
+    """A selection over columns: the ascending positions in ``schema``
+    of the attributes ``predicate`` reads, and ``lambda entries: [row
+    for row, v0, v1, in entries if ...]``, which keeps the ``row`` of
+    each ``(row, value at positions[0], value at positions[1], ...)``
+    entry that satisfies ``predicate``, in entry order.  The predicate
+    reads attribute ``positions[k]`` as the local ``vk``."""
+    positions = tuple(
+        sorted(schema.index_of(name) for name in predicate.attributes())
+    )
+    number = {index: f"v{k}" for k, index in enumerate(positions)}
+    names = "".join(f"{name}, " for name in number.values())
+    template = "lambda entries: [row for row, " + names + "in entries if {}]"
+    return positions, _generate(
+        template, lambda name: number[schema.index_of(name)], predicate
+    )
 
 
 def eq(left: str, right: Any) -> Compare:

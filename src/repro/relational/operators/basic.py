@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
-from ..expressions import Attr, Predicate, compile_row_tuple
+from ...columns import gather
+from ..expressions import (
+    Attr,
+    Predicate,
+    compile_row_filter,
+    compile_row_tuple,
+)
 from ..schema import Row, RowSchema
 from .base import Batch, Operator, UnaryOperator
 
@@ -31,19 +36,24 @@ class Select(UnaryOperator):
 
     def batch(self) -> Batch:
         """The kept rows; over a relation's own columns, named by their
-        positions in them (the columns stay the relation's)."""
+        positions in them (the columns stay the relation's).  No row is
+        built: the row positions are zipped with only the columns the
+        predicate reads (gathered by the child's selection first)."""
         child = self.child.batch()
         self.stats.comparisons += child.length
-        keep = map(self._compiled, zip(*child.materialised()))
-        if child.relation is None:
-            keep = list(keep)
-            columns = [list(compress(c, keep)) for c in child.columns]
-            return Batch(columns, len(columns[0]))
+        reads, keep = compile_row_filter(self.predicate, self.child.schema)
+        columns = child.columns
         rows = child.selection
-        selection = list(
-            compress(range(child.length) if rows is None else rows, keep)
-        )
-        return child._replace(length=len(selection), selection=selection)
+        if rows is None:
+            rows = range(child.length)
+            read = [columns[position] for position in reads]
+        else:
+            read = [gather(columns[position], rows) for position in reads]
+        kept = keep(zip(rows, *read))
+        if child.relation is None:
+            columns = [gather(column, kept) for column in columns]
+            return Batch(columns, len(kept))
+        return child._replace(length=len(kept), selection=kept)
 
     def describe(self) -> str:
         return f"Select({self.predicate})"

@@ -262,6 +262,23 @@ def lazy_gather(path: str, nodes: Nodes) -> Iterator[str]:
 
 
 # ----------------------------------------------------------------------
+# Runs of one repeated index are emitted from a list
+# ----------------------------------------------------------------------
+# A kernel emitting one index ``w`` times extends its output column by
+# ``[i] * w``, built in one C step; ``extend(repeat(i, w))`` steps a
+# ``repeat`` iterator once per entry.
+def repeat_emission(path: str, nodes: Nodes) -> Iterator[str]:
+    for scope, node in nodes:
+        callee = _callee(node)
+        if (
+            callee is not None
+            and (callee == "extend" or callee.startswith("extend_"))
+            and any(_callee(arg) == "repeat" for arg in node.args)
+        ):
+            yield scope
+
+
+# ----------------------------------------------------------------------
 # the rules against the real tree and against their snippets
 # ----------------------------------------------------------------------
 ALLOWED = {
@@ -276,6 +293,7 @@ ALLOWED = {
     ungoverned: [],
     swallowed_governance: [],
     lazy_gather: [],
+    repeat_emission: [],
 }
 
 #: (rule, path the snippet pretends to live at, snippet, findings).
@@ -341,6 +359,16 @@ VIOLATIONS = [
             def rows(self, order):
                 return zip(map(self.ts.__getitem__, order), order)
     """, ["View.rows"]),
+    (repeat_emission, "columnar/x.py", """
+        def tails(out, i, w):
+            extend_x = out.extend
+            extend_x(repeat(i, w))
+    """, ["tails"]),
+    (repeat_emission, "columnar/x.py", """
+        class Sweep:
+            def emit(self, j, cut):
+                self.yj.extend(itertools.repeat(j, cut))
+    """, ["Sweep.emit"]),
     (swallowed_governance, "parallel/x.py", """
         class Pool:
             def dispatch(self, run):

@@ -8,6 +8,7 @@ insertion at which a workspace limit raises are the pre-change kernel's
 import importlib.util
 import sys
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from sys import maxsize
 
@@ -292,6 +293,27 @@ class TestTheStateIsVisitedOncePerGroup:
         assert 0 < calls["list.append"] < len(xi)
         _, before = c_calls(reference_columnar, *tie_operands)
         assert before["list.append"] >= 2 * len(xi)
+
+    def test_tails_emit_lists_not_repeat_iterators(
+        self, tie_operands, monkeypatch
+    ):
+        # ``repeat`` is a type, which the profiler does not report as a
+        # C call before Python 3.12: a module-level spy counts it.
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return repeat(*args)
+
+        monkeypatch.setattr(kernels, "repeat", spy, raising=False)
+        ((xi, _), _), calls = c_calls(
+            kernels.overlap_join_ts_ts, *tie_operands
+        )
+        assert built == [] and calls["repeat"] == 0
+        x_ts, _, y_ts, _ = tie_operands
+        tails = len(x_ts) - len(set(x_ts)) + len(y_ts) - len(set(y_ts))
+        # Each tail member extends each index column once, by a list.
+        assert 0 < calls["list.extend"] <= 2 * tails
 
 
 class TestTheQuery:

@@ -1,6 +1,6 @@
 """The source-emitting predicate compiler: one ``source()`` per node,
-three compiled forms (row, pair, join loop), the paper's counts
-untouched."""
+four compiled forms (row, pair, join loop, row filter), the paper's
+counts untouched."""
 
 import operator
 import sys
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.model import TemporalRelation, TemporalSchema, TemporalTuple
 from repro.relational import (
     And,
     Attr,
@@ -30,8 +31,13 @@ from repro.relational import (
     TableScan,
     ThetaNestedLoopJoin,
     TruePredicate,
+    temporal_scan,
 )
-from repro.relational.expressions import compile_join_loop, compile_pair
+from repro.relational.expressions import (
+    compile_join_loop,
+    compile_pair,
+    compile_row_filter,
+)
 from repro.superstar import conventional_superstar
 from repro.workload import FacultyWorkload
 
@@ -137,6 +143,105 @@ class TestDifferential:
         (projected,) = Project(scan, items).run()
         # repr: nan != nan, and True == 1 would hide a wrong column.
         assert repr(projected) == repr(expected)
+
+    @staticmethod
+    def filtered(predicate, table):
+        """The row filter over ``table``'s columns, as ``Select.batch``
+        zips them: the row positions, then each column read."""
+        reads, keep = compile_row_filter(predicate, BOTH)
+        columns = [[row[k] for row in table] for k in range(len(BOTH))]
+        return keep(zip(range(len(table)), *(columns[k] for k in reads)))
+
+    def assert_filter_agrees(self, predicate, table):
+        walked = [outcome(lambda: walk(predicate, row)) for row in table]
+        # The rows in order: the first error is the filter's, type and
+        # message; without one, the positions of the rows kept.
+        errors = [e for e in walked if e[0] != "value"]
+        kept = [k for k, (_kind, value) in enumerate(walked) if value]
+        expected = errors[0] if errors else ("value", kept)
+        assert outcome(lambda: self.filtered(predicate, table)) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(predicates, st.lists(rows, max_size=4))
+    def test_row_filter_agrees_with_the_tree_walk(self, predicate, table):
+        self.assert_filter_agrees(predicate, table)
+
+    READS = {
+        "nothing": (TruePredicate(), ()),
+        "one": (Compare(Attr("c"), "<", Literal(1)), (2,)),
+        "several": (
+            Or(
+                (
+                    Compare(Attr("d"), "=", Attr("a")),
+                    Not(Compare(Attr("b"), ">=", Literal(0))),
+                )
+            ),
+            (0, 1, 3),
+        ),
+        "one twice": (
+            And(
+                (
+                    Compare(Attr("b"), ">", Literal(-2)),
+                    Compare(Literal(2), ">", Attr("b")),
+                )
+            ),
+            (1,),
+        ),
+    }
+
+    @pytest.mark.parametrize("reads", READS)
+    @settings(max_examples=100, deadline=None)
+    @given(table=st.lists(rows, max_size=4))
+    def test_row_filter_zips_only_what_it_reads(self, reads, table):
+        predicate, positions = self.READS[reads]
+        assert compile_row_filter(predicate, BOTH)[0] == positions
+        self.assert_filter_agrees(predicate, table)
+
+    @staticmethod
+    def selections(shape, table, predicate):
+        """A selection with ``predicate`` over schema ``BOTH``, of a
+        temporal relation (whose batch names kept rows), of a selection
+        of one, or of a table (whose batch has no relation)."""
+        stats = EngineStats()
+        if shape == "table":
+            return Select(TableScan(Table("t", BOTH, table), stats), predicate)
+        relation = TemporalRelation(
+            TemporalSchema("R", "Id", "Seq"),
+            [
+                TemporalTuple(a, b, k, k + 1)
+                for k, (a, b, _c, _d) in enumerate(table)
+            ],
+        )
+        child = Project(
+            temporal_scan(relation, "r", stats=stats),
+            [
+                ("a", Attr("r.Id")),
+                ("b", Attr("r.Seq")),
+                ("c", Attr("r.ValidFrom")),
+                ("d", Attr("r.ValidTo")),
+            ],
+        )
+        if shape == "select over select":
+            child = Select(child, Compare(Attr("c"), "!=", Literal(1)))
+        return Select(child, predicate)
+
+    @pytest.mark.parametrize(
+        "shape", ["relation", "select over select", "table"]
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(predicate=predicates, table=st.lists(rows, max_size=4))
+    def test_select_batch_is_its_run(self, shape, predicate, table):
+        by_rows = self.selections(shape, table, predicate)
+        by_columns = self.selections(shape, table, predicate)
+        expected = outcome(by_rows.run)
+        batch = outcome(by_columns.batch)
+        if expected[0] != "value":
+            assert batch == expected
+            return
+        assert batch[0] == "value"
+        assert (batch[1].relation is None) == (shape == "table")
+        assert list(zip(*batch[1].materialised())) == expected[1]
+        assert by_columns.stats == by_rows.stats
 
 
 class TestConnectives:
@@ -448,5 +553,8 @@ class TestStructure:
             predicate.compile_against(BOTH),
             compile_pair(predicate, LEFT, RIGHT),
             compile_join_loop(predicate, LEFT, RIGHT),
+            compile_row_filter(predicate, BOTH)[1],
         ):
             assert compiled.__closure__ is None
+            assert compiled.__globals__["__builtins__"] == {}
+            assert compiled.__code__.co_filename.startswith("<predicate ")
