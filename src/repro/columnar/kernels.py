@@ -32,9 +32,9 @@ endpoints and a parallel list of their column positions.
 * **emit** is a read of that run: the join kernels extend their
   ``(xi, yj)`` index columns with the run's positions (copied once and
   sorted in place back into position order) against the probe
-  repeated — one C-level step per run, none per pair.  The payloads
-  those positions name are gathered later, eager, one call per column
-  (:func:`repro.columns.gather`).
+  repeated — one C-level step per run, none per pair; a run of one is
+  two appends.  The payloads those positions name are gathered later,
+  eager, one call per column (:func:`repro.columns.gather`).
 
 The tie law at a shared timestamp ``t`` is the one the strict
 comparators of :mod:`repro.model.interval` state for ``[ValidFrom,
@@ -72,6 +72,16 @@ the paper's finite local workspace (raising
 :class:`~repro.errors.WorkspaceOverflowError`), and ``trace`` — when a
 list is supplied — records the state size after every insertion and
 eviction batch, exactly like the meter's Figure-5 trace.
+
+The held-X sweep and the Overlap-join read that charge once per probe
+(per tie group for the Overlap-join), not once per insertion: between
+two probes the store only grows, so the batch's last size is its
+high-water candidate, the one size tested against ``limit``, and the
+trace the insertions would have recorded one by one is the range up to
+it — cut at ``limit`` when the batch crosses it, at the insertion that
+would have raised.  Every storing kernel ends with ``inserted ==
+discarded``: each stored entry is evicted, retired or left over exactly
+once.
 """
 
 from __future__ import annotations
@@ -95,7 +105,12 @@ class SweepStats:
     compacted active list would visit, read off the store sizes it
     computes anyway: the live entries after each eviction (held-back
     entries included) as comparisons, and each evicted entry as one
-    eviction check.
+    eviction check.  The sweeps read these sizes once per probe (per
+    tie group for the Overlap-join), so ``high_water``, the limit test
+    and the trace see the same sizes an insertion-by-insertion count
+    would.  ``inserted`` equals ``discarded`` once a storing kernel
+    returns: every stored entry is discarded exactly once, evicted,
+    retired or left over at the end.
     """
 
     __slots__ = (
@@ -147,13 +162,20 @@ def _held_x_sweep(
     Held-back entries still count toward the state high-water mark at
     admission and as live entries of the comparison charge.
 
+    The admission loop only stores; the charge is read once per probe,
+    after it.  The store size then is the batch's largest (one
+    high-water and limit test, the batch's trace extended as a range),
+    the comparisons add the size less the evicted entries, and the
+    eviction bisect runs only when the store's head is dead.
+
     ``retire`` is the one difference Table 1 states between the
     classes: the join (a) keeps the matched run and pairs it with
     ``y``; the semijoin (c) emits the run and retires it with one
     ranged delete, since a proven X needs no second witness.  Returns
     the X positions emitted, the Y position of each (empty when
     retiring) and the stats; ``discarded`` counts entries evicted,
-    retired, and left when the sweep ended.
+    retired, and left when the sweep ended, and ``inserted`` is the
+    same count.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
@@ -164,7 +186,7 @@ def _held_x_sweep(
     held_ts = 0
     xi: List[int] = []
     yj: List[int] = []
-    comparisons = evicted = retired = inserted = high = 0
+    comparisons = evicted = retired = high = before = 0
     i = 0
     for j, yts in enumerate(y_ts):
         if i >= nx and not rows and not held:
@@ -176,6 +198,8 @@ def _held_x_sweep(
                 ends.insert(at, xte)
                 rows.insert(at, row)
             del held[:]
+        if trace is not None:
+            before = len(rows) + len(held)
         # One admission comparison per X row consumed: ``i`` of them,
         # charged once after the sweep.
         while i < nx and (xts := x_ts[i]) <= yts:
@@ -188,32 +212,41 @@ def _held_x_sweep(
                     at = bisect_right(ends, xte)
                     ends.insert(at, xte)
                     rows.insert(at, i)
-                inserted += 1
-                cur = len(rows) + len(held)
-                if cur > high:
-                    high = cur
-                    if high > budget:
-                        raise _overflow(budget)
-                if trace is not None:
-                    trace.append(cur)
             i += 1
-        k = bisect_right(ends, yts)
-        if k:
+        # The store only grew during admission, one entry at a time:
+        # ``size`` is the batch's largest, and the trace the admissions
+        # would have recorded one by one is ``before + 1 .. size``.
+        size = len(rows) + len(held)
+        if size > high:
+            high = size
+            if high > budget:
+                if trace is not None:
+                    trace.extend(range(before + 1, budget + 1))
+                raise _overflow(budget)
+        if trace is not None:
+            trace.extend(range(before + 1, size + 1))
+        k = 0
+        if ends and ends[0] <= yts:  # the head is dead: evict the prefix
+            k = bisect_right(ends, yts)
             del ends[:k]
             del rows[:k]
             evicted += k
-        live = len(rows)
-        comparisons += live + len(held)
+        comparisons += size - k
         cut = bisect_right(ends, y_te[j])
-        m = live - cut
+        m = len(rows) - cut
         if m:
-            run = rows[cut:]
-            run.sort()
-            xi += run
+            if m == 1:
+                xi.append(rows[cut])
+            else:
+                run = rows[cut:]
+                run.sort()
+                xi += run
             if retire:
                 del ends[cut:]
                 del rows[cut:]
                 retired += m
+            elif m == 1:
+                yj.append(j)
             else:
                 yj += [j] * m
         if trace is not None and (k or (retire and m)):
@@ -223,8 +256,8 @@ def _held_x_sweep(
         trace.append(0)
     stats.comparisons = comparisons + i
     stats.eviction_checks = evicted
-    stats.inserted = inserted
-    stats.discarded = evicted + retired + residue
+    # Every stored entry is evicted, retired or left over exactly once.
+    stats.inserted = stats.discarded = evicted + retired + residue
     stats.high_water = high
     return xi, yj, stats
 
@@ -494,7 +527,11 @@ def overlap_join_ts_ts(
     merge takes every X at ``p`` before any Y at ``p``), so only the
     first of such a tie group scans it; the rest re-emit the survivors
     that scan just wrote, one ``extend`` per column per member, with
-    the accounting the scan would have charged.
+    the accounting the scan would have charged.  The members are
+    appended to their own active list, and the state charge is taken
+    once per group after them: one high-water and limit test on the
+    group's final size, the trace extended by the range of sizes the
+    members reached; ``inserted`` is ``discarded`` at the end.
     """
     stats = SweepStats()
     budget = maxsize if limit is None else limit
@@ -507,7 +544,7 @@ def overlap_join_ts_ts(
     emit_y = out_y.append
     extend_x = out_x.extend
     extend_y = out_y.extend
-    comparisons = eviction_checks = inserted = discarded = cur = high = 0
+    comparisons = eviction_checks = discarded = cur = high = 0
     i = j = 0
     while True:
         if i < nx and (j >= ny or x_ts[i] <= y_ts[j]):
@@ -530,17 +567,11 @@ def overlap_join_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             run = None
+            start = i
+            keep = j < ny  # an X tuple only joins future Y if any remain
             while True:
-                if j < ny:  # an X tuple only joins future Y if any remain
+                if keep:
                     x_active.append((x_te[i], i))
-                    inserted += 1
-                    cur += 1
-                    if cur > high:
-                        high = cur
-                        if high > budget:
-                            raise _overflow(budget)
-                    if trace is not None:
-                        trace.append(cur)
                 i += 1
                 if i == nx or x_ts[i] != p:
                     break
@@ -553,6 +584,7 @@ def overlap_join_ts_ts(
                     extend_x([i] * w)
                     extend_y(run)
                     comparisons += w
+            stored = i - start if keep else 0
         elif j < ny:
             p = y_ts[j]
             w = 0
@@ -573,17 +605,11 @@ def overlap_join_ts_ts(
                 if trace is not None:
                     trace.append(cur)
             run = None
+            start = j
+            keep = i < nx
             while True:
-                if i < nx:
+                if keep:
                     y_active.append((y_te[j], j))
-                    inserted += 1
-                    cur += 1
-                    if cur > high:
-                        high = cur
-                        if high > budget:
-                            raise _overflow(budget)
-                    if trace is not None:
-                        trace.append(cur)
                 j += 1
                 if j == ny or y_ts[j] != p:
                     break
@@ -593,15 +619,30 @@ def overlap_join_ts_ts(
                     extend_x(run)
                     extend_y([j] * w)
                     comparisons += w
+            stored = j - start if keep else 0
         else:
             break
+        # The group's members were stored one by one: the trace they
+        # would have recorded is ``before + 1 .. cur``, and ``cur`` is
+        # the group's largest size.
+        if stored:
+            before = cur
+            cur += stored
+            if cur > high:
+                high = cur
+                if high > budget:
+                    if trace is not None:
+                        trace.extend(range(before + 1, budget + 1))
+                    raise _overflow(budget)
+            if trace is not None:
+                trace.extend(range(before + 1, cur + 1))
     discarded += cur
     if trace is not None and cur:
         trace.append(0)
     stats.comparisons = comparisons
     stats.eviction_checks = eviction_checks
-    stats.inserted = inserted
-    stats.discarded = discarded
+    # Every stored entry is evicted or left over exactly once.
+    stats.inserted = stats.discarded = discarded
     stats.high_water = high
     return (out_x, out_y), stats
 

@@ -10,6 +10,10 @@ workspace counts differ from the kernel's by design; what they share
 with it is the output sequence and the comparison-parity law of
 ``tests/streams/test_differential_backends.py``."""
 
+import bisect
+import itertools
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,8 @@ from repro.columnar.kernels import SweepStats, _overflow
 from repro.errors import WorkspaceOverflowError
 from repro.model import TS_ASC, TemporalTuple
 from repro.streams import TemporalOperator, TupleStream, lookup
+
+from .test_tie_groups import c_calls
 
 KERNELS = {
     False: (kernels.contain_join_ts_ts, TemporalOperator.CONTAIN_JOIN),
@@ -147,20 +153,21 @@ def assert_keeps_its_accounting(x_spans, y_spans, retire, paths=None):
         <= counts["comparisons"] - tuple_comparisons
         <= len(x_spans) + len(y_spans)
     )
-    # The limit: exactly at the high-water mark nothing raises; one
-    # below it the same insertion raises, after the same trace prefix.
+    # The limit: exactly at the high-water mark nothing raises; below
+    # it the same insertion raises, after the same trace prefix, whether
+    # it falls first, inside or last in one probe's admissions.
     high_water = counts["high_water"]
     assert observed(swept, high_water) == expected
-    if high_water:
+    for limit in range(high_water):
         breached = observed(
             lambda limit, trace: charged(
                 x_spans, y_spans, retire, limit, trace
             ),
-            high_water - 1,
+            limit,
         )
         assert breached[0] == "overflow"
         assert breached[2] == expected[2][: len(breached[2])]
-        assert observed(swept, high_water - 1) == breached
+        assert observed(swept, limit) == breached
 
 
 #: Tie-dense spans: starts on a 6-point grid, durations 1-4, so X
@@ -180,6 +187,10 @@ BOTH = (
     [(0, 1), (1, 3), (3, 4), (3, 9), (3, 9)],
     [(3, 4), (3, 5), (5, 6), (6, 8)],
 )
+#: Three X admitted between the two probes, onto a store of one: the
+#: join's limit of 2 is crossed by the second of them, and the
+#: semijoin's (which retires X0 first) limit of 1 likewise.
+MID_BATCH = ([(0, 9), (2, 9), (3, 9), (4, 9)], [(1, 2), (5, 6)])
 
 
 @pytest.mark.parametrize("retire", [False, True], ids=["join", "semijoin"])
@@ -189,6 +200,7 @@ class TestHeldXSweep:
     @example(*HELD_BACK)
     @example(*DEAD_ON_ARRIVAL)
     @example(*BOTH)
+    @example(*MID_BATCH)
     def test_keeps_its_accounting(self, retire, x_spans, y_spans):
         assert_keeps_its_accounting(x_spans, y_spans, retire)
 
@@ -209,3 +221,81 @@ class TestHeldXSweep:
     def test_a_limit_of_zero_raises_at_the_first_insertion(self, retire):
         swept = kernel_run(*HELD_BACK, retire)
         assert observed(swept, 0) == ("overflow", str(_overflow(0)), [])
+
+    def test_a_limit_crossed_inside_one_probes_admissions(self, retire):
+        """The trace holds the sizes the admissions reached up to the
+        limit, and nothing after."""
+        swept = kernel_run(*MID_BATCH, retire)
+        if retire:  # X0 retired by Y0; Y1 admits 3, retires them
+            limit, full, cut = 1, [1, 0, 1, 2, 3, 0], [1, 0, 1]
+        else:  # X0..X3 all contain Y1, and stay until the end
+            limit, full, cut = 2, [1, 2, 3, 4, 0], [1, 2]
+        assert observed(swept)[2] == full
+        assert observed(swept, limit) == (
+            "overflow",
+            str(_overflow(limit)),
+            cut,
+        )
+
+
+def deep_spans(seed, n=300):
+    """Deep-state-shaped sides: one arrival per 2 chronons, X on even
+    chronons lasting 400-500, Y on odd ones lasting 480 — a couple of
+    hundred X live at once, no start shared (nothing held back), and
+    the last X starting after the last Y, so every probe runs."""
+    rng = random.Random(seed)
+    x_spans = [(2 * k, 2 * k + rng.randint(400, 500)) for k in range(n)]
+    y_spans = [(2 * k + 1, 2 * k + 481) for k in range(n - 1)]
+    return x_spans, y_spans
+
+
+class TestTheSweepDoesItsWorkPerProbe:
+    """What the held-X join calls, counted with the profiler: one
+    ``bisect_right`` per stored X and per probe's cut, one more only at
+    a probe whose store head is dead, and a sort only for a run of two
+    or more."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        x_spans, y_spans = deep_spans(2008)
+        swept, calls = c_calls(kernel_run(x_spans, y_spans, False), None, None)
+        pairs, counts = charged(x_spans, y_spans, retire=False)
+        assert swept == (pairs, counts)
+        return x_spans, y_spans, pairs, counts, calls
+
+    def test_the_input_is_deep(self, sweep):
+        x_spans, y_spans, pairs, counts, _ = sweep
+        assert counts["high_water"] > 200
+        assert len(pairs) > len(y_spans)
+
+    def test_bisects_once_per_store_and_cut_and_dead_head(self, sweep):
+        x_spans, y_spans, _, counts, calls = sweep
+        y_ts = [yts for yts, _ in y_spans]
+        stored = sum(
+            1
+            for xts, xte in x_spans
+            if (at := bisect.bisect_right(y_ts, xts)) < len(y_ts)
+            and xte > y_ts[at]
+        )
+        # A stored X dies at probe j when ``y[j-1].TS < X.TE <= y[j].TS``
+        # (it was alive at the probe before, and admitted by then).
+        dead_heads = sum(
+            any(
+                xts < y_ts[j - 1] < xte <= y_ts[j]
+                for xts, xte in x_spans
+            )
+            for j in range(1, len(y_ts))
+        )
+        probes = len(y_ts)
+        assert stored == counts["inserted"]
+        assert 0 < dead_heads < probes
+        assert calls["bisect_right"] == stored + probes + dead_heads
+
+    def test_sorts_only_runs_of_two_or_more(self, sweep):
+        _, _, pairs, _, calls = sweep
+        runs = [
+            len(list(run))
+            for _, run in itertools.groupby(pairs, key=lambda pair: pair[1])
+        ]
+        assert runs.count(1) and len(runs) > runs.count(1)
+        assert calls["list.sort"] == len(runs) - runs.count(1)

@@ -5,15 +5,16 @@ their order, the five ``SweepStats`` counts, the Figure-5 trace and the
 insertion at which a workspace limit raises are the pre-change kernel's
 (kept below as the reference) — only how often the state is visited."""
 
+import builtins
 import importlib.util
+import itertools
 import sys
 from collections import Counter
-from itertools import repeat
 from pathlib import Path
 from sys import maxsize
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import optimize
@@ -131,10 +132,13 @@ def assert_matches_reference(operands):
     expected = observed(reference, operands)
     assert observed(kernel, operands) == expected
     high_water = expected[1]["high_water"]
-    if high_water:
-        breached = observed(reference, operands, high_water - 1)
+    # Every limit below the high-water mark raises at the same insertion
+    # after the same trace prefix, whether it falls at a tie group's
+    # first member, inside the group or at its last.
+    for limit in range(high_water):
+        breached = observed(reference, operands, limit)
         assert breached[0] == "overflow"
-        assert observed(kernel, operands, high_water - 1) == breached
+        assert observed(kernel, operands, limit) == breached
     assert observed(kernel, operands, high_water) == expected
 
 
@@ -161,6 +165,11 @@ def gridded(step, points, longest):
     )
 
 
+#: A Y tie group of four stored at once, from a store of one: a limit
+#: of 3 is crossed by its third member, inside the group.
+GROUP_BREACH = ([(0, 10), (8, 1)], [(2, 5)] * 4)
+
+
 class TestKernelsAgainstTheParent:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -170,8 +179,22 @@ class TestKernelsAgainstTheParent:
             )
         )
     )
+    @example(GROUP_BREACH)
     def test_coarse_grid(self, sides):
         assert_matches_reference(operands(*sides))
+
+    def test_a_limit_crossed_inside_a_tie_group(self):
+        """The trace holds the sizes the group's members reached up to
+        the limit, and nothing after: [1] for X0, then 2 and 3 for the
+        first two Y members; the third would make 4."""
+        sweep = operands(*GROUP_BREACH)
+        _, counts, trace = observed(kernels.overlap_join_ts_ts, sweep)
+        assert (counts["high_water"], trace) == (5, [1, 2, 3, 4, 5, 1, 0])
+        assert observed(kernels.overlap_join_ts_ts, sweep, 3) == (
+            "overflow",
+            str(_overflow(3)),
+            [1, 2, 3],
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(gridded(1, 1, 5), gridded(1, 1, 5))
@@ -263,13 +286,31 @@ def tie_operands(tie_overlap):
     )
 
 
+class CCalls(Counter):
+    """C calls by qualified name.  A name the running interpreter's
+    profiler cannot report (a C type's, before 3.12) raises instead of
+    reading 0, so a count of it can never pass vacuously."""
+
+    def __missing__(self, name):
+        if not TYPE_CALLS_SEEN and any(
+            isinstance(getattr(module, name, None), type)
+            for module in (builtins, itertools)
+        ):
+            raise LookupError(
+                f"the profiler does not report calls of the type {name!r}"
+                " on this interpreter"
+            )
+        return 0
+
+
 def c_calls(function, *args):
     """How often ``function`` calls each C function (by qualified name)."""
-    calls = Counter()
+    calls = CCalls()
 
     def profiler(_frame, event, arg):
-        if event == "c_call":
-            calls[arg.__qualname__] += 1
+        if event == "c_call":  # ``get``: counting never asks ``__missing__``
+            name = arg.__qualname__
+            calls[name] = calls.get(name, 0) + 1
 
     sys.setprofile(profiler)
     try:
@@ -277,6 +318,23 @@ def c_calls(function, *args):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+#: Whether the profiler reports calling a C *type* (``zip(...)``,
+#: ``repeat(...)``) as a ``c_call``: CPython does not before 3.12.
+TYPE_CALLS_SEEN = "zip" in c_calls(zip)[1]
+
+
+def test_the_call_counter_reads_only_what_it_can_see():
+    _, calls = c_calls(lambda: [len(()) for _ in zip((1,))])
+    assert calls["len"] == 1 and calls["list.extend"] == 0
+    if TYPE_CALLS_SEEN:
+        assert calls["zip"] == 1
+    else:
+        with pytest.raises(LookupError, match="'zip'"):
+            calls["zip"]
+        with pytest.raises(LookupError, match="'repeat'"):
+            calls["repeat"]
 
 
 class TestTheStateIsVisitedOncePerGroup:
@@ -303,13 +361,13 @@ class TestTheStateIsVisitedOncePerGroup:
 
         def spy(*args):
             built.append(args)
-            return repeat(*args)
+            return itertools.repeat(*args)
 
         monkeypatch.setattr(kernels, "repeat", spy, raising=False)
         ((xi, _), _), calls = c_calls(
             kernels.overlap_join_ts_ts, *tie_operands
         )
-        assert built == [] and calls["repeat"] == 0
+        assert built == []
         x_ts, _, y_ts, _ = tie_operands
         tails = len(x_ts) - len(set(x_ts)) + len(y_ts) - len(set(y_ts))
         # Each tail member extends each index column once, by a list.
