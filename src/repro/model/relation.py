@@ -39,11 +39,11 @@ class TemporalRelation:
         unordered.  Trusted, not verified (use :meth:`sorted_by` to
         establish an order, or :meth:`verify_order` to audit).
 
-    The tuples never change, so a relation memoises its column forms in
-    four slots, empty until first asked for and each filled by the
-    layer that builds it: :meth:`columns` fills its own; ``endpoints``
-    (the validated ``array('q')`` pair) is filled by
-    :mod:`repro.optimizer.integration`, ``statistics`` by
+    The tuples never change, so a relation memoises its column and row
+    forms in five slots, empty until first asked for and each filled by
+    the layer that builds it: :meth:`columns` and :meth:`rows` fill
+    their own; ``endpoints`` (the validated ``array('q')`` pair) is
+    filled by :mod:`repro.optimizer.integration`, ``statistics`` by
     :mod:`repro.stats`, and ``orders`` — ``{SortOrder: view}``, the
     endpoint arrays in each sort order a query has read them in
     (:class:`repro.columnar.relation.SortedView`) — by
@@ -54,7 +54,8 @@ class TemporalRelation:
     """
 
     __slots__ = ("schema", "tuples", "constraints", "order")
-    __slots__ += ("_columns", "endpoints", "statistics", "orders")  # the memo
+    # The memo:
+    __slots__ += ("_columns", "_rows", "endpoints", "statistics", "orders")
 
     def __init__(
         self,
@@ -67,7 +68,8 @@ class TemporalRelation:
         self.tuples: tuple[TemporalTuple, ...] = tuple(tuples)
         self.constraints = constraints or ConstraintSet()
         self.order = order
-        self._columns = self.endpoints = self.statistics = None
+        self._columns = self._rows = None
+        self.endpoints = self.statistics = None
         self.orders: dict = {}
 
     # ------------------------------------------------------------------
@@ -134,6 +136,15 @@ class TemporalRelation:
                 for name in ("surrogate", "value", "valid_from", "valid_to")
             )
         return self._columns
+
+    def rows(self) -> list[tuple]:
+        """The tuples as flat ``(surrogate, value, from, to)`` rows, in
+        :attr:`tuples` order — what the conventional engine's scans
+        read; zipped from :meth:`columns` once and shared: read, never
+        write."""
+        if self._rows is None:
+            self._rows = list(zip(*self.columns()))
+        return self._rows
 
     # ------------------------------------------------------------------
     # relational-style derivations

@@ -8,14 +8,17 @@ expression text, and the whole tree becomes one ``eval``'d lambda with
 no closure per node — important because the nested-loop baselines
 evaluate predicates O(n^2) times in benchmarks.  The paper compares
 strategies by how many evaluations they perform; this only keeps the
-cost of one evaluation small.  The nested-loop join's inner loop goes
-one step further: a ``for l0, l1, in ((left[3], left[6],),)`` clause
-reads each outer-row attribute the predicate uses once per outer row,
-ahead of the loop over the inner rows, which read theirs once per
-pair.  A selection over columns builds no row at all: its filter is
-one comprehension over ``(row position, value, value, ...)`` entries,
-``[row for row, v0, v1, in entries if ...]``, holding only the
-attributes the predicate reads.
+cost of one evaluation small.  The text's code object is kept in a
+bounded cache keyed by the text and its name, so a plan built again for
+the same query compiles nothing; each build still ``eval``s a fresh
+lambda, whose namespace binds its own constants.  The nested-loop
+join's inner loop goes one step further: a ``for l0, l1, in
+((left[3], left[6],),)`` clause reads each outer-row attribute the
+predicate uses once per outer row, ahead of the loop over the inner
+rows, which read theirs once per pair.  A selection over columns
+builds no row at all: its filter is one comprehension over ``(row
+position, value, value, ...)`` entries, ``[row for row, v0, v1, in
+entries if ...]``, holding only the attributes the predicate reads.
 
 The generated text holds tuple subscripts with integer positions, the
 local names ``l0``, ``l1``, ... those outer-row subscripts are bound to
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import lru_cache
+from types import CodeType
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .schema import Row, RowSchema
@@ -236,17 +241,31 @@ class TruePredicate(Predicate):
         return "TRUE"
 
 
+_CODE_CACHE_SIZE = 512
+"""How many generated code objects :func:`_code` keeps (least
+recently used first out), as ``re`` keeps compiled patterns."""
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(text: str, name: str) -> CodeType:
+    """``text`` compiled once per ``(text, name)``: a plan built again
+    for the same predicate over the same schema reuses its code."""
+    return compile(text, name, "eval")
+
+
 def _generate(template: str, locate: Locate, *nodes: _Node) -> Callable:
     """``template`` (one ``{}`` per node) around the sources of
-    ``nodes``, compiled.  The code object is named after the nodes, so
-    a ``TypeError`` raised inside a predicate names the predicate in
-    its traceback."""
+    ``nodes``, compiled through :func:`_code`'s bounded cache and
+    ``eval``'d into a fresh lambda, whose namespace binds this call's
+    constants.  The code object is named after the nodes, so a
+    ``TypeError`` raised inside a predicate names the predicate in its
+    traceback."""
     constants: dict[str, Any] = {}
     text = template.format(
         *(node.source(locate, constants) for node in nodes)
     )
     label = ", ".join(str(node) for node in nodes)
-    code = compile(text, f"<predicate {label}>", "eval")
+    code = _code(text, f"<predicate {label}>")
     return eval(code, {"__builtins__": {}, **constants})
 
 

@@ -2,12 +2,19 @@
 engine.
 
 Every operator exposes an output :class:`RowSchema` and is consumed
-row-at-a-time (``__iter__``) or column-at-a-time
-(:meth:`Operator.batch`, what a stream join asks of its children), to
-the same rows and the same charges; only a temporal scan, a plain
-projection and a selection answer the latter without building rows, and
-over a scan a selection names the rows it keeps instead of copying
-them.
+row-at-a-time (``__iter__``), drained whole (:meth:`Operator.run`) or
+column-at-a-time (:meth:`Operator.batch`, what a stream join asks of
+its children), to the same rows and the same charges; only a temporal
+scan, a plain projection and a selection answer the latter without
+building rows, and over a scan a selection names the rows it keeps
+instead of copying them.  An input that is read in full before its
+consumer emits anything — the right side of a nested-loop join, a cross
+product and a semijoin, a hash join's build side, the input of a sort
+and of a hash aggregate — is drained with ``run()``, which those three
+answer column-wise when they reach a relation's own columns: the scan
+then steps no generator and the selection calls no predicate per row.
+A probe side (a hash join's left, a nested loop's outer side) and a
+merge join's inputs, which may stop early, are still iterated.
 Operators in one plan share an :class:`EngineStats` so benchmarks can
 read total scans, rows and predicate evaluations off the executed plan
 — the conventional-side counterpart of the stream engine's
@@ -77,8 +84,23 @@ class Operator(abc.ABC):
         """Produce the operator's output rows."""
 
     def run(self) -> list[Row]:
-        """Execute to completion."""
+        """Execute to completion: the rows, in order, in a new list the
+        caller owns (a :class:`Sort` sorts it in place), with the
+        charges iteration makes.  Where :meth:`reaches_relation`, one
+        ``zip`` of :meth:`batch`'s columns; otherwise ``list(self)``.
+        Either way an input that raises does so before its consumer
+        touches any of its rows."""
+        if self.reaches_relation():
+            return list(zip(*self.batch().materialised()))
         return list(self)
+
+    def reaches_relation(self) -> bool:
+        """Whether :meth:`batch` hands over a temporal relation's own
+        columns (a scan of one, and plain projections and selections of
+        that scan), so that :meth:`run` reads them column-wise.  The
+        default :meth:`batch` calls :meth:`run`: only an operator with
+        its own ``batch`` may answer ``True``."""
+        return False
 
     def batch(self) -> Batch:
         """Execute to completion, column-wise (``zip(*columns)`` is

@@ -55,6 +55,9 @@ class Select(UnaryOperator):
             return Batch(columns, len(kept))
         return child._replace(length=len(kept), selection=kept)
 
+    def reaches_relation(self) -> bool:
+        return self.child.reaches_relation()
+
     def describe(self) -> str:
         return f"Select({self.predicate})"
 
@@ -107,6 +110,9 @@ class Project(UnaryOperator):
             columns=[columns[position] for position in self._positions]
         )
 
+    def reaches_relation(self) -> bool:
+        return self._positions is not None and self.child.reaches_relation()
+
     def describe(self) -> str:
         return f"Project({', '.join(self.schema.attributes)})"
 
@@ -128,7 +134,7 @@ class Sort(UnaryOperator):
         )
 
     def __iter__(self) -> Iterator[Row]:
-        rows = list(self.child)
+        rows = self.child.run()
         self.stats.rows_materialized += len(rows)
         rows.sort(key=self._key, reverse=self.descending)
         return iter(rows)
@@ -176,7 +182,7 @@ class HashAggregate(UnaryOperator):
 
     def __iter__(self) -> Iterator[Row]:
         groups: dict[tuple, list] = {}
-        for row in self.child:
+        for row in self.child.run():
             key = self._key(row)
             state = groups.get(key)
             if state is None:

@@ -31,7 +31,7 @@ class CrossProduct(BinaryOperator):
         super().__init__(left, right, left.schema.concat(right.schema))
 
     def __iter__(self) -> Iterator[Row]:
-        right_rows = list(self.right)
+        right_rows = self.right.run()
         self.stats.rows_materialized += len(right_rows)
         for left_row in self.left:
             for right_row in right_rows:
@@ -55,7 +55,7 @@ class ThetaNestedLoopJoin(BinaryOperator):
         )
 
     def __iter__(self) -> Iterator[Row]:
-        right_rows = list(self.right)
+        right_rows = self.right.run()
         self.stats.rows_materialized += len(right_rows)
         for left_row in self.left:
             matches = self._matches(left_row, right_rows)
@@ -84,7 +84,7 @@ class RowSemijoin(BinaryOperator):
         self._compiled = compile_pair(predicate, left.schema, right.schema)
 
     def __iter__(self) -> Iterator[Row]:
-        right_rows = list(self.right)
+        right_rows = self.right.run()
         self.stats.rows_materialized += len(right_rows)
         for left_row in self.left:
             for right_row in right_rows:
@@ -123,7 +123,7 @@ class HashEquiJoin(BinaryOperator):
 
     def __iter__(self) -> Iterator[Row]:
         buckets: dict = {}
-        for right_row in self.right:
+        for right_row in self.right.run():
             buckets.setdefault(self._right_key(right_row), []).append(
                 right_row
             )

@@ -35,6 +35,9 @@ class TableScan(Operator):
         self.stats.rows_scanned += len(relation)
         return Batch(list(relation.columns()), len(relation), relation)
 
+    def reaches_relation(self) -> bool:
+        return self.table.relation is not None
+
     def describe(self) -> str:
         return f"Scan({self.table.name}, {len(self.table)} rows)"
 

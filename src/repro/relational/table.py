@@ -5,10 +5,11 @@ The conventional engine operates over :class:`Table` values — a
 :func:`table_from_temporal` presents a
 :class:`~repro.model.relation.TemporalRelation` as the table the
 Section-3 pipeline expects, qualifying attributes with a range-variable
-name.  Such a table is its relation's memoised columns: a column
-consumer (``TableScan.batch``) takes them as they are, and flat rows
-are zipped from them only when a row consumer asks for
-:attr:`Table.rows`.
+name.  Such a table keeps nothing of its own: a column consumer
+(``TableScan.batch``) takes the relation's memoised columns as they
+are, and a row consumer (:attr:`Table.rows`) the relation's memoised
+flat rows (:meth:`~repro.model.relation.TemporalRelation.rows`), zipped
+from those columns once per relation, not once per query.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Table:
         #: (:func:`table_from_temporal`); ``None`` for a table of rows.
         self.relation: Optional[TemporalRelation] = None
         arity = len(schema)
-        self._rows: Optional[list[Row]] = []
+        self._rows: list[Row] = []
         for row in rows:
             row = tuple(row)
             if len(row) != arity:
@@ -43,10 +44,10 @@ class Table:
 
     @property
     def rows(self) -> list[Row]:
-        """The rows; those of a temporal relation are built from its
-        columns on first use and kept."""
-        if self._rows is None:
-            self._rows = list(zip(*self.relation.columns()))
+        """The rows; a temporal relation's are its own memo, shared by
+        every table of it: read, never write."""
+        if self.relation is not None:
+            return self.relation.rows()
         return self._rows
 
     def __iter__(self) -> Iterator[Row]:
@@ -78,5 +79,5 @@ def table_from_temporal(
         schema = RowSchema(tuple(names))
     table = Table(variable or relation.schema.relation_name, schema)
     # Four-attribute rows by construction: nothing to copy or check.
-    table.relation, table._rows = relation, None
+    table.relation = relation
     return table

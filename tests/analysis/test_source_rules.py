@@ -279,6 +279,48 @@ def repeat_emission(path: str, nodes: Nodes) -> Iterator[str]:
 
 
 # ----------------------------------------------------------------------
+# An input read in full is drained with run()
+# ----------------------------------------------------------------------
+# A conventional operator that reads a child whole before its first
+# output row takes ``child.run()``: a scan, a plain projection and a
+# selection of a relation answer it column-wise, with the charges
+# iteration makes.  ``list(self.child)`` steps a generator and calls
+# the predicate once per row instead.
+_CHILDREN = {"left", "right", "child"}
+
+
+def drain_by_iteration(path: str, nodes: Nodes) -> Iterator[str]:
+    if not path.startswith("relational/operators/") or path.endswith("/base.py"):
+        return
+    for scope, node in nodes:
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "list"
+            and node.args
+            and _attr(node.args[0]) in _CHILDREN
+            and getattr(node.args[0].value, "id", None) == "self"
+        ):
+            yield scope
+
+
+# ----------------------------------------------------------------------
+# Generated code is compiled through one memoised helper
+# ----------------------------------------------------------------------
+# A plan is built per query, and its predicates are the same text each
+# time: ``relational/expressions.py::_code`` compiles a text once and
+# keeps its code object in a bounded cache.  A bare ``compile(``
+# anywhere else pays the compiler on every query.
+def uncached_compile(path: str, nodes: Nodes) -> Iterator[str]:
+    for scope, node in nodes:
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "compile"
+            and (path, scope) != ("relational/expressions.py", "_code")
+        ):
+            yield scope
+
+
+# ----------------------------------------------------------------------
 # the rules against the real tree and against their snippets
 # ----------------------------------------------------------------------
 ALLOWED = {
@@ -294,6 +336,8 @@ ALLOWED = {
     swallowed_governance: [],
     lazy_gather: [],
     repeat_emission: [],
+    drain_by_iteration: [],
+    uncached_compile: [],
 }
 
 #: (rule, path the snippet pretends to live at, snippet, findings).
@@ -369,6 +413,26 @@ VIOLATIONS = [
             def emit(self, j, cut):
                 self.yj.extend(itertools.repeat(j, cut))
     """, ["Sweep.emit"]),
+    (drain_by_iteration, "relational/operators/basic.py", """
+        class Sort:
+            def __iter__(self):
+                rows = list(self.child)
+                return iter(sorted(rows))
+    """, ["Sort.__iter__"]),
+    (drain_by_iteration, "relational/operators/joins.py", """
+        class Cross:
+            def __iter__(self):
+                right_rows = list(self.right)
+                for left_row in self.left:
+                    yield from (left_row + row for row in right_rows)
+    """, ["Cross.__iter__"]),
+    (uncached_compile, "relational/expressions.py", """
+        def _generate(text, constants):
+            return eval(compile(text, "<predicate>", "eval"), constants)
+    """, ["_generate"]),
+    (uncached_compile, "query/x.py", """
+        CODE = compile("lambda row: row[0]", "<row>", "eval")
+    """, ["<module>"]),
     (swallowed_governance, "parallel/x.py", """
         class Pool:
             def dispatch(self, run):

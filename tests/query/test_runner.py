@@ -1,11 +1,13 @@
 """Tests for the run_query convenience façade."""
 
+import sys
 from collections import Counter
 
 import pytest
 
 from repro.errors import ParseError, TranslationError
 from repro.query import run_query
+from repro.relational import Select, TableScan
 from repro.superstar import SUPERSTAR_QUEL, conventional_superstar
 from repro.workload import FacultyWorkload, figure1_relation
 
@@ -119,3 +121,39 @@ class TestFrontDoorConventionalCounts:
         conventional = conventional_superstar(self.FACULTY)
         assert Counter(result.rows) == conventional.rows
         assert conventional.comparisons == result.stats.comparisons
+
+
+class TestFrontDoorWarmQuery:
+    """A second Superstar query over one catalog compiles no predicate
+    (the code is cached by its text) and iterates only the hash join's
+    probe side, f1: the build side (f2) and the nested loop's inner
+    side (f3) are drained column-wise."""
+
+    ENTRIES = {TableScan.__iter__.__code__, Select.__iter__.__code__}
+
+    def run(self):
+        catalog = {"Faculty": TestFrontDoorConventionalCounts.FACULTY}
+        return run_query(SUPERSTAR_QUEL, catalog, semantic=True, streams=True)
+
+    def test_second_query_compiles_nothing_and_iterates_the_probe_side(self):
+        first = self.run()
+        compiles = 0
+        iterated = set()
+
+        def profile(frame, event, arg):
+            nonlocal compiles
+            if event == "c_call" and arg is compile:
+                compiles += 1
+            elif event == "call" and frame.f_code in self.ENTRIES:
+                operator = frame.f_locals["self"]
+                for name in operator.schema.attributes:
+                    iterated.add((type(operator), name.partition(".")[0]))
+
+        sys.setprofile(profile)
+        try:
+            second = self.run()
+        finally:
+            sys.setprofile(None)
+        assert compiles == 0
+        assert iterated == {(TableScan, "f1"), (Select, "f1")}
+        assert second.rows == first.rows and second.stats == first.stats

@@ -296,6 +296,44 @@ class TestConnectives:
         assert compiled.__globals__["__builtins__"] == {}
 
 
+class Opaque:
+    """A literal value whose text is the same whatever its value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return "opaque"
+
+    def __gt__(self, other):  # ``row[0] < c0`` reflected
+        return self.value > other
+
+
+class TestCodeCache:
+    """Generated text is compiled once and ``eval``'d per build."""
+
+    def test_selects_of_one_predicate_text_share_code(self):
+        predicate = Compare(Attr("a"), "<", Literal(3))
+        first, second = (
+            Select(TableScan(Table("l", LEFT, [(1, 2)])), predicate)
+            for _ in range(2)
+        )
+        assert first._compiled is not second._compiled
+        assert first._compiled.__code__ is second._compiled.__code__
+
+    def test_constants_are_bound_per_eval(self):
+        three, five = (
+            Compare(Attr("a"), "<", Literal(Opaque(bound))).compile_against(
+                LEFT
+            )
+            for bound in (3, 5)
+        )
+        # One text, one name: one code object, two answers.
+        assert three.__code__ is five.__code__
+        assert three((4, 0)) is False and five((4, 0)) is True
+        assert three.__globals__["c0"].value == 3
+
+
 class TestErrors:
     def scans(self):
         stats = EngineStats()
