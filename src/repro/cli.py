@@ -244,13 +244,6 @@ def _add_governance_arguments(command: argparse.ArgumentParser) -> None:
         metavar="PAGES",
         help="cap on physical heap-file page reads",
     )
-    command.add_argument(
-        "--shm-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="cap on shared-memory bytes mapped for parallel shards",
-    )
 
 
 def _budget_from_args(args):
@@ -260,7 +253,6 @@ def _budget_from_args(args):
         args.deadline is None
         and args.workspace_budget is None
         and args.page_budget is None
-        and args.shm_budget is None
     ):
         return None
     from .governance import QueryBudget
@@ -269,7 +261,6 @@ def _budget_from_args(args):
         deadline_seconds=args.deadline,
         workspace_tuple_cap=args.workspace_budget,
         page_read_cap=args.page_budget,
-        shm_byte_cap=args.shm_budget,
     )
 
 

@@ -62,15 +62,10 @@ class IntervalColumns:
     holes (kernels compact their *active lists* lazily instead, per
     Piatov et al.).
 
-    Endpoint columns are any int64 buffer the kernels can index — an
-    ``array('q')``, or a ``memoryview`` cast to ``'q'`` over a
-    ``multiprocessing.shared_memory`` segment (the zero-copy shard
-    runtime maps published columns read-only this way), or a tuple of
-    ints (a selection's, gathered per query from a relation's validated
-    columns).
-    ``payload`` may be ``None`` for endpoint-only views: kernels return
-    positional indexes, and the payloads materialise lazily on
-    whichever side of the process boundary owns the tuple objects.
+    Endpoint columns are any int64 sequence the kernels can index — an
+    ``array('q')`` (a shard task carries slices of these), a list, or a
+    tuple of ints (a selection's, gathered per query from a relation's
+    validated columns).
     """
 
     __slots__ = (
@@ -82,17 +77,14 @@ class IntervalColumns:
         self,
         ts: Sequence[int],
         te: Sequence[int],
-        payload: Optional[Sequence],
+        payload: Sequence,
         order: Optional[SortOrder],
         name: str = "columns",
     ) -> None:
-        if len(ts) != len(te) or (
-            payload is not None and len(payload) != len(ts)
-        ):
-            payload_len = "-" if payload is None else len(payload)
+        if not len(ts) == len(te) == len(payload):
             raise ValueError(
                 "endpoint and payload columns must be positionally "
-                f"aligned (got {len(ts)}/{len(te)}/{payload_len})"
+                f"aligned (got {len(ts)}/{len(te)}/{len(payload)})"
             )
         self.ts = ts
         self.te = te
@@ -130,18 +122,6 @@ class IntervalColumns:
         ts = array("q", (t.valid_from for t in rows))
         te = array("q", (t.valid_to for t in rows))
         return cls(ts, te, rows, order, name=name)
-
-    @classmethod
-    def from_views(
-        cls,
-        ts: Sequence[int],
-        te: Sequence[int],
-        order: Optional[SortOrder] = None,
-        name: str = "columns",
-    ) -> "IntervalColumns":
-        """Endpoint-only columns over existing buffers (typically
-        shared-memory ``memoryview`` slices); no payloads, no copy."""
-        return cls(ts, te, None, order, name=name)
 
     # ------------------------------------------------------------------
     # inspection
@@ -286,11 +266,8 @@ class IntervalColumns:
         keys = self._key_columns(order)
         if keys is None:
             # Non-endpoint components have no column; fall back to
-            # the tuple-level check for the whole order (requires
-            # payloads — endpoint-only views have none to check).
-            if self.payload is not None and not order.is_sorted(
-                list(self.payload)
-            ):
+            # the tuple-level check for the whole order.
+            if not order.is_sorted(list(self.payload)):
                 raise StreamOrderError(
                     f"columns {self.name!r} violate declared order "
                     f"[{order}]"
@@ -311,20 +288,10 @@ class IntervalColumns:
                     continue
                 if (a < b) == (not descending):
                     break  # strictly ordered on this key: pair is fine
-                before = (
-                    self.payload[i - 1]
-                    if self.payload is not None
-                    else f"({self.ts[i - 1]}, {self.te[i - 1]})"
-                )
-                after = (
-                    self.payload[i]
-                    if self.payload is not None
-                    else f"({self.ts[i]}, {self.te[i]})"
-                )
                 raise StreamOrderError(
                     f"columns {self.name!r} declared order "
                     f"[{self.order}] but position {i - 1} holds "
-                    f"{before} before {after}"
+                    f"{self.payload[i - 1]} before {self.payload[i]}"
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -154,8 +154,8 @@ class QueryCancelledError(GovernanceError):
 
 class BudgetExceededError(GovernanceError):
     """A resource cap in the query's :class:`~repro.governance.
-    QueryBudget` was breached (workspace tuples, page reads, or
-    shared-memory bytes).  ``resource`` names the breached cap."""
+    QueryBudget` was breached (workspace tuples or page reads).
+    ``resource`` names the breached cap."""
 
     def __init__(
         self, message: str, resource: str = "", spent: int = 0, cap: int = 0

@@ -43,15 +43,12 @@ class QueryBudget:
     * ``workspace_tuple_cap`` — max concurrent workspace state tuples
       (a *governance* bound layered over the paper's per-operator
       Tables 1-3 bound; breaching it is terminal, not a spill trigger);
-    * ``page_read_cap`` — max physical heap-file page reads;
-    * ``shm_byte_cap`` — max shared-memory bytes mapped for the query's
-      parallel segments.
+    * ``page_read_cap`` — max physical heap-file page reads.
     """
 
     deadline_seconds: Optional[float] = None
     workspace_tuple_cap: Optional[int] = None
     page_read_cap: Optional[int] = None
-    shm_byte_cap: Optional[int] = None
 
     def is_bounded(self) -> bool:
         return any(
@@ -60,7 +57,6 @@ class QueryBudget:
                 self.deadline_seconds,
                 self.workspace_tuple_cap,
                 self.page_read_cap,
-                self.shm_byte_cap,
             )
         )
 
@@ -78,7 +74,6 @@ class QueryBudget:
             "deadline_seconds": self.deadline_seconds,
             "workspace_tuple_cap": self.workspace_tuple_cap,
             "page_read_cap": self.page_read_cap,
-            "shm_byte_cap": self.shm_byte_cap,
         }
 
 
@@ -96,7 +91,6 @@ class CancellationToken:
         "started_at",
         "deadline_at",
         "pages_read",
-        "shm_bytes",
         "workspace_peak",
         "checkpoints",
         "_clock",
@@ -118,7 +112,6 @@ class CancellationToken:
             else None
         )
         self.pages_read = 0
-        self.shm_bytes = 0
         self.workspace_peak = 0
         self.checkpoints = 0
         self._cancelled = False
@@ -198,20 +191,6 @@ class CancellationToken:
                 cap=cap,
             )
 
-    def charge_shm(self, nbytes: int) -> None:
-        """Charge shared-memory bytes mapped for this query."""
-        self.shm_bytes += nbytes
-        cap = self.budget.shm_byte_cap
-        if cap is not None and self.shm_bytes > cap:
-            raise BudgetExceededError(
-                f"shared-memory budget of {cap} bytes exceeded "
-                f"({self.shm_bytes} mapped)",
-                resource="shm_bytes",
-                spent=self.shm_bytes,
-                cap=cap,
-            )
-        self.check()
-
     def as_dict(self) -> dict:
         """Spend summary for EXPLAIN ANALYZE / audit records."""
         return {
@@ -219,7 +198,6 @@ class CancellationToken:
             "elapsed_seconds": round(self.elapsed(), 6),
             "pages_read": self.pages_read,
             "workspace_peak": self.workspace_peak,
-            "shm_bytes": self.shm_bytes,
             "checkpoints": self.checkpoints,
             "cancelled": self._cancelled,
         }

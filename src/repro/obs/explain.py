@@ -222,8 +222,6 @@ def _governance(governance: dict) -> str:
             f" (cap {cap('page_read_cap')})",
             f"workspace_peak={governance['workspace_peak']}"
             f" (cap {cap('workspace_tuple_cap')})",
-            f"shm_bytes={governance['shm_bytes']}"
-            f" (cap {cap('shm_byte_cap')})",
             f"checkpoints={governance['checkpoints']}"
             f" cancelled={governance['cancelled']}",
         ]

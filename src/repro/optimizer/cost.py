@@ -38,15 +38,13 @@ class CostModel:
     page_capacity: int = 32
     sort_memory_pages: int = 8
     #: Fixed price of dispatching one shard to the warm worker pool.
-    #: The shared-memory runtime keeps workers resident across queries
-    #: and ships only segment names plus offsets, so this is the cost
-    #: of a queue round-trip, not of forking a process.
+    #: The pool keeps workers resident across queries, so this is the
+    #: cost of a queue round-trip, not of forking a process.
     parallel_worker_startup: float = 2.0
-    #: Per-tuple coordinator overhead of a parallel plan.  Operands are
-    #: published once into shared memory (a memcpy of two int64
-    #: columns) and results come back as index arrays, so the per-tuple
-    #: price is publication plus lazy payload materialisation — not a
-    #: pickle round-trip.
+    #: Per-tuple coordinator overhead of a parallel plan.  A shard
+    #: ships its operands as int64 column slices and returns index
+    #: arrays, never tuples, so the per-tuple price is the slices'
+    #: pickle plus lazy payload materialisation.
     parallel_tuple_ship: float = 0.0002
     #: Largest shard count the cost model will consider.
     max_parallel_workers: int = 8

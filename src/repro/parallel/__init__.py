@@ -5,11 +5,13 @@ whose boundary-spanning tuples are replicated by per-operator necessity
 windows (:mod:`repro.parallel.shards` — contiguous *index ranges* over
 the operand endpoint columns), then runs the unmodified sweep kernels
 per shard under the resilience ladder (:mod:`repro.parallel.worker`)
-and merges the shard outputs (:mod:`repro.parallel.executor`).  Shards
-run either in-process or on the zero-copy shared-memory process
-runtime (:mod:`repro.parallel.shm`, :mod:`repro.parallel.pool`), where
-they are described by offsets into one published segment, so nothing
-is pickled on the hot path.
+and merges the shard outputs (:mod:`repro.parallel.executor`).  A shard
+is one task carrying its slices of the endpoint columns; it runs either
+in-process or as a task of the warm process pool
+(:mod:`repro.parallel.pool`), which pickles the int64 slices out and
+the shard's index arrays back.  Importing the package imports no
+``multiprocessing`` module: the pool is built by the first
+process-mode batch.
 
 See ``docs/PARALLEL.md`` for the partitioning rules and their
 derivation from the paper's Tables 1-3 workspace characterisations.

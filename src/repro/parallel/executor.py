@@ -6,22 +6,21 @@ recovery ladder, same accounting — but the operator runs as K
 independent shards.  Every run has one spine: the operands are
 columnised (:class:`~repro.columnar.relation.IntervalColumns`), shards
 are planned as contiguous index ranges (:mod:`repro.parallel.shards`),
-each shard runs the one shard body
-(:func:`repro.parallel.worker.run_shard` — ``execute_entry`` itself,
-over the shard's endpoint columns) and returns an
-``array('q')`` index chunk, and the chunks are wrapped in
-:class:`LazyResults`, whose payload tuples materialise on the parent
-side only when touched.  The two modes differ only in transport:
+each shard is one task carrying its slices of the endpoint columns,
+run by the one shard function
+(:func:`repro.parallel.worker.run_task` — ``execute_entry`` itself,
+over the shard's slices), which returns an ``array('q')`` index chunk,
+and the chunks are wrapped in :class:`LazyResults`, whose payload
+tuples materialise on the parent side only when touched.  The two
+modes differ only in where that function runs:
 
-* ``"process"`` — the zero-copy shared-memory shard runtime.  The
-  operand endpoint columns are published once into a
-  ``multiprocessing.shared_memory`` segment; a persistent warm spawn
-  pool (:mod:`repro.parallel.pool`) receives only segment names plus
-  offsets and writes the chunks back into shared result segments.  No
-  ``TemporalTuple`` is ever pickled on this path.
-* ``"inline"`` — shards run sequentially in-process on slices of the
-  parent's columns: deterministic, traced in place, and the fallback
-  whenever the worker pool is unavailable.
+* ``"process"`` — each task is submitted to a persistent warm spawn
+  pool (:mod:`repro.parallel.pool`), which pickles the task's int64
+  slices out and the index chunk back.  No ``TemporalTuple`` is ever
+  pickled on this path.
+* ``"inline"`` — the tasks run sequentially in-process: deterministic,
+  traced in place, and the fallback whenever the worker pool is
+  unavailable.
 
 Sort orders are checked once, on the whole operands before they are
 cut, by the serial executor's own check
@@ -46,7 +45,6 @@ the physical backends give each other.
 from __future__ import annotations
 
 import os
-import time
 from array import array
 from collections import abc
 from dataclasses import dataclass, field
@@ -62,10 +60,9 @@ from ..resilience.executor import Operand, verify_orders
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..streams.metrics import ProcessorMetrics
 from ..streams.registry import RegistryEntry
-from . import shm
 from .pool import run_batch
 from .shards import RangePlan, ShardRange, plan_ranges
-from .worker import run_shard
+from .worker import run_task
 
 EXECUTION_MODES = ("auto", "process", "inline")
 
@@ -113,8 +110,8 @@ class ShardRun:
 
     @classmethod
     def of(cls, task: dict, summary: dict) -> "ShardRun":
-        """The row of one finished shard, whichever transport ran it:
-        what its task cut it to, and what its body reported."""
+        """The row of one finished shard, whichever mode ran it: what
+        its task cut it to, and what its body reported."""
         metrics: ProcessorMetrics = summary["metrics"]
         report: ExecutionReport = summary["report"]
         return cls(
@@ -122,8 +119,8 @@ class ShardRun:
             operator=task["operator"].value,
             backend=task["backend"],
             kernel=metrics.kernel,
-            x_tuples=task["x_len"],
-            y_tuples=task["y_len"],
+            x_tuples=len(task["x_ts"]),
+            y_tuples=len(task["y_ts"] or ()),
             owned_lo=task["owned_lo"],
             owned_hi=task["owned_hi"],
             wall_seconds=summary["wall_seconds"],
@@ -134,7 +131,7 @@ class ShardRun:
             degraded=bool(report.fallbacks),
             fallbacks=len(report.fallbacks),
             residual_filtered=summary["residual_filtered"],
-            attempt=summary.get("attempt", 0),
+            attempt=summary["attempt"],
             pid=summary.get("pid"),
             worker_spans_created=summary.get("worker_spans_created", 0),
         )
@@ -176,22 +173,25 @@ class ParallelOutcome:
 
 
 # ----------------------------------------------------------------------
-# shard tasks and the two transports' shared pieces
+# shard tasks and the two modes that run them
 # ----------------------------------------------------------------------
 def _shard_tasks(
     entry: RegistryEntry,
     plan: RangePlan,
+    x_cols: IntervalColumns,
+    y_cols: Optional[IntervalColumns],
     backend: str,
     policy: RecoveryPolicy,
     workspace_budget: Optional[int],
 ) -> List[dict]:
-    """One task per planned range: column ranges plus small config,
-    everything :func:`~repro.parallel.worker.run_shard` reads."""
+    """One task per planned range: its column slices plus small
+    config, everything :func:`~repro.parallel.worker.run_task` reads."""
     shape = entry.operator.shape
     tasks = []
     for shard_range in plan.ranges:
         task = {
             "index": shard_range.index,
+            "attempt": 0,
             "operator": entry.operator,
             "x_order": entry.x_order,
             "y_order": entry.y_order,
@@ -202,87 +202,80 @@ def _shard_tasks(
             "policy": policy,
             "workspace_budget": workspace_budget,
         }
+        y_lo, y_hi = shard_range.y_lo, shard_range.y_hi
         if shape == "self":
             # Kernel input is the context hull range of the X columns.
-            task.update(
-                x_base=shard_range.y_lo,
-                x_len=shard_range.context_count,
-                y_base=0,
-                y_len=0,
-            )
+            x_lo, x_hi = y_lo, y_hi
+            task.update(y_base=0, y_ts=None, y_te=None)
         else:
+            x_lo, x_hi = shard_range.owned_lo, shard_range.owned_hi
             task.update(
-                x_base=shard_range.owned_lo,
-                x_len=shard_range.owned_count,
-                y_base=shard_range.y_lo,
-                y_len=shard_range.context_count,
+                y_base=y_lo,
+                y_ts=y_cols.ts[y_lo:y_hi],
+                y_te=y_cols.te[y_lo:y_hi],
             )
+        task.update(
+            x_base=x_lo, x_ts=x_cols.ts[x_lo:x_hi], x_te=x_cols.te[x_lo:x_hi]
+        )
         tasks.append(task)
     return tasks
 
 
-def _run_inline(
-    tracer,
-    entry: RegistryEntry,
-    tasks: List[dict],
-    x_cols: IntervalColumns,
-    y_cols: Optional[IntervalColumns],
-) -> List[tuple]:
-    """The in-process transport: each shard runs on slices of the
-    parent's columns, with the shard span wrapping the real run so
-    per-shard operator/attempt spans nest underneath it.  Returns one
-    ``(shard row, summary, chunk)`` per shard."""
+def _run_inline(tracer, tasks: List[dict]) -> List[tuple]:
+    """Run each task in-process, with the shard span wrapping the real
+    run so per-shard operator/attempt spans nest underneath it.
+    Returns one ``(shard row, summary, chunk)`` per shard."""
     finished = []
     for task in tasks:
-        x_lo, y_lo = task["x_base"], task["y_base"]
-        x_hi, y_hi = x_lo + task["x_len"], y_lo + task["y_len"]
-        y_ts = y_te = None
-        if y_hi > y_lo:
-            y_ts, y_te = y_cols.ts[y_lo:y_hi], y_cols.te[y_lo:y_hi]
         with tracer.span(
             f"shard:{task['index']}", shard=task["index"], attempt=0
         ):
-            started = time.perf_counter()
-            summary, chunk = run_shard(
-                task,
-                entry,
-                x_cols.ts[x_lo:x_hi],
-                x_cols.te[x_lo:x_hi],
-                y_ts,
-                y_te,
-            )
-            summary["wall_seconds"] = time.perf_counter() - started
+            summary, chunk = run_task(task)
+        # No worker ran it: the row names no worker process, and the
+        # shard's spans belong to the parent's own trace.
+        summary.update(pid=None, worker_spans_created=0)
         finished.append((ShardRun.of(task, summary), summary, chunk))
     return finished
 
 
-# ----------------------------------------------------------------------
-# shared-memory shard execution
-# ----------------------------------------------------------------------
-def _shm_tasks(
-    tasks: List[dict], segment: shm.ColumnSegment, result_names: List[str]
-) -> List[dict]:
-    """Copies of the shard tasks plus what the process transport
-    ships: segment names and column offsets — factored out so the
-    worker-death tests can wrap it (a task's ``fault_exit`` makes its
-    worker exit on every attempt below that number)."""
-    offsets = tuple(segment.offsets)
-    return [
-        dict(
-            task,
-            segment=segment.name,
-            offsets=offsets,
-            result_segment=result_name,
-        )
-        for task, result_name in zip(tasks, result_names)
+def _run_process(tasks: List[dict], workers: int) -> tuple:
+    """Submit the tasks to the warm pool; returns ``(one (shard row,
+    summary, chunk) per shard, containment stats)``."""
+    token = active_token()
+    governance = _governance_payload(token)
+    if governance is not None:
+        tasks = [dict(task, governance=governance) for task in tasks]
+    results, containment = run_batch(tasks, min(workers, len(tasks)), token)
+    finished = [
+        (ShardRun.of(task, summary), summary, chunk)
+        for task, (summary, chunk) in zip(tasks, results)
     ]
+    return finished, containment
+
+
+def _governance_payload(token) -> Optional[dict]:
+    """The governance slice a worker can enforce locally: the parent's
+    *remaining* deadline (the worker's clock starts at dispatch) and
+    the workspace cap.  Page reads stay parent-accounted."""
+    if token is None:
+        return None
+    remaining = token.remaining()
+    cap = token.budget.workspace_tuple_cap
+    if remaining is None and cap is None:
+        return None
+    return {
+        "deadline_seconds": (
+            max(remaining, 0.001) if remaining is not None else None
+        ),
+        "workspace_tuple_cap": cap,
+    }
 
 
 class LazyResults(abc.Sequence):
     """Merged shard outputs held as positional index columns.
 
-    The parent half of the zero-copy contract: workers ship shard-local
-    index arrays plus base offsets, and the payload tuples materialise
+    Shards return shard-local index arrays plus base offsets, never
+    payloads; the payload tuples materialise
     (then cache) only when an element is actually touched.  ``len()``
     is free, so consumers that need counts alone — EXPLAIN ANALYZE,
     the metrics layer, cardinality checks — never pay for output
@@ -310,7 +303,7 @@ class LazyResults(abc.Sequence):
         self.x_payload = originals_x
         self.y_payload = originals_y
         self._chunks = chunks
-        self._length = sum(len(chunk[1]) for chunk in chunks)
+        self._length = sum(len(chunk[0]) for chunk in chunks)
         self._columns: Optional[tuple] = None
         self._cache: Optional[list] = None
 
@@ -321,7 +314,7 @@ class LazyResults(abc.Sequence):
         shapes.  Computed once; the chunks are released."""
         if self._columns is None:
             xi, yj = array("q"), array("q")
-            for _kind, first, second, x_base, y_base in self._chunks:
+            for first, second, x_base, y_base in self._chunks:
                 xi.extend(map(x_base.__add__, first))
                 if second is not None:
                     yj.extend(map(y_base.__add__, second))
@@ -354,72 +347,6 @@ class LazyResults(abc.Sequence):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "materialised" if self._cache is not None else "lazy"
         return f"LazyResults(n={self._length}, {state})"
-
-
-def _governance_payload(token) -> Optional[dict]:
-    """The governance slice a worker can enforce locally: the parent's
-    *remaining* deadline (the worker's clock starts at dispatch) and
-    the workspace cap.  Page/shm budgets stay parent-accounted."""
-    if token is None:
-        return None
-    remaining = token.remaining()
-    cap = token.budget.workspace_tuple_cap
-    if remaining is None and cap is None:
-        return None
-    return {
-        "deadline_seconds": (
-            max(remaining, 0.001) if remaining is not None else None
-        ),
-        "workspace_tuple_cap": cap,
-    }
-
-
-def _run_shm(
-    tasks: List[dict],
-    x_cols: IntervalColumns,
-    y_cols: Optional[IntervalColumns],
-    workers: int,
-) -> tuple:
-    """The process transport: run the shard tasks through the warm
-    pool; returns ``(one (shard row, summary, chunk) per shard,
-    containment stats)``.
-
-    The parent owns every segment name it hands out: operands and all
-    result segments — including the fresh names re-runs create,
-    which the pool appends to ``result_names`` — are swept in the
-    ``finally`` block, so neither a worker crash nor a STRICT re-raise
-    can leak ``/dev/shm`` entries.  A result segment that fails its
-    checksum raises :class:`~repro.parallel.shm.SegmentIntegrityError`
-    out of here: the caller runs the join inline.
-    """
-    token = active_token()
-    columns = [x_cols.ts, x_cols.te]
-    if y_cols is not None:
-        columns += [y_cols.ts, y_cols.te]
-    segment = shm.ColumnSegment(columns)
-    result_names = [
-        shm.segment_name(f"res{task['index']}") for task in tasks
-    ]
-    try:
-        tasks = _shm_tasks(tasks, segment, result_names)
-        governance = _governance_payload(token)
-        if governance is not None:
-            for task in tasks:
-                task["governance"] = governance
-        tasks_by_index = {task["index"]: task for task in tasks}
-        summaries, containment = run_batch(
-            tasks, min(workers, len(tasks)), result_names, token
-        )
-        finished = []
-        for summary in summaries:
-            chunk = shm.read_result(summary["result_segment"])
-            run = ShardRun.of(tasks_by_index[summary["index"]], summary)
-            finished.append((run, summary, chunk))
-        return finished, containment
-    finally:
-        segment.close()
-        for name in result_names:
-            shm.destroy_segment(name)
 
 
 def _as_columns(operand, order, name: str) -> IntervalColumns:
@@ -464,7 +391,7 @@ def execute_parallel(
     :class:`~repro.columnar.relation.IntervalColumns` this function
     would otherwise build from it.  ``workers`` caps the pool size
     (default: one worker per shard); ``mode`` picks ``"process"``
-    (shared-memory runtime over the warm worker pool), ``"inline"``
+    (shard tasks on the warm worker pool), ``"inline"``
     (sequential in-process), or ``"auto"`` (process when more than one
     worker is useful *and* the host has more than one CPU).
 
@@ -511,7 +438,9 @@ def execute_parallel(
             y_cols.te if y_cols is not None else None,
             shards=shards,
         )
-        tasks = _shard_tasks(entry, plan, backend, policy, workspace_budget)
+        tasks = _shard_tasks(
+            entry, plan, x_cols, y_cols, backend, policy, workspace_budget
+        )
         effective_workers = max(
             1,
             min(
@@ -530,24 +459,21 @@ def execute_parallel(
         # One shard gains nothing from a process hop unless asked for.
         if want_process and len(tasks) >= (2 if mode == "auto" else 1):
             try:
-                finished, containment = _run_shm(
-                    tasks, x_cols, y_cols, effective_workers
-                )
+                finished, containment = _run_process(tasks, effective_workers)
             except ReproError:
                 raise
             except Exception as exc:
-                # Pool infrastructure failed (retries spent, a result
-                # segment failing its checksum, segment limits, spawn
-                # failure): parallelism is an optimisation, correctness
-                # falls back inline — but visibly (containment + span),
-                # never silently.
+                # Pool infrastructure failed (retries spent, a hung
+                # batch, spawn failure): parallelism is an optimisation,
+                # correctness falls back inline — but visibly
+                # (containment + span), never silently.
                 containment = _note_pool_fallback(span, exc)
             else:
                 effective_mode = "process"
                 for run, _summary, _chunk in finished:
                     _emit_shard_span(tracer, run, span)
         if finished is None:
-            finished = _run_inline(tracer, entry, tasks, x_cols, y_cols)
+            finished = _run_inline(tracer, tasks)
             effective_mode = "inline"
 
         shard_runs: List[ShardRun] = []

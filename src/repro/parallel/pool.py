@@ -3,15 +3,18 @@
 created (and ``concurrent.futures.process`` first imported) by the first
 process-mode batch, reused across queries and shut down atexit.
 
-A shard that raises is never retried: :func:`run_batch` re-raises the
-lowest-index shard's exception with its original type.  A worker death
-breaks the executor, which fails every unfinished future with
-``BrokenProcessPool`` and then stops the other workers; the batch waits
-for that, builds a fresh pool and re-submits each unfinished shard under
-``attempt + 1`` and a fresh result-segment name, up to
-``_MAX_SHARD_RETRIES`` times.  A batch given up mid-flight (a governance
-checkpoint, ``_BATCH_TIMEOUT`` of silence) kills its workers first, so
-none writes a segment after the caller's sweep.
+Each task is :func:`~repro.parallel.worker.run_task`'s argument and
+its ``(summary, chunk)`` the future's result, so the task's column
+slices and the shard's index arrays travel as the executor's own
+pickles.  A shard that raises is never retried: :func:`run_batch`
+re-raises the lowest-index shard's exception with its original type.
+A worker death breaks the executor, which fails every unfinished future
+with ``BrokenProcessPool`` and then stops the other workers; the batch
+waits for that, builds a fresh pool and re-submits each unfinished
+shard under ``attempt + 1``, up to ``_MAX_SHARD_RETRIES`` times.  A
+batch given up mid-flight (a governance checkpoint, ``_BATCH_TIMEOUT``
+of silence) kills its workers first, so no abandoned shard keeps a
+worker busy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs.trace import get_tracer
-from . import shm
 from .worker import run_task
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -102,18 +104,16 @@ def _discard(pool: "ProcessPoolExecutor", kill: bool = False) -> None:
 def run_batch(
     tasks: List[dict],
     workers: int,
-    segment_names: List[str],
     token: Optional["CancellationToken"] = None,
-) -> Tuple[List[dict], Dict[str, int]]:
-    """Run shard tasks on the shared pool; returns their summaries in
-    shard-index order and the containment counters.  Each re-run
-    appends its fresh result-segment name to ``segment_names``, the
-    caller's sweep list; ``token`` is checked every poll tick."""
+) -> Tuple[List[tuple], Dict[str, int]]:
+    """Run shard tasks on the shared pool; returns their ``(summary,
+    chunk)`` results in shard-index order and the containment counters.
+    ``token`` is checked every poll tick."""
     from concurrent.futures.process import BrokenProcessPool
 
     stats = {"shard_retries": 0, "worker_deaths": 0}
-    pending = {task["index"]: dict(task, attempt=0) for task in tasks}
-    summaries: Dict[int, dict] = {}
+    pending = {task["index"]: task for task in tasks}
+    results: Dict[int, tuple] = {}
     errors: Dict[int, BaseException] = {}
     get_tracer().event(
         "pool.dispatch", shards=len(tasks), indices=sorted(pending)
@@ -132,7 +132,7 @@ def run_batch(
                 elif error is not None:
                     errors[shard_of[future]] = error
                 else:
-                    summaries[shard_of[future]] = future.result()
+                    results[shard_of[future]] = future.result()
         except BaseException:
             _discard(pool, kill=True)
             raise
@@ -141,27 +141,25 @@ def run_batch(
         _discard(pool)
         stats["worker_deaths"] += 1
         pending = {
-            index: _rerun(task, segment_names)
+            index: _rerun(task)
             for index, task in pending.items()
-            if index not in summaries and index not in errors
+            if index not in results and index not in errors
         }
         stats["shard_retries"] += len(pending)
     if errors:
         raise errors[min(errors)]
-    return [summaries[index] for index in sorted(summaries)], stats
+    return [results[index] for index in sorted(results)], stats
 
 
-def _rerun(task: dict, segment_names: List[str]) -> dict:
+def _rerun(task: dict) -> dict:
     """The next attempt of a shard a worker death left unfinished."""
     index, attempt = task["index"], task["attempt"] + 1
     if attempt > _MAX_SHARD_RETRIES:
         raise WorkerPoolError(f"shard {index} lost {attempt} workers")
-    fresh = shm.segment_name(f"res{index}r{attempt}")
-    segment_names.append(fresh)
     get_tracer().event(
         "pool.redispatch", index=index, attempt=attempt, reason="worker-death"
     )
-    return dict(task, attempt=attempt, result_segment=fresh)
+    return dict(task, attempt=attempt)
 
 
 def _completed(futures, token: Optional["CancellationToken"]):

@@ -1,12 +1,13 @@
-"""The shard body, and its worker-side shared-memory transport.
+"""The shard body: one function for both modes.
 
-:func:`run_shard` is the one way a shard executes, in a pool worker or
-in the parent (``mode="inline"``), whatever the backend and recovery
-policy.  It wraps the shard's endpoint columns — any int64 buffers — as
+:func:`run_task` is the one way a shard executes, in the parent
+(``mode="inline"``) or as a pool task (``mode="process"``), whatever
+the backend and recovery policy.  A task carries its own endpoint
+column slices; the body wraps them as
 :class:`~repro.columnar.relation.IntervalColumns` whose payload is the
 shard-local row position and runs them through
 :func:`~repro.resilience.executor.execute_entry`, the body every serial
-plan runs too: a batch backend sweeps the buffers as they are (a
+plan runs too: a batch backend sweeps the slices as they are (a
 mirrored cell their negations), so a clean shard costs the kernel plus
 zero object traffic, and a workspace overflow raises or spills per
 shard (sort orders were checked on the whole operands before the cut,
@@ -14,15 +15,13 @@ so a shard's own check finds nothing); only the spill, tuple-at-a-time
 by nature, builds the shard's tuples (surrogate = position, no
 payloads).
 
-The result is a ``(kind, first, second, x_base, y_base)`` chunk of
-``array('q')`` shard-local index columns; the parent adds the bases and
-materialises payload tuples lazily from its own relation lists, so no
-backend/policy combination ever pickles a tuple.
-
-:func:`run_task` is the process transport around that body: a task
-names an operand segment plus column offsets; the worker maps the
-segment read-only, runs the shard on the views, and writes the chunk
-into a parent-assigned result segment.
+The result is ``(summary, chunk)``, where the chunk is
+``(first, second, x_base, y_base)``: ``array('q')`` shard-local index
+columns plus the bases that make them global.  The parent materialises
+payload tuples lazily from its own relation lists, so no
+backend/policy combination ever pickles a tuple: a process-mode task
+and its result cross the pipe as the pool's own pickles of int64
+arrays.
 """
 
 from __future__ import annotations
@@ -37,92 +36,66 @@ from ..columns import gather
 from ..governance.budget import QueryBudget, active_token, governed
 from ..obs.trace import span_creation_count
 from ..resilience.executor import execute_entry, index_sides
-from ..streams.registry import RegistryEntry, lookup
-from . import shm
-
-_SHAPE_KINDS = {
-    "semi": shm.RESULT_SEMI,
-    "join": shm.RESULT_PAIRS,
-    "self": shm.RESULT_SELF,
-}
+from ..streams.registry import lookup
 
 
-def run_task(task: dict) -> dict:
-    """Execute one shard task; returns the queue-sized summary dict.
+def run_task(task: dict) -> tuple:
+    """Execute one shard task; returns ``(summary, chunk)``.
 
-    Raises whatever the shard raises (STRICT semantics) — the process
-    pool ships the exception back to the parent.
+    Raises whatever the shard raises (STRICT semantics) — in process
+    mode the pool ships the exception back to the parent.
     """
-    if task.get("attempt", 0) < task.get("fault_exit", 0):
-        # Test hook for a worker death: die before any result segment
-        # exists, on every attempt below ``fault_exit``.  ``1`` heals on
-        # the re-run; a value above the pool's retry cap is a
-        # poison pill.
+    if task["attempt"] < task.get("fault_exit", 0):
+        # Test hook for a worker death: die before the shard runs, on
+        # every attempt below ``fault_exit``.  ``1`` heals on the
+        # re-run; a value above the pool's retry cap is a poison pill.
         os._exit(2)
     spans_before = span_creation_count()
+    started = time.perf_counter()
     gov = task.get("governance")
     if gov is None:
-        summary = _run_shard_body(task)
+        summary, chunk = run_shard(task)
     else:
-        # The parent ships its remaining deadline and workspace cap so
-        # in-worker checkpoints (meter inserts, pass boundaries) fire
-        # too; page/shm spend stays parent-accounted.
+        # A pool task carries the parent's remaining deadline and
+        # workspace cap so in-worker checkpoints (meter inserts, pass
+        # boundaries) fire too.
         with governed(
             QueryBudget(
                 deadline_seconds=gov.get("deadline_seconds"),
                 workspace_tuple_cap=gov.get("workspace_tuple_cap"),
             )
         ):
-            summary = _run_shard_body(task)
+            summary, chunk = run_shard(task)
+    summary["wall_seconds"] = time.perf_counter() - started
+    summary["attempt"] = task["attempt"]
     summary["pid"] = os.getpid()
     # A per-task delta (the counter is process-wide and workers are
     # reused): a worker never traces, so the parent can check it is 0.
     summary["worker_spans_created"] = span_creation_count() - spans_before
-    return summary
+    return summary, chunk
 
 
-def _run_shard_body(task: dict) -> dict:
-    started = time.perf_counter()
-    entry = lookup(task["operator"], task["x_order"], task["y_order"])
-    offsets = task["offsets"]
-    x_lo, y_lo = task["x_base"], task["y_base"]
-    with shm.MappedColumns(task["segment"]) as mapped:
-        x_ts = mapped.view(offsets[0] + x_lo, task["x_len"])
-        x_te = mapped.view(offsets[1] + x_lo, task["x_len"])
-        y_ts = y_te = None
-        if task["y_len"]:
-            y_ts = mapped.view(offsets[2] + y_lo, task["y_len"])
-            y_te = mapped.view(offsets[3] + y_lo, task["y_len"])
-        summary, chunk = run_shard(task, entry, x_ts, x_te, y_ts, y_te)
-        shm.write_result(task["result_segment"], *chunk)
-    summary["wall_seconds"] = time.perf_counter() - started
-    summary["index"] = task["index"]
-    summary["attempt"] = task.get("attempt", 0)
-    summary["result_segment"] = task["result_segment"]
-    return summary
-
-
-def run_shard(
-    task: dict, entry: RegistryEntry, x_ts, x_te, y_ts, y_te
-) -> tuple:
+def run_shard(task: dict) -> tuple:
     """Sweep one shard; returns ``(summary, chunk)``.
 
     ``x_ts``/``x_te`` are the shard's X endpoint columns (the context
-    hull for self operators) and ``y_ts``/``y_te`` its Y range, or
-    ``None`` when that range is empty.  Raises whatever the shard
-    raises (STRICT semantics must propagate the original exception
-    types to the caller).
+    hull for self operators) and ``y_ts``/``y_te`` its Y range (``None``
+    for self operators).  Raises whatever the shard raises (STRICT
+    semantics must propagate the original exception types to the
+    caller).
     """
+    entry = lookup(task["operator"], task["x_order"], task["y_order"])
     shape, x_base = task["shape"], task["x_base"]
+    x_ts = task["x_ts"]
     x_cols = IntervalColumns(
-        x_ts, x_te, range(len(x_ts)), entry.x_order, name="X[shard]"
+        x_ts, task["x_te"], range(len(x_ts)), entry.x_order, name="X[shard]"
     )
     y_cols = None
     if shape != "self":
-        if y_ts is None:
-            y_ts = y_te = array("q")
+        y_ts = task["y_ts"]
         y_cols = IntervalColumns(
-            y_ts, y_te, range(len(y_ts)), entry.y_order, name="Y[shard]"
+            y_ts, task["y_te"], range(len(y_ts)), entry.y_order,
+            name="Y[shard]",
         )
     outcome = execute_entry(
         entry,
@@ -157,7 +130,6 @@ def run_shard(
     # lazy payload materialisation (one addition fewer per output on
     # the shard's critical path).
     chunk = (
-        _SHAPE_KINDS[shape],
         first,
         _local_positions(y_rows, second) if shape == "join" else None,
         x_base,

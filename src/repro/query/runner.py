@@ -114,7 +114,7 @@ def run_query(
         batch drain, or a shard-collect poll tick).
     budget:
         A :class:`~repro.governance.QueryBudget` of resource caps
-        (deadline, workspace tuples, page reads, shared-memory bytes).
+        (deadline, workspace tuples, page reads).
         ``deadline`` merges into it; breaches raise the typed
         :class:`~repro.errors.GovernanceError` subclasses, which the
         resilience ladder never retries.  Its workspace cap is not the

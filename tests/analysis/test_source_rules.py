@@ -170,9 +170,8 @@ GOVERNED = {
     "columnar/backend.py": ("_absorb", "_materialise"),
     "parallel/pool.py": ("_completed",),
     "parallel/worker.py": ("run_shard",),
-    "parallel/shm.py": ("write_result", "read_result"),
 }
-_CHECKPOINTS = {"check", "charge_pages", "charge_workspace", "charge_shm"}
+_CHECKPOINTS = {"check", "charge_pages", "charge_workspace"}
 _CHARGING = {
     "page", "get_page", "read_page", "scan", "drain", "advance",
     "insert", "note_batch_pass", "on_insert", "run_task",

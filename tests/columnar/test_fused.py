@@ -1228,8 +1228,8 @@ class TestLazyPairs:
 
 
 class TestEndpointOnlyExecution:
-    """The kernels run on bare endpoint columns (the shared-memory
-    worker shape: no payload objects at all)."""
+    """The kernels run on bare endpoint columns (a shard task's
+    shape: no payload objects at all)."""
 
     def test_join_kernel_on_arrays(self):
         x_ts = array("q", [0, 2, 5])

@@ -1,11 +1,10 @@
 """The kernel boundary: whatever form an operand's endpoint columns are
-stored in — the validated ``array('q')``, a plain list, a ``memoryview``
-over a shared-memory segment — the kernels are handed plain lists, and
-nothing they return or count depends on the stored form."""
+stored in — the validated ``array('q')`` or a plain list — the kernels
+are handed plain lists, and nothing they return or count depends on the
+stored form."""
 
 import random
 from array import array
-from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from functools import wraps
 
@@ -16,10 +15,9 @@ from repro.columnar.relation import IntervalColumns
 from repro.errors import ExecutionError
 from repro.model import TE_DESC, TS_ASC, TemporalTuple, sort_tuples
 from repro.parallel import execute_parallel
-from repro.parallel.shm import ColumnSegment, MappedColumns
 from repro.streams import TemporalOperator, TupleStream, lookup
 
-FORMS = ("array", "list", "shared-memory")
+FORMS = ("array", "list")
 SWEEP_COUNTS = (
     "comparisons", "eviction_checks", "inserted", "discarded", "high_water",
 )
@@ -37,25 +35,13 @@ def tuples(name, count, seed):
     return out
 
 
-@contextmanager
 def stored_as(form, rows):
     """``rows``' two endpoint columns, kept in ``form``."""
     starts = [row.valid_from for row in rows]
     ends = [row.valid_to for row in rows]
     if form == "list":
-        yield starts, ends
-    elif form == "array":
-        yield array("q", starts), array("q", ends)
-    else:
-        segment = ColumnSegment([starts, ends], tag="kb")
-        try:
-            with MappedColumns(segment.name) as mapped:
-                yield tuple(
-                    mapped.view(offset, length)
-                    for offset, length in zip(segment.offsets, segment.lengths)
-                )
-        finally:
-            segment.close()
+        return starts, ends
+    return array("q", starts), array("q", ends)
 
 
 def spied(cell, seen):
@@ -79,23 +65,16 @@ def spied(cell, seen):
     return replace(cell, kernel=spy(cell.kernel))
 
 
-@contextmanager
 def streams_over(form, operands):
     """One column-born stream per ``(name, order, rows)`` operand, its
     endpoint columns stored in ``form``."""
-    with ExitStack() as stack:
-        yield [
-            TupleStream.from_columns(
-                IntervalColumns(
-                    *stack.enter_context(stored_as(form, rows)),
-                    rows,
-                    order,
-                    name=name,
-                ),
-                name=name,
-            )
-            for name, order, rows in operands
-        ]
+    return [
+        TupleStream.from_columns(
+            IntervalColumns(*stored_as(form, rows), rows, order, name=name),
+            name=name,
+        )
+        for name, order, rows in operands
+    ]
 
 
 def run_cell(cell, mirrored, form):
@@ -109,12 +88,14 @@ def run_cell(cell, mirrored, form):
             rows = sort_tuples(tuples(name, 45, seed), order)
             operands.append((name, order, rows))
     seen = []
-    with streams_over(form, operands) as streams:
-        processor = ColumnarProcessor(
-            spied(cell, seen), "columnar", *streams, mirrored=mirrored
-        )
-        processor.meter.enable_trace()
-        out = list(processor.run())
+    processor = ColumnarProcessor(
+        spied(cell, seen),
+        "columnar",
+        *streams_over(form, operands),
+        mirrored=mirrored,
+    )
+    processor.meter.enable_trace()
+    out = list(processor.run())
     ((handed, sweep_stats),) = seen
     return {
         "handed": handed,
@@ -161,15 +142,17 @@ def test_a_mirrored_cell_still_refuses_the_unnegatable_endpoint(backend, form):
     xs = sort_tuples(tuples("x", 5, 1) + [floor], TE_DESC)
     ys = sort_tuples(tuples("y", 5, 2), TE_DESC)
     operands = (("X", TE_DESC, xs), ("Y", TE_DESC, ys))
-    with streams_over(form, operands) as streams:
-        processor = ColumnarProcessor(
-            CELLS["contain-join[TS^,TS^]"], backend, *streams, mirrored=True
-        )
-        with pytest.raises(
-            ExecutionError,
-            match=f"row {xs.index(floor)} of 'X'.* {-2**63} ",
-        ):
-            processor.run()
+    processor = ColumnarProcessor(
+        CELLS["contain-join[TS^,TS^]"],
+        backend,
+        *streams_over(form, operands),
+        mirrored=True,
+    )
+    with pytest.raises(
+        ExecutionError,
+        match=f"row {xs.index(floor)} of 'X'.* {-2**63} ",
+    ):
+        processor.run()
     assert processor.metrics.output_count == 0
 
 
@@ -180,8 +163,9 @@ def surrogates(pairs):
 @pytest.mark.parametrize("backend", ("columnar", "fused"))
 @pytest.mark.parametrize("order", (TS_ASC, TE_DESC), ids=("plain", "mirrored"))
 def test_two_shards_equal_the_serial_run_on_either_transport(order, backend):
-    """Inline shards read array slices, process shards the mapped
-    segment: the same pairs in the same order, and the serial run's."""
+    """Inline shards run their tasks' array slices in the parent,
+    process shards the same slices in a worker: the same pairs in the
+    same order, and the serial run's."""
     entry = lookup(TemporalOperator.CONTAIN_JOIN, order, order)
     xs = sort_tuples(tuples("x", 120, 5), order)
     ys = sort_tuples(tuples("y", 120, 6), order)

@@ -42,7 +42,6 @@ class TestQueryBudget:
             {"deadline_seconds": 5.0},
             {"workspace_tuple_cap": 10},
             {"page_read_cap": 100},
-            {"shm_byte_cap": 1 << 20},
         ],
     )
     def test_any_cap_makes_it_bounded(self, kwargs):
@@ -111,14 +110,6 @@ class TestCancellationToken:
         with pytest.raises(BudgetExceededError) as info:
             token.charge_workspace(6)
         assert info.value.resource == "workspace"
-
-    def test_shm_cap_accumulates(self):
-        token = CancellationToken(QueryBudget(shm_byte_cap=100))
-        token.charge_shm(60)
-        with pytest.raises(BudgetExceededError) as info:
-            token.charge_shm(60)
-        assert info.value.resource == "shm_bytes"
-        assert info.value.spent == 120
 
     def test_as_dict_reports_spend(self):
         token = CancellationToken(QueryBudget(deadline_seconds=9.0))

@@ -97,15 +97,17 @@ def serial_run(entry, xs, ys, backend):
 def exit_on_shard(monkeypatch, index, attempts):
     """Make shard ``index``'s worker exit on every dispatch attempt
     below ``attempts``: ``1`` heals on the re-dispatch, a value above
-    the pool's retry cap is a poison pill."""
-    original = executor_mod._shm_tasks
+    the pool's retry cap is a poison pill.  Only the tasks submitted to
+    the pool carry the hook: an inline run of the same task would exit
+    the test process itself."""
+    original = executor_mod.run_batch
 
-    def sabotaged(*args, **kwargs):
-        tasks = original(*args, **kwargs)
-        tasks[index]["fault_exit"] = attempts
-        return tasks
+    def sabotaged(tasks, *args, **kwargs):
+        tasks = list(tasks)
+        tasks[index] = dict(tasks[index], fault_exit=attempts)
+        return original(tasks, *args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "_shm_tasks", sabotaged)
+    monkeypatch.setattr(executor_mod, "run_batch", sabotaged)
 
 
 @pytest.fixture

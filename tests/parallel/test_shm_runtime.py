@@ -1,7 +1,8 @@
-"""Shared-memory runtime lifecycle: segments must never outlive the
-query (success, STRICT re-raise, or worker crash), the warm pool must
-persist across queries and survive concurrent dispatch, and pool
-degradation must be visible (containment + span), never silent."""
+"""Process runtime lifecycle: a process-mode query answers as the
+serial run does on success, re-raises a shard's STRICT error with its
+type, heals a worker death through one pool rebuild; the warm pool
+persists across queries and survives concurrent dispatch, and pool
+degradation is visible (containment + span), never silent."""
 
 import os
 import pathlib
@@ -10,7 +11,6 @@ import subprocess
 import sys
 import threading
 from array import array
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -27,7 +27,6 @@ from repro.parallel import (
 )
 from repro.parallel import executor as executor_mod
 from repro.parallel import pool as pool_mod
-from repro.parallel import shm
 from repro.resilience import RecoveryPolicy
 from repro.streams import TemporalOperator, lookup
 from repro.streams.registry import supported_entries
@@ -47,17 +46,6 @@ def inputs(seed_x=31, seed_y=32, n=80):
     return xs, ys
 
 
-def shm_entries():
-    """Names of our segments currently visible in /dev/shm (empty set
-    on platforms without the tmpfs mount, making leak checks vacuous
-    rather than wrong)."""
-    try:
-        names = os.listdir("/dev/shm")
-    except FileNotFoundError:
-        return set()
-    return {name for name in names if name.startswith("repro-")}
-
-
 #: Dispatch attempts that kill every worker a shard lands on.
 POISON = pool_mod._MAX_SHARD_RETRIES + 1
 
@@ -66,7 +54,6 @@ class TestSegmentLifecycle:
     def test_success_unlinks_every_segment(self):
         entry = contain_entry()
         xs, ys = inputs()
-        before = shm_entries()
         outcome = execute_parallel(
             entry, xs, ys, shards=3, workers=2, mode="process"
         )
@@ -74,15 +61,12 @@ class TestSegmentLifecycle:
         assert canon(outcome.results) == canon(
             serial_run(entry, xs, ys, "tuple")
         )
-        assert shm_entries() == before
 
     def test_strict_reraise_sweeps_segments(self):
-        """A STRICT failure inside a worker must surface the original
-        exception type AND leave /dev/shm clean — the parent sweeps the
-        names it handed out on the error path too."""
+        """A STRICT failure inside a worker surfaces in the parent with
+        its original exception type, not as a pool fallback."""
         entry = contain_entry()
         xs, ys = inputs()
-        before = shm_entries()
         with pytest.raises(WorkspaceOverflowError):
             execute_parallel(
                 entry,
@@ -94,19 +78,16 @@ class TestSegmentLifecycle:
                 workspace_budget=1,
                 mode="process",
             )
-        assert shm_entries() == before
 
     def test_worker_crash_degrades_visibly_and_sweeps(self, monkeypatch):
-        """Kill one worker before it writes its result: the run must
-        fall back inline with correct output, record the exception class
-        in the containment counters, mark the span, and leave no segments
-        behind (the crashed shard's result segment never existed; the
-        sweep tolerates that)."""
+        """Kill every worker shard 0 lands on: once the retries are
+        spent the run must fall back inline with correct output, record
+        the exception class in the containment counters and mark the
+        span."""
         entry = contain_entry()
         xs, ys = inputs()
         expected = canon(serial_run(entry, xs, ys, "tuple"))
         exit_on_shard(monkeypatch, 0, POISON)
-        before = shm_entries()
         tracer = Tracer("crash")
         previous = set_tracer(tracer)
         try:
@@ -118,7 +99,6 @@ class TestSegmentLifecycle:
             shutdown_pool()
         assert outcome.mode == "inline"
         assert canon(outcome.results) == expected
-        assert shm_entries() == before
         assert outcome.containment == {"pool_fallback:WorkerPoolError": 1}
         parallel_span = next(
             s for s in tracer.spans if s.name.startswith("parallel:")
@@ -134,17 +114,16 @@ class TestSegmentLifecycle:
         next process-mode query succeeds through fresh workers."""
         entry = contain_entry()
         xs, ys = inputs()
-        original = executor_mod._shm_tasks
+        original = executor_mod.run_batch
         calls = {"n": 0}
 
-        def sabotage_first(*args, **kwargs):
-            tasks = original(*args, **kwargs)
+        def sabotage_first(tasks, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
-                tasks[0]["fault_exit"] = POISON
-            return tasks
+                tasks = [dict(tasks[0], fault_exit=POISON), *tasks[1:]]
+            return original(tasks, *args, **kwargs)
 
-        monkeypatch.setattr(executor_mod, "_shm_tasks", sabotage_first)
+        monkeypatch.setattr(executor_mod, "run_batch", sabotage_first)
         crashed = execute_parallel(
             entry, xs, ys, shards=2, workers=2, mode="process"
         )
@@ -205,8 +184,7 @@ class TestWarmPool:
 class TestFaultContainment:
     """A worker death breaks the pool: the batch waits for its
     teardown, rebuilds it once and re-runs every shard still unfinished
-    under the next attempt — same rows, no inline fallback, no leaked
-    segment."""
+    under the next attempt — same rows, no inline fallback."""
 
     def run_process(self, entry, xs, ys, **kwargs):
         outcome = execute_parallel(
@@ -221,8 +199,6 @@ class TestFaultContainment:
         attempts = {run.index: run.attempt for run in outcome.shard_runs}
         assert attempts[killed] == 1
         assert pool_stats()["rebuilds"] == rebuilds + 1
-        ours = f"repro-{os.getpid()}-"
-        assert not {n for n in shm_entries() if n.startswith(ours)}
 
     def test_kill_heals_with_one_rebuild(self, monkeypatch):
         entry = contain_entry()
@@ -252,9 +228,9 @@ class TestFaultContainment:
             assert canon(outcome.results) == expected
             self.assert_healed(outcome, 2, rebuilds)
 
-    #: One cell per result-segment kind.  The worker exits before the
-    #: shard body runs, so a cell matters to the death path only
-    #: through the kind of segment its re-run writes.
+    #: One cell per result shape.  The worker exits before the shard
+    #: body runs, so a cell matters to the death path only through the
+    #: shape of the chunk its re-run returns.
     KIND_CELLS = {
         "semi": TemporalOperator.CONTAIN_SEMIJOIN,
         "pairs": TemporalOperator.CONTAIN_JOIN,
@@ -276,69 +252,6 @@ class TestFaultContainment:
         self.assert_healed(healed, 0, rebuilds)
 
 
-class TestEmptySegment:
-    def test_sweep_unlinks_a_segment_its_worker_never_sized(self):
-        """A broken pool terminates every worker, one possibly between
-        creating its result segment and sizing it: the sweep must still
-        unlink the empty segment, which cannot be mapped."""
-        import _posixshmem
-
-        name = shm.segment_name("empty")
-        fd = _posixshmem.shm_open(
-            f"/{name}", os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600
-        )
-        os.close(fd)
-        shm.destroy_segment(name)
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-class TestResultIntegrity:
-    """The result segment's crc32 is checked on every read; a segment
-    that fails it is a pool failure, answered by the inline run."""
-
-    def test_flipped_payload_byte_raises_and_unlinks(self):
-        name = shm.segment_name("crc")
-        shm.write_result(
-            name, shm.RESULT_PAIRS, array("q", [1, 2, 3]), array("q", [4])
-        )
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            # The first payload byte sits right after the header words.
-            segment.buf[shm._HEADER_ITEMS * shm._ITEM] ^= 0x01
-        finally:
-            segment.close()
-        with pytest.raises(shm.SegmentIntegrityError):
-            shm.read_result(name)
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_integrity_failure_runs_the_join_inline(self, monkeypatch):
-        entry = contain_entry()
-        xs, ys = inputs()
-        expected = canon(serial_run(entry, xs, ys, "tuple"))
-        original = shm.read_result
-        calls = {"n": 0}
-
-        def fails_once(name):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise shm.SegmentIntegrityError(f"{name} failed its checksum")
-            return original(name)
-
-        monkeypatch.setattr(shm, "read_result", fails_once)
-        before = shm_entries()
-        outcome = execute_parallel(
-            entry, xs, ys, shards=2, workers=2, mode="process"
-        )
-        assert outcome.mode == "inline"
-        assert canon(outcome.results) == expected
-        assert outcome.containment == {
-            "pool_fallback:SegmentIntegrityError": 1
-        }
-        assert shm_entries() == before
-
-
 class TestPoolLifecycle:
     def test_shutdown_pool_twice_and_after_manual_teardown(self):
         """The atexit hook may fire after a test (or the CLI) already
@@ -358,8 +271,6 @@ class TestPoolLifecycle:
 #: A process-mode run as a script of its own: spawn workers re-import
 #: ``__main__``, so the run sits under the main guard.
 EXIT_SCRIPT = """
-import os
-
 from repro.model import TS_ASC, sort_tuples
 from repro.parallel import execute_parallel
 from repro.streams import TemporalOperator, lookup
@@ -373,7 +284,7 @@ if __name__ == "__main__":
     outcome = execute_parallel(
         entry, faculty, faculty, shards=2, workers=2, mode="process"
     )
-    print(os.getpid(), outcome.mode)
+    print(outcome.mode)
 """
 
 
@@ -408,17 +319,14 @@ class TestProcessBoundaries:
         result = run_script(EXIT_SCRIPT, tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
-        pid, mode = result.stdout.split()
-        assert mode == "process"
-        assert not {
-            n for n in shm_entries() if n.startswith(f"repro-{pid}-")
-        }
+        assert result.stdout.split() == ["process"]
 
     def test_deadline_inside_a_process_batch_sweeps(self):
         """The batch outlives its deadline: the poll loop's checkpoint
-        (or the worker's own) raises, no segment survives, and the next
-        query runs in process mode again.  8 000 rows a side plan well
-        inside the deadline; their tuple-backend shards do not."""
+        (or the worker's own) raises, the abandoned pool is retired,
+        and the next query runs in process mode again.  8 000 rows a
+        side plan well inside the deadline; their tuple-backend shards
+        do not."""
         entry = contain_entry()
         xs, ys = inputs()
         warm = execute_parallel(entry, xs, ys, shards=2, mode="process")
@@ -434,8 +342,6 @@ class TestProcessBoundaries:
                     backend="tuple",
                     mode="process",
                 )
-        ours = f"repro-{os.getpid()}-"
-        assert not {n for n in shm_entries() if n.startswith(ours)}
         again = execute_parallel(entry, xs, ys, shards=2, mode="process")
         assert again.mode == "process"
 
@@ -456,6 +362,30 @@ print("concurrent.futures.process" in sys.modules)
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False"]
+
+    def test_importing_the_package_loads_no_multiprocessing_module(
+        self, tmp_path
+    ):
+        """``import repro.parallel`` costs no ``multiprocessing`` import:
+        the pool module imports it only when the first process-mode
+        batch builds the pool."""
+        result = run_script(
+            """
+import sys
+
+import repro.query
+import repro.parallel
+
+print(sorted(
+    name for name in sys.modules
+    if name.split(".")[0] == "multiprocessing"
+    or name == "concurrent.futures.process"
+))
+""",
+            tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]"]
 
 
 class TestLazyResults:
